@@ -29,6 +29,30 @@ struct Abl {
     value: f64,
 }
 
+/// Binary search over pinned single-II jobs (`min_ii == max_ii`), the
+/// way `parallel_ii` probes. Feasibility is not monotone for greedy
+/// list scheduling, so this is the smallest II among the probes, not
+/// the minimum.
+fn bisect_ii(mapper: &dyn Mapper, k: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Option<u32> {
+    let (mut lo, mut hi) = cfg.ii_range(ModuloList::mii(k, fabric), fabric).ok()?;
+    let mut best = None;
+    while lo <= hi {
+        let mid = lo + (hi - lo) / 2;
+        let pinned = MapConfig {
+            min_ii: mid,
+            max_ii: mid,
+            ..cfg.clone()
+        };
+        if mapper.map(k, fabric, &pinned).is_ok() {
+            best = Some(mid);
+            hi = mid - 1;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    best
+}
+
 fn main() {
     let mut out: Vec<Abl> = Vec::new();
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
@@ -54,21 +78,20 @@ fn main() {
         });
     }
 
-    // 2. II search order.
+    // 2. II search order: the sweep every temporal mapper runs, against
+    //    a bisection of the same range.
     println!("\n== ablation 2: II search order ==");
-    for (label, order) in [
-        ("bottom-up", IiSearch::BottomUp),
-        ("binary", IiSearch::Binary),
-    ] {
-        let mapper = ModuloList {
-            ii_search: order,
-            ..Default::default()
+    let mapper = ModuloList::default();
+    for (label, bisect) in [("bottom-up", false), ("binary", true)] {
+        let search = |k: &Dfg| {
+            if bisect {
+                bisect_ii(&mapper, k, &fabric, &cfg)
+            } else {
+                mapper.map(k, &fabric, &cfg).ok().map(|m| m.ii)
+            }
         };
         let start = Instant::now();
-        let iis: Vec<u32> = suite
-            .iter()
-            .filter_map(|k| mapper.map(k, &fabric, &cfg).ok().map(|m| m.ii))
-            .collect();
+        let iis: Vec<u32> = suite.iter().filter_map(search).collect();
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let mean_ii = iis.iter().sum::<u32>() as f64 / iis.len().max(1) as f64;
         println!(

@@ -569,13 +569,31 @@ mod tests {
 
     #[test]
     fn parallel_ii_matches_bottom_up_ii() {
-        let mapper = ModuloList::default();
+        // Sequential and parallel are two schedules over one probe:
+        // whoever maps fir4 bottom-up lands on the same II racing.
+        // (ilp and smt run out of budget here and sit this one out;
+        // everyone else needs under 0.1 s.)
         let dfg = kernels::fir(4);
         let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let cfg = MapConfig::fast();
-        let seq = mapper.map(&dfg, &fabric, &cfg).unwrap();
-        let par = parallel_ii(&mapper, &dfg, &fabric, &cfg).unwrap();
-        validate(&par, &dfg, &fabric).unwrap();
-        assert_eq!(par.ii, seq.ii);
+        let cfg = MapConfig {
+            time_limit: Duration::from_secs(2),
+            ..MapConfig::fast()
+        };
+        let mut compared = 0;
+        for spec in crate::MapperRegistry::standard().specs() {
+            let mapper = spec.build();
+            let Ok(seq) = mapper.map(&dfg, &fabric, &cfg) else {
+                continue;
+            };
+            if spec.spatial {
+                continue;
+            }
+            let par = parallel_ii(mapper.as_ref(), &dfg, &fabric, &cfg)
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            validate(&par, &dfg, &fabric).unwrap();
+            assert_eq!(par.ii, seq.ii, "{}", spec.name);
+            compared += 1;
+        }
+        assert!(compared >= 8, "only {compared} mappers compared");
     }
 }

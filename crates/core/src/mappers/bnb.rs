@@ -10,14 +10,13 @@
 //! "stochastic pruning of partial solutions" knob that makes the
 //! approach scale).
 
-use super::state::SchedState;
+use super::state::{priority_order, SchedState};
+use super::sweep::{SweepCtx, TemporalSearch};
 use crate::engine::Budget;
-use crate::ledger::Ledger;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use crate::telemetry::Counter;
+use cgra_ir::NodeId;
 
 /// The branch-and-bound mapper.
 #[derive(Debug, Clone)]
@@ -61,14 +60,9 @@ impl<'a> Bb<'a> {
             return false;
         }
         let n = self.order[depth];
-        let est = self.state.est(n);
-        let window_end = match self.state.lst(n) {
-            Some(l) => l.min(est + self.window_iis * self.state.ii),
-            None => est + self.window_iis * self.state.ii,
-        };
-        if window_end < est {
+        let Some((est, window_end)) = self.state.window(n, self.window_iis) else {
             return false;
-        }
+        };
         // Gather candidates (earliest-and-nearest first), beam-capped.
         let mut tried = 0usize;
         for t in est..=window_end {
@@ -90,87 +84,41 @@ impl<'a> Bb<'a> {
     }
 }
 
-impl BranchAndBound {
-    #[allow(clippy::too_many_arguments)]
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("bnb", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
+impl TemporalSearch for BranchAndBound {
+    const NAME: &'static str = "bnb";
+    const FAMILY: Family = Family::ExactIlp;
+    const EXHAUSTED: &'static str = "search exhausted for II {range}";
+    type State = ();
+
+    fn prepare(&self, _: &SweepCtx<'_>) {}
+
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
         let mut bb = Bb {
-            order,
+            order: priority_order(ctx.dfg, ctx.fabric).0,
             nodes: 0,
             node_budget: self.node_budget,
-            wall: budget,
+            wall: &ctx.budget,
             beam: self.beam,
             window_iis: self.window_iis,
-            state: SchedState::new(dfg, fabric, ii, topo, tele.clone()),
+            state: SchedState::new(ctx, ii),
         };
-        if bb.dfs(0) {
-            let nodes = bb.nodes;
-            let m = bb.state.into_mapping();
-            if m.is_some() {
-                // B&B's first full schedule at this II is its (only)
-                // incumbent; the cost is the node count spent reaching it.
-                tele.bump(Counter::Incumbents);
-                ledger.incumbent("bnb", ii, nodes as f64);
-            }
-            m
-        } else {
-            None
+        if !bb.dfs(0) {
+            return Ok(None);
         }
-    }
-}
-
-impl Mapper for BranchAndBound {
-    fn name(&self) -> &'static str {
-        "bnb"
-    }
-
-    fn family(&self) -> Family {
-        Family::ExactIlp
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            if let Some(m) =
-                self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry, &cfg.ledger)
-            {
-                return Ok(m);
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "search exhausted for II {min_ii}..={max_ii}"
-        )))
+        // B&B's first full schedule at this II is its (only)
+        // incumbent; the cost is the node count spent reaching it.
+        let nodes = bb.nodes;
+        let m = bb.state.into_mapping();
+        Ok(m.inspect(|_| ctx.incumbent(Self::NAME, ii, nodes as f64)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

@@ -7,14 +7,11 @@
 //! solved by the AC-3 + MRV engine of [`cgra_solver::CpModel`]. A
 //! CEGAR loop blocks placements the router cannot realise.
 
-use super::exact_common::{add_solver_stats, edge_compatible, realise, PositionSpace, SweepSpace};
-use crate::engine::Budget;
-use crate::ledger::Ledger;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::exact_common::{add_solver_stats, edge_compatible, PositionSpace, SweepSpace};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::Dfg;
+use cgra_arch::PeId;
 use cgra_solver::cp::CpConfig;
 use cgra_solver::{CpModel, CpSolution, CpVar};
 use std::sync::Arc;
@@ -37,22 +34,43 @@ impl Default for CpMapper {
     }
 }
 
-impl CpMapper {
-    #[allow(clippy::too_many_arguments)]
+impl TemporalSearch for CpMapper {
+    const NAME: &'static str = "cp";
+    const FAMILY: Family = Family::ExactCsp;
+    const EXHAUSTED: &'static str = "CP infeasible for every II in {range} (candidate window)";
+    /// Incremental sweeps build the union space once and view each
+    /// II's lists out of it, so the II-independent structural work
+    /// (ASAP levels, capability filtering, window sorting) is not
+    /// redone per II.
+    type State = Option<SweepSpace>;
+
+    fn prepare(&self, ctx: &SweepCtx<'_>) -> Option<SweepSpace> {
+        ctx.cfg.incremental.then(|| {
+            let iis: Vec<u32> = (ctx.lo..=ctx.hi).collect();
+            SweepSpace::build(
+                ctx.dfg,
+                ctx.fabric,
+                &iis,
+                self.window_iis,
+                self.position_cap,
+            )
+        })
+    }
+
     fn try_ii(
         &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
+        ctx: &SweepCtx<'_>,
+        sweep: &mut Option<SweepSpace>,
         ii: u32,
-        space: &PositionSpace,
-        topo: &Arc<TopologyCache>,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
     ) -> Result<Option<Mapping>, MapError> {
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("cp", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
+        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &ctx.topo, &ctx.budget);
+        let space = match sweep {
+            Some(s) => s.per_ii((ii - ctx.lo) as usize),
+            None => PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap),
+        };
+        if space.positions.iter().any(|ps| ps.is_empty()) {
+            return Ok(None);
+        }
         let mut blocked: Vec<Vec<(PeId, u32)>> = Vec::new();
 
         for round in 0..self.cegar_rounds.max(1) {
@@ -65,12 +83,6 @@ impl CpMapper {
                 .iter()
                 .map(|ps| model.add_var(ps.len().max(1) as u32))
                 .collect();
-            for (o, ps) in space.positions.iter().enumerate() {
-                if ps.is_empty() {
-                    return Ok(None);
-                }
-                let _ = o;
-            }
 
             // Edge compatibility.
             for (_, e) in dfg.edges() {
@@ -133,21 +145,20 @@ impl CpMapper {
                 time_limit: budget.remaining().unwrap_or(std::time::Duration::MAX),
                 node_limit: 500_000,
             });
-            add_solver_stats(tele, model.stats());
+            add_solver_stats(ctx.tele(), model.stats());
             match sol {
                 CpSolution::Unsat => return Ok(None),
                 CpSolution::Unknown => return Err(budget.error()),
                 CpSolution::Sat(values) => {
                     // Each model is an anytime incumbent placement;
                     // cost = CEGAR rounds spent reaching it.
-                    tele.bump(Counter::Incumbents);
-                    ledger.incumbent("cp", ii, round as f64);
+                    ctx.incumbent(Self::NAME, ii, round as f64);
                     let chosen: Vec<(PeId, u32)> = values
                         .iter()
                         .enumerate()
                         .map(|(o, &k)| space.positions[o][k as usize])
                         .collect();
-                    if let Some(m) = realise(dfg, fabric, topo, ii, &chosen, tele) {
+                    if let Some(m) = ctx.route(ii, chosen.iter().copied()) {
                         return Ok(Some(m));
                     }
                     blocked.push(chosen);
@@ -158,61 +169,12 @@ impl CpMapper {
     }
 }
 
-impl Mapper for CpMapper {
-    fn name(&self) -> &'static str {
-        "cp"
-    }
-
-    fn family(&self) -> Family {
-        Family::ExactCsp
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        // Incremental sweeps build the union space once and view each
-        // II's lists out of it, so the II-independent structural work
-        // (ASAP levels, capability filtering, window sorting) is not
-        // redone per II.
-        let iis: Vec<u32> = (min_ii..=max_ii).collect();
-        let sweep = cfg
-            .incremental
-            .then(|| SweepSpace::build(dfg, fabric, &iis, self.window_iis, self.position_cap));
-        for (k, &ii) in iis.iter().enumerate() {
-            let space = match &sweep {
-                Some(s) => s.per_ii(k),
-                None => PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap),
-            };
-            match self.try_ii(
-                dfg,
-                fabric,
-                ii,
-                &space,
-                &topo,
-                &budget,
-                &cfg.telemetry,
-                &cfg.ledger,
-            ) {
-                Ok(Some(m)) => return Ok(m),
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "CP infeasible for every II in {min_ii}..={max_ii} (candidate window)"
-        )))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

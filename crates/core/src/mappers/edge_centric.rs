@@ -8,13 +8,12 @@
 //! whose summed route cost is lowest. Placement is a by-product of
 //! routing.
 
-use super::state::SchedState;
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::state::{priority_order, SchedState};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
 use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use cgra_ir::NodeId;
 
 /// The edge-centric mapper.
 #[derive(Debug, Clone)]
@@ -82,35 +81,14 @@ fn route_cost_field(
 }
 
 impl EdgeCentric {
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let mut state = SchedState::new(dfg, fabric, ii, topo, tele.clone());
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
-
-        for &n in &order {
-            if budget.expired() {
+    fn schedule(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Mapping> {
+        let (dfg, fabric, topo) = (ctx.dfg, ctx.fabric, &*ctx.topo);
+        let mut state = SchedState::new(ctx, ii);
+        for n in priority_order(dfg, fabric).0 {
+            if ctx.budget.expired() {
                 return None;
             }
-            let est = state.est(n);
-            let window_end = match state.lst(n) {
-                Some(l) => l.min(est + self.window_iis * ii),
-                None => est + self.window_iis * ii,
-            };
-            if window_end < est {
-                return None;
-            }
+            let (est, window_end) = state.window(n, self.window_iis)?;
 
             // Build route-cost fields from every placed dist-0 producer.
             let producers: Vec<(NodeId, PeId, u32)> = dfg
@@ -175,42 +153,23 @@ impl EdgeCentric {
     }
 }
 
-impl Mapper for EdgeCentric {
-    fn name(&self) -> &'static str {
-        "edge-centric"
-    }
+impl TemporalSearch for EdgeCentric {
+    const NAME: &'static str = "edge-centric";
+    const FAMILY: Family = Family::Heuristic;
+    type State = ();
 
-    fn family(&self) -> Family {
-        Family::Heuristic
-    }
+    fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            cfg.ledger.ii_attempt("edge-centric", ii);
-            if let Some(m) = self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry) {
-                cfg.telemetry.bump(Counter::Incumbents);
-                cfg.ledger.incumbent("edge-centric", ii, ii as f64);
-                return Ok(m);
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "no II in {min_ii}..={max_ii} admits a schedule"
-        )))
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+        let m = self.schedule(ctx, ii);
+        Ok(m.inspect(|_| ctx.incumbent(Self::NAME, ii, ii as f64)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
     use cgra_arch::Topology;
     use cgra_ir::kernels;

@@ -12,8 +12,6 @@
 //! the CEGAR loop (route, and on failure block the exact placement and
 //! re-solve).
 
-use crate::mapping::{Mapping, Placement};
-use crate::route::route_all_with;
 use crate::telemetry::{Counter, Telemetry};
 use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::{graph, Dfg, OpKind};
@@ -24,8 +22,6 @@ pub(crate) type Pos = (PeId, u32);
 
 /// Candidate positions per operation at a fixed II.
 pub(crate) struct PositionSpace {
-    #[allow(dead_code)]
-    pub ii: u32,
     pub positions: Vec<Vec<Pos>>,
 }
 
@@ -94,13 +90,7 @@ impl PositionSpace {
                 }
             })
             .collect();
-        PositionSpace { ii, positions }
-    }
-
-    /// Total number of (op, position) pairs.
-    #[allow(dead_code)]
-    pub fn size(&self) -> usize {
-        self.positions.iter().map(|p| p.len()).sum()
+        PositionSpace { positions }
     }
 }
 
@@ -118,23 +108,6 @@ pub(crate) fn edge_compatible(
     let tr = a.1 + fabric.latency_of(src_op);
     let tc = b.1 + ii * dist;
     tc >= tr && topo.hops(a.0, b.0) <= tc - tr
-}
-
-/// Route a chosen placement; `None` if the router cannot realise it.
-pub(crate) fn realise(
-    dfg: &Dfg,
-    fabric: &Fabric,
-    topo: &TopologyCache,
-    ii: u32,
-    chosen: &[Pos],
-    tele: &Telemetry,
-) -> Option<Mapping> {
-    let place: Vec<Placement> = chosen
-        .iter()
-        .map(|&(pe, time)| Placement { pe, time })
-        .collect();
-    let routes = route_all_with(fabric, topo, dfg, &place, ii, 12, true, tele)?;
-    Some(Mapping { ii, place, routes })
 }
 
 /// Fold a solver-engine stats snapshot into the telemetry counters.
@@ -216,7 +189,6 @@ impl SweepSpace {
     /// filtering, window sorting) through this view.
     pub fn per_ii(&self, k: usize) -> PositionSpace {
         PositionSpace {
-            ii: self.iis[k],
             positions: self.member[k]
                 .iter()
                 .enumerate()
@@ -259,7 +231,8 @@ mod tests {
         }
         let capped = PositionSpace::build(&dfg, &f, 2, 1, Some(10));
         assert!(capped.positions.iter().all(|p| p.len() == 10));
-        assert!(capped.size() <= ps.size());
+        let size = |s: &PositionSpace| s.positions.iter().map(Vec::len).sum::<usize>();
+        assert!(size(&capped) <= size(&ps));
         // The cap must keep a spread of time layers, not just the
         // earliest cycles.
         for positions in &capped.positions {

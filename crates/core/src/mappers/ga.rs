@@ -8,14 +8,12 @@
 //! energy ∝ wirelength under its mapping-feasibility constraint).
 //! Population fitness is evaluated in parallel with rayon.
 
-use super::meta_common::{eval_binding, finish_binding, legal_schedule, random_binding};
-use crate::engine::Budget;
-use crate::ledger::Ledger;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::meta_common::{eval_binding, finish_binding, random_binding};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::Dfg;
+use crate::telemetry::Counter;
+use cgra_arch::PeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -44,18 +42,9 @@ impl Default for Genetic {
 }
 
 impl Genetic {
-    #[allow(clippy::too_many_arguments)]
-    fn evolve(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        topo: &TopologyCache,
-        ii: u32,
-        seed: u64,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
-    ) -> Vec<(u64, Vec<PeId>)> {
+    /// Run the generations at `ii`; the final population, best first.
+    fn evolve(&self, ctx: &SweepCtx<'_>, ii: u32, seed: u64) -> Vec<(u64, Vec<PeId>)> {
+        let (dfg, fabric, topo) = (ctx.dfg, ctx.fabric, &*ctx.topo);
         let mut rng = StdRng::seed_from_u64(seed);
         let n = dfg.node_count();
         let feasible: Vec<Vec<PeId>> = dfg
@@ -75,7 +64,7 @@ impl Genetic {
         let mut best_cost = u64::MAX;
 
         for _gen in 0..self.generations {
-            if budget.expired_now() {
+            if ctx.budget.expired_now() {
                 break;
             }
             scored = pop
@@ -88,9 +77,8 @@ impl Genetic {
             if let Some(&(c, _)) = scored.first() {
                 if c < best_cost {
                     best_cost = c;
-                    tele.bump(Counter::MovesAccepted);
-                    tele.bump(Counter::Incumbents);
-                    ledger.incumbent("ga", ii, c as f64);
+                    ctx.tele().bump(Counter::MovesAccepted);
+                    ctx.incumbent(Self::NAME, ii, c as f64);
                 }
             }
 
@@ -126,7 +114,7 @@ impl Genetic {
                     };
                     child.push(gene);
                 }
-                tele.bump(Counter::MovesProposed);
+                ctx.tele().bump(Counter::MovesProposed);
                 next.push(child);
             }
             pop = next;
@@ -142,62 +130,30 @@ impl Genetic {
     }
 }
 
-impl Mapper for Genetic {
-    fn name(&self) -> &'static str {
-        "ga"
-    }
+impl TemporalSearch for Genetic {
+    const NAME: &'static str = "ga";
+    const FAMILY: Family = Family::MetaPopulation;
+    const EXHAUSTED: &'static str = "no routable individual in II {range}";
+    type State = ();
 
-    fn family(&self) -> Family {
-        Family::MetaPopulation
-    }
+    fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-
-        for ii in min_ii..=max_ii {
-            cfg.telemetry.bump(Counter::IiAttempts);
-            cfg.ledger.ii_attempt("ga", ii);
-            let _span = cfg.telemetry.span_ii(Phase::Map, ii);
-            let scored = self.evolve(
-                dfg,
-                fabric,
-                &topo,
-                ii,
-                cfg.seed ^ ii as u64,
-                &budget,
-                &cfg.telemetry,
-                &cfg.ledger,
-            );
-            for (_, binding) in scored.into_iter().take(3) {
-                if let Some(times) = legal_schedule(dfg, fabric, &topo, &binding, ii) {
-                    if let Some(m) =
-                        finish_binding(dfg, fabric, &topo, &binding, &times, ii, &cfg.telemetry)
-                    {
-                        return Ok(m);
-                    }
-                }
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "no routable individual in II {min_ii}..={max_ii}"
-        )))
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+        let scored = self.evolve(ctx, ii, ctx.cfg.seed ^ ii as u64);
+        Ok(scored
+            .iter()
+            .take(3)
+            .find_map(|(_, binding)| finish_binding(ctx, ii, binding)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::metrics::Metrics;
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

@@ -10,13 +10,12 @@
 //! different permutation when the downstream embedding fails, and the
 //! branch sets are materialised by the router at the end.
 
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::{Mapping, Placement};
-use crate::route::route_all_with;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use crate::telemetry::Counter;
+use cgra_arch::PeId;
+use cgra_ir::{graph, NodeId, OpKind};
 
 /// The level-matching minor-embedding mapper.
 #[derive(Debug, Clone)]
@@ -34,55 +33,20 @@ impl Default for GraphMinor {
 }
 
 impl GraphMinor {
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let levels = graph::asap(dfg, &lat);
-        let max_level = levels.iter().copied().max().unwrap_or(0);
-        // Group ops by level.
-        let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); max_level as usize + 1];
-        for n in dfg.node_ids() {
-            by_level[levels[n.index()] as usize].push(n);
-        }
-        // Time of a level: spread levels `spacing` cycles apart so hops
-        // have slack; spacing grows on retry.
-        for spacing in 1..=3u32 {
-            if budget.expired_now() {
-                return None;
-            }
-            if let Some(m) = self.embed(dfg, fabric, ii, topo, &by_level, spacing, budget, tele) {
-                return Some(m);
-            }
-        }
-        None
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// Match every level at `spacing` cycles per level, then route.
     fn embed(
         &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
+        ctx: &SweepCtx<'_>,
         ii: u32,
-        topo: &TopologyCache,
         by_level: &[Vec<NodeId>],
         spacing: u32,
-        budget: &Budget,
-        tele: &Telemetry,
     ) -> Option<Mapping> {
+        let (dfg, fabric, topo) = (ctx.dfg, ctx.fabric, &*ctx.topo);
         let mut place: Vec<Option<Placement>> = vec![None; dfg.node_count()];
         let mut fu: std::collections::HashSet<(PeId, u32)> = std::collections::HashSet::new();
 
         for (lvl, ops) in by_level.iter().enumerate() {
-            if budget.expired() {
+            if ctx.budget.expired() {
                 return None;
             }
             let t = lvl as u32 * spacing;
@@ -129,7 +93,7 @@ impl GraphMinor {
                         });
                     match best {
                         Some(pe) => {
-                            tele.bump(Counter::PlacementsTried);
+                            ctx.tele().bump(Counter::PlacementsTried);
                             trial_fu.insert((pe, slot));
                             trial_place[n.index()] = Some(Placement { pe, time: t });
                         }
@@ -150,51 +114,49 @@ impl GraphMinor {
                 return None;
             }
         }
-        let place: Vec<Placement> = place.into_iter().collect::<Option<_>>()?;
         // Materialise branch sets (routes).
-        let routes = route_all_with(fabric, topo, dfg, &place, ii, 12, true, tele)?;
-        Some(Mapping { ii, place, routes })
+        ctx.route(ii, place.into_iter().collect::<Option<Vec<_>>>()?)
     }
 }
 
-impl Mapper for GraphMinor {
-    fn name(&self) -> &'static str {
-        "graph-minor"
-    }
+impl TemporalSearch for GraphMinor {
+    const NAME: &'static str = "graph-minor";
+    const FAMILY: Family = Family::Heuristic;
+    const EXHAUSTED: &'static str = "no II in {range} admits a minor embedding";
+    type State = ();
 
-    fn family(&self) -> Family {
-        Family::Heuristic
-    }
+    fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            cfg.ledger.ii_attempt("graph-minor", ii);
-            if let Some(m) = self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry) {
-                cfg.telemetry.bump(Counter::Incumbents);
-                cfg.ledger.incumbent("graph-minor", ii, ii as f64);
-                return Ok(m);
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+        let lat = |op: OpKind| ctx.fabric.latency_of(op);
+        let levels = graph::asap(ctx.dfg, &lat);
+        let max_level = levels.iter().copied().max().unwrap_or(0);
+        // Group ops by level.
+        let mut by_level: Vec<Vec<NodeId>> = vec![Vec::new(); max_level as usize + 1];
+        for n in ctx.dfg.node_ids() {
+            by_level[levels[n.index()] as usize].push(n);
+        }
+        // Time of a level: spread levels `spacing` cycles apart so hops
+        // have slack; spacing grows on retry.
+        for spacing in 1..=3u32 {
+            if ctx.budget.expired_now() {
+                return Ok(None);
             }
-            if budget.expired_now() {
-                return Err(budget.error());
+            if let Some(m) = self.embed(ctx, ii, &by_level, spacing) {
+                ctx.incumbent(Self::NAME, ii, ii as f64);
+                return Ok(Some(m));
             }
         }
-        Err(MapError::infeasible(format!(
-            "no II in {min_ii}..={max_ii} admits a minor embedding"
-        )))
+        Ok(None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

@@ -10,13 +10,12 @@
 //! algorithm iterates — growing regions and II — until a valid mapping
 //! is found (HiMap "terminates when a valid mapping is found").
 
-use super::state::SchedState;
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::state::{priority_order, SchedState};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use cgra_arch::{Fabric, PeId};
+use cgra_ir::Dfg;
 
 /// The hierarchical mapper.
 #[derive(Debug, Clone)]
@@ -120,41 +119,24 @@ impl HiMap {
         pos
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn try_ii(
+    /// One window-scan pass with candidates confined to `radius`
+    /// around each op's cluster centre.
+    fn place_within(
         &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
+        ctx: &SweepCtx<'_>,
+        regions: &Regions,
         ii: u32,
-        topo: &TopologyCache,
-        clusters: &[usize],
-        centres: &[(f64, f64)],
-        region_radius: u32,
-        budget: &Budget,
-        tele: &Telemetry,
+        radius: u32,
     ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let mut state = SchedState::new(dfg, fabric, ii, topo, tele.clone());
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
-
-        for &n in &order {
-            if budget.expired() {
+        let (dfg, fabric) = (ctx.dfg, ctx.fabric);
+        let mut state = SchedState::new(ctx, ii);
+        for n in priority_order(dfg, fabric).0 {
+            if ctx.budget.expired() {
                 return None;
             }
-            let est = state.est(n);
-            let window_end = match state.lst(n) {
-                Some(l) => l.min(est + self.window_iis * ii),
-                None => est + self.window_iis * ii,
-            };
-            if window_end < est {
-                return None;
-            }
+            let (est, window_end) = state.window(n, self.window_iis)?;
             // Candidate PEs: within the cluster's region first.
-            let (cx, cy) = centres[clusters[n.index()]];
+            let (cx, cy) = regions.centres[regions.clusters[n.index()]];
             let op = dfg.op(n);
             let mut cands: Vec<(u64, PeId)> = fabric
                 .pe_ids()
@@ -162,7 +144,7 @@ impl HiMap {
                 .filter_map(|pe| {
                     let (r, c) = fabric.coords(pe);
                     let d2 = (r as f64 - cy).powi(2) + (c as f64 - cx).powi(2);
-                    if d2.sqrt() <= region_radius as f64 {
+                    if d2.sqrt() <= radius as f64 {
                         Some(((d2 * 100.0) as u64, pe))
                     } else {
                         None
@@ -170,16 +152,10 @@ impl HiMap {
                 })
                 .collect();
             cands.sort();
-            let mut placed = false;
-            't: for t in est..=window_end {
-                for &(_, pe) in cands.iter().take(self.region_candidates) {
-                    if state.try_place(n, pe, t) {
-                        placed = true;
-                        break 't;
-                    }
-                }
-            }
-            if !placed {
+            let nearest = cands.iter().take(self.region_candidates);
+            if !(est..=window_end)
+                .any(|t| nearest.clone().any(|&(_, pe)| state.try_place(n, pe, t)))
+            {
                 return None;
             }
         }
@@ -187,62 +163,53 @@ impl HiMap {
     }
 }
 
-impl Mapper for HiMap {
-    fn name(&self) -> &'static str {
-        "himap"
+/// The II-independent hierarchy: each op's cluster and each cluster's
+/// region centre on the fabric.
+pub(crate) struct Regions {
+    clusters: Vec<usize>,
+    centres: Vec<(f64, f64)>,
+}
+
+impl TemporalSearch for HiMap {
+    const NAME: &'static str = "himap";
+    const FAMILY: Family = Family::Heuristic;
+    const EXHAUSTED: &'static str = "no II in {range} admits a hierarchical mapping";
+    type State = Regions;
+
+    fn prepare(&self, ctx: &SweepCtx<'_>) -> Regions {
+        let clusters = cluster_dfg(ctx.dfg, self.cluster_size);
+        let centres = self.region_centres(ctx.dfg, &clusters, ctx.fabric);
+        Regions { clusters, centres }
     }
 
-    fn family(&self) -> Family {
-        Family::Heuristic
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let clusters = cluster_dfg(dfg, self.cluster_size);
-        let centres = self.region_centres(dfg, &clusters, fabric);
-        let budget = cfg.run_budget();
-        let max_radius = (fabric.rows.max(fabric.cols)) as u32 + 1;
-
-        // Iterate: grow the region radius, then the II — terminating
-        // when a valid mapping is found.
-        for ii in min_ii..=max_ii {
-            cfg.ledger.ii_attempt("himap", ii);
-            let mut radius = 2;
-            while radius <= max_radius {
-                if let Some(m) = self.try_ii(
-                    dfg,
-                    fabric,
-                    ii,
-                    &topo,
-                    &clusters,
-                    &centres,
-                    radius,
-                    &budget,
-                    &cfg.telemetry,
-                ) {
-                    cfg.telemetry.bump(Counter::Incumbents);
-                    cfg.ledger.incumbent("himap", ii, radius as f64);
-                    return Ok(m);
-                }
-                if budget.expired_now() {
-                    return Err(budget.error());
-                }
-                radius *= 2;
+    /// Grow the region radius at this II until a valid mapping is
+    /// found; the sweep then grows the II.
+    fn try_ii(
+        &self,
+        ctx: &SweepCtx<'_>,
+        regions: &mut Regions,
+        ii: u32,
+    ) -> Result<Option<Mapping>, MapError> {
+        let max_radius = (ctx.fabric.rows.max(ctx.fabric.cols)) as u32 + 1;
+        let mut radius = 2;
+        while radius <= max_radius {
+            if let Some(m) = self.place_within(ctx, regions, ii, radius) {
+                ctx.incumbent(Self::NAME, ii, radius as f64);
+                return Ok(Some(m));
             }
+            if ctx.budget.expired_now() {
+                return Err(ctx.budget.error());
+            }
+            radius *= 2;
         }
-        Err(MapError::infeasible(format!(
-            "no II in {min_ii}..={max_ii} admits a hierarchical mapping"
-        )))
+        Ok(None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
     use cgra_arch::Topology;
     use cgra_ir::kernels;

@@ -25,16 +25,15 @@
 //! model every CEGAR round and never touches the pool; both paths
 //! explore the same candidate spaces and achieve identical IIs.
 
-use super::exact_common::{add_solver_stats, edge_compatible, realise, PositionSpace};
+use super::exact_common::{add_solver_stats, edge_compatible, PositionSpace};
+use super::sweep::{SweepCtx, TemporalSearch};
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
-use crate::engine::Budget;
 use crate::incremental::{kernel_fingerprint, IncrKey};
-use crate::ledger::Ledger;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use crate::mapper::{Family, MapConfig, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::{Dfg, NodeId};
+use crate::telemetry::Counter;
+use cgra_arch::PeId;
+use cgra_ir::NodeId;
 use cgra_solver::ilp::IlpConfig;
 use cgra_solver::{Cmp, IlpModel, IlpResult, IlpVar, IlpWarmStart, IncumbentHook};
 use std::collections::{BTreeMap, HashSet};
@@ -62,7 +61,7 @@ impl Default for IlpMapper {
 /// Solver state pooled across `map()` calls (see
 /// [`crate::IncrementalCtx`]).
 #[derive(Default)]
-struct IlpPool {
+pub(crate) struct IlpPool {
     /// IIs with a *completed* infeasibility proof — an empty candidate
     /// space or an exhausted branch-and-bound refutation. Budget stops
     /// and CEGAR round caps are never cached.
@@ -89,15 +88,6 @@ const TAG_SLOT: u32 = 2;
 const TAG_ROUTE: u32 = 3;
 const TAG_REGISTER: u32 = 4;
 
-/// Outcome of one II attempt.
-enum TryIi {
-    Mapped(Mapping, Option<Box<IlpSolved>>),
-    /// Proven infeasible at this II (cacheable across calls).
-    Infeasible,
-    /// Gave up (CEGAR round cap) without a proof.
-    Unknown,
-}
-
 impl IlpMapper {
     /// Digest of every knob that shapes the encoding; part of the
     /// [`IncrKey`] so pooled state never outlives an encoding change.
@@ -116,36 +106,56 @@ impl IlpMapper {
         (cfg.seed, cfg.effort, cfg.horizon_factor, cfg.explain).hash(&mut h);
         h.finish()
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
+impl TemporalSearch for IlpMapper {
+    const NAME: &'static str = "ilp";
+    const FAMILY: Family = Family::ExactIlp;
+    const EXHAUSTED: &'static str = "ILP infeasible for every II in {range} (candidate window)";
+    /// The pooled proofs and solved model, with their pool key.
+    type State = (IncrKey, Box<IlpPool>);
+
+    fn prepare(&self, ctx: &SweepCtx<'_>) -> Self::State {
+        let key = IncrKey {
+            mapper: Self::NAME,
+            fabric_fp: ctx.topo.fingerprint64(),
+            kernel_fp: kernel_fingerprint(ctx.dfg),
+            knobs: self.knobs(ctx.cfg, ctx.lo, ctx.hi),
+        };
+        let pool = if ctx.cfg.incremental {
+            ctx.cfg.incr.take_as::<IlpPool>(&key).unwrap_or_default()
+        } else {
+            Box::default()
+        };
+        (key, pool)
+    }
+
     fn try_ii(
         &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
+        ctx: &SweepCtx<'_>,
+        (_, pool): &mut Self::State,
         ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
-        incremental: bool,
-        pooled: Option<Box<IlpSolved>>,
-    ) -> Result<TryIi, MapError> {
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("ilp", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
+    ) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
+        let incremental = ctx.cfg.incremental;
+        if incremental && pool.infeasible.contains(&ii) {
+            return Ok(None); // answered from the pooled proof
+        }
+        let pooled = pool.solved.take_if(|s| s.ii == ii);
         let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, Some(self.position_cap));
         if space.positions.iter().any(|ps| ps.is_empty()) {
-            return Ok(TryIi::Infeasible);
+            pool.infeasible.insert(ii);
+            return Ok(None);
         }
 
         let hook = || {
-            let led = ledger.clone();
-            let tel = tele.clone();
+            let led = ctx.cfg.ledger.clone();
+            let tel = ctx.tele().clone();
             // Surface the solver's anytime incumbents (improving
             // integral solutions) straight into the run ledger.
             IncumbentHook::new(move |obj| {
                 tel.bump(Counter::Incumbents);
-                led.incumbent("ilp", ii, obj);
+                led.incumbent(Self::NAME, ii, obj);
             })
         };
         // Encode the assignment at this II: one binary per candidate
@@ -268,7 +278,7 @@ impl IlpMapper {
                     // A from-scratch round's model dies with the round;
                     // record its work now. (The persistent model keeps
                     // accumulating and is flushed once, below.)
-                    add_solver_stats(tele, model.stats());
+                    add_solver_stats(ctx.tele(), model.stats());
                 }
                 let values = match result {
                     IlpResult::Optimal { values, .. } => values,
@@ -301,7 +311,7 @@ impl IlpMapper {
                 if !complete {
                     break 'cegar Ok(None);
                 }
-                if let Some(m) = realise(dfg, fabric, topo, ii, &chosen, tele) {
+                if let Some(m) = ctx.route(ii, chosen.iter().copied()) {
                     break 'cegar Ok(Some((m, values)));
                 }
                 // Block this exact placement (sum of its choices ≤ n-1).
@@ -319,48 +329,56 @@ impl IlpMapper {
             Ok(None)
         };
         if let Some((model, _)) = &persistent {
-            add_solver_stats(tele, model.stats());
+            add_solver_stats(ctx.tele(), model.stats());
         }
-        match result {
-            Err(e) => Err(e),
-            Ok(Some((m, values))) => {
-                // Pool the incumbent but NOT the basis: a replayed basis
-                // can land the root relaxation on a different optimal
-                // vertex, which reorders the branching and (measured)
-                // can blow the tree up by orders of magnitude. A cold
-                // root keeps the re-map trajectory identical to the
-                // from-scratch one, and the incumbent then prunes it to
-                // a subset.
-                let solved = persistent.map(|(model, vars)| {
-                    Box::new(IlpSolved {
-                        ii,
-                        model,
-                        vars,
-                        warm: IlpWarmStart {
-                            basis: None,
-                            incumbent: Some(values),
-                        },
-                    })
-                });
-                Ok(TryIi::Mapped(m, solved))
+        let Some((m, values)) = result? else {
+            // Only a completed refutation is cached; a CEGAR round cap
+            // is not a proof.
+            if proven {
+                pool.infeasible.insert(ii);
             }
-            Ok(None) if proven => Ok(TryIi::Infeasible),
-            Ok(None) => Ok(TryIi::Unknown),
+            return Ok(None);
+        };
+        // Pool the incumbent but NOT the basis: a replayed basis
+        // can land the root relaxation on a different optimal
+        // vertex, which reorders the branching and (measured)
+        // can blow the tree up by orders of magnitude. A cold
+        // root keeps the re-map trajectory identical to the
+        // from-scratch one, and the incumbent then prunes it to
+        // a subset.
+        pool.solved = persistent.map(|(model, vars)| {
+            Box::new(IlpSolved {
+                ii,
+                model,
+                vars,
+                warm: IlpWarmStart {
+                    basis: None,
+                    incumbent: Some(values),
+                },
+            })
+        });
+        Ok(Some(m))
+    }
+
+    /// Completed proofs stay valid whatever ended the sweep.
+    fn park(&self, ctx: &SweepCtx<'_>, (key, pool): Self::State) {
+        if ctx.cfg.incremental {
+            ctx.cfg.incr.put(key, pool);
         }
     }
 
+    fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
+        Some(self.diagnose_ii(ctx, ii))
+    }
+}
+
+impl IlpMapper {
     /// Failure forensics at a single II: rebuild the tagged model and
     /// run the drop-group probe — the resource class whose rows, when
     /// removed, restore feasibility is the binding one.
-    fn diagnose_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        mii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-    ) -> Diagnosis {
+    fn diagnose_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Diagnosis {
+        let (dfg, fabric, topo, budget, mii) =
+            (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget, ctx.mii);
         let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, Some(self.position_cap));
         if let Some(o) = space.positions.iter().position(|ps| ps.is_empty()) {
             let n = NodeId(o as u32);
@@ -517,98 +535,12 @@ impl IlpMapper {
     }
 }
 
-impl Mapper for IlpMapper {
-    fn name(&self) -> &'static str {
-        "ilp"
-    }
-
-    fn family(&self) -> Family {
-        Family::ExactIlp
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        let key = IncrKey {
-            mapper: "ilp",
-            fabric_fp: topo.fingerprint64(),
-            kernel_fp: kernel_fingerprint(dfg),
-            knobs: self.knobs(cfg, min_ii, max_ii),
-        };
-        let mut pool: Box<IlpPool> = if cfg.incremental {
-            cfg.incr.take_as::<IlpPool>(&key).unwrap_or_default()
-        } else {
-            Box::default()
-        };
-        for ii in min_ii..=max_ii {
-            if cfg.incremental && pool.infeasible.contains(&ii) {
-                // Answered from the pooled proof; keep the observable
-                // sweep ledger identical to an uncached run.
-                cfg.telemetry.bump(Counter::IiAttempts);
-                cfg.ledger.ii_attempt("ilp", ii);
-                continue;
-            }
-            let pooled = if pool.solved.as_ref().is_some_and(|s| s.ii == ii) {
-                pool.solved.take()
-            } else {
-                None
-            };
-            let out = self.try_ii(
-                dfg,
-                fabric,
-                ii,
-                &topo,
-                &budget,
-                &cfg.telemetry,
-                &cfg.ledger,
-                cfg.incremental,
-                pooled,
-            );
-            match out {
-                Ok(TryIi::Mapped(m, solved)) => {
-                    if cfg.incremental {
-                        pool.solved = solved;
-                        cfg.incr.put(key, pool);
-                    }
-                    return Ok(m);
-                }
-                Ok(TryIi::Infeasible) => {
-                    pool.infeasible.insert(ii);
-                }
-                Ok(TryIi::Unknown) => {}
-                Err(e) => {
-                    // Completed proofs stay valid; park them before
-                    // surfacing the budget error.
-                    if cfg.incremental {
-                        cfg.incr.put(key, pool);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        if cfg.incremental {
-            cfg.incr.put(key, pool);
-        }
-        let why = format!("ILP infeasible for every II in {min_ii}..={max_ii} (candidate window)");
-        if cfg.explain {
-            let probe_budget = cfg.run_budget();
-            let d = self.diagnose_ii(dfg, fabric, max_ii, mii, &topo, &probe_budget);
-            Err(MapError::infeasible_with(why, d))
-        } else {
-            Err(MapError::infeasible(why))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::Mapper;
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]
@@ -629,10 +561,10 @@ mod tests {
         assert_eq!(d.class, ResourceClass::Capability);
         // The tagged-model probe itself, at a feasible-range II.
         let base = MapConfig::fast();
-        let topo = base.topo_for(&f);
+        let ctx = SweepCtx::open(&dfg, &f, &base).unwrap();
         let m = IlpMapper::default();
-        let p1 = m.diagnose_ii(&dfg, &f, 1, 4, &topo, &base.run_budget());
-        let p2 = m.diagnose_ii(&dfg, &f, 1, 4, &topo, &base.run_budget());
+        let p1 = m.diagnose_ii(&ctx, 1);
+        let p2 = m.diagnose_ii(&ctx, 1);
         assert_eq!(p1, p2, "probe must be deterministic");
         assert!(!p1.core.is_empty());
         assert_ne!(p1.class, ResourceClass::Register);

@@ -9,9 +9,8 @@
 //! rewards feasibility first, then wirelength — routing is only
 //! materialised for candidate champions.
 
-use crate::mapping::{Mapping, Placement};
-use crate::route::route_all_with;
-use crate::telemetry::Telemetry;
+use super::sweep::SweepCtx;
+use crate::mapping::Mapping;
 use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::Dfg;
 
@@ -171,23 +170,11 @@ pub(crate) fn eval_binding(
     }
 }
 
-/// Materialise a mapping from a binding with legal times.
-pub(crate) fn finish_binding(
-    dfg: &Dfg,
-    fabric: &Fabric,
-    topo: &TopologyCache,
-    pes: &[PeId],
-    times: &[u32],
-    ii: u32,
-    tele: &Telemetry,
-) -> Option<Mapping> {
-    let place: Vec<Placement> = pes
-        .iter()
-        .zip(times)
-        .map(|(&pe, &time)| Placement { pe, time })
-        .collect();
-    let routes = route_all_with(fabric, topo, dfg, &place, ii, 12, true, tele)?;
-    Some(Mapping { ii, place, routes })
+/// Materialise a mapping from a binding: derive its legal schedule,
+/// then route. `None` if it cannot schedule or cannot route.
+pub(crate) fn finish_binding(ctx: &SweepCtx<'_>, ii: u32, pes: &[PeId]) -> Option<Mapping> {
+    let times = legal_schedule(ctx.dfg, ctx.fabric, &ctx.topo, pes, ii)?;
+    ctx.route(ii, pes.iter().copied().zip(times))
 }
 
 /// Random capability-feasible binding.
@@ -253,12 +240,11 @@ mod tests {
     fn finish_binding_round_trips() {
         let dfg = kernels::accumulate();
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let topo = TopologyCache::build(&f);
+        let cfg = crate::MapConfig::fast();
+        let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
         // A sane binding: chain on adjacent PEs.
         let pes = vec![PeId(0), PeId(1), PeId(2)];
-        let ii = 2;
-        let times = legal_schedule(&dfg, &f, &topo, &pes, ii).unwrap();
-        let m = finish_binding(&dfg, &f, &topo, &pes, &times, ii, &Telemetry::off()).unwrap();
+        let m = finish_binding(&ctx, 2, &pes).unwrap();
         crate::validate::validate(&m, &dfg, &f).unwrap();
     }
 }

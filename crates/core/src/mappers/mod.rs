@@ -2,7 +2,8 @@
 //!
 //! Every mapper implements [`crate::Mapper`] and returns mappings that
 //! pass [`crate::validate::validate`]. See the crate docs for the
-//! family ↔ mapper table.
+//! family ↔ mapper table. The 14 temporal techniques share one II
+//! sweep (`sweep.rs`): each file holds its knobs and its per-II probe.
 
 mod bnb;
 mod cp_mapper;
@@ -23,6 +24,7 @@ mod sat_mapper;
 mod smt_mapper;
 mod spatial_greedy;
 pub(crate) mod state;
+mod sweep;
 
 pub use bnb::BranchAndBound;
 pub use cp_mapper::CpMapper;
@@ -33,7 +35,7 @@ pub use graph_drawing::GraphDrawing;
 pub use graph_minor::GraphMinor;
 pub use himap::HiMap;
 pub use ilp_mapper::IlpMapper;
-pub use modulo_list::{IiSearch, ModuloList};
+pub use modulo_list::ModuloList;
 pub use qea::Qea;
 pub use ramp::Ramp;
 pub use sa::{Cooling, SimulatedAnnealing};

@@ -10,29 +10,17 @@
 //! exhausts its window, the II is bumped — the classic "increase II
 //! until it fits" loop of the survey's modulo-scheduling section.
 
-use super::state::SchedState;
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::state::{priority_order, SchedState};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, TopologyCache};
+use cgra_arch::Fabric;
 use cgra_ir::graph;
-use cgra_ir::{Dfg, NodeId, OpKind};
-
-/// How the II space is searched — an ablation axis (DESIGN.md §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IiSearch {
-    /// Bottom-up from MII (guarantees minimal II among found).
-    #[default]
-    BottomUp,
-    /// Binary search between MII and `max_ii` (fewer, bigger probes).
-    Binary,
-}
+use cgra_ir::{Dfg, OpKind};
 
 /// The modulo list scheduler.
 #[derive(Debug, Clone)]
 pub struct ModuloList {
-    pub ii_search: IiSearch,
     /// Cap on candidate PEs per (op, cycle) probe.
     pub pe_candidates: usize,
     /// Time window length in IIs.
@@ -42,7 +30,6 @@ pub struct ModuloList {
 impl Default for ModuloList {
     fn default() -> Self {
         ModuloList {
-            ii_search: IiSearch::BottomUp,
             pe_candidates: 24,
             window_iis: 3,
         }
@@ -68,48 +55,14 @@ impl ModuloList {
         graph::mii(dfg, &lat, alu, mul, mem).max(io_mii)
     }
 
-    /// Attempt one II. Returns the mapping on success.
-    pub fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let mut state = SchedState::new(dfg, fabric, ii, topo, tele.clone());
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        // Stable height-descending priority within topological order.
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
-
-        for &n in &order {
-            if budget.expired() {
+    fn schedule(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Mapping> {
+        let mut state = SchedState::new(ctx, ii);
+        for n in priority_order(ctx.dfg, ctx.fabric).0 {
+            if ctx.budget.expired() {
                 return None;
             }
-            let est = state.est(n);
-            let lst = state.lst(n);
-            let window_end = match lst {
-                Some(l) => l.min(est + self.window_iis * ii),
-                None => est + self.window_iis * ii,
-            };
-            if window_end < est {
-                return None;
-            }
-            let mut placed = false;
-            't: for t in est..=window_end {
-                for pe in state.candidate_pes(n, self.pe_candidates) {
-                    if state.try_place(n, pe, t) {
-                        placed = true;
-                        break 't;
-                    }
-                }
-            }
-            if !placed {
+            let window = state.window(n, self.window_iis)?;
+            if !state.place_in_window(n, window, self.pe_candidates) {
                 return None;
             }
         }
@@ -117,80 +70,23 @@ impl ModuloList {
     }
 }
 
-impl Mapper for ModuloList {
-    fn name(&self) -> &'static str {
-        "modulo-list"
-    }
+impl TemporalSearch for ModuloList {
+    const NAME: &'static str = "modulo-list";
+    const FAMILY: Family = Family::Heuristic;
+    type State = ();
 
-    fn family(&self) -> Family {
-        Family::Heuristic
-    }
+    fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, Self::mii(dfg, fabric), fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-
-        match self.ii_search {
-            IiSearch::BottomUp => {
-                for ii in min_ii..=max_ii {
-                    cfg.ledger.ii_attempt("modulo-list", ii);
-                    if let Some(m) = self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry) {
-                        cfg.telemetry.bump(Counter::Incumbents);
-                        cfg.ledger.incumbent("modulo-list", ii, ii as f64);
-                        return Ok(m);
-                    }
-                    if budget.expired_now() {
-                        return Err(budget.error());
-                    }
-                }
-                Err(MapError::infeasible(format!(
-                    "no II in {min_ii}..={max_ii} admits a schedule"
-                )))
-            }
-            IiSearch::Binary => {
-                // Feasibility is not monotone for greedy list scheduling,
-                // but binary search is still the classic fast probe: find
-                // the smallest II in the probe set that succeeds.
-                let (mut lo, mut hi) = (min_ii, max_ii);
-                let mut best: Option<Mapping> = None;
-                while lo <= hi {
-                    let mid = lo + (hi - lo) / 2;
-                    cfg.ledger.ii_attempt("modulo-list", mid);
-                    match self.try_ii(dfg, fabric, mid, &topo, &budget, &cfg.telemetry) {
-                        Some(m) => {
-                            cfg.telemetry.bump(Counter::Incumbents);
-                            cfg.ledger.incumbent("modulo-list", mid, mid as f64);
-                            best = Some(m);
-                            if mid == 0 {
-                                break;
-                            }
-                            hi = mid.saturating_sub(1);
-                            if hi < lo {
-                                break;
-                            }
-                        }
-                        None => {
-                            lo = mid + 1;
-                        }
-                    }
-                    if budget.expired_now() {
-                        break;
-                    }
-                }
-                best.ok_or(MapError::infeasible(format!(
-                    "no II in {min_ii}..={max_ii} admits a schedule"
-                )))
-            }
-        }
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+        let m = self.schedule(ctx, ii);
+        Ok(m.inspect(|_| ctx.incumbent(Self::NAME, ii, ii as f64)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
     use cgra_arch::Topology;
     use cgra_ir::kernels;
@@ -258,19 +154,6 @@ mod tests {
             .map(&dfg, &f, &MapConfig::fast())
             .unwrap_err();
         assert!(matches!(err, MapError::Infeasible(_)));
-    }
-
-    #[test]
-    fn binary_search_also_succeeds() {
-        let dfg = kernels::fir(4);
-        let f = mesh();
-        let m = ModuloList {
-            ii_search: IiSearch::Binary,
-            ..Default::default()
-        }
-        .map(&dfg, &f, &MapConfig::fast())
-        .unwrap();
-        validate(&m, &dfg, &f).unwrap();
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! update). Convergence is tracked by distribution entropy; a mapping
 //! is materialised from the best observation.
 
-use super::meta_common::{eval_binding, finish_binding, legal_schedule};
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::meta_common::{eval_binding, finish_binding};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase};
-use cgra_arch::{Fabric, PeId};
-use cgra_ir::Dfg;
+use crate::telemetry::Counter;
+use cgra_arch::PeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,135 +38,109 @@ impl Default for Qea {
     }
 }
 
-impl Mapper for Qea {
-    fn name(&self) -> &'static str {
-        "qea"
-    }
+impl TemporalSearch for Qea {
+    const NAME: &'static str = "qea";
+    const FAMILY: Family = Family::MetaPopulation;
+    const EXHAUSTED: &'static str = "no routable observation in II {range}";
+    type State = ();
 
-    fn family(&self) -> Family {
-        Family::MetaPopulation
-    }
+    fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric) = (ctx.dfg, ctx.fabric);
         let n = dfg.node_count();
+        let mut rng = StdRng::seed_from_u64(ctx.cfg.seed ^ (ii as u64) << 7);
+        // Feasible PE sets and uniform initial distributions.
+        let feasible: Vec<Vec<PeId>> = dfg
+            .node_ids()
+            .map(|id| {
+                fabric
+                    .pe_ids()
+                    .filter(|&pe| fabric.supports(pe, dfg.op(id)))
+                    .collect()
+            })
+            .collect();
+        if feasible.iter().any(|f| f.is_empty()) {
+            return Err(MapError::infeasible("an op has no capable PE"));
+        }
+        let mut prob: Vec<Vec<f64>> = feasible
+            .iter()
+            .map(|f| vec![1.0 / f.len() as f64; f.len()])
+            .collect();
+        let mut best: Option<(u64, Vec<PeId>)> = None;
 
-        for ii in min_ii..=max_ii {
-            cfg.telemetry.bump(Counter::IiAttempts);
-            cfg.ledger.ii_attempt("qea", ii);
-            let _span = cfg.telemetry.span_ii(Phase::Map, ii);
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ (ii as u64) << 7);
-            // Feasible PE sets and uniform initial distributions.
-            let feasible: Vec<Vec<PeId>> = dfg
-                .node_ids()
-                .map(|id| {
-                    fabric
-                        .pe_ids()
-                        .filter(|&pe| fabric.supports(pe, dfg.op(id)))
-                        .collect()
+        for _gen in 0..self.generations {
+            if ctx.budget.expired_now() {
+                break;
+            }
+            // Observe.
+            let mut observations: Vec<(u64, Vec<PeId>)> = (0..self.samples.max(2))
+                .map(|_| {
+                    let binding: Vec<PeId> = (0..n)
+                        .map(|i| {
+                            let r: f64 = rng.random();
+                            let mut acc = 0.0;
+                            for (k, &p) in prob[i].iter().enumerate() {
+                                acc += p;
+                                if r <= acc {
+                                    return feasible[i][k];
+                                }
+                            }
+                            *feasible[i].last().unwrap()
+                        })
+                        .collect();
+                    let c = eval_binding(dfg, fabric, &ctx.topo, &binding, ii).cost;
+                    ctx.tele().bump(Counter::MovesProposed);
+                    (c, binding)
                 })
                 .collect();
-            if feasible.iter().any(|f| f.is_empty()) {
-                return Err(MapError::infeasible("an op has no capable PE"));
+            observations.sort_by_key(|(c, _)| *c);
+            let gen_best = observations.remove(0);
+            let improved = best.as_ref().map(|(c, _)| gen_best.0 < *c).unwrap_or(true);
+            if improved {
+                ctx.tele().bump(Counter::MovesAccepted);
+                ctx.incumbent(Self::NAME, ii, gen_best.0 as f64);
+                best = Some(gen_best.clone());
             }
-            let mut prob: Vec<Vec<f64>> = feasible
-                .iter()
-                .map(|f| vec![1.0 / f.len() as f64; f.len()])
-                .collect();
-            let mut best: Option<(u64, Vec<PeId>)> = None;
-
-            for _gen in 0..self.generations {
-                if budget.expired_now() {
-                    break;
-                }
-                // Observe.
-                let mut observations: Vec<(u64, Vec<PeId>)> = (0..self.samples.max(2))
-                    .map(|_| {
-                        let binding: Vec<PeId> = (0..n)
-                            .map(|i| {
-                                let r: f64 = rng.random();
-                                let mut acc = 0.0;
-                                for (k, &p) in prob[i].iter().enumerate() {
-                                    acc += p;
-                                    if r <= acc {
-                                        return feasible[i][k];
-                                    }
-                                }
-                                *feasible[i].last().unwrap()
-                            })
-                            .collect();
-                        let c = eval_binding(dfg, fabric, &topo, &binding, ii).cost;
-                        cfg.telemetry.bump(Counter::MovesProposed);
-                        (c, binding)
-                    })
-                    .collect();
-                observations.sort_by_key(|(c, _)| *c);
-                let gen_best = observations.remove(0);
-                let improved = best.as_ref().map(|(c, _)| gen_best.0 < *c).unwrap_or(true);
-                if improved {
-                    cfg.telemetry.bump(Counter::MovesAccepted);
-                    cfg.telemetry.bump(Counter::Incumbents);
-                    cfg.ledger.incumbent("qea", ii, gen_best.0 as f64);
-                    best = Some(gen_best.clone());
-                }
-                // Rotate distributions towards the all-time best.
-                let target = &best.as_ref().unwrap().1;
-                let step = self.rotation_pm as f64 / 1000.0;
-                for i in 0..n {
-                    let chosen = feasible[i]
-                        .iter()
-                        .position(|&pe| pe == target[i])
-                        .unwrap_or(0);
-                    let k = prob[i].len();
-                    for (j, p) in prob[i].iter_mut().enumerate() {
-                        if j == chosen {
-                            *p += step * (1.0 - *p);
-                        } else {
-                            *p *= 1.0 - step;
-                        }
-                    }
-                    // Keep a floor of exploration mass.
-                    let floor = 0.005 / k as f64;
-                    let mut total = 0.0;
-                    for p in prob[i].iter_mut() {
-                        *p = p.max(floor);
-                        total += *p;
-                    }
-                    for p in prob[i].iter_mut() {
-                        *p /= total;
+            // Rotate distributions towards the all-time best.
+            let target = &best.as_ref().unwrap().1;
+            let step = self.rotation_pm as f64 / 1000.0;
+            for i in 0..n {
+                let chosen = feasible[i]
+                    .iter()
+                    .position(|&pe| pe == target[i])
+                    .unwrap_or(0);
+                let k = prob[i].len();
+                for (j, p) in prob[i].iter_mut().enumerate() {
+                    if j == chosen {
+                        *p += step * (1.0 - *p);
+                    } else {
+                        *p *= 1.0 - step;
                     }
                 }
-            }
-
-            if let Some((_, binding)) = best {
-                if let Some(times) = legal_schedule(dfg, fabric, &topo, &binding, ii) {
-                    if let Some(m) =
-                        finish_binding(dfg, fabric, &topo, &binding, &times, ii, &cfg.telemetry)
-                    {
-                        return Ok(m);
-                    }
+                // Keep a floor of exploration mass.
+                let floor = 0.005 / k as f64;
+                let mut total = 0.0;
+                for p in prob[i].iter_mut() {
+                    *p = p.max(floor);
+                    total += *p;
                 }
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
+                for p in prob[i].iter_mut() {
+                    *p /= total;
+                }
             }
         }
-        Err(MapError::infeasible(format!(
-            "no routable observation in II {min_ii}..={max_ii}"
-        )))
+
+        Ok(best.and_then(|(_, binding)| finish_binding(ctx, ii, &binding)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

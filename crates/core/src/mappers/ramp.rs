@@ -6,13 +6,11 @@
 //! with the failed operation given priority. Only when repeated
 //! rip-up/remap rounds fail does the II increase.
 
-use super::state::SchedState;
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::state::{priority_order, SchedState};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use cgra_ir::NodeId;
 use std::collections::VecDeque;
 
 /// The failure-driven remapping mapper.
@@ -34,49 +32,22 @@ impl Default for Ramp {
 }
 
 impl Ramp {
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<Mapping> {
-        tele.bump(Counter::IiAttempts);
-        let _span = tele.span_ii(Phase::Map, ii);
-        let mut state = SchedState::new(dfg, fabric, ii, topo, tele.clone());
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let height = graph::height(dfg, &lat);
-        let mut order: Vec<NodeId> = dfg.topo_order().ok()?;
-        order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
-
-        let mut queue: VecDeque<NodeId> = order.iter().copied().collect();
+    fn schedule(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Mapping> {
+        let mut state = SchedState::new(ctx, ii);
+        let (order, height) = priority_order(ctx.dfg, ctx.fabric);
+        let mut queue: VecDeque<NodeId> = order.into();
         let mut ripups = 0u32;
 
         while let Some(n) = queue.pop_front() {
-            if budget.expired() {
+            if ctx.budget.expired() {
                 return None;
             }
             if state.placed(n).is_some() {
                 continue;
             }
-            let est = state.est(n);
-            let window_end = match state.lst(n) {
-                Some(l) => l.min(est + self.window_iis * ii),
-                None => est + self.window_iis * ii,
-            };
-            let mut placed = false;
-            if window_end >= est {
-                't: for t in est..=window_end {
-                    for pe in state.candidate_pes(n, 24) {
-                        if state.try_place(n, pe, t) {
-                            placed = true;
-                            break 't;
-                        }
-                    }
-                }
-            }
+            let placed = state
+                .window(n, self.window_iis)
+                .is_some_and(|w| state.place_in_window(n, w, 24));
             if placed {
                 continue;
             }
@@ -86,7 +57,7 @@ impl Ramp {
             if ripups > self.max_ripups {
                 return None;
             }
-            let victims = self.pick_victims(&state, n, est);
+            let victims = self.pick_victims(&state, n, state.est(n));
             if victims.is_empty() {
                 return None; // nothing to rip up: genuinely stuck
             }
@@ -124,45 +95,26 @@ impl Ramp {
     }
 }
 
-impl Mapper for Ramp {
-    fn name(&self) -> &'static str {
-        "ramp"
-    }
+impl TemporalSearch for Ramp {
+    const NAME: &'static str = "ramp";
+    const FAMILY: Family = Family::Heuristic;
+    type State = ();
 
-    fn family(&self) -> Family {
-        Family::Heuristic
-    }
+    fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            cfg.ledger.ii_attempt("ramp", ii);
-            if let Some(m) = self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry) {
-                cfg.telemetry.bump(Counter::Incumbents);
-                cfg.ledger.incumbent("ramp", ii, ii as f64);
-                return Ok(m);
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
-        }
-        Err(MapError::infeasible(format!(
-            "no II in {min_ii}..={max_ii} admits a schedule"
-        )))
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+        let m = self.schedule(ctx, ii);
+        Ok(m.inspect(|_| ctx.incumbent(Self::NAME, ii, ii as f64)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::metrics::Metrics;
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

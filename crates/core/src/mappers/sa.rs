@@ -8,13 +8,12 @@
 //! Multiple independent chains run in parallel (rayon) and the best
 //! champion is routed.
 
-use super::meta_common::{eval_binding, finish_binding, legal_schedule, random_binding};
-use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::meta_common::{eval_binding, finish_binding, random_binding};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::Dfg;
+use crate::telemetry::Counter;
+use cgra_arch::PeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -50,17 +49,8 @@ impl Default for SimulatedAnnealing {
 }
 
 impl SimulatedAnnealing {
-    #[allow(clippy::too_many_arguments)]
-    fn anneal_chain(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        topo: &TopologyCache,
-        ii: u32,
-        seed: u64,
-        budget: &Budget,
-        tele: &Telemetry,
-    ) -> Option<(u64, Vec<PeId>)> {
+    fn anneal_chain(&self, ctx: &SweepCtx<'_>, ii: u32, seed: u64) -> (u64, Vec<PeId>) {
+        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut binding = random_binding(dfg, fabric, &mut rng);
         let mut cost = eval_binding(dfg, fabric, topo, &binding, ii).cost;
@@ -78,7 +68,7 @@ impl SimulatedAnnealing {
                     break;
                 }
                 // Propose: relocate (70%) or swap (30%).
-                tele.bump(Counter::MovesProposed);
+                ctx.tele().bump(Counter::MovesProposed);
                 let mut cand = binding.clone();
                 if rng.random_range(0..10) < 7 {
                     let op = cgra_ir::NodeId(rng.random_range(0..n as u32));
@@ -101,7 +91,7 @@ impl SimulatedAnnealing {
                     rng.random::<f64>() < (-delta / temp.max(1e-9)).exp()
                 };
                 if accept {
-                    tele.bump(Counter::MovesAccepted);
+                    ctx.tele().bump(Counter::MovesAccepted);
                     binding = cand;
                     cost = c;
                     if cost < best.0 {
@@ -114,79 +104,47 @@ impl SimulatedAnnealing {
                 Cooling::Linear => 1000.0 * (1.0 - (sweep as f64 + 1.0) / sweeps as f64),
             };
         }
-        Some(best)
+        best
     }
 }
 
-impl Mapper for SimulatedAnnealing {
-    fn name(&self) -> &'static str {
-        "sa"
-    }
+impl TemporalSearch for SimulatedAnnealing {
+    const NAME: &'static str = "sa";
+    const FAMILY: Family = Family::MetaLocalSearch;
+    const EXHAUSTED: &'static str = "annealing found no routable binding in II {range}";
+    type State = ();
 
-    fn family(&self) -> Family {
-        Family::MetaLocalSearch
-    }
+    fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-
-        for ii in min_ii..=max_ii {
-            cfg.telemetry.bump(Counter::IiAttempts);
-            cfg.ledger.ii_attempt("sa", ii);
-            let _span = cfg.telemetry.span_ii(Phase::Map, ii);
-            // Parallel chains; pick the champion.
-            let champions: Vec<(u64, Vec<PeId>)> = (0..self.chains.max(1))
-                .into_par_iter()
-                .filter_map(|c| {
-                    self.anneal_chain(
-                        dfg,
-                        fabric,
-                        &topo,
-                        ii,
-                        cfg.seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ii as u64,
-                        &budget,
-                        &cfg.telemetry,
-                    )
-                })
-                .collect();
-            let mut champs = champions;
-            champs.sort_by_key(|(c, _)| *c);
-            // The chain champion is this II's anytime incumbent; record
-            // it sequentially (after collect) so same-seed runs produce
-            // identical ledgers.
-            if let Some((c, _)) = champs.first() {
-                cfg.telemetry.bump(Counter::Incumbents);
-                cfg.ledger.incumbent("sa", ii, *c as f64);
-            }
-            for (_, binding) in champs.into_iter().take(2) {
-                if let Some(times) = legal_schedule(dfg, fabric, &topo, &binding, ii) {
-                    if let Some(m) =
-                        finish_binding(dfg, fabric, &topo, &binding, &times, ii, &cfg.telemetry)
-                    {
-                        return Ok(m);
-                    }
-                }
-            }
-            if budget.expired_now() {
-                return Err(budget.error());
-            }
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+        // Parallel chains; pick the champion.
+        let mut champs: Vec<(u64, Vec<PeId>)> = (0..self.chains.max(1))
+            .into_par_iter()
+            .map(|c| {
+                let salt = (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                self.anneal_chain(ctx, ii, ctx.cfg.seed ^ salt ^ ii as u64)
+            })
+            .collect();
+        champs.sort_by_key(|(c, _)| *c);
+        // The chain champion is this II's anytime incumbent; record
+        // it sequentially (after collect) so same-seed runs produce
+        // identical ledgers.
+        if let Some((c, _)) = champs.first() {
+            ctx.incumbent(Self::NAME, ii, *c as f64);
         }
-        Err(MapError::infeasible(format!(
-            "annealing found no routable binding in II {min_ii}..={max_ii}"
-        )))
+        Ok(champs
+            .iter()
+            .take(2)
+            .find_map(|(_, binding)| finish_binding(ctx, ii, binding)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

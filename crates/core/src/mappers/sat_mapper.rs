@@ -31,14 +31,12 @@
 //! union is exactly the from-scratch [`PositionSpace`], so both paths
 //! see the same feasible set per II and achieve identical IIs.
 
-use super::exact_common::{add_solver_stats, edge_compatible, realise, PositionSpace, SweepSpace};
+use super::exact_common::{add_solver_stats, edge_compatible, PositionSpace, SweepSpace};
+use super::sweep::{SweepCtx, TemporalSearch};
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
-use crate::engine::Budget;
 use crate::incremental::{kernel_fingerprint, IncrKey};
-use crate::ledger::Ledger;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use crate::mapper::{Family, MapConfig, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::{Counter, Phase, Telemetry};
 use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::{Dfg, NodeId};
 use cgra_solver::cnf::{at_most_one, exactly_one, AmoEncoding};
@@ -77,7 +75,7 @@ const SWEEP_CHUNK: usize = 4;
 /// Reusable cross-II solver state for the incremental sweep: one CDCL
 /// instance holding the union-space structural encoding, the per-II
 /// selector-guarded layers encoded so far, and every learnt clause.
-struct SweepState {
+pub(crate) struct SweepState {
     solver: SatSolver,
     space: SweepSpace,
     /// `vars[op][u]` ⇔ "op sits at union position `u`".
@@ -216,22 +214,14 @@ impl SatMapper {
     /// One II attempt on the persistent solver: solve under this II's
     /// selector, realise models, block routing failures under the same
     /// selector (a no-good at II=k says nothing about II=k+1).
-    #[allow(clippy::too_many_arguments)]
     fn try_ii_incremental(
         &self,
+        ctx: &SweepCtx<'_>,
         st: &mut SweepState,
         k: usize,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
     ) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
         let ii = st.space.iis[k];
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("sat", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
         if st.infeasible[k] {
             return Ok(None);
         }
@@ -258,8 +248,7 @@ impl SatMapper {
                     }
                     SatResult::Unknown => break 'cegar Err(budget.error()),
                     SatResult::Sat(model) => {
-                        tele.bump(Counter::Incumbents);
-                        ledger.incumbent("sat", ii, round as f64);
+                        ctx.incumbent(Self::NAME, ii, round as f64);
                         let chosen: Vec<(PeId, u32)> = st.space.member[k]
                             .iter()
                             .enumerate()
@@ -272,7 +261,7 @@ impl SatMapper {
                                 st.space.union[op][u]
                             })
                             .collect();
-                        if let Some(m) = realise(dfg, fabric, topo, ii, &chosen, tele) {
+                        if let Some(m) = ctx.route(ii, chosen.iter().copied()) {
                             break 'cegar Ok(Some(m));
                         }
                         // Block this exact placement at this II only.
@@ -294,87 +283,42 @@ impl SatMapper {
             }
             Ok(None)
         };
-        add_solver_stats(tele, st.solver.stats().since(&before));
+        add_solver_stats(ctx.tele(), st.solver.stats().since(&before));
         result
     }
 
-    /// The incremental bottom-up sweep: take (or build) the persistent
-    /// solver, walk the candidate IIs under per-II assumptions, and
-    /// park the state back in the pool for the next call.
-    fn map_incremental(
+    /// Make the chunk holding `ii` the live one: park the previous
+    /// chunk's solver, then take this chunk's from the pool or build it
+    /// cold. Chunks are [`SWEEP_CHUNK`]-sized runs counted from `ctx.lo`.
+    fn enter_chunk<'s>(
         &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        cfg: &MapConfig,
-        min_ii: u32,
-        max_ii: u32,
-    ) -> Result<Mapping, MapError> {
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        let all: Vec<u32> = (min_ii..=max_ii).collect();
-        let kernel_fp = kernel_fingerprint(dfg);
-        for chunk in all.chunks(SWEEP_CHUNK) {
+        ctx: &SweepCtx<'_>,
+        live: &'s mut Option<(IncrKey, Box<SweepState>)>,
+        ii: u32,
+    ) -> &'s mut SweepState {
+        let chunk = SWEEP_CHUNK as u32;
+        let first = ii - (ii - ctx.lo) % chunk;
+        if live.as_ref().is_none_or(|(_, st)| st.space.iis[0] != first) {
+            self.park(ctx, live.take());
+            let iis: Vec<u32> = (first..=ctx.hi.min(first + chunk - 1)).collect();
             let key = IncrKey {
-                mapper: "sat",
-                fabric_fp: topo.fingerprint64(),
-                kernel_fp,
-                knobs: self.knobs(cfg, chunk[0], *chunk.last().unwrap()),
+                mapper: Self::NAME,
+                fabric_fp: ctx.topo.fingerprint64(),
+                kernel_fp: kernel_fingerprint(ctx.dfg),
+                knobs: self.knobs(ctx.cfg, first, first + iis.len() as u32 - 1),
             };
-            let mut st = cfg
-                .incr
-                .take_as::<SweepState>(&key)
-                .unwrap_or_else(|| Box::new(self.build_state(dfg, fabric, chunk)));
-            st.solver.interrupt = budget.interrupt();
-            let mut outcome: Option<Result<Mapping, MapError>> = None;
-            for k in 0..chunk.len() {
-                match self.try_ii_incremental(
-                    &mut st,
-                    k,
-                    dfg,
-                    fabric,
-                    &topo,
-                    &budget,
-                    &cfg.telemetry,
-                    &cfg.ledger,
-                ) {
-                    Ok(Some(m)) => {
-                        outcome = Some(Ok(m));
-                        break;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        outcome = Some(Err(e));
-                        break;
-                    }
-                }
-            }
-            // Detach the per-run stop signal before pooling: the budget
-            // dies with this call, the solver state does not.
-            st.solver.interrupt = Interrupt::none();
-            cfg.incr.put(key, st);
-            if let Some(out) = outcome {
-                return out;
-            }
+            let mut st = (ctx.cfg.incr.take_as::<SweepState>(&key))
+                .unwrap_or_else(|| Box::new(self.build_state(ctx.dfg, ctx.fabric, &iis)));
+            st.solver.interrupt = ctx.budget.interrupt();
+            *live = Some((key, st));
         }
-        Err(MapError::infeasible(format!(
-            "UNSAT for every II in {min_ii}..={max_ii} (within the candidate window)"
-        )))
+        &mut live.as_mut().expect("a chunk was just made live").1
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn try_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
-    ) -> Result<Option<Mapping>, MapError> {
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("sat", ii);
-        let _span = tele.span_ii(Phase::Map, ii);
+    /// One II attempt on a from-scratch encoding — the reference path
+    /// selected by `cfg.incremental == false`.
+    fn try_ii_scratch(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
+        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
         let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap);
         let mut solver = SatSolver::new();
         solver.interrupt = budget.interrupt();
@@ -436,8 +380,7 @@ impl SatMapper {
                     SatResult::Sat(model) => {
                         // Each model is an anytime incumbent placement;
                         // cost = CEGAR rounds spent reaching it.
-                        tele.bump(Counter::Incumbents);
-                        ledger.incumbent("sat", ii, round as f64);
+                        ctx.incumbent(Self::NAME, ii, round as f64);
                         let chosen: Vec<(PeId, u32)> = space
                             .positions
                             .iter()
@@ -451,7 +394,7 @@ impl SatMapper {
                                 ps[k]
                             })
                             .collect();
-                        if let Some(m) = realise(dfg, fabric, topo, ii, &chosen, tele) {
+                        if let Some(m) = ctx.route(ii, chosen.iter().copied()) {
                             break 'cegar Ok(Some(m));
                         }
                         // Block this exact placement.
@@ -470,7 +413,7 @@ impl SatMapper {
             }
             Ok(None)
         };
-        add_solver_stats(tele, solver.stats());
+        add_solver_stats(ctx.tele(), solver.stats());
         result
     }
 
@@ -481,15 +424,8 @@ impl SatMapper {
     /// routing-reachability edge layers. The solver's final-conflict
     /// core ([`SatSolver::failed_assumptions`]) then names exactly the
     /// groups that participated in the refutation.
-    fn diagnose_ii(
-        &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        ii: u32,
-        mii: u32,
-        topo: &TopologyCache,
-        budget: &Budget,
-    ) -> Diagnosis {
+    fn diagnose_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Diagnosis {
+        let (dfg, fabric, topo, mii) = (ctx.dfg, ctx.fabric, &*ctx.topo, ctx.mii);
         let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap);
         if let Some(o) = space.positions.iter().position(|ps| ps.is_empty()) {
             let n = NodeId(o as u32);
@@ -507,7 +443,7 @@ impl SatMapper {
             return d;
         }
         let mut solver = SatSolver::new();
-        solver.interrupt = budget.interrupt();
+        solver.interrupt = ctx.budget.interrupt();
         let vars: Vec<Vec<Lit>> = space
             .positions
             .iter()
@@ -666,77 +602,51 @@ impl SatMapper {
             }
         }
     }
-
-    /// Attach a probe-derived [`Diagnosis`] to a bare infeasibility
-    /// when forensics are on (an error that already carries one — e.g.
-    /// from the empty-II-range analysis — passes through untouched).
-    fn explain_failure(
-        &self,
-        err: MapError,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        cfg: &MapConfig,
-        mii: u32,
-        probe_ii: u32,
-    ) -> MapError {
-        match err {
-            MapError::Infeasible(mut inf) if cfg.explain && inf.diagnosis.is_none() => {
-                let topo = cfg.topo_for(fabric);
-                let budget = cfg.run_budget();
-                inf.diagnosis = Some(Box::new(
-                    self.diagnose_ii(dfg, fabric, probe_ii, mii, &topo, &budget),
-                ));
-                MapError::Infeasible(inf)
-            }
-            other => other,
-        }
-    }
 }
 
-impl Mapper for SatMapper {
-    fn name(&self) -> &'static str {
-        "sat"
+impl TemporalSearch for SatMapper {
+    const NAME: &'static str = "sat";
+    const FAMILY: Family = Family::ExactCsp;
+    const EXHAUSTED: &'static str = "UNSAT for every II in {range} (within the candidate window)";
+    /// The live chunk of the incremental sweep and its pool key.
+    type State = Option<(IncrKey, Box<SweepState>)>;
+
+    fn prepare(&self, _: &SweepCtx<'_>) -> Self::State {
+        None
     }
 
-    fn family(&self) -> Family {
-        Family::ExactCsp
+    fn try_ii(
+        &self,
+        ctx: &SweepCtx<'_>,
+        live: &mut Self::State,
+        ii: u32,
+    ) -> Result<Option<Mapping>, MapError> {
+        if !ctx.cfg.incremental {
+            return self.try_ii_scratch(ctx, ii);
+        }
+        let st = self.enter_chunk(ctx, live, ii);
+        let k = (ii - st.space.iis[0]) as usize;
+        self.try_ii_incremental(ctx, st, k)
     }
 
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let mii = super::ModuloList::mii(dfg, fabric);
-        let (min_ii, max_ii) = cfg.ii_range_for(dfg, mii, fabric)?;
-        if cfg.incremental {
-            return self
-                .map_incremental(dfg, fabric, cfg, min_ii, max_ii)
-                .map_err(|e| self.explain_failure(e, dfg, fabric, cfg, mii, max_ii));
+    fn park(&self, ctx: &SweepCtx<'_>, live: Self::State) {
+        if let Some((key, mut st)) = live {
+            // Detach the per-run stop signal before pooling: the budget
+            // dies with this call, the solver state does not.
+            st.solver.interrupt = Interrupt::none();
+            ctx.cfg.incr.put(key, st);
         }
-        let topo = cfg.topo_for(fabric);
-        let budget = cfg.run_budget();
-        for ii in min_ii..=max_ii {
-            match self.try_ii(dfg, fabric, ii, &topo, &budget, &cfg.telemetry, &cfg.ledger) {
-                Ok(Some(m)) => return Ok(m),
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(self.explain_failure(
-            MapError::infeasible(format!(
-                "UNSAT for every II in {min_ii}..={max_ii} (within the candidate window)"
-            )),
-            dfg,
-            fabric,
-            cfg,
-            mii,
-            max_ii,
-        ))
+    }
+
+    fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
+        Some(self.diagnose_ii(ctx, ii))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::Mapper;
     use crate::validate::validate;
     use cgra_arch::Topology;
     use cgra_ir::kernels;
@@ -854,10 +764,10 @@ mod tests {
         let f = mul_starved();
         let dfg = kernels::fir(4);
         let cfg = MapConfig::fast();
-        let topo = cfg.topo_for(&f);
+        let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
         let m = SatMapper::default();
-        let d = m.diagnose_ii(&dfg, &f, 1, 4, &topo, &cfg.run_budget());
-        let d2 = m.diagnose_ii(&dfg, &f, 1, 4, &topo, &cfg.run_budget());
+        let d = m.diagnose_ii(&ctx, 1);
+        let d2 = m.diagnose_ii(&ctx, 1);
         assert_eq!(d, d2, "probe must be deterministic");
         assert!(!d.core.is_empty());
         assert_eq!(d.ii, 1);

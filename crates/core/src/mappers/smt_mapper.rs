@@ -11,24 +11,22 @@
 //! interplay; the schedule horizon is fixed per probe, and the
 //! resulting mapping is a (non-modulo) spatio-temporal one: II equals
 //! the horizon, matching the restricted-routing setting of the lineage
-//! paper.
+//! paper. The probed horizons are the doubling sequence from the
+//! critical path, restricted to the II range under search.
 
 use super::exact_common::{add_solver_stats, capability_bitsets};
-use crate::engine::Budget;
-use crate::ledger::Ledger;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use super::sweep::{SweepCtx, TemporalSearch};
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::route::route_all_with;
-use crate::telemetry::{Counter, Phase, Telemetry};
-use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::{graph, Dfg, OpKind};
+use cgra_arch::PeId;
+use cgra_ir::{graph, OpKind};
 use cgra_solver::{Lit, SmtResult, SmtSolver};
 
 /// The SMT mapper.
 #[derive(Debug, Clone)]
 pub struct SmtMapper {
     /// Horizon probes: start at the critical path, multiply by 2 up to
-    /// the fabric context depth.
+    /// the fabric context depth; those outside the II range are skipped.
     pub max_probes: u32,
 }
 
@@ -38,22 +36,36 @@ impl Default for SmtMapper {
     }
 }
 
-impl SmtMapper {
-    #[allow(clippy::too_many_arguments)]
-    fn try_horizon(
+impl TemporalSearch for SmtMapper {
+    const NAME: &'static str = "smt";
+    const FAMILY: Family = Family::ExactCsp;
+    const EXHAUSTED: &'static str = "no horizon in {range} admits an SMT model";
+    /// `caps[op][pe]`: the horizon-independent capability bitsets.
+    type State = Vec<Vec<bool>>;
+
+    fn prepare(&self, ctx: &SweepCtx<'_>) -> Vec<Vec<bool>> {
+        capability_bitsets(ctx.dfg, ctx.fabric)
+    }
+
+    fn candidates(&self, ctx: &SweepCtx<'_>) -> Vec<u32> {
+        let lat = |op: OpKind| ctx.fabric.latency_of(op);
+        let cp = graph::critical_path(ctx.dfg, &lat).max(1);
+        let depth = ctx.fabric.context_depth;
+        let doubling = |h: &u32| (*h < depth).then(|| h.saturating_mul(2));
+        std::iter::successors(Some(cp.max(ctx.cfg.min_ii)), doubling)
+            .take(self.max_probes.max(1) as usize)
+            .map(|h| h.min(depth))
+            .filter(|h| (ctx.lo..=ctx.hi).contains(h))
+            .collect()
+    }
+
+    fn try_ii(
         &self,
-        dfg: &Dfg,
-        fabric: &Fabric,
+        ctx: &SweepCtx<'_>,
+        caps: &mut Vec<Vec<bool>>,
         horizon: u32,
-        caps: &[Vec<bool>],
-        topo: &TopologyCache,
-        budget: &Budget,
-        tele: &Telemetry,
-        ledger: &Ledger,
     ) -> Result<Option<Mapping>, MapError> {
-        tele.bump(Counter::IiAttempts);
-        ledger.ii_attempt("smt", horizon);
-        let _span = tele.span_ii(Phase::Map, horizon);
+        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
         let n = dfg.node_count();
         // Theory vars: one time per op, plus a zero reference.
         let mut smt = SmtSolver::new(n + 1);
@@ -79,8 +91,7 @@ impl SmtMapper {
                     .collect()
             })
             .collect();
-        for (o, row) in sel.iter().enumerate() {
-            let _ = o;
+        for row in &sel {
             smt.add_clause(row); // at least one PE
             for i in 0..row.len() {
                 for j in (i + 1)..row.len() {
@@ -146,15 +157,14 @@ impl SmtMapper {
         smt.sat.conflict_budget = 2_000_000;
         smt.sat.interrupt = budget.interrupt();
         let outcome = smt.solve();
-        add_solver_stats(tele, smt.stats());
+        add_solver_stats(ctx.tele(), smt.stats());
         match outcome {
             SmtResult::Unsat => Ok(None),
             SmtResult::Unknown => Err(budget.error()),
             SmtResult::Sat { model, values } => {
                 // The theory model is this horizon's incumbent
                 // schedule; cost = the horizon probed.
-                tele.bump(Counter::Incumbents);
-                ledger.incumbent("smt", horizon, horizon as f64);
+                ctx.incumbent(Self::NAME, horizon, horizon as f64);
                 // Decode binding and times (normalise to t_zero).
                 let t0 = values[zero];
                 let mut chosen = Vec::with_capacity(n);
@@ -164,76 +174,20 @@ impl SmtMapper {
                         .position(|l| model[l.var().0 as usize])
                         .map(|k| pes[k]);
                     let Some(pe) = pe else { return Ok(None) };
-                    let t = (values[o] - t0).max(0) as u32;
-                    chosen.push(crate::mapping::Placement { pe, time: t });
+                    chosen.push((pe, (values[o] - t0).max(0) as u32));
                 }
-                let ii = horizon.min(fabric.context_depth);
-                let routes = route_all_with(fabric, topo, dfg, &chosen, ii, 12, true, tele);
-                match routes {
-                    Some(routes) => Ok(Some(Mapping {
-                        ii,
-                        place: chosen,
-                        routes,
-                    })),
-                    None => Ok(None),
-                }
+                Ok(ctx.route(horizon, chosen))
             }
         }
-    }
-}
-
-impl Mapper for SmtMapper {
-    fn name(&self) -> &'static str {
-        "smt"
-    }
-
-    fn family(&self) -> Family {
-        Family::ExactCsp
-    }
-
-    fn map(&self, dfg: &Dfg, fabric: &Fabric, cfg: &MapConfig) -> Result<Mapping, MapError> {
-        dfg.validate()
-            .map_err(|e| MapError::Unsupported(e.to_string()))?;
-        let lat = |op: OpKind| fabric.latency_of(op);
-        let cp = graph::critical_path(dfg, &lat).max(1);
-        let budget = cfg.run_budget();
-        let topo = cfg.topo_for(fabric);
-        let caps = capability_bitsets(dfg, fabric);
-
-        let mut horizon = cp.max(cfg.min_ii);
-        for _ in 0..self.max_probes.max(1) {
-            let h = horizon.min(fabric.context_depth);
-            match self.try_horizon(
-                dfg,
-                fabric,
-                h,
-                &caps,
-                &topo,
-                &budget,
-                &cfg.telemetry,
-                &cfg.ledger,
-            ) {
-                Ok(Some(m)) => return Ok(m),
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
-            if h == fabric.context_depth {
-                break;
-            }
-            horizon *= 2;
-        }
-        Err(MapError::infeasible(format!(
-            "no horizon up to {} admits an SMT model",
-            fabric.context_depth
-        )))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]

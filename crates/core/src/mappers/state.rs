@@ -7,12 +7,25 @@
 //! placed, all incident placeable edges routed, occupancy updated) or
 //! leaves the state untouched.
 
+use super::sweep::SweepCtx;
 use crate::mapping::{Mapping, Placement, Route};
 use crate::route::{find_route_with, RouteOpts, RouterScratch};
 use crate::telemetry::{Counter, Phase, Telemetry};
 use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
-use cgra_ir::{Dfg, EdgeId, NodeId};
+use cgra_ir::{graph, Dfg, EdgeId, NodeId, OpKind};
 use std::collections::HashSet;
+
+/// The constructive mappers' placement order — height-descending,
+/// stable within topological order — and the heights themselves.
+pub(crate) fn priority_order(dfg: &Dfg, fabric: &Fabric) -> (Vec<NodeId>, Vec<u32>) {
+    let lat = |op: OpKind| fabric.latency_of(op);
+    let height = graph::height(dfg, &lat);
+    let mut order = dfg
+        .topo_order()
+        .expect("validated DFG is zero-distance acyclic");
+    order.sort_by_key(|n| std::cmp::Reverse(height[n.index()]));
+    (order, height)
+}
 
 pub(crate) struct SchedState<'a> {
     pub dfg: &'a Dfg,
@@ -28,22 +41,17 @@ pub(crate) struct SchedState<'a> {
 }
 
 impl<'a> SchedState<'a> {
-    pub fn new(
-        dfg: &'a Dfg,
-        fabric: &'a Fabric,
-        ii: u32,
-        topo: &'a TopologyCache,
-        tele: Telemetry,
-    ) -> Self {
+    /// An empty partial mapping of `ctx`'s kernel at `ii`.
+    pub fn new(ctx: &'a SweepCtx<'_>, ii: u32) -> Self {
         SchedState {
-            dfg,
-            fabric,
+            dfg: ctx.dfg,
+            fabric: ctx.fabric,
             ii,
-            topo,
-            place: vec![None; dfg.node_count()],
-            routes: vec![None; dfg.edge_count()],
-            st: SpaceTime::new(fabric, ii),
-            tele,
+            topo: &ctx.topo,
+            place: vec![None; ctx.dfg.node_count()],
+            routes: vec![None; ctx.dfg.edge_count()],
+            st: SpaceTime::new(ctx.fabric, ii),
+            tele: ctx.tele().clone(),
             scratch: RouterScratch::new(),
         }
     }
@@ -80,6 +88,26 @@ impl<'a> SchedState<'a> {
             }
         }
         t
+    }
+
+    /// The issue-time window to scan for `n`: from its earliest start,
+    /// `window_iis` IIs wide, cut at its latest start. `None` when the
+    /// placed neighbours leave no feasible cycle.
+    pub fn window(&self, n: NodeId, window_iis: u32) -> Option<(u32, u32)> {
+        let est = self.est(n);
+        let end = est + window_iis * self.ii;
+        let end = self.lst(n).map_or(end, |l| l.min(end));
+        (end >= est).then_some((est, end))
+    }
+
+    /// Scan `est..=end` cycle by cycle, trying the `cap` nearest PEs at
+    /// each; commits the first `(pe, t)` that places.
+    pub fn place_in_window(&mut self, n: NodeId, (est, end): (u32, u32), cap: usize) -> bool {
+        (est..=end).any(|t| {
+            self.candidate_pes(n, cap)
+                .into_iter()
+                .any(|pe| self.try_place(n, pe, t))
+        })
     }
 
     /// Positions already used by routed edges of producer `src`.

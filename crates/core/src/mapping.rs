@@ -38,6 +38,12 @@ pub struct Placement {
     pub time: u32,
 }
 
+impl From<(PeId, u32)> for Placement {
+    fn from((pe, time): (PeId, u32)) -> Self {
+        Placement { pe, time }
+    }
+}
+
 /// The cycle-by-cycle positions of a value between producer and
 /// consumer (inclusive at both ends). `steps[i]` is the position at
 /// absolute cycle `start_time + i`.

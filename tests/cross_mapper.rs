@@ -67,11 +67,36 @@ fn spatial_mappers_produce_ii_one_and_temporal_mappers_respect_mii() {
                 assert!(m.is_spatial(), "{}", mapper.name());
             } else {
                 assert!(
-                    m.ii >= mii || m.ii >= 1,
+                    m.ii >= mii,
                     "{}: II {} below MII {mii}",
                     mapper.name(),
                     m.ii
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn temporal_mappers_answer_inside_the_requested_ii_range() {
+    // The range is the contract `parallel_ii` pins jobs with: a
+    // mapping outside `max(min_ii, MII)..=max_ii` answers a question
+    // nobody asked.
+    let fabric = Fabric::homogeneous(3, 3, Topology::Mesh);
+    for max_ii in 1..=3 {
+        let cfg = MapConfig { max_ii, ..cfg() };
+        for dfg in kernels::small_suite() {
+            let lo = cfg.min_ii.max(ModuloList::mii(&dfg, &fabric));
+            for mapper in all_mappers().iter().filter(|m| !m.is_spatial()) {
+                if let Ok(m) = mapper.map(&dfg, &fabric, &cfg) {
+                    assert!(
+                        (lo..=max_ii).contains(&m.ii),
+                        "{} on {}: II {} outside {lo}..={max_ii}",
+                        mapper.name(),
+                        dfg.name,
+                        m.ii
+                    );
+                }
             }
         }
     }
