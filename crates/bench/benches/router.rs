@@ -10,12 +10,10 @@
 //! the `bench_router` bin emits into `BENCH_router.json` for the CI
 //! regression gate.
 
-use cgra::mapper::mapping::Placement;
 use cgra::mapper::route::{self, find_route, route_all, route_all_with, RouteOpts};
 use cgra::mapper::telemetry::Telemetry;
 use cgra::prelude::*;
 use cgra_arch::TopologyCache;
-use cgra_ir::graph::{asap, unit_latency};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::HashSet;
 use std::time::Duration;
@@ -49,15 +47,7 @@ fn bench_route_all(c: &mut Criterion) {
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
     let topo = TopologyCache::build(&fabric);
     let dfg = kernels::sobel();
-    let times = asap(&dfg, &unit_latency);
-    // A deliberately mediocre placement to give negotiation work.
-    let place: Vec<Placement> = dfg
-        .node_ids()
-        .map(|n| Placement {
-            pe: PeId((n.0 * 5 % 16) as u16),
-            time: times[n.index()] * 3,
-        })
-        .collect();
+    let place = cgra_bench::strided_placement(&dfg, &fabric);
     let off = Telemetry::off();
     let mut group = c.benchmark_group("route_all");
     group

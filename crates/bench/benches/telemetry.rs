@@ -7,27 +7,18 @@
 //! `route_all` entry point, so a regression in the disabled path shows
 //! up as a gap between the `off` and `baseline` rows.
 
-use cgra::mapper::mapping::Placement;
 use cgra::mapper::route::{route_all, route_all_with};
 use cgra::mapper::servemetrics::ServiceMetrics;
 use cgra::mapper::telemetry::Telemetry;
 use cgra::prelude::*;
 use cgra_arch::TopologyCache;
-use cgra_ir::graph::{asap, unit_latency};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 
 fn bench_router_overhead(c: &mut Criterion) {
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
     let dfg = kernels::sobel();
-    let times = asap(&dfg, &unit_latency);
-    let place: Vec<Placement> = dfg
-        .node_ids()
-        .map(|n| Placement {
-            pe: PeId((n.0 * 5 % 16) as u16),
-            time: times[n.index()] * 3,
-        })
-        .collect();
+    let place = cgra_bench::strided_placement(&dfg, &fabric);
     let topo = TopologyCache::build(&fabric);
     let mut group = c.benchmark_group("telemetry_router");
     group

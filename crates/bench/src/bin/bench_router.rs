@@ -16,13 +16,11 @@
 //! (i.e. the cached path regressed by more than 25% relative to the
 //! uncached reference on the same machine).
 
-use cgra::mapper::mapping::Placement;
 use cgra::mapper::route::{self, find_route_with, route_all_with, RouteOpts, RouterScratch};
 use cgra::mapper::telemetry::Telemetry;
 use cgra::prelude::*;
 use cgra_arch::{SpaceTime, TopologyCache};
-use cgra_bench::{quick, save_json};
-use cgra_ir::graph::{asap, unit_latency};
+use cgra_bench::{quick, save_json, strided_placement};
 use serde::Serialize;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -56,21 +54,9 @@ fn time_us<F: FnMut()>(mut f: F, iters: u32, reps: u32) -> f64 {
     best
 }
 
-/// The deliberately mediocre placement the criterion bench also uses:
-/// strided PEs, stretched times, so negotiation has real work.
-fn strided_placement(dfg: &cgra_ir::Dfg, num_pes: u16) -> Vec<Placement> {
-    let times = asap(dfg, &unit_latency);
-    dfg.node_ids()
-        .map(|n| Placement {
-            pe: PeId((n.0 as u16 * 5) % num_pes),
-            time: times[n.index()] * 3,
-        })
-        .collect()
-}
-
 fn bench_route_all(name: &str, fabric: &Fabric, dfg: &cgra_ir::Dfg, ii: u32, iters: u32) -> Row {
     let topo = TopologyCache::build(fabric);
-    let place = strided_placement(dfg, fabric.num_pes() as u16);
+    let place = strided_placement(dfg, fabric);
     let off = Telemetry::off();
     // Both paths must do the same routing work.
     let cached = route_all_with(fabric, &topo, dfg, &place, ii, 10, true, &off);
@@ -121,7 +107,7 @@ fn bench_find_route(name: &str, fabric: &Fabric, ii: u32, iters: u32) -> Row {
                 0,
                 last,
                 span,
-                &shared,
+                [],
                 None,
                 RouteOpts::default(),
                 &mut scratch,
@@ -228,7 +214,9 @@ fn main() {
             &mesh8,
             &kernels::fir(8),
             4,
-            iters,
+            // ~1 s a call: its longest edges span tens of cycles of
+            // 64 PEs, for ten rounds.
+            iters / 10,
         ),
         bench_route_all(
             "route_all_negotiated_laplacian_onehop8_ii6",

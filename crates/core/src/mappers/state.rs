@@ -9,10 +9,10 @@
 
 use super::sweep::SweepCtx;
 use crate::mapping::{Mapping, Placement, Route};
-use crate::route::{find_route_with, RouteOpts, RouterScratch};
+use crate::route::{find_route_with, hop_feasible, Query, RouteOpts, RouterScratch};
 use crate::telemetry::{Counter, Phase, Telemetry};
 use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
-use cgra_ir::{graph, Dfg, EdgeId, NodeId, OpKind};
+use cgra_ir::{graph, Dfg, Edge, EdgeId, NodeId, OpKind};
 use std::collections::HashSet;
 
 /// The constructive mappers' placement order — height-descending,
@@ -38,6 +38,10 @@ pub(crate) struct SchedState<'a> {
     pub tele: Telemetry,
     /// Router buffers reused across every `try_place` route search.
     scratch: RouterScratch,
+    /// The `try_place` in flight: the edges it has to route, and the
+    /// register cells charged so far (its undo log).
+    queries: Vec<Query>,
+    new_regs: Vec<(PeId, u32)>,
 }
 
 impl<'a> SchedState<'a> {
@@ -53,6 +57,8 @@ impl<'a> SchedState<'a> {
             st: SpaceTime::new(ctx.fabric, ii),
             tele: ctx.tele().clone(),
             scratch: RouterScratch::new(),
+            queries: Vec::new(),
+            new_regs: Vec::new(),
         }
     }
 
@@ -103,40 +109,24 @@ impl<'a> SchedState<'a> {
     /// Scan `est..=end` cycle by cycle, trying the `cap` nearest PEs at
     /// each; commits the first `(pe, t)` that places.
     pub fn place_in_window(&mut self, n: NodeId, (est, end): (u32, u32), cap: usize) -> bool {
-        (est..=end).any(|t| {
-            self.candidate_pes(n, cap)
-                .into_iter()
-                .any(|pe| self.try_place(n, pe, t))
+        // A failed attempt leaves the state untouched, so one ranking
+        // serves the whole window.
+        let pes = self.candidate_pes(n, cap);
+        (est..=end).any(|t| pes.iter().any(|&pe| self.try_place(n, pe, t)))
+    }
+
+    /// The routing query `e` poses once both its ends are placed.
+    fn query(&self, eid: EdgeId, e: &Edge) -> Option<Query> {
+        let sp = self.place[e.src.index()]?;
+        let dp = self.place[e.dst.index()]?;
+        Some(Query {
+            eid,
+            src: e.src,
+            from: sp.pe,
+            tr: sp.time + self.fabric.latency_of(self.dfg.op(e.src)),
+            to: dp.pe,
+            tc: dp.time + self.ii * e.dist,
         })
-    }
-
-    /// Positions already used by routed edges of producer `src`.
-    fn shared(&self, src: NodeId) -> HashSet<(PeId, u32)> {
-        let mut set = HashSet::new();
-        for (eid, e) in self.dfg.edges() {
-            if e.src == src {
-                if let Some(r) = &self.routes[eid.index()] {
-                    for (i, &pe) in r.steps.iter().enumerate() {
-                        set.insert((pe, r.start_time + i as u32));
-                    }
-                }
-            }
-        }
-        set
-    }
-
-    /// Edges of `n` whose other endpoint is already placed (and the
-    /// edge not yet routed).
-    fn routable_edges(&self, n: NodeId) -> Vec<EdgeId> {
-        self.dfg
-            .edges()
-            .filter(|(eid, e)| {
-                self.routes[eid.index()].is_none()
-                    && ((e.src == n && (e.dst == n || self.place[e.dst.index()].is_some()))
-                        || (e.dst == n && self.place[e.src.index()].is_some()))
-            })
-            .map(|(eid, _)| eid)
-            .collect()
     }
 
     /// Attempt to place `n` at `(pe, t)`: checks capability and FU
@@ -144,49 +134,59 @@ impl<'a> SchedState<'a> {
     /// placed nodes. Commits and returns true on success.
     pub fn try_place(&mut self, n: NodeId, pe: PeId, t: u32) -> bool {
         self.tele.bump(Counter::PlacementsTried);
-        if !self.fabric.supports(pe, self.dfg.op(n)) || !self.st.fu_free(pe, t) {
+        let dfg = self.dfg;
+        if !self.fabric.supports(pe, dfg.op(n)) || !self.st.fu_free(pe, t) {
             return false;
         }
         let saved_place = self.place[n.index()];
         self.place[n.index()] = Some(Placement { pe, time: t });
+        // The edges this placement makes routable: unrouted, touching
+        // `n`, other end placed. In edge-id order, because each route
+        // is searched over the occupancy the earlier ones left. Space
+        // before time: an edge with fewer cycles than hops sinks the
+        // placement, and the hop table says so without a search or an
+        // occupancy trial.
+        self.queries.clear();
+        for (eid, e) in dfg.edges() {
+            if (e.src == n || e.dst == n) && self.routes[eid.index()].is_none() {
+                if let Some(q) = self.query(eid, e) {
+                    if !hop_feasible(self.topo, q.from, q.tr, q.to, q.tc) {
+                        self.place[n.index()] = saved_place;
+                        return false;
+                    }
+                    self.queries.push(q);
+                }
+            }
+        }
 
-        let mut trial = self.st.clone();
-        trial.occupy_fu(pe, t);
-        let mut new_routes: Vec<(EdgeId, Route)> = Vec::new();
-        let routable = self.routable_edges(n);
+        // Route in place, logging what to take back on failure.
+        self.st.occupy_fu(pe, t);
+        self.new_regs.clear();
         // Integrated P&R has no separate routing pass; account the
         // incremental edge-routing time as Route so profiles from
         // constructive mappers line up with the explicit-route families.
-        let _route_span = (!routable.is_empty()).then(|| self.tele.span_ii(Phase::Route, self.ii));
-        for eid in routable {
-            let e = self.dfg.edge(eid);
-            let sp = self.place[e.src.index()].expect("endpoint placed");
-            let dp = self.place[e.dst.index()].expect("endpoint placed");
-            let tr = sp.time + self.fabric.latency_of(self.dfg.op(e.src));
-            let tc = dp.time + self.ii * e.dist;
-            if tc < tr {
-                self.place[n.index()] = saved_place;
-                return false;
-            }
-            let mut shared = self.shared(e.src);
-            for (prev_eid, prev_route) in &new_routes {
-                if self.dfg.edge(*prev_eid).src == e.src {
-                    for (i, &p2) in prev_route.steps.iter().enumerate() {
-                        shared.insert((p2, prev_route.start_time + i as u32));
-                    }
-                }
-            }
+        let _route_span =
+            (!self.queries.is_empty()).then(|| self.tele.span_ii(Phase::Route, self.ii));
+        let mut routed = 0;
+        while let Some(&q) = self.queries.get(routed) {
             self.tele.bump(Counter::RoutingCalls);
             let route_t0 = self.tele.is_enabled().then(std::time::Instant::now);
-            let routed = find_route_with(
+            // Cells the producer's routed edges (this attempt's
+            // included) already hold the value in.
+            let routes = &self.routes;
+            let shared = dfg
+                .out_edges(q.src)
+                .filter_map(|(sibling, _)| routes[sibling.index()].as_ref())
+                .flat_map(Route::cells);
+            let found = find_route_with(
                 self.fabric,
                 self.topo,
-                &trial,
-                sp.pe,
-                tr,
-                dp.pe,
-                tc,
-                &shared,
+                &self.st,
+                q.from,
+                q.tr,
+                q.to,
+                q.tc,
+                shared,
                 None,
                 RouteOpts::default(),
                 &mut self.scratch,
@@ -194,36 +194,34 @@ impl<'a> SchedState<'a> {
             if let Some(t0) = route_t0 {
                 self.tele.record_route_us(t0.elapsed().as_micros() as u64);
             }
-            match routed {
-                Some(r) => {
-                    for (i, &p2) in r.steps.iter().enumerate() {
-                        let tt = r.start_time + i as u32;
-                        if !shared.contains(&(p2, tt)) {
-                            trial.occupy_reg(p2, tt);
-                        }
-                    }
-                    new_routes.push((eid, r));
-                }
-                None => {
-                    self.tele.bump(Counter::RoutingFailures);
-                    self.place[n.index()] = saved_place;
-                    return false;
+            let Some(r) = found else {
+                self.tele.bump(Counter::RoutingFailures);
+                break;
+            };
+            for cell in r.cells() {
+                if !self.scratch.is_shared(cell.0, cell.1) {
+                    self.st.occupy_reg(cell.0, cell.1);
+                    self.new_regs.push(cell);
                 }
             }
+            self.routes[q.eid.index()] = Some(r);
+            routed += 1;
         }
         // Final integrity guard: the router tracks its own path's
         // self-wrap pressure but not revisits; reject any residual
         // over-subscription so committed states are always valid.
-        if trial.overuse() != 0 {
-            self.place[n.index()] = saved_place;
-            return false;
+        if routed == self.queries.len() && self.st.overuse() == 0 {
+            return true;
         }
-        // Commit.
-        self.st = trial;
-        for (eid, r) in new_routes {
-            self.routes[eid.index()] = Some(r);
+        for &(p2, tt) in &self.new_regs {
+            self.st.release_reg(p2, tt);
         }
-        true
+        for q in &self.queries[..routed] {
+            self.routes[q.eid.index()] = None;
+        }
+        self.st.release_fu(pe, t);
+        self.place[n.index()] = saved_place;
+        false
     }
 
     /// Remove `n`'s placement and every route touching it, rebuilding
@@ -251,8 +249,7 @@ impl<'a> SchedState<'a> {
         let mut seen: HashSet<(u32, PeId, u32)> = HashSet::new();
         for (eid, e) in self.dfg.edges() {
             if let Some(r) = &self.routes[eid.index()] {
-                for (i, &pe) in r.steps.iter().enumerate() {
-                    let t = r.start_time + i as u32;
+                for (pe, t) in r.cells() {
                     if seen.insert((e.src.0, pe, t)) {
                         st.occupy_reg(pe, t);
                     }

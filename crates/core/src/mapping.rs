@@ -60,6 +60,11 @@ impl Route {
             .and_then(|i| self.steps.get(i as usize).copied())
     }
 
+    /// Every `(pe, cycle)` the value occupies, in time order.
+    pub fn cells(&self) -> impl Iterator<Item = (PeId, u32)> + '_ {
+        (self.start_time..).zip(&self.steps).map(|(t, &pe)| (pe, t))
+    }
+
     /// Number of PE-to-PE hops (non-hold steps).
     pub fn hops(&self) -> usize {
         self.steps.windows(2).filter(|w| w[0] != w[1]).count()
@@ -140,9 +145,7 @@ impl Mapping {
         // Deduplicate register usage by (producer, pe, absolute cycle).
         let mut seen: HashMap<(u32, PeId, u32), ()> = HashMap::new();
         for (eid, edge) in dfg.edges() {
-            let r = &self.routes[eid.index()];
-            for (i, &pe) in r.steps.iter().enumerate() {
-                let t = r.start_time + i as u32;
+            for (pe, t) in self.routes[eid.index()].cells() {
                 if seen.insert((edge.src.0, pe, t), ()).is_none() {
                     st.occupy_reg(pe, t);
                 }

@@ -9,12 +9,13 @@
 //! until no resource is over-subscribed.
 //!
 //! The hot path is [`find_route_with`]: neighbour expansion iterates
-//! CSR slices from a shared [`TopologyCache`] and the Dijkstra buffers
-//! live in a caller-owned [`RouterScratch`], so steady-state routing
-//! (the negotiation loop, a mapper's placement inner loop) performs no
-//! heap allocation per search. The pre-cache implementation is kept
-//! verbatim in [`naive`] as the uncached reference for benches and
-//! differential tests.
+//! CSR slices from a shared [`TopologyCache`], whose hop table also
+//! bounds the search to the states the goal is still in reach of, and
+//! the Dijkstra buffers live in a caller-owned [`RouterScratch`], so
+//! steady-state routing (the negotiation loop, a mapper's placement
+//! inner loop) performs no heap allocation per search. The pre-cache,
+//! undirected implementation is kept verbatim in [`naive`] as the
+//! reference for benches and differential tests.
 
 use crate::mapping::{Mapping, Placement, Route};
 use crate::telemetry::{Counter, Phase, Telemetry};
@@ -47,8 +48,10 @@ impl History {
         self.cost[(t % self.ii) as usize * self.num_pes + pe.index()]
     }
 
+    /// Raise the cost of entering `pe` at cycle `t` (any cycle of the
+    /// slot) by `amount`.
     #[inline]
-    fn bump(&mut self, pe: PeId, t: u32, amount: u64) {
+    pub fn bump(&mut self, pe: PeId, t: u32, amount: u64) {
         self.cost[(t % self.ii) as usize * self.num_pes + pe.index()] += amount;
     }
 }
@@ -73,19 +76,28 @@ impl Default for RouteOpts {
     }
 }
 
-/// Reusable Dijkstra buffers for [`find_route_with`].
+/// Reusable buffers for [`find_route_with`]: the Dijkstra arrays and
+/// the dense map of cells the routed value already occupies.
 ///
-/// The scratch-reuse contract: a `RouterScratch` is exclusively
-/// borrowed for the duration of one search, carries no information
-/// between searches (every call re-initialises the states it uses),
-/// and only ever *grows* its buffers — so a scratch threaded through a
-/// negotiation loop or a placement search reaches a steady state where
-/// routing performs no heap allocation at all.
+/// The scratch-reuse contract (DESIGN.md §7): a `RouterScratch` is
+/// exclusively borrowed for the duration of one search and only ever
+/// *grows* its buffers, so a scratch threaded through a negotiation
+/// loop or a placement search reaches a steady state where routing
+/// performs no heap allocation at all. Nothing a search decides
+/// depends on an earlier one: `dist` and the shared-cell bitmap are
+/// refilled per search, and `prev` is read only at states whose `dist`
+/// the same search wrote. The bitmap outlives the search that filled
+/// it, for [`is_shared`](Self::is_shared).
 #[derive(Debug, Default)]
 pub struct RouterScratch {
     dist: Vec<u64>,
-    prev: Vec<Option<(PeId, usize)>>,
+    /// Predecessor `(pe, run)` of every state `dist` has reached.
+    prev: Vec<(PeId, usize)>,
     heap: BinaryHeap<std::cmp::Reverse<(u64, u16, usize, usize)>>,
+    /// One bit per `(step, pe)` of the last search's window.
+    shared: Vec<u64>,
+    /// First cycle, length in cycles and PE count of that window.
+    window: (u32, usize, usize),
 }
 
 impl RouterScratch {
@@ -93,16 +105,65 @@ impl RouterScratch {
         Self::default()
     }
 
-    /// Re-initialise for a search over `states` Dijkstra states.
-    /// `clear` + `resize` never shrink capacity: after warm-up this is
-    /// a pure `memset`-style fill.
-    fn reset(&mut self, states: usize) {
+    /// Re-initialise for a search of `span` cycles from `tr` over `n`
+    /// PEs and `states` Dijkstra states. `clear` + `resize` never
+    /// shrink capacity: after warm-up this is a pure `memset`-style
+    /// fill.
+    fn reset(&mut self, tr: u32, span: usize, n: usize, states: usize) {
         self.dist.clear();
         self.dist.resize(states, u64::MAX);
-        self.prev.clear();
-        self.prev.resize(states, None);
+        if self.prev.len() < states {
+            self.prev.resize(states, (PeId(0), 0));
+        }
         self.heap.clear();
+        self.shared.clear();
+        self.shared.resize((span * n).div_ceil(64), 0);
+        self.window = (tr, span, n);
     }
+
+    /// Bit index of `(pe, t)`, or `None` outside the window.
+    #[inline]
+    fn cell(&self, pe: PeId, t: u32) -> Option<usize> {
+        let (tr, span, n) = self.window;
+        let step = t.checked_sub(tr)? as usize;
+        (step < span).then(|| step * n + pe.index())
+    }
+
+    #[inline]
+    fn share(&mut self, pe: PeId, t: u32) {
+        if let Some(i) = self.cell(pe, t) {
+            self.shared[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Was `(pe, t)` one of the shared cells of the last search that
+    /// ran? Callers use it to charge a found route's registers only
+    /// where the value was not stored already.
+    #[inline]
+    pub fn is_shared(&self, pe: PeId, t: u32) -> bool {
+        self.cell(pe, t)
+            .is_some_and(|i| (self.shared[i / 64] >> (i % 64)) & 1 == 1)
+    }
+}
+
+/// One edge to route: which, whose value, and between which cells.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Query {
+    pub eid: cgra_ir::EdgeId,
+    pub src: cgra_ir::NodeId,
+    pub from: PeId,
+    pub tr: u32,
+    pub to: PeId,
+    pub tc: u32,
+}
+
+/// Space before time: can a value leaving `from` at cycle `tr` be on
+/// `to` at cycle `tc` at all, moving one hop per cycle? False too when
+/// `tc < tr`. Every route query a caller counts as a search has passed
+/// this.
+#[inline]
+pub(crate) fn hop_feasible(topo: &TopologyCache, from: PeId, tr: u32, to: PeId, tc: u32) -> bool {
+    tc >= tr && topo.hops(from, to) <= tc - tr
 }
 
 /// Find a cheapest route from `(from, tr)` to `(to, tc)` over the
@@ -126,12 +187,34 @@ pub fn find_route(
     hist: Option<&History>,
     opts: RouteOpts,
 ) -> Option<Route> {
-    naive::find_route(fabric, st, from, tr, to, tc, shared, hist, opts)
+    let topo = TopologyCache::build(fabric);
+    find_route_with(
+        fabric,
+        &topo,
+        st,
+        from,
+        tr,
+        to,
+        tc,
+        shared.iter().copied(),
+        hist,
+        opts,
+        &mut RouterScratch::new(),
+    )
 }
 
-/// Cache-backed, allocation-free (in steady state) route search.
-/// Neighbour expansion walks `topo`'s CSR slices and the Dijkstra
-/// buffers are reused from `scratch`.
+/// Cache-backed, goal-directed, allocation-free (in steady state)
+/// route search. Neighbour expansion walks `topo`'s CSR slices, the
+/// Dijkstra buffers are reused from `scratch`, and `topo`'s hop table
+/// bounds the search: a query whose endpoints are more hops apart than
+/// it has cycles is answered by that one lookup (before `shared` is
+/// even read), and no state is relaxed from which `to` is out of reach
+/// in the cycles left. The bound is admissible, so every state that can
+/// reach the goal keeps its `dist`, its `prev` and its place in the pop
+/// order: the returned route is the one [`naive::find_route`] returns.
+///
+/// `shared` may name cells outside `tr..=tc`; they are ignored. After a
+/// search ran, [`RouterScratch::is_shared`] answers for its cells.
 #[allow(clippy::too_many_arguments)]
 pub fn find_route_with(
     fabric: &Fabric,
@@ -141,35 +224,45 @@ pub fn find_route_with(
     tr: u32,
     to: PeId,
     tc: u32,
-    shared: &HashSet<(PeId, u32)>,
+    shared: impl IntoIterator<Item = (PeId, u32)>,
     hist: Option<&History>,
     opts: RouteOpts,
     scratch: &mut RouterScratch,
 ) -> Option<Route> {
-    if tc < tr {
+    if !hop_feasible(topo, from, tr, to, tc) {
         return None;
     }
     let span = (tc - tr) as usize + 1;
     let n = fabric.num_pes();
-    let ii = st.ii();
-
     // Dijkstra over states (pe, step, run) where `run` is the number of
     // consecutive cycles spent on `pe` ending at this step. The run
     // matters because a hold longer than II wraps onto modulo slots the
     // path itself already occupies: the k-th consecutive cycle on a PE
     // adds `⌊(k−1)/II⌋` of *self* pressure on its slot, which a router
     // unaware of it would over-subscribe (the classic II=1 trap).
+    let ii = st.ii();
     let cap_run = span.min((ii as usize) * fabric.rf_size as usize + 1);
     let idx = |pe: PeId, step: usize, run: usize| (step * n + pe.index()) * (cap_run + 1) + run;
-    scratch.reset(n * span * (cap_run + 1));
-    let RouterScratch { dist, prev, heap } = scratch;
+    scratch.reset(tr, span, n, n * span * (cap_run + 1));
+    for (pe, t) in shared {
+        scratch.share(pe, t);
+    }
+    let RouterScratch {
+        dist,
+        prev,
+        heap,
+        shared,
+        ..
+    } = scratch;
 
     // `own_extra`: how many times this path already occupies the slot
     // being entered (self-wrap pressure).
-    let enter_cost = |pe: PeId, t: u32, own_extra: u32| -> Option<u64> {
-        if shared.contains(&(pe, t)) {
+    let enter_cost = |pe: PeId, step: usize, own_extra: u32| -> Option<u64> {
+        let cell = step * n + pe.index();
+        if (shared[cell / 64] >> (cell % 64)) & 1 == 1 {
             return Some(0); // value already stored here by a sibling edge
         }
+        let t = tr + step as u32;
         let headroom = st.reg_headroom(pe, t);
         let mut c = STEP_COST;
         if headroom < own_extra + 1 {
@@ -183,10 +276,14 @@ pub fn find_route_with(
         }
         Some(c)
     };
+    // Can a value on `pe` at `step` still be on `to` at the last step?
+    // A state that cannot is never the predecessor of one that can, so
+    // leaving it out changes nothing the walk-back reads.
+    let reaches = |pe: PeId, step: usize| topo.hops(pe, to) as usize <= span - 1 - step;
 
     // The producer's output register at (from, tr) is charged too —
     // the value must exist there.
-    let start_cost = enter_cost(from, tr, 0)?;
+    let start_cost = enter_cost(from, 0, 0)?;
     dist[idx(from, 0, 1)] = start_cost;
 
     heap.push(std::cmp::Reverse((start_cost, from.0, 0, 1)));
@@ -198,28 +295,32 @@ pub fn find_route_with(
         if step + 1 == span {
             continue; // final cycle reached; no further moves
         }
-        let t_next = tr + step as u32 + 1;
         // Hold: run grows; self-wrap pressure is run / II.
         let hold_run = (run + 1).min(cap_run);
         let own_extra = (run as u32) / ii;
-        if let Some(c) = enter_cost(pe, t_next, own_extra) {
-            let nd = d + c;
-            let ni = idx(pe, step + 1, hold_run);
-            if nd < dist[ni] {
-                dist[ni] = nd;
-                prev[ni] = Some((pe, run));
-                heap.push(std::cmp::Reverse((nd, pe.0, step + 1, hold_run)));
+        if reaches(pe, step + 1) {
+            if let Some(c) = enter_cost(pe, step + 1, own_extra) {
+                let nd = d + c;
+                let ni = idx(pe, step + 1, hold_run);
+                if nd < dist[ni] {
+                    dist[ni] = nd;
+                    prev[ni] = (pe, run);
+                    heap.push(std::cmp::Reverse((nd, pe.0, step + 1, hold_run)));
+                }
             }
         }
         // Hop: run resets. (Revisiting a PE after leaving it is not
         // self-tracked; callers guard with a final overuse check.)
         for &nxt in topo.neighbors(pe) {
-            if let Some(c) = enter_cost(nxt, t_next, 0) {
+            if !reaches(nxt, step + 1) {
+                continue;
+            }
+            if let Some(c) = enter_cost(nxt, step + 1, 0) {
                 let nd = d + c;
                 let ni = idx(nxt, step + 1, 1);
                 if nd < dist[ni] {
                     dist[ni] = nd;
-                    prev[ni] = Some((pe, run));
+                    prev[ni] = (pe, run);
                     heap.push(std::cmp::Reverse((nd, nxt.0, step + 1, 1)));
                 }
             }
@@ -235,37 +336,30 @@ pub fn find_route_with(
     let mut cur = to;
     let mut cur_run = best_run;
     for step in (1..span).rev() {
-        let (p, r) = prev[idx(cur, step, cur_run)].expect("reached state has predecessor");
+        let (p, r) = prev[idx(cur, step, cur_run)];
         steps[step - 1] = p;
         cur = p;
         cur_run = r;
     }
-    if steps[0] != from {
-        return None; // unreachable start (shouldn't happen)
-    }
+    debug_assert_eq!(
+        steps[0], from,
+        "every reached state descends from the start"
+    );
     Some(Route {
         start_time: tr,
         steps,
     })
 }
 
-/// Positions already used by routes of the same producer (for fan-out
-/// sharing).
-pub fn shared_positions(
-    dfg: &Dfg,
-    mapping: &Mapping,
+/// The cells routes of producer `src` already occupy (for fan-out
+/// sharing), in the form [`find_route_with`] takes them.
+fn shared_positions<'a>(
+    dfg: &'a Dfg,
+    routes: &'a [Route],
     src: cgra_ir::NodeId,
-) -> HashSet<(PeId, u32)> {
-    let mut set = HashSet::new();
-    for (eid, e) in dfg.edges() {
-        if e.src == src {
-            let r = &mapping.routes[eid.index()];
-            for (i, &pe) in r.steps.iter().enumerate() {
-                set.insert((pe, r.start_time + i as u32));
-            }
-        }
-    }
-    set
+) -> impl Iterator<Item = (PeId, u32)> + 'a {
+    dfg.out_edges(src)
+        .flat_map(|(eid, _)| routes[eid.index()].cells())
 }
 
 /// Route every edge of a fully placed mapping with PathFinder-style
@@ -316,60 +410,61 @@ pub fn route_all_with(
     tele: &Telemetry,
 ) -> Option<Vec<Route>> {
     let _span = tele.span_ii(Phase::Route, ii);
-    let mut mapping = Mapping {
-        ii,
-        place: place.to_vec(),
-        routes: vec![Route::default(); dfg.edge_count()],
-    };
+    // Each edge's endpoints in space and time. An edge consumed before
+    // its value is ready (a placement bug) or with fewer cycles than
+    // hops fails in every round, whatever the others negotiate.
+    let mut order = Vec::with_capacity(dfg.edge_count());
+    for (eid, e) in dfg.edges() {
+        let (sp, dp) = (place[e.src.index()], place[e.dst.index()]);
+        let tr = sp.time + fabric.latency_of(dfg.op(e.src));
+        let tc = dp.time + ii * e.dist;
+        if !hop_feasible(topo, sp.pe, tr, dp.pe, tc) {
+            return None;
+        }
+        order.push(Query {
+            eid,
+            src: e.src,
+            from: sp.pe,
+            tr,
+            to: dp.pe,
+            tc,
+        });
+    }
+    // Route longer-distance edges first (harder to satisfy).
+    order.sort_by_key(|q| std::cmp::Reverse(topo.hops(q.from, q.to)));
+
+    let mut routes = vec![Route::default(); dfg.edge_count()];
     let mut hist = History::new(fabric, ii);
     let mut scratch = RouterScratch::new();
-
-    // Route longer-distance edges first (harder to satisfy).
-    let mut order: Vec<_> = dfg.edge_ids().collect();
-    order.sort_by_key(|&eid| {
-        let e = dfg.edge(eid);
-        std::cmp::Reverse(topo.hops(place[e.src.index()].pe, place[e.dst.index()].pe))
-    });
-
     let total_rounds = if negotiated { rounds.max(1) } else { 1 };
     let mut st = SpaceTime::new(fabric, ii);
     for round in 0..total_rounds {
-        let allow = negotiated && round + 1 < total_rounds;
+        let opts = RouteOpts {
+            allow_overuse: negotiated && round + 1 < total_rounds,
+            ..RouteOpts::default()
+        };
         // (Re)route everything against fresh occupancy.
         st.clear();
         for p in place {
             st.occupy_fu(p.pe, p.time);
         }
-        for r in &mut mapping.routes {
+        for r in &mut routes {
             r.start_time = 0;
             r.steps.clear();
         }
         let mut ok = true;
-        for &eid in &order {
-            let e = dfg.edge(eid);
-            let tr = mapping.ready_time(dfg, fabric, e.src);
-            let tc = mapping.consume_time(dfg, eid);
-            if tc < tr {
-                return None; // schedule violates latency; placement bug
-            }
-            let shared = shared_positions(dfg, &mapping, e.src);
-            let opts = RouteOpts {
-                allow_overuse: allow,
-                ..RouteOpts::default()
-            };
-            let from = place[e.src.index()].pe;
-            let to = place[e.dst.index()].pe;
+        for q in &order {
             tele.bump(Counter::RoutingCalls);
             let route_t0 = tele.is_enabled().then(std::time::Instant::now);
             let routed = find_route_with(
                 fabric,
                 topo,
                 &st,
-                from,
-                tr,
-                to,
-                tc,
-                &shared,
+                q.from,
+                q.tr,
+                q.to,
+                q.tc,
+                shared_positions(dfg, &routes, q.src),
                 Some(&hist),
                 opts,
                 &mut scratch,
@@ -379,13 +474,12 @@ pub fn route_all_with(
             }
             match routed {
                 Some(r) => {
-                    for (i, &pe) in r.steps.iter().enumerate() {
-                        let t = r.start_time + i as u32;
-                        if !shared.contains(&(pe, t)) {
+                    for (pe, t) in r.cells() {
+                        if !scratch.is_shared(pe, t) {
                             st.occupy_reg(pe, t);
                         }
                     }
-                    mapping.routes[eid.index()] = r;
+                    routes[q.eid.index()] = r;
                 }
                 None => {
                     tele.bump(Counter::RoutingFailures);
@@ -395,7 +489,7 @@ pub fn route_all_with(
             }
         }
         if ok && st.overuse() == 0 {
-            return Some(mapping.routes);
+            return Some(routes);
         }
         if !negotiated {
             return None;
@@ -423,6 +517,25 @@ pub fn route_all_with(
 /// rather than a strawman.
 pub mod naive {
     use super::*;
+
+    /// Positions already used by routes of the same producer (for
+    /// fan-out sharing), as the hash set the pre-cache router probed.
+    fn shared_positions(
+        dfg: &Dfg,
+        mapping: &Mapping,
+        src: cgra_ir::NodeId,
+    ) -> HashSet<(PeId, u32)> {
+        let mut set = HashSet::new();
+        for (eid, e) in dfg.edges() {
+            if e.src == src {
+                let r = &mapping.routes[eid.index()];
+                for (i, &pe) in r.steps.iter().enumerate() {
+                    set.insert((pe, r.start_time + i as u32));
+                }
+            }
+        }
+        set
+    }
 
     /// Pre-cache [`super::find_route`] (see module docs).
     #[allow(clippy::too_many_arguments)]
@@ -865,7 +978,7 @@ mod tests {
                     tr,
                     PeId(to),
                     tc,
-                    &HashSet::new(),
+                    [],
                     Some(&hist),
                     RouteOpts::default(),
                     &mut scratch,

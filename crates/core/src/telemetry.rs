@@ -43,9 +43,10 @@ pub enum Counter {
     PlacementsTried,
     /// Placements undone or abandoned (heuristic/B&B backtracking).
     Backtracks,
-    /// Space-time router invocations.
+    /// Space-time router searches run (a query the hop table rejects
+    /// is not one: callers test it before they count).
     RoutingCalls,
-    /// Router invocations that found no route.
+    /// Router searches that found no route.
     RoutingFailures,
     /// Meta-heuristic moves proposed (SA moves, GA/QEA offspring).
     MovesProposed,

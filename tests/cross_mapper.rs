@@ -162,3 +162,60 @@ fn survey_families_all_represented() {
         .keys()
         .any(|(_, t)| matches!(t, survey::Technique::Smt)));
 }
+
+/// FNV-1a digest of everything a mapping decides: II, every placement,
+/// every route step.
+fn mapping_digest(m: &Mapping) -> u64 {
+    let mut h = cgra::mapper::request::Fnv::new();
+    h.u64(m.ii as u64);
+    for p in &m.place {
+        h.u64(p.pe.0 as u64).u64(p.time as u64);
+    }
+    for r in &m.routes {
+        h.u64(r.start_time as u64).u64(r.steps.len() as u64);
+        for pe in &r.steps {
+            h.u64(pe.0 as u64);
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn heuristic_mappings_match_the_golden_digests() {
+    // Pins mapping identity, not just II: a router or placement change
+    // that claims to be result-identical must leave every line of
+    // tests/golden/mapping_digests.txt alone. Regenerate (only for an
+    // intended behaviour change) with
+    //   CGRA_BLESS=1 cargo test --offline -p cgra --test cross_mapper golden_digests
+    use cgra::mapper::Family;
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/mapping_digests.txt"
+    );
+    let mut got = String::new();
+    for spec in cgra::mapper::MapperRegistry::standard().specs() {
+        if matches!(spec.family, Family::ExactIlp | Family::ExactCsp) {
+            continue;
+        }
+        let mapper = spec.build();
+        for dfg in kernels::small_suite() {
+            for side in [4, 8] {
+                let fabric = Fabric::homogeneous(side, side, Topology::Mesh);
+                let digest = match mapper.map(&dfg, &fabric, &cfg()) {
+                    Ok(m) => format!("{:016x}", mapping_digest(&m)),
+                    Err(_) => "unmapped".to_string(),
+                };
+                got += &format!("{} {} {side}x{side} {digest}\n", spec.name, dfg.name);
+            }
+        }
+    }
+    if std::env::var_os("CGRA_BLESS").is_some() {
+        std::fs::write(path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(path).expect("tests/golden/mapping_digests.txt");
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(g, w, "mapping changed");
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
+}
