@@ -22,7 +22,7 @@ impl fmt::Display for PeId {
 }
 
 /// What a cell's functional unit can do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CellCaps {
     /// Plain ALU operations (always true in practice).
     pub alu: bool,
@@ -55,7 +55,7 @@ impl CellCaps {
 }
 
 /// Operand-network topologies from the literature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Topology {
     /// 4-neighbour 2-D mesh (N/S/E/W) — ADRES/MorphoSys baseline.
     Mesh,
@@ -68,8 +68,30 @@ pub enum Topology {
     OneHop,
 }
 
+impl Topology {
+    /// Parse the lowercase label (`"mesh"`, what requests and CLI fabric
+    /// specs write) or the serialized variant name (`"Mesh"`).
+    pub fn from_label(s: &str) -> Option<Topology> {
+        match s {
+            "mesh" | "Mesh" => Some(Topology::Mesh),
+            "meshplus" | "MeshPlus" => Some(Topology::MeshPlus),
+            "torus" | "Torus" => Some(Topology::Torus),
+            "onehop" | "OneHop" => Some(Topology::OneHop),
+            _ => None,
+        }
+    }
+}
+
+// Hand-written because it accepts both spellings; the derive would
+// take only the variant name.
+impl Deserialize for Topology {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        serde::label(v, "topology", Topology::from_label)
+    }
+}
+
 /// Where stream I/O operations may be placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum IoPolicy {
     /// Only border cells have stream ports (common in tiled CGRAs).
     BorderOnly,
@@ -78,7 +100,7 @@ pub enum IoPolicy {
 }
 
 /// Per-operation-class latencies (issue → result available), in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct LatencyModel {
     pub alu: u32,
     pub mul: u32,
@@ -120,7 +142,7 @@ impl LatencyModel {
 }
 
 /// A CGRA fabric description. See the crate docs for the model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fabric {
     pub name: String,
     pub rows: u16,

@@ -17,10 +17,10 @@
 //! same structure into the plain time-extended CGRA (TEC).
 
 use crate::fabric::{Fabric, PeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifies one space-time resource (a PE at a modulo slot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ResourceKey {
     pub pe: PeId,
     /// Modulo time slot in `0..ii`.

@@ -17,10 +17,12 @@
 //! the kernel suite grows.
 
 use cgra::cli::{EXIT_FAILURE, EXIT_USAGE};
+use cgra::mapper::fleet::FleetReport;
 use cgra::mapper::ledger::LedgerEvent;
 use cgra::mapper::report::RunReport;
 use cgra::mapper::servemetrics::AccessRecord;
 use cgra::mapper::telemetry::Histogram;
+use serde::Deserialize;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -268,7 +270,7 @@ fn load_serve_log(path: &str) -> Result<Vec<AccessRecord>, String> {
             continue;
         }
         let value = serde_json::from_str(line).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
-        let rec = AccessRecord::from_json(&value).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
+        let rec = AccessRecord::from_value(&value).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
         recs.push(rec);
     }
     if recs.is_empty() {
@@ -411,80 +413,61 @@ fn render_serve_log(recs: &[AccessRecord]) {
 /// per-fabric utilization, and the per-job schedule in queue order.
 fn render_fleet(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let v: serde_json::Value = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let f64_of = |v: &serde_json::Value, k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
-    let u64_of = |v: &serde_json::Value, k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap_or(0);
+    let v = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+    let report = FleetReport::from_value(&v)
+        .map_err(|e| format!("{path}: {e} (not a cgra-fleet report?)"))?;
 
-    let scheduled = u64_of(&v, "scheduled");
-    let failed = u64_of(&v, "failed");
-    let makespan = f64_of(&v, "makespan_ms");
-    let sum_ms = f64_of(&v, "sum_ms");
     print!(
-        "fleet: {scheduled} scheduled, {failed} failed, makespan {makespan:.1} ms \
-         (sum of work {sum_ms:.1} ms)"
+        "fleet: {} scheduled, {} failed, makespan {:.1} ms (sum of work {:.1} ms)",
+        report.scheduled, report.failed, report.makespan_ms, report.sum_ms
     );
+    // `cgra-fleet --baseline` appends the comparison to the report object.
     if let Some(speedup) = v.get("speedup").and_then(|x| x.as_f64()) {
         print!(", {speedup:.2}x vs sequential baseline");
     }
     println!();
 
-    let fabrics = v
-        .get("fabrics")
-        .and_then(|x| x.as_array())
-        .ok_or_else(|| format!("{path}: missing `fabrics` array (not a cgra-fleet report?)"))?;
     println!("\nper-fabric utilization:");
     println!(
         "  {:<18} {:<14} {:>5} {:>10} {:>7} {:>8}",
         "fabric", "spec", "jobs", "busy ms", "util%", "mean fu%"
     );
-    for f in fabrics {
+    for f in &report.fabrics {
         println!(
             "  {:<18} {:<14} {:>5} {:>10.1} {:>6.1}% {:>7.1}%",
-            f.get("name").and_then(|x| x.as_str()).unwrap_or("?"),
-            f.get("spec").and_then(|x| x.as_str()).unwrap_or("?"),
-            u64_of(f, "jobs"),
-            f64_of(f, "busy_ms"),
-            100.0 * f64_of(f, "utilization"),
-            100.0 * f64_of(f, "mean_fu")
+            f.name,
+            f.spec,
+            f.jobs,
+            f.busy_ms,
+            100.0 * f.utilization,
+            100.0 * f.mean_fu
         );
     }
 
-    let jobs = v
-        .get("jobs")
-        .and_then(|x| x.as_array())
-        .ok_or_else(|| format!("{path}: missing `jobs` array (not a cgra-fleet report?)"))?;
-    println!("\nschedule ({} jobs):", jobs.len());
+    println!("\nschedule ({} jobs):", report.jobs.len());
     println!(
         "  {:>3} {:<16} {:<18} {:>4} {:>9} {:>4} {:<6} {:<4} result",
         "#", "kernel", "fabric", "slot", "wall ms", "II", "cache", "warm"
     );
-    for j in jobs {
-        let ii = match j.get("ii").and_then(|x| x.as_u64()) {
-            Some(ii) => ii.to_string(),
-            None => "-".into(),
-        };
-        let result = match j.get("error").and_then(|x| x.as_str()) {
+    for j in &report.jobs {
+        let result = match &j.error {
             Some(e) => format!("FAILED: {e}"),
             None => "ok".into(),
         };
         println!(
             "  {:>3} {:<16} {:<18} {:>4} {:>9.1} {:>4} {:<6} {:<4} {result}",
-            u64_of(j, "queue_index"),
-            j.get("kernel").and_then(|x| x.as_str()).unwrap_or("?"),
-            j.get("fabric").and_then(|x| x.as_str()).unwrap_or("?"),
-            u64_of(j, "slot"),
-            f64_of(j, "wall_ms"),
-            ii,
-            j.get("cache").and_then(|x| x.as_str()).unwrap_or("?"),
-            if j.get("warm").and_then(|x| x.as_bool()).unwrap_or(false) {
-                "yes"
-            } else {
-                "no"
-            }
+            j.queue_index,
+            j.kernel,
+            j.fabric,
+            j.slot,
+            j.wall_ms,
+            j.ii.map_or("-".into(), |ii| ii.to_string()),
+            j.cache.label(),
+            if j.warm { "yes" } else { "no" }
         );
     }
-    if failed > 0 {
-        return Err(format!("{failed} fleet job(s) failed"));
+    if report.failed > 0 {
+        return Err(format!("{} fleet job(s) failed", report.failed));
     }
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! ```text
 //! cgra-map <file.mc> [--kernel NAME] [--fabric RxC] [--topology mesh|meshplus|torus|onehop]
 //!          [--mapper NAME] [--race] [--parallel-ii] [--adres] [--iters N]
-//!          [--max-ii N] [--seed N] [--time-limit SECS] [--effort N] [--horizon N]
+//!          [--max-ii N] [--seed N] [--time-limit SECS]
 //!          [--connect ADDR] [--trace FILE] [--chrome-trace FILE] [--profile]
 //!          [--explain] [--json] [--show-config] [--list-mappers]
 //! ```
@@ -32,6 +32,7 @@ use cgra::mapper::service::{self, ExecEnv};
 use cgra::mapper::telemetry::{Counter, Phase, Telemetry};
 use cgra::prelude::*;
 use cgra::serve::Client;
+use serde::Serialize as _;
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -49,8 +50,6 @@ struct Options {
     max_ii: u32,
     seed: u64,
     time_limit: Option<u64>,
-    effort: Option<u32>,
-    horizon: Option<u32>,
     connect: Option<String>,
     trace: Option<String>,
     chrome_trace: Option<String>,
@@ -75,8 +74,6 @@ fn usage() -> &'static str {
        --max-ii N          II search bound (default 16)\n\
        --seed N            RNG seed for stochastic mappers\n\
        --time-limit SECS   wall-clock mapping budget in seconds\n\
-       --effort N          mapper-specific effort knob (SA sweeps, GA generations, ...)\n\
-       --horizon N         schedule-horizon cap as a multiple of the critical path\n\
        --connect ADDR      send the request to a running cgra-serve instead of solving here\n\
        --trace FILE        write a JSONL search trace (phase spans + ledger events + counters)\n\
        --chrome-trace FILE write a Chrome trace_event file (load in Perfetto / about:tracing)\n\
@@ -102,8 +99,6 @@ fn parse_args() -> Result<Options, String> {
         max_ii: 16,
         seed: 0xC612A,
         time_limit: None,
-        effort: None,
-        horizon: None,
         connect: None,
         trace: None,
         chrome_trace: None,
@@ -146,12 +141,6 @@ fn parse_args() -> Result<Options, String> {
             "--seed" => opts.seed = need("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--time-limit" => {
                 opts.time_limit = Some(need("--time-limit")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--effort" => {
-                opts.effort = Some(need("--effort")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--horizon" => {
-                opts.horizon = Some(need("--horizon")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--connect" => opts.connect = Some(need("--connect")?),
             "--trace" => opts.trace = Some(need("--trace")?),
@@ -215,8 +204,6 @@ fn build_request(opts: &Options) -> Result<MapRequest, CliError> {
             .time_limit
             .map(|s| s.saturating_mul(1000))
             .unwrap_or(defaults.time_limit_ms),
-        effort: opts.effort.unwrap_or(defaults.effort),
-        horizon_factor: opts.horizon.unwrap_or(defaults.horizon_factor),
         explain: opts.explain,
         ..defaults
     };
@@ -346,8 +333,6 @@ fn run() -> Result<(), CliError> {
             "max_ii": req.config.max_ii,
             "seed": req.config.seed,
             "time_limit_secs": req.config.time_limit_ms as f64 / 1e3,
-            "effort": req.config.effort,
-            "horizon_factor": req.config.horizon_factor,
         });
         let race_json = if req.mode == ExecMode::Race {
             serde_json::json!({
@@ -509,7 +494,7 @@ fn write_trace(path: &str, tele: &Telemetry, ledger: &Ledger) -> Result<(), CliE
         }))?;
     }
     for e in ledger.events() {
-        emit(e.to_json())?;
+        emit(e.to_value())?;
     }
     if let Some(snap) = tele.snapshot() {
         emit(serde_json::json!({ "event": "counters", "counters": snap }))?;

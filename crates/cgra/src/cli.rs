@@ -137,8 +137,7 @@ mod tests {
         let v = error_json(&MapError::Timeout);
         assert_eq!(v.get("kind").and_then(|k| k.as_str()), Some("timeout"));
         assert!(v.get("detail").is_some());
-        let round =
-            cgra_mapper_core::request::map_error_from_json(v.get("detail").unwrap()).unwrap();
+        let round: MapError = serde::get(&v, "detail").unwrap();
         assert_eq!(round, MapError::Timeout);
     }
 }

@@ -30,7 +30,7 @@ use cgra_mapper_core::fleet::{self, FleetFabric};
 use cgra_mapper_core::request::{FabricSpec, MapOutcome, MapRequest, RequestError};
 use cgra_mapper_core::servemetrics::{AccessLog, AccessRecord, ServiceMetrics};
 use cgra_mapper_core::service::{MapService, ServiceOptions, ServiceStats};
-use serde::{Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,56 +60,35 @@ pub enum Op {
 impl Op {
     /// Decode one request line.
     pub fn from_json(v: &Value) -> Result<Op, RequestError> {
-        let op = v
-            .get("op")
-            .and_then(|o| o.as_str())
-            .ok_or("request needs a string `op` field")?;
-        match op {
-            "map" => {
-                let req = v.get("request").ok_or("op `map` needs a `request` field")?;
-                Ok(Op::Map(Box::new(MapRequest::from_json(req)?)))
-            }
-            "batch" => {
-                let reqs = v
-                    .get("requests")
-                    .and_then(|r| r.as_array())
-                    .ok_or("op `batch` needs a `requests` array")?;
-                let reqs: Result<Vec<MapRequest>, RequestError> =
-                    reqs.iter().map(MapRequest::from_json).collect();
-                Ok(Op::Batch(reqs?))
-            }
-            "cancel" => {
-                let id = v
-                    .get("id")
-                    .and_then(|i| i.as_u64())
-                    .ok_or("op `cancel` needs a numeric `id`")?;
-                Ok(Op::Cancel(id))
-            }
-            "stats" => Ok(Op::Stats),
-            "metrics" => Ok(Op::Metrics),
-            "fleet" => {
-                let reqs = v
-                    .get("requests")
-                    .and_then(|r| r.as_array())
-                    .ok_or("op `fleet` needs a `requests` array")?;
-                let requests: Result<Vec<MapRequest>, RequestError> =
-                    reqs.iter().map(MapRequest::from_json).collect();
-                let fabs = v
-                    .get("fabrics")
-                    .and_then(|f| f.as_array())
-                    .ok_or("op `fleet` needs a `fabrics` array")?;
-                let fabrics: Result<Vec<FabricSpec>, RequestError> =
-                    fabs.iter().map(FabricSpec::from_json).collect();
-                Ok(Op::Fleet {
-                    requests: requests?,
-                    fabrics: fabrics?,
-                })
-            }
-            "ping" => Ok(Op::Ping),
-            "shutdown" => Ok(Op::Shutdown),
-            other => Err(RequestError(format!("unknown op `{other}`"))),
-        }
+        Op::from_value(v).map_err(de)
     }
+}
+
+// Hand-shaped because the protocol tags requests with a flat `"op"`
+// field; payloads decode through their derives, so errors name the
+// path (`request.fabric.rows`).
+impl Deserialize for Op {
+    fn from_value(v: &Value) -> Result<Op, DeError> {
+        let op: String = serde::get(v, "op")?;
+        Ok(match op.as_str() {
+            "map" => Op::Map(serde::get(v, "request")?),
+            "batch" => Op::Batch(serde::get(v, "requests")?),
+            "cancel" => Op::Cancel(serde::get(v, "id")?),
+            "stats" => Op::Stats,
+            "metrics" => Op::Metrics,
+            "fleet" => Op::Fleet {
+                requests: serde::get(v, "requests")?,
+                fabrics: serde::get(v, "fabrics")?,
+            },
+            "ping" => Op::Ping,
+            "shutdown" => Op::Shutdown,
+            other => return Err(DeError::new(format!("unknown op `{other}`"))),
+        })
+    }
+}
+
+fn de(e: DeError) -> RequestError {
+    RequestError(e.to_string())
 }
 
 fn ok_response(key: &str, payload: Value) -> Value {
@@ -574,8 +553,7 @@ impl Client {
             ("op".into(), Value::Str("map".into())),
             ("request".into(), req.to_value()),
         ]))?;
-        let out = v.get("outcome").ok_or("response missing `outcome`")?;
-        MapOutcome::from_json(out)
+        serde::get(&v, "outcome").map_err(de)
     }
 
     /// Map a batch; outcomes come back in request order.
@@ -587,11 +565,7 @@ impl Client {
                 Value::Array(reqs.iter().map(|r| r.to_value()).collect()),
             ),
         ]))?;
-        let outs = v
-            .get("outcomes")
-            .and_then(|o| o.as_array())
-            .ok_or("response missing `outcomes`")?;
-        outs.iter().map(MapOutcome::from_json).collect()
+        serde::get(&v, "outcomes").map_err(de)
     }
 
     /// Cancel an in-flight request by id.
@@ -611,8 +585,7 @@ impl Client {
             "op".into(),
             Value::Str("stats".into()),
         )]))?;
-        let s = v.get("stats").ok_or("response missing `stats`")?;
-        service_stats_from_json(s)
+        serde::get(&v, "stats").map_err(de)
     }
 
     /// Fetch the Prometheus text-format metrics payload over the wire
@@ -668,36 +641,6 @@ impl Client {
         )]))?;
         Ok(())
     }
-}
-
-/// Parse a [`ServiceStats`] snapshot off the wire. The original seven
-/// counters are required; the observability fields added with the
-/// telemetry layer default to 0, so a new client still reads an old
-/// server's snapshot.
-pub fn service_stats_from_json(v: &Value) -> Result<ServiceStats, RequestError> {
-    let field = |name: &str| -> Result<u64, RequestError> {
-        v.get(name)
-            .and_then(|f| f.as_u64())
-            .ok_or_else(|| RequestError(format!("stats missing `{name}`")))
-    };
-    let opt = |name: &str| v.get(name).and_then(|f| f.as_u64()).unwrap_or(0);
-    Ok(ServiceStats {
-        requests: field("requests")?,
-        hits: field("hits")?,
-        misses: field("misses")?,
-        warm: field("warm")?,
-        coalesced: opt("coalesced"),
-        evictions: opt("evictions"),
-        disk_spills: opt("disk_spills"),
-        cancellations: opt("cancellations"),
-        rejections: opt("rejections"),
-        cache_entries: field("cache_entries")?,
-        pooled_states: field("pooled_states")?,
-        running: field("running")?,
-        in_flight: opt("in_flight"),
-        queue_depth: opt("queue_depth"),
-        cores: opt("cores"),
-    })
 }
 
 #[cfg(test)]
@@ -890,7 +833,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let recs: Vec<AccessRecord> = text
             .lines()
-            .map(|l| AccessRecord::from_json(&serde_json::from_str(l).unwrap()).unwrap())
+            .map(|l| serde_json::from_value(&serde_json::from_str(l).unwrap()).unwrap())
             .collect();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].cache, CacheStatus::Miss);
@@ -936,6 +879,27 @@ mod tests {
         assert!(err.0.contains("unknown op"), "{}", err.0);
         // The connection survives a protocol error.
         client.ping().unwrap();
+
+        // A present field of the wrong type or out of range is an
+        // error naming its path — not a default, not a truncation
+        // (each of these used to decode to a different request than
+        // the one the client sent).
+        for (field, path) in [
+            (r#""fabric":{"rows":65537}"#, "request.fabric.rows"),
+            (r#""config":{"max_ii":"3"}"#, "request.config.max_ii"),
+            (r#""id":-1"#, "request.id"),
+            (r#""config":{"seed":1.5}"#, "request.config.seed"),
+        ] {
+            let line = format!(
+                r#"{{"op":"map","request":{{"kernel":{{"named":"dot_product"}},{field}}}}}"#
+            );
+            let err = client
+                .call(&serde_json::from_str(&line).unwrap())
+                .unwrap_err();
+            assert!(err.0.contains(&format!("{path}: ")), "{field}: {}", err.0);
+            client.ping().unwrap();
+        }
+        assert_eq!(server.service().stats().requests, 0, "none was admitted");
     }
 
     #[test]

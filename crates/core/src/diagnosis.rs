@@ -59,19 +59,6 @@ impl ResourceClass {
             ResourceClass::Register => "register",
         }
     }
-
-    /// Parse from either the serialized variant name or the kebab
-    /// label.
-    pub fn parse(s: &str) -> Option<ResourceClass> {
-        match s {
-            "Capability" | "capability" => Some(ResourceClass::Capability),
-            "SlotExclusive" | "slot-exclusivity" => Some(ResourceClass::SlotExclusive),
-            "Routing" | "routing" => Some(ResourceClass::Routing),
-            "DependenceLatency" | "dependence-latency" => Some(ResourceClass::DependenceLatency),
-            "Register" | "register" => Some(ResourceClass::Register),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ResourceClass {
@@ -152,35 +139,6 @@ impl Diagnosis {
         out.push_str(&line("cells", &self.cells));
         out.push_str(&line("core", &self.core));
         out
-    }
-
-    /// Hand-parse a diagnosis from its JSON tree (the vendored serde
-    /// has no typed deserialisation); `None` if the class is missing.
-    pub fn from_json(v: &serde::Value) -> Option<Diagnosis> {
-        use serde::Value;
-        let strings = |k: &str| -> Vec<String> {
-            match v.get(k) {
-                Some(Value::Array(items)) => items
-                    .iter()
-                    .filter_map(Value::as_str)
-                    .map(str::to_string)
-                    .collect(),
-                _ => Vec::new(),
-            }
-        };
-        Some(Diagnosis {
-            class: ResourceClass::parse(v.get("class")?.as_str()?)?,
-            ii: v.get("ii").and_then(Value::as_u64).unwrap_or(0) as u32,
-            mii: v.get("mii").and_then(Value::as_u64).unwrap_or(0) as u32,
-            detail: v
-                .get("detail")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            ops: strings("ops"),
-            cells: strings("cells"),
-            core: strings("core"),
-        })
     }
 }
 

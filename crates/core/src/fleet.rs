@@ -40,7 +40,7 @@ use crate::servemetrics::ServiceMetrics;
 use crate::service::{execute, ExecEnv, MapService};
 use crate::telemetry::Telemetry;
 use cgra_arch::{PeId, Topology, TopologyCache};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -482,7 +482,7 @@ impl FleetFabric {
             None => {}
             Some("adres") => spec.adres = true,
             Some(t) => {
-                spec.topology = crate::request::topology_from_label(t)
+                spec.topology = cgra_arch::Topology::from_label(t)
                     .ok_or_else(|| FleetError(format!("fabric `{s}`: unknown topology `{t}`")))?;
             }
         }
@@ -650,7 +650,7 @@ pub fn plan(
 }
 
 /// One executed fleet job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetJobResult {
     pub queue_index: usize,
     pub kernel: String,
@@ -672,7 +672,7 @@ pub struct FleetJobResult {
 }
 
 /// Per-fabric rollup of a fleet run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetFabricReport {
     pub name: String,
     pub spec: String,
@@ -688,7 +688,7 @@ pub struct FleetFabricReport {
 
 /// The fleet run: per-job and per-fabric accounting plus the headline
 /// makespan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetReport {
     pub schema: u32,
     pub jobs: Vec<FleetJobResult>,
@@ -707,76 +707,6 @@ pub struct FleetReport {
 impl FleetReport {
     pub fn succeeded(&self) -> bool {
         self.failed == 0
-    }
-}
-
-impl Serialize for FleetJobResult {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("queue_index".into(), Value::UInt(self.queue_index as u64)),
-            ("kernel".into(), Value::Str(self.kernel.clone())),
-            ("mapper".into(), Value::Str(self.mapper.clone())),
-            ("fabric".into(), Value::Str(self.fabric.clone())),
-            ("fabric_index".into(), Value::UInt(self.fabric_index as u64)),
-            ("slot".into(), Value::UInt(self.slot as u64)),
-            ("predicted".into(), Value::Float(self.predicted)),
-            ("warm".into(), Value::Bool(self.warm)),
-            ("start_ms".into(), Value::Float(self.start_ms)),
-            ("wall_ms".into(), Value::Float(self.wall_ms)),
-            (
-                "ii".into(),
-                match self.ii {
-                    Some(ii) => Value::UInt(ii as u64),
-                    None => Value::Null,
-                },
-            ),
-            ("fu".into(), Value::Float(self.fu)),
-            ("cache".into(), self.cache.to_value()),
-            (
-                "error".into(),
-                match &self.error {
-                    Some(e) => Value::Str(e.clone()),
-                    None => Value::Null,
-                },
-            ),
-        ])
-    }
-}
-
-impl Serialize for FleetFabricReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".into(), Value::Str(self.name.clone())),
-            ("spec".into(), Value::Str(self.spec.clone())),
-            ("jobs".into(), Value::UInt(self.jobs as u64)),
-            ("busy_ms".into(), Value::Float(self.busy_ms)),
-            ("utilization".into(), Value::Float(self.utilization)),
-            ("mean_fu".into(), Value::Float(self.mean_fu)),
-        ])
-    }
-}
-
-impl Serialize for FleetReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("schema".into(), Value::UInt(self.schema as u64)),
-            (
-                "jobs".into(),
-                Value::Array(self.jobs.iter().map(Serialize::to_value).collect()),
-            ),
-            (
-                "fabrics".into(),
-                Value::Array(self.fabrics.iter().map(Serialize::to_value).collect()),
-            ),
-            ("makespan_ms".into(), Value::Float(self.makespan_ms)),
-            ("sum_ms".into(), Value::Float(self.sum_ms)),
-            (
-                "predicted_makespan".into(),
-                Value::Float(self.predicted_makespan),
-            ),
-            ("scheduled".into(), Value::UInt(self.scheduled as u64)),
-            ("failed".into(), Value::UInt(self.failed as u64)),
-        ])
     }
 }
 

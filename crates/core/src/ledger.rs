@@ -29,7 +29,7 @@
 //!    is causally consistent, so a same-seed run replays the same
 //!    event sequence (timestamps aside) — tested per registry mapper.
 
-use serde::{Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -109,12 +109,12 @@ pub struct LedgerEvent {
     pub kind: EventKind,
 }
 
-impl LedgerEvent {
-    /// Flat JSON rendering (`{"t_us":…,"event":…,"mapper":…,…}`) used
-    /// by the JSONL trace and the `RunReport` artifact. Flat rather
-    /// than enum-tagged so stream consumers dispatch on one `event`
-    /// field.
-    pub fn to_json(&self) -> Value {
+/// Flat JSON rendering (`{"t_us":…,"event":…,"mapper":…,…}`) used by
+/// the JSONL trace and the `RunReport` artifact. Flat rather than
+/// enum-tagged so stream consumers dispatch on one `event` field —
+/// which is why both directions are written by hand.
+impl Serialize for LedgerEvent {
+    fn to_value(&self) -> Value {
         let mut pairs = vec![
             ("t_us".to_string(), Value::UInt(self.t_us)),
             ("event".to_string(), Value::Str(self.kind.label().into())),
@@ -138,48 +138,42 @@ impl LedgerEvent {
         }
         Value::Object(pairs)
     }
-
-    /// Parse the flat rendering back. `None` on unknown or malformed
-    /// events, so readers skip what future versions may add.
-    pub fn from_json(v: &Value) -> Option<LedgerEvent> {
-        let t_us = v.get("t_us")?.as_u64()?;
-        let mapper = v.get("mapper")?.as_str()?.to_string();
-        let ii = || v.get("ii").and_then(Value::as_u64).map(|x| x as u32);
-        let kind = match v.get("event")?.as_str()? {
-            "incumbent" => EventKind::Incumbent {
-                mapper,
-                ii: ii()?,
-                cost: v.get("cost").and_then(Value::as_f64).unwrap_or(0.0),
-            },
-            "race_start" => EventKind::RaceStart { mapper },
-            "race_win" => EventKind::RaceWin { mapper, ii: ii()? },
-            "race_loss" => EventKind::RaceLoss {
-                mapper,
-                reason: v
-                    .get("reason")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-            },
-            "budget_exhausted" => EventKind::BudgetExhausted { mapper },
-            "ii_attempt" => EventKind::IiAttempt { mapper, ii: ii()? },
-            "request" => EventKind::Request {
-                mapper,
-                trace: v
-                    .get("trace")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-            },
-            _ => return None,
-        };
-        Some(LedgerEvent { t_us, kind })
-    }
 }
 
-impl Serialize for LedgerEvent {
-    fn to_value(&self) -> Value {
-        self.to_json()
+impl Deserialize for LedgerEvent {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let mapper: String = serde::get(v, "mapper")?;
+        let event: String = serde::get(v, "event")?;
+        let kind = match event.as_str() {
+            "incumbent" => EventKind::Incumbent {
+                mapper,
+                ii: serde::get(v, "ii")?,
+                cost: serde::get(v, "cost")?,
+            },
+            "race_start" => EventKind::RaceStart { mapper },
+            "race_win" => EventKind::RaceWin {
+                mapper,
+                ii: serde::get(v, "ii")?,
+            },
+            "race_loss" => EventKind::RaceLoss {
+                mapper,
+                reason: serde::get(v, "reason")?,
+            },
+            "budget_exhausted" => EventKind::BudgetExhausted { mapper },
+            "ii_attempt" => EventKind::IiAttempt {
+                mapper,
+                ii: serde::get(v, "ii")?,
+            },
+            "request" => EventKind::Request {
+                mapper,
+                trace: serde::get(v, "trace")?,
+            },
+            other => return Err(DeError::new(format!("unknown event `{other}`")).at("event")),
+        };
+        Ok(LedgerEvent {
+            t_us: serde::get(v, "t_us")?,
+            kind,
+        })
     }
 }
 
@@ -486,19 +480,22 @@ mod tests {
                 t_us: i as u64 * 10,
                 kind,
             };
-            let back = LedgerEvent::from_json(&e.to_json()).expect("parses");
+            let back = LedgerEvent::from_value(&e.to_value()).expect("parses");
             assert_eq!(back, e);
         }
     }
 
     #[test]
-    fn unknown_events_parse_to_none() {
+    fn unknown_events_are_rejected() {
         let v = Value::Object(vec![
             ("t_us".into(), Value::UInt(1)),
             ("event".into(), Value::Str("warp_drive".into())),
             ("mapper".into(), Value::Str("sa".into())),
         ]);
-        assert!(LedgerEvent::from_json(&v).is_none());
-        assert!(LedgerEvent::from_json(&Value::Null).is_none());
+        assert_eq!(
+            LedgerEvent::from_value(&v).unwrap_err().to_string(),
+            "event: unknown event `warp_drive`"
+        );
+        assert!(LedgerEvent::from_value(&Value::Null).is_err());
     }
 }

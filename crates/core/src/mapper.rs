@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The survey's Table I classification axes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Family {
     /// Problem-specific constructive heuristics.
     Heuristic,
@@ -52,15 +52,10 @@ pub struct MapConfig {
     /// Floor on the II search (default 1). The parallel-II engine pins
     /// a job to a single II by setting `min_ii == max_ii`.
     pub min_ii: u32,
-    /// Cap on the schedule horizon, as a multiple of the critical path.
-    pub horizon_factor: u32,
     /// Wall-clock budget.
     pub time_limit: Duration,
     /// RNG seed for stochastic mappers.
     pub seed: u64,
-    /// Mapper-specific effort knob (SA sweeps, GA generations, B&B
-    /// nodes in thousands, …).
-    pub effort: u32,
     /// Optional search-telemetry sink. Disabled by default; when
     /// enabled, mappers record counters and phase spans into it. See
     /// [`crate::telemetry`].
@@ -104,10 +99,8 @@ impl Default for MapConfig {
         MapConfig {
             max_ii: 16,
             min_ii: 1,
-            horizon_factor: 4,
             time_limit: Duration::from_secs(20),
             seed: 0xC6_12A,
-            effort: 100,
             telemetry: Telemetry::off(),
             ledger: Ledger::off(),
             budget: Budget::unlimited(),
@@ -125,12 +118,11 @@ impl MapConfig {
         MapConfig {
             max_ii: 8,
             time_limit: Duration::from_secs(10),
-            effort: 20,
             ..Self::default()
         }
     }
 
-    /// A validating builder (rejects zero II/horizon bounds).
+    /// A validating builder (rejects zero II bounds and budgets).
     pub fn builder() -> MapConfigBuilder {
         MapConfigBuilder::default()
     }
@@ -227,10 +219,8 @@ impl MapConfigBuilder {
         MapConfig::builder()
             .max_ii(req.config.max_ii)
             .min_ii(req.config.min_ii)
-            .horizon_factor(req.config.horizon_factor)
             .time_limit(Duration::from_millis(req.config.time_limit_ms))
             .seed(req.config.seed)
-            .effort(req.config.effort)
             .explain(req.config.explain)
     }
 
@@ -244,11 +234,6 @@ impl MapConfigBuilder {
         self
     }
 
-    pub fn horizon_factor(mut self, horizon_factor: u32) -> Self {
-        self.cfg.horizon_factor = horizon_factor;
-        self
-    }
-
     pub fn time_limit(mut self, time_limit: Duration) -> Self {
         self.cfg.time_limit = time_limit;
         self
@@ -256,11 +241,6 @@ impl MapConfigBuilder {
 
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
-        self
-    }
-
-    pub fn effort(mut self, effort: u32) -> Self {
-        self.cfg.effort = effort;
         self
     }
 
@@ -319,9 +299,6 @@ impl MapConfigBuilder {
                 "min_ii {} exceeds max_ii {}",
                 c.min_ii, c.max_ii
             )));
-        }
-        if c.horizon_factor == 0 {
-            return Err(ConfigError("horizon_factor must be at least 1".into()));
         }
         if c.time_limit.is_zero() {
             return Err(ConfigError("time_limit must be positive".into()));
@@ -474,7 +451,6 @@ mod tests {
     fn config_defaults_sane() {
         let c = MapConfig::default();
         assert!(c.max_ii >= 4);
-        assert!(c.horizon_factor >= 1);
         let f = MapConfig::fast();
         assert!(f.time_limit <= c.time_limit);
     }

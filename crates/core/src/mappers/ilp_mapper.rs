@@ -92,7 +92,7 @@ impl IlpMapper {
     /// Digest of every knob that shapes the encoding; part of the
     /// [`IncrKey`] so pooled state never outlives an encoding change.
     /// Covers the mapper's own encoding knobs *and* every semantically
-    /// relevant [`MapConfig`] knob (seed, effort, horizon, explain):
+    /// relevant [`MapConfig`] knob (seed, explain):
     /// in a serving context the pool outlives one CLI invocation, and
     /// state warmed under one config must never be replayed under a
     /// config that could search differently.
@@ -103,7 +103,7 @@ impl IlpMapper {
         self.cegar_rounds.hash(&mut h);
         self.window_iis.hash(&mut h);
         (min_ii, max_ii).hash(&mut h);
-        (cfg.seed, cfg.effort, cfg.horizon_factor, cfg.explain).hash(&mut h);
+        (cfg.seed, cfg.explain).hash(&mut h);
         h.finish()
     }
 }
@@ -635,12 +635,6 @@ mod tests {
         let mut v = MapConfig::default();
         v.seed += 1;
         assert_ne!(m.knobs(&v, 1, 4), base_knobs, "seed");
-        let mut v = MapConfig::default();
-        v.effort += 1;
-        assert_ne!(m.knobs(&v, 1, 4), base_knobs, "effort");
-        let mut v = MapConfig::default();
-        v.horizon_factor += 1;
-        assert_ne!(m.knobs(&v, 1, 4), base_knobs, "horizon_factor");
         let mut v = MapConfig::default();
         v.explain = !v.explain;
         assert_ne!(m.knobs(&v, 1, 4), base_knobs, "explain");

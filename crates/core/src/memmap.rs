@@ -12,11 +12,11 @@ use crate::mapping::Mapping;
 use cgra_arch::Fabric;
 use cgra_ir::interp::{Interpreter, Tape};
 use cgra_ir::{Dfg, EdgeId, NodeId, OpKind, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// How addresses map to banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BankPolicy {
     /// `bank = addr % banks` — word interleaving.
     Interleaved,
@@ -36,7 +36,7 @@ impl BankPolicy {
 }
 
 /// Conflict analysis result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BankReport {
     pub policy: BankPolicy,
     pub banks: u32,

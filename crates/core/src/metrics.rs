@@ -92,28 +92,6 @@ impl UtilizationMap {
         }
     }
 
-    /// Hand-parse from a JSON tree; `None` if the shape is missing.
-    pub fn from_json(v: &serde::Value) -> Option<UtilizationMap> {
-        use serde::Value;
-        let nums = |k: &str| -> Vec<u32> {
-            match v.get(k) {
-                Some(Value::Array(items)) => items
-                    .iter()
-                    .filter_map(Value::as_u64)
-                    .map(|n| n as u32)
-                    .collect(),
-                _ => Vec::new(),
-            }
-        };
-        Some(UtilizationMap {
-            rows: v.get("rows")?.as_u64()? as u16,
-            cols: v.get("cols")?.as_u64()? as u16,
-            ii: v.get("ii").and_then(Value::as_u64).unwrap_or(1) as u32,
-            fu_used: nums("fu_used"),
-            reg_used: nums("reg_used"),
-        })
-    }
-
     /// ASCII heatmap of issue-slot occupancy (full scale = II).
     pub fn render_fu(&self, fabric: &Fabric) -> String {
         cgra_arch::render_heatmap(fabric, &self.fu_used, self.ii, "fu occupancy / II window")

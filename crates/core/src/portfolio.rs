@@ -149,7 +149,7 @@ pub fn run_portfolio(
 
 /// Aggregate rows per mapper: success rate, mean II among successes,
 /// mean compile time, and mean search effort (from telemetry).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MapperSummary {
     pub mapper: String,
     pub family_label: String,
@@ -161,13 +161,10 @@ pub struct MapperSummary {
     pub mean_compile_ms: f64,
     pub mean_hops: Option<f64>,
     /// Mean II probes per (mapper, kernel) run, over all attempts.
-    #[serde(default)]
     pub mean_ii_attempts: Option<f64>,
     /// Mean backtracks per run, over all attempts.
-    #[serde(default)]
     pub mean_backtracks: Option<f64>,
     /// Mean placements tried per run, over all attempts.
-    #[serde(default)]
     pub mean_placements: Option<f64>,
 }
 

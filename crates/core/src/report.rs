@@ -9,10 +9,9 @@
 //! regression gate — and render as Chrome `trace_event` JSON
 //! ([`chrome_trace`]) loadable in `chrome://tracing` / Perfetto.
 //!
-//! Loading hand-parses `serde_json::Value` (the vendored serde has no
-//! typed deserialisation); unknown fields are ignored and missing
-//! optional fields default, so version-1 readers tolerate later
-//! additive changes.
+//! Loading decodes through the same derives that write the file;
+//! unknown fields are ignored and the fields added after version 1
+//! default, so version-1 readers and files tolerate additive changes.
 
 use crate::diagnosis::Diagnosis;
 use crate::ledger::LedgerEvent;
@@ -26,14 +25,12 @@ use std::path::Path;
 pub const RUN_REPORT_VERSION: u32 = 1;
 
 /// The reproducibility-relevant subset of [`MapConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConfigDigest {
     pub max_ii: u32,
     pub min_ii: u32,
-    pub horizon_factor: u32,
     pub time_limit_ms: u64,
     pub seed: u64,
-    pub effort: u32,
 }
 
 impl ConfigDigest {
@@ -41,22 +38,8 @@ impl ConfigDigest {
         ConfigDigest {
             max_ii: cfg.max_ii,
             min_ii: cfg.min_ii,
-            horizon_factor: cfg.horizon_factor,
             time_limit_ms: cfg.time_limit.as_millis() as u64,
             seed: cfg.seed,
-            effort: cfg.effort,
-        }
-    }
-
-    fn from_json(v: &Value) -> ConfigDigest {
-        let g = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        ConfigDigest {
-            max_ii: g("max_ii") as u32,
-            min_ii: g("min_ii") as u32,
-            horizon_factor: g("horizon_factor") as u32,
-            time_limit_ms: g("time_limit_ms"),
-            seed: g("seed"),
-            effort: g("effort") as u32,
         }
     }
 }
@@ -105,21 +88,10 @@ impl LatencySummary {
         }
         rows
     }
-
-    fn from_json(v: &Value) -> Option<LatencySummary> {
-        let g = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        Some(LatencySummary {
-            phase: v.get("phase")?.as_str()?.to_string(),
-            count: g("count"),
-            p50_us: g("p50_us"),
-            p90_us: g("p90_us"),
-            p99_us: g("p99_us"),
-        })
-    }
 }
 
 /// One mapping run, replayable offline.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
     pub version: u32,
     /// Kernel name.
@@ -144,9 +116,11 @@ pub struct RunReport {
     pub events_dropped: u64,
     /// Phase spans discarded once the span log hit its cap (the
     /// latency summaries below remain exact regardless).
+    #[serde(default)]
     pub spans_dropped: u64,
     /// p50/p90/p99 latency rows per phase plus the route-call
     /// distribution (empty when telemetry was disabled).
+    #[serde(default)]
     pub latency: Vec<LatencySummary>,
     /// Per-cell occupancy of the final mapping, for heatmap rendering
     /// (`None` on failure or when not measured).
@@ -185,17 +159,24 @@ impl RunReport {
         std::fs::write(path, json + "\n").map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Read one report back. `Err` on unreadable files or on a version
-    /// this reader does not understand.
+    /// Decode one report from JSON text. `Err` on malformed JSON, a
+    /// missing or wrong-typed field, or a version this reader does not
+    /// understand.
+    pub fn parse(text: &str) -> Result<RunReport, String> {
+        let v = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let report = RunReport::from_value(&v).map_err(|e| e.to_string())?;
+        if report.version == 0 || report.version > RUN_REPORT_VERSION {
+            return Err(format!("unsupported report version {}", report.version));
+        }
+        Ok(report)
+    }
+
+    /// Read one report back.
     pub fn load(path: &Path) -> Result<RunReport, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let v = serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        RunReport::from_json(&v).ok_or_else(|| {
-            format!(
-                "{}: not a RunReport (missing or unsupported fields)",
-                path.display()
-            )
-        })
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| RunReport::parse(&text))
+            .map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Load every `*.json` RunReport in `dir`, sorted by file name.
@@ -208,103 +189,11 @@ impl RunReport {
             .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
             .collect();
         paths.sort();
-        let mut reports = Vec::new();
-        for p in paths {
-            let Ok(text) = std::fs::read_to_string(&p) else {
-                continue;
-            };
-            if let Ok(v) = serde_json::from_str(&text) {
-                if let Some(r) = RunReport::from_json(&v) {
-                    reports.push(r);
-                }
-            }
-        }
-        Ok(reports)
+        Ok(paths
+            .iter()
+            .filter_map(|p| RunReport::load(p).ok())
+            .collect())
     }
-
-    /// Hand-parse a report from its JSON tree.
-    pub fn from_json(v: &Value) -> Option<RunReport> {
-        let version = v.get("version")?.as_u64()? as u32;
-        if version == 0 || version > RUN_REPORT_VERSION {
-            return None;
-        }
-        let s = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
-        let events = match v.get("events") {
-            Some(Value::Array(items)) => items.iter().filter_map(LedgerEvent::from_json).collect(),
-            _ => Vec::new(),
-        };
-        Some(RunReport {
-            version,
-            instance: s("instance")?,
-            arch: s("arch")?,
-            mapper: s("mapper")?,
-            config: v
-                .get("config")
-                .map(ConfigDigest::from_json)
-                .unwrap_or_else(|| ConfigDigest::of(&MapConfig::default())),
-            metrics: v.get("metrics").and_then(metrics_from_json),
-            error: s("error"),
-            diagnosis: v.get("diagnosis").and_then(Diagnosis::from_json),
-            compile_ms: v.get("compile_ms").and_then(Value::as_f64).unwrap_or(0.0),
-            snapshot: v.get("snapshot").and_then(snapshot_from_json),
-            events,
-            events_dropped: v.get("events_dropped").and_then(Value::as_u64).unwrap_or(0),
-            spans_dropped: v.get("spans_dropped").and_then(Value::as_u64).unwrap_or(0),
-            latency: match v.get("latency") {
-                Some(Value::Array(items)) => {
-                    items.iter().filter_map(LatencySummary::from_json).collect()
-                }
-                _ => Vec::new(),
-            },
-            utilization: v.get("utilization").and_then(UtilizationMap::from_json),
-        })
-    }
-}
-
-fn metrics_from_json(v: &Value) -> Option<Metrics> {
-    Some(Metrics {
-        ii: v.get("ii")?.as_u64()? as u32,
-        schedule_len: v.get("schedule_len").and_then(Value::as_u64).unwrap_or(0) as u32,
-        fu_utilisation: v
-            .get("fu_utilisation")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0),
-        route_hops: v.get("route_hops").and_then(Value::as_u64).unwrap_or(0) as usize,
-        register_cycles: v
-            .get("register_cycles")
-            .and_then(Value::as_u64)
-            .unwrap_or(0) as usize,
-        peak_registers: v.get("peak_registers").and_then(Value::as_u64).unwrap_or(0) as u32,
-        throughput: v.get("throughput").and_then(Value::as_f64).unwrap_or(0.0),
-    })
-}
-
-fn snapshot_from_json(v: &Value) -> Option<StatsSnapshot> {
-    if !matches!(v, Value::Object(_)) {
-        return None;
-    }
-    let g = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-    Some(StatsSnapshot {
-        ii_attempts: g("ii_attempts"),
-        placements_tried: g("placements_tried"),
-        backtracks: g("backtracks"),
-        routing_calls: g("routing_calls"),
-        routing_failures: g("routing_failures"),
-        moves_proposed: g("moves_proposed"),
-        moves_accepted: g("moves_accepted"),
-        nodes_expanded: g("nodes_expanded"),
-        nodes_pruned: g("nodes_pruned"),
-        solver_decisions: g("solver_decisions"),
-        solver_propagations: g("solver_propagations"),
-        solver_conflicts: g("solver_conflicts"),
-        solver_restarts: g("solver_restarts"),
-        solver_assumption_solves: g("solver_assumption_solves"),
-        solver_learnt_kept: g("solver_learnt_kept"),
-        solver_learnt_gcd: g("solver_learnt_gcd"),
-        solver_warm_pivots_saved: g("solver_warm_pivots_saved"),
-        cancellations: g("cancellations"),
-        incumbents: g("incumbents"),
-    })
 }
 
 /// Render phase spans plus ledger events as Chrome `trace_event` JSON
@@ -530,8 +419,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let r = sample_report();
-        let v = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
-        let back = RunReport::from_json(&v).expect("parses");
+        let back = RunReport::parse(&serde_json::to_string(&r).unwrap()).expect("parses");
         assert_eq!(back.instance, r.instance);
         assert_eq!(back.arch, r.arch);
         assert_eq!(back.mapper, r.mapper);
@@ -557,7 +445,7 @@ mod tests {
                 )
             });
         }
-        let legacy = RunReport::from_json(&old).expect("legacy reports still parse");
+        let legacy = RunReport::from_value(&old).expect("legacy reports still parse");
         assert_eq!(legacy.diagnosis, None);
         assert_eq!(legacy.spans_dropped, 0);
         assert!(legacy.latency.is_empty());
@@ -585,8 +473,7 @@ mod tests {
     fn future_versions_are_rejected() {
         let mut r = sample_report();
         r.version = RUN_REPORT_VERSION + 1;
-        let v = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
-        assert!(RunReport::from_json(&v).is_none());
+        assert!(RunReport::parse(&serde_json::to_string(&r).unwrap()).is_err());
     }
 
     #[test]

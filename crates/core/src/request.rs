@@ -22,8 +22,8 @@
 //!    selector, or the suite entry name) — not the compiled DFG, so
 //!    the hit path never runs the front-end;
 //! 3. the **canonicalized config**: every semantically relevant knob
-//!    (`max_ii`, `min_ii`, `horizon_factor`, `time_limit_ms`, `seed`,
-//!    `effort`, `explain`) plus the mapper name and execution mode.
+//!    (`max_ii`, `min_ii`, `time_limit_ms`, `seed`, `explain`) plus
+//!    the mapper name and execution mode.
 //!    Parsing fills defaults *before* fingerprinting, so two requests
 //!    that spell the same effective config — one explicitly, one by
 //!    omission — share a key, while requests differing in any knob
@@ -37,20 +37,22 @@
 //!
 //! ## Wire format
 //!
-//! Values serialize through the workspace `serde` derive and parse
-//! back via hand-written `from_json` (the vendored serde has no typed
-//! deserialisation). Unknown fields are ignored and optional fields
-//! default, so old clients tolerate additive server changes.
+//! The struct definitions are the wire contract: values serialize and
+//! decode through the workspace `serde` derives (DESIGN.md §10 "How a
+//! wire type is defined"). Unknown fields are ignored and
+//! `#[serde(default)]` fields default, so old clients tolerate additive
+//! server changes; a present field of the wrong type or out of range
+//! is an error naming its path, never a silent default.
 
-use crate::mapper::{Infeasibility, MapError};
-use crate::mapping::{Mapping, Placement, Route};
+use crate::mapper::MapError;
+use crate::mapping::Mapping;
 use crate::metrics::Metrics;
 use crate::portfolio::PortfolioEntry;
 use crate::report::LatencySummary;
 use crate::telemetry::StatsSnapshot;
-use cgra_arch::{Fabric, PeId, Topology};
+use cgra_arch::{Fabric, Topology};
 use cgra_ir::{frontend, kernels, passes, Dfg};
-use serde::{Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// A malformed or unsatisfiable request (parse error, unknown kernel,
@@ -129,9 +131,9 @@ pub enum KernelSpec {
     Named(String),
 }
 
-// Hand-rolled to keep the wire shape flat and lowercase
-// (`{"named": ...}` / `{"source": ..., "name": ...}`), the shape
-// `from_json` documents — not the derive's tagged-variant form.
+// Hand-rolled both ways to keep the wire shape flat and lowercase
+// (`{"named": ...}` / `{"source": ..., "name": ...}`) — not the
+// derive's tagged-variant form.
 impl Serialize for KernelSpec {
     fn to_value(&self) -> Value {
         match self {
@@ -148,6 +150,19 @@ impl Serialize for KernelSpec {
             KernelSpec::Named(name) => {
                 Value::Object(vec![("named".to_string(), Value::Str(name.clone()))])
             }
+        }
+    }
+}
+
+impl Deserialize for KernelSpec {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match (v.get("named"), v.get("source")) {
+            (Some(named), _) => serde::field(named, "named").map(KernelSpec::Named),
+            (None, Some(source)) => Ok(KernelSpec::Source {
+                source: serde::field(source, "source")?,
+                name: serde::get(v, "name")?,
+            }),
+            (None, None) => Err(DeError::new("kernel needs `named` or `source`")),
         }
     }
 }
@@ -211,25 +226,13 @@ impl KernelSpec {
             KernelSpec::Named(name) => name,
         }
     }
-
-    pub fn from_json(v: &Value) -> Result<KernelSpec, RequestError> {
-        if let Some(name) = v.get("named").and_then(Value::as_str) {
-            return Ok(KernelSpec::Named(name.to_string()));
-        }
-        if let Some(source) = v.get("source").and_then(Value::as_str) {
-            return Ok(KernelSpec::Source {
-                source: source.to_string(),
-                name: v.get("name").and_then(Value::as_str).map(|s| s.to_string()),
-            });
-        }
-        Err("kernel needs `named` or `source`".into())
-    }
 }
 
 /// Which fabric a request maps onto. A spec, not a built [`Fabric`]:
 /// the cache key hashes these four fields directly, so hits never pay
-/// fabric construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+/// fabric construction. Absent fields read as the default 4×4 mesh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FabricSpec {
     pub rows: u16,
     pub cols: u16,
@@ -273,27 +276,6 @@ impl FabricSpec {
             .u64(self.adres as u64);
         h.finish()
     }
-
-    pub fn from_json(v: &Value) -> Result<FabricSpec, RequestError> {
-        let d = FabricSpec::default();
-        let topology = match v.get("topology").and_then(Value::as_str) {
-            Some(s) => topology_from_label(s)
-                .ok_or_else(|| RequestError(format!("unknown topology `{s}`")))?,
-            None => d.topology,
-        };
-        Ok(FabricSpec {
-            rows: v
-                .get("rows")
-                .and_then(Value::as_u64)
-                .unwrap_or(d.rows as u64) as u16,
-            cols: v
-                .get("cols")
-                .and_then(Value::as_u64)
-                .unwrap_or(d.cols as u64) as u16,
-            topology,
-            adres: v.get("adres").and_then(Value::as_bool).unwrap_or(d.adres),
-        })
-    }
 }
 
 pub fn topology_label(t: Topology) -> &'static str {
@@ -302,16 +284,6 @@ pub fn topology_label(t: Topology) -> &'static str {
         Topology::MeshPlus => "meshplus",
         Topology::Torus => "torus",
         Topology::OneHop => "onehop",
-    }
-}
-
-pub fn topology_from_label(s: &str) -> Option<Topology> {
-    match s {
-        "mesh" | "Mesh" => Some(Topology::Mesh),
-        "meshplus" | "MeshPlus" => Some(Topology::MeshPlus),
-        "torus" | "Torus" => Some(Topology::Torus),
-        "onehop" | "OneHop" => Some(Topology::OneHop),
-        _ => None,
     }
 }
 
@@ -350,20 +322,25 @@ impl Serialize for ExecMode {
     }
 }
 
+impl Deserialize for ExecMode {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        serde::label(v, "mode", ExecMode::from_label)
+    }
+}
+
 /// The canonicalized configuration knobs of a request — the exact
 /// subset of [`MapConfig`](crate::MapConfig) that can change a mapping
-/// outcome. Parsing fills defaults, so a `RequestConfig` is always the
-/// *effective* config; [`MapRequest::config_fingerprint`] hashes every
-/// field, so the serve cache can never alias two requests that differ
-/// only in a knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// outcome. Decoding fills absent knobs from [`Default`], so a
+/// `RequestConfig` is always the *effective* config;
+/// [`MapRequest::config_fingerprint`] hashes every field, so the serve
+/// cache can never alias two requests that differ only in a knob.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct RequestConfig {
     pub max_ii: u32,
     pub min_ii: u32,
-    pub horizon_factor: u32,
     pub time_limit_ms: u64,
     pub seed: u64,
-    pub effort: u32,
     pub explain: bool,
 }
 
@@ -373,53 +350,44 @@ impl Default for RequestConfig {
         RequestConfig {
             max_ii: d.max_ii,
             min_ii: d.min_ii,
-            horizon_factor: d.horizon_factor,
             time_limit_ms: d.time_limit.as_millis() as u64,
             seed: d.seed,
-            effort: d.effort,
             explain: d.explain,
         }
     }
 }
 
-impl RequestConfig {
-    pub fn from_json(v: &Value) -> RequestConfig {
-        let d = RequestConfig::default();
-        let g = |k: &str, dv: u64| v.get(k).and_then(Value::as_u64).unwrap_or(dv);
-        RequestConfig {
-            max_ii: g("max_ii", d.max_ii as u64) as u32,
-            min_ii: g("min_ii", d.min_ii as u64) as u32,
-            horizon_factor: g("horizon_factor", d.horizon_factor as u64) as u32,
-            time_limit_ms: g("time_limit_ms", d.time_limit_ms),
-            seed: g("seed", d.seed),
-            effort: g("effort", d.effort as u64) as u32,
-            explain: v
-                .get("explain")
-                .and_then(Value::as_bool)
-                .unwrap_or(d.explain),
-        }
-    }
-}
-
 /// One mapping job: kernel × fabric × mapper/mode × canonical config.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Only `kernel` is required on the wire.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MapRequest {
     /// Client-assigned correlation id, echoed into the outcome and
     /// addressable by the serve protocol's `cancel` op.
+    #[serde(default)]
     pub id: u64,
     /// Per-request trace id (16 lowercase hex chars). Usually empty on
     /// submission — the service mints one at ingress — but a client
     /// propagating a distributed trace may set it. Like `id`, it is
     /// *not* part of the cache key: traces identify requests, not
     /// results.
+    #[serde(default)]
     pub trace: String,
     pub kernel: KernelSpec,
+    #[serde(default)]
     pub fabric: FabricSpec,
-    /// Registry name of the mapper (`"modulo-list"`, `"sat"`, …).
-    /// Ignored under [`ExecMode::Race`], which runs the whole zoo.
+    /// Registry name of the mapper (`"modulo-list"`, `"sat"`, …; the
+    /// former when absent). Ignored under [`ExecMode::Race`], which
+    /// runs the whole zoo.
+    #[serde(default = "default_mapper")]
     pub mapper: String,
+    #[serde(default)]
     pub mode: ExecMode,
+    #[serde(default)]
     pub config: RequestConfig,
+}
+
+fn default_mapper() -> String {
+    "modulo-list".into()
 }
 
 impl MapRequest {
@@ -453,10 +421,8 @@ impl MapRequest {
             .str(self.mode.label())
             .u64(c.max_ii as u64)
             .u64(c.min_ii as u64)
-            .u64(c.horizon_factor as u64)
             .u64(c.time_limit_ms)
             .u64(c.seed)
-            .u64(c.effort as u64)
             .u64(c.explain as u64);
         h.finish()
     }
@@ -468,39 +434,6 @@ impl MapRequest {
             kernel_fp: self.kernel.fingerprint(),
             config_fp: self.config_fingerprint(),
         }
-    }
-
-    pub fn from_json(v: &Value) -> Result<MapRequest, RequestError> {
-        let kernel = KernelSpec::from_json(v.get("kernel").ok_or("missing `kernel`")?)?;
-        let fabric = match v.get("fabric") {
-            Some(f) => FabricSpec::from_json(f)?,
-            None => FabricSpec::default(),
-        };
-        let mode = match v.get("mode").and_then(Value::as_str) {
-            Some(s) => ExecMode::from_label(s)
-                .ok_or_else(|| RequestError(format!("unknown mode `{s}`")))?,
-            None => ExecMode::Single,
-        };
-        Ok(MapRequest {
-            id: v.get("id").and_then(Value::as_u64).unwrap_or(0),
-            trace: v
-                .get("trace")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-            kernel,
-            fabric,
-            mapper: v
-                .get("mapper")
-                .and_then(Value::as_str)
-                .unwrap_or("modulo-list")
-                .to_string(),
-            mode,
-            config: v
-                .get("config")
-                .map(RequestConfig::from_json)
-                .unwrap_or_default(),
-        })
     }
 }
 
@@ -567,10 +500,19 @@ impl Serialize for CacheStatus {
     }
 }
 
+impl Deserialize for CacheStatus {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        serde::label(v, "cache status", CacheStatus::from_label)
+    }
+}
+
 /// The result of one [`MapRequest`]: mapping or typed failure, plus
 /// metrics and the observability payloads every consumer used to
-/// re-derive for itself.
-#[derive(Debug, Clone, Serialize, Default)]
+/// re-derive for itself. Every field round-trips, so an outcome revived
+/// from a spill file renders the bytes it was written from; absent
+/// fields read as [`Default`].
+#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[serde(default)]
 pub struct MapOutcome {
     /// Echo of the request id.
     pub id: u64,
@@ -642,126 +584,15 @@ impl MapOutcome {
         }
     }
 
-    /// Parse the wire form back into the fields a client needs
-    /// (identity, cache status, mapping, metrics, typed error). The
-    /// heavyweight observability payloads are server-side detail and
-    /// are left empty on the parsed value.
+    /// [`Deserialize::from_value`] with the protocol's error type.
     pub fn from_json(v: &Value) -> Result<MapOutcome, RequestError> {
-        let gs = |k: &str| v.get(k).and_then(Value::as_str).unwrap_or("").to_string();
-        Ok(MapOutcome {
-            id: v.get("id").and_then(Value::as_u64).unwrap_or(0),
-            trace: gs("trace"),
-            kernel: gs("kernel"),
-            fabric: gs("fabric"),
-            mapper: gs("mapper"),
-            family: gs("family"),
-            exact: v.get("exact").and_then(Value::as_bool).unwrap_or(false),
-            spatial: v.get("spatial").and_then(Value::as_bool).unwrap_or(false),
-            cache: v
-                .get("cache")
-                .and_then(Value::as_str)
-                .and_then(CacheStatus::from_label)
-                .unwrap_or_default(),
-            compile_ms: v.get("compile_ms").and_then(Value::as_f64).unwrap_or(0.0),
-            queue_us: v.get("queue_us").and_then(Value::as_u64).unwrap_or(0),
-            mapping: v.get("mapping").and_then(mapping_from_json),
-            metrics: v.get("metrics").and_then(metrics_from_json),
-            error: match v.get("error") {
-                Some(e) if !e.is_null() => Some(map_error_from_json(e)?),
-                _ => None,
-            },
-            ..MapOutcome::default()
-        })
+        MapOutcome::from_value(v).map_err(|e| RequestError(e.to_string()))
     }
-}
-
-/// Parse a [`Mapping`] from its derive-serialized JSON form.
-pub fn mapping_from_json(v: &Value) -> Option<Mapping> {
-    if v.is_null() {
-        return None;
-    }
-    let ii = v.get("ii")?.as_u64()? as u32;
-    let place = v
-        .get("place")?
-        .as_array()?
-        .iter()
-        .map(|p| {
-            Some(Placement {
-                pe: PeId(p.get("pe")?.as_u64()? as u16),
-                time: p.get("time")?.as_u64()? as u32,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let routes = v
-        .get("routes")?
-        .as_array()?
-        .iter()
-        .map(|r| {
-            Some(Route {
-                start_time: r.get("start_time")?.as_u64()? as u32,
-                steps: r
-                    .get("steps")?
-                    .as_array()?
-                    .iter()
-                    .map(|s| Some(PeId(s.as_u64()? as u16)))
-                    .collect::<Option<Vec<_>>>()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(Mapping { ii, place, routes })
-}
-
-/// Parse [`Metrics`] from the derive-serialized JSON form.
-pub fn metrics_from_json(v: &Value) -> Option<Metrics> {
-    if v.is_null() {
-        return None;
-    }
-    Some(Metrics {
-        ii: v.get("ii")?.as_u64()? as u32,
-        schedule_len: v.get("schedule_len")?.as_u64()? as u32,
-        fu_utilisation: v.get("fu_utilisation")?.as_f64()?,
-        route_hops: v.get("route_hops")?.as_u64()? as usize,
-        register_cycles: v.get("register_cycles")?.as_u64()? as usize,
-        peak_registers: v.get("peak_registers")?.as_u64()? as u32,
-        throughput: v.get("throughput")?.as_f64()?,
-    })
-}
-
-/// Parse a [`MapError`] from its derive-serialized JSON form
-/// (externally tagged: unit variants are strings, payload variants
-/// one-key objects).
-pub fn map_error_from_json(v: &Value) -> Result<MapError, RequestError> {
-    if let Some(s) = v.as_str() {
-        return match s {
-            "Timeout" => Ok(MapError::Timeout),
-            "Cancelled" => Ok(MapError::Cancelled),
-            other => Err(RequestError(format!("unknown error variant `{other}`"))),
-        };
-    }
-    if let Some(inf) = v.get("Infeasible") {
-        let why = inf
-            .get("why")
-            .and_then(Value::as_str)
-            .unwrap_or("infeasible")
-            .to_string();
-        let diagnosis = inf
-            .get("diagnosis")
-            .and_then(crate::diagnosis::Diagnosis::from_json)
-            .map(Box::new);
-        return Ok(MapError::Infeasible(Infeasibility { why, diagnosis }));
-    }
-    if let Some(what) = v.get("Unsupported") {
-        return Ok(MapError::Unsupported(
-            what.as_str().unwrap_or("unsupported").to_string(),
-        ));
-    }
-    Err("unparseable error value".into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::Mapper as _;
 
     fn dot_request() -> MapRequest {
         MapRequest::new(
@@ -792,7 +623,7 @@ mod tests {
             ..dot_request()
         };
         let wire = serde_json::to_string(&req).unwrap();
-        let back = MapRequest::from_json(&serde_json::from_str(&wire).unwrap()).unwrap();
+        let back = MapRequest::from_value(&serde_json::from_str(&wire).unwrap()).unwrap();
         assert_eq!(back, req);
         assert_eq!(back.cache_key(), req.cache_key());
     }
@@ -810,7 +641,7 @@ mod tests {
         };
         assert_eq!(traced.cache_key(), plain.cache_key());
         let wire = serde_json::to_string(&traced).unwrap();
-        let back = MapRequest::from_json(&serde_json::from_str(&wire).unwrap()).unwrap();
+        let back = MapRequest::from_value(&serde_json::from_str(&wire).unwrap()).unwrap();
         assert_eq!(back.trace, "00c0ffee00c0ffee");
         // And the outcome echoes it over the wire.
         let out = MapOutcome {
@@ -819,7 +650,7 @@ mod tests {
             ..MapOutcome::default()
         };
         let wire = serde_json::to_string(&out).unwrap();
-        let back = MapOutcome::from_json(&serde_json::from_str(&wire).unwrap()).unwrap();
+        let back = MapOutcome::from_value(&serde_json::from_str(&wire).unwrap()).unwrap();
         assert_eq!(back.trace, "00c0ffee00c0ffee");
         assert_eq!(back.queue_us, 1234);
     }
@@ -831,8 +662,16 @@ mod tests {
         let explicit = dot_request();
         let wire = r#"{"kernel":{"source":"kernel dot(in a, in b, inout acc) { acc += a * b; }"},
                        "mapper":"modulo-list"}"#;
-        let implicit = MapRequest::from_json(&serde_json::from_str(wire).unwrap()).unwrap();
+        let implicit = MapRequest::from_value(&serde_json::from_str(wire).unwrap()).unwrap();
         assert_eq!(implicit.cache_key(), explicit.cache_key());
+        // So does a request from an older client that still sends the
+        // two removed knobs: unknown keys are ignored.
+        let legacy = wire.replace(
+            r#""mapper""#,
+            r#""config":{"effort":100,"horizon_factor":4},"mapper""#,
+        );
+        let legacy = MapRequest::from_value(&serde_json::from_str(&legacy).unwrap()).unwrap();
+        assert_eq!(legacy, explicit);
     }
 
     #[test]
@@ -856,13 +695,6 @@ mod tests {
             },
             MapRequest {
                 config: RequestConfig {
-                    horizon_factor: base.config.horizon_factor + 1,
-                    ..base.config
-                },
-                ..base.clone()
-            },
-            MapRequest {
-                config: RequestConfig {
                     time_limit_ms: base.config.time_limit_ms + 1,
                     ..base.config
                 },
@@ -871,13 +703,6 @@ mod tests {
             MapRequest {
                 config: RequestConfig {
                     seed: base.config.seed + 1,
-                    ..base.config
-                },
-                ..base.clone()
-            },
-            MapRequest {
-                config: RequestConfig {
-                    effort: base.config.effort + 1,
                     ..base.config
                 },
                 ..base.clone()
@@ -940,32 +765,6 @@ mod tests {
         let dfg = KernelSpec::Named("fir4".into()).compile().unwrap();
         assert_eq!(dfg.name, "fir4");
         assert!(KernelSpec::Named("nope".into()).compile().is_err());
-    }
-
-    #[test]
-    fn mapping_round_trips_through_wire_json() {
-        let dfg = cgra_ir::kernels::dot_product();
-        let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let m = crate::mappers::ModuloList::default()
-            .map(&dfg, &fabric, &crate::MapConfig::fast())
-            .unwrap();
-        let wire = serde_json::to_string(&m).unwrap();
-        let back = mapping_from_json(&serde_json::from_str(&wire).unwrap()).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn map_error_round_trips_through_wire_json() {
-        for err in [
-            MapError::Timeout,
-            MapError::Cancelled,
-            MapError::Unsupported("feature".into()),
-            MapError::infeasible("no II admits a schedule"),
-        ] {
-            let wire = serde_json::to_string(&err).unwrap();
-            let back = map_error_from_json(&serde_json::from_str(&wire).unwrap()).unwrap();
-            assert_eq!(back, err);
-        }
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //! [`LatencySummary`](crate::report::LatencySummary), so operators get
 //! tail percentiles without PromQL.
 
-use crate::request::{CacheStatus, RequestError};
+use crate::request::CacheStatus;
 use crate::service::ServiceStats;
 use crate::telemetry::{AtomicHistogram, Histogram, HISTOGRAM_BUCKETS};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -298,8 +298,11 @@ pub fn render_prometheus(stats: &ServiceStats, metrics: &ServiceMetrics) -> Stri
 /// One access-log line: everything needed to replay the service's view
 /// of a request offline. All fields are integers or strings, so the
 /// JSON round trip is exact (property-tested in
-/// `tests/access_log_props.rs`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
+/// `tests/access_log_props.rs`). Absent fields default (additive-safe,
+/// like every other wire type here); an unknown `cache` label is an
+/// error since replay math keys on it.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[serde(default)]
 pub struct AccessRecord {
     /// Monotone per-log sequence number (assigned on append).
     pub seq: u64,
@@ -324,36 +327,6 @@ pub struct AccessRecord {
     pub ii: u32,
     /// The typed failure's rendering, when the mapping failed.
     pub error: Option<String>,
-}
-
-impl AccessRecord {
-    /// Parse one log line back. Missing numeric/string fields default
-    /// (additive-safe, like every other wire parser here); an
-    /// unparseable `cache` label is an error since replay math keys on
-    /// it.
-    pub fn from_json(v: &Value) -> Result<AccessRecord, RequestError> {
-        let gu = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        let gs = |k: &str| v.get(k).and_then(Value::as_str).unwrap_or("").to_string();
-        let cache_label = v.get("cache").and_then(Value::as_str).unwrap_or("uncached");
-        Ok(AccessRecord {
-            seq: gu("seq"),
-            t_us: gu("t_us"),
-            trace: gs("trace"),
-            id: gu("id"),
-            client: gs("client"),
-            kernel: gs("kernel"),
-            mapper: gs("mapper"),
-            cache: CacheStatus::from_label(cache_label)
-                .ok_or_else(|| RequestError(format!("unknown cache status `{cache_label}`")))?,
-            queue_us: gu("queue_us"),
-            server_us: gu("server_us"),
-            ii: gu("ii") as u32,
-            error: match v.get("error") {
-                Some(e) if !e.is_null() => Some(e.as_str().unwrap_or("").to_string()),
-                _ => None,
-            },
-        })
-    }
 }
 
 /// Append-only JSONL access log: one line per request, flushed per
@@ -483,34 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn access_record_round_trips_through_json() {
-        let rec = AccessRecord {
-            seq: 3,
-            t_us: 123_456,
-            trace: "00c0ffee00c0ffee".into(),
-            id: 42,
-            client: "127.0.0.1:54321".into(),
-            kernel: "dot_product".into(),
-            mapper: "modulo-list".into(),
-            cache: CacheStatus::Hit,
-            queue_us: 0,
-            server_us: 87,
-            ii: 2,
-            error: None,
-        };
-        let v = serde_json::from_str(&serde_json::to_string(&rec).unwrap()).unwrap();
-        assert_eq!(AccessRecord::from_json(&v).unwrap(), rec);
-        let failed = AccessRecord {
-            error: Some("timeout".into()),
-            ii: 0,
-            cache: CacheStatus::Miss,
-            ..rec
-        };
-        let v = serde_json::from_str(&serde_json::to_string(&failed).unwrap()).unwrap();
-        assert_eq!(AccessRecord::from_json(&v).unwrap(), failed);
-    }
-
-    #[test]
     fn access_log_stamps_monotone_sequence_numbers() {
         let dir = std::env::temp_dir().join(format!("cgra-accesslog-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -529,7 +474,7 @@ mod tests {
         let seqs: Vec<u64> = text
             .lines()
             .map(|l| {
-                AccessRecord::from_json(&serde_json::from_str(l).unwrap())
+                AccessRecord::from_value(&serde_json::from_str(l).unwrap())
                     .unwrap()
                     .seq
             })

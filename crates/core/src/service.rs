@@ -50,7 +50,7 @@ use crate::servemetrics::{render_prometheus, ServiceMetrics};
 use crate::telemetry::Telemetry;
 use crate::validate::validate;
 use cgra_arch::{PeId, TopologyCache};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -298,8 +298,12 @@ impl ResultCache {
     fn load_spilled(&self, key: &CacheKey) -> Option<MapOutcome> {
         let path = self.spill_path(key)?;
         let text = std::fs::read_to_string(path).ok()?;
-        let value: serde::Value = serde_json::from_str(&text).ok()?;
-        MapOutcome::from_json(&value).ok()
+        let value = serde_json::from_str(&text).ok()?;
+        // An outcome is a mapping or a typed failure; a file that is
+        // neither (`{}`, foreign JSON) is not an answer to serve.
+        MapOutcome::from_value(&value)
+            .ok()
+            .filter(|out| out.mapping.is_some() || out.error.is_some())
     }
 
     /// Insert an outcome, evicting (and spilling) the least recently
@@ -622,7 +626,11 @@ impl InFlight {
 /// counter is monotone across scrapes. (A request is classified when
 /// its cache probe resolves: hit, coalesced onto an in-flight solve —
 /// also a hit, plus `coalesced` — or miss.)
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+///
+/// On the wire the original seven counters are required; the fields
+/// added with the telemetry layer default to 0, so a new client still
+/// reads an old server's snapshot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceStats {
     pub requests: u64,
     pub hits: u64,
@@ -631,25 +639,33 @@ pub struct ServiceStats {
     pub warm: u64,
     /// Hits answered by joining an identical in-flight solve
     /// (single-flight dedup); a subset of `hits`.
+    #[serde(default)]
     pub coalesced: u64,
     /// Entries evicted from the in-memory result cache.
+    #[serde(default)]
     pub evictions: u64,
     /// Evicted entries persisted to the spill directory.
+    #[serde(default)]
     pub disk_spills: u64,
     /// Solves that returned the typed `Cancelled` outcome.
+    #[serde(default)]
     pub cancellations: u64,
     /// Requests shed because the admission queue was at `max_queue`.
+    #[serde(default)]
     pub rejections: u64,
     pub cache_entries: u64,
     pub pooled_states: u64,
     /// Solves holding an admission permit right now (gauge).
     pub running: u64,
     /// Requests anywhere inside `handle` right now (gauge).
+    #[serde(default)]
     pub in_flight: u64,
     /// Solves parked on the admission gate right now (gauge).
+    #[serde(default)]
     pub queue_depth: u64,
     /// The admission-permit budget; `running / cores` is worker
     /// utilization.
+    #[serde(default)]
     pub cores: u64,
 }
 
@@ -1090,40 +1106,81 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cgra-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::new(2, Some(dir.clone()));
+        let seeded = |i: u64| MapRequest {
+            config: RequestConfig {
+                seed: i,
+                ..RequestConfig::default()
+            },
+            ..named(i, "dot_product", "modulo-list")
+        };
+        let req_key = |i: u64| seeded(i).cache_key();
         let outs: Vec<MapOutcome> = (0..3)
             .map(|i| {
-                let req = MapRequest {
-                    config: RequestConfig {
-                        seed: i,
-                        ..RequestConfig::default()
-                    },
-                    ..named(i, "dot_product", "modulo-list")
-                };
-                let out = execute(&req, &ExecEnv::default());
-                cache.insert(req.cache_key(), Arc::new(out.clone()));
+                let out = execute(&seeded(i), &ExecEnv::default());
+                cache.insert(req_key(i), Arc::new(out.clone()));
                 out
             })
             .collect();
         assert_eq!(cache.len(), 2, "capacity bound must hold");
         // The evicted oldest entry comes back from disk with its
         // mapping intact.
-        let key0 = MapRequest {
-            config: RequestConfig {
-                seed: 0,
-                ..RequestConfig::default()
-            },
-            ..named(0, "dot_product", "modulo-list")
-        }
-        .cache_key();
+        let key0 = req_key(0);
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.disk_spills(), 1);
         let revived = cache.get(&key0).expect("spilled entry reloads");
         assert_eq!(revived.mapping, outs[0].mapping);
+        // The reload is lossless: a disk hit renders the bytes a memory
+        // hit would have (utilization, stats and all).
+        assert_eq!(revived.to_value().render(), outs[0].to_value().render());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.spill_loads(), 1);
         // Re-admitting the revived entry pushed a fresh victim out.
         assert_eq!(cache.evictions(), 2);
         assert_eq!(cache.disk_spills(), 2);
+
+        // Same for a race outcome, whose per-entry rows (each with its
+        // own ledger events and typed loser errors) ride along.
+        let race_req = MapRequest {
+            mode: ExecMode::Race,
+            ..named(9, "dot_product", "modulo-list")
+        };
+        let raced = execute(&race_req, &ExecEnv::default());
+        assert!(!raced.race.is_empty() && raced.race_wall_ms > 0.0);
+        cache.insert(race_req.cache_key(), Arc::new(raced.clone()));
+        for out in &outs[1..] {
+            cache.insert(req_key(out.id), Arc::new(out.clone()));
+        }
+        let revived = cache.get(&race_req.cache_key()).expect("race reloads");
+        assert_eq!(cache.spill_loads(), 2);
+        assert_eq!(revived.to_value().render(), raced.to_value().render());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_spill_files_are_misses() {
+        let dir = std::env::temp_dir().join(format!("cgra-cache-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = ResultCache::new(1, Some(dir.clone()));
+        let req = named(0, "dot_product", "modulo-list");
+        let key = req.cache_key();
+        let path = dir.join(format!("{}.json", key.hex()));
+        let good = execute(&req, &ExecEnv::default()).to_value().render();
+        let bad = [
+            ("neither mapping nor error", "{}".to_string()),
+            ("truncated", good[..good.len() / 2].to_string()),
+            (
+                "wrong-typed field",
+                good.replacen("\"ii\":", "\"ii\":\"x\",\"was\":", 1),
+            ),
+        ];
+        for (what, text) in &bad {
+            std::fs::write(&path, text).unwrap();
+            assert!(cache.get(&key).is_none(), "{what} must not be served");
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, bad.len() as u64));
+        std::fs::write(&path, &good).unwrap();
+        assert!(cache.get(&key).expect("intact file loads").succeeded());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

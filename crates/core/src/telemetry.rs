@@ -34,7 +34,7 @@ use std::time::Instant;
 pub use crate::ledger::{EventKind, Ledger, LedgerEvent, RunLedger};
 
 /// Search-effort counters, one per Table I search behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 #[repr(usize)]
 pub enum Counter {
     /// Candidate IIs probed (the "increase II until it fits" loop).
@@ -137,7 +137,7 @@ const NUM_COUNTERS: usize = Counter::ALL.len();
 
 /// Pipeline phases timed by spans (the CLI's Fig. 3 flow plus the
 /// mapper-internal map-per-II and routing phases).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 #[repr(usize)]
 pub enum Phase {
     Parse,
@@ -172,7 +172,7 @@ impl Phase {
 
 /// One completed span: a phase, an optional II qualifier (map-per-II
 /// attempts), and wall-clock bounds relative to the sink's creation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SpanRecord {
     pub phase: Phase,
     /// `Some(ii)` for per-II mapping attempts, `None` for whole phases.
@@ -485,7 +485,6 @@ pub struct StatsSnapshot {
     pub solver_learnt_gcd: u64,
     pub solver_warm_pivots_saved: u64,
     pub cancellations: u64,
-    #[serde(default)]
     pub incumbents: u64,
 }
 

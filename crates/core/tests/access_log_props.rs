@@ -10,7 +10,7 @@
 use cgra_mapper_core::request::CacheStatus;
 use cgra_mapper_core::servemetrics::AccessRecord;
 use proptest::prelude::*;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 const STATUSES: [CacheStatus; 4] = [
     CacheStatus::Uncached,
@@ -82,7 +82,7 @@ proptest! {
         let line = serde_json::to_string(&rec.to_value()).expect("serialize");
         prop_assert!(!line.contains('\n'), "a record must stay on one log line");
         let value = serde_json::from_str(&line).expect("reparse");
-        let back = AccessRecord::from_json(&value).expect("decode");
+        let back = AccessRecord::from_value(&value).expect("decode");
         prop_assert_eq!(back, rec);
     }
 
@@ -94,7 +94,7 @@ proptest! {
         if let serde_json::Value::Object(map) = &mut value {
             map.push(("x_future_field".to_string(), serde_json::Value::Bool(true)));
         }
-        let back = AccessRecord::from_json(&value).expect("decode with extra field");
+        let back = AccessRecord::from_value(&value).expect("decode with extra field");
         prop_assert_eq!(back, rec);
     }
 }

@@ -55,15 +55,15 @@ fn arb_request() -> impl Strategy<Value = MapRequest> {
     (
         (0u8..5, 0usize..4, 0usize..3),
         (1u16..=3, 1u16..=3, 0usize..4, any::<bool>()),
-        (1u32..=8, 1u32..=4, 1u32..=4, 0usize..3),
-        (0u64..3, 0u32..3, any::<bool>()),
+        (1u32..=8, 1u32..=4, 0usize..3),
+        (0u64..3, any::<bool>()),
     )
         .prop_map(
             |(
                 (k, mapper, mode),
                 (rows, cols, topo, adres),
-                (max_ii, min_ii, horizon_factor, tl),
-                (seed, effort, explain),
+                (max_ii, min_ii, tl),
+                (seed, explain),
             )| {
                 let mut req = MapRequest::new(kernel(k), MAPPERS[mapper]);
                 req.mode = MODES[mode];
@@ -76,10 +76,8 @@ fn arb_request() -> impl Strategy<Value = MapRequest> {
                 req.config = RequestConfig {
                     max_ii,
                     min_ii,
-                    horizon_factor,
                     time_limit_ms: [1_000, 5_000, 20_000][tl],
                     seed,
-                    effort,
                     explain,
                 };
                 req
@@ -93,7 +91,7 @@ fn arb_request() -> impl Strategy<Value = MapRequest> {
 type Canon = (
     (u8, String, String),
     (u16, u16, &'static str, bool),
-    (String, &'static str, u32, u32, u32, u64, u64, u32, bool),
+    (String, &'static str, u32, u32, u64, u64, bool),
 );
 
 fn canon(req: &MapRequest) -> Canon {
@@ -121,43 +119,39 @@ fn canon(req: &MapRequest) -> Canon {
         req.mode.label(),
         c.max_ii,
         c.min_ii,
-        c.horizon_factor,
         c.time_limit_ms,
         c.seed,
-        c.effort,
         c.explain,
     );
     (kernel, fabric, config)
 }
 
-/// Flip exactly one field. Knobs 0..=13 are identity-bearing; 14 (the
+/// Flip exactly one field. Knobs 0..=11 are identity-bearing; 12 (the
 /// client id) is deliberately not part of the key.
 fn perturb(req: &MapRequest, knob: usize, bump: u32) -> MapRequest {
     let mut r = req.clone();
     match knob {
         0 => r.config.max_ii += bump,
         1 => r.config.min_ii += bump,
-        2 => r.config.horizon_factor += bump,
-        3 => r.config.time_limit_ms += bump as u64,
-        4 => r.config.seed += bump as u64,
-        5 => r.config.effort += bump,
-        6 => r.config.explain = !r.config.explain,
-        7 => r.fabric.rows += bump as u16,
-        8 => r.fabric.cols += bump as u16,
-        9 => {
+        2 => r.config.time_limit_ms += bump as u64,
+        3 => r.config.seed += bump as u64,
+        4 => r.config.explain = !r.config.explain,
+        5 => r.fabric.rows += bump as u16,
+        6 => r.fabric.cols += bump as u16,
+        7 => {
             let i = TOPOLOGIES
                 .iter()
                 .position(|t| *t == r.fabric.topology)
                 .unwrap();
             r.fabric.topology = TOPOLOGIES[(i + 1) % TOPOLOGIES.len()];
         }
-        10 => r.fabric.adres = !r.fabric.adres,
-        11 => {
+        8 => r.fabric.adres = !r.fabric.adres,
+        9 => {
             let i = MODES.iter().position(|m| *m == r.mode).unwrap();
             r.mode = MODES[(i + 1) % MODES.len()];
         }
-        12 => r.mapper.push('x'),
-        13 => {
+        10 => r.mapper.push('x'),
+        11 => {
             r.kernel = match r.kernel {
                 KernelSpec::Named(n) => KernelSpec::Named(format!("{n}!")),
                 KernelSpec::Source { mut source, name } => {
@@ -194,7 +188,7 @@ proptest! {
     #[test]
     fn single_field_perturbations_never_alias(
         req in arb_request(),
-        knob in 0usize..15,
+        knob in 0usize..13,
         bump in 1u32..=4,
     ) {
         let other = perturb(&req, knob, bump);

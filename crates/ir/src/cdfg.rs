@@ -13,12 +13,12 @@
 
 use crate::dfg::{Dfg, NodeId};
 use crate::op::Value;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a basic block in its CDFG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -35,7 +35,7 @@ impl fmt::Display for BlockId {
 }
 
 /// How control leaves a block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum ControlKind {
     /// Unconditional jump.
     Jump(BlockId),
@@ -52,7 +52,7 @@ pub enum ControlKind {
 
 /// A directed control edge (derived from terminators; kept explicit for
 /// graph algorithms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ControlEdge {
     pub from: BlockId,
     pub to: BlockId,
@@ -61,7 +61,7 @@ pub struct ControlEdge {
 }
 
 /// A basic block: a DFG fragment plus its interface and terminator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BasicBlock {
     pub label: String,
     /// Variables read by this block; `params[i]` binds to the block
@@ -90,7 +90,7 @@ pub struct LoopInfo {
 pub type ExecOutcome = (HashMap<String, Value>, Vec<Value>, Vec<(u32, Value)>);
 
 /// A control-data-flow graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Cdfg {
     pub name: String,
     pub blocks: Vec<BasicBlock>,

@@ -9,15 +9,15 @@
 //! supplying the first `d` values).
 
 use crate::op::{OpKind, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Index of a node within its DFG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NodeId(pub u32);
 
 /// Index of an edge within its DFG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct EdgeId(pub u32);
 
 impl NodeId {
@@ -41,7 +41,7 @@ impl fmt::Display for NodeId {
 }
 
 /// An operation node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Node {
     pub op: OpKind,
     /// Optional human-readable name (variable name from the front-end).
@@ -50,7 +50,7 @@ pub struct Node {
 
 /// A data dependency. `dst`'s operand `port` is produced by `src`,
 /// `dist` iterations earlier.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Edge {
     pub src: NodeId,
     pub dst: NodeId,
@@ -127,7 +127,7 @@ impl fmt::Display for DfgError {
 impl std::error::Error for DfgError {}
 
 /// A data-flow graph for one loop body.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Dfg {
     nodes: Vec<Node>,
     edges: Vec<Edge>,

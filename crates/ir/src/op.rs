@@ -6,7 +6,7 @@
 //! accesses, and the pseudo-operations needed by graph-based mappers
 //! (`Route` copy nodes) and by CDFG lowering (`Phi`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The scalar value type carried on all DFG edges.
@@ -17,7 +17,7 @@ use std::fmt;
 pub type Value = i64;
 
 /// Number of input operands an operation consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum PortCount {
     /// Exactly `n` ordered operands.
     Fixed(u8),
@@ -37,7 +37,7 @@ impl PortCount {
 }
 
 /// Every operation a DFG node can perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum OpKind {
     /// Compile-time constant, materialised in the PE configuration.
     Const(Value),

@@ -24,10 +24,10 @@ use cgra_arch::Fabric;
 use cgra_ir::graph::{critical_path, unit_latency};
 use cgra_ir::Dfg;
 use cgra_mapper_core::{Mapping, Metrics};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One point of the Figure 1 plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArchPoint {
     pub arch: String,
     /// Iterations (results) per reference cycle, averaged over kernels.

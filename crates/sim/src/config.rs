@@ -11,10 +11,10 @@ use bytes::{BufMut, BytesMut};
 use cgra_arch::{Fabric, PeId};
 use cgra_ir::{Dfg, NodeId, OpKind};
 use cgra_mapper_core::Mapping;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One PE's configuration for one II slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Context {
     /// The node issuing here, if any.
     pub node: Option<u32>,
@@ -28,7 +28,7 @@ pub struct Context {
 }
 
 /// The full configuration stream: `contexts[slot][pe]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ConfigStream {
     pub ii: u32,
     pub contexts: Vec<Vec<Context>>,

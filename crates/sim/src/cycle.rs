@@ -19,11 +19,11 @@ use cgra_arch::Fabric;
 use cgra_ir::interp::Tape;
 use cgra_ir::{Dfg, NodeId, OpKind, Value};
 use cgra_mapper_core::Mapping;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Execution statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimStats {
     pub iterations: usize,
     /// Total cycles: pipeline fill + (iters − 1)·II + drain.

@@ -11,10 +11,10 @@
 use cgra_arch::Fabric;
 use cgra_ir::{Dfg, OpKind};
 use cgra_mapper_core::{Mapping, Metrics};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-event energies (arbitrary units ≈ pJ).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EnergyModel {
     pub e_alu: f64,
     pub e_mul: f64,

@@ -1,9 +1,9 @@
 //! Record types for the survey's reference corpus.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Row axis of Table I: which sub-problem the technique solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Axis {
     /// Binding only (spatial architectures).
     SpatialMapping,
@@ -36,7 +36,7 @@ impl Axis {
 }
 
 /// Column of Table I: the solution technique family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Technique {
     Heuristic,
     /// Population-based meta-heuristic: genetic algorithm.
@@ -86,7 +86,7 @@ impl Technique {
 }
 
 /// Technique eras annotated on the Figure 4 timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Tag {
     ModuloScheduling,
     FullPredication,
@@ -131,7 +131,7 @@ impl Tag {
 }
 
 /// One reference of the survey.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PaperRecord {
     /// The survey's own reference number `[n]`.
     pub ref_num: u8,

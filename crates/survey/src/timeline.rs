@@ -3,11 +3,11 @@
 
 use crate::dataset::all_papers;
 use crate::paper::Tag;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// One bar of the histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TimelinePoint {
     pub year: u16,
     pub publications: usize,

@@ -195,15 +195,7 @@ fn budget_flags_flow_into_json_config() {
     let path = write_temp("dot7.mc", DOT);
     let out = bin()
         .arg(&path)
-        .args([
-            "--json",
-            "--time-limit",
-            "7",
-            "--effort",
-            "33",
-            "--horizon",
-            "2",
-        ])
+        .args(["--json", "--time-limit", "7", "--max-ii", "9"])
         .output()
         .unwrap();
     assert!(
@@ -213,8 +205,11 @@ fn budget_flags_flow_into_json_config() {
     );
     let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
     assert_eq!(v["config"]["time_limit_secs"].as_f64().unwrap(), 7.0);
-    assert_eq!(v["config"]["effort"].as_u64().unwrap(), 33);
-    assert_eq!(v["config"]["horizon_factor"].as_u64().unwrap(), 2);
+    assert_eq!(v["config"]["max_ii"].as_u64().unwrap(), 9);
+    // The two knobs no mapper read are gone, flags and report keys both.
+    assert!(v["config"].get("effort").is_none());
+    let out = bin().arg(&path).args(["--effort", "33"]).output().unwrap();
+    assert!(!out.status.success(), "--effort must be an unknown option");
     // Telemetry is off without --trace/--profile: stats serialise null.
     assert!(v["search_stats"].is_null());
 }
