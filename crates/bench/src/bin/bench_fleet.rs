@@ -29,23 +29,29 @@
 //!    cached; a re-plan against the live service must mark every job
 //!    warm and predict a smaller makespan.
 //!
-//! Absolute timings are machine-bound, so `--check` gates *ratios*
-//! (speedup, mean utilization, co-map speedup) against the checked-in
-//! golden with the same 25% tolerance as the router/solver/serve
-//! gates. The floors are deliberately NOT clamped at break-even: the
-//! fleet speedup holds even on one hardware core (the scheduler's win
-//! there is routing work to the fabric that solves it cheaper), but
-//! the co-map ratio is pure concurrency and sits at ~1.0 on a 1-core
-//! machine. Two acceptance floors hold unconditionally: the fleet
-//! makespan must beat the sequential baseline, and every queued
-//! kernel must be scheduled exactly once with no failures.
+//! What is gated is what the queue and the plan decide, not what the
+//! machine's second core happens to be doing: every queued kernel
+//! scheduled exactly once with no failure, an all-warm re-plan that
+//! predicts a smaller makespan than the cold one, disjoint same-wave
+//! co-map partitions (asserted in the run), and under `--check` the cold
+//! plan's predicted makespan equal to the golden's and mean fabric
+//! utilization no lower than 0.75x the golden's. `speedup` and
+//! `comap_speedup` are printed and saved but not gated: both are the
+//! wall-clock ratio of a sequential leg to a two-thread leg of 20-100 ms,
+//! which reads 1.8x when the two threads get a core each and 0.9x when
+//! they share one, and on a shared 2-vCPU box which of the two it is
+//! changes from minute to minute with the host's load and the guest
+//! scheduler's placement (EXPERIMENTS.md, "Performance gates"). "Fleet
+//! beats sequential" is checked by CI's `fleet-smoke` job on
+//! `cgra-fleet --json`.
 
 use cgra_arch::Topology;
-use cgra_bench::{quick, save_json};
+use cgra_bench::{gate, quick};
 use cgra_mapper_core::fleet::{self, FleetFabric, FleetReport};
 use cgra_mapper_core::request::{FabricSpec, KernelSpec, MapRequest};
 use cgra_mapper_core::service::{MapService, ServiceOptions};
 use serde::Serialize;
+use std::process::ExitCode;
 use std::time::Instant;
 
 const KERNELS: &[&str] = &[
@@ -83,7 +89,7 @@ struct Summary {
     baseline_ms: f64,
     /// Fleet makespan across the farm (min over reps).
     fleet_ms: f64,
-    /// baseline_ms / fleet_ms — the headline gate.
+    /// baseline_ms / fleet_ms. Reported, not gated.
     speedup: f64,
     /// Mean per-fabric busy/makespan over the fleet run's farm.
     mean_util: f64,
@@ -92,7 +98,7 @@ struct Summary {
     comap_seq_ms: f64,
     /// Concurrent disjoint-partition wall (min over reps).
     comap_ms: f64,
-    /// comap_seq_ms / comap_ms.
+    /// comap_seq_ms / comap_ms. Reported, not gated.
     comap_speedup: f64,
     /// Predicted makespan of the cold plan (model units).
     predicted_cold: f64,
@@ -149,7 +155,7 @@ fn service(cores: usize) -> MapService {
     })
 }
 
-fn check_coverage(report: &FleetReport, n: usize) {
+fn assert_coverage(report: &FleetReport, n: usize) {
     assert_eq!(report.scheduled, n, "every queued kernel scheduled");
     assert_eq!(
         report.failed,
@@ -171,63 +177,7 @@ fn check_coverage(report: &FleetReport, n: usize) {
     );
 }
 
-fn check(summary: &Summary, baseline_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("bad baseline JSON: {e}"))?;
-    let field = |name: &str| -> Result<f64, String> {
-        baseline
-            .get(name)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("baseline without `{name}`"))
-    };
-    let mut failures = Vec::new();
-    let mut gate = |name: &str, current: f64, floor: f64, base: f64| {
-        if current < floor {
-            failures.push(format!(
-                "{name}: {current:.2} below gate {floor:.2} (baseline {base:.2} - 25%)"
-            ));
-        } else {
-            eprintln!("  gate ok: {name} {current:.2} (baseline {base:.2}, floor {floor:.2})");
-        }
-    };
-    let base_speedup = field("speedup")?;
-    gate(
-        "speedup",
-        summary.speedup,
-        base_speedup * 0.75,
-        base_speedup,
-    );
-    let base_util = field("mean_util")?;
-    gate("mean_util", summary.mean_util, base_util * 0.75, base_util);
-    let base_comap = field("comap_speedup")?;
-    gate(
-        "comap_speedup",
-        summary.comap_speedup,
-        base_comap * 0.75,
-        base_comap,
-    );
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
-fn main() {
-    let mut baseline: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--check" => baseline = Some(args.next().expect("--check needs a FILE")),
-            other => {
-                eprintln!("unknown option `{other}`\nusage: bench_fleet [--check BASELINE.json]");
-                std::process::exit(2);
-            }
-        }
-    }
-
+fn main() -> ExitCode {
     let kernel_count = if quick() { 10 } else { KERNELS.len() };
     let variants = if quick() { 2 } else { 3 };
     let reps = 3;
@@ -245,13 +195,13 @@ fn main() {
     for _ in 0..reps {
         let seq_service = service(1);
         let seq = fleet::run_sequential(&reqs, &farm[0], &seq_service).expect("sequential run");
-        check_coverage(&seq, reqs.len());
+        assert_coverage(&seq, reqs.len());
         baseline_ms = baseline_ms.min(seq.makespan_ms);
 
         let fleet_service = service(farm.len());
         let plan = fleet::plan(&reqs, &farm, Some(&fleet_service)).expect("plan");
         let report = fleet::run(&reqs, &farm, &plan, &fleet_service);
-        check_coverage(&report, reqs.len());
+        assert_coverage(&report, reqs.len());
         if report.makespan_ms < fleet_ms {
             fleet_ms = report.makespan_ms;
             predicted_cold = plan.makespan;
@@ -365,12 +315,6 @@ fn main() {
         predicted_cold, predicted_warm
     );
 
-    // Acceptance floors, independent of any baseline file.
-    assert!(
-        speedup > 1.0,
-        "fleet makespan must beat the sequential one-fabric baseline (got {speedup:.2}x)"
-    );
-
     let summary = Summary {
         schema: "bench-fleet/v1".into(),
         quick: quick(),
@@ -397,15 +341,10 @@ fn main() {
             })
             .collect(),
     };
-    save_json("BENCH_fleet", &summary);
-
-    if let Some(path) = baseline {
-        match check(&summary, &path) {
-            Ok(()) => println!("\nperf gate: ok (all ratios within 25% of baseline)"),
-            Err(why) => {
-                eprintln!("\nperf gate FAILED:\n{why}");
-                std::process::exit(1);
-            }
-        }
-    }
+    gate(
+        "BENCH_fleet",
+        &summary,
+        &[("mean_util", mean_util)],
+        &[("predicted_cold", predicted_cold)],
+    )
 }

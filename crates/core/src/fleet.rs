@@ -34,7 +34,7 @@
 use crate::engine::Budget;
 use crate::incremental::IncrementalCtx;
 use crate::ledger::Ledger;
-use crate::mapping::{Mapping, Placement, Route};
+use crate::mapping::Mapping;
 use crate::request::{CacheStatus, FabricSpec, MapOutcome, MapRequest};
 use crate::servemetrics::ServiceMetrics;
 use crate::service::{execute, ExecEnv, MapService};
@@ -104,35 +104,20 @@ impl Partition {
             && c < self.col0 + self.spec.cols
     }
 
+    /// The PE of a `full_cols`-wide grid that sub-fabric PE `pe` of
+    /// this partition stands for.
+    fn abs(&self, pe: PeId, full_cols: u16) -> PeId {
+        let (r, c) = (pe.0 / self.spec.cols, pe.0 % self.spec.cols);
+        PeId((r + self.row0) * full_cols + (c + self.col0))
+    }
+
     /// Re-index a mapping solved on this partition's sub-fabric into
     /// the full fabric's absolute coordinates. The caller re-validates
     /// against the full fabric — [`co_map`] always does — which is
     /// what makes the translation invariant a checked contract rather
     /// than a convention.
     pub fn translate_up(&self, m: &Mapping, full: &FabricSpec) -> Mapping {
-        let re = |pe: PeId| {
-            let (r, c) = (pe.0 / self.spec.cols, pe.0 % self.spec.cols);
-            PeId((r + self.row0) * full.cols + (c + self.col0))
-        };
-        Mapping {
-            ii: m.ii,
-            place: m
-                .place
-                .iter()
-                .map(|p| Placement {
-                    pe: re(p.pe),
-                    time: p.time,
-                })
-                .collect(),
-            routes: m
-                .routes
-                .iter()
-                .map(|rt| Route {
-                    start_time: rt.start_time,
-                    steps: rt.steps.iter().map(|&s| re(s)).collect(),
-                })
-                .collect(),
-        }
+        m.map_pes(|pe| self.abs(pe, full.cols))
     }
 }
 
@@ -248,10 +233,7 @@ pub fn partition_fabric(
     // corresponding absolute cells of the full fabric.
     for part in &out {
         let sub = part.spec.build().map_err(|e| FleetError(e.0))?;
-        let abs = |pe: PeId| {
-            let (r, c) = (pe.0 / part.spec.cols, pe.0 % part.spec.cols);
-            PeId((r + part.row0) * spec.cols + (c + part.col0))
-        };
+        let abs = |pe: PeId| part.abs(pe, spec.cols);
         for pe in sub.pe_ids() {
             for nb in sub.neighbors(pe) {
                 if !topo.adjacent(abs(pe), abs(nb)) {
@@ -817,7 +799,7 @@ pub fn run(
     }
 }
 
-/// The naive baseline the fleet is gated against: every request on one
+/// The baseline a fleet run is compared with: every request on one
 /// fabric, one at a time, in queue order.
 pub fn run_sequential(
     queue: &[MapRequest],
@@ -845,6 +827,7 @@ pub fn run_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::{Placement, Route};
     use crate::request::KernelSpec;
 
     fn spec(rows: u16, cols: u16, topology: Topology) -> FabricSpec {

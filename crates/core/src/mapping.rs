@@ -103,6 +103,31 @@ impl Mapping {
         }
     }
 
+    /// The same mapping with every PE — placements and route steps —
+    /// renamed by `f`; `ii` and all times are kept. Whether the result
+    /// is valid on the fabric `f` maps into is for the caller to check.
+    pub fn map_pes(&self, f: impl Fn(PeId) -> PeId) -> Mapping {
+        Mapping {
+            ii: self.ii,
+            place: self
+                .place
+                .iter()
+                .map(|p| Placement {
+                    pe: f(p.pe),
+                    time: p.time,
+                })
+                .collect(),
+            routes: self
+                .routes
+                .iter()
+                .map(|r| Route {
+                    start_time: r.start_time,
+                    steps: r.steps.iter().map(|&pe| f(pe)).collect(),
+                })
+                .collect(),
+        }
+    }
+
     #[inline]
     pub fn placement(&self, n: NodeId) -> Placement {
         self.place[n.index()]

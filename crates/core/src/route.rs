@@ -14,17 +14,18 @@
 //! the Dijkstra buffers live in a caller-owned [`RouterScratch`], so
 //! steady-state routing (the negotiation loop, a mapper's placement
 //! inner loop) performs no heap allocation per search. The pre-cache,
-//! undirected implementation is kept verbatim in [`naive`] as the
-//! reference for benches and differential tests.
+//! undirected implementation is the reference `tests/route_props.rs`
+//! compares against, step for step.
 
-use crate::mapping::{Mapping, Placement, Route};
+use crate::mapping::{Placement, Route};
 use crate::telemetry::{Counter, Phase, Telemetry};
 use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
 use cgra_ir::Dfg;
 use std::collections::{BinaryHeap, HashSet};
 
-/// Scaled-integer router costs (1 step = `STEP_COST`).
-const STEP_COST: u64 = 100;
+/// Scaled-integer router costs (1 step = `STEP_COST`). Public because it
+/// defines route cost: a reference router must charge the same.
+pub const STEP_COST: u64 = 100;
 
 /// Congestion history per (pe, slot), used by the PathFinder loop.
 #[derive(Debug, Clone)]
@@ -43,8 +44,10 @@ impl History {
         }
     }
 
+    /// History cost of entering `pe` at cycle `t`. Public for the same
+    /// reason as [`STEP_COST`].
     #[inline]
-    fn get(&self, pe: PeId, t: u32) -> u64 {
+    pub fn get(&self, pe: PeId, t: u32) -> u64 {
         self.cost[(t % self.ii) as usize * self.num_pes + pe.index()]
     }
 
@@ -211,7 +214,7 @@ pub fn find_route(
 /// even read), and no state is relaxed from which `to` is out of reach
 /// in the cycles left. The bound is admissible, so every state that can
 /// reach the goal keeps its `dist`, its `prev` and its place in the pop
-/// order: the returned route is the one [`naive::find_route`] returns.
+/// order: the returned route is the one an undirected search returns.
 ///
 /// `shared` may name cells outside `tr..=tc`; they are ignored. After a
 /// search ran, [`RouterScratch::is_shared`] answers for its cells.
@@ -507,219 +510,6 @@ pub fn route_all_with(
     None
 }
 
-/// The pre-cache router, frozen verbatim: `Fabric::neighbors` Vec
-/// allocation per node expansion, fresh `dist`/`prev` per search, and a
-/// `Fabric::hop_distance` all-pairs BFS per `route_all` call.
-///
-/// This is **not** a fallback — the cached path above is the only one
-/// mappers use. It exists so the cached-vs-uncached benchmark rows and
-/// the differential tests compare against the real historical baseline
-/// rather than a strawman.
-pub mod naive {
-    use super::*;
-
-    /// Positions already used by routes of the same producer (for
-    /// fan-out sharing), as the hash set the pre-cache router probed.
-    fn shared_positions(
-        dfg: &Dfg,
-        mapping: &Mapping,
-        src: cgra_ir::NodeId,
-    ) -> HashSet<(PeId, u32)> {
-        let mut set = HashSet::new();
-        for (eid, e) in dfg.edges() {
-            if e.src == src {
-                let r = &mapping.routes[eid.index()];
-                for (i, &pe) in r.steps.iter().enumerate() {
-                    set.insert((pe, r.start_time + i as u32));
-                }
-            }
-        }
-        set
-    }
-
-    /// Pre-cache [`super::find_route`] (see module docs).
-    #[allow(clippy::too_many_arguments)]
-    pub fn find_route(
-        fabric: &Fabric,
-        st: &SpaceTime,
-        from: PeId,
-        tr: u32,
-        to: PeId,
-        tc: u32,
-        shared: &HashSet<(PeId, u32)>,
-        hist: Option<&History>,
-        opts: RouteOpts,
-    ) -> Option<Route> {
-        if tc < tr {
-            return None;
-        }
-        let span = (tc - tr) as usize + 1;
-        let n = fabric.num_pes();
-        let ii = st.ii();
-
-        let cap_run = span.min((ii as usize) * fabric.rf_size as usize + 1);
-        let idx = |pe: PeId, step: usize, run: usize| (step * n + pe.index()) * (cap_run + 1) + run;
-        let mut dist = vec![u64::MAX; n * span * (cap_run + 1)];
-        let mut prev: Vec<Option<(PeId, usize)>> = vec![None; n * span * (cap_run + 1)];
-
-        let enter_cost = |pe: PeId, t: u32, own_extra: u32| -> Option<u64> {
-            if shared.contains(&(pe, t)) {
-                return Some(0);
-            }
-            let headroom = st.reg_headroom(pe, t);
-            let mut c = STEP_COST;
-            if headroom < own_extra + 1 {
-                if !opts.allow_overuse {
-                    return None;
-                }
-                c += opts.congestion_penalty * (st.reg_count(pe, t) as u64 + own_extra as u64 + 1);
-            }
-            if let Some(h) = hist {
-                c += h.get(pe, t);
-            }
-            Some(c)
-        };
-
-        let start_cost = enter_cost(from, tr, 0)?;
-        dist[idx(from, 0, 1)] = start_cost;
-
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u16, usize, usize)>> = BinaryHeap::new();
-        heap.push(std::cmp::Reverse((start_cost, from.0, 0, 1)));
-        while let Some(std::cmp::Reverse((d, pe_raw, step, run))) = heap.pop() {
-            let pe = PeId(pe_raw);
-            if d > dist[idx(pe, step, run)] {
-                continue;
-            }
-            if step + 1 == span {
-                continue;
-            }
-            let t_next = tr + step as u32 + 1;
-            let hold_run = (run + 1).min(cap_run);
-            let own_extra = (run as u32) / ii;
-            if let Some(c) = enter_cost(pe, t_next, own_extra) {
-                let nd = d + c;
-                let ni = idx(pe, step + 1, hold_run);
-                if nd < dist[ni] {
-                    dist[ni] = nd;
-                    prev[ni] = Some((pe, run));
-                    heap.push(std::cmp::Reverse((nd, pe.0, step + 1, hold_run)));
-                }
-            }
-            for nxt in fabric.neighbors(pe) {
-                if let Some(c) = enter_cost(nxt, t_next, 0) {
-                    let nd = d + c;
-                    let ni = idx(nxt, step + 1, 1);
-                    if nd < dist[ni] {
-                        dist[ni] = nd;
-                        prev[ni] = Some((pe, run));
-                        heap.push(std::cmp::Reverse((nd, nxt.0, step + 1, 1)));
-                    }
-                }
-            }
-        }
-
-        let best_run = (1..=cap_run)
-            .filter(|&r| dist[idx(to, span - 1, r)] != u64::MAX)
-            .min_by_key(|&r| dist[idx(to, span - 1, r)])?;
-        let mut steps = vec![to; span];
-        let mut cur = to;
-        let mut cur_run = best_run;
-        for step in (1..span).rev() {
-            let (p, r) = prev[idx(cur, step, cur_run)].expect("reached state has predecessor");
-            steps[step - 1] = p;
-            cur = p;
-            cur_run = r;
-        }
-        if steps[0] != from {
-            return None;
-        }
-        Some(Route {
-            start_time: tr,
-            steps,
-        })
-    }
-
-    /// Pre-cache [`super::route_all`] (see module docs).
-    pub fn route_all(
-        fabric: &Fabric,
-        dfg: &Dfg,
-        place: &[Placement],
-        ii: u32,
-        rounds: u32,
-        negotiated: bool,
-    ) -> Option<Vec<Route>> {
-        let mut mapping = Mapping {
-            ii,
-            place: place.to_vec(),
-            routes: vec![Route::default(); dfg.edge_count()],
-        };
-        let mut hist = History::new(fabric, ii);
-
-        let mut order: Vec<_> = dfg.edge_ids().collect();
-        let hop = fabric.hop_distance();
-        order.sort_by_key(|&eid| {
-            let e = dfg.edge(eid);
-            std::cmp::Reverse(hop[place[e.src.index()].pe.index()][place[e.dst.index()].pe.index()])
-        });
-
-        let total_rounds = if negotiated { rounds.max(1) } else { 1 };
-        for round in 0..total_rounds {
-            let allow = negotiated && round + 1 < total_rounds;
-            let mut st = SpaceTime::new(fabric, ii);
-            for p in place {
-                st.occupy_fu(p.pe, p.time);
-            }
-            mapping.routes = vec![Route::default(); dfg.edge_count()];
-            let mut ok = true;
-            for &eid in &order {
-                let e = dfg.edge(eid);
-                let tr = mapping.ready_time(dfg, fabric, e.src);
-                let tc = mapping.consume_time(dfg, eid);
-                if tc < tr {
-                    return None;
-                }
-                let shared = shared_positions(dfg, &mapping, e.src);
-                let opts = RouteOpts {
-                    allow_overuse: allow,
-                    ..RouteOpts::default()
-                };
-                let from = place[e.src.index()].pe;
-                let to = place[e.dst.index()].pe;
-                match find_route(fabric, &st, from, tr, to, tc, &shared, Some(&hist), opts) {
-                    Some(r) => {
-                        for (i, &pe) in r.steps.iter().enumerate() {
-                            let t = r.start_time + i as u32;
-                            if !shared.contains(&(pe, t)) {
-                                st.occupy_reg(pe, t);
-                            }
-                        }
-                        mapping.routes[eid.index()] = r;
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok && st.overuse() == 0 {
-                return Some(mapping.routes);
-            }
-            if !negotiated {
-                return None;
-            }
-            for pe in fabric.pe_ids() {
-                for slot in 0..ii {
-                    let over = st.reg_count(pe, slot).saturating_sub(fabric.rf_size);
-                    if over > 0 {
-                        hist.bump(pe, slot, STEP_COST * over as u64);
-                    }
-                }
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -931,88 +721,5 @@ mod tests {
         }
         let routes = route_all(&f, &dfg, &place, 6, 10, true);
         assert!(routes.is_some());
-    }
-
-    #[test]
-    fn cached_router_agrees_with_naive() {
-        // Differential check: the cache-backed hot path and the frozen
-        // pre-cache reference must produce identical routes (same costs,
-        // same tie-breaking) under identical occupancy.
-        for topology in [
-            Topology::Mesh,
-            Topology::MeshPlus,
-            Topology::Torus,
-            Topology::OneHop,
-        ] {
-            let f = Fabric::homogeneous(4, 4, topology);
-            let topo = TopologyCache::build(&f);
-            let mut st = SpaceTime::new(&f, 3);
-            // Some occupancy so costs are non-uniform.
-            st.occupy_reg(PeId(5), 1);
-            st.occupy_reg(PeId(6), 2);
-            let mut hist = History::new(&f, 3);
-            hist.bump(PeId(9), 1, 250);
-            let mut scratch = RouterScratch::new();
-            for (from, to, tr, tc) in [
-                (0u16, 15u16, 0u32, 8u32),
-                (3, 12, 1, 7),
-                (5, 5, 2, 6),
-                (0, 2, 0, 2),
-            ] {
-                let a = naive::find_route(
-                    &f,
-                    &st,
-                    PeId(from),
-                    tr,
-                    PeId(to),
-                    tc,
-                    &HashSet::new(),
-                    Some(&hist),
-                    RouteOpts::default(),
-                );
-                let b = find_route_with(
-                    &f,
-                    &topo,
-                    &st,
-                    PeId(from),
-                    tr,
-                    PeId(to),
-                    tc,
-                    [],
-                    Some(&hist),
-                    RouteOpts::default(),
-                    &mut scratch,
-                );
-                match (&a, &b) {
-                    (Some(ra), Some(rb)) => {
-                        assert_eq!(ra.start_time, rb.start_time, "{topology:?}");
-                        assert_eq!(ra.steps, rb.steps, "{topology:?}");
-                    }
-                    (None, None) => {}
-                    _ => panic!("{topology:?}: naive={a:?} cached={b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cached_route_all_agrees_with_naive() {
-        let f = mesh();
-        let dfg = cgra_ir::kernels::sobel();
-        let times = cgra_ir::graph::asap(&dfg, &cgra_ir::graph::unit_latency);
-        let place: Vec<Placement> = dfg
-            .node_ids()
-            .map(|n| Placement {
-                pe: PeId((n.0 * 5 % 16) as u16),
-                time: times[n.index()] * 3,
-            })
-            .collect();
-        let a = naive::route_all(&f, &dfg, &place, 8, 10, true);
-        let b = route_all(&f, &dfg, &place, 8, 10, true);
-        match (&a, &b) {
-            (Some(ra), Some(rb)) => assert_eq!(ra, rb),
-            (None, None) => {}
-            _ => panic!("naive={:?} cached={:?}", a.is_some(), b.is_some()),
-        }
     }
 }

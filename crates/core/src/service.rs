@@ -41,7 +41,7 @@
 use crate::engine::Budget;
 use crate::incremental::IncrementalCtx;
 use crate::mapper::{MapConfigBuilder, MapError};
-use crate::mapping::{Mapping, Route};
+use crate::mapping::Mapping;
 use crate::metrics::{Metrics, UtilizationMap};
 use crate::registry::MapperRegistry;
 use crate::report::LatencySummary;
@@ -479,29 +479,7 @@ impl WarmIndex {
 /// wrap-around routes or heterogeneous capability layouts make the
 /// translation invalid, not wrong.
 fn translate_mapping(m: &Mapping, src_cols: u16, dst_cols: u16) -> Mapping {
-    let re = |pe: PeId| {
-        let (r, c) = (pe.0 / src_cols, pe.0 % src_cols);
-        PeId(r * dst_cols + c)
-    };
-    Mapping {
-        ii: m.ii,
-        place: m
-            .place
-            .iter()
-            .map(|p| crate::mapping::Placement {
-                pe: re(p.pe),
-                time: p.time,
-            })
-            .collect(),
-        routes: m
-            .routes
-            .iter()
-            .map(|r| Route {
-                start_time: r.start_time,
-                steps: r.steps.iter().copied().map(re).collect(),
-            })
-            .collect(),
-    }
+    m.map_pes(|pe| PeId(pe.0 / src_cols * dst_cols + pe.0 % src_cols))
 }
 
 /// Counting semaphore bounding concurrent cache-miss solves (the

@@ -14,14 +14,14 @@
 use cgra_arch::{Fabric, PeId, SpaceTime, Topology, TopologyCache};
 use cgra_ir::{graph, kernels};
 use cgra_mapper_core::mapping::Placement;
-use cgra_mapper_core::route::{
-    find_route_with, naive, route_all_with, History, RouteOpts, RouterScratch,
-};
+use cgra_mapper_core::route::{find_route_with, route_all_with, History, RouteOpts, RouterScratch};
 use cgra_mapper_core::telemetry::Telemetry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+
+mod naive;
 
 const TOPOLOGIES: [Topology; 4] = [
     Topology::Mesh,
