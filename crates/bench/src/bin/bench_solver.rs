@@ -1,7 +1,7 @@
-//! Incremental-solving benchmark: re-mapping with persistent solver
-//! state (assumption-guarded SAT layers, learnt clauses, warm LP bases,
-//! cached infeasibility proofs) vs the from-scratch re-encoding, per
-//! kernel × exact mapper.
+//! Solver-state pool benchmark: what re-mapping through a warm
+//! [`IncrementalCtx`] (encoded SAT layers, learnt clauses, retired
+//! selectors; ILP's cached refutations and warm incumbent) buys over the
+//! same request on a cold one, per kernel × exact mapper.
 //!
 //! ```sh
 //! cargo run --release -p cgra-bench --bin bench_solver
@@ -12,22 +12,19 @@
 //! The workload is the steady state of a design-space-exploration loop:
 //! the same kernel is mapped repeatedly on the same fabric (after the
 //! evaluation of a candidate elsewhere), so the exact mappers re-enter
-//! the solver state parked in [`IncrementalCtx`] — encoded II layers,
-//! learnt clauses and phases for SAT; the CEGAR model, root basis, warm
-//! incumbent, and per-II infeasibility proofs for ILP. `incremental_us`
-//! is the cost of such a re-map; `from_scratch_us` is the cost of the
-//! identical query with `MapConfig::incremental` off, which re-encodes
-//! every II from nothing (the pre-incremental behaviour). Both paths
+//! the solver state parked in the pool. `incremental_us` is the cost of
+//! such a re-map; `cold_us` is the cost of the identical request against a
+//! fresh pool — what a first request pays, on the same code path. Both
 //! must achieve the identical II — asserted per row.
 //!
 //! Writes `BENCH_solver.json` into the results dir (`CGRA_RESULTS_DIR`,
 //! default `results/`). With `--check FILE`, the run gates against a
 //! checked-in golden: absolute timings are machine-bound, so the gate
-//! compares the incremental-vs-from-scratch *speedup ratio*, as the
-//! geomean over each mapper family's rows — the run fails if either
-//! falls below 75% of the golden's. The per-row ratios are printed and
-//! saved but not gated: half the rows re-map in 50-300 us, and a
-//! min-of-2 timing of that is one scheduler hiccup away from any floor.
+//! compares the cold-vs-warm *speedup ratio*, as the geomean over each
+//! mapper family's rows — the run fails if either falls below 75% of
+//! the golden's. The per-row ratios are printed and saved but not
+//! gated: half the rows re-map in 50-300 us, and a min-of-2 timing of
+//! that is one scheduler hiccup away from any floor.
 //!
 //! [`IncrementalCtx`]: cgra::prelude::IncrementalCtx
 
@@ -44,7 +41,7 @@ struct Row {
     kernel: String,
     ii: u32,
     incremental_us: f64,
-    from_scratch_us: f64,
+    cold_us: f64,
     speedup: f64,
 }
 
@@ -79,40 +76,36 @@ fn map_once(
 
 fn bench(name: &str, mapper_name: &str, dfg: &cgra_ir::Dfg, fabric: &Fabric, reps: u32) -> Row {
     let mapper = build_mapper(mapper_name);
-    // From-scratch: every repetition pays the full re-encode.
-    let mut scratch_us = f64::INFINITY;
-    let mut scratch_ii = 0;
-    let scratch_cfg = MapConfig {
-        incremental: false,
-        ..MapConfig::default()
-    };
+    // Cold: a fresh config, hence a fresh pool, per repetition.
+    let mut cold_us = f64::INFINITY;
+    let mut cold_ii = 0;
     for _ in 0..reps {
-        let (us, ii) = map_once(mapper.as_ref(), dfg, fabric, &scratch_cfg);
-        scratch_us = scratch_us.min(us);
-        scratch_ii = ii;
+        let (us, ii) = map_once(mapper.as_ref(), dfg, fabric, &MapConfig::default());
+        cold_us = cold_us.min(us);
+        cold_ii = ii;
     }
-    // Incremental: one warm-up populates the pool, then each timed
-    // repetition is a re-map that takes the state and parks it back.
+    // Warm: one warm-up populates the pool, then each timed repetition
+    // is a re-map that takes the state and parks it back.
     let warm_cfg = MapConfig::default();
-    let (_, mut inc_ii) = map_once(mapper.as_ref(), dfg, fabric, &warm_cfg);
-    let mut inc_us = f64::INFINITY;
+    let (_, mut warm_ii) = map_once(mapper.as_ref(), dfg, fabric, &warm_cfg);
+    let mut warm_us = f64::INFINITY;
     for _ in 0..reps {
         let (us, ii) = map_once(mapper.as_ref(), dfg, fabric, &warm_cfg);
-        inc_us = inc_us.min(us);
-        inc_ii = ii;
+        warm_us = warm_us.min(us);
+        warm_ii = ii;
     }
     assert_eq!(
-        inc_ii, scratch_ii,
-        "{name}: incremental achieved II {inc_ii}, from-scratch {scratch_ii}"
+        warm_ii, cold_ii,
+        "{name}: warm pool achieved II {warm_ii}, cold pool {cold_ii}"
     );
     Row {
         name: name.into(),
         mapper: mapper_name.into(),
         kernel: dfg.name.clone(),
-        ii: inc_ii,
-        incremental_us: inc_us,
-        from_scratch_us: scratch_us,
-        speedup: scratch_us / inc_us,
+        ii: warm_ii,
+        incremental_us: warm_us,
+        cold_us,
+        speedup: cold_us / warm_us,
     }
 }
 
@@ -131,9 +124,9 @@ fn main() -> ExitCode {
     // Kernels whose achieved II sits above the first candidates pay for
     // refutations before they succeed; the pooled state answers those
     // refutations (SAT: retired selectors; ILP: cached proofs) and
-    // warm-starts the feasible II, so they show the incremental gain
-    // most clearly. sad/laplacian at II=1 isolate the pure re-entry
-    // cost of an already-encoded solver.
+    // warm-starts the feasible II, so they show the pool's gain most
+    // clearly. sad/laplacian at II=1 isolate the pure re-entry cost of
+    // an already-encoded solver.
     let rows = vec![
         bench("sat_fir6_3x3", "sat", &kernels::fir(6), &mesh3, reps),
         bench("sat_sad_3x3", "sat", &kernels::sad(), &mesh3, reps),
@@ -159,15 +152,15 @@ fn main() -> ExitCode {
         ),
     ];
 
-    println!("exact-mapper re-maps: incremental (pooled solver state) vs from-scratch\n");
+    println!("exact-mapper re-maps: warm solver-state pool vs cold pool\n");
     println!(
-        "{:<28} {:>4} {:>16} {:>16} {:>9}",
-        "scenario", "ii", "incremental_us", "from_scratch_us", "speedup"
+        "{:<28} {:>4} {:>16} {:>12} {:>9}",
+        "scenario", "ii", "incremental_us", "cold_us", "speedup"
     );
     for r in &rows {
         println!(
-            "{:<28} {:>4} {:>16.0} {:>16.0} {:>8.2}x",
-            r.name, r.ii, r.incremental_us, r.from_scratch_us, r.speedup
+            "{:<28} {:>4} {:>16.0} {:>12.0} {:>8.2}x",
+            r.name, r.ii, r.incremental_us, r.cold_us, r.speedup
         );
     }
     let all: Vec<&Row> = rows.iter().collect();

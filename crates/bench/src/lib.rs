@@ -15,8 +15,8 @@
 //!
 //! Wall-clock numbers are compared in one place, `benchmark/` (its own
 //! workspace). The two `bench_*` bins here cover what it does not —
-//! incremental vs from-scratch re-maps, and the fleet scheduler — and
-//! both end in [`gate`].
+//! re-maps through a warm vs a cold solver-state pool, and the fleet
+//! scheduler — and both end in [`gate`].
 
 use serde::Serialize;
 use std::path::{Path, PathBuf};

@@ -76,11 +76,6 @@ pub struct MapConfig {
     /// one otherwise. The racing and parallel-II engines pre-seed it so
     /// every concurrent attempt shares a single table.
     pub topo: Option<Arc<TopologyCache>>,
-    /// Let exact mappers reuse solver state between candidate IIs
-    /// (assumption-based SAT, warm LP bases). On by default; switch off
-    /// to force the from-scratch encoding path (the solver bench does
-    /// this to measure the speedup).
-    pub incremental: bool,
     /// Pool of reusable solver states, keyed by mapper × fabric ×
     /// kernel fingerprints (see [`crate::incremental`]). Shared across
     /// the per-II jobs of one sweep and, in a mapping-as-a-service
@@ -105,7 +100,6 @@ impl Default for MapConfig {
             ledger: Ledger::off(),
             budget: Budget::unlimited(),
             topo: None,
-            incremental: true,
             incr: crate::incremental::IncrementalCtx::new(),
             explain: false,
         }
@@ -262,13 +256,6 @@ impl MapConfigBuilder {
     /// Pre-seed the shared topology cache (see [`MapConfig::topo`]).
     pub fn topo(mut self, topo: Arc<TopologyCache>) -> Self {
         self.cfg.topo = Some(topo);
-        self
-    }
-
-    /// Enable/disable incremental solver-state reuse (see
-    /// [`MapConfig::incremental`]).
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.cfg.incremental = incremental;
         self
     }
 

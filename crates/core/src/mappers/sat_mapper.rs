@@ -1,47 +1,50 @@
 //! SAT-based mapping (Miyasaka et al., VLSI-SoC 2021).
 //!
-//! The mapping at a fixed II is encoded in CNF over "operation `o`
-//! sits at position `p`" variables: exactly-one per operation,
-//! at-most-one per `(pe, modulo slot)`, and per-edge implication
-//! clauses restricting consumers to hop-reachable positions. The CDCL
-//! solver ([`cgra_solver::SatSolver`]) finds a model; routing is then
-//! materialised, and a routing failure (register congestion the
-//! encoding cannot see) blocks that exact placement with a no-good
-//! clause and re-solves — a CEGAR loop.
+//! The mapping at a fixed II is the shared placement model
+//! ([`placement_model`]) lowered to CNF over "operation `o` sits at
+//! position `p`" variables: exactly-one per operation, at-most-one per
+//! `(pe, modulo slot)`, and per-edge implication clauses restricting
+//! consumers to hop-reachable positions. The CDCL solver
+//! ([`cgra_solver::SatSolver`]) finds a model; the shared CEGAR loop
+//! ([`cegar`]) routes it, and a routing failure (register congestion
+//! the encoding cannot see) blocks that exact placement with a no-good
+//! clause and re-solves.
 //!
-//! ## Incremental II sweep
+//! ## Persistent II sweep
 //!
-//! With `MapConfig::incremental` (the default) the bottom-up sweep uses
-//! *one* persistent solver per [`SWEEP_CHUNK`]-sized run of adjacent
-//! candidate IIs instead of a fresh encoding per II (chunking keeps the
-//! union encoding proportional to the IIs actually visited — a kernel
-//! feasible at `min_ii` never pays for the tail of the sweep). Within a
-//! chunk, variables range over the union of its IIs' candidate spaces
-//! ([`SweepSpace`]), built once per chunk; each II's constraints are
-//! encoded lazily under a per-II selector literal and activated by
+//! The bottom-up sweep uses *one* persistent solver per
+//! [`SWEEP_CHUNK`]-sized run of adjacent candidate IIs (chunking keeps
+//! the union encoding proportional to the IIs actually visited — a
+//! kernel feasible at `min_ii` never pays for the tail of the sweep).
+//! Within a chunk, variables range over the union of its IIs' candidate
+//! spaces ([`SweepSpace`]), built once per chunk; each II's constraints
+//! are encoded lazily under a per-II selector literal and activated by
 //! [`SatSolver::solve_with_assumptions`]. A refuted II retires its
 //! selector permanently, CEGAR no-goods accumulate under the selector
 //! of the II they belong to, and variable activities and saved phases
 //! carry from the II=k refutation into the II=k+1 search. The solver is
-//! parked in [`MapConfig::incr`](crate::IncrementalCtx) between calls,
-//! keyed by fabric fingerprint, kernel fingerprint, and the encoding
-//! knobs, so re-mapping the same kernel resumes with every layer
-//! already encoded, every learnt clause intact, and refuted IIs
-//! answered without a solve. Each II's own candidate list inside the
-//! union is exactly the from-scratch [`PositionSpace`], so both paths
-//! see the same feasible set per II and achieve identical IIs.
+//! parked in [`MapConfig::incr`](crate::MapConfig::incr) between calls
+//! ([`pool_key`]), so re-mapping the same kernel resumes with every
+//! layer already encoded, every learnt clause intact, and refuted IIs
+//! answered without a solve. Under its selector each II sees exactly
+//! its own [`PositionSpace`](super::exact_common::PositionSpace), so
+//! the feasible set per II does not depend on what else the chunk
+//! holds.
 
-use super::exact_common::{add_solver_stats, edge_compatible, PositionSpace, SweepSpace};
+use super::exact_common::{
+    add_solver_stats, cegar, diagnose_empty_space, diagnose_interrupted, diagnose_unroutable,
+    placement_model, pool_key, Cand, Cegar, CegarBackend, Constraint, PositionSpace, SweepSpace,
+};
 use super::sweep::{SweepCtx, TemporalSearch};
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
-use crate::incremental::{kernel_fingerprint, IncrKey};
-use crate::mapper::{Family, MapConfig, MapError};
+use crate::incremental::IncrKey;
+use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use cgra_arch::{Fabric, PeId, TopologyCache};
+use cgra_arch::Fabric;
 use cgra_ir::{Dfg, NodeId};
-use cgra_solver::cnf::{at_most_one, exactly_one, AmoEncoding};
+use cgra_solver::cnf::{at_most_one, AmoEncoding};
 use cgra_solver::{Interrupt, Lit, SatResult, SatSolver};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// The SAT mapper.
 #[derive(Debug, Clone)]
@@ -67,19 +70,22 @@ impl Default for SatMapper {
 }
 
 /// Adjacent IIs share one persistent solver in runs of this size. The
-/// chunk bounds the union encoding (and the structural exactly-one)
-/// while still letting learnt clauses from the II=k refutation prune
-/// II=k+1; sweeps that exhaust a chunk roll into the next one cold.
+/// chunk bounds the union encoding while still letting learnt clauses
+/// from the II=k refutation prune II=k+1; sweeps that exhaust a chunk
+/// roll into the next one cold.
 const SWEEP_CHUNK: usize = 4;
 
-/// Reusable cross-II solver state for the incremental sweep: one CDCL
-/// instance holding the union-space structural encoding, the per-II
-/// selector-guarded layers encoded so far, and every learnt clause.
+/// Reusable cross-II solver state: one CDCL instance holding the
+/// per-II selector-guarded layers encoded so far and every learnt
+/// clause.
 pub(crate) struct SweepState {
     solver: SatSolver,
     space: SweepSpace,
     /// `vars[op][u]` ⇔ "op sits at union position `u`".
     vars: Vec<Vec<Lit>>,
+    /// `lits[k][op][i]`: the variable of II layer `k`'s candidate
+    /// `space.spaces[k].positions[op][i]`.
+    lits: Vec<Vec<Vec<Lit>>>,
     /// One selector literal per candidate II, assumption-activated.
     sels: Vec<Lit>,
     /// Which II layers have been encoded into the solver.
@@ -88,24 +94,53 @@ pub(crate) struct SweepState {
     infeasible: Vec<bool>,
 }
 
+/// One II layer of the persistent solver as the CEGAR loop sees it:
+/// solved under the layer's selector, and blocked under it too (a
+/// no-good at II=k says nothing about II=k+1).
+struct Layer<'a> {
+    ctx: &'a SweepCtx<'a>,
+    solver: &'a mut SatSolver,
+    lits: &'a [Vec<Lit>],
+    sel: Lit,
+    ii: u32,
+}
+
+impl CegarBackend for Layer<'_> {
+    fn solve(&mut self, round: u32) -> Result<Option<Vec<usize>>, MapError> {
+        match self.solver.solve_with_assumptions(&[self.sel]) {
+            SatResult::Unsat => Ok(None),
+            SatResult::Unknown => Err(self.ctx.budget.error()),
+            SatResult::Sat(model) => {
+                // Each model is an anytime incumbent placement; cost =
+                // CEGAR rounds spent reaching it.
+                self.ctx.incumbent(SatMapper::NAME, self.ii, round as f64);
+                let chosen = |lits: &Vec<Lit>| {
+                    (lits.iter().position(|l| model[l.var().0 as usize]))
+                        .expect("exactly-one guarantees a choice")
+                };
+                Ok(Some(self.lits.iter().map(chosen).collect()))
+            }
+        }
+    }
+
+    fn block(&mut self, choice: &[usize]) {
+        let blocking: Vec<Lit> = (self.lits.iter().zip(choice))
+            .map(|(lits, &k)| lits[k].negate())
+            .collect();
+        self.solver.add_clause_under(self.sel, &blocking);
+    }
+}
+
 impl SatMapper {
-    /// Digest of every knob that shapes the incremental encoding; part
-    /// of the [`IncrKey`] so state never outlives an encoding change.
-    /// Covers the mapper's own encoding knobs *and* every semantically
-    /// relevant [`MapConfig`] knob (seed, explain):
-    /// in a serving context the pool outlives one CLI invocation, and
-    /// state warmed under one config must never be replayed under a
-    /// config that could search differently.
-    fn knobs(&self, cfg: &MapConfig, min_ii: u32, max_ii: u32) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{:?}", self.amo).hash(&mut h);
-        self.cegar_rounds.hash(&mut h);
-        self.position_cap.hash(&mut h);
-        self.window_iis.hash(&mut h);
-        (min_ii, max_ii).hash(&mut h);
-        (cfg.seed, cfg.explain).hash(&mut h);
-        h.finish()
+    /// The pool key of the chunk covering `lo..=hi`.
+    fn key(&self, ctx: &SweepCtx<'_>, lo: u32, hi: u32) -> IncrKey {
+        let encoding = (
+            self.amo as u8,
+            self.cegar_rounds,
+            self.position_cap,
+            self.window_iis,
+        );
+        pool_key(ctx, Self::NAME, encoding, (lo, hi))
     }
 
     /// Cold-start a sweep state: variables over the union of the
@@ -122,7 +157,10 @@ impl SatMapper {
             .map(|ps| ps.iter().map(|_| Lit::pos(solver.new_var())).collect())
             .collect();
         let sels: Vec<Lit> = iis.iter().map(|_| solver.new_selector()).collect();
+        let of_op = |(ms, vars): (&Vec<usize>, &Vec<Lit>)| ms.iter().map(|&u| vars[u]).collect();
+        let of_layer = |layer: &Vec<Vec<usize>>| layer.iter().zip(&vars).map(of_op).collect();
         SweepState {
+            lits: space.member.iter().map(of_layer).collect(),
             solver,
             space,
             vars,
@@ -132,159 +170,58 @@ impl SatMapper {
         }
     }
 
-    /// Encode II layer `k` under its selector: union positions outside
-    /// this II's window are forbidden, plus FU exclusivity per modulo
-    /// slot and per-edge reachability over this II's candidates.
-    fn encode_layer(
+    /// The CNF lowering of one constraint of the placement model:
+    /// `lits[op][k]` stands for candidate `(op, k)`, every clause goes
+    /// under `guard`. The at-most-one half of an `ExactlyOne` is
+    /// structural — dropping a position never causes UNSAT — and goes
+    /// under `structural` instead, so a diagnosis can keep it out of its
+    /// cores.
+    fn lower(
         &self,
-        st: &mut SweepState,
-        k: usize,
-        dfg: &Dfg,
-        fabric: &Fabric,
-        topo: &TopologyCache,
+        solver: &mut SatSolver,
+        lits: &[Vec<Lit>],
+        c: &Constraint<'_>,
+        guard: Lit,
+        structural: Option<Lit>,
     ) {
-        let ii = st.space.iis[k];
-        let sel = st.sels[k];
-        for (op, members) in st.space.member[k].iter().enumerate() {
-            let mut keep = vec![false; st.space.union[op].len()];
-            for &u in members {
-                keep[u] = true;
+        let lit = |&(op, k): &Cand| lits[op][k];
+        match c {
+            Constraint::ExactlyOne(op) => {
+                solver.add_clause_under(guard, &lits[*op]);
+                at_most_one(solver, &lits[*op], self.amo, structural);
             }
-            // Union positions outside this II's window are forbidden,
-            // so under this selector the variable space collapses to
-            // exactly the from-scratch per-II candidate lists.
-            for (u, keep) in keep.iter().enumerate() {
-                if !keep {
-                    st.solver.add_clause_under(sel, &[st.vars[op][u].negate()]);
-                }
+            Constraint::AtMostOne(_, cands) => {
+                let group: Vec<Lit> = cands.iter().map(lit).collect();
+                at_most_one(solver, &group, self.amo, Some(guard));
             }
-            // Exactly one of this II's candidates per op: at-least-one
-            // over the members, at-most-one pairwise (the guarded twin
-            // of the from-scratch default encoding).
-            let lits: Vec<Lit> = members.iter().map(|&u| st.vars[op][u]).collect();
-            st.solver.add_clause_under(sel, &lits);
-            for i in 0..lits.len() {
-                for j in i + 1..lits.len() {
-                    st.solver
-                        .add_clause_under(sel, &[lits[i].negate(), lits[j].negate()]);
-                }
-            }
-        }
-        // FU exclusivity: at most one op per (pe, slot), pairwise under
-        // the guard (each II's slot lists are position-cap sized, the
-        // same as the from-scratch pairwise encoding).
-        let mut by_slot: BTreeMap<(PeId, u32), Vec<Lit>> = BTreeMap::new();
-        for (op, members) in st.space.member[k].iter().enumerate() {
-            for &u in members {
-                let (pe, t) = st.space.union[op][u];
-                by_slot
-                    .entry((pe, t % ii))
-                    .or_default()
-                    .push(st.vars[op][u]);
-            }
-        }
-        for lits in by_slot.values() {
-            for i in 0..lits.len() {
-                for j in i + 1..lits.len() {
-                    st.solver
-                        .add_clause_under(sel, &[lits[i].negate(), lits[j].negate()]);
-                }
-            }
-        }
-        // Edge implications: src at a → dst somewhere compatible.
-        for (_, e) in dfg.edges() {
-            let src_op = dfg.op(e.src);
-            for &ua in &st.space.member[k][e.src.index()] {
-                let a = st.space.union[e.src.index()][ua];
-                let mut clause: Vec<Lit> = vec![st.vars[e.src.index()][ua].negate()];
-                for &ub in &st.space.member[k][e.dst.index()] {
-                    if e.src == e.dst && ua != ub {
-                        continue; // self edge: same position both sides
-                    }
-                    let b = st.space.union[e.dst.index()][ub];
-                    if edge_compatible(fabric, topo, ii, src_op, e.dist, a, b) {
-                        clause.push(st.vars[e.dst.index()][ub]);
-                    }
-                }
-                st.solver.add_clause_under(sel, &clause);
+            Constraint::Implies { src, dsts, .. } => {
+                let mut clause = vec![lit(src).negate()];
+                clause.extend(dsts.iter().map(lit));
+                solver.add_clause_under(guard, &clause);
             }
         }
     }
 
-    /// One II attempt on the persistent solver: solve under this II's
-    /// selector, realise models, block routing failures under the same
-    /// selector (a no-good at II=k says nothing about II=k+1).
-    fn try_ii_incremental(
-        &self,
-        ctx: &SweepCtx<'_>,
-        st: &mut SweepState,
-        k: usize,
-    ) -> Result<Option<Mapping>, MapError> {
-        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
-        let ii = st.space.iis[k];
-        if st.infeasible[k] {
-            return Ok(None);
-        }
-        if st.space.member[k].iter().any(|m| m.is_empty()) {
-            st.infeasible[k] = true;
-            return Ok(None);
-        }
-        let before = st.solver.stats();
-        if !st.encoded[k] {
-            self.encode_layer(st, k, dfg, fabric, topo);
-            st.encoded[k] = true;
-        }
+    /// Encode II layer `k` under its selector: union positions outside
+    /// this II's window are forbidden, so the variable space collapses
+    /// to exactly this II's own candidate lists, over which the
+    /// placement model is lowered.
+    fn encode_layer(&self, ctx: &SweepCtx<'_>, st: &mut SweepState, k: usize) {
         let sel = st.sels[k];
-        let result: Result<Option<Mapping>, MapError> = 'cegar: {
-            for round in 0..self.cegar_rounds.max(1) {
-                if budget.expired_now() {
-                    break 'cegar Err(budget.error());
+        placement_model(ctx, &st.space.spaces[k], st.space.iis[k], false, |c| {
+            if let Constraint::ExactlyOne(op) = c {
+                let mut keep = vec![false; st.vars[op].len()];
+                for &u in &st.space.member[k][op] {
+                    keep[u] = true;
                 }
-                match st.solver.solve_with_assumptions(&[sel]) {
-                    SatResult::Unsat => {
-                        st.solver.retire_selector(sel);
-                        st.infeasible[k] = true;
-                        break 'cegar Ok(None);
-                    }
-                    SatResult::Unknown => break 'cegar Err(budget.error()),
-                    SatResult::Sat(model) => {
-                        ctx.incumbent(Self::NAME, ii, round as f64);
-                        let chosen: Vec<(PeId, u32)> = st.space.member[k]
-                            .iter()
-                            .enumerate()
-                            .map(|(op, members)| {
-                                let u = members
-                                    .iter()
-                                    .copied()
-                                    .find(|&u| model[st.vars[op][u].var().0 as usize])
-                                    .expect("exactly-one guarantees a member choice");
-                                st.space.union[op][u]
-                            })
-                            .collect();
-                        if let Some(m) = ctx.route(ii, chosen.iter().copied()) {
-                            break 'cegar Ok(Some(m));
-                        }
-                        // Block this exact placement at this II only.
-                        let blocking: Vec<Lit> = st.space.member[k]
-                            .iter()
-                            .enumerate()
-                            .map(|(op, members)| {
-                                let u = members
-                                    .iter()
-                                    .copied()
-                                    .find(|&u| st.space.union[op][u] == chosen[op])
-                                    .unwrap();
-                                st.vars[op][u].negate()
-                            })
-                            .collect();
-                        st.solver.add_clause_under(sel, &blocking);
+                for (u, keep) in keep.iter().enumerate() {
+                    if !keep {
+                        st.solver.add_clause_under(sel, &[st.vars[op][u].negate()]);
                     }
                 }
             }
-            Ok(None)
-        };
-        add_solver_stats(ctx.tele(), st.solver.stats().since(&before));
-        result
+            self.lower(&mut st.solver, &st.lits[k], &c, sel, Some(sel));
+        });
     }
 
     /// Make the chunk holding `ii` the live one: park the previous
@@ -301,12 +238,7 @@ impl SatMapper {
         if live.as_ref().is_none_or(|(_, st)| st.space.iis[0] != first) {
             self.park(ctx, live.take());
             let iis: Vec<u32> = (first..=ctx.hi.min(first + chunk - 1)).collect();
-            let key = IncrKey {
-                mapper: Self::NAME,
-                fabric_fp: ctx.topo.fingerprint64(),
-                kernel_fp: kernel_fingerprint(ctx.dfg),
-                knobs: self.knobs(ctx.cfg, first, first + iis.len() as u32 - 1),
-            };
+            let key = self.key(ctx, first, first + iis.len() as u32 - 1);
             let mut st = (ctx.cfg.incr.take_as::<SweepState>(&key))
                 .unwrap_or_else(|| Box::new(self.build_state(ctx.dfg, ctx.fabric, &iis)));
             st.solver.interrupt = ctx.budget.interrupt();
@@ -315,131 +247,19 @@ impl SatMapper {
         &mut live.as_mut().expect("a chunk was just made live").1
     }
 
-    /// One II attempt on a from-scratch encoding — the reference path
-    /// selected by `cfg.incremental == false`.
-    fn try_ii_scratch(&self, ctx: &SweepCtx<'_>, ii: u32) -> Result<Option<Mapping>, MapError> {
-        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
-        let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap);
-        let mut solver = SatSolver::new();
-        solver.interrupt = budget.interrupt();
-
-        // Variables.
-        let vars: Vec<Vec<Lit>> = space
-            .positions
-            .iter()
-            .map(|ps| ps.iter().map(|_| Lit::pos(solver.new_var())).collect())
-            .collect();
-
-        // Exactly one position per op.
-        for ovars in &vars {
-            if ovars.is_empty() {
-                return Ok(None);
-            }
-            exactly_one(&mut solver, ovars, self.amo);
-        }
-
-        // FU exclusivity: at most one op per (pe, slot).
-        let mut by_slot: BTreeMap<(PeId, u32), Vec<Lit>> = BTreeMap::new();
-        for (o, ps) in space.positions.iter().enumerate() {
-            for (k, &(pe, t)) in ps.iter().enumerate() {
-                by_slot.entry((pe, t % ii)).or_default().push(vars[o][k]);
-            }
-        }
-        for lits in by_slot.values() {
-            if lits.len() > 1 {
-                at_most_one(&mut solver, lits, self.amo);
-            }
-        }
-
-        // Edge implications: src at a → dst somewhere compatible.
-        for (_, e) in dfg.edges() {
-            let src_op = dfg.op(e.src);
-            for (ka, &a) in space.positions[e.src.index()].iter().enumerate() {
-                let mut clause: Vec<Lit> = vec![vars[e.src.index()][ka].negate()];
-                for (kb, &b) in space.positions[e.dst.index()].iter().enumerate() {
-                    if e.src == e.dst && ka != kb {
-                        continue; // self edge: same position both sides
-                    }
-                    if edge_compatible(fabric, topo, ii, src_op, e.dist, a, b) {
-                        clause.push(vars[e.dst.index()][kb]);
-                    }
-                }
-                solver.add_clause(&clause);
-            }
-        }
-
-        // CEGAR: solve, route, block, repeat.
-        let result: Result<Option<Mapping>, MapError> = 'cegar: {
-            for round in 0..self.cegar_rounds.max(1) {
-                if budget.expired_now() {
-                    break 'cegar Err(budget.error());
-                }
-                match solver.solve() {
-                    SatResult::Unsat => break 'cegar Ok(None),
-                    SatResult::Unknown => break 'cegar Err(budget.error()),
-                    SatResult::Sat(model) => {
-                        // Each model is an anytime incumbent placement;
-                        // cost = CEGAR rounds spent reaching it.
-                        ctx.incumbent(Self::NAME, ii, round as f64);
-                        let chosen: Vec<(PeId, u32)> = space
-                            .positions
-                            .iter()
-                            .enumerate()
-                            .map(|(o, ps)| {
-                                let k = ps
-                                    .iter()
-                                    .enumerate()
-                                    .position(|(k, _)| model[vars[o][k].var().0 as usize])
-                                    .expect("exactly-one guarantees a choice");
-                                ps[k]
-                            })
-                            .collect();
-                        if let Some(m) = ctx.route(ii, chosen.iter().copied()) {
-                            break 'cegar Ok(Some(m));
-                        }
-                        // Block this exact placement.
-                        let blocking: Vec<Lit> = space
-                            .positions
-                            .iter()
-                            .enumerate()
-                            .map(|(o, ps)| {
-                                let k = ps.iter().position(|&p| p == chosen[o]).unwrap();
-                                vars[o][k].negate()
-                            })
-                            .collect();
-                        solver.add_clause(&blocking);
-                    }
-                }
-            }
-            Ok(None)
-        };
-        add_solver_stats(ctx.tele(), solver.stats());
-        result
-    }
-
-    /// Failure forensics at a single II: a from-scratch re-encoding
-    /// with every constraint class guarded by its own assumption
-    /// literal — one per op for the at-least-one layer, one per PE for
-    /// slot exclusivity, one each for the dependence-latency and
-    /// routing-reachability edge layers. The solver's final-conflict
-    /// core ([`SatSolver::failed_assumptions`]) then names exactly the
-    /// groups that participated in the refutation.
+    /// Failure forensics at a single II: a re-encoding on a solver of
+    /// its own with every constraint class guarded by its own
+    /// assumption literal — one per op for the at-least-one layer, one
+    /// per PE for slot exclusivity, one each for the dependence-latency
+    /// and routing-reachability edge layers (so a core can tell "values
+    /// cannot wait long enough" apart from "values cannot travel far
+    /// enough"). The solver's final-conflict core
+    /// ([`SatSolver::failed_assumptions`]) then names exactly the groups
+    /// that participated in the refutation.
     fn diagnose_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Diagnosis {
-        let (dfg, fabric, topo, mii) = (ctx.dfg, ctx.fabric, &*ctx.topo, ctx.mii);
+        let (dfg, fabric) = (ctx.dfg, ctx.fabric);
         let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap);
-        if let Some(o) = space.positions.iter().position(|ps| ps.is_empty()) {
-            let n = NodeId(o as u32);
-            let mut d = Diagnosis::new(
-                ResourceClass::Capability,
-                ii,
-                mii,
-                format!(
-                    "{} has no candidate position at II {ii}: \
-                     no capable cell inside the placement window",
-                    op_name(dfg, n)
-                ),
-            );
-            d.ops = vec![op_name(dfg, n)];
+        if let Some(d) = diagnose_empty_space(ctx, &space, ii) {
             return d;
         }
         let mut solver = SatSolver::new();
@@ -453,86 +273,33 @@ impl SatMapper {
         let pe_sels: Vec<Lit> = fabric.pe_ids().map(|_| solver.new_selector()).collect();
         let s_lat = solver.new_selector();
         let s_route = solver.new_selector();
-        // Capability layer: each op must sit somewhere (at-least-one),
-        // guarded per op so the core can name the ops. The at-most-one
-        // half is structural — dropping a position never causes UNSAT —
-        // and stays unguarded.
-        for (o, ovars) in vars.iter().enumerate() {
-            solver.add_clause_under(op_sels[o], ovars);
-            for i in 0..ovars.len() {
-                for j in i + 1..ovars.len() {
-                    solver.add_clause(&[ovars[i].negate(), ovars[j].negate()]);
-                }
-            }
-        }
-        // Slot-exclusivity layer, guarded per PE so cores name cells.
-        let mut by_slot: BTreeMap<(PeId, u32), Vec<Lit>> = BTreeMap::new();
-        for (o, ps) in space.positions.iter().enumerate() {
-            for (k, &(pe, t)) in ps.iter().enumerate() {
-                by_slot.entry((pe, t % ii)).or_default().push(vars[o][k]);
-            }
-        }
-        for ((pe, _), lits) in &by_slot {
-            let sel = pe_sels[pe.0 as usize];
-            for i in 0..lits.len() {
-                for j in i + 1..lits.len() {
-                    solver.add_clause_under(sel, &[lits[i].negate(), lits[j].negate()]);
-                }
-            }
-        }
-        // Edge layers: latency feasibility (consumer no earlier than
-        // producer-ready) and full hop-reachability, separately guarded
-        // so a core can tell "values cannot wait long enough" apart
-        // from "values cannot travel far enough".
-        for (_, e) in dfg.edges() {
-            let src_op = dfg.op(e.src);
-            for (ka, &a) in space.positions[e.src.index()].iter().enumerate() {
-                let mut lat_clause = vec![vars[e.src.index()][ka].negate()];
-                let mut route_clause = lat_clause.clone();
-                for (kb, &b) in space.positions[e.dst.index()].iter().enumerate() {
-                    if e.src == e.dst && ka != kb {
-                        continue; // self edge: same position both sides
-                    }
-                    let tr = a.1 + fabric.latency_of(src_op);
-                    let tc = b.1 + ii * e.dist;
-                    if tc >= tr {
-                        lat_clause.push(vars[e.dst.index()][kb]);
-                        if topo.hops(a.0, b.0) <= tc - tr {
-                            route_clause.push(vars[e.dst.index()][kb]);
-                        }
-                    }
-                }
-                solver.add_clause_under(s_lat, &lat_clause);
-                solver.add_clause_under(s_route, &route_clause);
-            }
-        }
+        placement_model(ctx, &space, ii, true, |c| {
+            let guard = match c {
+                Constraint::ExactlyOne(op) => op_sels[op],
+                Constraint::AtMostOne(pe, _) => pe_sels[pe.0 as usize],
+                Constraint::Implies {
+                    class: ResourceClass::Routing,
+                    ..
+                } => s_route,
+                Constraint::Implies { .. } => s_lat,
+            };
+            self.lower(&mut solver, &vars, &c, guard, None);
+        });
         let mut assumptions: Vec<Lit> = Vec::new();
         assumptions.extend(&op_sels);
         assumptions.extend(&pe_sels);
         assumptions.push(s_lat);
         assumptions.push(s_route);
         match solver.solve_with_assumptions(&assumptions) {
-            SatResult::Sat(_) => {
-                let mut d = Diagnosis::new(
-                    ResourceClass::Register,
-                    ii,
-                    mii,
-                    format!(
-                        "the placement CNF is satisfiable at II {ii}; every model \
-                         failed route realisation within {} CEGAR rounds \
-                         (register/congestion pressure the encoding cannot see)",
-                        self.cegar_rounds.max(1)
-                    ),
-                );
-                d.core = vec!["register".into()];
-                d
-            }
-            SatResult::Unknown => Diagnosis::new(
-                ResourceClass::Routing,
+            SatResult::Sat(_) => diagnose_unroutable(
+                ctx,
                 ii,
-                mii,
-                format!("diagnostic probe at II {ii} interrupted before a core was extracted"),
+                self.cegar_rounds,
+                ["the placement CNF is satisfiable", "model", "encoding"],
             ),
+            SatResult::Unknown => {
+                diagnose_interrupted(ctx, ii, "interrupted before a core was extracted")
+            }
             SatResult::Unsat => {
                 let failed: HashSet<Lit> = solver.failed_assumptions().iter().copied().collect();
                 let ops: Vec<String> = op_sels
@@ -577,7 +344,7 @@ impl SatMapper {
                 let mut d = Diagnosis::new(
                     class,
                     ii,
-                    mii,
+                    ctx.mii,
                     format!(
                         "final-conflict core at II {ii}: {} op placement constraint(s), \
                          {} cell exclusivity group(s){}{}",
@@ -608,25 +375,54 @@ impl TemporalSearch for SatMapper {
     const NAME: &'static str = "sat";
     const FAMILY: Family = Family::ExactCsp;
     const EXHAUSTED: &'static str = "UNSAT for every II in {range} (within the candidate window)";
-    /// The live chunk of the incremental sweep and its pool key.
+    /// The live chunk of the sweep and its pool key.
     type State = Option<(IncrKey, Box<SweepState>)>;
 
     fn prepare(&self, _: &SweepCtx<'_>) -> Self::State {
         None
     }
 
+    /// One II attempt on the persistent solver: encode the II's layer
+    /// if this is its first visit, then run the CEGAR loop under its
+    /// selector.
     fn try_ii(
         &self,
         ctx: &SweepCtx<'_>,
         live: &mut Self::State,
         ii: u32,
     ) -> Result<Option<Mapping>, MapError> {
-        if !ctx.cfg.incremental {
-            return self.try_ii_scratch(ctx, ii);
-        }
         let st = self.enter_chunk(ctx, live, ii);
         let k = (ii - st.space.iis[0]) as usize;
-        self.try_ii_incremental(ctx, st, k)
+        if st.infeasible[k] {
+            return Ok(None);
+        }
+        if st.space.spaces[k].positions.iter().any(|ps| ps.is_empty()) {
+            st.infeasible[k] = true;
+            return Ok(None);
+        }
+        let before = st.solver.stats();
+        if !st.encoded[k] {
+            self.encode_layer(ctx, st, k);
+            st.encoded[k] = true;
+        }
+        let sel = st.sels[k];
+        let mut layer = Layer {
+            ctx,
+            lits: &st.lits[k],
+            solver: &mut st.solver,
+            sel,
+            ii,
+        };
+        let out = cegar(ctx, &st.space.spaces[k], ii, self.cegar_rounds, &mut layer);
+        if matches!(out, Ok(Cegar::Refuted)) {
+            st.solver.retire_selector(sel);
+            st.infeasible[k] = true;
+        }
+        add_solver_stats(ctx.tele(), st.solver.stats().since(&before));
+        Ok(match out? {
+            Cegar::Mapped(m) => Some(m),
+            Cegar::Refuted | Cegar::GaveUp => None,
+        })
     }
 
     fn park(&self, ctx: &SweepCtx<'_>, live: Self::State) {
@@ -646,7 +442,8 @@ impl TemporalSearch for SatMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapper::Mapper;
+    use crate::mapper::{MapConfig, Mapper};
+    use crate::mappers::exact_common::tests::sweep_ii_is_the_smallest_pinned_ii;
     use crate::validate::validate;
     use cgra_arch::Topology;
     use cgra_ir::kernels;
@@ -664,20 +461,12 @@ mod tests {
 
     #[test]
     fn incremental_and_from_scratch_achieve_identical_ii() {
-        // The acceptance bar for the incremental sweep: same achieved
-        // II as the per-II re-encoding, kernel by kernel.
+        // The persistent sweep (a chunk of IIs on one solver, learnt
+        // clauses carried from each refutation into the next II) must
+        // land where one-II-at-a-time solves on solvers of their own do.
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         for dfg in kernels::small_suite() {
-            let inc = SatMapper::default().map(&dfg, &f, &MapConfig::fast());
-            let cold_cfg = MapConfig {
-                incremental: false,
-                ..MapConfig::fast()
-            };
-            let cold = SatMapper::default().map(&dfg, &f, &cold_cfg);
-            match (inc, cold) {
-                (Ok(a), Ok(b)) => assert_eq!(a.ii, b.ii, "{} diverged", dfg.name),
-                (a, b) => panic!("{}: {:?} vs {:?}", dfg.name, a.err(), b.err()),
-            }
+            sweep_ii_is_the_smallest_pinned_ii(&SatMapper::default(), &dfg, &f);
         }
     }
 
@@ -697,27 +486,40 @@ mod tests {
     fn both_amo_encodings_agree_on_feasibility() {
         let f = Fabric::homogeneous(3, 3, Topology::Mesh);
         let dfg = kernels::dot_product();
-        let pairwise = SatMapper {
-            amo: AmoEncoding::Pairwise,
-            ..Default::default()
-        }
-        .map(&dfg, &f, &MapConfig::fast());
-        let sequential = SatMapper {
-            amo: AmoEncoding::Sequential,
-            ..Default::default()
-        }
-        .map(&dfg, &f, &MapConfig::fast());
+        // Map, then count the variables of the solver the sweep parked.
+        let run = |amo| {
+            let (mapper, cfg) = (
+                SatMapper {
+                    amo,
+                    ..Default::default()
+                },
+                MapConfig::fast(),
+            );
+            let ii = mapper.map(&dfg, &f, &cfg).map(|m| m.ii);
+            let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
+            let hi = ctx.hi.min(ctx.lo + SWEEP_CHUNK as u32 - 1);
+            let parked = cfg
+                .incr
+                .take_as::<SweepState>(&mapper.key(&ctx, ctx.lo, hi));
+            (
+                ii,
+                parked.expect("the first chunk is parked").solver.num_vars(),
+            )
+        };
+        let (pairwise, pairwise_vars) = run(AmoEncoding::Pairwise);
+        let (sequential, sequential_vars) = run(AmoEncoding::Sequential);
+        // The knob must reach the formula: the ladder encoding adds
+        // register variables, the pairwise one none.
+        assert!(
+            sequential_vars > pairwise_vars,
+            "both encodings built {pairwise_vars} variables"
+        );
         assert_eq!(pairwise.is_ok(), sequential.is_ok());
         if let (Ok(a), Ok(b)) = (pairwise, sequential) {
             // Different encodings yield different models, so the CEGAR
             // realisation can land on neighbouring IIs; the *encoded*
             // feasibility must agree.
-            assert!(
-                a.ii.abs_diff(b.ii) <= 1,
-                "encodings diverged: {} vs {}",
-                a.ii,
-                b.ii
-            );
+            assert!(a.abs_diff(b) <= 1, "encodings diverged: {a} vs {b}");
         }
     }
 
@@ -803,18 +605,28 @@ mod tests {
         // The IncrKey digest must separate configs that can search
         // differently — otherwise pooled solver state warmed under one
         // config is replayed under another (a serve-cache alias bug).
+        let f = Fabric::homogeneous(4, 4, Topology::Mesh);
+        let dfg = kernels::dot_product();
         let m = SatMapper::default();
+        let knobs = |m: &SatMapper, cfg: &MapConfig, hi: u32| {
+            m.key(&SweepCtx::open(&dfg, &f, cfg).unwrap(), 1, hi).knobs
+        };
         let base = MapConfig::default();
-        let base_knobs = m.knobs(&base, 1, 4);
+        let base_knobs = knobs(&m, &base, 4);
         let mut v = MapConfig::default();
         v.seed += 1;
-        assert_ne!(m.knobs(&v, 1, 4), base_knobs, "seed");
+        assert_ne!(knobs(&m, &v, 4), base_knobs, "seed");
         let mut v = MapConfig::default();
         v.explain = !v.explain;
-        assert_ne!(m.knobs(&v, 1, 4), base_knobs, "explain");
-        assert_ne!(m.knobs(&base, 1, 5), base_knobs, "ii range");
+        assert_ne!(knobs(&m, &v, 4), base_knobs, "explain");
+        assert_ne!(knobs(&m, &base, 5), base_knobs, "ii range");
+        let sequential = SatMapper {
+            amo: AmoEncoding::Sequential,
+            ..Default::default()
+        };
+        assert_ne!(knobs(&sequential, &base, 4), base_knobs, "amo encoding");
         assert_eq!(
-            m.knobs(&MapConfig::default(), 1, 4),
+            knobs(&m, &MapConfig::default(), 4),
             base_knobs,
             "deterministic"
         );

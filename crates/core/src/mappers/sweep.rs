@@ -23,8 +23,8 @@ use cgra_arch::{Fabric, TopologyCache};
 use cgra_ir::Dfg;
 use std::sync::Arc;
 
-/// Everything one sweep's probes share. Telemetry, ledger, seed,
-/// `incremental` and `explain` are read through `cfg`.
+/// Everything one sweep's probes share. Telemetry, ledger, seed, the
+/// solver-state pool and `explain` are read through `cfg`.
 pub(crate) struct SweepCtx<'a> {
     pub dfg: &'a Dfg,
     pub fabric: &'a Fabric,

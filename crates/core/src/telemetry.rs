@@ -71,8 +71,6 @@ pub enum Counter {
     SolverLearntKept,
     /// Learnt clauses garbage-collected by database reductions.
     SolverLearntGcd,
-    /// Simplex pivots avoided by warm-basis reuse in LP-backed solvers.
-    SolverWarmPivotsSaved,
     /// Runs stopped by a budget cancellation (portfolio race losers,
     /// parallel-II jobs dominated by a better II).
     Cancellations,
@@ -85,7 +83,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in snapshot order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 18] = [
         Counter::IiAttempts,
         Counter::PlacementsTried,
         Counter::Backtracks,
@@ -102,7 +100,6 @@ impl Counter {
         Counter::SolverAssumptionSolves,
         Counter::SolverLearntKept,
         Counter::SolverLearntGcd,
-        Counter::SolverWarmPivotsSaved,
         Counter::Cancellations,
         Counter::Incumbents,
     ];
@@ -126,7 +123,6 @@ impl Counter {
             Counter::SolverAssumptionSolves => "solver_assumption_solves",
             Counter::SolverLearntKept => "solver_learnt_kept",
             Counter::SolverLearntGcd => "solver_learnt_gcd",
-            Counter::SolverWarmPivotsSaved => "solver_warm_pivots_saved",
             Counter::Cancellations => "cancellations",
             Counter::Incumbents => "incumbents",
         }
@@ -447,7 +443,6 @@ impl SearchStats {
             solver_assumption_solves: self.get(Counter::SolverAssumptionSolves),
             solver_learnt_kept: self.get(Counter::SolverLearntKept),
             solver_learnt_gcd: self.get(Counter::SolverLearntGcd),
-            solver_warm_pivots_saved: self.get(Counter::SolverWarmPivotsSaved),
             cancellations: self.get(Counter::Cancellations),
             incumbents: self.get(Counter::Incumbents),
         }
@@ -483,7 +478,6 @@ pub struct StatsSnapshot {
     pub solver_assumption_solves: u64,
     pub solver_learnt_kept: u64,
     pub solver_learnt_gcd: u64,
-    pub solver_warm_pivots_saved: u64,
     pub cancellations: u64,
     pub incumbents: u64,
 }
@@ -507,7 +501,6 @@ impl StatsSnapshot {
             Counter::SolverAssumptionSolves => self.solver_assumption_solves,
             Counter::SolverLearntKept => self.solver_learnt_kept,
             Counter::SolverLearntGcd => self.solver_learnt_gcd,
-            Counter::SolverWarmPivotsSaved => self.solver_warm_pivots_saved,
             Counter::Cancellations => self.cancellations,
             Counter::Incumbents => self.incumbents,
         }

@@ -219,7 +219,6 @@ fn snapshot(g: &mut Gen) -> StatsSnapshot {
         ii_attempts: g.u64(),
         routing_calls: g.u64(),
         solver_conflicts: g.u64(),
-        solver_warm_pivots_saved: g.u64(),
         incumbents: g.u64(),
         ..StatsSnapshot::default()
     }

@@ -2,10 +2,12 @@
 //! mappers.
 //!
 //! Two at-most-one encodings are provided because their trade-off is a
-//! documented ablation of the SAT mapping experiment (DESIGN.md §4):
-//! the **pairwise** encoding adds `n(n−1)/2` binary clauses and no
-//! variables; the **sequential** (ladder) encoding adds `n−1` fresh
-//! variables and `~3n` clauses, which scales better for large `n`.
+//! documented ablation of the SAT mapping experiment (DESIGN.md §4,
+//! item 6; `ablations` #4): the **pairwise** encoding adds `n(n−1)/2`
+//! binary clauses and no variables; the **sequential** (ladder)
+//! encoding adds `n−1` fresh variables and `~3n` clauses, which scales
+//! better for large `n`. Under `guard: Some(sel)` every clause goes
+//! under that selector ([`SatSolver::add_clause_under`]).
 
 use crate::sat::{Lit, SatSolver};
 
@@ -16,13 +18,20 @@ pub enum AmoEncoding {
     Sequential,
 }
 
+fn add(s: &mut SatSolver, guard: Option<Lit>, clause: &[Lit]) {
+    match guard {
+        Some(sel) => s.add_clause_under(sel, clause),
+        None => s.add_clause(clause),
+    }
+}
+
 /// Add clauses enforcing "at most one of `lits` is true".
-pub fn at_most_one(s: &mut SatSolver, lits: &[Lit], enc: AmoEncoding) {
+pub fn at_most_one(s: &mut SatSolver, lits: &[Lit], enc: AmoEncoding, guard: Option<Lit>) {
     match enc {
         AmoEncoding::Pairwise => {
             for i in 0..lits.len() {
                 for j in (i + 1)..lits.len() {
-                    s.add_clause(&[lits[i].negate(), lits[j].negate()]);
+                    add(s, guard, &[lits[i].negate(), lits[j].negate()]);
                 }
             }
         }
@@ -33,23 +42,24 @@ pub fn at_most_one(s: &mut SatSolver, lits: &[Lit], enc: AmoEncoding) {
             // Sinz's sequential counter: s_i = "some lit among 0..=i".
             let regs: Vec<Lit> = (0..lits.len() - 1).map(|_| Lit::pos(s.new_var())).collect();
             // l_0 -> s_0
-            s.add_clause(&[lits[0].negate(), regs[0]]);
+            add(s, guard, &[lits[0].negate(), regs[0]]);
             for i in 1..lits.len() - 1 {
                 // l_i -> s_i ; s_{i-1} -> s_i ; l_i ∧ s_{i-1} -> ⊥
-                s.add_clause(&[lits[i].negate(), regs[i]]);
-                s.add_clause(&[regs[i - 1].negate(), regs[i]]);
-                s.add_clause(&[lits[i].negate(), regs[i - 1].negate()]);
+                add(s, guard, &[lits[i].negate(), regs[i]]);
+                add(s, guard, &[regs[i - 1].negate(), regs[i]]);
+                add(s, guard, &[lits[i].negate(), regs[i - 1].negate()]);
             }
             let last = lits.len() - 1;
-            s.add_clause(&[lits[last].negate(), regs[last - 1].negate()]);
+            add(s, guard, &[lits[last].negate(), regs[last - 1].negate()]);
         }
     }
 }
 
-/// Add clauses enforcing "exactly one of `lits` is true".
-pub fn exactly_one(s: &mut SatSolver, lits: &[Lit], enc: AmoEncoding) {
-    s.add_clause(lits);
-    at_most_one(s, lits, enc);
+/// Add clauses enforcing "exactly one of `lits` is true": the
+/// at-least-one clause, then [`at_most_one`].
+pub fn exactly_one(s: &mut SatSolver, lits: &[Lit], enc: AmoEncoding, guard: Option<Lit>) {
+    add(s, guard, lits);
+    at_most_one(s, lits, enc, guard);
 }
 
 #[cfg(test)]
@@ -72,7 +82,7 @@ mod tests {
         for enc in [AmoEncoding::Pairwise, AmoEncoding::Sequential] {
             let mut s = SatSolver::new();
             let vs = vars(&mut s, 6);
-            exactly_one(&mut s, &vs, enc);
+            exactly_one(&mut s, &vs, enc, None);
             match s.solve() {
                 SatResult::Sat(m) => assert_eq!(count_true(&m, &vs), 1, "{enc:?}"),
                 other => panic!("{other:?}"),
@@ -85,7 +95,7 @@ mod tests {
         for enc in [AmoEncoding::Pairwise, AmoEncoding::Sequential] {
             let mut s = SatSolver::new();
             let vs = vars(&mut s, 5);
-            at_most_one(&mut s, &vs, enc);
+            at_most_one(&mut s, &vs, enc, None);
             // Force two of them.
             s.add_clause(&[vs[1]]);
             s.add_clause(&[vs[3]]);
@@ -99,7 +109,7 @@ mod tests {
             // zero
             let mut s = SatSolver::new();
             let vs = vars(&mut s, 4);
-            at_most_one(&mut s, &vs, enc);
+            at_most_one(&mut s, &vs, enc, None);
             for &v in &vs {
                 s.add_clause(&[v.negate()]);
             }
@@ -107,7 +117,7 @@ mod tests {
             // one
             let mut s = SatSolver::new();
             let vs = vars(&mut s, 4);
-            at_most_one(&mut s, &vs, enc);
+            at_most_one(&mut s, &vs, enc, None);
             s.add_clause(&[vs[2]]);
             match s.solve() {
                 SatResult::Sat(m) => assert_eq!(count_true(&m, &vs), 1),
@@ -121,12 +131,12 @@ mod tests {
         // Indirect check: variable count grows for sequential only.
         let mut s1 = SatSolver::new();
         let v1 = vars(&mut s1, 30);
-        at_most_one(&mut s1, &v1, AmoEncoding::Pairwise);
+        at_most_one(&mut s1, &v1, AmoEncoding::Pairwise, None);
         assert_eq!(s1.num_vars(), 30);
 
         let mut s2 = SatSolver::new();
         let v2 = vars(&mut s2, 30);
-        at_most_one(&mut s2, &v2, AmoEncoding::Sequential);
+        at_most_one(&mut s2, &v2, AmoEncoding::Sequential, None);
         assert_eq!(s2.num_vars(), 30 + 29);
     }
 
@@ -134,8 +144,8 @@ mod tests {
     fn singleton_and_empty_edge_cases() {
         let mut s = SatSolver::new();
         let vs = vars(&mut s, 1);
-        at_most_one(&mut s, &vs, AmoEncoding::Sequential);
-        at_most_one(&mut s, &[], AmoEncoding::Sequential);
+        at_most_one(&mut s, &vs, AmoEncoding::Sequential, None);
+        at_most_one(&mut s, &[], AmoEncoding::Sequential, None);
         s.add_clause(&[vs[0]]);
         assert!(matches!(s.solve(), SatResult::Sat(_)));
     }

@@ -9,7 +9,7 @@
 //! incumbent. Branching picks the most fractional variable and explores
 //! the rounded value first.
 
-use crate::lp::{Basis, Cmp, Lp, LpResult};
+use crate::lp::{Cmp, Lp, LpResult};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
@@ -28,13 +28,6 @@ struct IlpStats {
     lp_solves: Cell<u64>,
     /// Nodes cut (infeasible relaxation or bound-pruned) across solves.
     cuts: Cell<u64>,
-    /// Estimated simplex pivots avoided by warm-basis reuse, measured
-    /// against the cold root relaxation's pivot count.
-    warm_pivots_saved: Cell<u64>,
-    /// Pivot count of the most recent *cold* root relaxation of this
-    /// model — the reference for estimating warm-root savings across a
-    /// CEGAR chain of re-solves.
-    root_ref_pivots: Cell<Option<u64>>,
 }
 
 /// One linear constraint: sparse `(var, coeff)` terms, comparator, rhs.
@@ -109,11 +102,6 @@ pub enum IlpResult {
 pub struct IlpConfig {
     pub time_limit: Duration,
     pub node_limit: u64,
-    /// Warm-start the root relaxation from the basis handed to
-    /// [`IlpModel::solve_warm`]. The LP layer falls back to a cold
-    /// solve whenever the basis is unusable, so this only trades time,
-    /// never correctness.
-    pub warm_lp: bool,
 }
 
 impl Default for IlpConfig {
@@ -121,7 +109,6 @@ impl Default for IlpConfig {
         IlpConfig {
             time_limit: Duration::from_secs(30),
             node_limit: 200_000,
-            warm_lp: true,
         }
     }
 }
@@ -133,10 +120,6 @@ const INT_EPS: f64 = 1e-6;
 /// related ILP queries.
 #[derive(Debug, Clone, Default)]
 pub struct IlpWarmStart {
-    /// Root-relaxation basis from a previous solve of this model chain;
-    /// crashed by the LP layer, which falls back to a cold solve
-    /// whenever it no longer fits.
-    pub basis: Option<Basis>,
     /// A known-feasible 0/1 assignment to open the search with. It is
     /// re-checked against the *current* rows and its objective is
     /// recomputed before use, so an incumbent invalidated by a new
@@ -181,7 +164,6 @@ impl IlpModel {
             decisions: self.stats.nodes.get(),
             propagations: self.stats.lp_solves.get(),
             conflicts: self.stats.cuts.get(),
-            warm_pivots_saved: self.stats.warm_pivots_saved.get(),
             ..Default::default()
         }
     }
@@ -279,7 +261,7 @@ impl IlpModel {
 
     /// Solve with an explicit budget.
     pub fn solve_with(&self, cfg: IlpConfig) -> IlpResult {
-        self.solve_warm(cfg, None).0
+        self.solve_warm(cfg, None)
     }
 
     /// `true` when `values` satisfies every row of the model.
@@ -307,23 +289,13 @@ impl IlpModel {
     }
 
     /// Solve with an explicit budget, seeded from `warm` (typically the
-    /// state returned by a previous solve of this model, at most a few
-    /// appended rows ago — the CEGAR / re-map pattern). The basis
-    /// warm-starts the *root* relaxation only: the crash restores
-    /// feasibility of the violated rows and re-optimises from the old
-    /// vertex. Child nodes always solve cold — measured on mapper-shaped
-    /// assignment LPs, replaying a parent basis against a changed fixing
-    /// row costs more dense pivots than the cold two-phase path spends.
-    /// A warm incumbent (validated, see [`IlpWarmStart`]) starts bound
-    /// pruning at the previous optimum. Also returns the basis of the
-    /// node that produced the best incumbent, to seed the next solve in
-    /// the chain. Stale warm state costs a validity check, never
-    /// correctness.
-    pub fn solve_warm(
-        &self,
-        cfg: IlpConfig,
-        warm: Option<&IlpWarmStart>,
-    ) -> (IlpResult, Option<Basis>) {
+    /// optimum of a previous solve of this model, at most a few appended
+    /// rows ago — the re-map pattern). A warm incumbent (validated, see
+    /// [`IlpWarmStart`]) starts bound pruning at the previous optimum;
+    /// the relaxations themselves are untouched, so the search visits a
+    /// subset of the nodes the unseeded one would. Stale warm state
+    /// costs a validity check, never correctness.
+    pub fn solve_warm(&self, cfg: IlpConfig, warm: Option<&IlpWarmStart>) -> IlpResult {
         let start = Instant::now();
         let mut nodes: u64 = 0;
         let better = |a: f64, b: f64| {
@@ -342,16 +314,8 @@ impl IlpModel {
             .map(|v| (v.to_vec(), self.objective_of(v)));
 
         // DFS stack of partial fixings.
-        let root_basis = if cfg.warm_lp {
-            warm.and_then(|w| w.basis.clone())
-        } else {
-            None
-        };
         let mut stack: Vec<Vec<Option<bool>>> = vec![vec![None; self.num_vars]];
-        let mut at_root = true;
         let mut exhausted = true;
-        // Basis of the node that produced the best incumbent so far.
-        let mut best_basis: Option<Basis> = None;
 
         while let Some(fixed) = stack.pop() {
             if nodes >= cfg.node_limit
@@ -365,24 +329,7 @@ impl IlpModel {
             self.stats.nodes.set(self.stats.nodes.get() + 1);
             let lp = self.relaxation(&fixed);
             self.stats.lp_solves.set(self.stats.lp_solves.get() + 1);
-            let warm_ref = if at_root { root_basis.as_ref() } else { None };
-            let (result, basis_out) = lp.solve_with_basis(warm_ref);
-            if let Some(b) = &basis_out {
-                if at_root {
-                    match (self.stats.root_ref_pivots.get(), warm_ref.is_some()) {
-                        // Only a cold root can serve as the reference.
-                        (_, false) => self.stats.root_ref_pivots.set(Some(b.pivots)),
-                        (Some(rp), true) => {
-                            self.stats.warm_pivots_saved.set(
-                                self.stats.warm_pivots_saved.get() + rp.saturating_sub(b.pivots),
-                            );
-                        }
-                        (None, true) => {}
-                    }
-                }
-            }
-            at_root = false;
-            let (x, bound) = match result {
+            let (x, bound) = match lp.solve() {
                 LpResult::Optimal { x, objective } => (x, objective),
                 LpResult::Infeasible => {
                     self.stats.cuts.set(self.stats.cuts.get() + 1);
@@ -428,7 +375,6 @@ impl IlpModel {
                         .unwrap_or(true);
                     if take {
                         incumbent = Some((values, obj));
-                        best_basis = basis_out;
                         self.on_incumbent.fire(obj);
                     }
                 }
@@ -446,7 +392,7 @@ impl IlpModel {
             }
         }
 
-        let result = match (incumbent, exhausted) {
+        match (incumbent, exhausted) {
             (Some((values, objective)), true) => IlpResult::Optimal { values, objective },
             (None, true) => IlpResult::Infeasible,
             (inc, false) => {
@@ -456,8 +402,7 @@ impl IlpModel {
                 };
                 IlpResult::Budget { values, objective }
             }
-        };
-        (result, best_basis)
+        }
     }
 }
 
@@ -574,15 +519,15 @@ mod tests {
         let r = m.solve_with(IlpConfig {
             time_limit: Duration::from_secs(10),
             node_limit: 0,
-            ..Default::default()
         });
         assert!(matches!(r, IlpResult::Budget { .. }));
     }
 
     #[test]
     fn warm_and_cold_branch_and_bound_agree() {
-        // The warm-started search must reach the same optimum as the
-        // cold one on a model that actually branches.
+        // Seeded with its own optimum as a warm incumbent, the search
+        // must reach the same optimum as the cold one on a model that
+        // actually branches, and expand no more nodes doing it.
         let build = || {
             let mut m = IlpModel::new(true);
             let vars: Vec<IlpVar> = (0..8).map(|i| m.add_var(1.0 + (i as f64) * 0.3)).collect();
@@ -594,49 +539,50 @@ mod tests {
                 .enumerate()
                 .map(|(i, &v)| (v, 1.0 + (i % 3) as f64))
                 .collect();
-            m.add_constraint(&coeffs, Cmp::Le, 7.0);
+            m.add_constraint(&coeffs, Cmp::Le, 6.5);
             m
         };
         let warm = build();
         let cold = build();
-        let rw = warm.solve_with(IlpConfig::default());
-        let rc = cold.solve_with(IlpConfig {
-            warm_lp: false,
-            ..Default::default()
-        });
-        match (rw, rc) {
-            (IlpResult::Optimal { objective: a, .. }, IlpResult::Optimal { objective: b, .. }) => {
-                assert!((a - b).abs() < 1e-6, "{a} != {b}")
+        let IlpResult::Optimal { values, objective } = cold.solve() else {
+            panic!("cold solve must be optimal");
+        };
+        assert!(cold.stats().decisions > 1, "the model must branch");
+        let ws = IlpWarmStart {
+            incumbent: Some(values),
+        };
+        match warm.solve_warm(IlpConfig::default(), Some(&ws)) {
+            IlpResult::Optimal { objective: w, .. } => {
+                assert!((w - objective).abs() < 1e-6, "{w} != {objective}")
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(cold.stats().warm_pivots_saved, 0);
+        assert!(warm.stats().decisions <= cold.stats().decisions);
     }
 
     #[test]
     fn solve_warm_chain_matches_cold_after_added_row() {
         // Solve, append a blocking row (the CEGAR pattern), re-solve
-        // warm from the returned basis: same optimum as a cold solve.
+        // seeded with the optimum that row just cut off: same optimum
+        // as a cold solve.
         let mut m = IlpModel::new(true);
         let a = m.add_var(10.0);
         let b = m.add_var(6.0);
         let c = m.add_var(4.0);
         m.add_constraint(&[(a, 5.0), (b, 4.0), (c, 3.0)], Cmp::Le, 10.0);
-        let (r1, basis) = m.solve_warm(IlpConfig::default(), None);
-        match r1 {
-            IlpResult::Optimal { objective, .. } => assert_eq!(objective, 16.0),
+        let first = match m.solve() {
+            IlpResult::Optimal { values, objective } => {
+                assert_eq!(objective, 16.0);
+                values
+            }
             other => panic!("{other:?}"),
-        }
+        };
         m.add_constraint(&[(a, 1.0), (b, 1.0)], Cmp::Le, 1.0); // block {a, b}
         let ws = IlpWarmStart {
-            basis,
-            incumbent: None,
+            incumbent: Some(first),
         };
-        let (warm, _) = m.solve_warm(IlpConfig::default(), Some(&ws));
-        let cold = m.solve_with(IlpConfig {
-            warm_lp: false,
-            ..Default::default()
-        });
+        let warm = m.solve_warm(IlpConfig::default(), Some(&ws));
+        let cold = m.solve();
         match (warm, cold) {
             (IlpResult::Optimal { objective: w, .. }, IlpResult::Optimal { objective: c2, .. }) => {
                 assert_eq!(w, c2);
@@ -656,8 +602,7 @@ mod tests {
         let b = m.add_var(6.0);
         let c = m.add_var(4.0);
         m.add_constraint(&[(a, 5.0), (b, 4.0), (c, 3.0)], Cmp::Le, 10.0);
-        let (r1, basis) = m.solve_warm(IlpConfig::default(), None);
-        let first = match r1 {
+        let first = match m.solve() {
             IlpResult::Optimal { values, objective } => {
                 assert_eq!(objective, 16.0);
                 values
@@ -666,10 +611,9 @@ mod tests {
         };
         // Same model, warm incumbent: still 16, values unchanged.
         let ws = IlpWarmStart {
-            basis,
             incumbent: Some(first.clone()),
         };
-        match m.solve_warm(IlpConfig::default(), Some(&ws)).0 {
+        match m.solve_warm(IlpConfig::default(), Some(&ws)) {
             IlpResult::Optimal { values, objective } => {
                 assert_eq!(objective, 16.0);
                 assert_eq!(values, first);
@@ -679,7 +623,7 @@ mod tests {
         // Block {a, b}: the warm incumbent now violates a row and must
         // not leak through as the answer.
         m.add_constraint(&[(a, 1.0), (b, 1.0)], Cmp::Le, 1.0);
-        match m.solve_warm(IlpConfig::default(), Some(&ws)).0 {
+        match m.solve_warm(IlpConfig::default(), Some(&ws)) {
             IlpResult::Optimal { objective, .. } => assert_eq!(objective, 14.0), // a + c
             other => panic!("{other:?}"),
         }

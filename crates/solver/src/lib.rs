@@ -37,7 +37,7 @@ pub mod stats;
 pub use cp::{CpModel, CpSolution, CpVar};
 pub use ilp::{IlpConfig, IlpModel, IlpResult, IlpVar, IlpWarmStart, IncumbentHook};
 pub use interrupt::Interrupt;
-pub use lp::{Basis, BasisVar, Cmp, Lp, LpResult};
+pub use lp::{Cmp, Lp, LpResult};
 pub use sat::{Lit, SatResult, SatSolver, SatVar};
 pub use smt::{DiffAtom, SmtResult, SmtSolver};
 pub use stats::SolverStats;

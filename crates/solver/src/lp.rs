@@ -4,21 +4,6 @@
 //! tableau with Bland's anti-cycling rule. Intended for the small,
 //! dense LP relaxations produced by CGRA-mapping ILP encodings (a few
 //! hundred variables); no sparse machinery, no scaling heuristics.
-//!
-//! ## Warm starts
-//!
-//! [`Lp::solve_with_basis`] accepts the [`Basis`] of a previous,
-//! related solve and crash-pivots the fresh tableau to it before
-//! entering the simplex loop. The basis is stored *logically*
-//! ([`BasisVar`]: structural / per-row slack / per-row artificial), so
-//! it survives the column-layout changes that happen when a sibling
-//! branch-and-bound node turns a `≤` fixing row into an `=` one, and it
-//! tolerates rows appended after it was recorded (the CEGAR re-solve
-//! pattern). Only basics with nonzero recorded value are re-seated —
-//! degenerate rows keep their seed basis at the same vertex for free.
-//! If the crashed basis is primal-infeasible the solver falls back to
-//! the cold two-phase path, so a stale basis can cost time but never
-//! correctness.
 
 /// Constraint comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,66 +44,22 @@ enum IterStop {
     Interrupted,
 }
 
-/// Logical identity of one basic variable, independent of the tableau
-/// column layout of any particular solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BasisVar {
-    /// Original problem variable `x_i`.
-    Structural(usize),
-    /// Slack/surplus of constraint row `i`.
-    Slack(usize),
-    /// Artificial of constraint row `i` (degenerate leftovers only).
-    Artificial(usize),
-}
-
-/// A simplex basis: which logical variable is basic in each row, the
-/// value each basic variable took at the recorded vertex, plus the
-/// pivot count of the solve that produced it (used by callers to
-/// estimate warm-start savings).
-///
-/// The values matter for warm starts: assignment-shaped LPs are heavily
-/// degenerate, so most basic structurals sit at zero — re-seating them
-/// buys nothing (the vertex is unchanged) but costs a dense pivot each.
-/// The crash therefore only replays basics with nonzero value.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Basis {
-    pub rows: Vec<BasisVar>,
-    pub values: Vec<f64>,
-    pub pivots: u64,
-}
-
-/// Working tableau plus the row↔column bookkeeping needed to translate
-/// a logical [`Basis`] into concrete columns.
+/// Working tableau: columns `[orig 0..n | slack/surplus | artificial]`
+/// plus the rhs, and which column is basic in each row.
 struct Tableau {
     t: Vec<Vec<f64>>,
     basis: Vec<usize>,
     total: usize,
     n: usize,
     num_slack: usize,
-    /// Per row: its slack/surplus column, if any.
-    slack_col: Vec<Option<usize>>,
     /// Per row: its artificial column, if any.
     art_col: Vec<Option<usize>>,
-    /// Owning row of each slack column (index = col - n).
-    slack_owner: Vec<usize>,
-    /// Owning row of each artificial column (index = col - n - num_slack).
-    art_owner: Vec<usize>,
 }
 
 impl Tableau {
     #[inline]
     fn is_artificial(&self, col: usize) -> bool {
         col >= self.n + self.num_slack
-    }
-
-    fn classify(&self, col: usize) -> BasisVar {
-        if col < self.n {
-            BasisVar::Structural(col)
-        } else if col < self.n + self.num_slack {
-            BasisVar::Slack(self.slack_owner[col - self.n])
-        } else {
-            BasisVar::Artificial(self.art_owner[col - self.n - self.num_slack])
-        }
     }
 }
 
@@ -205,10 +146,7 @@ impl Lp {
         let mut basis = vec![0usize; m];
         let mut s_off = n;
         let mut a_off = n + num_slack;
-        let mut slack_col = vec![None; m];
         let mut art_col = vec![None; m];
-        let mut slack_owner = Vec::with_capacity(num_slack);
-        let mut art_owner = Vec::with_capacity(num_art);
 
         for (i, (row, cmp, rhs)) in rows.iter().enumerate() {
             t[i][..n].copy_from_slice(row);
@@ -217,26 +155,20 @@ impl Lp {
                 Cmp::Le => {
                     t[i][s_off] = 1.0;
                     basis[i] = s_off;
-                    slack_col[i] = Some(s_off);
-                    slack_owner.push(i);
                     s_off += 1;
                 }
                 Cmp::Ge => {
                     t[i][s_off] = -1.0;
-                    slack_col[i] = Some(s_off);
-                    slack_owner.push(i);
                     s_off += 1;
                     t[i][a_off] = 1.0;
                     basis[i] = a_off;
                     art_col[i] = Some(a_off);
-                    art_owner.push(i);
                     a_off += 1;
                 }
                 Cmp::Eq => {
                     t[i][a_off] = 1.0;
                     basis[i] = a_off;
                     art_col[i] = Some(a_off);
-                    art_owner.push(i);
                     a_off += 1;
                 }
             }
@@ -248,137 +180,21 @@ impl Lp {
             total,
             n,
             num_slack,
-            slack_col,
             art_col,
-            slack_owner,
-            art_owner,
         }
     }
 
-    /// Solve with two-phase primal simplex (cold start).
+    /// Solve with two-phase primal simplex.
     pub fn solve(&self) -> LpResult {
-        self.solve_with_basis(None).0
-    }
-
-    /// Solve warm-started from the basis of a previous, related solve.
-    pub fn solve_from(&self, basis: &Basis) -> LpResult {
-        self.solve_with_basis(Some(basis)).0
-    }
-
-    /// Solve, optionally warm-started, and return the optimal basis so
-    /// the caller can chain it into the next related solve. The basis
-    /// is `None` unless the result is `Optimal`; its `pivots` field
-    /// counts the pivots this solve performed (crash pivots included).
-    pub fn solve_with_basis(&self, warm: Option<&Basis>) -> (LpResult, Option<Basis>) {
-        if let Some(w) = warm {
-            if let Some(out) = self.try_warm(w) {
-                return out;
-            }
+        match self.phase1(self.build_tableau()) {
+            Ok(tab) => self.phase2(tab),
+            Err(r) => r,
         }
-        let tab = self.build_tableau();
-        let mut pivots = 0u64;
-        match self.phase1(tab, &mut pivots) {
-            Ok(tab) => self.phase2(tab, pivots),
-            Err(r) => (r, None),
-        }
-    }
-
-    /// Crash the fresh tableau to `w` and continue from there. Returns
-    /// `None` when the warm basis cannot be replayed soundly (shape
-    /// mismatch or primal infeasibility), signalling a cold fallback.
-    fn try_warm(&self, w: &Basis) -> Option<(LpResult, Option<Basis>)> {
-        let mut tab = self.build_tableau();
-        let m = tab.t.len();
-        // Rows may have been *appended* since the basis was recorded
-        // (the CEGAR pattern: model + one blocking row). The new rows
-        // simply keep their seeded slack/artificial basis; fewer rows
-        // than recorded means a different problem.
-        if w.rows.len() > m || w.values.len() != w.rows.len() {
-            return None;
-        }
-        let mut pivots = 0u64;
-        // Crash pivots maintain the identity structure of the basis but
-        // ignore the ratio test, so the intermediate rhs may go
-        // negative; that is checked below, not assumed.
-        let mut scratch_z = vec![0.0; tab.total + 1];
-        for i in 0..w.rows.len() {
-            if w.values[i].abs() <= EPS {
-                // Degenerate basic: at value zero the recorded vertex is
-                // unchanged whether this variable or the row's seeded
-                // slack/artificial is basic — skip the dense pivot.
-                continue;
-            }
-            let target = match w.rows[i] {
-                BasisVar::Structural(j) if j < tab.n => j,
-                BasisVar::Structural(_) => return None, // different problem
-                BasisVar::Slack(r) => match tab.slack_col.get(r).copied().flatten() {
-                    Some(c) => c,
-                    // The row lost its slack (e.g. a ≤ fixing row became
-                    // =): keep the seeded artificial basis for this row.
-                    None => continue,
-                },
-                // Degenerate leftovers; the seeded basis already has the
-                // artificial where one exists.
-                BasisVar::Artificial(_) => continue,
-            };
-            if tab.basis[i] == target || tab.basis.contains(&target) {
-                continue;
-            }
-            if tab.t[i][target].abs() <= 1e-7 {
-                continue; // numerically unusable pivot: keep seed basis
-            }
-            Self::pivot(
-                &mut tab.t,
-                &mut scratch_z,
-                &mut tab.basis,
-                i,
-                target,
-                tab.total,
-            );
-            pivots += 1;
-        }
-        // Restore primal feasibility where the crash left a basic
-        // variable negative. This is the common case for a
-        // branch-and-bound child: the parent vertex violates exactly
-        // the new fixing row (`x_v = 0` with `x_v` fractional), so a
-        // couple of dual-style row pivots — entering column chosen with
-        // a negative coefficient, which makes the row's rhs positive —
-        // repair it far cheaper than a cold two-phase solve. Artificial
-        // columns are excluded so they cannot re-enter. If the loop
-        // stalls, fall back cold; the crash never decides feasibility.
-        let mut guard = 0u32;
-        loop {
-            let worst = (0..m)
-                .filter(|&i| tab.t[i][tab.total] < -EPS)
-                .min_by(|&a, &b| {
-                    tab.t[a][tab.total]
-                        .partial_cmp(&tab.t[b][tab.total])
-                        .unwrap()
-                });
-            let Some(r) = worst else { break };
-            guard += 1;
-            if guard > 200 {
-                return None;
-            }
-            let j = (0..tab.n + tab.num_slack).find(|&j| tab.t[r][j] < -EPS)?;
-            Self::pivot(&mut tab.t, &mut scratch_z, &mut tab.basis, r, j, tab.total);
-            pivots += 1;
-        }
-        let needs_phase1 =
-            (0..m).any(|i| tab.is_artificial(tab.basis[i]) && tab.t[i][tab.total] > EPS);
-        if needs_phase1 {
-            match self.phase1(tab, &mut pivots) {
-                Ok(t2) => return Some(self.phase2(t2, pivots)),
-                Err(LpResult::Infeasible) => return Some((LpResult::Infeasible, None)),
-                Err(r) => return Some((r, None)),
-            }
-        }
-        Some(self.phase2(tab, pivots))
     }
 
     /// Phase 1: minimise the sum of artificials from the tableau's
     /// current basis; errors are terminal solve outcomes.
-    fn phase1(&self, mut tab: Tableau, pivots: &mut u64) -> Result<Tableau, LpResult> {
+    fn phase1(&self, mut tab: Tableau) -> Result<Tableau, LpResult> {
         let m = tab.t.len();
         let total = tab.total;
         let has_art = tab.art_col.iter().any(|c| c.is_some());
@@ -399,7 +215,7 @@ impl Lp {
                 }
             }
         }
-        match self.iterate(&mut tab.t, &mut z, &mut tab.basis, total, pivots) {
+        match self.iterate(&mut tab.t, &mut z, &mut tab.basis, total) {
             Ok(()) => {}
             // Unbounded phase 1 cannot happen with bounded objective.
             Err(IterStop::Unbounded) => return Err(LpResult::Infeasible),
@@ -414,7 +230,6 @@ impl Lp {
                 // Find a non-artificial column with nonzero pivot.
                 if let Some(j) = (0..tab.n + tab.num_slack).find(|&j| tab.t[i][j].abs() > EPS) {
                     Self::pivot(&mut tab.t, &mut z, &mut tab.basis, i, j, total);
-                    *pivots += 1;
                 }
                 // Otherwise the row is redundant (all zero): leave it.
             }
@@ -423,8 +238,8 @@ impl Lp {
     }
 
     /// Phase 2: optimise the original objective from a primal-feasible
-    /// basis, then extract the solution and its logical basis.
-    fn phase2(&self, mut tab: Tableau, mut pivots: u64) -> (LpResult, Option<Basis>) {
+    /// basis, then extract the solution.
+    fn phase2(&self, mut tab: Tableau) -> LpResult {
         let m = tab.t.len();
         let total = tab.total;
         let n = tab.n;
@@ -449,10 +264,10 @@ impl Lp {
                 }
             }
         }
-        match self.iterate(&mut tab.t, &mut z, &mut tab.basis, total, &mut pivots) {
+        match self.iterate(&mut tab.t, &mut z, &mut tab.basis, total) {
             Ok(()) => {}
-            Err(IterStop::Unbounded) => return (LpResult::Unbounded, None),
-            Err(IterStop::Interrupted) => return (LpResult::Interrupted, None),
+            Err(IterStop::Unbounded) => return LpResult::Unbounded,
+            Err(IterStop::Interrupted) => return LpResult::Interrupted,
         }
 
         let mut x = vec![0.0; n];
@@ -462,12 +277,7 @@ impl Lp {
             }
         }
         let objective: f64 = self.objective.iter().zip(&x).map(|(c, xv)| c * xv).sum();
-        let basis = Basis {
-            rows: tab.basis.iter().map(|&b| tab.classify(b)).collect(),
-            values: (0..m).map(|i| tab.t[i][total]).collect(),
-            pivots,
-        };
-        (LpResult::Optimal { x, objective }, Some(basis))
+        LpResult::Optimal { x, objective }
     }
 
     /// Run simplex iterations until optimal (`Ok`), unbounded, or the
@@ -478,15 +288,13 @@ impl Lp {
         z: &mut [f64],
         basis: &mut [usize],
         total: usize,
-        pivots: &mut u64,
     ) -> Result<(), IterStop> {
         let m = t.len();
         // Dantzig pricing (most negative reduced cost) until a run of
         // degenerate pivots suggests cycling; then Bland's rule until a
         // nondegenerate pivot breaks the stall. Bland alone is safe but
         // crawls on the heavily degenerate assignment-shaped LPs the
-        // mappers produce — worst on warm starts, whose crashed bases
-        // begin at a degenerate vertex.
+        // mappers produce.
         const STALL_LIMIT: u32 = 24;
         let mut stalled = 0u32;
         // Generous iteration cap; the stall switch to Bland's rule
@@ -535,7 +343,6 @@ impl Lp {
                 stalled = 0;
             }
             Self::pivot(t, z, basis, leave, enter, total);
-            *pivots += 1;
         }
         // Numerical trouble: treat as optimal-at-current-point.
         Ok(())
@@ -566,9 +373,9 @@ impl Lp {
                     // Snap round-off back to an exact zero: the
                     // `t[i][col] > EPS` guard above short-circuits whole
                     // rows only while the tableau stays genuinely
-                    // sparse, and crash pivots (no ratio test) would
-                    // otherwise fill it with near-zero junk whose
-                    // updates — many on denormals — dominate the solve.
+                    // sparse; round-off would otherwise fill it with
+                    // near-zero junk whose updates — many on denormals
+                    // — dominate the solve.
                     if t[i][j].abs() < DROP_TOL {
                         t[i][j] = 0.0;
                     }
@@ -689,104 +496,6 @@ mod tests {
             LpResult::Optimal { objective, .. } => assert_near(objective, 0.0),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn warm_start_reaches_same_objective() {
-        // Re-solving an LP (with a phase-1 component) from its own
-        // optimal basis must agree with the cold solve, and skipping
-        // phase 1 must show up as strictly fewer pivots.
-        let mut lp = Lp::new(2, false);
-        lp.set_objective(0, 1.0);
-        lp.set_objective(1, 1.0);
-        lp.add_constraint(&[(0, 1.0), (1, 2.0)], Cmp::Ge, 4.0);
-        lp.add_constraint(&[(0, 3.0), (1, 1.0)], Cmp::Ge, 6.0);
-        let (cold, basis) = lp.solve_with_basis(None);
-        let basis = basis.expect("optimal solve returns a basis");
-        assert!(basis.pivots > 0);
-        let (warm, warm_basis) = lp.solve_with_basis(Some(&basis));
-        match (&cold, &warm) {
-            (LpResult::Optimal { objective: a, .. }, LpResult::Optimal { objective: b, .. }) => {
-                assert_near(*a, *b)
-            }
-            other => panic!("{other:?}"),
-        }
-        let wp = warm_basis.expect("warm solve returns a basis").pivots;
-        assert!(
-            wp <= basis.pivots,
-            "warm restart should not pivot more ({wp} vs {})",
-            basis.pivots
-        );
-    }
-
-    #[test]
-    fn warm_start_survives_added_fixing_row() {
-        // Branch-and-bound shape: parent LP, then a child with one
-        // fixing row flipped from ≤ to =. The parent basis warm-starts
-        // the child and must reach the child's own cold optimum.
-        let build = |fix_x0: bool| {
-            let mut lp = Lp::new(2, true);
-            lp.set_objective(0, 3.0);
-            lp.set_objective(1, 2.0);
-            lp.add_constraint(&[(0, 2.0), (1, 1.0)], Cmp::Le, 4.0);
-            lp.add_constraint(&[(0, 1.0), (1, 3.0)], Cmp::Le, 6.0);
-            if fix_x0 {
-                lp.add_constraint(&[(0, 1.0)], Cmp::Eq, 1.0);
-            } else {
-                lp.add_constraint(&[(0, 1.0)], Cmp::Le, 1.0);
-            }
-            lp
-        };
-        let (_, parent_basis) = build(false).solve_with_basis(None);
-        let parent_basis = parent_basis.expect("parent optimal");
-        let child = build(true);
-        let cold = child.solve();
-        let warm = child.solve_from(&parent_basis);
-        match (&cold, &warm) {
-            (LpResult::Optimal { objective: a, .. }, LpResult::Optimal { objective: b, .. }) => {
-                assert_near(*a, *b)
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn warm_start_from_mismatched_basis_falls_back() {
-        // A basis from an unrelated, larger problem must not poison the
-        // solve: shape mismatch falls back to the cold path.
-        let mut big = Lp::new(5, true);
-        for v in 0..5 {
-            big.set_objective(v, 1.0);
-            big.add_constraint(&[(v, 1.0)], Cmp::Le, 1.0);
-        }
-        let (_, bogus) = big.solve_with_basis(None);
-        let bogus = bogus.unwrap();
-
-        let mut lp = Lp::new(1, true);
-        lp.set_objective(0, 1.0);
-        lp.add_constraint(&[(0, 1.0)], Cmp::Le, 2.0);
-        match lp.solve_from(&bogus) {
-            LpResult::Optimal { objective, .. } => assert_near(objective, 2.0),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn warm_start_detects_infeasible_child() {
-        // Parent feasible; child adds an inconsistent fixing row. Warm
-        // start must report Infeasible, same as cold.
-        let mut parent = Lp::new(1, true);
-        parent.set_objective(0, 1.0);
-        parent.add_constraint(&[(0, 1.0)], Cmp::Le, 1.0);
-        let (_, basis) = parent.solve_with_basis(None);
-        let basis = basis.unwrap();
-
-        let mut child = Lp::new(1, true);
-        child.set_objective(0, 1.0);
-        child.add_constraint(&[(0, 1.0)], Cmp::Le, 1.0);
-        child.add_constraint(&[(0, 1.0)], Cmp::Ge, 2.0);
-        assert_eq!(child.solve(), LpResult::Infeasible);
-        assert_eq!(child.solve_from(&basis), LpResult::Infeasible);
     }
 
     #[test]

@@ -190,7 +190,6 @@ impl SatSolver {
             assumption_solves: self.assumption_solves,
             learnt_kept: self.learnt_kept,
             learnt_gcd: self.learnt_gcd,
-            warm_pivots_saved: 0,
         }
     }
 

@@ -25,10 +25,6 @@ pub struct SolverStats {
     pub learnt_kept: u64,
     /// Learnt clauses garbage-collected by database reductions.
     pub learnt_gcd: u64,
-    /// Simplex pivots avoided by warm-basis reuse (estimated against
-    /// the cold reference solve of the same model; zero for engines
-    /// without an LP core).
-    pub warm_pivots_saved: u64,
 }
 
 impl SolverStats {
@@ -45,9 +41,6 @@ impl SolverStats {
                 .saturating_sub(earlier.assumption_solves),
             learnt_kept: self.learnt_kept.saturating_sub(earlier.learnt_kept),
             learnt_gcd: self.learnt_gcd.saturating_sub(earlier.learnt_gcd),
-            warm_pivots_saved: self
-                .warm_pivots_saved
-                .saturating_sub(earlier.warm_pivots_saved),
         }
     }
 
@@ -61,7 +54,6 @@ impl SolverStats {
             assumption_solves: self.assumption_solves + other.assumption_solves,
             learnt_kept: self.learnt_kept + other.learnt_kept,
             learnt_gcd: self.learnt_gcd + other.learnt_gcd,
-            warm_pivots_saved: self.warm_pivots_saved + other.warm_pivots_saved,
         }
     }
 }
@@ -101,23 +93,20 @@ mod tests {
             assumption_solves: 3,
             learnt_kept: 20,
             learnt_gcd: 12,
-            warm_pivots_saved: 7,
             ..Default::default()
         };
         let b = SolverStats {
             assumption_solves: 1,
             learnt_kept: 5,
             learnt_gcd: 4,
-            warm_pivots_saved: 2,
             ..Default::default()
         };
         let d = a.since(&b);
         assert_eq!(d.assumption_solves, 2);
         assert_eq!(d.learnt_kept, 15);
         assert_eq!(d.learnt_gcd, 8);
-        assert_eq!(d.warm_pivots_saved, 5);
         let m = a.merged(&b);
         assert_eq!(m.assumption_solves, 4);
-        assert_eq!(m.warm_pivots_saved, 9);
+        assert_eq!(m.learnt_kept, 25);
     }
 }

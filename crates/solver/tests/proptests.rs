@@ -2,9 +2,7 @@
 //! brute-force oracle on randomly generated small instances.
 
 use cgra_solver::cnf::{at_most_one, AmoEncoding};
-use cgra_solver::{
-    Cmp, CpModel, CpSolution, IlpModel, IlpResult, Lit, Lp, LpResult, SatResult, SatSolver,
-};
+use cgra_solver::{Cmp, CpModel, CpSolution, IlpModel, IlpResult, Lit, SatResult, SatSolver};
 use proptest::prelude::*;
 
 /// A random 3-ish-CNF over `nvars` variables as (var, polarity) lists.
@@ -58,12 +56,22 @@ proptest! {
         for enc in [AmoEncoding::Pairwise, AmoEncoding::Sequential] {
             let mut s = SatSolver::new();
             let vars: Vec<Lit> = (0..6).map(|_| Lit::pos(s.new_var())).collect();
-            at_most_one(&mut s, &vars, enc);
+            at_most_one(&mut s, &vars, enc, None);
+            // The same constraint under a selector binds exactly when
+            // the selector is assumed.
+            let mut g = SatSolver::new();
+            let gvars: Vec<Lit> = (0..6).map(|_| Lit::pos(g.new_var())).collect();
+            let sel = g.new_selector();
+            at_most_one(&mut g, &gvars, enc, Some(sel));
             for (i, &f) in force.iter().enumerate() {
                 s.add_clause(&[if f { vars[i] } else { vars[i].negate() }]);
+                g.add_clause(&[if f { gvars[i] } else { gvars[i].negate() }]);
             }
             let got = matches!(s.solve(), SatResult::Sat(_));
             prop_assert_eq!(got, expected_sat, "{:?}", enc);
+            let guarded = matches!(g.solve_with_assumptions(&[sel]), SatResult::Sat(_));
+            prop_assert_eq!(guarded, expected_sat, "{:?} under its selector", enc);
+            prop_assert!(matches!(g.solve(), SatResult::Sat(_)), "{:?} unassumed", enc);
         }
     }
 
@@ -167,56 +175,6 @@ proptest! {
             matches!(again, SatResult::Sat(_)),
             matches!(unconstrained, SatResult::Sat(_))
         );
-    }
-
-    #[test]
-    fn warm_basis_lp_matches_cold_objective(
-        profits in prop::collection::vec(1i64..12, 5),
-        caps in prop::collection::vec(1i64..8, 4),
-        rows in prop::collection::vec(prop::collection::vec(0i64..4, 5), 4)
-    ) {
-        // Random feasible packing LPs (x = 0 is always feasible):
-        // max p·x s.t. A x <= caps, x <= 1. The cold solve's basis is
-        // replayed as a warm start for the same LP and for a perturbed
-        // sibling; objectives must match each LP's own cold optimum.
-        let build = |tight: bool| {
-            let mut lp = Lp::new(5, true);
-            for (v, &p) in profits.iter().enumerate() {
-                lp.set_objective(v, p as f64);
-            }
-            for (r, row) in rows.iter().enumerate() {
-                let coeffs: Vec<(usize, f64)> =
-                    row.iter().enumerate().map(|(v, &c)| (v, c as f64)).collect();
-                let cap = if tight { caps[r] as f64 * 0.5 } else { caps[r] as f64 };
-                lp.add_constraint(&coeffs, Cmp::Le, cap);
-            }
-            for v in 0..5 {
-                lp.add_constraint(&[(v, 1.0)], Cmp::Le, 1.0);
-            }
-            lp
-        };
-        let base = build(false);
-        let (cold, basis) = base.solve_with_basis(None);
-        let basis = match (&cold, basis) {
-            (LpResult::Optimal { .. }, Some(b)) => b,
-            other => { prop_assert!(false, "packing LP must be optimal: {other:?}"); unreachable!() }
-        };
-        let warm = base.solve_from(&basis);
-        match (&cold, &warm) {
-            (LpResult::Optimal { objective: a, .. }, LpResult::Optimal { objective: b, .. }) =>
-                prop_assert!((a - b).abs() < 1e-6, "warm {b} vs cold {a}"),
-            other => prop_assert!(false, "{other:?}"),
-        }
-        // Perturbed sibling (tighter rhs): stale basis, same optimum as
-        // the sibling's cold solve.
-        let sibling = build(true);
-        let sib_cold = sibling.solve();
-        let sib_warm = sibling.solve_from(&basis);
-        match (&sib_cold, &sib_warm) {
-            (LpResult::Optimal { objective: a, .. }, LpResult::Optimal { objective: b, .. }) =>
-                prop_assert!((a - b).abs() < 1e-6, "sibling warm {b} vs cold {a}"),
-            other => prop_assert!(false, "{other:?}"),
-        }
     }
 
     #[test]

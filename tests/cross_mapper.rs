@@ -103,6 +103,26 @@ fn temporal_mappers_answer_inside_the_requested_ii_range() {
 }
 
 #[test]
+fn sat_and_cp_agree_on_ii() {
+    // ROADMAP's "exact means exact" oracle, for the pair of exact
+    // mappers that agrees today: same candidate windows (`window_iis`
+    // 2), same placement model, so the same II — which the other exact
+    // mappers are to be held to once their disagreements are closed.
+    let (sat, cp) = (SatMapper::default(), CpMapper::default());
+    let mut iis = Vec::new();
+    for dfg in kernels::small_suite() {
+        for side in [3, 4] {
+            let fabric = Fabric::homogeneous(side, side, Topology::Mesh);
+            let s = sat.map(&dfg, &fabric, &cfg()).expect("sat maps").ii;
+            let c = cp.map(&dfg, &fabric, &cfg()).expect("cp maps").ii;
+            assert_eq!(s, c, "{} on {side}x{side}: sat {s}, cp {c}", dfg.name);
+            iis.push(s);
+        }
+    }
+    assert_eq!(iis, [1, 1, 1, 1, 3, 3, 1, 1, 1, 1, 2, 2]);
+}
+
+#[test]
 fn tighter_fabric_cannot_improve_best_ii() {
     // Monotonicity: the best II on a 2x2 can never beat the best II on
     // a 4x4 (more resources never hurt an exact probe).
