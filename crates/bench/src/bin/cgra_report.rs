@@ -1,6 +1,6 @@
-//! `cgra-report` — inspect and regression-gate directories of
-//! [`RunReport`] artifacts (written by `table1 --report DIR` or any
-//! other driver that saves them).
+//! `cgra-report` — inspect and regression-gate directories of run
+//! reports: saved [`MapOutcome`]s (written by `table1 --report DIR` or
+//! any other driver that saves them).
 //!
 //! ```text
 //! cgra-report DIR                      render convergence + race summary
@@ -19,7 +19,7 @@
 use cgra::cli::{EXIT_FAILURE, EXIT_USAGE};
 use cgra::mapper::fleet::FleetReport;
 use cgra::mapper::ledger::LedgerEvent;
-use cgra::mapper::report::RunReport;
+use cgra::mapper::request::MapOutcome;
 use cgra::mapper::servemetrics::AccessRecord;
 use cgra::mapper::telemetry::Histogram;
 use serde::Deserialize;
@@ -46,7 +46,7 @@ fn usage() -> &'static str {
      \n\
      Renders per-mapper convergence tables, phase-latency percentiles,\n\
      failure diagnoses, and the race timeline from a directory of\n\
-     RunReport JSON artifacts. With --heatmap, also renders ASCII fabric\n\
+     run-report JSON artifacts. With --heatmap, also renders ASCII fabric\n\
      utilization heatmaps for every successful cell. With --baseline,\n\
      diffs DIR against BASE_DIR and exits non-zero when any (kernel,\n\
      arch, mapper) cell regresses: a lost mapping, a worse II, or (with\n\
@@ -99,9 +99,9 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn load(dir: &str) -> Result<Vec<RunReport>, String> {
+fn load(dir: &str) -> Result<Vec<MapOutcome>, String> {
     let reports =
-        RunReport::load_dir(std::path::Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
+        MapOutcome::load_dir(std::path::Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
     if reports.is_empty() {
         return Err(format!("{dir}: no run reports found"));
     }
@@ -109,11 +109,11 @@ fn load(dir: &str) -> Result<Vec<RunReport>, String> {
 }
 
 /// The identity of one experiment cell across runs.
-fn key(r: &RunReport) -> (String, String, String) {
-    (r.instance.clone(), r.arch.clone(), r.mapper.clone())
+fn key(r: &MapOutcome) -> (String, String, String) {
+    (r.kernel.clone(), r.fabric.clone(), r.mapper.clone())
 }
 
-fn fmt_ii(r: &RunReport) -> String {
+fn fmt_ii(r: &MapOutcome) -> String {
     match r.ii() {
         Some(ii) => format!("II={ii}"),
         None => "failed".to_string(),
@@ -121,7 +121,7 @@ fn fmt_ii(r: &RunReport) -> String {
 }
 
 /// Per-report convergence row: how the search's incumbents evolved.
-fn convergence_row(r: &RunReport) -> String {
+fn convergence_row(r: &MapOutcome) -> String {
     let incumbents: Vec<&LedgerEvent> = r
         .events
         .iter()
@@ -149,7 +149,7 @@ fn convergence_row(r: &RunReport) -> String {
     };
     format!(
         "  {:<18} {:<14} {:>8} {:>9} {:>10.1}  {}",
-        r.instance,
+        r.kernel,
         fmt_ii(r),
         attempts,
         incumbents.len(),
@@ -159,8 +159,8 @@ fn convergence_row(r: &RunReport) -> String {
 }
 
 /// Render the per-mapper convergence tables.
-fn render_convergence(reports: &[RunReport]) {
-    let mut by_mapper: BTreeMap<&str, Vec<&RunReport>> = BTreeMap::new();
+fn render_convergence(reports: &[MapOutcome]) {
+    let mut by_mapper: BTreeMap<&str, Vec<&MapOutcome>> = BTreeMap::new();
     for r in reports {
         by_mapper.entry(&r.mapper).or_default().push(r);
     }
@@ -177,7 +177,7 @@ fn render_convergence(reports: &[RunReport]) {
 }
 
 /// Render every race timeline found in the reports' event journals.
-fn render_races(reports: &[RunReport]) {
+fn render_races(reports: &[MapOutcome]) {
     let mut printed_header = false;
     for r in reports {
         let race: Vec<&LedgerEvent> = r
@@ -192,7 +192,7 @@ fn render_races(reports: &[RunReport]) {
             println!("\nrace timelines:");
             printed_header = true;
         }
-        println!("  {} / {} / {}:", r.instance, r.arch, r.mapper);
+        println!("  {} / {} / {}:", r.kernel, r.fabric, r.mapper);
         for e in race {
             let who = e.kind.mapper();
             let detail = match (e.kind.label(), e.kind.ii()) {
@@ -208,7 +208,7 @@ fn render_races(reports: &[RunReport]) {
 
 /// Render per-phase latency percentiles for every report that carries
 /// them (reports written before histograms existed simply have none).
-fn render_latency(reports: &[RunReport]) {
+fn render_latency(reports: &[MapOutcome]) {
     let mut printed_header = false;
     for r in reports {
         if r.latency.is_empty() {
@@ -225,22 +225,24 @@ fn render_latency(reports: &[RunReport]) {
         for row in &r.latency {
             println!(
                 "  {:<18} {:<16} {:<12} {:>7} {:>8} {:>8} {:>8}",
-                r.instance, r.mapper, row.phase, row.count, row.p50_us, row.p90_us, row.p99_us
+                r.kernel, r.mapper, row.phase, row.count, row.p50_us, row.p90_us, row.p99_us
             );
         }
     }
 }
 
 /// Render the failure diagnosis of every cell that carries one.
-fn render_diagnoses(reports: &[RunReport]) {
+fn render_diagnoses(reports: &[MapOutcome]) {
     let mut printed_header = false;
     for r in reports {
-        let Some(d) = &r.diagnosis else { continue };
+        let Some(d) = r.error.as_ref().and_then(|e| e.diagnosis()) else {
+            continue;
+        };
         if !printed_header {
             println!("\nfailure diagnoses:");
             printed_header = true;
         }
-        println!("  {} / {} / {}:", r.instance, r.arch, r.mapper);
+        println!("  {} / {} / {}:", r.kernel, r.fabric, r.mapper);
         for line in d.render().lines() {
             println!("    {line}");
         }
@@ -248,14 +250,14 @@ fn render_diagnoses(reports: &[RunReport]) {
 }
 
 /// Render ASCII utilization heatmaps for every successful cell.
-fn render_heatmaps(reports: &[RunReport]) {
+fn render_heatmaps(reports: &[MapOutcome]) {
     for r in reports {
         let Some(u) = &r.utilization else { continue };
         println!(
             "\n{} / {} / {} (II={}):",
-            r.instance, r.arch, r.mapper, u.ii
+            r.kernel, r.fabric, r.mapper, u.ii
         );
-        for line in u.render_standalone(&r.arch).lines() {
+        for line in u.render_standalone(&r.fabric).lines() {
             println!("  {line}");
         }
     }
@@ -480,11 +482,11 @@ struct Regression {
 
 /// Diff current against baseline; returns regressions (gate failures).
 fn diff(
-    baseline: &[RunReport],
-    current: &[RunReport],
+    baseline: &[MapOutcome],
+    current: &[MapOutcome],
     max_slowdown: Option<f64>,
 ) -> Vec<Regression> {
-    let base: BTreeMap<_, &RunReport> = baseline.iter().map(|r| (key(r), r)).collect();
+    let base: BTreeMap<_, &MapOutcome> = baseline.iter().map(|r| (key(r), r)).collect();
     let mut regressions = Vec::new();
     let mut improvements = 0usize;
     let mut matched = 0usize;
@@ -501,7 +503,9 @@ fn diff(
                 cell: k.clone(),
                 what: format!(
                     "lost its mapping (baseline II={b}, now: {})",
-                    cur.error.as_deref().unwrap_or("unknown failure")
+                    cur.error
+                        .as_ref()
+                        .map_or("unknown failure".to_string(), |e| e.to_string())
                 ),
             }),
             (Some(b), Some(c)) if c < b => improvements += 1,
@@ -574,7 +578,7 @@ fn main() -> ExitCode {
             .len(),
         current
             .iter()
-            .map(|r| r.instance.as_str())
+            .map(|r| r.kernel.as_str())
             .collect::<std::collections::BTreeSet<_>>()
             .len()
     );

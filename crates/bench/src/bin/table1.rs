@@ -14,10 +14,10 @@
 //!     --report reports/ --kernels dot_product,fir4 --mappers modulo-list,sa
 //! ```
 //!
-//! With `--report DIR`, one versioned [`RunReport`] JSON artifact is
-//! written per (mapper, kernel) cell — the input format of
-//! `cgra-report`, which renders convergence tables and gates CI on
-//! regressions against a baseline directory.
+//! With `--report DIR`, each (mapper, kernel) cell's [`MapOutcome`] is
+//! written as one JSON file — the input format of `cgra-report`, which
+//! renders convergence tables and gates CI on regressions against a
+//! baseline directory.
 
 use cgra::mapper::portfolio::run_requests;
 use cgra::mapper::request::{FabricSpec, KernelSpec, MapRequest};
@@ -25,7 +25,7 @@ use cgra::prelude::*;
 use cgra_bench::{quick, save_json};
 
 struct Options {
-    /// Write one RunReport per (mapper, kernel) cell into this dir.
+    /// Write one outcome file per (mapper, kernel) cell into this dir.
     report: Option<String>,
     /// Restrict the kernel suite to these names (comma-separated).
     kernels: Option<Vec<String>>,
@@ -73,8 +73,8 @@ fn main() {
 
     // Part 2: the empirical counterpart, phrased as the same
     // MapRequest objects the serve cache is keyed on: one request per
-    // (mapper, kernel) cell, executed in parallel, outcomes bridged
-    // back to portfolio rows.
+    // (mapper, kernel) cell, executed in parallel; the outcomes are the
+    // table's rows.
     let fabric_spec = FabricSpec::default(); // homogeneous 4x4 mesh
     let fabric = fabric_spec.build().expect("default fabric builds");
     let mut kernels = kernels::suite();
@@ -115,11 +115,7 @@ fn main() {
         req.config.time_limit_ms = if quick() { 3_000 } else { 15_000 };
         requests.push(req);
     }
-    let cfg = MapConfigBuilder::from_request(&requests[0])
-        .build()
-        .expect("request config bridges");
-    let outcomes = run_requests(&requests);
-    let entries: Vec<PortfolioEntry> = outcomes.iter().map(|o| o.to_entry()).collect();
+    let entries = run_requests(&requests);
     let summary = cgra::mapper::portfolio::summarise(&entries);
 
     if let Some(dir) = &opts.report {
@@ -128,33 +124,14 @@ fn main() {
             eprintln!("{}: {e}", dir.display());
             std::process::exit(1);
         }
-        let mut written = 0usize;
         for e in &entries {
-            let report = RunReport {
-                version: cgra::mapper::report::RUN_REPORT_VERSION,
-                instance: e.kernel.clone(),
-                arch: fabric.name.clone(),
-                mapper: e.mapper.clone(),
-                config: ConfigDigest::of(&cfg),
-                metrics: e.metrics.clone(),
-                error: e.error.clone(),
-                diagnosis: e.diagnosis.clone(),
-                compile_ms: e.compile_ms,
-                snapshot: e.stats,
-                events: e.events.clone(),
-                events_dropped: e.events_dropped,
-                spans_dropped: e.spans_dropped,
-                latency: e.latency.clone(),
-                utilization: e.utilization.clone(),
-            };
-            let path = dir.join(format!("{}.json", report.file_stem()));
-            if let Err(err) = report.save(&path) {
+            let path = dir.join(format!("{}.json", e.file_stem()));
+            if let Err(err) = e.save(&path) {
                 eprintln!("{}: {err}", path.display());
                 std::process::exit(1);
             }
-            written += 1;
         }
-        eprintln!("wrote {written} run reports to {}", dir.display());
+        eprintln!("wrote {} run reports to {}", entries.len(), dir.display());
     }
 
     println!(

@@ -439,8 +439,8 @@ fn render_race(outcome: &MapOutcome) -> String {
     );
     let _ = writeln!(out, "    {:<16} {:>10} {:>10}", "mapper", "status", "ms");
     for e in &outcome.race {
-        let status = match (&e.metrics, &e.error_detail) {
-            (Some(m), _) => format!("II={}", m.ii),
+        let status = match (e.ii(), &e.error) {
+            (Some(ii), _) => format!("II={ii}"),
             (None, Some(err)) => err.kind().to_string(),
             (None, None) => "-".to_string(),
         };
@@ -463,12 +463,9 @@ fn race_failure_report(outcome: &MapOutcome) -> String {
     let detail: Vec<String> = outcome
         .race
         .iter()
-        .map(|e| {
-            format!(
-                "{}: {}",
-                e.mapper,
-                e.error.as_deref().unwrap_or("no mapping")
-            )
+        .map(|e| match &e.error {
+            Some(err) => format!("{}: {err}", e.mapper),
+            None => format!("{}: no mapping", e.mapper),
         })
         .collect();
     format!("race failed: no mapper won\n  {}", detail.join("\n  "))

@@ -20,11 +20,10 @@
 //!   IIs race concurrently instead of bottom-up, and a success at II
 //!   *k* cancels every job pinned to an II above *k*.
 
+use crate::ledger::Ledger;
 use crate::mapper::{MapConfig, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::metrics::{Metrics, UtilizationMap};
-use crate::portfolio::PortfolioEntry;
-use crate::report::LatencySummary;
+use crate::request::MapOutcome;
 use crate::telemetry::{Counter, Telemetry};
 use crate::validate::validate_with;
 use cgra_arch::Fabric;
@@ -218,25 +217,20 @@ pub struct RaceOutcome {
     /// The winning mapping.
     pub mapping: Option<Mapping>,
     /// Per-job rows, in mapper order — losers carry
-    /// [`MapError::Cancelled`] and their telemetry snapshots.
-    pub entries: Vec<PortfolioEntry>,
+    /// [`MapError::Cancelled`] and their telemetry snapshots. No row
+    /// keeps its mapping: the winner's is `mapping`, the rest drop.
+    pub entries: Vec<MapOutcome>,
     /// Wall-clock for the whole race.
     pub wall_ms: f64,
 }
 
-impl RaceOutcome {
-    /// Winning metrics, if the race was won.
-    pub fn metrics(&self, dfg: &Dfg, fabric: &Fabric) -> Option<Metrics> {
-        self.mapping.as_ref().map(|m| Metrics::of(m, dfg, fabric))
-    }
-}
-
 /// Race every mapper on one kernel: jobs run on the rayon pool under a
 /// shared budget derived from `cfg` (`cfg.budget` tightened by
-/// `cfg.time_limit`); the first job whose mapping passes
-/// [`validate`] — and meets `target_ii`, when given — cancels the
-/// rest. Losing jobs record [`MapError::Cancelled`] with telemetry
-/// snapshots intact, so the race still yields a full effort profile.
+/// `cfg.time_limit`); the first job whose mapping passes the exit gate
+/// ([`MapOutcome::settle`]) — and meets `target_ii`, when given —
+/// cancels the rest. Losing jobs record [`MapError::Cancelled`] with
+/// telemetry snapshots intact, so the race still yields a full effort
+/// profile.
 pub fn race(
     mappers: &[Box<dyn Mapper>],
     dfg: &Dfg,
@@ -262,13 +256,19 @@ pub fn race(
         cfg.ledger.race_start(mapper.name());
     }
 
-    let entries: Vec<PortfolioEntry> = mappers
+    let entries: Vec<MapOutcome> = mappers
         .par_iter()
         .map(|mapper| {
             let mut job_cfg = cfg.clone();
             job_cfg.telemetry = Telemetry::enabled();
             job_cfg.budget = shared.clone();
             job_cfg.topo = Some(Arc::clone(&topo));
+            let mut row = MapOutcome {
+                kernel: dfg.name.clone(),
+                fabric: fabric.name.clone(),
+                mapper: mapper.name().to_string(),
+                ..MapOutcome::default()
+            };
             let job_start = Instant::now();
             // A job that only gets scheduled after the race is decided
             // (or after the caller cancelled the whole race) skips the
@@ -278,65 +278,39 @@ pub fn race(
             } else {
                 mapper.map(dfg, fabric, &job_cfg)
             };
-            let compile_ms = job_start.elapsed().as_secs_f64() * 1e3;
+            row.compile_ms = job_start.elapsed().as_secs_f64() * 1e3;
+            row.settle(result, dfg, fabric, &topo);
+            // No row keeps its mapping: the first on-target one moves
+            // into the race result, the rest drop.
             let mut won = false;
-            let (metrics, utilization, error) = match result {
-                Ok(m) => match validate_with(&m, dfg, fabric, &topo) {
-                    Ok(()) => {
-                        let metrics = Metrics::of(&m, dfg, fabric);
-                        let utilization = UtilizationMap::of(&m, dfg, fabric);
-                        let on_target = target_ii.is_none_or(|t| metrics.ii <= t);
-                        if on_target {
-                            let mut w = winner.lock().unwrap();
-                            if w.is_none() {
-                                *w = Some((mapper.name().to_string(), m));
-                                shared.cancel();
-                                won = true;
-                                cfg.ledger.race_win(mapper.name(), metrics.ii);
-                            }
-                        }
-                        (Some(metrics), Some(utilization), None)
+            if let (Some(m), Some(ii)) = (row.mapping.take(), row.ii()) {
+                if target_ii.is_none_or(|t| ii <= t) {
+                    let mut w = winner.lock().unwrap();
+                    if w.is_none() {
+                        *w = Some((row.mapper.clone(), m));
+                        shared.cancel();
+                        won = true;
+                        cfg.ledger.race_win(&row.mapper, ii);
                     }
-                    Err(e) => (
-                        None,
-                        None,
-                        Some(MapError::infeasible(format!("INVALID OUTPUT: {e}"))),
-                    ),
-                },
-                Err(e) => (None, None, Some(e)),
-            };
-            if matches!(error, Some(MapError::Cancelled)) {
-                job_cfg.telemetry.bump(Counter::Cancellations);
+                }
             }
-            match &error {
+            match &row.error {
                 // Mapped successfully but another mapper (or a target
                 // II miss) decided the race.
                 None if !won => cfg.ledger.race_loss(mapper.name(), "beaten"),
-                Some(e) => cfg.ledger.race_loss(mapper.name(), e.kind()),
+                Some(e) => {
+                    if matches!(e, MapError::Cancelled) {
+                        job_cfg.telemetry.bump(Counter::Cancellations);
+                    }
+                    cfg.ledger.race_loss(mapper.name(), e.kind());
+                }
                 None => {}
             }
-            let diagnosis = error.as_ref().and_then(|e| e.diagnosis().cloned());
-            PortfolioEntry {
-                mapper: mapper.name().to_string(),
-                family_label: mapper.family().label().to_string(),
-                exact: mapper.family().is_exact(),
-                spatial: mapper.is_spatial(),
-                kernel: dfg.name.clone(),
-                metrics,
-                error_detail: error.clone(),
-                error: error.map(|e| e.to_string()),
-                compile_ms,
-                stats: job_cfg.telemetry.snapshot(),
-                // Race jobs share the caller's ledger (the race
-                // timeline lives there), so per-entry journals stay
-                // empty.
-                events: Vec::new(),
-                events_dropped: 0,
-                diagnosis,
-                spans_dropped: job_cfg.telemetry.spans_dropped(),
-                latency: LatencySummary::rows_from(&job_cfg.telemetry),
-                utilization,
-            }
+            row.classify();
+            // Race jobs share the caller's ledger (the race timeline
+            // lives there), so per-row journals stay empty.
+            row.harvest(&job_cfg.telemetry, &Ledger::off());
+            row
         })
         .collect();
 
@@ -525,6 +499,13 @@ mod tests {
         validate(m, &dfg, &fabric).unwrap();
         assert_eq!(out.entries.len(), 2);
         assert!(out.entries.iter().all(|e| e.stats.is_some()));
+        // No row keeps its mapping; a valid one, winner or beaten,
+        // still counts as a success and reports its II.
+        for e in &out.entries {
+            assert!(e.mapping.is_none(), "{}", e.mapper);
+            assert_eq!(e.succeeded(), e.error.is_none(), "{}", e.mapper);
+            assert_eq!(e.ii().is_some(), e.error.is_none(), "{}", e.mapper);
+        }
     }
 
     #[test]

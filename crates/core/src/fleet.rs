@@ -112,10 +112,12 @@ impl Partition {
     }
 
     /// Re-index a mapping solved on this partition's sub-fabric into
-    /// the full fabric's absolute coordinates. The caller re-validates
-    /// against the full fabric — [`co_map`] always does — which is
-    /// what makes the translation invariant a checked contract rather
-    /// than a convention.
+    /// the full fabric's absolute coordinates (row-major in both). The
+    /// result enters an outcome only through the exit gate
+    /// ([`MapOutcome::settle`]) on the full fabric — [`co_map`] and the
+    /// service's incumbent fallback both do — which is what makes the
+    /// translation invariant a checked contract rather than a
+    /// convention.
     pub fn translate_up(&self, m: &Mapping, full: &FabricSpec) -> Mapping {
         m.map_pes(|pe| self.abs(pe, full.cols))
     }
@@ -382,24 +384,24 @@ pub fn co_map(
 
         let mut failed = Vec::new();
         for (i, part, mut out) in results {
-            // Translate to absolute coordinates and re-validate on the
-            // full fabric — the §12 invariant, checked on every job.
-            let translated = out.mapping.as_ref().map(|m| part.translate_up(m, fabric));
-            let valid = match (&translated, reqs[i].kernel.compile_with(&Telemetry::off())) {
-                (Some(m), Ok(dfg)) => crate::validate::validate(m, &dfg, &full).is_ok(),
-                _ => false,
-            };
-            if valid {
-                out.mapping = translated;
-                out.fabric = full.name.clone();
-                jobs[i] = Some(CoMapped {
-                    outcome: out,
-                    partition: Some(part),
-                    wave: waves,
-                });
-            } else {
-                failed.push(i);
+            // Translate to absolute coordinates and pass the exit gate
+            // on the full fabric — the §12 invariant, checked on every
+            // job, and what makes the outcome's metrics and utilization
+            // the full fabric's rather than the partition's.
+            if let (Some(m), Ok(dfg)) = (&out.mapping, reqs[i].kernel.compile()) {
+                let lifted = part.translate_up(m, fabric);
+                out.settle(Ok(lifted), &dfg, &full, &topo);
+                if out.succeeded() {
+                    out.fabric = full.name.clone();
+                    jobs[i] = Some(CoMapped {
+                        outcome: out,
+                        partition: Some(part),
+                        wave: waves,
+                    });
+                    continue;
+                }
             }
+            failed.push(i);
         }
 
         if !failed.is_empty() {
@@ -930,6 +932,36 @@ mod tests {
             let (pa, pb) = (a.partition.unwrap(), b.partition.unwrap());
             let cells_a: std::collections::BTreeSet<_> = pa.cells().into_iter().collect();
             assert!(pb.cells().iter().all(|c| !cells_a.contains(c)));
+        }
+    }
+
+    #[test]
+    fn co_mapped_outcomes_are_measured_on_the_full_fabric() {
+        let reqs: Vec<MapRequest> = ["dot_product", "accumulate"]
+            .iter()
+            .map(|k| MapRequest::new(KernelSpec::Named(k.to_string()), "modulo-list"))
+            .collect();
+        let fabric = spec(8, 8, Topology::Mesh);
+        let full = fabric.build().unwrap();
+        let report = co_map(&reqs, &fabric, &FleetEnv::default()).unwrap();
+        let partitioned: Vec<(&CoMapped, &MapRequest)> = report
+            .jobs
+            .iter()
+            .zip(&reqs)
+            .filter(|(j, _)| j.partition.is_some())
+            .collect();
+        assert!(!partitioned.is_empty(), "nothing mapped on a partition");
+        for (job, req) in partitioned {
+            let out = &job.outcome;
+            assert_eq!(out.fabric, full.name);
+            let u = out.utilization.as_ref().unwrap();
+            assert_eq!((u.rows, u.cols, u.fu_used.len()), (8, 8, 64));
+            let dfg = req.kernel.compile().unwrap();
+            let mapping = out.mapping.as_ref().unwrap();
+            assert_eq!(
+                out.metrics.as_ref(),
+                Some(&crate::metrics::Metrics::of(mapping, &dfg, &full))
+            );
         }
     }
 

@@ -9,9 +9,11 @@
 //! written by the engine's [`crate::engine::race`] /
 //! [`crate::engine::parallel_ii`] and by the improving-move paths of
 //! the meta-heuristic (SA/GA/QEA) and exact (B&B, SAT/CP/ILP incumbent
-//! callbacks) mappers, and serialised three ways: the versioned
-//! [`crate::report::RunReport`] artifact, Chrome `trace_event` JSON
-//! (`cgra-map --chrome-trace`), and the `--trace` JSONL stream.
+//! callbacks) mappers, and leave the process three ways: as the
+//! `events` of the job's [`crate::request::MapOutcome`] (the one result
+//! record — wire reply, spill file and `table1 --report` artifact
+//! alike), as Chrome `trace_event` JSON (`cgra-map --chrome-trace`),
+//! and as the `--trace` JSONL stream.
 //!
 //! Design constraints mirror [`crate::telemetry`]:
 //!
@@ -57,8 +59,8 @@ pub enum EventKind {
     IiAttempt { mapper: String, ii: u32 },
     /// Service ingress: the run belongs to a traced request. Emitted
     /// once at the start of an observed `execute` so every downstream
-    /// event stream (JSONL trace, RunReport, Chrome trace) can be
-    /// joined to the daemon's access log and metrics by `trace`.
+    /// event stream (JSONL trace, `MapOutcome::events`, Chrome trace)
+    /// can be joined to the daemon's access log and metrics by `trace`.
     Request { mapper: String, trace: String },
 }
 
@@ -110,7 +112,7 @@ pub struct LedgerEvent {
 }
 
 /// Flat JSON rendering (`{"t_us":…,"event":…,"mapper":…,…}`) used by
-/// the JSONL trace and the `RunReport` artifact. Flat rather than
+/// the JSONL trace and `MapOutcome::events`. Flat rather than
 /// enum-tagged so stream consumers dispatch on one `event` field —
 /// which is why both directions are written by hand.
 impl Serialize for LedgerEvent {

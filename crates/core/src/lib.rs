@@ -70,7 +70,7 @@ pub use mapper::{
 pub use mapping::{Mapping, Placement, Route};
 pub use metrics::{Metrics, UtilizationMap};
 pub use registry::{MapperRegistry, MapperSpec, UnknownMapper};
-pub use report::{ConfigDigest, LatencySummary, RunReport};
+pub use report::LatencySummary;
 pub use request::{
     CacheKey, CacheStatus, ExecMode, FabricSpec, KernelSpec, MapOutcome, MapRequest, RequestConfig,
     RequestError,
@@ -99,9 +99,8 @@ pub mod prelude {
     pub use crate::mappers::*;
     pub use crate::mapping::{Mapping, Placement, Route};
     pub use crate::metrics::{Metrics, UtilizationMap};
-    pub use crate::portfolio::{run_portfolio, PortfolioEntry};
     pub use crate::registry::{MapperRegistry, MapperSpec, UnknownMapper};
-    pub use crate::report::{ConfigDigest, LatencySummary, RunReport};
+    pub use crate::report::LatencySummary;
     pub use crate::request::{
         CacheKey, CacheStatus, ExecMode, FabricSpec, KernelSpec, MapOutcome, MapRequest,
         RequestConfig, RequestError,

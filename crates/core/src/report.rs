@@ -1,48 +1,25 @@
-//! The versioned `RunReport` artifact and its renderings.
+//! The run-report artifact and its renderings.
 //!
-//! One [`RunReport`] captures everything needed to replay a mapping
-//! run offline: the instance and architecture, a digest of the
-//! [`MapConfig`], the final metrics (or typed failure), the counter
-//! snapshot, and the run-ledger event timeline. Reports round-trip
-//! through JSON files — written by `cgra-map`, `table1 --report`, and
-//! loaded back by `cgra-report` for convergence tables and the
-//! regression gate — and render as Chrome `trace_event` JSON
-//! ([`chrome_trace`]) loadable in `chrome://tracing` / Perfetto.
+//! A run report is a [`MapOutcome`] written to a file: the kernel and
+//! fabric, the mapper, the mapping with its metrics (or the typed
+//! failure with its diagnosis), the counter snapshot, latency rows and
+//! the run-ledger timeline. There is no second record — the file
+//! `table1 --report` writes per (mapper, kernel) cell is the value
+//! `execute` returned, the spill file `cgra-serve` evicts to is the same
+//! value, and `cgra-report` loads either back for convergence tables and
+//! the regression gate. Spans and ledger events also render as Chrome
+//! `trace_event` JSON ([`chrome_trace`]) loadable in `chrome://tracing`
+//! / Perfetto.
 //!
-//! Loading decodes through the same derives that write the file;
-//! unknown fields are ignored and the fields added after version 1
-//! default, so version-1 readers and files tolerate additive changes.
+//! Loading decodes through the same derive that writes the file:
+//! unknown fields are ignored and absent ones default, so readers and
+//! files tolerate additive changes.
 
-use crate::diagnosis::Diagnosis;
 use crate::ledger::LedgerEvent;
-use crate::mapper::MapConfig;
-use crate::metrics::{Metrics, UtilizationMap};
-use crate::telemetry::{Histogram, Phase, SpanRecord, StatsSnapshot, Telemetry};
+use crate::request::MapOutcome;
+use crate::telemetry::{Histogram, Phase, SpanRecord, Telemetry};
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
-
-/// Format version written into every report; bump on breaking changes.
-pub const RUN_REPORT_VERSION: u32 = 1;
-
-/// The reproducibility-relevant subset of [`MapConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConfigDigest {
-    pub max_ii: u32,
-    pub min_ii: u32,
-    pub time_limit_ms: u64,
-    pub seed: u64,
-}
-
-impl ConfigDigest {
-    pub fn of(cfg: &MapConfig) -> ConfigDigest {
-        ConfigDigest {
-            max_ii: cfg.max_ii,
-            min_ii: cfg.min_ii,
-            time_limit_ms: cfg.time_limit.as_millis() as u64,
-            seed: cfg.seed,
-        }
-    }
-}
 
 /// Percentile summary of one latency histogram (µs): one row per
 /// pipeline phase that recorded spans, plus the per-route-call
@@ -90,54 +67,8 @@ impl LatencySummary {
     }
 }
 
-/// One mapping run, replayable offline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunReport {
-    pub version: u32,
-    /// Kernel name.
-    pub instance: String,
-    /// Fabric name ("4x4 mesh", "4x4 adres", …).
-    pub arch: String,
-    pub mapper: String,
-    pub config: ConfigDigest,
-    /// Final metrics on success, `None` on failure.
-    pub metrics: Option<Metrics>,
-    /// Human-readable failure, `None` on success.
-    pub error: Option<String>,
-    /// Structured failure forensics (when the run failed with
-    /// `--explain` on).
-    pub diagnosis: Option<Diagnosis>,
-    pub compile_ms: f64,
-    /// Search-effort counters (when telemetry was enabled).
-    pub snapshot: Option<StatsSnapshot>,
-    /// The run-ledger timeline, sorted by `t_us`.
-    pub events: Vec<LedgerEvent>,
-    /// Ledger events lost to journal overflow.
-    pub events_dropped: u64,
-    /// Phase spans discarded once the span log hit its cap (the
-    /// latency summaries below remain exact regardless).
-    #[serde(default)]
-    pub spans_dropped: u64,
-    /// p50/p90/p99 latency rows per phase plus the route-call
-    /// distribution (empty when telemetry was disabled).
-    #[serde(default)]
-    pub latency: Vec<LatencySummary>,
-    /// Per-cell occupancy of the final mapping, for heatmap rendering
-    /// (`None` on failure or when not measured).
-    pub utilization: Option<UtilizationMap>,
-}
-
-impl RunReport {
-    pub fn succeeded(&self) -> bool {
-        self.metrics.is_some()
-    }
-
-    /// The achieved II, on success.
-    pub fn ii(&self) -> Option<u32> {
-        self.metrics.as_ref().map(|m| m.ii)
-    }
-
-    /// A filename-safe `instance__arch__mapper.json` stem unique per
+impl MapOutcome {
+    /// A filename-safe `kernel__fabric__mapper` stem unique per
     /// report key.
     pub fn file_stem(&self) -> String {
         let clean = |s: &str| {
@@ -147,42 +78,43 @@ impl RunReport {
         };
         format!(
             "{}__{}__{}",
-            clean(&self.instance),
-            clean(&self.arch),
+            clean(&self.kernel),
+            clean(&self.fabric),
             clean(&self.mapper)
         )
     }
 
-    /// Write the report as pretty JSON.
+    /// Write the outcome as pretty JSON.
     pub fn save(&self, path: &Path) -> Result<(), String> {
         let json = serde_json::to_string_pretty(self).map_err(|e| e.to_string())?;
         std::fs::write(path, json + "\n").map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Decode one report from JSON text. `Err` on malformed JSON, a
-    /// missing or wrong-typed field, or a version this reader does not
-    /// understand.
-    pub fn parse(text: &str) -> Result<RunReport, String> {
+    /// Decode one outcome from JSON text. `Err` on malformed JSON, a
+    /// wrong-typed field, or an object that is neither a mapping nor a
+    /// typed failure (`{}`, foreign JSON) — every field defaults, so
+    /// that last check is what tells an outcome from any other object.
+    pub fn parse(text: &str) -> Result<MapOutcome, String> {
         let v = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        let report = RunReport::from_value(&v).map_err(|e| e.to_string())?;
-        if report.version == 0 || report.version > RUN_REPORT_VERSION {
-            return Err(format!("unsupported report version {}", report.version));
+        let out = MapOutcome::from_value(&v).map_err(|e| e.to_string())?;
+        if out.mapping.is_none() && out.error.is_none() {
+            return Err("neither a mapping nor an error".to_string());
         }
-        Ok(report)
+        Ok(out)
     }
 
-    /// Read one report back.
-    pub fn load(path: &Path) -> Result<RunReport, String> {
+    /// Read one outcome back.
+    pub fn load(path: &Path) -> Result<MapOutcome, String> {
         std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
-            .and_then(|text| RunReport::parse(&text))
+            .and_then(|text| MapOutcome::parse(&text))
             .map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Load every `*.json` RunReport in `dir`, sorted by file name.
-    /// Non-report JSON files are skipped silently so a results
-    /// directory can mix artifacts.
-    pub fn load_dir(dir: &Path) -> Result<Vec<RunReport>, String> {
+    /// Load every `*.json` outcome in `dir`, sorted by file name.
+    /// Other JSON files are skipped silently so a results directory
+    /// can mix artifacts.
+    pub fn load_dir(dir: &Path) -> Result<Vec<MapOutcome>, String> {
         let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
             .map_err(|e| format!("{}: {e}", dir.display()))?
             .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -191,7 +123,7 @@ impl RunReport {
         paths.sort();
         Ok(paths
             .iter()
-            .filter_map(|p| RunReport::load(p).ok())
+            .filter_map(|p| MapOutcome::load(p).ok())
             .collect())
     }
 }
@@ -361,19 +293,23 @@ pub fn chrome_trace(
 mod tests {
     use super::*;
     use crate::ledger::Ledger;
-    use crate::telemetry::{Phase, Telemetry};
+    use crate::metrics::Metrics;
+    use crate::telemetry::StatsSnapshot;
 
-    fn sample_report() -> RunReport {
+    fn sample_report() -> MapOutcome {
         let ledger = Ledger::enabled();
         ledger.race_start("sa");
         ledger.incumbent("sa", 2, 10.0);
         ledger.race_win("sa", 2);
-        RunReport {
-            version: RUN_REPORT_VERSION,
-            instance: "dot_product".into(),
-            arch: "4x4 mesh".into(),
+        MapOutcome {
+            kernel: "dot_product".into(),
+            fabric: "4x4 mesh".into(),
             mapper: "sa".into(),
-            config: ConfigDigest::of(&MapConfig::fast()),
+            mapping: Some(crate::mapping::Mapping {
+                ii: 2,
+                place: Vec::new(),
+                routes: Vec::new(),
+            }),
             metrics: Some(Metrics {
                 ii: 2,
                 schedule_len: 6,
@@ -383,21 +319,13 @@ mod tests {
                 peak_registers: 2,
                 throughput: 0.5,
             }),
-            error: None,
-            diagnosis: Some(crate::diagnosis::Diagnosis::new(
-                crate::diagnosis::ResourceClass::Capability,
-                1,
-                4,
-                "sample",
-            )),
             compile_ms: 12.5,
-            snapshot: Some(StatsSnapshot {
+            stats: Some(StatsSnapshot {
                 ii_attempts: 2,
                 incumbents: 1,
                 ..StatsSnapshot::default()
             }),
             events: ledger.events(),
-            events_dropped: 0,
             spans_dropped: 3,
             latency: vec![LatencySummary {
                 phase: "map".into(),
@@ -413,43 +341,27 @@ mod tests {
                 fu_used: vec![2, 1, 0, 0],
                 reg_used: vec![0, 3, 0, 0],
             }),
+            ..MapOutcome::default()
         }
     }
 
     #[test]
     fn report_round_trips_through_json() {
         let r = sample_report();
-        let back = RunReport::parse(&serde_json::to_string(&r).unwrap()).expect("parses");
-        assert_eq!(back.instance, r.instance);
-        assert_eq!(back.arch, r.arch);
+        let back = MapOutcome::parse(&serde_json::to_string(&r).unwrap()).expect("parses");
+        assert_eq!(back.kernel, r.kernel);
+        assert_eq!(back.fabric, r.fabric);
         assert_eq!(back.mapper, r.mapper);
-        assert_eq!(back.config, r.config);
         assert_eq!(back.ii(), Some(2));
         assert_eq!(back.compile_ms, r.compile_ms);
-        assert_eq!(back.snapshot.unwrap(), r.snapshot.unwrap());
+        assert_eq!(back.stats.unwrap(), r.stats.unwrap());
         assert_eq!(back.events, r.events);
         assert!(back.succeeded());
         // Forensics fields round-trip exactly.
-        assert_eq!(back.diagnosis, r.diagnosis);
+        assert_eq!(back.mapping, r.mapping);
         assert_eq!(back.spans_dropped, 3);
         assert_eq!(back.latency, r.latency);
         assert_eq!(back.utilization, r.utilization);
-        // A version-1 report written before these fields existed still
-        // parses, with defaults.
-        let mut old = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
-        if let Value::Object(fields) = &mut old {
-            fields.retain(|(k, _)| {
-                !matches!(
-                    k.as_str(),
-                    "diagnosis" | "spans_dropped" | "latency" | "utilization"
-                )
-            });
-        }
-        let legacy = RunReport::from_value(&old).expect("legacy reports still parse");
-        assert_eq!(legacy.diagnosis, None);
-        assert_eq!(legacy.spans_dropped, 0);
-        assert!(legacy.latency.is_empty());
-        assert_eq!(legacy.utilization, None);
     }
 
     #[test]
@@ -462,18 +374,11 @@ mod tests {
             .unwrap();
         std::fs::write(dir.join("other.json"), "{\"not\": \"a report\"}").unwrap();
         std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
-        let loaded = RunReport::load_dir(&dir).unwrap();
+        let loaded = MapOutcome::load_dir(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].mapper, "sa");
-        let one = RunReport::load(&dir.join(format!("{}.json", r.file_stem()))).unwrap();
-        assert_eq!(one.instance, "dot_product");
-    }
-
-    #[test]
-    fn future_versions_are_rejected() {
-        let mut r = sample_report();
-        r.version = RUN_REPORT_VERSION + 1;
-        assert!(RunReport::parse(&serde_json::to_string(&r).unwrap()).is_err());
+        let one = MapOutcome::load(&dir.join(format!("{}.json", r.file_stem()))).unwrap();
+        assert_eq!(one.kernel, "dot_product");
     }
 
     #[test]

@@ -44,13 +44,15 @@
 //! server changes; a present field of the wrong type or out of range
 //! is an error naming its path, never a silent default.
 
+use crate::ledger::Ledger;
 use crate::mapper::MapError;
 use crate::mapping::Mapping;
-use crate::metrics::Metrics;
-use crate::portfolio::PortfolioEntry;
+use crate::metrics::{Metrics, UtilizationMap};
+use crate::registry::MapperRegistry;
 use crate::report::LatencySummary;
-use crate::telemetry::StatsSnapshot;
-use cgra_arch::{Fabric, Topology};
+use crate::telemetry::{StatsSnapshot, Telemetry};
+use crate::validate::validate_with;
+use cgra_arch::{Fabric, Topology, TopologyCache};
 use cgra_ir::{frontend, kernels, passes, Dfg};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
@@ -544,43 +546,70 @@ pub struct MapOutcome {
     pub events_dropped: u64,
     pub spans_dropped: u64,
     pub latency: Vec<LatencySummary>,
-    pub utilization: Option<crate::metrics::UtilizationMap>,
-    /// Per-entry rows when the job raced the zoo (empty otherwise).
-    pub race: Vec<PortfolioEntry>,
+    pub utilization: Option<UtilizationMap>,
+    /// One row per racing mapper when the job raced the zoo (empty
+    /// otherwise). A row keeps its metrics but not its mapping: the
+    /// winner's is this outcome's, the losers' are dropped.
+    pub race: Vec<MapOutcome>,
     /// Race wall-clock (race mode only).
     pub race_wall_ms: f64,
 }
 
 impl MapOutcome {
+    /// A mapping was produced and validated. Race rows drop the
+    /// mapping and keep the metrics, so this reads the metrics.
     pub fn succeeded(&self) -> bool {
-        self.mapping.is_some()
+        self.metrics.is_some()
     }
 
     pub fn ii(&self) -> Option<u32> {
         self.metrics.as_ref().map(|m| m.ii)
     }
 
-    /// View this outcome as a portfolio row, so the Table I pipeline
-    /// (`summarise`, `RunReport`, `cgra-report`) consumes outcomes
-    /// without a second result shape.
-    pub fn to_entry(&self) -> PortfolioEntry {
-        PortfolioEntry {
-            mapper: self.mapper.clone(),
-            family_label: self.family.clone(),
-            exact: self.exact,
-            spatial: self.spatial,
-            kernel: self.kernel.clone(),
-            metrics: self.metrics.clone(),
-            error: self.error.as_ref().map(|e| e.to_string()),
-            error_detail: self.error.clone(),
-            compile_ms: self.compile_ms,
-            stats: self.stats,
-            events: self.events.clone(),
-            events_dropped: self.events_dropped,
-            diagnosis: self.error.as_ref().and_then(|e| e.diagnosis().cloned()),
-            spans_dropped: self.spans_dropped,
-            latency: self.latency.clone(),
-            utilization: self.utilization.clone(),
+    /// The exit gate: the one place a [`Mapping`] is validated,
+    /// measured and put into an outcome, so no mapping is in an
+    /// outcome unless it validated on `fabric` — which must be the
+    /// fabric the outcome names, and `topo` its topology cache. Invalid
+    /// mapper output becomes an `Infeasible` error.
+    pub fn settle(
+        &mut self,
+        result: Result<Mapping, MapError>,
+        dfg: &Dfg,
+        fabric: &Fabric,
+        topo: &TopologyCache,
+    ) {
+        let checked = result.and_then(|m| match validate_with(&m, dfg, fabric, topo) {
+            Ok(()) => Ok(m),
+            Err(e) => Err(MapError::infeasible(format!("INVALID OUTPUT: {e}"))),
+        });
+        (self.metrics, self.utilization, self.error, self.mapping) = match checked {
+            Ok(m) => (
+                Some(Metrics::of(&m, dfg, fabric)),
+                Some(UtilizationMap::of(&m, dfg, fabric)),
+                None,
+                Some(m),
+            ),
+            Err(e) => (None, None, Some(e), None),
+        };
+    }
+
+    /// Fill the observability payload from the job's sinks (all empty
+    /// when they are off).
+    pub fn harvest(&mut self, tele: &Telemetry, ledger: &Ledger) {
+        self.stats = tele.snapshot();
+        self.spans_dropped = tele.spans_dropped();
+        self.latency = LatencySummary::rows_from(tele);
+        self.events = ledger.events();
+        self.events_dropped = ledger.events_dropped();
+    }
+
+    /// Fill the Table I classification of `self.mapper` from its
+    /// registry spec (left empty for a name the registry lacks).
+    pub fn classify(&mut self) {
+        if let Some(spec) = MapperRegistry::standard().get(&self.mapper) {
+            self.family = spec.family.label().to_string();
+            self.exact = spec.family.is_exact();
+            self.spatial = spec.spatial;
         }
     }
 
@@ -602,6 +631,42 @@ mod tests {
             },
             "modulo-list",
         )
+    }
+
+    #[test]
+    fn gate_admits_valid_mappings_and_rejects_invalid_ones() {
+        use crate::mapper::{MapConfig, Mapper};
+        let dfg = kernels::dot_product();
+        let fabric = FabricSpec::default().build().unwrap();
+        let topo = TopologyCache::build(&fabric);
+        let good = crate::mappers::ModuloList::default()
+            .map(&dfg, &fabric, &MapConfig::fast())
+            .unwrap();
+        let mut out = MapOutcome::default();
+        out.settle(Ok(good.clone()), &dfg, &fabric, &topo);
+        assert!(out.succeeded() && out.error.is_none());
+        assert_eq!(out.metrics, Some(Metrics::of(&good, &dfg, &fabric)));
+        assert_eq!(
+            out.utilization,
+            Some(UtilizationMap::of(&good, &dfg, &fabric))
+        );
+        assert_eq!(out.mapping.as_ref(), Some(&good));
+
+        // Two ops on one (pe, slot): the same outcome loses all three.
+        let mut bad = good;
+        bad.place[1] = bad.place[0];
+        out.settle(Ok(bad), &dfg, &fabric, &topo);
+        assert!(!out.succeeded());
+        assert_eq!(
+            (&out.mapping, &out.metrics, &out.utilization),
+            (&None, &None, &None)
+        );
+        match &out.error {
+            Some(MapError::Infeasible(inf)) => {
+                assert!(inf.why.starts_with("INVALID OUTPUT"), "{}", inf.why)
+            }
+            other => panic!("expected Infeasible, got {other:?}"),
+        }
     }
 
     #[test]

@@ -39,17 +39,15 @@
 //! must not poison the key for the next client.
 
 use crate::engine::Budget;
+use crate::fleet::Partition;
 use crate::incremental::IncrementalCtx;
 use crate::mapper::{MapConfigBuilder, MapError};
 use crate::mapping::Mapping;
-use crate::metrics::{Metrics, UtilizationMap};
 use crate::registry::MapperRegistry;
-use crate::report::LatencySummary;
 use crate::request::{CacheKey, CacheStatus, ExecMode, FabricSpec, MapOutcome, MapRequest};
 use crate::servemetrics::{render_prometheus, ServiceMetrics};
 use crate::telemetry::Telemetry;
-use crate::validate::validate;
-use cgra_arch::{PeId, TopologyCache};
+use cgra_arch::TopologyCache;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -148,10 +146,14 @@ pub fn execute(req: &MapRequest, env: &ExecEnv) -> MapOutcome {
     if observe {
         builder = builder.telemetry(tele.clone()).ledger(ledger.clone());
     }
-    let cfg = match builder.build() {
+    let mut cfg = match builder.build() {
         Ok(c) => c,
         Err(e) => return fail(out, start, MapError::Unsupported(e.to_string())),
     };
+    // One topology table for the run: the mapper and the exit gate
+    // share it.
+    let topo = cfg.topo_for(&fabric);
+    cfg.topo = Some(Arc::clone(&topo));
 
     let registry = MapperRegistry::standard();
     let result = match req.mode {
@@ -170,52 +172,28 @@ pub fn execute(req: &MapRequest, env: &ExecEnv) -> MapOutcome {
                 _ => Err(out
                     .race
                     .iter()
-                    .filter_map(|e| e.error_detail.clone())
+                    .filter_map(|e| e.error.clone())
                     .find(|e| !matches!(e, MapError::Cancelled))
                     .unwrap_or(MapError::Timeout)),
             }
         }
         mode => match registry.build(&req.mapper) {
             Err(unknown) => Err(MapError::Unsupported(unknown.to_string())),
-            Ok(mapper) => {
-                let raced = match mode {
-                    ExecMode::ParallelIi => {
-                        crate::engine::parallel_ii(&*mapper, &dfg, &fabric, &cfg)
-                    }
-                    _ => mapper.map(&dfg, &fabric, &cfg),
-                };
-                raced.and_then(|m| {
-                    let _span = tele.span(crate::telemetry::Phase::Validate);
-                    match validate(&m, &dfg, &fabric) {
-                        Ok(()) => Ok(m),
-                        Err(e) => Err(MapError::infeasible(format!("INVALID OUTPUT: {e}"))),
-                    }
-                })
-            }
+            Ok(mapper) => match mode {
+                ExecMode::ParallelIi => crate::engine::parallel_ii(&*mapper, &dfg, &fabric, &cfg),
+                _ => mapper.map(&dfg, &fabric, &cfg),
+            },
         },
     };
+    {
+        let _span = result
+            .is_ok()
+            .then(|| tele.span(crate::telemetry::Phase::Validate));
+        out.settle(result, &dfg, &fabric, &topo);
+    }
     out.compile_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    if let Some(spec) = registry.get(&out.mapper) {
-        out.family = spec.family.label().to_string();
-        out.exact = spec.family.is_exact();
-        out.spatial = spec.spatial;
-    }
-    match result {
-        Ok(m) => {
-            out.metrics = Some(Metrics::of(&m, &dfg, &fabric));
-            out.utilization = Some(UtilizationMap::of(&m, &dfg, &fabric));
-            out.mapping = Some(m);
-        }
-        Err(e) => out.error = Some(e),
-    }
-    if observe {
-        out.stats = tele.snapshot();
-        out.spans_dropped = tele.spans_dropped();
-        out.latency = LatencySummary::rows_from(&tele);
-        out.events = ledger.events();
-        out.events_dropped = ledger.events_dropped();
-    }
+    out.classify();
+    out.harvest(&tele, &ledger);
     out
 }
 
@@ -295,15 +273,10 @@ impl ResultCache {
         None
     }
 
+    /// A file that does not decode to a mapping or a typed failure
+    /// (`{}`, foreign JSON, truncated) is not an answer to serve.
     fn load_spilled(&self, key: &CacheKey) -> Option<MapOutcome> {
-        let path = self.spill_path(key)?;
-        let text = std::fs::read_to_string(path).ok()?;
-        let value = serde_json::from_str(&text).ok()?;
-        // An outcome is a mapping or a typed failure; a file that is
-        // neither (`{}`, foreign JSON) is not an answer to serve.
-        MapOutcome::from_value(&value)
-            .ok()
-            .filter(|out| out.mapping.is_some() || out.error.is_some())
+        MapOutcome::load(&self.spill_path(key)?).ok()
     }
 
     /// Insert an outcome, evicting (and spilling) the least recently
@@ -472,14 +445,6 @@ impl WarmIndex {
         found.sort_by_key(|i| (i.fabric != *target, i.ii));
         found
     }
-}
-
-/// Re-index a mapping solved on a `src_cols`-wide grid onto a
-/// `dst_cols`-wide one (row-major in both). The caller re-validates —
-/// wrap-around routes or heterogeneous capability layouts make the
-/// translation invalid, not wrong.
-fn translate_mapping(m: &Mapping, src_cols: u16, dst_cols: u16) -> Mapping {
-    m.map_pes(|pe| PeId(pe.0 / src_cols * dst_cols + pe.0 % src_cols))
 }
 
 /// Counting semaphore bounding concurrent cache-miss solves (the
@@ -897,30 +862,40 @@ impl MapService {
         (out, !cancelled)
     }
 
-    /// Warm-start leg 2: replace a timeout with a translated, freshly
-    /// re-validated incumbent when one fits the request's II bounds.
+    /// Warm-start leg 2: replace a timeout with an incumbent lifted
+    /// onto the request's fabric (row-major from the origin; wrap-around
+    /// routes or heterogeneous capability layouts make the lift invalid,
+    /// which the exit gate catches) when one fits the request's II bounds.
     fn timeout_fallback(&self, req: &MapRequest, out: &mut MapOutcome) {
         let candidates = self.warm.candidates(req.kernel.fingerprint(), &req.fabric);
         if candidates.is_empty() {
             return;
         }
-        let (Ok(dfg), Ok(fabric)) = (req.kernel.compile(), req.fabric.build()) else {
+        let (Ok(dfg), Ok(fabric), Some(topo)) = (
+            req.kernel.compile(),
+            req.fabric.build(),
+            self.topo_for(&req.fabric),
+        ) else {
             return;
         };
         for inc in candidates {
             if inc.ii < req.config.min_ii || inc.ii > req.config.max_ii {
                 continue;
             }
-            let m = translate_mapping(&inc.mapping, inc.fabric.cols, req.fabric.cols);
-            if validate(&m, &dfg, &fabric).is_ok() {
-                out.metrics = Some(Metrics::of(&m, &dfg, &fabric));
-                out.utilization = Some(UtilizationMap::of(&m, &dfg, &fabric));
-                out.mapping = Some(m);
-                out.error = None;
+            let origin = Partition {
+                row0: 0,
+                col0: 0,
+                spec: inc.fabric,
+            };
+            let lifted = origin.translate_up(&inc.mapping, &req.fabric);
+            out.settle(Ok(lifted), &dfg, &fabric, &topo);
+            if out.succeeded() {
                 out.cache = CacheStatus::Warm;
                 return;
             }
         }
+        // No incumbent survived the gate: the answer is still the timeout.
+        out.settle(Err(MapError::Timeout), &dfg, &fabric, &topo);
     }
 
     fn topo_for(&self, spec: &FabricSpec) -> Option<Arc<TopologyCache>> {
@@ -1021,6 +996,7 @@ fn personalize(
 mod tests {
     use super::*;
     use crate::request::{KernelSpec, RequestConfig};
+    use crate::validate::validate;
 
     fn named(req_id: u64, kernel: &str, mapper: &str) -> MapRequest {
         MapRequest {
@@ -1322,7 +1298,12 @@ mod tests {
             cols: 6,
             ..FabricSpec::default()
         };
-        let translated = translate_mapping(&m, req.fabric.cols, wide.cols);
+        let origin = Partition {
+            row0: 0,
+            col0: 0,
+            spec: req.fabric,
+        };
+        let translated = origin.translate_up(&m, &wide);
         let dfg = req.kernel.compile().unwrap();
         let fabric = wide.build().unwrap();
         assert!(validate(&translated, &dfg, &fabric).is_ok());

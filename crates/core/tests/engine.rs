@@ -94,8 +94,14 @@ fn same_seed_races_agree_on_the_winning_ii() {
         let m = out.mapping.as_ref().unwrap();
         validate(m, &dfg, &fabric).unwrap();
     }
-    let ii_a = a.metrics(&dfg, &fabric).unwrap().ii;
-    let ii_b = b.metrics(&dfg, &fabric).unwrap().ii;
+    let winning_ii = |out: &cgra_mapper_core::RaceOutcome| {
+        let row = out
+            .entries
+            .iter()
+            .find(|e| Some(&e.mapper) == out.winner.as_ref());
+        row.and_then(|e| e.ii()).unwrap()
+    };
+    let (ii_a, ii_b) = (winning_ii(&a), winning_ii(&b));
     assert_eq!(ii_a, ii_b, "same-seed races disagreed on the winning II");
 }
 
@@ -139,7 +145,7 @@ fn race_smoke_stays_within_budget() {
         // recorded as cancelled bumped the cancellation counter.
         assert!(out.entries.iter().all(|e| e.stats.is_some()));
         for e in &out.entries {
-            if matches!(e.error_detail, Some(MapError::Cancelled)) {
+            if matches!(e.error, Some(MapError::Cancelled)) {
                 assert!(
                     e.stats.as_ref().unwrap().cancellations >= 1,
                     "{}: cancelled without counting it",

@@ -1,5 +1,5 @@
 //! Property audit of the one wire codec: every type that crosses the
-//! JSON boundary — serve requests and replies, spill files, RunReport
+//! JSON boundary — serve requests and replies, spill files, run-report
 //! artifacts, access-log lines, fleet reports — is defined once, by
 //! its struct, and decodes through `serde::Deserialize`.
 //!
@@ -21,14 +21,12 @@ use cgra_mapper_core::diagnosis::{Diagnosis, ResourceClass};
 use cgra_mapper_core::fleet::{FleetFabricReport, FleetJobResult, FleetReport};
 use cgra_mapper_core::ledger::{EventKind, LedgerEvent};
 use cgra_mapper_core::mapper::{Infeasibility, MapError};
-use cgra_mapper_core::portfolio::PortfolioEntry;
 use cgra_mapper_core::request::{
     CacheStatus, ExecMode, FabricSpec, KernelSpec, MapOutcome, MapRequest, RequestConfig,
 };
 use cgra_mapper_core::telemetry::StatsSnapshot;
 use cgra_mapper_core::{
-    AccessRecord, ConfigDigest, LatencySummary, Mapping, Metrics, Placement, Route, RunReport,
-    ServiceStats, UtilizationMap,
+    AccessRecord, LatencySummary, Mapping, Metrics, Placement, Route, ServiceStats, UtilizationMap,
 };
 use proptest::prelude::*;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -277,28 +275,8 @@ fn utilization(g: &mut Gen) -> UtilizationMap {
     }
 }
 
-fn entry(g: &mut Gen) -> PortfolioEntry {
-    PortfolioEntry {
-        mapper: g.text(),
-        family_label: g.text(),
-        exact: g.flag(),
-        spatial: g.flag(),
-        kernel: g.text(),
-        metrics: g.opt(metrics),
-        error: g.opt(Gen::text),
-        error_detail: g.opt(map_error),
-        compile_ms: g.f64(),
-        stats: g.opt(snapshot),
-        events: g.vec(3, event),
-        events_dropped: g.u64(),
-        diagnosis: g.opt(diagnosis),
-        spans_dropped: g.u64(),
-        latency: g.vec(2, latency),
-        utilization: g.opt(utilization),
-    }
-}
-
-fn outcome(g: &mut Gen) -> MapOutcome {
+/// An outcome whose `race` rows nest `depth` more levels.
+fn outcome(g: &mut Gen, depth: u32) -> MapOutcome {
     MapOutcome {
         id: g.u64(),
         trace: g.text(),
@@ -320,33 +298,11 @@ fn outcome(g: &mut Gen) -> MapOutcome {
         spans_dropped: g.u64(),
         latency: g.vec(2, latency),
         utilization: g.opt(utilization),
-        race: g.vec(2, entry),
-        race_wall_ms: g.f64(),
-    }
-}
-
-fn run_report(g: &mut Gen) -> RunReport {
-    RunReport {
-        version: 1,
-        instance: g.text(),
-        arch: g.text(),
-        mapper: g.text(),
-        config: ConfigDigest {
-            max_ii: g.u32(),
-            min_ii: g.u32(),
-            time_limit_ms: g.u64(),
-            seed: g.u64(),
+        race: match depth {
+            0 => Vec::new(),
+            _ => g.vec(2, |g| outcome(g, depth - 1)),
         },
-        metrics: g.opt(metrics),
-        error: g.opt(Gen::text),
-        diagnosis: g.opt(diagnosis),
-        compile_ms: g.f64(),
-        snapshot: g.opt(snapshot),
-        events: g.vec(3, event),
-        events_dropped: g.u64(),
-        spans_dropped: g.u64(),
-        latency: g.vec(2, latency),
-        utilization: g.opt(utilization),
+        race_wall_ms: g.f64(),
     }
 }
 
@@ -462,9 +418,7 @@ impl Case {
 
 /// Every wire type, once.
 fn cases(g: &mut Gen) -> Vec<Case> {
-    let null = Value::Null;
     let zero = Value::UInt(0);
-    let empty = Value::Array(Vec::new());
     let infeasible = Infeasibility {
         why: g.text(),
         diagnosis: g.opt(diagnosis).map(Box::new),
@@ -484,37 +438,16 @@ fn cases(g: &mut Gen) -> Vec<Case> {
         case("ExecMode", &g.pick(&MODES)),
         case("CacheStatus", &g.pick(&STATUSES)),
         case("Topology", &g.pick(&TOPOLOGIES)),
-        case("MapOutcome", &outcome(g)).container_default::<MapOutcome>(),
+        case("MapOutcome", &outcome(g, 1)).container_default::<MapOutcome>(),
         case("Mapping", &mapping(g)),
         case("Metrics", &metrics(g)),
         case("MapError", &map_error(g)),
-        case("Infeasibility", &infeasible).defaults(&[("diagnosis", null.clone())]),
+        case("Infeasibility", &infeasible).defaults(&[("diagnosis", Value::Null)]),
         case("Diagnosis", &diagnosis(g)),
         case("UtilizationMap", &utilization(g)),
         case("LatencySummary", &latency(g)),
         case("StatsSnapshot", &snapshot(g)).container_default::<StatsSnapshot>(),
         case("LedgerEvent", &event(g)),
-        case("RunReport", &run_report(g)).defaults(&[
-            ("metrics", null.clone()),
-            ("error", null.clone()),
-            ("diagnosis", null.clone()),
-            ("snapshot", null.clone()),
-            ("spans_dropped", zero.clone()),
-            ("latency", empty.clone()),
-            ("utilization", null.clone()),
-        ]),
-        case("PortfolioEntry", &entry(g)).defaults(&[
-            ("metrics", null.clone()),
-            ("error", null.clone()),
-            ("error_detail", null.clone()),
-            ("stats", null.clone()),
-            ("events", empty.clone()),
-            ("events_dropped", zero.clone()),
-            ("diagnosis", null.clone()),
-            ("spans_dropped", zero.clone()),
-            ("latency", empty.clone()),
-            ("utilization", null.clone()),
-        ]),
         case("AccessRecord", &access_record(g)).container_default::<AccessRecord>(),
         case("ServiceStats", &service_stats(g)).defaults(
             &[

@@ -11,17 +11,14 @@
 //! cargo run --release --example mapper_comparison
 //! ```
 
+use cgra::mapper::portfolio::{run_requests, summarise};
 use cgra::prelude::*;
-use std::time::Duration;
 
 fn main() {
-    let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
+    let fabric_spec = FabricSpec::default(); // homogeneous 4x4 mesh
+    let fabric = fabric_spec.build().expect("default fabric builds");
     let kernels = kernels::suite();
-    let cfg = MapConfig {
-        time_limit: Duration::from_secs(10),
-        ..MapConfig::default()
-    };
-    let mappers = all_mappers();
+    let mappers = MapperRegistry::standard().names();
     println!(
         "mapping {} kernels with {} techniques on {} ...",
         kernels.len(),
@@ -29,8 +26,18 @@ fn main() {
         fabric.name
     );
 
-    let entries = run_portfolio(&mappers, &kernels, &fabric, &cfg);
-    let summary = cgra::mapper::portfolio::summarise(&entries);
+    let requests: Vec<MapRequest> = mappers
+        .iter()
+        .flat_map(|m| kernels.iter().map(move |k| (m, k)))
+        .map(|(m, k)| {
+            let mut req = MapRequest::new(KernelSpec::Named(k.name.clone()), *m);
+            req.fabric = fabric_spec;
+            req.config.time_limit_ms = 10_000;
+            req
+        })
+        .collect();
+    let entries = run_requests(&requests);
+    let summary = summarise(&entries);
 
     println!(
         "\n{:<16} {:<28} {:>9} {:>8} {:>10} {:>10}",
