@@ -31,7 +31,7 @@ use cgra_mapper_core::request::{FabricSpec, MapOutcome, MapRequest, RequestError
 use cgra_mapper_core::servemetrics::{AccessLog, AccessRecord, ServiceMetrics};
 use cgra_mapper_core::service::{MapService, ServiceOptions, ServiceStats};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -312,8 +312,10 @@ fn serve_connection(
         Err(_) => return,
     };
     let mut reader = BufReader::new(reader);
-    let mut writer = BufWriter::new(stream);
+    let mut writer = stream;
+    // One request line and one reply line per connection, reused.
     let mut line = String::new();
+    let mut reply = String::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -331,21 +333,22 @@ fn serve_connection(
             }
             Err(_) => return,
         }
-        let text = line.trim().to_string();
+        let parsed = match line.trim() {
+            "" => None,
+            text => Some(serde_json::from_str(text)),
+        };
         line.clear();
-        if text.is_empty() {
-            continue;
-        }
-        let response = match serde_json::from_str(&text) {
-            Ok(v) => match Op::from_json(&v) {
+        let response = match parsed {
+            None => continue,
+            Some(Ok(v)) => match Op::from_json(&v) {
                 Ok(op) => {
                     let (resp, was_shutdown) = dispatch(op, service, access, &peer);
                     if was_shutdown {
-                        let _ = write_line(&mut writer, &resp);
+                        let _ = write_line(&mut writer, &mut reply, &resp);
                         stop.store(true, Ordering::SeqCst);
                         // Unblock accept(): an accepted socket's local
                         // address is the listener's address.
-                        if let Ok(addr) = writer.get_ref().local_addr() {
+                        if let Ok(addr) = writer.local_addr() {
                             let _ = TcpStream::connect(addr);
                         }
                         return;
@@ -354,18 +357,20 @@ fn serve_connection(
                 }
                 Err(e) => err_response(&e.0),
             },
-            Err(e) => err_response(&format!("bad JSON: {e}")),
+            Some(Err(e)) => err_response(&format!("bad JSON: {e}")),
         };
-        if write_line(&mut writer, &response).is_err() {
+        if write_line(&mut writer, &mut reply, &response).is_err() {
             return;
         }
     }
 }
 
-fn write_line(w: &mut BufWriter<TcpStream>, v: &Value) -> std::io::Result<()> {
-    w.write_all(v.render().as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+/// Render `v` and a newline into `buf` and send them as one write.
+fn write_line(w: &mut TcpStream, buf: &mut String, v: &Value) -> std::io::Result<()> {
+    buf.clear();
+    v.write_compact(buf);
+    buf.push('\n');
+    w.write_all(buf.as_bytes())
 }
 
 /// Handle one request and write its access-log line (when logging).
@@ -505,7 +510,9 @@ fn serve_metrics_http(listener: TcpListener, service: Arc<MapService>, stop: Arc
 /// Blocking client for the serve protocol.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    /// The request line, then the reply line, of the call in progress.
+    line: String,
 }
 
 impl Client {
@@ -516,26 +523,24 @@ impl Client {
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
+            line: String::new(),
         })
     }
 
     /// One request/response round trip at the [`Value`] level.
     pub fn call(&mut self, request: &Value) -> Result<Value, RequestError> {
-        self.writer
-            .write_all(request.render().as_bytes())
-            .and_then(|_| self.writer.write_all(b"\n"))
-            .and_then(|_| self.writer.flush())
+        write_line(&mut self.writer, &mut self.line, request)
             .map_err(|e| RequestError(format!("send: {e}")))?;
-        let mut line = String::new();
+        self.line.clear();
         let n = self
             .reader
-            .read_line(&mut line)
+            .read_line(&mut self.line)
             .map_err(|e| RequestError(format!("recv: {e}")))?;
         if n == 0 {
             return Err("server closed the connection".into());
         }
-        let v = serde_json::from_str(line.trim()).map_err(|e| RequestError(format!("{e}")))?;
+        let v = serde_json::from_str(self.line.trim()).map_err(|e| RequestError(format!("{e}")))?;
         let ok = v.get("ok").and_then(|b| b.as_bool()).unwrap_or(false);
         if !ok {
             let msg = v
