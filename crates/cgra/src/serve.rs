@@ -91,18 +91,20 @@ fn de(e: DeError) -> RequestError {
     RequestError(e.to_string())
 }
 
-fn ok_response(key: &str, payload: Value) -> Value {
-    Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        (key.into(), payload),
-    ])
+/// Append the reply `{"ok":true,"<key>":<payload>}` to `out`.
+fn ok_reply(out: &mut String, key: &str, payload: &dyn Serialize) {
+    serde::write_object(out, |pair| {
+        pair("ok", &true);
+        pair(key, payload);
+    });
 }
 
-fn err_response(msg: &str) -> Value {
-    Value::Object(vec![
-        ("ok".into(), Value::Bool(false)),
-        ("error".into(), Value::Str(msg.into())),
-    ])
+/// Append the reply `{"ok":false,"error":"<msg>"}` to `out`.
+fn err_reply(out: &mut String, msg: &str) {
+    serde::write_object(out, |pair| {
+        pair("ok", &false);
+        pair("error", &msg);
+    });
 }
 
 /// Configuration for [`Server::bind`].
@@ -338,39 +340,31 @@ fn serve_connection(
             text => Some(serde_json::from_str(text)),
         };
         line.clear();
-        let response = match parsed {
+        reply.clear();
+        let mut was_shutdown = false;
+        match parsed {
             None => continue,
             Some(Ok(v)) => match Op::from_json(&v) {
-                Ok(op) => {
-                    let (resp, was_shutdown) = dispatch(op, service, access, &peer);
-                    if was_shutdown {
-                        let _ = write_line(&mut writer, &mut reply, &resp);
-                        stop.store(true, Ordering::SeqCst);
-                        // Unblock accept(): an accepted socket's local
-                        // address is the listener's address.
-                        if let Ok(addr) = writer.local_addr() {
-                            let _ = TcpStream::connect(addr);
-                        }
-                        return;
-                    }
-                    resp
-                }
-                Err(e) => err_response(&e.0),
+                Ok(op) => was_shutdown = dispatch(op, service, access, &peer, &mut reply),
+                Err(e) => err_reply(&mut reply, &e.0),
             },
-            Some(Err(e)) => err_response(&format!("bad JSON: {e}")),
-        };
-        if write_line(&mut writer, &mut reply, &response).is_err() {
+            Some(Err(e)) => err_reply(&mut reply, &format!("bad JSON: {e}")),
+        }
+        reply.push('\n');
+        let sent = writer.write_all(reply.as_bytes());
+        if was_shutdown {
+            stop.store(true, Ordering::SeqCst);
+            // Unblock accept(): an accepted socket's local address is
+            // the listener's address.
+            if let Ok(addr) = writer.local_addr() {
+                let _ = TcpStream::connect(addr);
+            }
+            return;
+        }
+        if sent.is_err() {
             return;
         }
     }
-}
-
-/// Render `v` and a newline into `buf` and send them as one write.
-fn write_line(w: &mut TcpStream, buf: &mut String, v: &Value) -> std::io::Result<()> {
-    buf.clear();
-    v.write_compact(buf);
-    buf.push('\n');
-    w.write_all(buf.as_bytes())
 }
 
 /// Handle one request and write its access-log line (when logging).
@@ -402,19 +396,21 @@ fn handle_logged(
     out
 }
 
-/// Execute one op against the shared service. The bool flags a
-/// shutdown request.
+/// Execute one op against the shared service and append its reply to
+/// `out`. Returns whether it was a shutdown request.
 fn dispatch(
     op: Op,
     service: &Arc<MapService>,
     access: Option<&Arc<AccessLog>>,
     client: &str,
-) -> (Value, bool) {
+    out: &mut String,
+) -> bool {
     match op {
-        Op::Map(req) => {
-            let outcome = handle_logged(service, access, client, &req);
-            (ok_response("outcome", outcome.to_value()), false)
-        }
+        Op::Map(req) => ok_reply(
+            out,
+            "outcome",
+            &handle_logged(service, access, client, &req),
+        ),
         Op::Batch(reqs) => {
             // Fan the batch across threads: hits return immediately,
             // misses queue on the service's admission gate, and the
@@ -426,18 +422,11 @@ fn dispatch(
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
-            let vals: Vec<Value> = outcomes.iter().map(|o| o.to_value()).collect();
-            (ok_response("outcomes", Value::Array(vals)), false)
+            ok_reply(out, "outcomes", &outcomes);
         }
-        Op::Cancel(id) => (
-            ok_response("cancelled", Value::Bool(service.cancel(id))),
-            false,
-        ),
-        Op::Stats => (ok_response("stats", service.stats().to_value()), false),
-        Op::Metrics => (
-            ok_response("metrics", Value::Str(service.metrics_text())),
-            false,
-        ),
+        Op::Cancel(id) => ok_reply(out, "cancelled", &service.cancel(id)),
+        Op::Stats => ok_reply(out, "stats", &service.stats()),
+        Op::Metrics => ok_reply(out, "metrics", &service.metrics_text()),
         Op::Fleet { requests, fabrics } => {
             // Plan against the live service so already-cached requests
             // are predicted warm, then run through the same handle()
@@ -450,16 +439,17 @@ fn dispatch(
                 })
                 .collect();
             match fleet::plan(&requests, &farm, Some(service)) {
-                Ok(p) => {
-                    let report = fleet::run(&requests, &farm, &p, service);
-                    (ok_response("fleet", report.to_value()), false)
-                }
-                Err(e) => (err_response(&e.0), false),
+                Ok(p) => ok_reply(out, "fleet", &fleet::run(&requests, &farm, &p, service)),
+                Err(e) => err_reply(out, &e.0),
             }
         }
-        Op::Ping => (ok_response("pong", Value::Bool(true)), false),
-        Op::Shutdown => (ok_response("stopping", Value::Bool(true)), true),
+        Op::Ping => ok_reply(out, "pong", &true),
+        Op::Shutdown => {
+            ok_reply(out, "stopping", &true);
+            return true;
+        }
     }
+    false
 }
 
 /// The scrape endpoint: a deliberately minimal HTTP/1.1 responder over
@@ -530,7 +520,29 @@ impl Client {
 
     /// One request/response round trip at the [`Value`] level.
     pub fn call(&mut self, request: &Value) -> Result<Value, RequestError> {
-        write_line(&mut self.writer, &mut self.line, request)
+        self.line.clear();
+        request.write_json(&mut self.line);
+        self.round_trip()
+    }
+
+    /// One round trip of the request `{"op":"<op>",<fields>…}`.
+    fn op(&mut self, op: &str, fields: &[(&str, &dyn Serialize)]) -> Result<Value, RequestError> {
+        self.line.clear();
+        serde::write_object(&mut self.line, |pair| {
+            pair("op", &op);
+            for (key, payload) in fields {
+                pair(key, *payload);
+            }
+        });
+        self.round_trip()
+    }
+
+    /// Send the request in `self.line`, read the reply line into it and
+    /// parse that, turning an `"ok":false` reply into the error.
+    fn round_trip(&mut self) -> Result<Value, RequestError> {
+        self.line.push('\n');
+        self.writer
+            .write_all(self.line.as_bytes())
             .map_err(|e| RequestError(format!("send: {e}")))?;
         self.line.clear();
         let n = self
@@ -554,31 +566,19 @@ impl Client {
 
     /// Map one request.
     pub fn map(&mut self, req: &MapRequest) -> Result<MapOutcome, RequestError> {
-        let v = self.call(&Value::Object(vec![
-            ("op".into(), Value::Str("map".into())),
-            ("request".into(), req.to_value()),
-        ]))?;
+        let v = self.op("map", &[("request", req)])?;
         serde::get(&v, "outcome").map_err(de)
     }
 
     /// Map a batch; outcomes come back in request order.
     pub fn batch(&mut self, reqs: &[MapRequest]) -> Result<Vec<MapOutcome>, RequestError> {
-        let v = self.call(&Value::Object(vec![
-            ("op".into(), Value::Str("batch".into())),
-            (
-                "requests".into(),
-                Value::Array(reqs.iter().map(|r| r.to_value()).collect()),
-            ),
-        ]))?;
+        let v = self.op("batch", &[("requests", &reqs)])?;
         serde::get(&v, "outcomes").map_err(de)
     }
 
     /// Cancel an in-flight request by id.
     pub fn cancel(&mut self, id: u64) -> Result<bool, RequestError> {
-        let v = self.call(&Value::Object(vec![
-            ("op".into(), Value::Str("cancel".into())),
-            ("id".into(), Value::UInt(id)),
-        ]))?;
+        let v = self.op("cancel", &[("id", &id)])?;
         Ok(v.get("cancelled")
             .and_then(|b| b.as_bool())
             .unwrap_or(false))
@@ -586,20 +586,14 @@ impl Client {
 
     /// Fetch server statistics.
     pub fn stats(&mut self) -> Result<ServiceStats, RequestError> {
-        let v = self.call(&Value::Object(vec![(
-            "op".into(),
-            Value::Str("stats".into()),
-        )]))?;
+        let v = self.op("stats", &[])?;
         serde::get(&v, "stats").map_err(de)
     }
 
     /// Fetch the Prometheus text-format metrics payload over the wire
     /// protocol (the same bytes `--metrics-addr` serves over HTTP).
     pub fn metrics(&mut self) -> Result<String, RequestError> {
-        let v = self.call(&Value::Object(vec![(
-            "op".into(),
-            Value::Str("metrics".into()),
-        )]))?;
+        let v = self.op("metrics", &[])?;
         Ok(v.get("metrics")
             .and_then(|m| m.as_str())
             .ok_or("response missing `metrics`")?
@@ -613,17 +607,7 @@ impl Client {
         reqs: &[MapRequest],
         fabrics: &[FabricSpec],
     ) -> Result<Value, RequestError> {
-        let v = self.call(&Value::Object(vec![
-            ("op".into(), Value::Str("fleet".into())),
-            (
-                "requests".into(),
-                Value::Array(reqs.iter().map(|r| r.to_value()).collect()),
-            ),
-            (
-                "fabrics".into(),
-                Value::Array(fabrics.iter().map(|f| f.to_value()).collect()),
-            ),
-        ]))?;
+        let v = self.op("fleet", &[("requests", &reqs), ("fabrics", &fabrics)])?;
         v.get("fleet")
             .cloned()
             .ok_or_else(|| RequestError("response missing `fleet`".into()))
@@ -631,20 +615,12 @@ impl Client {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), RequestError> {
-        self.call(&Value::Object(vec![(
-            "op".into(),
-            Value::Str("ping".into()),
-        )]))?;
-        Ok(())
+        self.op("ping", &[]).map(|_| ())
     }
 
     /// Ask the server to stop.
     pub fn shutdown(&mut self) -> Result<(), RequestError> {
-        self.call(&Value::Object(vec![(
-            "op".into(),
-            Value::Str("shutdown".into()),
-        )]))?;
-        Ok(())
+        self.op("shutdown", &[]).map(|_| ())
     }
 }
 

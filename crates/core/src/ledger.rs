@@ -117,28 +117,29 @@ pub struct LedgerEvent {
 /// which is why both directions are written by hand.
 impl Serialize for LedgerEvent {
     fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("t_us".to_string(), Value::UInt(self.t_us)),
-            ("event".to_string(), Value::Str(self.kind.label().into())),
-            ("mapper".to_string(), Value::Str(self.kind.mapper().into())),
-        ];
+        serde::object_value(|pair| self.pairs(pair))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        serde::write_object(out, |pair| self.pairs(pair));
+    }
+}
+
+impl LedgerEvent {
+    fn pairs(&self, pair: &mut serde::PairSink) {
+        pair("t_us", &self.t_us);
+        pair("event", &self.kind.label());
+        pair("mapper", &self.kind.mapper());
         match &self.kind {
             EventKind::Incumbent { ii, cost, .. } => {
-                pairs.push(("ii".to_string(), Value::UInt(*ii as u64)));
-                pairs.push(("cost".to_string(), Value::Float(*cost)));
+                pair("ii", ii);
+                pair("cost", cost);
             }
-            EventKind::RaceWin { ii, .. } | EventKind::IiAttempt { ii, .. } => {
-                pairs.push(("ii".to_string(), Value::UInt(*ii as u64)));
-            }
-            EventKind::RaceLoss { reason, .. } => {
-                pairs.push(("reason".to_string(), Value::Str(reason.clone())));
-            }
-            EventKind::Request { trace, .. } => {
-                pairs.push(("trace".to_string(), Value::Str(trace.clone())));
-            }
+            EventKind::RaceWin { ii, .. } | EventKind::IiAttempt { ii, .. } => pair("ii", ii),
+            EventKind::RaceLoss { reason, .. } => pair("reason", reason),
+            EventKind::Request { trace, .. } => pair("trace", trace),
             EventKind::RaceStart { .. } | EventKind::BudgetExhausted { .. } => {}
         }
-        Value::Object(pairs)
     }
 }
 

@@ -138,20 +138,22 @@ pub enum KernelSpec {
 // derive's tagged-variant form.
 impl Serialize for KernelSpec {
     fn to_value(&self) -> Value {
+        serde::object_value(|pair| self.pairs(pair))
+    }
+
+    fn write_json(&self, out: &mut String) {
+        serde::write_object(out, |pair| self.pairs(pair));
+    }
+}
+
+impl KernelSpec {
+    fn pairs(&self, pair: &mut serde::PairSink) {
         match self {
-            KernelSpec::Source { source, name } => Value::Object(vec![
-                ("source".to_string(), Value::Str(source.clone())),
-                (
-                    "name".to_string(),
-                    match name {
-                        Some(n) => Value::Str(n.clone()),
-                        None => Value::Null,
-                    },
-                ),
-            ]),
-            KernelSpec::Named(name) => {
-                Value::Object(vec![("named".to_string(), Value::Str(name.clone()))])
+            KernelSpec::Source { source, name } => {
+                pair("source", source);
+                pair("name", name);
             }
+            KernelSpec::Named(name) => pair("named", name),
         }
     }
 }
@@ -320,7 +322,11 @@ impl ExecMode {
 
 impl Serialize for ExecMode {
     fn to_value(&self) -> Value {
-        Value::Str(self.label().to_string())
+        self.label().to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.label().write_json(out);
     }
 }
 
@@ -498,7 +504,11 @@ impl CacheStatus {
 
 impl Serialize for CacheStatus {
     fn to_value(&self) -> Value {
-        Value::Str(self.label().to_string())
+        self.label().to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.label().write_json(out);
     }
 }
 

@@ -360,8 +360,10 @@ impl AccessLog {
         rec.t_us = self.epoch.elapsed().as_micros() as u64;
         let mut out = self.out.lock().unwrap();
         rec.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let _ = out.write_all(rec.to_value().render().as_bytes());
-        let _ = out.write_all(b"\n");
+        let mut line = String::new();
+        rec.write_json(&mut line);
+        line.push('\n');
+        let _ = out.write_all(line.as_bytes());
         let _ = out.flush();
     }
 }

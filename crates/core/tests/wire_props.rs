@@ -13,6 +13,12 @@
 //!    the type's default table yields exactly that default; dropping
 //!    any other key is an error, never a silent zero.
 //!
+//! 4. **One text:** `x.write_json(..)` appends exactly
+//!    `x.to_value().render()` — the tree-free writer the daemon's
+//!    replies, spill files and access log go through prints the bytes
+//!    the tree prints. Every type that overrides `write_json`, by
+//!    derive or by hand, is in the list below.
+//!
 //! `access_log_props.rs` and `request_props.rs` keep their sharper,
 //! type-specific properties; this file is the net under all of them.
 
@@ -383,16 +389,26 @@ fn fleet_report(g: &mut Gen) -> FleetReport {
 struct Case {
     name: &'static str,
     value: Value,
+    /// What `write_json` appended for the same `x`.
+    written: String,
     recode: fn(&Value) -> Result<Value, DeError>,
     /// Top-level keys that may be absent, with what they then read as.
     /// Every other top-level key is required.
     defaults: Vec<(String, Value)>,
 }
 
+/// What `write_json` appends for `x`.
+fn written<T: Serialize>(x: &T) -> String {
+    let mut out = String::new();
+    x.write_json(&mut out);
+    out
+}
+
 fn case<T: Serialize + Deserialize>(name: &'static str, x: &T) -> Case {
     Case {
         name,
         value: x.to_value(),
+        written: written(x),
         recode: |v| T::from_value(v).map(|x| x.to_value()),
         defaults: Vec::new(),
     }
@@ -504,6 +520,13 @@ proptest! {
     }
 
     #[test]
+    fn write_json_prints_what_the_tree_prints(seed in any::<u64>()) {
+        for c in cases(&mut Gen(seed)) {
+            prop_assert_eq!(&c.written, &c.value.render(), "{}", c.name);
+        }
+    }
+
+    #[test]
     fn unknown_keys_are_ignored_at_every_level(seed in any::<u64>()) {
         for c in cases(&mut Gen(seed)) {
             let back = (c.recode)(&with_unknown_keys(&c.value));
@@ -580,6 +603,7 @@ fn derive_covers_tuple_unit_and_struct_variant_shapes() {
             label: Some("r".into()),
         },
     ] {
+        assert_eq!(written(&x), x.to_value().render());
         assert_eq!(recode(&x), Ok(x));
     }
     let from = |text: &str| Shape::from_value(&serde_json::from_str(text).unwrap());
@@ -607,7 +631,9 @@ fn derive_covers_tuple_unit_and_struct_variant_shapes() {
         "expected a variant of Shape, got an object"
     );
     assert_eq!(Unit::from_value(&Unit.to_value()), Ok(Unit));
-    let pair = Pair(7, "x".into());
+    assert_eq!(written(&Unit), "null");
+    let pair = Pair(7, "x\"y".into());
+    assert_eq!(written(&pair), pair.to_value().render());
     assert_eq!(Pair::from_value(&pair.to_value()), Ok(pair));
 }
 
