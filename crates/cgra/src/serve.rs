@@ -19,7 +19,10 @@
 //! Note that a *typed mapping failure* (infeasible, timeout, …) is a
 //! successful protocol exchange — the error rides inside the outcome,
 //! mirroring [`MapOutcome::error`] — while `"ok": false` is reserved
-//! for malformed requests and transport-level problems.
+//! for malformed requests and transport-level problems. Two of those
+//! are limits: JSON nested deeper than 128 levels is a `bad JSON`
+//! error, and a line longer than 1 MiB is answered `line too long` and
+//! its connection closed.
 //!
 //! The daemon itself is deliberately boring: all caching, admission
 //! control, single-flight dedup, and warm-start policy live in
@@ -40,6 +43,11 @@ use std::time::{Duration, Instant};
 
 /// How often idle connections re-check the shutdown flag.
 const IDLE_POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line (newline excluded) the daemon buffers. A
+/// connection that sends more without a newline is answered `line too
+/// long` and closed; a kernel source is a few KB.
+const MAX_LINE: usize = 1 << 20;
 
 /// One decoded protocol request.
 #[derive(Debug)]
@@ -316,15 +324,24 @@ fn serve_connection(
     let mut reader = BufReader::new(reader);
     let mut writer = stream;
     // One request line and one reply line per connection, reused.
-    let mut line = String::new();
+    let mut line = Vec::new();
     let mut reply = String::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        // On timeout, bytes read so far stay in `line`; keep
-        // accumulating until the newline arrives.
-        match reader.read_line(&mut line) {
+        // Never read past one byte more than the cap. On timeout, bytes
+        // read so far stay in `line`; keep accumulating until the
+        // newline arrives.
+        let room = (MAX_LINE + 1 - line.len()) as u64;
+        let read = reader.by_ref().take(room).read_until(b'\n', &mut line);
+        if line.len() > MAX_LINE && !line.ends_with(b"\n") {
+            err_reply(&mut reply, "line too long");
+            reply.push('\n');
+            let _ = writer.write_all(reply.as_bytes());
+            return;
+        }
+        match read {
             Ok(0) => return,
             Ok(_) => {}
             Err(e)
@@ -335,9 +352,9 @@ fn serve_connection(
             }
             Err(_) => return,
         }
-        let parsed = match line.trim() {
-            "" => None,
-            text => Some(serde_json::from_str(text)),
+        let parsed = match line.trim_ascii() {
+            [] => None,
+            text => Some(serde_json::from_slice(text)),
         };
         line.clear();
         reply.clear();

@@ -9,7 +9,7 @@ use cgra::mapper::request::{CacheStatus, KernelSpec, MapOutcome, MapRequest};
 use cgra::mapper::MapError;
 use cgra::serve::{Client, ServeOptions, Server};
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -278,4 +278,85 @@ fn cancellation_returns_typed_cancelled_within_150ms() {
     // retired id reports nothing in flight.
     assert_eq!(server.service().stats().cache_entries, 0);
     assert!(!canceller.cancel(99).unwrap());
+}
+
+/// Send `line` and a newline on a fresh connection and read one reply
+/// line; `None` if the server closed (or reset) without answering.
+fn raw_exchange(addr: SocketAddr, line: &[u8]) -> Option<String> {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    // The server may stop reading before the client stops writing.
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            (&stream)
+                .write_all(line)
+                .and_then(|_| (&stream).write_all(b"\n"))
+        });
+        let mut reply = String::new();
+        let got = reader.read_line(&mut reply);
+        let _ = writer.join().unwrap();
+        matches!(got, Ok(n) if n > 0).then_some(reply)
+    })
+}
+
+#[test]
+fn hostile_lines_are_refused_and_the_daemon_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = server.addr();
+    let mut client = Client::connect(addr).unwrap();
+    let out = client
+        .map(&request(1, "dot_product", "modulo-list"))
+        .unwrap();
+    assert!(out.succeeded());
+
+    // 10 000 levels of nesting in 20 KB: a parser that recursed per
+    // level overflowed the worker's stack, which aborts the process.
+    let deep = format!(
+        r#"{{"op":"ping","pad":{}{}}}"#,
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    let reply = raw_exchange(addr, deep.as_bytes()).expect("a reply to the deep line");
+    assert!(
+        reply.starts_with(r#"{"ok":false,"error":"bad JSON: "#),
+        "{reply}"
+    );
+    assert!(reply.contains("nested deeper than 128 levels"), "{reply}");
+    client.ping().unwrap();
+
+    // Bytes that are not UTF-8 are a protocol error, not a disconnect.
+    let reply = raw_exchange(addr, b"{\"op\":\"ping\",\"pad\":\"\xff\xfe\"}").expect("a reply");
+    assert!(
+        reply.starts_with(r#"{"ok":false,"error":"bad JSON: "#),
+        "{reply}"
+    );
+
+    // One byte over the cap with no newline yet: answered, then closed.
+    const MAX_LINE: usize = 1 << 20;
+    let stream = TcpStream::connect(addr).unwrap();
+    (&stream).write_all(&vec![b'a'; MAX_LINE + 1]).unwrap();
+    let mut replies = String::new();
+    (&stream).read_to_string(&mut replies).unwrap();
+    assert_eq!(replies, "{\"ok\":false,\"error\":\"line too long\"}\n");
+    // A line of exactly the cap is still read whole (and is bad JSON).
+    let reply = raw_exchange(addr, &vec![b'a'; MAX_LINE]).expect("a reply at the cap");
+    assert!(reply.contains("bad JSON"), "{reply}");
+    // 2 MiB: the server stops reading at the cap and closes with the
+    // rest unread, so whether the refusal or a reset reaches this end
+    // first is the kernel's business; only a wrong answer is a failure.
+    if let Some(reply) = raw_exchange(addr, &vec![b'a'; 2 * MAX_LINE]) {
+        assert_eq!(reply, "{\"ok\":false,\"error\":\"line too long\"}\n");
+    }
+
+    // The daemon is alive and its books balance: none of the refused
+    // lines was admitted, the replay of the first request is a hit.
+    let mut fresh = Client::connect(addr).unwrap();
+    fresh.ping().unwrap();
+    let again = fresh
+        .map(&request(2, "dot_product", "modulo-list"))
+        .unwrap();
+    assert_eq!(again.cache, CacheStatus::Hit);
+    let stats = fresh.stats().unwrap();
+    assert_eq!(stats.requests, 2);
+    assert_eq!(stats.hits + stats.misses, stats.requests);
 }
