@@ -336,9 +336,9 @@ fn serve_connection(
         let room = (MAX_LINE + 1 - line.len()) as u64;
         let read = reader.by_ref().take(room).read_until(b'\n', &mut line);
         if line.len() > MAX_LINE && !line.ends_with(b"\n") {
+            reply.clear();
             err_reply(&mut reply, "line too long");
-            reply.push('\n');
-            let _ = writer.write_all(reply.as_bytes());
+            let _ = send_line(&mut writer, &mut reply);
             return;
         }
         match read {
@@ -367,8 +367,7 @@ fn serve_connection(
             },
             Some(Err(e)) => err_reply(&mut reply, &format!("bad JSON: {e}")),
         }
-        reply.push('\n');
-        let sent = writer.write_all(reply.as_bytes());
+        let sent = send_line(&mut writer, &mut reply);
         if was_shutdown {
             stop.store(true, Ordering::SeqCst);
             // Unblock accept(): an accepted socket's local address is
@@ -382,6 +381,12 @@ fn serve_connection(
             return;
         }
     }
+}
+
+/// Terminate the line in `buf` and send it as one write.
+fn send_line(w: &mut TcpStream, buf: &mut String) -> std::io::Result<()> {
+    buf.push('\n');
+    w.write_all(buf.as_bytes())
 }
 
 /// Handle one request and write its access-log line (when logging).
@@ -557,9 +562,7 @@ impl Client {
     /// Send the request in `self.line`, read the reply line into it and
     /// parse that, turning an `"ok":false` reply into the error.
     fn round_trip(&mut self) -> Result<Value, RequestError> {
-        self.line.push('\n');
-        self.writer
-            .write_all(self.line.as_bytes())
+        send_line(&mut self.writer, &mut self.line)
             .map_err(|e| RequestError(format!("send: {e}")))?;
         self.line.clear();
         let n = self

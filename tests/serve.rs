@@ -331,13 +331,18 @@ fn hostile_lines_are_refused_and_the_daemon_keeps_serving() {
         "{reply}"
     );
 
-    // One byte over the cap with no newline yet: answered, then closed.
+    // One byte over the cap with no newline yet, on a connection that
+    // has already been answered once: refused, then closed.
     const MAX_LINE: usize = 1 << 20;
     let stream = TcpStream::connect(addr).unwrap();
+    (&stream).write_all(b"{\"op\":\"ping\"}\n").unwrap();
     (&stream).write_all(&vec![b'a'; MAX_LINE + 1]).unwrap();
     let mut replies = String::new();
     (&stream).read_to_string(&mut replies).unwrap();
-    assert_eq!(replies, "{\"ok\":false,\"error\":\"line too long\"}\n");
+    assert_eq!(
+        replies,
+        "{\"ok\":true,\"pong\":true}\n{\"ok\":false,\"error\":\"line too long\"}\n"
+    );
     // A line of exactly the cap is still read whole (and is bad JSON).
     let reply = raw_exchange(addr, &vec![b'a'; MAX_LINE]).expect("a reply at the cap");
     assert!(reply.contains("bad JSON"), "{reply}");
