@@ -88,6 +88,10 @@ impl Deserialize for Topology {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         serde::label(v, "topology", Topology::from_label)
     }
+
+    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
+        serde::read_label(r, "topology", Topology::from_label)
+    }
 }
 
 /// Where stream I/O operations may be placed.

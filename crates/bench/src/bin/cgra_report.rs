@@ -271,8 +271,7 @@ fn load_serve_log(path: &str) -> Result<Vec<AccessRecord>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let value = serde_json::from_str(line).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
-        let rec = AccessRecord::from_value(&value).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
+        let rec = serde_json::from_str_as(line).map_err(|e| format!("{path}:{}: {e}", n + 1))?;
         recs.push(rec);
     }
     if recs.is_empty() {
@@ -411,20 +410,33 @@ fn render_serve_log(recs: &[AccessRecord]) {
     }
 }
 
+/// What `cgra-fleet --baseline` appends to the report object.
+#[derive(Deserialize)]
+struct Baseline {
+    speedup: Option<f64>,
+}
+
 /// Render a cgra-fleet `--json` report: the fleet summary line,
 /// per-fabric utilization, and the per-job schedule in queue order.
 fn render_fleet(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let v = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let report = FleetReport::from_value(&v)
-        .map_err(|e| format!("{path}: {e} (not a cgra-fleet report?)"))?;
+    let report: FleetReport = serde_json::from_str_as(&text).map_err(|e| {
+        let hint = if e.is_syntax() {
+            ""
+        } else {
+            " (not a cgra-fleet report?)"
+        };
+        format!("{path}: {e}{hint}")
+    })?;
 
     print!(
         "fleet: {} scheduled, {} failed, makespan {:.1} ms (sum of work {:.1} ms)",
         report.scheduled, report.failed, report.makespan_ms, report.sum_ms
     );
-    // `cgra-fleet --baseline` appends the comparison to the report object.
-    if let Some(speedup) = v.get("speedup").and_then(|x| x.as_f64()) {
+    if let Ok(Baseline {
+        speedup: Some(speedup),
+    }) = serde_json::from_str_as(&text)
+    {
         print!(", {speedup:.2}x vs sequential baseline");
     }
     println!();

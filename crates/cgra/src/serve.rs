@@ -33,7 +33,7 @@ use cgra_mapper_core::fleet::{self, FleetFabric};
 use cgra_mapper_core::request::{FabricSpec, MapOutcome, MapRequest, RequestError};
 use cgra_mapper_core::servemetrics::{AccessLog, AccessRecord, ServiceMetrics};
 use cgra_mapper_core::service::{MapService, ServiceOptions, ServiceStats};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,21 +77,62 @@ impl Op {
 // path (`request.fabric.rows`).
 impl Deserialize for Op {
     fn from_value(v: &Value) -> Result<Op, DeError> {
-        let op: String = serde::get(v, "op")?;
+        Op::decode(v)
+    }
+
+    // One pass over the line keeps where the first `op` and each
+    // payload field start, and checks and drops everything else; then
+    // only the fields the op needs are read. Nothing is decoded before
+    // the whole line has been checked, so a syntax error anywhere in it
+    // still comes first, as it does through the tree.
+    fn read_json(r: &mut Reader<'_>) -> Result<Op, DeError> {
+        r.spans(OP_FIELDS).map(Spans).and_then(Op::decode)
+    }
+}
+
+impl Op {
+    /// The op that `fields` spell.
+    fn decode(mut fields: impl OpFields) -> Result<Op, DeError> {
+        let op: String = fields.get("op")?;
         Ok(match op.as_str() {
-            "map" => Op::Map(serde::get(v, "request")?),
-            "batch" => Op::Batch(serde::get(v, "requests")?),
-            "cancel" => Op::Cancel(serde::get(v, "id")?),
+            "map" => Op::Map(fields.get("request")?),
+            "batch" => Op::Batch(fields.get("requests")?),
+            "cancel" => Op::Cancel(fields.get("id")?),
             "stats" => Op::Stats,
             "metrics" => Op::Metrics,
             "fleet" => Op::Fleet {
-                requests: serde::get(v, "requests")?,
-                fabrics: serde::get(v, "fabrics")?,
+                requests: fields.get("requests")?,
+                fabrics: fields.get("fabrics")?,
             },
             "ping" => Op::Ping,
             "shutdown" => Op::Shutdown,
             other => return Err(DeError::new(format!("unknown op `{other}`"))),
         })
+    }
+}
+
+/// The fields of one request, each decoded when asked for; an absent
+/// one reads as [`Deserialize::missing`].
+trait OpFields {
+    fn get<T: Deserialize>(&mut self, key: &str) -> Result<T, DeError>;
+}
+
+impl OpFields for &Value {
+    fn get<T: Deserialize>(&mut self, key: &str) -> Result<T, DeError> {
+        serde::get(self, key)
+    }
+}
+
+/// The keys an [`Op`] reads; a request's other keys are ignored.
+const OP_FIELDS: [&str; 5] = ["op", "request", "requests", "id", "fabrics"];
+
+/// Where in the line the first of each of [`OP_FIELDS`] starts.
+struct Spans<'a>([Option<Reader<'a>>; OP_FIELDS.len()]);
+
+impl OpFields for Spans<'_> {
+    fn get<T: Deserialize>(&mut self, key: &str) -> Result<T, DeError> {
+        let i = OP_FIELDS.iter().position(|k| *k == key);
+        serde::read_at(i.and_then(|i| self.0[i].clone()), key)
     }
 }
 
@@ -352,20 +393,18 @@ fn serve_connection(
             }
             Err(_) => return,
         }
-        let parsed = match line.trim_ascii() {
+        let decoded = match line.trim_ascii() {
             [] => None,
-            text => Some(serde_json::from_slice(text)),
+            text => Some(serde_json::from_slice_as::<Op>(text)),
         };
         line.clear();
         reply.clear();
         let mut was_shutdown = false;
-        match parsed {
+        match decoded {
             None => continue,
-            Some(Ok(v)) => match Op::from_json(&v) {
-                Ok(op) => was_shutdown = dispatch(op, service, access, &peer, &mut reply),
-                Err(e) => err_reply(&mut reply, &e.0),
-            },
-            Some(Err(e)) => err_reply(&mut reply, &format!("bad JSON: {e}")),
+            Some(Ok(op)) => was_shutdown = dispatch(op, service, access, &peer, &mut reply),
+            Some(Err(e)) if e.is_syntax() => err_reply(&mut reply, &format!("bad JSON: {e}")),
+            Some(Err(e)) => err_reply(&mut reply, &e.to_string()),
         }
         let sent = send_line(&mut writer, &mut reply);
         if was_shutdown {
@@ -540,15 +579,22 @@ impl Client {
         })
     }
 
-    /// One request/response round trip at the [`Value`] level.
+    /// One request/response round trip at the [`Value`] level: the
+    /// whole reply.
     pub fn call(&mut self, request: &Value) -> Result<Value, RequestError> {
         self.line.clear();
         request.write_json(&mut self.line);
-        self.round_trip()
+        self.round_trip(None)
     }
 
-    /// One round trip of the request `{"op":"<op>",<fields>…}`.
-    fn op(&mut self, op: &str, fields: &[(&str, &dyn Serialize)]) -> Result<Value, RequestError> {
+    /// One round trip of the request `{"op":"<op>",<fields>…}`, decoding
+    /// the `T` under `key` of the reply.
+    fn op<T: Deserialize>(
+        &mut self,
+        op: &str,
+        fields: &[(&str, &dyn Serialize)],
+        key: &str,
+    ) -> Result<T, RequestError> {
         self.line.clear();
         serde::write_object(&mut self.line, |pair| {
             pair("op", &op);
@@ -556,12 +602,13 @@ impl Client {
                 pair(key, *payload);
             }
         });
-        self.round_trip()
+        self.round_trip(Some(key))
     }
 
     /// Send the request in `self.line`, read the reply line into it and
-    /// parse that, turning an `"ok":false` reply into the error.
-    fn round_trip(&mut self) -> Result<Value, RequestError> {
+    /// decode `{"ok":…,"error":…,"<key>":T}` in one pass, an `"ok":false`
+    /// reply being the error. With no key, `T` is the whole reply.
+    fn round_trip<T: Deserialize>(&mut self, key: Option<&str>) -> Result<T, RequestError> {
         send_line(&mut self.writer, &mut self.line)
             .map_err(|e| RequestError(format!("send: {e}")))?;
         self.line.clear();
@@ -572,52 +619,64 @@ impl Client {
         if n == 0 {
             return Err("server closed the connection".into());
         }
-        let v = serde_json::from_str(self.line.trim()).map_err(|e| RequestError(format!("{e}")))?;
-        let ok = v.get("ok").and_then(|b| b.as_bool()).unwrap_or(false);
-        if !ok {
-            let msg = v
-                .get("error")
-                .and_then(|e| e.as_str())
+        let mut reply = Reader::new(self.line.trim());
+        let mut r = reply.clone();
+        let (mut ok, mut error, mut payload) = (None, None, None);
+        r.read_pairs(|r, k| {
+            match &*k {
+                "ok" if ok.is_none() => ok = Some(Value::read_json(r)?),
+                "error" if error.is_none() => error = Some(Value::read_json(r)?),
+                k if key == Some(k) && payload.is_none() => {
+                    payload = Some(serde::read_or_skip(r, k)?)
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })
+        .and_then(|()| r.end())
+        .map_err(|e| RequestError(e.to_string()))?;
+        if ok.as_ref().and_then(Value::as_bool) != Some(true) {
+            let msg = error
+                .as_ref()
+                .and_then(Value::as_str)
                 .unwrap_or("unknown server error");
             return Err(RequestError(format!("server: {msg}")));
         }
-        Ok(v)
+        match key {
+            Some(key) => payload.unwrap_or_else(|| T::missing(key)),
+            None => T::read_json(&mut reply),
+        }
+        .map_err(de)
     }
 
     /// Map one request.
     pub fn map(&mut self, req: &MapRequest) -> Result<MapOutcome, RequestError> {
-        let v = self.op("map", &[("request", req)])?;
-        serde::get(&v, "outcome").map_err(de)
+        self.op("map", &[("request", req)], "outcome")
     }
 
     /// Map a batch; outcomes come back in request order.
     pub fn batch(&mut self, reqs: &[MapRequest]) -> Result<Vec<MapOutcome>, RequestError> {
-        let v = self.op("batch", &[("requests", &reqs)])?;
-        serde::get(&v, "outcomes").map_err(de)
+        self.op("batch", &[("requests", &reqs)], "outcomes")
     }
 
     /// Cancel an in-flight request by id.
     pub fn cancel(&mut self, id: u64) -> Result<bool, RequestError> {
-        let v = self.op("cancel", &[("id", &id)])?;
-        Ok(v.get("cancelled")
-            .and_then(|b| b.as_bool())
-            .unwrap_or(false))
+        let cancelled: Option<Value> = self.op("cancel", &[("id", &id)], "cancelled")?;
+        Ok(cancelled.and_then(|b| b.as_bool()).unwrap_or(false))
     }
 
     /// Fetch server statistics.
     pub fn stats(&mut self) -> Result<ServiceStats, RequestError> {
-        let v = self.op("stats", &[])?;
-        serde::get(&v, "stats").map_err(de)
+        self.op("stats", &[], "stats")
     }
 
     /// Fetch the Prometheus text-format metrics payload over the wire
     /// protocol (the same bytes `--metrics-addr` serves over HTTP).
     pub fn metrics(&mut self) -> Result<String, RequestError> {
-        let v = self.op("metrics", &[])?;
-        Ok(v.get("metrics")
-            .and_then(|m| m.as_str())
-            .ok_or("response missing `metrics`")?
-            .to_string())
+        match self.op("metrics", &[], "metrics")? {
+            Some(Value::Str(text)) => Ok(text),
+            _ => Err("response missing `metrics`".into()),
+        }
     }
 
     /// Schedule a queue of requests across a farm of fabrics on the
@@ -627,20 +686,20 @@ impl Client {
         reqs: &[MapRequest],
         fabrics: &[FabricSpec],
     ) -> Result<Value, RequestError> {
-        let v = self.op("fleet", &[("requests", &reqs), ("fabrics", &fabrics)])?;
-        v.get("fleet")
-            .cloned()
-            .ok_or_else(|| RequestError("response missing `fleet`".into()))
+        let fields: [(&str, &dyn Serialize); 2] = [("requests", &reqs), ("fabrics", &fabrics)];
+        let report: Option<Value> = self.op("fleet", &fields, "fleet")?;
+        report.ok_or_else(|| RequestError("response missing `fleet`".into()))
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), RequestError> {
-        self.op("ping", &[]).map(|_| ())
+        self.op::<Option<Value>>("ping", &[], "pong").map(drop)
     }
 
     /// Ask the server to stop.
     pub fn shutdown(&mut self) -> Result<(), RequestError> {
-        self.op("shutdown", &[]).map(|_| ())
+        self.op::<Option<Value>>("shutdown", &[], "stopping")
+            .map(drop)
     }
 }
 
@@ -665,6 +724,34 @@ mod tests {
         assert!(Op::from_json(&v).is_err());
         let v = serde_json::from_str(r#"{"op":"map"}"#).unwrap();
         assert!(Op::from_json(&v).is_err());
+    }
+
+    /// The daemon's reader answers every line as the tree did, value
+    /// or error string, whatever the order and repetition of its keys.
+    #[test]
+    fn op_lines_read_what_the_tree_decodes() {
+        let map = r#""request":{"kernel":{"named":"dot_product"},"id":3}"#;
+        for line in [
+            r#"{"op":"ping"}"#.to_string(),
+            format!(r#"{{"op":"map",{map}}}"#),
+            format!(r#"{{{map},"op":"map","pad":[[{{}}]],"op":"warp"}}"#),
+            format!(r#"{{"op":"batch","requests":[{{"kernel":{{}}}}],{map}}}"#),
+            r#"{"op":"cancel","id":-1}"#.into(),
+            r#"{"op":"fleet","requests":[],"fabrics":[{"rows":2}]}"#.into(),
+            r#"{"op":"fleet","requests":[]}"#.into(),
+            r#"{"op":7,"request":{]}"#.into(),
+            r#"{"op":"map","request":{"kernel":{"named":1}}} x"#.into(),
+            r#"{"op":"map"}"#.into(),
+            r#"["op","ping"]"#.into(),
+            r#"{"request":{}}"#.into(),
+            r#"{"op":"ping","pad":"\ud800"}"#.into(),
+        ] {
+            let tree = serde_json::from_str(&line)
+                .map_err(|e| e.to_string())
+                .and_then(|v| Op::from_value(&v).map_err(|e| e.to_string()));
+            let read = serde_json::from_str_as::<Op>(&line).map_err(|e| e.to_string());
+            assert_eq!(format!("{read:?}"), format!("{tree:?}"), "{line}");
+        }
     }
 
     #[test]

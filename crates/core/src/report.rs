@@ -95,8 +95,7 @@ impl MapOutcome {
     /// typed failure (`{}`, foreign JSON) — every field defaults, so
     /// that last check is what tells an outcome from any other object.
     pub fn parse(text: &str) -> Result<MapOutcome, String> {
-        let v = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        let out = MapOutcome::from_value(&v).map_err(|e| e.to_string())?;
+        let out: MapOutcome = serde_json::from_str_as(text).map_err(|e| e.to_string())?;
         if out.mapping.is_none() && out.error.is_none() {
             return Err("neither a mapping nor an error".to_string());
         }

@@ -54,7 +54,7 @@ use crate::telemetry::{StatsSnapshot, Telemetry};
 use crate::validate::validate_with;
 use cgra_arch::{Fabric, Topology, TopologyCache};
 use cgra_ir::{frontend, kernels, passes, Dfg};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Value};
 use std::fmt;
 
 /// A malformed or unsatisfiable request (parse error, unknown kernel,
@@ -165,6 +165,30 @@ impl Deserialize for KernelSpec {
             (None, Some(source)) => Ok(KernelSpec::Source {
                 source: serde::field(source, "source")?,
                 name: serde::get(v, "name")?,
+            }),
+            (None, None) => Err(DeError::new("kernel needs `named` or `source`")),
+        }
+    }
+
+    // One pass reads the first of each key, keeping its type error for
+    // later; then the decisions above, in their order. The source is
+    // copied once, not into a tree and then out of it.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        let (mut named, mut source, mut name) = (None, None, None);
+        r.read_pairs(|r, key| {
+            match &*key {
+                "named" if named.is_none() => named = Some(serde::read_or_skip(r, "named")?),
+                "source" if source.is_none() => source = Some(serde::read_or_skip(r, "source")?),
+                "name" if name.is_none() => name = Some(serde::read_or_skip(r, "name")?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        match (named, source) {
+            (Some(named), _) => named.map(KernelSpec::Named),
+            (None, Some(source)) => Ok(KernelSpec::Source {
+                source: source?,
+                name: name.unwrap_or(Ok(None))?,
             }),
             (None, None) => Err(DeError::new("kernel needs `named` or `source`")),
         }
@@ -333,6 +357,10 @@ impl Serialize for ExecMode {
 impl Deserialize for ExecMode {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         serde::label(v, "mode", ExecMode::from_label)
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        serde::read_label(r, "mode", ExecMode::from_label)
     }
 }
 
@@ -515,6 +543,10 @@ impl Serialize for CacheStatus {
 impl Deserialize for CacheStatus {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         serde::label(v, "cache status", CacheStatus::from_label)
+    }
+
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        serde::read_label(r, "cache status", CacheStatus::from_label)
     }
 }
 

@@ -18,6 +18,12 @@
 //!    replies, spill files and access log go through prints the bytes
 //!    the tree prints. Every type that overrides `write_json`, by
 //!    derive or by hand, is in the list below.
+//! 5. **One reading:** on any text, `T::read_json` (through
+//!    `serde_json::from_str_as`) returns what `T::from_value` returns on
+//!    the parsed tree — the same value or the same error string — for
+//!    rendered, extended, truncated and wrong-typed encodings alike.
+//!    Every type that overrides `read_json`, by derive or by hand, is in
+//!    the list below or under it.
 //!
 //! `access_log_props.rs` and `request_props.rs` keep their sharper,
 //! type-specific properties; this file is the net under all of them.
@@ -392,6 +398,10 @@ struct Case {
     /// What `write_json` appended for the same `x`.
     written: String,
     recode: fn(&Value) -> Result<Value, DeError>,
+    /// Text decoded through the tree and through `read_json`, each
+    /// re-encoded, errors as their strings.
+    via_tree: fn(&str) -> Result<Value, String>,
+    via_reader: fn(&str) -> Result<Value, String>,
     /// Top-level keys that may be absent, with what they then read as.
     /// Every other top-level key is required.
     defaults: Vec<(String, Value)>,
@@ -410,8 +420,25 @@ fn case<T: Serialize + Deserialize>(name: &'static str, x: &T) -> Case {
         value: x.to_value(),
         written: written(x),
         recode: |v| T::from_value(v).map(|x| x.to_value()),
+        via_tree: via_tree::<T>,
+        via_reader: via_reader::<T>,
         defaults: Vec::new(),
     }
+}
+
+/// `text` → `Value` → `T`, re-encoded.
+fn via_tree<T: Serialize + Deserialize>(text: &str) -> Result<Value, String> {
+    let v = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    T::from_value(&v)
+        .map(|x| x.to_value())
+        .map_err(|e| e.to_string())
+}
+
+/// `text` → `T` by `read_json`, re-encoded.
+fn via_reader<T: Serialize + Deserialize>(text: &str) -> Result<Value, String> {
+    serde_json::from_str_as::<T>(text)
+        .map(|x| x.to_value())
+        .map_err(|e| e.to_string())
 }
 
 impl Case {
@@ -503,8 +530,77 @@ fn with_unknown_keys(v: &Value) -> Value {
     }
 }
 
+/// How many scalars (non-container values) `v` holds.
+fn scalars(v: &Value) -> usize {
+    match v {
+        Value::Array(items) => items.iter().map(scalars).sum(),
+        Value::Object(pairs) => pairs.iter().map(|(_, x)| scalars(x)).sum(),
+        _ => 1,
+    }
+}
+
+/// `v` with its scalar number `k` (in text order) replaced by one of
+/// another type.
+fn mistyped(v: &Value, k: &mut usize) -> Value {
+    match v {
+        Value::Array(items) => Value::Array(items.iter().map(|x| mistyped(x, k)).collect()),
+        Value::Object(pairs) => Value::Object(
+            pairs
+                .iter()
+                .map(|(key, x)| (key.clone(), mistyped(x, k)))
+                .collect(),
+        ),
+        leaf => {
+            let hit = *k == 0;
+            *k = k.wrapping_sub(1);
+            match leaf {
+                _ if !hit => leaf.clone(),
+                Value::Str(_) => Value::UInt(7),
+                Value::Null => Value::Bool(true),
+                Value::Bool(_) => Value::Str("true".into()),
+                _ => Value::Str("7".into()),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128 })]
+
+    #[test]
+    fn reader_decodes_what_the_tree_decodes(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        for c in cases(&mut Gen(seed)) {
+            let mut texts = vec![
+                c.value.render(),
+                c.value.render_pretty(2),
+                with_unknown_keys(&c.value).render(),
+            ];
+            if let Value::Object(pairs) = &c.value {
+                for i in 0..pairs.len() {
+                    let mut without = pairs.clone();
+                    without.remove(i);
+                    texts.push(Value::Object(without).render());
+                }
+            }
+            for _ in 0..4 {
+                let mut k = g.below(scalars(&c.value).max(1) as u64) as usize;
+                let wrong = mistyped(&c.value, &mut k).render();
+                // A type error the reader meets before a syntax error
+                // must still lose to it: trailing input, a cut.
+                let mut cut = g.below(wrong.len() as u64 + 1) as usize;
+                while !wrong.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                texts.push(wrong[..cut].to_string());
+                texts.push(format!("{wrong} x"));
+                texts.push(wrong);
+            }
+            for text in &texts {
+                prop_assert_eq!((c.via_reader)(text), (c.via_tree)(text), "{}: {}", c.name, text);
+            }
+        }
+    }
 
     #[test]
     fn every_wire_type_round_trips_losslessly(seed in any::<u64>()) {
@@ -635,6 +731,38 @@ fn derive_covers_tuple_unit_and_struct_variant_shapes() {
     let pair = Pair(7, "x\"y".into());
     assert_eq!(written(&pair), pair.to_value().render());
     assert_eq!(Pair::from_value(&pair.to_value()), Ok(pair));
+}
+
+/// The derive's spare shapes read what their trees read, errors
+/// included.
+#[test]
+fn derive_shapes_read_what_the_tree_reads() {
+    use shapes::{Pair, Shape, Unit};
+    let texts = [
+        r#""Dot""#,
+        r#"{"Line":[-3,4]}"#,
+        r#"{"Rect":{"w":2,"h":5,"label":"r"}}"#,
+        r#"{"Rect":{"w":2,"depth":9}}"#,
+        r#"{"Rect":{"h":2}}"#,
+        r#"{"Rect":{"w":"2"}}"#,
+        r#"{"Line":[1,"2"]}"#,
+        r#"{"Line":[1]}"#,
+        r#"{"Oval":1}"#,
+        r#"{"Dot":1,"Line":[1,2]}"#,
+        r#"[7,"x\"y"]"#,
+        r#"[7]"#,
+        r#"[7,"x",9]"#,
+        "null",
+        "3",
+        "",
+        "[7,",
+        r#"{"Rect":{"w":2,"w":"dup"}}"#,
+    ];
+    for text in texts {
+        assert_eq!(via_reader::<Shape>(text), via_tree::<Shape>(text), "{text}");
+        assert_eq!(via_reader::<Pair>(text), via_tree::<Pair>(text), "{text}");
+        assert_eq!(via_reader::<Unit>(text), via_tree::<Unit>(text), "{text}");
+    }
 }
 
 /// The hand-shaped decoders and the error-path format, pinned by

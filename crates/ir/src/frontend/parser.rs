@@ -20,11 +20,25 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep MiniC may nest. Parentheses, unary operators, ternary
+/// branches, call arguments, `mem[…]` and blocks each open a level, and
+/// so does every operator of a flat binary chain (`a + a + …` builds a
+/// left-deep tree). The parser, the lowering and `Drop` all recurse once
+/// per level, so without a bound a 10 KB kernel overflows the stack of
+/// the thread that compiles it; the example and suite kernels nest a
+/// handful of levels.
+pub const MAX_NESTING: usize = 256;
+
 /// The MiniC parser.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels open around the token at `pos`.
+    depth: usize,
 }
+
+/// An expression and the height of its tree (a leaf is 0).
+type Tall = (Expr, usize);
 
 impl Parser {
     pub fn new(src: &str) -> Result<Self, ParseError> {
@@ -32,7 +46,11 @@ impl Parser {
             line,
             message: format!("unexpected character `{c}`"),
         })?;
-        Ok(Parser { tokens, pos: 0 })
+        Ok(Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        })
     }
 
     fn peek(&self) -> &TokenKind {
@@ -75,6 +93,33 @@ impl Parser {
             line: self.line(),
             message,
         }
+    }
+
+    /// Parse with `inner` one level deeper.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth += 1;
+        let parsed = if self.depth > MAX_NESTING {
+            Err(self.too_deep())
+        } else {
+            inner(self)
+        };
+        self.depth -= 1;
+        parsed
+    }
+
+    /// `e`, `height` levels tall, if that fits under the bound here.
+    fn tall(&self, e: Expr, height: usize) -> Result<Tall, ParseError> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok((e, height))
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nested deeper than {MAX_NESTING} levels"))
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
@@ -174,9 +219,9 @@ impl Parser {
                 self.expect(TokenKind::LParen)?;
                 let cond = self.expr()?;
                 self.expect(TokenKind::RParen)?;
-                let then_body = self.block()?;
+                let then_body = self.nested(Self::block)?;
                 let else_body = if self.eat(&TokenKind::Else) {
-                    self.block()?
+                    self.nested(Self::block)?
                 } else {
                     Vec::new()
                 };
@@ -191,7 +236,7 @@ impl Parser {
                 self.expect(TokenKind::LParen)?;
                 let cond = self.expr()?;
                 self.expect(TokenKind::RParen)?;
-                let body = self.block()?;
+                let body = self.nested(Self::block)?;
                 Ok(Stmt::While { cond, body })
             }
             TokenKind::For => {
@@ -205,7 +250,7 @@ impl Parser {
                 self.expect(TokenKind::Semi)?;
                 let step = self.simple_assign()?;
                 self.expect(TokenKind::RParen)?;
-                let mut body = self.block()?;
+                let mut body = self.nested(Self::block)?;
                 body.push(step);
                 Ok(Stmt::Seq(vec![init, Stmt::While { cond, body }]))
             }
@@ -273,15 +318,22 @@ impl Parser {
 
     /// Full expression, including the ternary.
     pub fn expr(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.binary(0)?;
-        if self.eat(&TokenKind::Question) {
-            let a = self.expr()?;
-            self.expect(TokenKind::Colon)?;
-            let b = self.expr()?;
-            Ok(Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b)))
-        } else {
-            Ok(cond)
+        self.ternary().map(|(e, _)| e)
+    }
+
+    fn ternary(&mut self) -> Result<Tall, ParseError> {
+        let (cond, hc) = self.binary(0)?;
+        if !self.eat(&TokenKind::Question) {
+            return Ok((cond, hc));
         }
+        let (a, ha) = self.nested(Self::ternary)?;
+        self.expect(TokenKind::Colon)?;
+        let (b, hb) = self.nested(Self::ternary)?;
+        let height = 1 + hc.max(ha).max(hb);
+        self.tall(
+            Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b)),
+            height,
+        )
     }
 
     /// Binding power of a binary operator, or `None` if not binary.
@@ -310,70 +362,71 @@ impl Parser {
         })
     }
 
-    fn binary(&mut self, min_bp: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
+    /// A chain of operators binding at least `min_bp`. The right operand
+    /// recurses only once per precedence level; the chain itself is a
+    /// loop, and the left-deep tree it builds is held to the bound by
+    /// its height.
+    fn binary(&mut self, min_bp: u8) -> Result<Tall, ParseError> {
+        let (mut lhs, mut height) = self.unary()?;
         while let Some((op, bp)) = Self::bin_op(self.peek()) {
             if bp < min_bp {
                 break;
             }
             self.bump();
-            let rhs = self.binary(bp + 1)?; // left associative
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            let (rhs, hr) = self.binary(bp + 1)?; // left associative
+            let joined = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            (lhs, height) = self.tall(joined, 1 + height.max(hr))?;
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)))
-            }
-            TokenKind::Bang => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
-            }
-            TokenKind::Tilde => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::BitNot, Box::new(self.unary()?)))
-            }
-            _ => self.primary(),
-        }
+    fn unary(&mut self) -> Result<Tall, ParseError> {
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            TokenKind::Tilde => UnOp::BitNot,
+            _ => return self.primary(),
+        };
+        self.bump();
+        let (e, height) = self.nested(Self::unary)?;
+        self.tall(Expr::Unary(op, Box::new(e)), height + 1)
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary(&mut self) -> Result<Tall, ParseError> {
         // Remember where the expression started: `bump` advances past
         // the offending token, which would misattribute the error to
         // the following line.
         let line = self.line();
         match self.bump() {
-            TokenKind::Int(v) => Ok(Expr::Int(v)),
+            TokenKind::Int(v) => Ok((Expr::Int(v), 0)),
             TokenKind::LParen => {
-                let e = self.expr()?;
+                let inner = self.nested(Self::ternary)?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                Ok(inner)
             }
             TokenKind::Mem => {
                 self.expect(TokenKind::LBracket)?;
-                let addr = self.expr()?;
+                let (addr, height) = self.nested(Self::ternary)?;
                 self.expect(TokenKind::RBracket)?;
-                Ok(Expr::MemLoad(Box::new(addr)))
+                self.tall(Expr::MemLoad(Box::new(addr)), height + 1)
             }
             TokenKind::Ident(name) => {
                 if self.eat(&TokenKind::LParen) {
-                    let mut args = Vec::new();
+                    let (mut args, mut height) = (Vec::new(), 0);
                     if self.peek() != &TokenKind::RParen {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, h) = self.nested(Self::ternary)?;
+                            args.push(arg);
+                            height = height.max(h);
                             if !self.eat(&TokenKind::Comma) {
                                 break;
                             }
                         }
                     }
                     self.expect(TokenKind::RParen)?;
-                    Ok(Expr::Call(name, args))
+                    self.tall(Expr::Call(name, args), height + 1)
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 0))
                 }
             }
             other => Err(ParseError {
@@ -531,6 +584,47 @@ mod tests {
                 other => panic!("{other:?}"),
             },
             _ => panic!(),
+        }
+    }
+
+    /// `kernel k(..) { <body> }` parsed.
+    fn parse_body(body: &str) -> Result<Program, ParseError> {
+        Parser::new(&format!("kernel k(in a, out y) {{ {body} }}"))?.program()
+    }
+
+    /// A kernel body holding `shape` nested `k` levels deep.
+    fn nested_body(shape: &str, k: usize) -> String {
+        let (open, close) = match shape {
+            "parens" => ("(", ")"),
+            "unary" => ("-", ""),
+            "flat sum" => ("", "+a"),
+            "ternary" => ("a ? ", " : a"),
+            "calls" => ("abs(", ")"),
+            "mem" => ("mem[", "]"),
+            _ => return format!("{}y = a;{}", "if (a) { ".repeat(k), " }".repeat(k)),
+        };
+        format!("y = {}a{};", open.repeat(k), close.repeat(k))
+    }
+
+    #[test]
+    fn nesting_is_bounded_for_every_shape() {
+        let n = MAX_NESTING;
+        for shape in [
+            "parens", "unary", "flat sum", "ternary", "calls", "mem", "blocks",
+        ] {
+            assert!(parse_body(&nested_body(shape, n)).is_ok(), "{shape} at {n}");
+            let err = parse_body(&nested_body(shape, n + 1)).unwrap_err();
+            assert_eq!(err.message, "nested deeper than 256 levels", "{shape}");
+        }
+        // What used to overflow the stack: 5 000 parentheses, 20 000
+        // terms, and operands that mix the two.
+        for body in [
+            format!("y = {}a{};", "(".repeat(5_000), ")".repeat(5_000)),
+            format!("y = a{};", "+a".repeat(20_000)),
+            format!("y = (a{}){};", "+a".repeat(200), "+a".repeat(200)),
+            format!("y = {}(a{});", "-".repeat(200), "+a".repeat(100)),
+        ] {
+            assert!(parse_body(&body).is_err());
         }
     }
 

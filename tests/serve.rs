@@ -365,3 +365,39 @@ fn hostile_lines_are_refused_and_the_daemon_keeps_serving() {
     assert_eq!(stats.requests, 2);
     assert_eq!(stats.hits + stats.misses, stats.requests);
 }
+
+#[test]
+fn deeply_nested_minic_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    // Each overflowed the stack of the thread compiling it, aborting
+    // the whole process: 5 000 parentheses (10 KB), a flat sum of
+    // 20 000 terms (40 KB, a left-deep tree), 5 000 unary minuses.
+    for (i, expr) in [
+        format!("{}a{}", "(".repeat(5_000), ")".repeat(5_000)),
+        format!("a{}", "+a".repeat(20_000)),
+        format!("{}a", "-".repeat(5_000)),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let kernel = KernelSpec::Source {
+            source: format!("kernel deep(in a, out y) {{ y = {expr}; }}"),
+            name: None,
+        };
+        let mut req = MapRequest::new(kernel, "modulo-list");
+        req.id = i as u64 + 1;
+        let out = client.map(&req).unwrap();
+        match &out.error {
+            Some(MapError::Unsupported(why)) => assert_eq!(
+                why, "compile: parse error: line 1: nested deeper than 256 levels",
+                "shape {i}"
+            ),
+            other => panic!("shape {i}: expected a compile error, got {other:?}"),
+        }
+        client.ping().unwrap();
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.requests, i as u64 + 1);
+        assert_eq!(stats.hits + stats.misses, stats.requests);
+    }
+}
