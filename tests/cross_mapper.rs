@@ -201,20 +201,26 @@ fn mapping_digest(m: &Mapping) -> u64 {
 }
 
 /// One `mapper kernel NxN digest` line per mapper × `small_suite` kernel
-/// × mesh side, compared with (or, under `CGRA_BLESS`, written to)
-/// `tests/golden/<file>`.
-fn check_golden_digests(file: &str, mappers: &[(&str, Box<dyn Mapper>)], sides: [u16; 2]) {
+/// × square fabric, compared with (or, under `CGRA_BLESS`, written to)
+/// `tests/golden/<file>`. A torus is labelled `NxNt`, as `benchmark/`
+/// labels it.
+fn check_golden_digests(
+    file: &str,
+    mappers: &[(&str, Box<dyn Mapper>)],
+    fabrics: &[(u16, Topology)],
+) {
     let path = format!("{}/../../tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     let mut got = String::new();
     for (name, mapper) in mappers {
         for dfg in kernels::small_suite() {
-            for side in sides {
-                let fabric = Fabric::homogeneous(side, side, Topology::Mesh);
+            for &(side, topology) in fabrics {
+                let fabric = Fabric::homogeneous(side, side, topology);
                 let digest = match mapper.map(&dfg, &fabric, &cfg()) {
                     Ok(m) => format!("{:016x}", mapping_digest(&m)),
                     Err(_) => "unmapped".to_string(),
                 };
-                got += &format!("{name} {} {side}x{side} {digest}\n", dfg.name);
+                let t = if topology == Topology::Torus { "t" } else { "" };
+                got += &format!("{name} {} {side}x{side}{t} {digest}\n", dfg.name);
             }
         }
     }
@@ -243,7 +249,28 @@ fn heuristic_mappings_match_the_golden_digests() {
         .filter(|s| !matches!(s.family, Family::ExactIlp | Family::ExactCsp))
         .map(|s| (s.name, s.build()))
         .collect();
-    check_golden_digests("mapping_digests.txt", &mappers, [4, 8]);
+    check_golden_digests(
+        "mapping_digests.txt",
+        &mappers,
+        &[(4, Topology::Mesh), (8, Topology::Mesh)],
+    );
+}
+
+#[test]
+fn serve_mappings_match_the_golden_digests() {
+    // The same pin for the four mappers `cgra-serve`'s miss workload
+    // asks for, on the fabrics most of its routing time is spent on: a
+    // 6×6 mesh and an 8×8 torus (same CGRA_BLESS recipe).
+    let registry = cgra::mapper::MapperRegistry::standard();
+    let mappers: Vec<_> = ["modulo-list", "edge-centric", "epimap", "himap"]
+        .into_iter()
+        .map(|name| (name, registry.build(name).expect("registry mapper")))
+        .collect();
+    check_golden_digests(
+        "serve_mapping_digests.txt",
+        &mappers,
+        &[(6, Topology::Mesh), (8, Topology::Torus)],
+    );
 }
 
 #[test]
@@ -260,5 +287,9 @@ fn exact_mappings_match_the_golden_digests() {
         .into_iter()
         .map(|name| (name, registry.build(name).expect("registry mapper")))
         .collect();
-    check_golden_digests("exact_mapping_digests.txt", &mappers, [3, 4]);
+    check_golden_digests(
+        "exact_mapping_digests.txt",
+        &mappers,
+        &[(3, Topology::Mesh), (4, Topology::Mesh)],
+    );
 }
