@@ -21,6 +21,7 @@ use crate::mapping::{Placement, Route};
 use crate::telemetry::{Counter, Phase, Telemetry};
 use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
 use cgra_ir::Dfg;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 /// Scaled-integer router costs (1 step = `STEP_COST`). Public because it
@@ -79,6 +80,34 @@ impl Default for RouteOpts {
     }
 }
 
+/// Width of the `step` and `run` fields of a packed heap key.
+const KEY_FIELD_BITS: u32 = 24;
+const KEY_FIELD_MASK: u128 = (1 << KEY_FIELD_BITS) - 1;
+
+/// A Dijkstra state `(cost, pe, step, run)` as one heap key, laid out
+/// `cost:64 | pe:16 | step:24 | run:24`. Integer order on the key is
+/// the tuple's lexicographic order, so the heap pops states in the
+/// tuple's order (which decides among equal-cost routes) while a sift
+/// compares one integer instead of four fields. `step` and `run` must
+/// be below `2^24`; `find_route_with` asserts it once per search.
+#[inline]
+fn pack_key(cost: u64, pe: PeId, step: usize, run: usize) -> u128 {
+    (cost as u128) << 64
+        | (pe.0 as u128) << (2 * KEY_FIELD_BITS)
+        | (step as u128) << KEY_FIELD_BITS
+        | run as u128
+}
+
+#[inline]
+fn unpack_key(key: u128) -> (u64, PeId, usize, usize) {
+    (
+        (key >> 64) as u64,
+        PeId((key >> (2 * KEY_FIELD_BITS)) as u16),
+        ((key >> KEY_FIELD_BITS) & KEY_FIELD_MASK) as usize,
+        (key & KEY_FIELD_MASK) as usize,
+    )
+}
+
 /// Reusable buffers for [`find_route_with`]: the Dijkstra arrays and
 /// the dense map of cells the routed value already occupies.
 ///
@@ -96,7 +125,8 @@ pub struct RouterScratch {
     dist: Vec<u64>,
     /// Predecessor `(pe, run)` of every state `dist` has reached.
     prev: Vec<(PeId, usize)>,
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u16, usize, usize)>>,
+    /// Min-heap of [`pack_key`]ed states.
+    heap: BinaryHeap<Reverse<u128>>,
     /// One bit per `(step, pe)` of the last search's window.
     shared: Vec<u64>,
     /// First cycle, length in cycles and PE count of that window.
@@ -245,6 +275,11 @@ pub fn find_route_with(
     // unaware of it would over-subscribe (the classic II=1 trap).
     let ii = st.ii();
     let cap_run = span.min((ii as usize) * fabric.rf_size as usize + 1);
+    // Every `step < span` and `run <= cap_run <= span` fits its key field.
+    assert!(
+        span < 1 << KEY_FIELD_BITS,
+        "route window of {span} cycles overflows the heap key"
+    );
     let idx = |pe: PeId, step: usize, run: usize| (step * n + pe.index()) * (cap_run + 1) + run;
     scratch.reset(tr, span, n, n * span * (cap_run + 1));
     for (pe, t) in shared {
@@ -289,9 +324,9 @@ pub fn find_route_with(
     let start_cost = enter_cost(from, 0, 0)?;
     dist[idx(from, 0, 1)] = start_cost;
 
-    heap.push(std::cmp::Reverse((start_cost, from.0, 0, 1)));
-    while let Some(std::cmp::Reverse((d, pe_raw, step, run))) = heap.pop() {
-        let pe = PeId(pe_raw);
+    heap.push(Reverse(pack_key(start_cost, from, 0, 1)));
+    while let Some(Reverse(key)) = heap.pop() {
+        let (d, pe, step, run) = unpack_key(key);
         if d > dist[idx(pe, step, run)] {
             continue;
         }
@@ -308,7 +343,7 @@ pub fn find_route_with(
                 if nd < dist[ni] {
                     dist[ni] = nd;
                     prev[ni] = (pe, run);
-                    heap.push(std::cmp::Reverse((nd, pe.0, step + 1, hold_run)));
+                    heap.push(Reverse(pack_key(nd, pe, step + 1, hold_run)));
                 }
             }
         }
@@ -324,7 +359,7 @@ pub fn find_route_with(
                 if nd < dist[ni] {
                     dist[ni] = nd;
                     prev[ni] = (pe, run);
-                    heap.push(std::cmp::Reverse((nd, nxt.0, step + 1, 1)));
+                    heap.push(Reverse(pack_key(nd, nxt, step + 1, 1)));
                 }
             }
         }
@@ -518,6 +553,30 @@ mod tests {
 
     fn mesh() -> Fabric {
         Fabric::homogeneous(4, 4, Topology::Mesh)
+    }
+
+    #[test]
+    fn packed_key_orders_like_the_tuple() {
+        // Ties in every leading field, and each field at its extremes.
+        let top = (1 << KEY_FIELD_BITS) - 1;
+        let mut states = Vec::new();
+        for d in [0, 100, 101, u64::MAX] {
+            for pe in [0, 1, u16::MAX] {
+                for step in [0, 1, top] {
+                    for run in [0, 1, top] {
+                        states.push((d, pe, step, run));
+                    }
+                }
+            }
+        }
+        for &a in &states {
+            let ka = pack_key(a.0, PeId(a.1), a.2, a.3);
+            assert_eq!(unpack_key(ka), (a.0, PeId(a.1), a.2, a.3));
+            for &b in &states {
+                let kb = pack_key(b.0, PeId(b.1), b.2, b.3);
+                assert_eq!(ka.cmp(&kb), a.cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]
