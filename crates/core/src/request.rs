@@ -281,11 +281,27 @@ impl Default for FabricSpec {
     }
 }
 
+/// The most PEs a [`FabricSpec`] may name: 32×32. The largest fabric
+/// anything here maps onto is `scalability`'s 24×24 (576 PEs). The
+/// bound keeps a request from sizing the daemon's memory (a topology's
+/// hop table is n² `u32`s: 4 MiB here, 32 GB at 300×300) and keeps every
+/// PE index far inside `PeId`'s `u16`.
+pub const MAX_FABRIC_PES: usize = 1024;
+
 impl FabricSpec {
+    /// The fabric this spec names, or why it names none: an empty
+    /// dimension, or more than [`MAX_FABRIC_PES`] PEs.
     pub fn build(&self) -> Result<Fabric, RequestError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(RequestError(format!(
                 "fabric {}x{} has an empty dimension",
+                self.rows, self.cols
+            )));
+        }
+        let pes = self.rows as usize * self.cols as usize;
+        if pes > MAX_FABRIC_PES {
+            return Err(RequestError(format!(
+                "fabric {}x{} has {pes} PEs, over the limit of {MAX_FABRIC_PES} (MAX_FABRIC_PES)",
                 self.rows, self.cols
             )));
         }
@@ -865,6 +881,30 @@ mod tests {
             other_fabric.cache_key().fabric_fp,
             base.cache_key().fabric_fp
         );
+    }
+
+    #[test]
+    fn fabric_size_is_bounded() {
+        let spec = |rows, cols, adres| FabricSpec {
+            rows,
+            cols,
+            adres,
+            ..FabricSpec::default()
+        };
+        assert_eq!(spec(32, 32, false).build().unwrap().num_pes(), 1024);
+        assert_eq!(spec(1, 1024, true).build().unwrap().num_pes(), 1024);
+        for (rows, cols) in [(33, 32), (300, 300), (u16::MAX, u16::MAX)] {
+            for adres in [false, true] {
+                let err = spec(rows, cols, adres).build().unwrap_err();
+                assert_eq!(
+                    err.0,
+                    format!(
+                        "fabric {rows}x{cols} has {} PEs, over the limit of 1024 (MAX_FABRIC_PES)",
+                        rows as usize * cols as usize
+                    )
+                );
+            }
+        }
     }
 
     #[test]

@@ -401,3 +401,31 @@ fn deeply_nested_minic_is_refused_and_the_daemon_keeps_serving() {
         assert_eq!(stats.hits + stats.misses, stats.requests);
     }
 }
+
+#[test]
+fn oversized_fabric_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+    // 90 000 PEs: the topology's hop table alone is 90 000² u32s
+    // (32.4 GB), and that allocation failing aborted the process.
+    let line = r#"{"op":"map","request":{"kernel":{"named":"dot_product"},"mapper":"modulo-list","fabric":{"rows":300,"cols":300}}}"#;
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    (&stream)
+        .write_all(format!("{line}\n{{\"op\":\"ping\"}}\n").as_bytes())
+        .unwrap();
+    let mut reader = BufReader::new(&stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(
+        reply.contains(
+            r#""Unsupported":"fabric 300x300 has 90000 PEs, over the limit of 1024 (MAX_FABRIC_PES)""#
+        ),
+        "{reply}"
+    );
+    reply.clear();
+    reader.read_line(&mut reply).unwrap();
+    assert_eq!(reply, "{\"ok\":true,\"pong\":true}\n");
+
+    let stats = Client::connect(server.addr()).unwrap().stats().unwrap();
+    assert_eq!(stats.requests, 1);
+    assert_eq!(stats.hits + stats.misses, stats.requests);
+}
