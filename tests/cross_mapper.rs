@@ -200,22 +200,23 @@ fn mapping_digest(m: &Mapping) -> u64 {
     h.finish()
 }
 
-/// One `mapper kernel NxN digest` line per mapper × `small_suite` kernel
-/// × square fabric, compared with (or, under `CGRA_BLESS`, written to)
+/// One `mapper kernel NxN digest` line per mapper × kernel × square
+/// fabric, compared with (or, under `CGRA_BLESS`, written to)
 /// `tests/golden/<file>`. A torus is labelled `NxNt`, as `benchmark/`
 /// labels it.
 fn check_golden_digests(
     file: &str,
     mappers: &[(&str, Box<dyn Mapper>)],
+    dfgs: &[Dfg],
     fabrics: &[(u16, Topology)],
 ) {
     let path = format!("{}/../../tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
     let mut got = String::new();
     for (name, mapper) in mappers {
-        for dfg in kernels::small_suite() {
+        for dfg in dfgs {
             for &(side, topology) in fabrics {
                 let fabric = Fabric::homogeneous(side, side, topology);
-                let digest = match mapper.map(&dfg, &fabric, &cfg()) {
+                let digest = match mapper.map(dfg, &fabric, &cfg()) {
                     Ok(m) => format!("{:016x}", mapping_digest(&m)),
                     Err(_) => "unmapped".to_string(),
                 };
@@ -252,7 +253,33 @@ fn heuristic_mappings_match_the_golden_digests() {
     check_golden_digests(
         "mapping_digests.txt",
         &mappers,
+        &kernels::small_suite(),
         &[(4, Topology::Mesh), (8, Topology::Mesh)],
+    );
+}
+
+#[test]
+fn meta_mappings_match_the_golden_digests() {
+    // The same pin for the meta-heuristics on every kernel `map_heuristic`
+    // runs them on: the suite minus its three largest kernels, on a 4×4
+    // mesh (same CGRA_BLESS recipe). A change to how a binding is scored
+    // that claims the same costs must leave every line alone.
+    let registry = cgra::mapper::MapperRegistry::standard();
+    let mappers: Vec<_> = ["sa", "ga", "qea"]
+        .into_iter()
+        .map(|name| (name, registry.build(name).expect("registry mapper")))
+        .collect();
+    let large = ["sobel", "yuv2rgb", "fft_butterfly"];
+    let dfgs: Vec<Dfg> = kernels::suite()
+        .into_iter()
+        .filter(|k| !large.contains(&k.name.as_str()))
+        .collect();
+    assert_eq!(dfgs.len(), 10);
+    check_golden_digests(
+        "meta_mapping_digests.txt",
+        &mappers,
+        &dfgs,
+        &[(4, Topology::Mesh)],
     );
 }
 
@@ -269,6 +296,7 @@ fn serve_mappings_match_the_golden_digests() {
     check_golden_digests(
         "serve_mapping_digests.txt",
         &mappers,
+        &kernels::small_suite(),
         &[(6, Topology::Mesh), (8, Topology::Torus)],
     );
 }
@@ -290,6 +318,7 @@ fn exact_mappings_match_the_golden_digests() {
     check_golden_digests(
         "exact_mapping_digests.txt",
         &mappers,
+        &kernels::small_suite(),
         &[(3, Topology::Mesh), (4, Topology::Mesh)],
     );
 }
