@@ -6,9 +6,10 @@
 //! random capability-feasible PE, elitism, and a fitness that rewards
 //! schedulability first and wirelength second (GenMap optimises
 //! energy ∝ wirelength under its mapping-feasibility constraint).
-//! Population fitness is evaluated in parallel with rayon.
+//! Each generation is scored sequentially by one [`Scorer`]: it is tens
+//! of µs of work, less than starting threads for it would cost.
 
-use super::meta_common::{eval_binding, finish_binding, random_binding};
+use super::meta_common::{capable_pes, finish_binding, random_binding, Scorer};
 use super::sweep::{SweepCtx, TemporalSearch};
 use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
@@ -16,7 +17,6 @@ use crate::telemetry::Counter;
 use cgra_arch::PeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// The GA mapper.
 #[derive(Debug, Clone)]
@@ -43,35 +43,34 @@ impl Default for Genetic {
 
 impl Genetic {
     /// Run the generations at `ii`; the final population, best first.
-    fn evolve(&self, ctx: &SweepCtx<'_>, ii: u32, seed: u64) -> Vec<(u64, Vec<PeId>)> {
-        let (dfg, fabric, topo) = (ctx.dfg, ctx.fabric, &*ctx.topo);
+    fn evolve(
+        &self,
+        ctx: &SweepCtx<'_>,
+        scorer: &mut Scorer<'_>,
+        seed: u64,
+    ) -> Vec<(u64, Vec<PeId>)> {
+        let ii = scorer.ii();
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = dfg.node_count();
-        let feasible: Vec<Vec<PeId>> = dfg
-            .node_ids()
-            .map(|id| {
-                fabric
-                    .pe_ids()
-                    .filter(|&pe| fabric.supports(pe, dfg.op(id)))
-                    .collect()
-            })
-            .collect();
+        let n = ctx.dfg.node_count();
+        let feasible = capable_pes(ctx.dfg, ctx.fabric);
+        let size = self.population.max(4);
 
-        let mut pop: Vec<Vec<PeId>> = (0..self.population.max(4))
-            .map(|_| random_binding(dfg, fabric, &mut rng))
+        let mut pop: Vec<Vec<PeId>> = (0..size)
+            .map(|_| random_binding(&feasible, &mut rng))
             .collect();
         let mut scored: Vec<(u64, Vec<PeId>)> = Vec::new();
         let mut best_cost = u64::MAX;
+        let mut score = |pop: Vec<Vec<PeId>>| -> Vec<(u64, Vec<PeId>)> {
+            let mut scored: Vec<_> = pop.into_iter().map(|b| (scorer.cost(&b), b)).collect();
+            scored.sort_by_key(|(c, _)| *c);
+            scored
+        };
 
         for _gen in 0..self.generations {
             if ctx.budget.expired_now() {
                 break;
             }
-            scored = pop
-                .par_iter()
-                .map(|b| (eval_binding(dfg, fabric, topo, b, ii).cost, b.clone()))
-                .collect();
-            scored.sort_by_key(|(c, _)| *c);
+            scored = score(pop);
             // A generation whose champion improves on the best seen so
             // far counts as an accepted move of the population search.
             if let Some(&(c, _)) = scored.first() {
@@ -87,7 +86,7 @@ impl Genetic {
                 .take(self.elitism)
                 .map(|(_, b)| b.clone())
                 .collect();
-            while next.len() < pop.len() {
+            while next.len() < size {
                 // Tournament selection of two parents.
                 let pick = |rng: &mut StdRng| -> &Vec<PeId> {
                     let mut best: Option<&(u64, Vec<PeId>)> = None;
@@ -120,11 +119,7 @@ impl Genetic {
             pop = next;
         }
         if scored.is_empty() {
-            scored = pop
-                .par_iter()
-                .map(|b| (eval_binding(dfg, fabric, topo, b, ii).cost, b.clone()))
-                .collect();
-            scored.sort_by_key(|(c, _)| *c);
+            scored = score(pop);
         }
         scored
     }
@@ -139,11 +134,12 @@ impl TemporalSearch for Genetic {
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
     fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
-        let scored = self.evolve(ctx, ii, ctx.cfg.seed ^ ii as u64);
+        let mut scorer = Scorer::new(ctx.dfg, ctx.fabric, &ctx.topo, ii);
+        let scored = self.evolve(ctx, &mut scorer, ctx.cfg.seed ^ ii as u64);
         Ok(scored
             .iter()
             .take(3)
-            .find_map(|(_, binding)| finish_binding(ctx, ii, binding)))
+            .find_map(|(_, binding)| finish_binding(ctx, &mut scorer, binding)))
     }
 }
 

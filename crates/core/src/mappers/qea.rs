@@ -9,7 +9,7 @@
 //! update). Convergence is tracked by distribution entropy; a mapping
 //! is materialised from the best observation.
 
-use super::meta_common::{eval_binding, finish_binding};
+use super::meta_common::{capable_pes, finish_binding, Scorer};
 use super::sweep::{SweepCtx, TemporalSearch};
 use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
@@ -47,22 +47,14 @@ impl TemporalSearch for Qea {
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
     fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
-        let (dfg, fabric) = (ctx.dfg, ctx.fabric);
-        let n = dfg.node_count();
+        let n = ctx.dfg.node_count();
         let mut rng = StdRng::seed_from_u64(ctx.cfg.seed ^ (ii as u64) << 7);
         // Feasible PE sets and uniform initial distributions.
-        let feasible: Vec<Vec<PeId>> = dfg
-            .node_ids()
-            .map(|id| {
-                fabric
-                    .pe_ids()
-                    .filter(|&pe| fabric.supports(pe, dfg.op(id)))
-                    .collect()
-            })
-            .collect();
+        let feasible = capable_pes(ctx.dfg, ctx.fabric);
         if feasible.iter().any(|f| f.is_empty()) {
             return Err(MapError::infeasible("an op has no capable PE"));
         }
+        let mut scorer = Scorer::new(ctx.dfg, ctx.fabric, &ctx.topo, ii);
         let mut prob: Vec<Vec<f64>> = feasible
             .iter()
             .map(|f| vec![1.0 / f.len() as f64; f.len()])
@@ -89,7 +81,7 @@ impl TemporalSearch for Qea {
                             *feasible[i].last().unwrap()
                         })
                         .collect();
-                    let c = eval_binding(dfg, fabric, &ctx.topo, &binding, ii).cost;
+                    let c = scorer.cost(&binding);
                     ctx.tele().bump(Counter::MovesProposed);
                     (c, binding)
                 })
@@ -131,7 +123,7 @@ impl TemporalSearch for Qea {
             }
         }
 
-        Ok(best.and_then(|(_, binding)| finish_binding(ctx, ii, &binding)))
+        Ok(best.and_then(|(_, binding)| finish_binding(ctx, &mut scorer, &binding)))
     }
 }
 

@@ -5,10 +5,10 @@
 //! capability-feasible binding, propose moves (relocate one operation,
 //! or swap two operations' PEs), accept downhill always and uphill
 //! with probability `exp(-Δ/T)` under a geometric cooling schedule.
-//! Multiple independent chains run in parallel (rayon) and the best
-//! champion is routed.
+//! Multiple independent chains run in parallel (rayon), each with its
+//! own [`Scorer`], and the best champion is routed.
 
-use super::meta_common::{eval_binding, finish_binding, random_binding};
+use super::meta_common::{capable_pes, finish_binding, random_binding, Scorer};
 use super::sweep::{SweepCtx, TemporalSearch};
 use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
@@ -21,7 +21,7 @@ use rayon::prelude::*;
 /// Cooling schedule — an ablation axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Cooling {
-    /// `T ← 0.95·T` per sweep (classic geometric).
+    /// `T ← 0.85·T` per sweep (geometric).
     #[default]
     Geometric,
     /// Linear ramp to zero.
@@ -34,7 +34,7 @@ pub struct SimulatedAnnealing {
     pub cooling: Cooling,
     /// Independent restart chains (run in parallel).
     pub chains: usize,
-    /// Moves per temperature step scales with `effort`.
+    /// Temperature steps per chain (at least 4), each of `3·|V|` moves.
     pub sweeps: u32,
 }
 
@@ -50,10 +50,12 @@ impl Default for SimulatedAnnealing {
 
 impl SimulatedAnnealing {
     fn anneal_chain(&self, ctx: &SweepCtx<'_>, ii: u32, seed: u64) -> (u64, Vec<PeId>) {
-        let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
+        let (dfg, budget) = (ctx.dfg, &ctx.budget);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut binding = random_binding(dfg, fabric, &mut rng);
-        let mut cost = eval_binding(dfg, fabric, topo, &binding, ii).cost;
+        let capable = capable_pes(dfg, ctx.fabric);
+        let mut scorer = Scorer::new(dfg, ctx.fabric, &ctx.topo, ii);
+        let mut binding = random_binding(&capable, &mut rng);
+        let mut cost = scorer.cost(&binding);
         let mut best = (cost, binding.clone());
         let n = dfg.node_count();
 
@@ -71,21 +73,18 @@ impl SimulatedAnnealing {
                 ctx.tele().bump(Counter::MovesProposed);
                 let mut cand = binding.clone();
                 if rng.random_range(0..10) < 7 {
-                    let op = cgra_ir::NodeId(rng.random_range(0..n as u32));
-                    let feasible: Vec<PeId> = fabric
-                        .pe_ids()
-                        .filter(|&pe| fabric.supports(pe, dfg.op(op)))
-                        .collect();
+                    let op = rng.random_range(0..n as u32) as usize;
+                    let feasible = &capable[op];
                     if feasible.is_empty() {
                         continue;
                     }
-                    cand[op.index()] = feasible[rng.random_range(0..feasible.len())];
+                    cand[op] = feasible[rng.random_range(0..feasible.len())];
                 } else {
                     let a = rng.random_range(0..n);
                     let b = rng.random_range(0..n);
                     cand.swap(a, b);
                 }
-                let c = eval_binding(dfg, fabric, topo, &cand, ii).cost;
+                let c = scorer.cost(&cand);
                 let accept = c <= cost || {
                     let delta = (c - cost) as f64;
                     rng.random::<f64>() < (-delta / temp.max(1e-9)).exp()
@@ -132,10 +131,11 @@ impl TemporalSearch for SimulatedAnnealing {
         if let Some((c, _)) = champs.first() {
             ctx.incumbent(Self::NAME, ii, *c as f64);
         }
+        let mut scorer = Scorer::new(ctx.dfg, ctx.fabric, &ctx.topo, ii);
         Ok(champs
             .iter()
             .take(2)
-            .find_map(|(_, binding)| finish_binding(ctx, ii, binding)))
+            .find_map(|(_, binding)| finish_binding(ctx, &mut scorer, binding)))
     }
 }
 
