@@ -27,7 +27,8 @@
 //!    persistent solver internals (learnt clauses, warm LP bases) from
 //!    the earlier request instead of re-encoding cold.
 //! 2. **Incumbent fallback** — every successful solve records its
-//!    mapping in a per-kernel incumbent index. When a later solve of
+//!    mapping in a per-kernel incumbent index, which keeps the
+//!    `cache_cap` most recently used kernels. When a later solve of
 //!    the same kernel *times out*, the best incumbent on the same (or
 //!    an embeddable smaller) fabric is translated, re-validated
 //!    against the request's fabric, and returned in place of the
@@ -204,8 +205,7 @@ pub fn execute(req: &MapRequest, env: &ExecEnv) -> MapOutcome {
 /// both capacity pressure and — because keys are stable FNV digests —
 /// process restarts.
 pub struct ResultCache {
-    inner: Mutex<CacheInner>,
-    cap: usize,
+    inner: Mutex<Lru<CacheKey, Arc<MapOutcome>>>,
     spill: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -214,14 +214,59 @@ pub struct ResultCache {
     spill_loads: AtomicU64,
 }
 
-struct CacheInner {
-    map: HashMap<CacheKey, CacheEntry>,
+/// A map of at most `cap` entries (≥ 1) that evicts the least recently
+/// used one. Eviction scans for the oldest stamp, which is O(len); the
+/// pools it bounds hold a few hundred entries.
+struct Lru<K, V> {
+    map: HashMap<K, (u64, V)>,
     tick: u64,
+    cap: usize,
 }
 
-struct CacheEntry {
-    outcome: Arc<MapOutcome>,
-    last_used: u64,
+impl<K: Copy + Eq + std::hash::Hash, V> Lru<K, V> {
+    fn new(cap: usize) -> Lru<K, V> {
+        Lru {
+            map: HashMap::new(),
+            tick: 0,
+            cap: cap.max(1),
+        }
+    }
+
+    /// The value under `key`, which becomes the most recently used.
+    fn get(&mut self, key: &K) -> Option<&mut V> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.map.get_mut(key).map(|(used, v)| {
+            *used = tick;
+            v
+        })
+    }
+
+    /// Insert or replace `key` as the most recently used entry; returns
+    /// the entry evicted to make room, if one was.
+    fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+        self.tick += 1;
+        self.map.insert(key, (self.tick, value));
+        if self.map.len() <= self.cap {
+            return None;
+        }
+        let victim = *self
+            .map
+            .iter()
+            .min_by_key(|(_, (used, _))| *used)
+            .map(|(k, _)| k)
+            .expect("an over-capacity map is not empty");
+        self.map.remove(&victim).map(|(_, v)| (victim, v))
+    }
+
+    /// Is `key` present? Does not count as a use.
+    fn contains(&self, key: &K) -> bool {
+        self.map.contains_key(key)
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
 }
 
 impl ResultCache {
@@ -229,11 +274,7 @@ impl ResultCache {
     /// eviction directory, created on first use.
     pub fn new(cap: usize, spill: Option<PathBuf>) -> ResultCache {
         ResultCache {
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                tick: 0,
-            }),
-            cap: cap.max(1),
+            inner: Mutex::new(Lru::new(cap)),
             spill,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -252,15 +293,9 @@ impl ResultCache {
     /// Look a key up in memory, then on disk. Counts exactly one hit
     /// or one miss — the counters are monotone.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<MapOutcome>> {
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(e) = inner.map.get_mut(key) {
-                e.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::clone(&e.outcome));
-            }
+        if let Some(out) = self.inner.lock().unwrap().get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(Arc::clone(out));
         }
         if let Some(out) = self.load_spilled(key) {
             let arc = Arc::new(out);
@@ -286,33 +321,10 @@ impl ResultCache {
     }
 
     fn admit(&self, key: CacheKey, outcome: Arc<MapOutcome>) {
-        let mut spilled: Vec<(CacheKey, Arc<MapOutcome>)> = Vec::new();
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.map.insert(
-                key,
-                CacheEntry {
-                    outcome,
-                    last_used: tick,
-                },
-            );
-            while inner.map.len() > self.cap {
-                let victim = inner
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                    .expect("non-empty over-capacity cache");
-                let entry = inner.map.remove(&victim).expect("victim present");
-                spilled.push((victim, entry.outcome));
-            }
-        }
-        // Serialize outside the lock; eviction order doesn't matter.
-        self.evictions
-            .fetch_add(spilled.len() as u64, Ordering::Relaxed);
-        for (k, out) in spilled {
+        let evicted = self.inner.lock().unwrap().insert(key, outcome);
+        // Serialize outside the lock.
+        if let Some((k, out)) = evicted {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
             self.write_spill(&k, &out);
         }
     }
@@ -336,7 +348,7 @@ impl ResultCache {
     /// it exists for planners that only want to *predict* warmth (see
     /// [`crate::fleet::plan`]).
     pub fn peek(&self, key: &CacheKey) -> bool {
-        if self.inner.lock().unwrap().map.contains_key(key) {
+        if self.inner.lock().unwrap().contains(key) {
             return true;
         }
         self.spill_path(key).is_some_and(|p| p.exists())
@@ -366,7 +378,7 @@ impl ResultCache {
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.inner.lock().unwrap().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -386,29 +398,38 @@ struct Incumbent {
 
 /// Per-kernel incumbent trail: the best (lowest-II) mapping seen for
 /// each (kernel fingerprint, fabric spec) pair, regardless of which
-/// config produced it.
-#[derive(Default)]
+/// config produced it. Holds at most `cap` kernels and forgets the one
+/// least recently recorded or consulted.
 pub struct WarmIndex {
-    by_kernel: Mutex<HashMap<u64, Vec<Incumbent>>>,
+    by_kernel: Mutex<Lru<u64, Vec<Incumbent>>>,
 }
 
 impl WarmIndex {
+    fn new(cap: usize) -> WarmIndex {
+        WarmIndex {
+            by_kernel: Mutex::new(Lru::new(cap)),
+        }
+    }
+
     /// Record a successful solve; keeps the lowest II per fabric spec.
     fn record(&self, kernel_fp: u64, fabric: FabricSpec, mapping: &Mapping) {
+        let incumbent = || Incumbent {
+            fabric,
+            ii: mapping.ii,
+            mapping: mapping.clone(),
+        };
         let mut map = self.by_kernel.lock().unwrap();
-        let list = map.entry(kernel_fp).or_default();
+        let Some(list) = map.get(&kernel_fp) else {
+            map.insert(kernel_fp, vec![incumbent()]);
+            return;
+        };
         match list.iter_mut().find(|i| i.fabric == fabric) {
             Some(i) => {
                 if mapping.ii < i.ii {
-                    i.ii = mapping.ii;
-                    i.mapping = mapping.clone();
+                    *i = incumbent();
                 }
             }
-            None => list.push(Incumbent {
-                fabric,
-                ii: mapping.ii,
-                mapping: mapping.clone(),
-            }),
+            None => list.push(incumbent()),
         }
     }
 
@@ -426,7 +447,7 @@ impl WarmIndex {
     /// request's grid by row-major re-indexing; sorted by II so the
     /// best bound is tried first.
     fn candidates(&self, kernel_fp: u64, target: &FabricSpec) -> Vec<Incumbent> {
-        let map = self.by_kernel.lock().unwrap();
+        let mut map = self.by_kernel.lock().unwrap();
         let Some(list) = map.get(&kernel_fp) else {
             return Vec::new();
         };
@@ -617,7 +638,8 @@ pub struct ServiceStats {
 pub struct ServiceOptions {
     /// Concurrent cache-miss solve budget (admission permits).
     pub cores: usize,
-    /// In-memory result-cache capacity before LRU eviction.
+    /// In-memory result-cache capacity before LRU eviction; it also
+    /// bounds how many kernels the warm-start index remembers.
     pub cache_cap: usize,
     /// Directory for spilled cache entries; `None` = drop on evict.
     pub spill: Option<PathBuf>,
@@ -652,6 +674,11 @@ struct Counts {
     coalesced: u64,
 }
 
+/// How many fabrics' topologies a [`MapService`] keeps built. A 32×32
+/// fabric's hop table alone is 4 MB, and a client can name about a
+/// thousand distinct fabrics within `MAX_FABRIC_PES`.
+const TOPO_POOL_CAP: usize = 16;
+
 /// The serving facade: one instance per server process, shared by all
 /// connection threads. Thread-safe throughout (`&self` everywhere).
 pub struct MapService {
@@ -660,7 +687,8 @@ pub struct MapService {
     gate: AdmissionGate,
     inflight: InFlight,
     incr: IncrementalCtx,
-    topos: Mutex<HashMap<FabricSpec, Arc<TopologyCache>>>,
+    /// At most [`TOPO_POOL_CAP`] fabrics' topologies.
+    topos: Mutex<Lru<FabricSpec, Arc<TopologyCache>>>,
     jobs: Mutex<HashMap<u64, Budget>>,
     counts: Mutex<Counts>,
     warm_count: AtomicU64,
@@ -699,11 +727,11 @@ impl MapService {
             ^ ((std::process::id() as u64) << 32);
         MapService {
             cache: ResultCache::new(opts.cache_cap, opts.spill),
-            warm: WarmIndex::default(),
+            warm: WarmIndex::new(opts.cache_cap),
             gate: AdmissionGate::new(opts.cores),
             inflight: InFlight::default(),
             incr: IncrementalCtx::new(),
-            topos: Mutex::new(HashMap::new()),
+            topos: Mutex::new(Lru::new(TOPO_POOL_CAP)),
             jobs: Mutex::new(HashMap::new()),
             counts: Mutex::new(Counts::default()),
             warm_count: AtomicU64::new(0),
@@ -909,7 +937,11 @@ impl MapService {
         }
         let built = Arc::new(TopologyCache::build(&spec.build().ok()?));
         let mut topos = self.topos.lock().expect(POISONED);
-        Some(Arc::clone(topos.entry(*spec).or_insert(built)))
+        if let Some(t) = topos.get(spec) {
+            return Some(Arc::clone(t));
+        }
+        topos.insert(*spec, Arc::clone(&built));
+        Some(built)
     }
 
     /// Cancel the in-flight request with this id. Returns whether a
@@ -1289,6 +1321,49 @@ mod tests {
             ..a
         };
         assert_eq!(svc.handle(&b).cache, CacheStatus::Warm);
+    }
+
+    #[test]
+    fn warm_index_keeps_at_most_cap_kernels() {
+        let m = execute(&named(0, "dot_product", "modulo-list"), &ExecEnv::default())
+            .mapping
+            .expect("maps on 4x4");
+        let cap = 8;
+        let index = WarmIndex::new(cap);
+        let spec = FabricSpec::default();
+        index.record(0, spec, &m);
+        for fp in 1..(cap as u64 + 5) {
+            // Consulting kernel 0 keeps it the most recently used.
+            assert!(index.knows(0));
+            index.record(fp, spec, &m);
+            assert!(index.by_kernel.lock().unwrap().len() <= cap);
+        }
+        let newest = cap as u64 + 4;
+        assert!(index.knows(newest) && index.knows(0));
+        assert!(!index.knows(1), "the least recently used kernel is gone");
+        assert_eq!(index.candidates(newest, &spec).len(), 1);
+    }
+
+    #[test]
+    fn topology_pool_stays_bounded() {
+        let svc = MapService::new(1, 4, None);
+        let spec = |cols: u16| FabricSpec {
+            rows: 2,
+            cols,
+            ..FabricSpec::default()
+        };
+        let first = svc.topo_for(&spec(2)).expect("builds");
+        for cols in 3..(3 + TOPO_POOL_CAP as u16 + 4) {
+            // Touching 2×2 keeps it resident while the rest churn.
+            let again = svc.topo_for(&spec(2)).expect("resident");
+            assert!(
+                Arc::ptr_eq(&first, &again),
+                "a resident spec is not rebuilt"
+            );
+            svc.topo_for(&spec(cols)).expect("builds");
+            assert!(svc.topos.lock().unwrap().len() <= TOPO_POOL_CAP);
+        }
+        assert_eq!(svc.topos.lock().unwrap().len(), TOPO_POOL_CAP);
     }
 
     #[test]
