@@ -364,6 +364,7 @@ pub(crate) fn add_solver_stats(tele: &Telemetry, s: SolverStats) {
     tele.add(Counter::SolverAssumptionSolves, s.assumption_solves);
     tele.add(Counter::SolverLearntKept, s.learnt_kept);
     tele.add(Counter::SolverLearntGcd, s.learnt_gcd);
+    tele.add(Counter::SolverLpPivots, s.lp_pivots);
 }
 
 /// The union position space of a run of adjacent IIs: each II's own

@@ -71,6 +71,8 @@ pub enum Counter {
     SolverLearntKept,
     /// Learnt clauses garbage-collected by database reductions.
     SolverLearntGcd,
+    /// Simplex pivots of the ILP's LP relaxations.
+    SolverLpPivots,
     /// Runs stopped by a budget cancellation (portfolio race losers,
     /// parallel-II jobs dominated by a better II).
     Cancellations,
@@ -83,7 +85,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in snapshot order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 19] = [
         Counter::IiAttempts,
         Counter::PlacementsTried,
         Counter::Backtracks,
@@ -100,6 +102,7 @@ impl Counter {
         Counter::SolverAssumptionSolves,
         Counter::SolverLearntKept,
         Counter::SolverLearntGcd,
+        Counter::SolverLpPivots,
         Counter::Cancellations,
         Counter::Incumbents,
     ];
@@ -123,6 +126,7 @@ impl Counter {
             Counter::SolverAssumptionSolves => "solver_assumption_solves",
             Counter::SolverLearntKept => "solver_learnt_kept",
             Counter::SolverLearntGcd => "solver_learnt_gcd",
+            Counter::SolverLpPivots => "solver_lp_pivots",
             Counter::Cancellations => "cancellations",
             Counter::Incumbents => "incumbents",
         }
@@ -443,6 +447,7 @@ impl SearchStats {
             solver_assumption_solves: self.get(Counter::SolverAssumptionSolves),
             solver_learnt_kept: self.get(Counter::SolverLearntKept),
             solver_learnt_gcd: self.get(Counter::SolverLearntGcd),
+            solver_lp_pivots: self.get(Counter::SolverLpPivots),
             cancellations: self.get(Counter::Cancellations),
             incumbents: self.get(Counter::Incumbents),
         }
@@ -478,6 +483,7 @@ pub struct StatsSnapshot {
     pub solver_assumption_solves: u64,
     pub solver_learnt_kept: u64,
     pub solver_learnt_gcd: u64,
+    pub solver_lp_pivots: u64,
     pub cancellations: u64,
     pub incumbents: u64,
 }
@@ -501,6 +507,7 @@ impl StatsSnapshot {
             Counter::SolverAssumptionSolves => self.solver_assumption_solves,
             Counter::SolverLearntKept => self.solver_learnt_kept,
             Counter::SolverLearntGcd => self.solver_learnt_gcd,
+            Counter::SolverLpPivots => self.solver_lp_pivots,
             Counter::Cancellations => self.cancellations,
             Counter::Incumbents => self.incumbents,
         }

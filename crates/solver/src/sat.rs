@@ -190,6 +190,7 @@ impl SatSolver {
             assumption_solves: self.assumption_solves,
             learnt_kept: self.learnt_kept,
             learnt_gcd: self.learnt_gcd,
+            ..Default::default()
         }
     }
 

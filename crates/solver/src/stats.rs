@@ -25,6 +25,8 @@ pub struct SolverStats {
     pub learnt_kept: u64,
     /// Learnt clauses garbage-collected by database reductions.
     pub learnt_gcd: u64,
+    /// Simplex pivots (ILP relaxations; zero for other engines).
+    pub lp_pivots: u64,
 }
 
 impl SolverStats {
@@ -41,6 +43,7 @@ impl SolverStats {
                 .saturating_sub(earlier.assumption_solves),
             learnt_kept: self.learnt_kept.saturating_sub(earlier.learnt_kept),
             learnt_gcd: self.learnt_gcd.saturating_sub(earlier.learnt_gcd),
+            lp_pivots: self.lp_pivots.saturating_sub(earlier.lp_pivots),
         }
     }
 
@@ -54,6 +57,7 @@ impl SolverStats {
             assumption_solves: self.assumption_solves + other.assumption_solves,
             learnt_kept: self.learnt_kept + other.learnt_kept,
             learnt_gcd: self.learnt_gcd + other.learnt_gcd,
+            lp_pivots: self.lp_pivots + other.lp_pivots,
         }
     }
 }
@@ -93,20 +97,24 @@ mod tests {
             assumption_solves: 3,
             learnt_kept: 20,
             learnt_gcd: 12,
+            lp_pivots: 90,
             ..Default::default()
         };
         let b = SolverStats {
             assumption_solves: 1,
             learnt_kept: 5,
             learnt_gcd: 4,
+            lp_pivots: 30,
             ..Default::default()
         };
         let d = a.since(&b);
         assert_eq!(d.assumption_solves, 2);
         assert_eq!(d.learnt_kept, 15);
         assert_eq!(d.learnt_gcd, 8);
+        assert_eq!(d.lp_pivots, 60);
         let m = a.merged(&b);
         assert_eq!(m.assumption_solves, 4);
         assert_eq!(m.learnt_kept, 25);
+        assert_eq!(m.lp_pivots, 120);
     }
 }
