@@ -53,42 +53,9 @@ fn bench_modulo_list_budget_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// The run ledger's contract mirrors telemetry's: a disabled ledger in
-/// the mapping loop must cost nothing beyond a null check per emission
-/// site, and an enabled one a timestamp plus one atomic append. The
-/// off row should be indistinguishable from `engine_modulo_list`.
-fn bench_modulo_list_ledger_overhead(c: &mut Criterion) {
-    let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-    let dfg = kernels::fir(8);
-    let mut group = c.benchmark_group("engine_ledger");
-    group
-        .sample_size(30)
-        .measurement_time(Duration::from_secs(6));
-    for (label, ledger) in [("off", Ledger::off()), ("on", Ledger::enabled())] {
-        let cfg = MapConfig {
-            ledger,
-            ..MapConfig::fast()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| criterion::black_box(ModuloList::default().map(&dfg, &fabric, &cfg)))
-        });
-    }
-    // The raw emission paths, isolated from the mapper.
-    let off = Ledger::off();
-    group.bench_function("emit_disabled", |b| {
-        b.iter(|| off.incumbent("bench", 2, criterion::black_box(1.0)))
-    });
-    let on = Ledger::enabled();
-    group.bench_function("emit_enabled", |b| {
-        b.iter(|| on.incumbent("bench", 2, criterion::black_box(1.0)))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_expired_poll,
-    bench_modulo_list_budget_overhead,
-    bench_modulo_list_ledger_overhead
+    bench_modulo_list_budget_overhead
 );
 criterion_main!(benches);

@@ -65,6 +65,37 @@ fn bench_modulo_list_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// Events ride the same handle: on a disabled sink an emit is a null
+/// check that builds no payload; on an enabled one it is a counter
+/// bump plus a timestamped append to the journal under its lock. Each
+/// row times 1024 `incumbent` emits; the enabled row emits into a fresh
+/// sink, so the journal never reaches its cap and every append is real.
+fn bench_event_emit_overhead(c: &mut Criterion) {
+    const EMITS: u32 = 1024;
+    let mut group = c.benchmark_group("telemetry_events");
+    group
+        .sample_size(30)
+        .measurement_time(Duration::from_secs(6));
+    let off = Telemetry::off();
+    group.bench_function("emit_disabled", |b| {
+        b.iter(|| {
+            for ii in 0..EMITS {
+                off.incumbent("bench", ii, criterion::black_box(1.0));
+            }
+        })
+    });
+    group.bench_function("emit_enabled", |b| {
+        b.iter(|| {
+            let on = Telemetry::enabled();
+            for ii in 0..EMITS {
+                on.incumbent("bench", ii, criterion::black_box(1.0));
+            }
+            on
+        })
+    });
+    group.finish();
+}
+
 /// The latency histograms ride the same contract: recording into a
 /// disabled sink must stay a null check, and recording into an enabled
 /// sink is one atomic bucket increment. The `off` row here pins the
@@ -144,6 +175,7 @@ criterion_group!(
     benches,
     bench_router_overhead,
     bench_modulo_list_overhead,
+    bench_event_emit_overhead,
     bench_histogram_overhead,
     bench_service_metrics_overhead
 );

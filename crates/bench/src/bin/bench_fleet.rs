@@ -261,9 +261,8 @@ fn main() -> ExitCode {
         }
         comap_seq_ms = comap_seq_ms.min(t0.elapsed().as_secs_f64() * 1e3);
 
-        let env = fleet::FleetEnv::default();
         let t0 = Instant::now();
-        let co = fleet::co_map(&comap_reqs, &comap_fabric, &env).expect("co_map");
+        let co = fleet::co_map(&comap_reqs, &comap_fabric).expect("co_map");
         comap_ms = comap_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert!(
             co.jobs.iter().all(|j| j.outcome.error.is_none()),

@@ -260,8 +260,7 @@ fn co_map_to_value(report: &CoMapReport) -> Value {
 
 fn run_co_map(queue: &[MapRequest], farm: &[FleetFabric], opts: &Options) -> Result<(), CliError> {
     let fabric = farm[0].spec;
-    let report = fleet::co_map(queue, &fabric, &fleet::FleetEnv::default())
-        .map_err(|e| CliError::from(e.0))?;
+    let report = fleet::co_map(queue, &fabric).map_err(|e| CliError::from(e.0))?;
     let failed = report
         .jobs
         .iter()

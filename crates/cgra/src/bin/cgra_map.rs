@@ -23,7 +23,6 @@
 //! see [`cgra::cli`].
 
 use cgra::cli::CliError;
-use cgra::mapper::ledger::Ledger;
 use cgra::mapper::report;
 use cgra::mapper::request::{
     CacheStatus, ExecMode, FabricSpec, KernelSpec, MapOutcome, MapRequest, RequestConfig,
@@ -236,17 +235,13 @@ fn run() -> Result<(), CliError> {
 
     // One sink for the whole pipeline when observability is requested;
     // disabled otherwise (every telemetry call is then a null check).
-    // The engine records parse/optimize/map/validate spans into these
-    // via ExecEnv; simulation adds its span afterwards.
+    // The engine records parse/optimize/map/validate spans and the
+    // search events into it via ExecEnv; simulation adds its span
+    // afterwards.
     let tele = if observing {
         Telemetry::enabled()
     } else {
         Telemetry::off()
-    };
-    let ledger = if observing {
-        Ledger::enabled()
-    } else {
-        Ledger::off()
     };
 
     // Client-observed wall clock for --connect; the server-reported
@@ -265,7 +260,6 @@ fn run() -> Result<(), CliError> {
         None => {
             let env = ExecEnv {
                 telemetry: observing.then(|| tele.clone()),
-                ledger: observing.then(|| ledger.clone()),
                 ..ExecEnv::default()
             };
             service::execute(&req, &env)
@@ -319,11 +313,10 @@ fn run() -> Result<(), CliError> {
     let run_energy = energy.run_energy(&mapping, &dfg, &fabric, opts.iters as u64);
 
     if let Some(path) = &opts.trace {
-        write_trace(path, &tele, &ledger)?;
+        write_trace(path, &tele)?;
     }
     if let Some(path) = &opts.chrome_trace {
-        let latency = report::LatencySummary::rows_from(&tele);
-        let trace = report::chrome_trace(&tele.spans(), &ledger.events(), &latency);
+        let trace = report::chrome_trace(&tele);
         std::fs::write(path, serde_json::to_string_pretty(&trace).unwrap())
             .map_err(|e| format!("{path}: {e}"))?;
     }
@@ -472,10 +465,10 @@ fn race_failure_report(outcome: &MapOutcome) -> String {
 }
 
 /// Emit the trace as JSON Lines: one `span` event per recorded phase
-/// span (completion order), one line per run-ledger event (incumbents,
+/// span (completion order), one line per search event (incumbents,
 /// race timeline, II probes), a single `counters` event, and a closing
-/// `meta` line accounting for anything the bounded buffers dropped.
-fn write_trace(path: &str, tele: &Telemetry, ledger: &Ledger) -> Result<(), CliError> {
+/// `meta` line accounting for anything the bounded logs dropped.
+fn write_trace(path: &str, tele: &Telemetry) -> Result<(), CliError> {
     let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
     let mut w = std::io::BufWriter::new(f);
     let mut emit = |line: serde_json::Value| -> Result<(), CliError> {
@@ -490,7 +483,7 @@ fn write_trace(path: &str, tele: &Telemetry, ledger: &Ledger) -> Result<(), CliE
             "dur_us": s.dur_us,
         }))?;
     }
-    for e in ledger.events() {
+    for e in tele.events() {
         emit(e.to_value())?;
     }
     if let Some(snap) = tele.snapshot() {
@@ -499,7 +492,7 @@ fn write_trace(path: &str, tele: &Telemetry, ledger: &Ledger) -> Result<(), CliE
     emit(serde_json::json!({
         "event": "meta",
         "spans_dropped": tele.spans_dropped(),
-        "events_dropped": ledger.events_dropped(),
+        "events_dropped": tele.events_dropped(),
     }))?;
     Ok(())
 }

@@ -20,11 +20,10 @@
 //!   IIs race concurrently instead of bottom-up, and a success at II
 //!   *k* cancels every job pinned to an II above *k*.
 
-use crate::ledger::Ledger;
 use crate::mapper::{MapConfig, MapError, Mapper};
 use crate::mapping::Mapping;
 use crate::request::MapOutcome;
-use crate::telemetry::{Counter, Telemetry};
+use crate::telemetry::Counter;
 use crate::validate::validate_with;
 use cgra_arch::Fabric;
 use cgra_ir::Dfg;
@@ -249,18 +248,19 @@ pub fn race(
     let winner: Mutex<Option<(String, Mapping)>> = Mutex::new(None);
     let start = Instant::now();
 
-    // RaceStart events are emitted sequentially before the jobs spawn,
-    // so every later RaceWin/RaceLoss lands after its start in the
-    // ledger's claim order (ties in `t_us` resolve causally).
+    // RaceStart events are journalled sequentially before the jobs
+    // spawn, so every later RaceWin/RaceLoss lands after its start.
     for mapper in mappers {
-        cfg.ledger.race_start(mapper.name());
+        cfg.telemetry.race_start(mapper.name());
     }
 
     let entries: Vec<MapOutcome> = mappers
         .par_iter()
         .map(|mapper| {
             let mut job_cfg = cfg.clone();
-            job_cfg.telemetry = Telemetry::enabled();
+            // The row's own counters and spans; its mapper's events
+            // land on the caller's race timeline.
+            job_cfg.telemetry = cfg.telemetry.child();
             job_cfg.budget = shared.clone();
             job_cfg.topo = Some(Arc::clone(&topo));
             let mut row = MapOutcome {
@@ -290,26 +290,26 @@ pub fn race(
                         *w = Some((row.mapper.clone(), m));
                         shared.cancel();
                         won = true;
-                        cfg.ledger.race_win(&row.mapper, ii);
+                        cfg.telemetry.race_win(&row.mapper, ii);
                     }
                 }
             }
             match &row.error {
                 // Mapped successfully but another mapper (or a target
                 // II miss) decided the race.
-                None if !won => cfg.ledger.race_loss(mapper.name(), "beaten"),
+                None if !won => cfg.telemetry.race_loss(mapper.name(), "beaten"),
                 Some(e) => {
                     if matches!(e, MapError::Cancelled) {
                         job_cfg.telemetry.bump(Counter::Cancellations);
                     }
-                    cfg.ledger.race_loss(mapper.name(), e.kind());
+                    cfg.telemetry.race_loss(mapper.name(), e.kind());
                 }
                 None => {}
             }
             row.classify();
-            // Race jobs share the caller's ledger (the race timeline
-            // lives there), so per-row journals stay empty.
-            row.harvest(&job_cfg.telemetry, &Ledger::off());
+            // A child sink journals nothing of its own, so the row's
+            // `events` stay empty.
+            row.harvest(&job_cfg.telemetry);
             row
         })
         .collect();
@@ -319,7 +319,7 @@ pub fn race(
         None => (None, None),
     };
     if winner.is_none() && shared.expired_now() {
-        cfg.ledger.budget_exhausted("race");
+        cfg.telemetry.budget_exhausted("race");
     }
     RaceOutcome {
         winner,
@@ -374,9 +374,9 @@ pub fn parallel_ii(
             job_cfg.max_ii = ii;
             job_cfg.budget = budgets[j].clone();
             job_cfg.topo = Some(Arc::clone(&topo));
-            // No ledger emission here: the mapper itself journals its
-            // `ii_attempt`, exactly as in the sequential bottom-up
-            // sweep, so convergence views agree between the two paths.
+            // No `ii_attempt` here: the mapper itself journals it,
+            // exactly as in the sequential bottom-up sweep, so
+            // convergence views agree between the two paths.
             match mapper.map(dfg, fabric, &job_cfg) {
                 Ok(m) => {
                     if validate_with(&m, dfg, fabric, &topo).is_err() {
@@ -386,8 +386,7 @@ pub fn parallel_ii(
                     if b.as_ref().is_none_or(|(bi, _)| ii < *bi) {
                         *b = Some((ii, m));
                         best_ii.fetch_min(ii, Ordering::AcqRel);
-                        cfg.telemetry.bump(Counter::Incumbents);
-                        cfg.ledger.incumbent(mapper.name(), ii, ii as f64);
+                        cfg.telemetry.incumbent(mapper.name(), ii, ii as f64);
                         // Cancel every job chasing a worse II.
                         for (k, budget) in budgets.iter().enumerate() {
                             if iis[k] > ii {
@@ -419,7 +418,7 @@ pub fn parallel_ii(
         return Err(MapError::Cancelled);
     }
     if errors.iter().any(|e| matches!(e, Some(MapError::Timeout))) || parent.expired_now() {
-        cfg.ledger.budget_exhausted(mapper.name());
+        cfg.telemetry.budget_exhausted(mapper.name());
         return Err(MapError::Timeout);
     }
     Err(MapError::infeasible(format!(
@@ -510,11 +509,12 @@ mod tests {
 
     #[test]
     fn parallel_ii_journals_attempts_like_the_sequential_sweep() {
-        use crate::ledger::{EventKind, Ledger};
+        use crate::ledger::EventKind;
+        use crate::telemetry::Telemetry;
         let mapper = ModuloList::default();
         let dfg = kernels::fir(4);
         let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let attempts = |l: &Ledger| -> Vec<(String, u32)> {
+        let attempts = |l: &Telemetry| -> Vec<(String, u32)> {
             l.events()
                 .iter()
                 .filter_map(|e| match &e.kind {
@@ -523,15 +523,15 @@ mod tests {
                 })
                 .collect()
         };
-        let seq_ledger = Ledger::enabled();
+        let seq_tele = Telemetry::enabled();
         let seq_cfg = MapConfig {
-            ledger: seq_ledger.clone(),
+            telemetry: seq_tele.clone(),
             ..MapConfig::fast()
         };
         let seq = mapper.map(&dfg, &fabric, &seq_cfg).unwrap();
-        let par_ledger = Ledger::enabled();
+        let par_tele = Telemetry::enabled();
         let par_cfg = MapConfig {
-            ledger: par_ledger.clone(),
+            telemetry: par_tele.clone(),
             ..MapConfig::fast()
         };
         let par = parallel_ii(&mapper, &dfg, &fabric, &par_cfg).unwrap();
@@ -539,13 +539,13 @@ mod tests {
         // The engine no longer double-emits on top of the mapper's own
         // journal: each (mapper, II) attempt appears exactly once, as
         // in the sequential sweep, so convergence views agree.
-        let par_attempts = attempts(&par_ledger);
+        let par_attempts = attempts(&par_tele);
         let mut dedup = par_attempts.clone();
         dedup.sort();
         dedup.dedup();
         assert_eq!(par_attempts.len(), dedup.len(), "duplicate IiAttempt");
         assert!(par_attempts.contains(&("modulo-list".to_string(), par.ii)));
-        assert!(attempts(&seq_ledger).contains(&("modulo-list".to_string(), seq.ii)));
+        assert!(attempts(&seq_tele).contains(&("modulo-list".to_string(), seq.ii)));
     }
 
     #[test]

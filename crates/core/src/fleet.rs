@@ -31,12 +31,9 @@
 //! ADRES capability layout break that, so both are rejected with a
 //! typed [`FleetError`].
 
-use crate::engine::Budget;
 use crate::incremental::IncrementalCtx;
-use crate::ledger::Ledger;
 use crate::mapping::Mapping;
 use crate::request::{CacheStatus, FabricSpec, MapOutcome, MapRequest};
-use crate::servemetrics::ServiceMetrics;
 use crate::service::{execute, ExecEnv, MapService};
 use crate::telemetry::Telemetry;
 use cgra_arch::{PeId, Topology, TopologyCache};
@@ -254,22 +251,6 @@ pub fn partition_fabric(
     Ok(out)
 }
 
-/// Process-local context shared by every job of a fleet run — the
-/// fleet-level analogue of [`ExecEnv`].
-#[derive(Default)]
-pub struct FleetEnv {
-    /// Cancelling this budget cancels every in-flight partition job.
-    pub budget: Budget,
-    /// Shared incremental-solver pool (warm-start leg 1).
-    pub incr: IncrementalCtx,
-    /// Latency/counter registry; every job's solve time is observed,
-    /// so fleet runs scrape like service traffic.
-    pub metrics: ServiceMetrics,
-    /// Caller-owned run-ledger sink; per-job mapper events
-    /// (incumbents, II attempts) land here when set.
-    pub ledger: Option<Ledger>,
-}
-
 /// One co-mapped kernel: its outcome (mapping in *absolute* fabric
 /// coordinates) plus where and when it landed.
 #[derive(Debug, Clone)]
@@ -296,37 +277,29 @@ pub struct CoMapReport {
     pub wall_ms: f64,
 }
 
-fn run_one(req: &MapRequest, env: &FleetEnv, topo: Option<&Arc<TopologyCache>>) -> MapOutcome {
-    let t0 = Instant::now();
+fn run_one(
+    req: &MapRequest,
+    incr: &IncrementalCtx,
+    topo: Option<&Arc<TopologyCache>>,
+) -> MapOutcome {
     let exec = ExecEnv {
-        budget: env.budget.clone(),
         topo: topo.cloned(),
-        incr: env.incr.clone(),
-        collect: false,
-        telemetry: None,
-        ledger: env.ledger.clone(),
-        trace: String::new(),
+        incr: incr.clone(),
+        ..ExecEnv::default()
     };
-    let out = execute(req, &exec);
-    let us = t0.elapsed().as_micros() as u64;
-    env.metrics.observe_solve(us);
-    env.metrics.observe_request(us);
-    out
+    execute(req, &exec)
 }
 
 /// Map independent kernels onto disjoint partitions of one fabric,
 /// concurrently. Wave by wave: up to `parts` kernels map in parallel
-/// (one per partition, via [`service::execute`] with the shared
-/// incremental pool and the fleet budget); successes are translated to
+/// (one per partition, via [`service::execute`] with one incremental
+/// pool shared by the whole run); successes are translated to
 /// absolute coordinates and re-validated on the full fabric; failures
 /// re-merge — the next wave retries them at half the partition count,
 /// bottoming out at the whole fabric, one kernel at a time.
-pub fn co_map(
-    reqs: &[MapRequest],
-    fabric: &FabricSpec,
-    env: &FleetEnv,
-) -> Result<CoMapReport, FleetError> {
+pub fn co_map(reqs: &[MapRequest], fabric: &FabricSpec) -> Result<CoMapReport, FleetError> {
     let t0 = Instant::now();
+    let incr = IncrementalCtx::new();
     let full = fabric.build().map_err(|e| FleetError(e.0))?;
     let topo = Arc::new(TopologyCache::build(&full));
     let partitionable = !fabric.adres && fabric.topology != Topology::Torus;
@@ -348,7 +321,7 @@ pub fn co_map(
             for &i in &pending {
                 let mut req = reqs[i].clone();
                 req.fabric = *fabric;
-                let outcome = run_one(&req, env, Some(&topo));
+                let outcome = run_one(&req, &incr, Some(&topo));
                 jobs[i] = Some(CoMapped {
                     outcome,
                     partition: None,
@@ -370,11 +343,11 @@ pub fn co_map(
         let results_mx = std::sync::Mutex::new(Vec::with_capacity(batch.len()));
         std::thread::scope(|s| {
             for (i, part) in &batch {
-                let results_mx = &results_mx;
+                let (results_mx, incr) = (&results_mx, &incr);
                 s.spawn(move || {
                     let mut req = reqs[*i].clone();
                     req.fabric = part.spec;
-                    let out = run_one(&req, env, None);
+                    let out = run_one(&req, incr, None);
                     results_mx.lock().unwrap().push((*i, *part, out));
                 });
             }
@@ -917,7 +890,7 @@ mod tests {
             .map(|k| MapRequest::new(KernelSpec::Named(k.to_string()), "modulo-list"))
             .collect();
         let fabric = spec(4, 8, Topology::Mesh);
-        let report = co_map(&reqs, &fabric, &FleetEnv::default()).unwrap();
+        let report = co_map(&reqs, &fabric).unwrap();
         assert_eq!(report.jobs.len(), 2);
         for job in &report.jobs {
             assert!(
@@ -943,7 +916,7 @@ mod tests {
             .collect();
         let fabric = spec(8, 8, Topology::Mesh);
         let full = fabric.build().unwrap();
-        let report = co_map(&reqs, &fabric, &FleetEnv::default()).unwrap();
+        let report = co_map(&reqs, &fabric).unwrap();
         let partitioned: Vec<(&CoMapped, &MapRequest)> = report
             .jobs
             .iter()

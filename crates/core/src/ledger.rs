@@ -1,43 +1,27 @@
-//! The run ledger: a bounded, lock-free-append journal of search
-//! events — *when* each mapper found each improving solution, who was
-//! winning a race at t=50ms, which II probes ran.
+//! The run ledger's vocabulary: the search events a run journals —
+//! *when* each mapper found each improving solution, who was winning a
+//! race at t=50ms, which II probes ran.
 //!
-//! PR 1's counters answer "how much effort"; the ledger answers "what
-//! happened when". SAT-MapIt and the connectivity-ILP mapper both
-//! report per-instance solve trajectories as first-class results; the
-//! ledger is the substrate for those trajectories here. Events are
-//! written by the engine's [`crate::engine::race`] /
+//! Counters answer "how much effort"; events answer "what happened
+//! when". SAT-MapIt and the connectivity-ILP mapper both report
+//! per-instance solve trajectories as first-class results; the journal
+//! is the substrate for those trajectories here. It lives in the one
+//! per-run sink, [`crate::telemetry::Telemetry`], stamped on the same
+//! clock as its spans and capped at [`MAX_EVENTS`]. Events are written
+//! by the engine's [`crate::engine::race`] /
 //! [`crate::engine::parallel_ii`] and by the improving-move paths of
 //! the meta-heuristic (SA/GA/QEA) and exact (B&B, SAT/CP/ILP incumbent
 //! callbacks) mappers, and leave the process three ways: as the
 //! `events` of the job's [`crate::request::MapOutcome`] (the one result
 //! record — wire reply, spill file and `table1 --report` artifact
 //! alike), as Chrome `trace_event` JSON (`cgra-map --chrome-trace`),
-//! and as the `--trace` JSONL stream.
-//!
-//! Design constraints mirror [`crate::telemetry`]:
-//!
-//! 1. **Disabled must be free.** [`Ledger`] wraps
-//!    `Option<Arc<RunLedger>>`; every emit on a disabled handle is a
-//!    null check, and event payloads (strings) are only built when a
-//!    sink is attached.
-//! 2. **Lock-free append.** A fixed slot array plus an atomic cursor:
-//!    writers claim a slot with one `fetch_add` and publish through a
-//!    `OnceLock`, so racing mappers never contend on a mutex in their
-//!    improving-move paths. Appends past capacity are counted, not
-//!    stored.
-//! 3. **Deterministic modulo time.** [`RunLedger::events`] returns
-//!    events stably sorted by `t_us`; slot order is claim order, which
-//!    is causally consistent, so a same-seed run replays the same
-//!    event sequence (timestamps aside) — tested per registry mapper.
+//! and as the `--trace` JSONL stream. A same-seed run replays the same
+//! event sequence, timestamps aside (tested per registry mapper).
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// What happened. Every variant carries the emitting mapper's name so
-/// multi-mapper ledgers (races, portfolios) stay attributable.
+/// multi-mapper journals (races, portfolios) stay attributable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// The mapper found an improving solution: a routable binding, a
@@ -102,11 +86,11 @@ impl EventKind {
     }
 }
 
-/// One journal entry: a kind plus microseconds since the ledger was
+/// One journal entry: a kind plus microseconds since the sink was
 /// created.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEvent {
-    /// Microseconds since the ledger epoch.
+    /// Microseconds since the sink's epoch (its spans' clock).
     pub t_us: u64,
     pub kind: EventKind,
 }
@@ -181,218 +165,23 @@ impl Deserialize for LedgerEvent {
 }
 
 /// Journal capacity: incumbents and II probes are rare (tens to
-/// hundreds per run); this bounds a pathological emitter without
-/// growing allocations on the append path.
+/// hundreds per run); this bounds a pathological emitter. Appends past
+/// it are counted in `events_dropped`, not stored.
 pub const MAX_EVENTS: usize = 8_192;
-
-/// The shared journal: a fixed slot array, an atomic claim cursor, and
-/// an overflow counter.
-pub struct RunLedger {
-    slots: Box<[OnceLock<LedgerEvent>]>,
-    next: AtomicUsize,
-    dropped: AtomicU64,
-    epoch: Instant,
-}
-
-impl Default for RunLedger {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RunLedger {
-    pub fn new() -> Self {
-        Self::with_capacity(MAX_EVENTS)
-    }
-
-    pub fn with_capacity(capacity: usize) -> Self {
-        RunLedger {
-            slots: (0..capacity).map(|_| OnceLock::new()).collect(),
-            next: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-            epoch: Instant::now(),
-        }
-    }
-
-    /// Append one event. Lock-free: one `fetch_add` claims a slot, a
-    /// `OnceLock::set` publishes it. Past capacity the event is counted
-    /// in [`RunLedger::dropped`] and discarded.
-    pub fn push(&self, kind: EventKind) {
-        let t_us = self.epoch.elapsed().as_micros() as u64;
-        let i = self.next.fetch_add(1, Ordering::AcqRel);
-        if i >= self.slots.len() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let _ = self.slots[i].set(LedgerEvent { t_us, kind });
-    }
-
-    /// Events recorded so far, stably sorted by `t_us`. Stability keeps
-    /// equal-timestamp events in claim order, which is causally
-    /// consistent (a `RaceWin` is always claimed after its
-    /// `RaceStart`), so ordering properties hold by construction.
-    pub fn events(&self) -> Vec<LedgerEvent> {
-        let claimed = self.next.load(Ordering::Acquire).min(self.slots.len());
-        let mut out: Vec<LedgerEvent> = self.slots[..claimed]
-            .iter()
-            .filter_map(|s| s.get().cloned())
-            .collect();
-        out.sort_by_key(|e| e.t_us);
-        out
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.next.load(Ordering::Acquire).min(self.slots.len())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events discarded because the journal was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for RunLedger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunLedger")
-            .field("events", &self.len())
-            .field("dropped", &self.dropped())
-            .finish()
-    }
-}
-
-/// The handle mappers and the engine hold: either connected to a
-/// shared [`RunLedger`] or disabled (the default). Cloning is a
-/// refcount bump; disabled emits are a null check and build no
-/// payload.
-#[derive(Clone, Default)]
-pub struct Ledger(Option<Arc<RunLedger>>);
-
-impl Ledger {
-    /// A disabled handle (every emit is a no-op).
-    pub fn off() -> Self {
-        Ledger(None)
-    }
-
-    /// A fresh enabled journal.
-    pub fn enabled() -> Self {
-        Ledger(Some(Arc::new(RunLedger::new())))
-    }
-
-    /// Attach to an existing journal.
-    pub fn with_sink(sink: Arc<RunLedger>) -> Self {
-        Ledger(Some(sink))
-    }
-
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    pub fn sink(&self) -> Option<&Arc<RunLedger>> {
-        self.0.as_ref()
-    }
-
-    /// Append an event built on demand (payload strings are only
-    /// allocated when a sink is attached).
-    #[inline]
-    pub fn emit(&self, kind: impl FnOnce() -> EventKind) {
-        if let Some(l) = &self.0 {
-            l.push(kind());
-        }
-    }
-
-    #[inline]
-    pub fn incumbent(&self, mapper: &str, ii: u32, cost: f64) {
-        self.emit(|| EventKind::Incumbent {
-            mapper: mapper.to_string(),
-            ii,
-            cost,
-        });
-    }
-
-    #[inline]
-    pub fn race_start(&self, mapper: &str) {
-        self.emit(|| EventKind::RaceStart {
-            mapper: mapper.to_string(),
-        });
-    }
-
-    #[inline]
-    pub fn race_win(&self, mapper: &str, ii: u32) {
-        self.emit(|| EventKind::RaceWin {
-            mapper: mapper.to_string(),
-            ii,
-        });
-    }
-
-    #[inline]
-    pub fn race_loss(&self, mapper: &str, reason: &str) {
-        self.emit(|| EventKind::RaceLoss {
-            mapper: mapper.to_string(),
-            reason: reason.to_string(),
-        });
-    }
-
-    #[inline]
-    pub fn budget_exhausted(&self, mapper: &str) {
-        self.emit(|| EventKind::BudgetExhausted {
-            mapper: mapper.to_string(),
-        });
-    }
-
-    #[inline]
-    pub fn ii_attempt(&self, mapper: &str, ii: u32) {
-        self.emit(|| EventKind::IiAttempt {
-            mapper: mapper.to_string(),
-            ii,
-        });
-    }
-
-    #[inline]
-    pub fn request(&self, mapper: &str, trace: &str) {
-        self.emit(|| EventKind::Request {
-            mapper: mapper.to_string(),
-            trace: trace.to_string(),
-        });
-    }
-
-    /// Recorded events sorted by `t_us` (empty when disabled).
-    pub fn events(&self) -> Vec<LedgerEvent> {
-        self.0.as_ref().map(|l| l.events()).unwrap_or_default()
-    }
-
-    /// Events discarded on overflow (zero when disabled).
-    pub fn events_dropped(&self) -> u64 {
-        self.0.as_ref().map(|l| l.dropped()).unwrap_or(0)
-    }
-}
-
-impl std::fmt::Debug for Ledger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            None => write!(f, "Ledger(off)"),
-            Some(l) => write!(f, "Ledger(on, {} events)", l.len()),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Telemetry;
 
     #[test]
     fn events_record_in_order() {
-        let l = Ledger::enabled();
-        l.race_start("sa");
-        l.ii_attempt("sa", 2);
-        l.incumbent("sa", 2, 14.0);
-        l.race_win("sa", 2);
-        let events = l.events();
+        let t = Telemetry::enabled();
+        t.race_start("sa");
+        t.ii_attempt("sa", 2);
+        t.incumbent("sa", 2, 14.0);
+        t.race_win("sa", 2);
+        let events = t.events();
         assert_eq!(events.len(), 4);
         assert_eq!(events[0].kind.label(), "race_start");
         assert_eq!(
@@ -403,46 +192,49 @@ mod tests {
             }
         );
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
-        assert_eq!(l.events_dropped(), 0);
+        assert_eq!(t.events_dropped(), 0);
+        // One call, both halves: the counter moves with its event.
+        let snap = t.snapshot().unwrap();
+        assert_eq!((snap.ii_attempts, snap.incumbents), (1, 1));
     }
 
     #[test]
     fn disabled_is_inert() {
-        let l = Ledger::off();
-        assert!(!l.is_enabled());
-        l.incumbent("sa", 1, 0.0);
-        l.race_start("sa");
-        assert!(l.events().is_empty());
-        assert_eq!(l.events_dropped(), 0);
-        assert!(l.sink().is_none());
+        let t = Telemetry::off();
+        assert!(!t.is_enabled());
+        t.incumbent("sa", 1, 0.0);
+        t.race_start("sa");
+        assert!(t.events().is_empty());
+        assert_eq!(t.events_dropped(), 0);
+        assert!(t.sink().is_none());
     }
 
     #[test]
     fn overflow_counts_instead_of_growing() {
-        let sink = Arc::new(RunLedger::with_capacity(4));
-        let l = Ledger::with_sink(sink.clone());
-        for ii in 0..10 {
-            l.ii_attempt("bnb", ii);
+        let t = Telemetry::enabled();
+        for ii in 0..MAX_EVENTS as u32 + 6 {
+            t.ii_attempt("bnb", ii);
         }
-        assert_eq!(l.events().len(), 4);
-        assert_eq!(l.events_dropped(), 6);
-        assert_eq!(sink.len(), 4);
+        assert_eq!(t.events().len(), MAX_EVENTS);
+        assert_eq!(t.events_dropped(), 6);
+        // The counter is not capped: it saw every probe.
+        assert_eq!(t.snapshot().unwrap().ii_attempts, MAX_EVENTS as u64 + 6);
     }
 
     #[test]
     fn concurrent_appends_lose_nothing() {
-        let l = Ledger::enabled();
+        let t = Telemetry::enabled();
         std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let h = l.clone();
+            for k in 0..4u32 {
+                let h = t.clone();
                 s.spawn(move || {
                     for i in 0..500 {
-                        h.ii_attempt("sa", t * 1000 + i);
+                        h.ii_attempt("sa", k * 1000 + i);
                     }
                 });
             }
         });
-        let events = l.events();
+        let events = t.events();
         assert_eq!(events.len(), 2000);
         assert!(events.windows(2).all(|w| w[0].t_us <= w[1].t_us));
     }

@@ -59,11 +59,11 @@ pub use diagnosis::{diagnose_mii_bound, Diagnosis, ResourceClass};
 pub use engine::{parallel_ii, race, Budget, CancelToken, RaceOutcome};
 pub use fleet::{
     co_map, fabric_label, max_partitions, partition_fabric, plan, run, run_sequential, CoMapReport,
-    CoMapped, FleetEnv, FleetError, FleetFabric, FleetFabricReport, FleetJobResult, FleetPlan,
-    FleetReport, Partition, PlannedJob,
+    CoMapped, FleetError, FleetFabric, FleetFabricReport, FleetJobResult, FleetPlan, FleetReport,
+    Partition, PlannedJob,
 };
 pub use incremental::{kernel_fingerprint, IncrKey, IncrementalCtx};
-pub use ledger::{EventKind, Ledger, LedgerEvent, RunLedger};
+pub use ledger::{EventKind, LedgerEvent};
 pub use mapper::{
     ConfigError, Family, Infeasibility, MapConfig, MapConfigBuilder, MapError, Mapper,
 };
@@ -88,11 +88,11 @@ pub mod prelude {
     pub use crate::diagnosis::{diagnose_mii_bound, Diagnosis, ResourceClass};
     pub use crate::engine::{parallel_ii, race, Budget, CancelToken, RaceOutcome};
     pub use crate::fleet::{
-        co_map, partition_fabric, CoMapReport, FleetEnv, FleetError, FleetFabric, FleetPlan,
-        FleetReport, Partition,
+        co_map, partition_fabric, CoMapReport, FleetError, FleetFabric, FleetPlan, FleetReport,
+        Partition,
     };
     pub use crate::incremental::{kernel_fingerprint, IncrKey, IncrementalCtx};
-    pub use crate::ledger::{EventKind, Ledger, LedgerEvent, RunLedger};
+    pub use crate::ledger::{EventKind, LedgerEvent};
     pub use crate::mapper::{
         ConfigError, Family, Infeasibility, MapConfig, MapConfigBuilder, MapError, Mapper,
     };

@@ -2,7 +2,6 @@
 
 use crate::diagnosis::Diagnosis;
 use crate::engine::Budget;
-use crate::ledger::Ledger;
 use crate::mapping::Mapping;
 use crate::telemetry::Telemetry;
 use cgra_arch::{Fabric, TopologyCache};
@@ -57,14 +56,10 @@ pub struct MapConfig {
     /// RNG seed for stochastic mappers.
     pub seed: u64,
     /// Optional search-telemetry sink. Disabled by default; when
-    /// enabled, mappers record counters and phase spans into it. See
+    /// enabled, mappers record counters, phase spans and timestamped
+    /// events (incumbents, race outcomes, II probes) into it. See
     /// [`crate::telemetry`].
     pub telemetry: Telemetry,
-    /// Optional run-ledger journal. Disabled by default; when enabled,
-    /// the engine and the instrumented mappers append timestamped
-    /// events (incumbents, race outcomes, II probes) into it. See
-    /// [`crate::ledger`].
-    pub ledger: Ledger,
     /// Externally imposed budget (deadline + cancel token). Unlimited
     /// by default; mappers derive their per-run budget from it via
     /// [`MapConfig::run_budget`], so a racing engine can cancel a run
@@ -97,7 +92,6 @@ impl Default for MapConfig {
             time_limit: Duration::from_secs(20),
             seed: 0xC6_12A,
             telemetry: Telemetry::off(),
-            ledger: Ledger::off(),
             budget: Budget::unlimited(),
             topo: None,
             incr: crate::incremental::IncrementalCtx::new(),
@@ -207,7 +201,7 @@ impl MapConfigBuilder {
     /// Seed a builder from a request's canonical config — the bridge
     /// between the serializable [`MapRequest`](crate::request::MapRequest)
     /// API and the in-process config. Callers chain the non-canonical
-    /// process-local fields (telemetry, ledger, budget, topo, incr)
+    /// process-local fields (telemetry, budget, topo, incr)
     /// before `build()`.
     pub fn from_request(req: &crate::request::MapRequest) -> MapConfigBuilder {
         MapConfig::builder()
@@ -240,11 +234,6 @@ impl MapConfigBuilder {
 
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.cfg.telemetry = telemetry;
-        self
-    }
-
-    pub fn ledger(mut self, ledger: Ledger) -> Self {
-        self.cfg.ledger = ledger;
         self
     }
 

@@ -251,7 +251,9 @@ pub(crate) enum Cegar {
 /// The CEGAR loop of one II probe over `space`, at most `rounds` times:
 /// poll the budget, solve, route the solution's positions, and on a
 /// routing failure (the congestion no placement model sees) hand the
-/// solution back to be blocked.
+/// solution back to be blocked. Counts each solve in
+/// [`Counter::CegarRounds`] and a probe that gives up in
+/// [`Counter::CegarGaveUp`].
 pub(crate) fn cegar(
     ctx: &SweepCtx<'_>,
     space: &PositionSpace,
@@ -263,6 +265,7 @@ pub(crate) fn cegar(
         if ctx.budget.expired_now() {
             return Err(ctx.budget.error());
         }
+        ctx.tele().bump(Counter::CegarRounds);
         let Some(choice) = backend.solve(round)? else {
             return Ok(Cegar::Refuted);
         };
@@ -272,6 +275,7 @@ pub(crate) fn cegar(
         }
         backend.block(&choice);
     }
+    ctx.tele().bump(Counter::CegarGaveUp);
     Ok(Cegar::GaveUp)
 }
 
@@ -606,9 +610,19 @@ pub(crate) mod tests {
     fn cegar_loop_routes_blocks_and_tells_refuted_from_gave_up() {
         let dfg = kernels::dot_product();
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let cfg = MapConfig::fast();
+        let cfg = MapConfig {
+            telemetry: Telemetry::enabled(),
+            ..MapConfig::fast()
+        };
         let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
-        let mapped = CpMapper::default().map(&dfg, &f, &cfg).unwrap();
+        let mapped = CpMapper::default()
+            .map(&dfg, &f, &MapConfig::fast())
+            .unwrap();
+        // Rounds and gave-up probes counted so far.
+        let counted = || {
+            let s = cfg.telemetry.snapshot().unwrap();
+            (s.cegar_rounds, s.cegar_gave_up)
+        };
         let ii = mapped.ii;
         // Three candidates per op. 0 and 1 put every op in one cell in
         // one cycle, so no edge has time to run; 2 is a placement known
@@ -625,6 +639,7 @@ pub(crate) mod tests {
         let out = cegar(&ctx, &space, ii, 5, &mut b);
         assert!(matches!(out, Ok(Cegar::Refuted)));
         assert_eq!((b.solves, b.blocked.len()), (1, 0));
+        assert_eq!(counted(), (1, 0));
 
         // Never routable: exactly `rounds` solves, every one handed
         // back, and no claim that the II is refuted.
@@ -632,11 +647,13 @@ pub(crate) mod tests {
         let out = cegar(&ctx, &space, ii, 3, &mut b);
         assert!(matches!(out, Ok(Cegar::GaveUp)));
         assert_eq!((b.solves, b.blocked.len()), (3, 3));
+        assert_eq!(counted(), (4, 1));
         // Zero rounds still means one.
         let mut b = Scripted::new([all(0)]);
         let out = cegar(&ctx, &space, ii, 0, &mut b);
         assert!(matches!(out, Ok(Cegar::GaveUp)));
         assert_eq!(b.solves, 1);
+        assert_eq!(counted(), (5, 2));
 
         // Routable on round 3: the mapping, and the two choices blocked
         // are the two the backend returned.
@@ -647,6 +664,8 @@ pub(crate) mod tests {
         }
         assert_eq!(b.solves, 3);
         assert_eq!(b.blocked, [all(0).unwrap(), all(1).unwrap()]);
+        // A probe that maps is no give-up; every solve is a round.
+        assert_eq!(counted(), (8, 2));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use super::spatial_greedy::finish_spatial;
 use crate::mapper::{Family, MapConfig, MapError, Mapper};
 use crate::mapping::Mapping;
-use crate::telemetry::Counter;
 use cgra_arch::{Fabric, PeId};
 use cgra_ir::graph::{asap, unit_latency};
 use cgra_ir::Dfg;
@@ -105,8 +104,7 @@ impl Mapper for GraphDrawing {
         let topo = cfg.topo_for(fabric);
         let m = finish_spatial(dfg, fabric, &topo, &pes, true, &cfg.telemetry)
             .ok_or_else(|| MapError::infeasible("drawing legalised but unroutable"))?;
-        cfg.telemetry.bump(Counter::Incumbents);
-        cfg.ledger.incumbent("graph-drawing", m.ii, m.ii as f64);
+        cfg.telemetry.incumbent("graph-drawing", m.ii, m.ii as f64);
         Ok(m)
     }
 }

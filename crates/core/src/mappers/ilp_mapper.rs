@@ -32,7 +32,6 @@ use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
 use crate::incremental::IncrKey;
 use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
-use crate::telemetry::Counter;
 use cgra_arch::PeId;
 use cgra_ir::NodeId;
 use cgra_solver::ilp::IlpConfig;
@@ -232,12 +231,11 @@ impl TemporalSearch for IlpMapper {
             })
         });
         st.model.set_interrupt(ctx.budget.interrupt());
-        let (led, tel) = (ctx.cfg.ledger.clone(), ctx.tele().clone());
+        let tel = ctx.tele().clone();
         // Surface the solver's anytime incumbents (improving integral
-        // solutions) straight into the run ledger.
+        // solutions) straight into the run's journal.
         st.model.set_on_incumbent(IncumbentHook::new(move |obj| {
-            tel.bump(Counter::Incumbents);
-            led.incumbent(Self::NAME, ii, obj);
+            tel.incumbent(Self::NAME, ii, obj);
         }));
         let mut rounds = Rounds {
             ctx,

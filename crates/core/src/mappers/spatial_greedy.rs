@@ -9,7 +9,7 @@
 use crate::mapper::{Family, MapConfig, MapError, Mapper};
 use crate::mapping::{Mapping, Placement};
 use crate::route::route_all_with;
-use crate::telemetry::{Counter, Telemetry};
+use crate::telemetry::Telemetry;
 use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::{Dfg, NodeId};
 
@@ -149,8 +149,7 @@ impl Mapper for SpatialGreedy {
             &cfg.telemetry,
         )
         .ok_or_else(|| MapError::infeasible("binding found but routing failed"))?;
-        cfg.telemetry.bump(Counter::Incumbents);
-        cfg.ledger.incumbent("spatial-greedy", m.ii, m.ii as f64);
+        cfg.telemetry.incumbent("spatial-greedy", m.ii, m.ii as f64);
         Ok(m)
     }
 }

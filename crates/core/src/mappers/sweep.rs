@@ -5,8 +5,8 @@
 //! the MII, probe an II, on failure raise it — and only the per-II
 //! probe differs between techniques. [`sweep`] owns everything else:
 //! kernel validation, the MII and the II range, the topology cache and
-//! run budget, the per-candidate journal (`IiAttempts` bump →
-//! `IiAttempt` ledger event → `Phase::Map` span), the budget poll
+//! run budget, the per-candidate journal (`IiAttempts` bump and
+//! `IiAttempt` event → `Phase::Map` span), the budget poll
 //! between probes, and the exhausted-range `Infeasible` with its
 //! optional probe diagnosis. A technique implements [`TemporalSearch`]
 //! — its name, its family and `try_ii` — and receives [`Mapper`] from
@@ -18,12 +18,12 @@ use crate::engine::Budget;
 use crate::mapper::{Family, MapConfig, MapError, Mapper};
 use crate::mapping::{Mapping, Placement};
 use crate::route::route_all_with;
-use crate::telemetry::{Counter, Phase, Telemetry};
+use crate::telemetry::{Phase, Telemetry};
 use cgra_arch::{Fabric, TopologyCache};
 use cgra_ir::Dfg;
 use std::sync::Arc;
 
-/// Everything one sweep's probes share. Telemetry, ledger, seed, the
+/// Everything one sweep's probes share. Telemetry, seed, the
 /// solver-state pool and `explain` are read through `cfg`.
 pub(crate) struct SweepCtx<'a> {
     pub dfg: &'a Dfg,
@@ -66,8 +66,7 @@ impl<'a> SweepCtx<'a> {
     /// Journal an anytime incumbent of `mapper` at `ii`; `cost` is
     /// whatever the technique minimises (see each probe).
     pub fn incumbent(&self, mapper: &str, ii: u32, cost: f64) {
-        self.cfg.telemetry.bump(Counter::Incumbents);
-        self.cfg.ledger.incumbent(mapper, ii, cost);
+        self.cfg.telemetry.incumbent(mapper, ii, cost);
     }
 
     /// Turn a complete placement into a mapping by negotiated routing;
@@ -137,8 +136,7 @@ fn search<S: TemporalSearch>(
     st: &mut S::State,
 ) -> Result<Mapping, MapError> {
     for ii in s.candidates(ctx) {
-        ctx.tele().bump(Counter::IiAttempts);
-        ctx.cfg.ledger.ii_attempt(S::NAME, ii);
+        ctx.tele().ii_attempt(S::NAME, ii);
         let _span = ctx.tele().span_ii(Phase::Map, ii);
         if let Some(m) = s.try_ii(ctx, st, ii)? {
             return Ok(m);
@@ -194,7 +192,7 @@ impl<S: TemporalSearch> Mapper for S {
 mod tests {
     use super::*;
     use crate::diagnosis::{diagnose_mii_bound, ResourceClass};
-    use crate::ledger::{EventKind, Ledger};
+    use crate::ledger::EventKind;
     use cgra_arch::Topology;
     use cgra_ir::kernels;
     use std::collections::VecDeque;
@@ -281,19 +279,18 @@ mod tests {
         Fabric::homogeneous(4, 4, Topology::Mesh)
     }
 
-    /// II range `lo..=hi` with both sinks on.
+    /// II range `lo..=hi` with the sink on.
     fn cfg(lo: u32, hi: u32) -> MapConfig {
         MapConfig {
             min_ii: lo,
             max_ii: hi,
-            ledger: Ledger::enabled(),
             telemetry: Telemetry::enabled(),
             ..MapConfig::fast()
         }
     }
 
     fn attempts(cfg: &MapConfig) -> Vec<u32> {
-        let events = cfg.ledger.events();
+        let events = cfg.telemetry.events();
         assert!(events
             .iter()
             .all(|e| matches!(&e.kind, EventKind::IiAttempt { mapper, .. } if mapper == "fake")));

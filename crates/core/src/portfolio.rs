@@ -3,18 +3,19 @@
 
 use crate::request::{MapOutcome, MapRequest};
 use crate::service::{execute, ExecEnv};
+use crate::telemetry::Telemetry;
 use rayon::prelude::*;
 use serde::Serialize;
 
 /// Run a batch of [`MapRequest`]s in parallel through [`execute`], each
-/// with its own observability sinks, returning outcomes in request
+/// with its own telemetry sink, returning outcomes in request
 /// order. Drivers like `table1` construct requests (the same objects
 /// `cgra-serve` caches on) and read the outcomes directly.
 pub fn run_requests(reqs: &[MapRequest]) -> Vec<MapOutcome> {
     reqs.par_iter()
         .map(|r| {
             let env = ExecEnv {
-                collect: true,
+                telemetry: Some(Telemetry::enabled()),
                 ..Default::default()
             };
             execute(r, &env)

@@ -3,11 +3,11 @@
 //! A run report is a [`MapOutcome`] written to a file: the kernel and
 //! fabric, the mapper, the mapping with its metrics (or the typed
 //! failure with its diagnosis), the counter snapshot, latency rows and
-//! the run-ledger timeline. There is no second record — the file
+//! the event timeline. There is no second record — the file
 //! `table1 --report` writes per (mapper, kernel) cell is the value
 //! `execute` returned, the spill file `cgra-serve` evicts to is the same
 //! value, and `cgra-report` loads either back for convergence tables and
-//! the regression gate. Spans and ledger events also render as Chrome
+//! the regression gate. Spans and events also render as Chrome
 //! `trace_event` JSON ([`chrome_trace`]) loadable in `chrome://tracing`
 //! / Perfetto.
 //!
@@ -15,9 +15,9 @@
 //! unknown fields are ignored and absent ones default, so readers and
 //! files tolerate additive changes.
 
-use crate::ledger::LedgerEvent;
+use crate::ledger::EventKind;
 use crate::request::MapOutcome;
-use crate::telemetry::{Histogram, Phase, SpanRecord, Telemetry};
+use crate::telemetry::{Histogram, Phase, Telemetry};
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
@@ -127,23 +127,21 @@ impl MapOutcome {
     }
 }
 
-/// Render phase spans plus ledger events as Chrome `trace_event` JSON
+/// Render a run's phase spans plus events as Chrome `trace_event` JSON
 /// (the object form: `{"traceEvents":[…]}`), loadable in
 /// `chrome://tracing` and Perfetto.
 ///
 /// Track layout: tid 0 is the pipeline (one complete event per phase
-/// span); each mapper appearing in the ledger gets its own tid, named
+/// span); each mapper appearing in the journal gets its own tid, named
 /// via `thread_name` metadata. `RaceStart`…`RaceWin`/`RaceLoss` pairs
 /// become complete ("X") events spanning the mapper's racing window;
 /// incumbents and II probes become instant ("i") events on the
 /// mapper's track. Latency-summary rows (p50/p90/p99 per phase) land
 /// as instant events on the pipeline track so percentiles survive even
 /// when the span log was truncated.
-pub fn chrome_trace(
-    spans: &[SpanRecord],
-    events: &[LedgerEvent],
-    latency: &[LatencySummary],
-) -> Value {
+pub fn chrome_trace(tele: &Telemetry) -> Value {
+    let (spans, events) = (tele.spans(), tele.events());
+    let latency = LatencySummary::rows_from(tele);
     let mut out: Vec<Value> = Vec::new();
     let pid = 1u64;
 
@@ -155,7 +153,7 @@ pub fn chrome_trace(
         "ph": "M", "name": "thread_name", "pid": pid, "tid": 0,
         "args": serde_json::json!({"name": "pipeline"}),
     }));
-    for s in spans {
+    for s in &spans {
         let name = match s.ii {
             Some(ii) => format!("{} ii={ii}", s.phase.label()),
             None => s.phase.label().to_string(),
@@ -168,7 +166,7 @@ pub fn chrome_trace(
 
     // One track per mapper, in first-appearance order.
     let mut mappers: Vec<&str> = Vec::new();
-    for e in events {
+    for e in &events {
         if !mappers.contains(&e.kind.mapper()) {
             mappers.push(e.kind.mapper());
         }
@@ -186,7 +184,7 @@ pub fn chrome_trace(
     for (i, e) in events.iter().enumerate() {
         let tid = tid_of(e.kind.mapper());
         match &e.kind {
-            crate::ledger::EventKind::RaceStart { mapper } => {
+            EventKind::RaceStart { mapper } => {
                 // Span until this mapper's win/loss (or the last event).
                 let end = events[i + 1..]
                     .iter()
@@ -194,8 +192,7 @@ pub fn chrome_trace(
                         later.kind.mapper() == mapper
                             && matches!(
                                 later.kind,
-                                crate::ledger::EventKind::RaceWin { .. }
-                                    | crate::ledger::EventKind::RaceLoss { .. }
+                                EventKind::RaceWin { .. } | EventKind::RaceLoss { .. }
                             )
                     })
                     .map(|later| later.t_us)
@@ -203,12 +200,8 @@ pub fn chrome_trace(
                 let outcome = events[i + 1..]
                     .iter()
                     .find_map(|later| match &later.kind {
-                        crate::ledger::EventKind::RaceWin { mapper: m, .. } if m == mapper => {
-                            Some("win")
-                        }
-                        crate::ledger::EventKind::RaceLoss { mapper: m, .. } if m == mapper => {
-                            Some("loss")
-                        }
+                        EventKind::RaceWin { mapper: m, .. } if m == mapper => Some("win"),
+                        EventKind::RaceLoss { mapper: m, .. } if m == mapper => Some("loss"),
                         _ => None,
                     })
                     .unwrap_or("unresolved");
@@ -219,41 +212,41 @@ pub fn chrome_trace(
                     "args": serde_json::json!({"outcome": outcome}),
                 }));
             }
-            crate::ledger::EventKind::Incumbent { ii, cost, .. } => {
+            EventKind::Incumbent { ii, cost, .. } => {
                 out.push(serde_json::json!({
                     "ph": "i", "s": "t", "name": format!("incumbent ii={ii}"),
                     "cat": "incumbent", "pid": pid, "tid": tid, "ts": e.t_us,
                     "args": serde_json::json!({"ii": *ii, "cost": *cost}),
                 }));
             }
-            crate::ledger::EventKind::RaceWin { ii, .. } => {
+            EventKind::RaceWin { ii, .. } => {
                 out.push(serde_json::json!({
                     "ph": "i", "s": "g", "name": format!("race win ii={ii}"),
                     "cat": "race", "pid": pid, "tid": tid, "ts": e.t_us,
                     "args": serde_json::json!({"ii": *ii}),
                 }));
             }
-            crate::ledger::EventKind::RaceLoss { reason, .. } => {
+            EventKind::RaceLoss { reason, .. } => {
                 out.push(serde_json::json!({
                     "ph": "i", "s": "t", "name": "race loss",
                     "cat": "race", "pid": pid, "tid": tid, "ts": e.t_us,
                     "args": serde_json::json!({"reason": reason.clone()}),
                 }));
             }
-            crate::ledger::EventKind::BudgetExhausted { .. } => {
+            EventKind::BudgetExhausted { .. } => {
                 out.push(serde_json::json!({
                     "ph": "i", "s": "t", "name": "budget exhausted",
                     "cat": "budget", "pid": pid, "tid": tid, "ts": e.t_us,
                 }));
             }
-            crate::ledger::EventKind::IiAttempt { ii, .. } => {
+            EventKind::IiAttempt { ii, .. } => {
                 out.push(serde_json::json!({
                     "ph": "i", "s": "t", "name": format!("try ii={ii}"),
                     "cat": "ii", "pid": pid, "tid": tid, "ts": e.t_us,
                     "args": serde_json::json!({"ii": *ii}),
                 }));
             }
-            crate::ledger::EventKind::Request { trace, .. } => {
+            EventKind::Request { trace, .. } => {
                 out.push(serde_json::json!({
                     "ph": "i", "s": "p", "name": format!("request trace={trace}"),
                     "cat": "request", "pid": pid, "tid": tid, "ts": e.t_us,
@@ -268,7 +261,7 @@ pub fn chrome_trace(
         .map(|s| s.start_us + s.dur_us)
         .max()
         .unwrap_or(0);
-    for row in latency {
+    for row in &latency {
         out.push(serde_json::json!({
             "ph": "i", "s": "g",
             "name": format!("latency {}: p50={}us p90={}us p99={}us",
@@ -291,15 +284,14 @@ pub fn chrome_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::Ledger;
     use crate::metrics::Metrics;
     use crate::telemetry::StatsSnapshot;
 
     fn sample_report() -> MapOutcome {
-        let ledger = Ledger::enabled();
-        ledger.race_start("sa");
-        ledger.incumbent("sa", 2, 10.0);
-        ledger.race_win("sa", 2);
+        let tele = Telemetry::enabled();
+        tele.race_start("sa");
+        tele.incumbent("sa", 2, 10.0);
+        tele.race_win("sa", 2);
         MapOutcome {
             kernel: "dot_product".into(),
             fabric: "4x4 mesh".into(),
@@ -324,7 +316,7 @@ mod tests {
                 incumbents: 1,
                 ..StatsSnapshot::default()
             }),
-            events: ledger.events(),
+            events: tele.events(),
             spans_dropped: 3,
             latency: vec![LatencySummary {
                 phase: "map".into(),
@@ -386,17 +378,12 @@ mod tests {
         {
             let _g = tele.span(Phase::Parse);
         }
-        let ledger = Ledger::enabled();
-        ledger.race_start("sa");
-        ledger.race_start("ilp");
-        ledger.incumbent("sa", 2, 10.0);
-        ledger.race_win("sa", 2);
-        ledger.race_loss("ilp", "cancelled");
-        let trace = chrome_trace(
-            &tele.spans(),
-            &ledger.events(),
-            &LatencySummary::rows_from(&tele),
-        );
+        tele.race_start("sa");
+        tele.race_start("ilp");
+        tele.incumbent("sa", 2, 10.0);
+        tele.race_win("sa", 2);
+        tele.race_loss("ilp", "cancelled");
+        let trace = chrome_trace(&tele);
         let lat_events: Vec<&Value> = trace["traceEvents"]
             .as_array()
             .unwrap()

@@ -44,7 +44,6 @@
 //! server changes; a present field of the wrong type or out of range
 //! is an error naming its path, never a silent default.
 
-use crate::ledger::Ledger;
 use crate::mapper::MapError;
 use crate::mapping::Mapping;
 use crate::metrics::{Metrics, UtilizationMap};
@@ -651,14 +650,14 @@ impl MapOutcome {
         };
     }
 
-    /// Fill the observability payload from the job's sinks (all empty
-    /// when they are off).
-    pub fn harvest(&mut self, tele: &Telemetry, ledger: &Ledger) {
+    /// Fill the observability payload from the job's sink (all empty
+    /// when it is off).
+    pub fn harvest(&mut self, tele: &Telemetry) {
         self.stats = tele.snapshot();
         self.spans_dropped = tele.spans_dropped();
         self.latency = LatencySummary::rows_from(tele);
-        self.events = ledger.events();
-        self.events_dropped = ledger.events_dropped();
+        self.events = tele.events();
+        self.events_dropped = tele.events_dropped();
     }
 
     /// Fill the Table I classification of `self.mapper` from its

@@ -67,18 +67,13 @@ pub struct ExecEnv {
     pub topo: Option<Arc<TopologyCache>>,
     /// Shared incremental-solver pool (warm-start leg 1).
     pub incr: IncrementalCtx,
-    /// Attach per-job telemetry + ledger sinks and carry their
-    /// payloads on the outcome (what `table1`/`cgra-map` want; the
-    /// server leaves it off to keep responses lean).
-    pub collect: bool,
-    /// Caller-owned telemetry sink. When set, [`execute`] records into
-    /// it instead of a fresh one, so a CLI keeps the raw span stream
-    /// (`--trace`, `--chrome-trace`) that the summarized
-    /// [`MapOutcome::latency`] rows can't reconstruct. Implies
-    /// `collect`-style sink attachment.
+    /// The run's telemetry sink. When set, [`execute`] records counters,
+    /// spans and events into it and carries their payloads on the
+    /// outcome (what `table1`/`cgra-map` want), and the caller keeps the
+    /// raw span and event streams (`--trace`, `--chrome-trace`) that
+    /// the summarized [`MapOutcome::latency`] rows can't reconstruct.
+    /// `None` (the server's choice) keeps responses lean.
     pub telemetry: Option<Telemetry>,
-    /// Caller-owned run-ledger sink; same contract as `telemetry`.
-    pub ledger: Option<crate::ledger::Ledger>,
     /// Trace id to stamp on the outcome, overriding the request's own
     /// (the service mints one at ingress and threads it through here).
     /// Empty = defer to `req.trace`.
@@ -109,20 +104,10 @@ pub fn execute(req: &MapRequest, env: &ExecEnv) -> MapOutcome {
         out
     };
 
-    let observe = env.collect || env.telemetry.is_some() || env.ledger.is_some();
-    let tele = match &env.telemetry {
-        Some(t) => t.clone(),
-        None if observe => Telemetry::enabled(),
-        None => Telemetry::off(),
-    };
-    let ledger = match &env.ledger {
-        Some(l) => l.clone(),
-        None if observe => crate::ledger::Ledger::enabled(),
-        None => crate::ledger::Ledger::off(),
-    };
+    let tele = env.telemetry.clone().unwrap_or_default();
     // Join every observed event stream to the request's trace id.
     if !out.trace.is_empty() {
-        ledger.request(&req.mapper, &out.trace);
+        tele.request(&req.mapper, &out.trace);
     }
 
     let dfg = match req.kernel.compile_with(&tele) {
@@ -138,14 +123,12 @@ pub fn execute(req: &MapRequest, env: &ExecEnv) -> MapOutcome {
 
     let mut builder = MapConfigBuilder::from_request(req)
         .budget(env.budget.clone())
-        .incr(env.incr.clone());
+        .incr(env.incr.clone())
+        .telemetry(tele.clone());
     if let Some(t) = &env.topo {
         if t.matches(&fabric) {
             builder = builder.topo(Arc::clone(t));
         }
-    }
-    if observe {
-        builder = builder.telemetry(tele.clone()).ledger(ledger.clone());
     }
     let mut cfg = match builder.build() {
         Ok(c) => c,
@@ -194,7 +177,7 @@ pub fn execute(req: &MapRequest, env: &ExecEnv) -> MapOutcome {
     }
     out.compile_ms = start.elapsed().as_secs_f64() * 1e3;
     out.classify();
-    out.harvest(&tele, &ledger);
+    out.harvest(&tele);
     out
 }
 
@@ -293,11 +276,25 @@ impl ResultCache {
     /// Look a key up in memory, then on disk. Counts exactly one hit
     /// or one miss — the counters are monotone.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<MapOutcome>> {
+        self.lookup(key, |_| true)
+    }
+
+    /// [`ResultCache::get`] with a gate on the disk-reload path only: a
+    /// reloaded outcome `admit` refuses is a miss, like an undecodable
+    /// file. A memory hit never meets the gate.
+    fn lookup(
+        &self,
+        key: &CacheKey,
+        admit: impl FnOnce(&mut MapOutcome) -> bool,
+    ) -> Option<Arc<MapOutcome>> {
         if let Some(out) = self.inner.lock().unwrap().get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(Arc::clone(out));
         }
-        if let Some(out) = self.load_spilled(key) {
+        let reloaded = self
+            .load_spilled(key)
+            .and_then(|mut out| admit(&mut out).then_some(out));
+        if let Some(out) = reloaded {
             let arc = Arc::new(out);
             self.admit(*key, Arc::clone(&arc));
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -780,7 +777,7 @@ impl MapService {
         };
         let key = req.cache_key();
         let lookup = Instant::now();
-        if let Some(cached) = self.cache.get(&key) {
+        if let Some(cached) = self.cache.lookup(&key, |out| self.resettle(req, out)) {
             self.count(|c| {
                 c.requests += 1;
                 c.hits += 1;
@@ -888,6 +885,25 @@ impl MapService {
             self.cancellations.fetch_add(1, Ordering::Relaxed);
         }
         (out, !cancelled)
+    }
+
+    /// The exit gate for an outcome reloaded from a spill file: one that
+    /// carries a mapping is settled again against the request's kernel,
+    /// fabric and pooled topology, and only a mapping that still
+    /// validates is served. An outcome carrying an error passes as is.
+    fn resettle(&self, req: &MapRequest, out: &mut MapOutcome) -> bool {
+        let Some(m) = out.mapping.take() else {
+            return true;
+        };
+        let (Ok(dfg), Ok(fabric), Some(topo)) = (
+            req.kernel.compile(),
+            req.fabric.build(),
+            self.topo_for(&req.fabric),
+        ) else {
+            return false;
+        };
+        out.settle(Ok(m), &dfg, &fabric, &topo);
+        out.succeeded()
     }
 
     /// Warm-start leg 2: replace a timeout with an incumbent lifted
@@ -1082,7 +1098,7 @@ mod tests {
     #[test]
     fn execute_collects_observability_when_asked() {
         let env = ExecEnv {
-            collect: true,
+            telemetry: Some(Telemetry::enabled()),
             ..ExecEnv::default()
         };
         let out = execute(&named(0, "dot_product", "modulo-list"), &env);
@@ -1128,7 +1144,7 @@ mod tests {
         assert_eq!(cache.disk_spills(), 2);
 
         // Same for a race outcome, whose per-entry rows (each with its
-        // own ledger events and typed loser errors) ride along.
+        // own counters and typed loser errors) ride along.
         let race_req = MapRequest {
             mode: ExecMode::Race,
             ..named(9, "dot_product", "modulo-list")
@@ -1174,6 +1190,32 @@ mod tests {
     }
 
     #[test]
+    fn spilled_mappings_invalid_on_the_fabric_are_misses() {
+        let dir = std::env::temp_dir().join(format!("cgra-cache-invalid-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let req = named(0, "dot_product", "modulo-list");
+        let mut forged = execute(&req, &ExecEnv::default());
+        // One placement moved to a PE the 4x4 fabric lacks: the file
+        // still decodes, but its mapping cannot validate.
+        forged.mapping.as_mut().unwrap().place[0].pe = cgra_arch::PeId(99);
+        let path = dir.join(format!("{}.json", req.cache_key().hex()));
+        std::fs::write(&path, forged.to_value().render()).unwrap();
+        assert!(MapOutcome::load(&path).is_ok(), "the forged file decodes");
+
+        let svc = MapService::new(1, 4, Some(dir.clone()));
+        let out = svc.handle(&req);
+        assert_eq!(out.cache, CacheStatus::Miss, "re-solved, not served");
+        let m = out.mapping.as_ref().expect("the re-solve maps");
+        let fabric = req.fabric.build().unwrap();
+        validate(m, &req.kernel.compile().unwrap(), &fabric).unwrap();
+        let s = svc.stats();
+        assert_eq!((s.requests, s.hits, s.misses), (1, 0, 1));
+        assert_eq!(s.hits + s.misses, s.requests);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn service_hit_path_and_stats() {
         let svc = MapService::new(2, 64, None);
         let req = named(1, "dot_product", "modulo-list");
@@ -1212,7 +1254,7 @@ mod tests {
         assert_eq!(out.trace, "feedfacefeedface");
         // And the observed execute path journals it.
         let env = ExecEnv {
-            collect: true,
+            telemetry: Some(Telemetry::enabled()),
             trace: "0123456789abcdef".into(),
             ..ExecEnv::default()
         };
@@ -1223,7 +1265,7 @@ mod tests {
                 &e.kind,
                 crate::ledger::EventKind::Request { trace, .. } if trace == "0123456789abcdef"
             )),
-            "ledger must journal the trace at ingress"
+            "the journal must record the trace at ingress"
         );
     }
 

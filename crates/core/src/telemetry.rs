@@ -1,37 +1,44 @@
-//! Search telemetry: lock-free per-mapper counters and phase spans.
+//! Search telemetry: the one per-run observability sink — lock-free
+//! counters and histograms, plus a bounded log of phase spans and
+//! search events.
 //!
 //! The survey's Table I separates mapping techniques by *how they
 //! search* — heuristics backtrack, meta-heuristics propose moves, exact
 //! methods branch and propagate — yet end-result metrics (II, hops,
 //! compile time) cannot distinguish a SAT timeout from an SA one. This
 //! module gives every mapper a common vocabulary of search-effort
-//! counters plus wall-clock phase spans, collected through an optional
+//! counters, wall-clock phase spans, and a journal of search events
+//! ([`crate::ledger`]'s vocabulary: *when* each mapper improved, which
+//! II probes ran, who won a race), collected through one optional
 //! shared sink so the `Mapper` trait stays untouched.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Disabled must be free.** [`Telemetry`] wraps
 //!    `Option<Arc<SearchStats>>`; every operation on a disabled handle
-//!    is a null check. Counters use relaxed atomics so the enabled
-//!    path stays lock-free on the router/scheduler hot loops; only
-//!    span recording (rare — one per phase or per II attempt) takes a
-//!    mutex.
-//! 2. **No signature churn.** The sink rides in
+//!    is a null check, and event payloads (strings) are only built when
+//!    a sink is attached. Counters use relaxed atomics so the enabled
+//!    path stays lock-free on the router/scheduler hot loops; spans and
+//!    events are rare (one per phase, II probe, incumbent or race step)
+//!    and share one bounded, mutex-guarded log mechanism.
+//! 2. **One clock.** Spans and events are stamped from the sink's one
+//!    epoch, and an event is stamped under its log's lock, so journal
+//!    order is time order.
+//! 3. **No signature churn.** The sink rides in
 //!    [`crate::MapConfig::telemetry`]; mappers read it from the config
 //!    they already receive.
-//! 3. **Deterministic.** Counter values are sums of per-thread
+//! 4. **Deterministic.** Counter values are sums of per-thread
 //!    deterministic contributions; relaxed atomic addition commutes, so
 //!    same-seed runs produce identical snapshots (tested).
+//! 5. **One race timeline.** A race row records into a
+//!    [`Telemetry::child`]: counters, spans and histograms of its own,
+//!    events on its parent's journal.
 
+use crate::ledger::{EventKind, LedgerEvent, MAX_EVENTS};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-// The run-ledger event journal is the telemetry subsystem's second
-// sink (counters say "how much", the ledger says "when"); re-exported
-// here so both are reachable from one module.
-pub use crate::ledger::{EventKind, Ledger, LedgerEvent, RunLedger};
 
 /// Search-effort counters, one per Table I search behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -77,15 +84,19 @@ pub enum Counter {
     /// parallel-II jobs dominated by a better II).
     Cancellations,
     /// Improving solutions found (anytime incumbents: routable
-    /// bindings, solver models, better objective values). Mirrors the
-    /// ledger's `Incumbent` events so profile output shows how often
-    /// each mapper improved.
+    /// bindings, solver models, better objective values), one per
+    /// `Incumbent` event.
     Incumbents,
+    /// CEGAR rounds of the exact mappers: one per placement solve.
+    CegarRounds,
+    /// Exact II probes whose CEGAR loop ran out of rounds with solutions
+    /// left (`GaveUp`: the II was not refuted, only abandoned).
+    CegarGaveUp,
 }
 
 impl Counter {
     /// Every counter, in snapshot order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 21] = [
         Counter::IiAttempts,
         Counter::PlacementsTried,
         Counter::Backtracks,
@@ -105,6 +116,8 @@ impl Counter {
         Counter::SolverLpPivots,
         Counter::Cancellations,
         Counter::Incumbents,
+        Counter::CegarRounds,
+        Counter::CegarGaveUp,
     ];
 
     /// Snake-case name used in traces and reports.
@@ -129,6 +142,8 @@ impl Counter {
             Counter::SolverLpPivots => "solver_lp_pivots",
             Counter::Cancellations => "cancellations",
             Counter::Incumbents => "incumbents",
+            Counter::CegarRounds => "cegar_rounds",
+            Counter::CegarGaveUp => "cegar_gave_up",
         }
     }
 }
@@ -337,12 +352,70 @@ impl AtomicHistogram {
     }
 }
 
-/// The shared sink: lock-free counters plus a span log.
+/// A bounded, mutex-guarded log — the one mechanism behind spans and
+/// events. Appends past `cap` are counted, not stored.
+struct BoundedLog<T> {
+    items: Mutex<Vec<T>>,
+    dropped: AtomicU64,
+    cap: usize,
+}
+
+impl<T: Clone> BoundedLog<T> {
+    fn new(cap: usize) -> Self {
+        BoundedLog {
+            items: Mutex::new(Vec::new()),
+            dropped: AtomicU64::new(0),
+            cap,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<T>> {
+        // Every update is one push, so a log poisoned by a panicking
+        // recorder is still whole.
+        self.items.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append the entry `make` builds. It runs under the lock, so a
+    /// timestamp it takes orders the log by time.
+    fn push(&self, make: impl FnOnce() -> T) {
+        let mut items = self.lock();
+        if items.len() >= self.cap {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        items.push(make());
+    }
+
+    fn items(&self) -> Vec<T> {
+        self.lock().clone()
+    }
+
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+}
+
+/// Where a sink's events go.
+enum Journal {
+    /// Its own log: a run's top-level sink.
+    Own(BoundedLog<LedgerEvent>),
+    /// The parent's journal (a race row's sink); nowhere when the parent
+    /// is off.
+    Parent(Option<Arc<SearchStats>>),
+}
+
+/// The shared sink: lock-free counters and histograms, plus the span
+/// log and the event journal.
 pub struct SearchStats {
     counters: [AtomicU64; NUM_COUNTERS],
-    spans: Mutex<Vec<SpanRecord>>,
-    /// Spans discarded once the log hit [`MAX_SPANS`].
-    spans_dropped: AtomicU64,
+    /// Capped at [`MAX_SPANS`].
+    spans: BoundedLog<SpanRecord>,
+    /// Capped at [`MAX_EVENTS`].
+    journal: Journal,
     /// Per-phase span-duration histograms (µs). Fed by every completed
     /// span, including those the capped span log discards, so
     /// percentiles stay exact under truncation.
@@ -360,13 +433,17 @@ impl Default for SearchStats {
 
 impl SearchStats {
     pub fn new() -> Self {
+        Self::with_journal(Instant::now(), Journal::Own(BoundedLog::new(MAX_EVENTS)))
+    }
+
+    fn with_journal(epoch: Instant, journal: Journal) -> Self {
         SearchStats {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            spans: Mutex::new(Vec::new()),
-            spans_dropped: AtomicU64::new(0),
+            spans: BoundedLog::new(MAX_SPANS),
+            journal,
             phase_lat: std::array::from_fn(|_| AtomicHistogram::new()),
             route_lat: AtomicHistogram::new(),
-            epoch: Instant::now(),
+            epoch,
         }
     }
 
@@ -385,12 +462,7 @@ impl SearchStats {
         let start_us = started.duration_since(self.epoch).as_micros() as u64;
         let dur_us = started.elapsed().as_micros() as u64;
         self.phase_lat[phase as usize].record(dur_us);
-        let mut spans = self.spans.lock().unwrap();
-        if spans.len() >= MAX_SPANS {
-            self.spans_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        spans.push(SpanRecord {
+        self.spans.push(|| SpanRecord {
             phase,
             ii,
             start_us,
@@ -400,17 +472,46 @@ impl SearchStats {
 
     /// All spans recorded so far, in completion order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().unwrap().clone()
+        self.spans.items()
     }
 
     /// Number of recorded span events.
     pub fn span_count(&self) -> usize {
-        self.spans.lock().unwrap().len()
+        self.spans.len()
     }
 
     /// Spans discarded because the log was full.
     pub fn spans_dropped(&self) -> u64 {
-        self.spans_dropped.load(Ordering::Relaxed)
+        self.spans.dropped()
+    }
+
+    /// Journal one event, stamped on this sink's clock.
+    fn push_event(&self, kind: EventKind) {
+        match &self.journal {
+            Journal::Own(log) => log.push(|| LedgerEvent {
+                t_us: self.epoch.elapsed().as_micros() as u64,
+                kind,
+            }),
+            Journal::Parent(Some(parent)) => parent.push_event(kind),
+            Journal::Parent(None) => {}
+        }
+    }
+
+    /// Events journalled so far, in time order (empty for a race row's
+    /// sink, whose events are its parent's).
+    fn events(&self) -> Vec<LedgerEvent> {
+        match &self.journal {
+            Journal::Own(log) => log.items(),
+            Journal::Parent(_) => Vec::new(),
+        }
+    }
+
+    /// Events discarded because the journal was full.
+    fn events_dropped(&self) -> u64 {
+        match &self.journal {
+            Journal::Own(log) => log.dropped(),
+            Journal::Parent(_) => 0,
+        }
     }
 
     /// Record one route call's latency.
@@ -450,6 +551,8 @@ impl SearchStats {
             solver_lp_pivots: self.get(Counter::SolverLpPivots),
             cancellations: self.get(Counter::Cancellations),
             incumbents: self.get(Counter::Incumbents),
+            cegar_rounds: self.get(Counter::CegarRounds),
+            cegar_gave_up: self.get(Counter::CegarGaveUp),
         }
     }
 }
@@ -486,6 +589,8 @@ pub struct StatsSnapshot {
     pub solver_lp_pivots: u64,
     pub cancellations: u64,
     pub incumbents: u64,
+    pub cegar_rounds: u64,
+    pub cegar_gave_up: u64,
 }
 
 impl StatsSnapshot {
@@ -510,6 +615,8 @@ impl StatsSnapshot {
             Counter::SolverLpPivots => self.solver_lp_pivots,
             Counter::Cancellations => self.cancellations,
             Counter::Incumbents => self.incumbents,
+            Counter::CegarRounds => self.cegar_rounds,
+            Counter::CegarGaveUp => self.cegar_gave_up,
         }
     }
 
@@ -538,6 +645,17 @@ impl Telemetry {
     /// Attach to an existing sink.
     pub fn with_sink(sink: Arc<SearchStats>) -> Self {
         Telemetry(Some(sink))
+    }
+
+    /// A fresh enabled sink for one race row: counters, spans and
+    /// histograms of its own, on this handle's clock, with every event
+    /// journalled on this handle (dropped when it is off).
+    pub fn child(&self) -> Self {
+        let epoch = self.0.as_ref().map_or_else(Instant::now, |s| s.epoch);
+        Telemetry(Some(Arc::new(SearchStats::with_journal(
+            epoch,
+            Journal::Parent(self.0.clone()),
+        ))))
     }
 
     #[inline]
@@ -619,6 +737,86 @@ impl Telemetry {
     /// Per-route-call latency histogram, or `None` when disabled.
     pub fn route_histogram(&self) -> Option<Histogram> {
         self.0.as_ref().map(|s| s.route_histogram())
+    }
+
+    /// Journal an event built on demand (payload strings are only
+    /// allocated when a sink is attached).
+    #[inline]
+    fn event(&self, kind: impl FnOnce() -> EventKind) {
+        if let Some(s) = &self.0 {
+            s.push_event(kind());
+        }
+    }
+
+    /// An improving solution of `mapper` at `ii`: bumps
+    /// [`Counter::Incumbents`] and journals the event.
+    #[inline]
+    pub fn incumbent(&self, mapper: &str, ii: u32, cost: f64) {
+        self.bump(Counter::Incumbents);
+        self.event(|| EventKind::Incumbent {
+            mapper: mapper.to_string(),
+            ii,
+            cost,
+        });
+    }
+
+    /// One candidate II probed by `mapper`: bumps
+    /// [`Counter::IiAttempts`] and journals the event.
+    #[inline]
+    pub fn ii_attempt(&self, mapper: &str, ii: u32) {
+        self.bump(Counter::IiAttempts);
+        self.event(|| EventKind::IiAttempt {
+            mapper: mapper.to_string(),
+            ii,
+        });
+    }
+
+    #[inline]
+    pub fn race_start(&self, mapper: &str) {
+        self.event(|| EventKind::RaceStart {
+            mapper: mapper.to_string(),
+        });
+    }
+
+    #[inline]
+    pub fn race_win(&self, mapper: &str, ii: u32) {
+        self.event(|| EventKind::RaceWin {
+            mapper: mapper.to_string(),
+            ii,
+        });
+    }
+
+    #[inline]
+    pub fn race_loss(&self, mapper: &str, reason: &str) {
+        self.event(|| EventKind::RaceLoss {
+            mapper: mapper.to_string(),
+            reason: reason.to_string(),
+        });
+    }
+
+    #[inline]
+    pub fn budget_exhausted(&self, mapper: &str) {
+        self.event(|| EventKind::BudgetExhausted {
+            mapper: mapper.to_string(),
+        });
+    }
+
+    #[inline]
+    pub fn request(&self, mapper: &str, trace: &str) {
+        self.event(|| EventKind::Request {
+            mapper: mapper.to_string(),
+            trace: trace.to_string(),
+        });
+    }
+
+    /// Journalled events in time order (empty when disabled).
+    pub fn events(&self) -> Vec<LedgerEvent> {
+        self.0.as_ref().map(|s| s.events()).unwrap_or_default()
+    }
+
+    /// Events discarded on overflow (zero when disabled).
+    pub fn events_dropped(&self) -> u64 {
+        self.0.as_ref().map_or(0, |s| s.events_dropped())
     }
 }
 

@@ -1,11 +1,11 @@
-//! Run-ledger invariants across the whole mapper zoo.
+//! Event-journal invariants across the whole mapper zoo.
 //!
 //! Two guarantees matter for downstream consumers (cgra-report diffs,
 //! the CI baseline gate):
 //!
 //! 1. **Determinism** — two runs of the same mapper with the same seed
 //!    produce the same event sequence (kinds, mappers, IIs, costs);
-//!    only the timestamps differ. Ledger emissions sit at sequential
+//!    only the timestamps differ. Event emissions sit at sequential
 //!    code points, never inside racing rayon closures, so this holds
 //!    for every registry mapper.
 //! 2. **Causality** — event timestamps are monotone in journal order,
@@ -14,6 +14,7 @@
 use cgra_arch::{Fabric, Topology};
 use cgra_ir::kernels;
 use cgra_mapper_core::prelude::*;
+use cgra_mapper_core::service::{execute, ExecEnv};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -22,10 +23,10 @@ fn mesh() -> Fabric {
 }
 
 fn run_with_ledger(spec: &MapperSpec, seed: u64) -> (Result<u32, String>, Vec<LedgerEvent>) {
-    let ledger = Ledger::enabled();
+    let ledger = Telemetry::enabled();
     let cfg = MapConfig {
         seed,
-        ledger: ledger.clone(),
+        telemetry: ledger.clone(),
         ..MapConfig::fast()
     };
     let dfg = kernels::dot_product();
@@ -85,9 +86,9 @@ fn race_timeline_is_complete() {
         .iter()
         .map(|n| registry.build(n).unwrap())
         .collect();
-    let ledger = Ledger::enabled();
+    let ledger = Telemetry::enabled();
     let cfg = MapConfig {
-        ledger: ledger.clone(),
+        telemetry: ledger.clone(),
         ..MapConfig::fast()
     };
     let dfg = kernels::dot_product();
@@ -116,7 +117,7 @@ fn race_timeline_is_complete() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16 })]
 
-    /// Ledger causality under real racing: timestamps are monotone in
+    /// Journal causality under real racing: timestamps are monotone in
     /// journal order, and any RaceWin is preceded by the matching
     /// mapper's RaceStart.
     #[test]
@@ -126,11 +127,11 @@ proptest! {
         let names = &pool[..2 + extra];
         let mappers: Vec<Box<dyn Mapper>> =
             names.iter().map(|n| registry.build(n).unwrap()).collect();
-        let ledger = Ledger::enabled();
+        let ledger = Telemetry::enabled();
         let cfg = MapConfig {
             seed,
             time_limit: Duration::from_secs(10),
-            ledger: ledger.clone(),
+            telemetry: ledger.clone(),
             ..MapConfig::fast()
         };
         let dfg = kernels::fir(4);
@@ -153,4 +154,97 @@ proptest! {
             }
         }
     }
+}
+
+/// Spans and events share one clock: in a traced `execute`, every II
+/// probe is journalled after the front-end's `optimize` span ended and
+/// no later than its own `map ii=k` span starts.
+#[test]
+fn events_and_spans_share_one_clock() {
+    let tele = Telemetry::enabled();
+    let req = MapRequest::new(
+        KernelSpec::Source {
+            source: include_str!("../../../examples/kernels/fir4.mc").into(),
+            name: None,
+        },
+        "modulo-list",
+    );
+    let env = ExecEnv {
+        telemetry: Some(tele.clone()),
+        ..ExecEnv::default()
+    };
+    let out = execute(&req, &env);
+    assert!(out.succeeded(), "{:?}", out.error);
+    let spans = tele.spans();
+    let optimized = spans
+        .iter()
+        .find(|s| s.phase == Phase::Optimize)
+        .map(|s| s.start_us + s.dur_us)
+        .expect("an optimize span");
+    let mut probes = 0;
+    for e in &out.events {
+        let EventKind::IiAttempt { ii, .. } = e.kind else {
+            continue;
+        };
+        probes += 1;
+        let probe = spans
+            .iter()
+            .find(|s| s.phase == Phase::Map && s.ii == Some(ii))
+            .unwrap_or_else(|| panic!("no `map ii={ii}` span"));
+        assert!(
+            optimized <= e.t_us,
+            "probe at {} before optimize ended at {optimized}",
+            e.t_us
+        );
+        assert!(
+            e.t_us <= probe.start_us,
+            "probe at {} after its span began at {}",
+            e.t_us,
+            probe.start_us
+        );
+    }
+    assert!(probes > 0, "modulo-list probes at least one II");
+}
+
+/// Race rows keep counters of their own but journal onto the caller's
+/// timeline: every row's `events` are empty, and the timeline holds an
+/// `ii_attempt` of each entrant whose counters saw an II probe. Only
+/// temporal entrants race here, so the winner at least probed.
+#[test]
+fn race_rows_journal_onto_the_callers_timeline() {
+    let registry = MapperRegistry::standard();
+    let mappers: Vec<Box<dyn Mapper>> = ["modulo-list", "edge-centric", "sa"]
+        .iter()
+        .map(|n| registry.build(n).unwrap())
+        .collect();
+    let tele = Telemetry::enabled();
+    let cfg = MapConfig {
+        telemetry: tele.clone(),
+        ..MapConfig::fast()
+    };
+    let out = race(&mappers, &kernels::dot_product(), &mesh(), &cfg, None);
+    assert!(out.winner.is_some());
+    let events = tele.events();
+    let mut probed = 0;
+    for row in &out.entries {
+        assert!(
+            row.events.is_empty(),
+            "{}: a row journals nothing",
+            row.mapper
+        );
+        assert_eq!(row.events_dropped, 0, "{}", row.mapper);
+        if row.stats.expect("rows keep their counters").ii_attempts == 0 {
+            continue;
+        }
+        probed += 1;
+        assert!(
+            events.iter().any(|e| matches!(
+                &e.kind,
+                EventKind::IiAttempt { mapper, .. } if *mapper == row.mapper
+            )),
+            "{}: probed an II, but the timeline has no ii_attempt",
+            row.mapper
+        );
+    }
+    assert!(probed > 0, "the winner probed an II");
 }
