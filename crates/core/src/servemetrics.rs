@@ -224,6 +224,12 @@ pub fn render_prometheus(stats: &ServiceStats, metrics: &ServiceMetrics) -> Stri
     );
     counter(
         &mut out,
+        "cgra_serve_spill_rejects_total",
+        "Spilled entries refused on reload because their mapping no longer validated.",
+        stats.spill_rejects,
+    );
+    counter(
+        &mut out,
         "cgra_serve_cancellations_total",
         "Solves that returned the typed Cancelled outcome.",
         stats.cancellations,
@@ -381,6 +387,7 @@ mod tests {
             coalesced: 2,
             evictions: 4,
             disk_spills: 4,
+            spill_rejects: 6,
             cancellations: 1,
             rejections: 5,
             cache_entries: 3,
@@ -407,6 +414,7 @@ mod tests {
             "cgra_serve_coalesced_total 2",
             "cgra_serve_cache_evictions_total 4",
             "cgra_serve_disk_spills_total 4",
+            "cgra_serve_spill_rejects_total 6",
             "cgra_serve_cancellations_total 1",
             "cgra_serve_admission_rejections_total 5",
             "cgra_serve_cache_entries 3",

@@ -195,6 +195,7 @@ pub struct ResultCache {
     evictions: AtomicU64,
     spills: AtomicU64,
     spill_loads: AtomicU64,
+    spill_rejects: AtomicU64,
 }
 
 /// A map of at most `cap` entries (≥ 1) that evicts the least recently
@@ -264,6 +265,7 @@ impl ResultCache {
             evictions: AtomicU64::new(0),
             spills: AtomicU64::new(0),
             spill_loads: AtomicU64::new(0),
+            spill_rejects: AtomicU64::new(0),
         }
     }
 
@@ -281,7 +283,8 @@ impl ResultCache {
 
     /// [`ResultCache::get`] with a gate on the disk-reload path only: a
     /// reloaded outcome `admit` refuses is a miss, like an undecodable
-    /// file. A memory hit never meets the gate.
+    /// file, and is counted in [`ResultCache::spill_rejects`]. A memory
+    /// hit never meets the gate.
     fn lookup(
         &self,
         key: &CacheKey,
@@ -291,9 +294,13 @@ impl ResultCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(Arc::clone(out));
         }
-        let reloaded = self
-            .load_spilled(key)
-            .and_then(|mut out| admit(&mut out).then_some(out));
+        let reloaded = self.load_spilled(key).and_then(|mut out| {
+            let admitted = admit(&mut out);
+            if !admitted {
+                self.spill_rejects.fetch_add(1, Ordering::Relaxed);
+            }
+            admitted.then_some(out)
+        });
         if let Some(out) = reloaded {
             let arc = Arc::new(out);
             self.admit(*key, Arc::clone(&arc));
@@ -372,6 +379,12 @@ impl ResultCache {
     /// Lookups answered by re-loading a spilled entry from disk.
     pub fn spill_loads(&self) -> u64 {
         self.spill_loads.load(Ordering::Relaxed)
+    }
+
+    /// Spilled entries that decoded but that the reload gate refused
+    /// (their mapping no longer validates): each was also a miss.
+    pub fn spill_rejects(&self) -> u64 {
+        self.spill_rejects.load(Ordering::Relaxed)
     }
 
     pub fn len(&self) -> usize {
@@ -608,6 +621,10 @@ pub struct ServiceStats {
     /// Evicted entries persisted to the spill directory.
     #[serde(default)]
     pub disk_spills: u64,
+    /// Spilled entries that decoded but whose mapping no longer
+    /// validated on reload; each was re-solved as a miss.
+    #[serde(default)]
+    pub spill_rejects: u64,
     /// Solves that returned the typed `Cancelled` outcome.
     #[serde(default)]
     pub cancellations: u64,
@@ -987,6 +1004,7 @@ impl MapService {
             warm: self.warm_count.load(Ordering::Relaxed),
             evictions: self.cache.evictions(),
             disk_spills: self.cache.disk_spills(),
+            spill_rejects: self.cache.spill_rejects(),
             cancellations: self.cancellations.load(Ordering::Relaxed),
             rejections: self.rejections.load(Ordering::Relaxed),
             cache_entries: self.cache.len() as u64,
@@ -1212,6 +1230,7 @@ mod tests {
         let s = svc.stats();
         assert_eq!((s.requests, s.hits, s.misses), (1, 0, 1));
         assert_eq!(s.hits + s.misses, s.requests);
+        assert_eq!(s.spill_rejects, 1, "the refused reload is counted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
