@@ -85,10 +85,6 @@ impl Topology {
 // Hand-written because it accepts both spellings; the derive would
 // take only the variant name.
 impl Deserialize for Topology {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        serde::label(v, "topology", Topology::from_label)
-    }
-
     fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::DeError> {
         serde::read_label(r, "topology", Topology::from_label)
     }

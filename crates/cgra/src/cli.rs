@@ -137,7 +137,7 @@ mod tests {
         let v = error_json(&MapError::Timeout);
         assert_eq!(v.get("kind").and_then(|k| k.as_str()), Some("timeout"));
         assert!(v.get("detail").is_some());
-        let round: MapError = serde::get(&v, "detail").unwrap();
+        let round: MapError = serde::Deserialize::from_value(&v["detail"]).unwrap();
         assert_eq!(round, MapError::Timeout);
     }
 }

@@ -76,63 +76,29 @@ impl Op {
 // field; payloads decode through their derives, so errors name the
 // path (`request.fabric.rows`).
 impl Deserialize for Op {
-    fn from_value(v: &Value) -> Result<Op, DeError> {
-        Op::decode(v)
-    }
-
     // One pass over the line keeps where the first `op` and each
     // payload field start, and checks and drops everything else; then
     // only the fields the op needs are read. Nothing is decoded before
     // the whole line has been checked, so a syntax error anywhere in it
-    // still comes first, as it does through the tree.
+    // comes first.
     fn read_json(r: &mut Reader<'_>) -> Result<Op, DeError> {
-        r.spans(OP_FIELDS).map(Spans).and_then(Op::decode)
-    }
-}
-
-impl Op {
-    /// The op that `fields` spell.
-    fn decode(mut fields: impl OpFields) -> Result<Op, DeError> {
-        let op: String = fields.get("op")?;
+        let [op, request, requests, id, fabrics] =
+            r.spans(["op", "request", "requests", "id", "fabrics"])?;
+        let op: String = serde::read_at(op, "op")?;
         Ok(match op.as_str() {
-            "map" => Op::Map(fields.get("request")?),
-            "batch" => Op::Batch(fields.get("requests")?),
-            "cancel" => Op::Cancel(fields.get("id")?),
+            "map" => Op::Map(serde::read_at(request, "request")?),
+            "batch" => Op::Batch(serde::read_at(requests, "requests")?),
+            "cancel" => Op::Cancel(serde::read_at(id, "id")?),
             "stats" => Op::Stats,
             "metrics" => Op::Metrics,
             "fleet" => Op::Fleet {
-                requests: fields.get("requests")?,
-                fabrics: fields.get("fabrics")?,
+                requests: serde::read_at(requests, "requests")?,
+                fabrics: serde::read_at(fabrics, "fabrics")?,
             },
             "ping" => Op::Ping,
             "shutdown" => Op::Shutdown,
             other => return Err(DeError::new(format!("unknown op `{other}`"))),
         })
-    }
-}
-
-/// The fields of one request, each decoded when asked for; an absent
-/// one reads as [`Deserialize::missing`].
-trait OpFields {
-    fn get<T: Deserialize>(&mut self, key: &str) -> Result<T, DeError>;
-}
-
-impl OpFields for &Value {
-    fn get<T: Deserialize>(&mut self, key: &str) -> Result<T, DeError> {
-        serde::get(self, key)
-    }
-}
-
-/// The keys an [`Op`] reads; a request's other keys are ignored.
-const OP_FIELDS: [&str; 5] = ["op", "request", "requests", "id", "fabrics"];
-
-/// Where in the line the first of each of [`OP_FIELDS`] starts.
-struct Spans<'a>([Option<Reader<'a>>; OP_FIELDS.len()]);
-
-impl OpFields for Spans<'_> {
-    fn get<T: Deserialize>(&mut self, key: &str) -> Result<T, DeError> {
-        let i = OP_FIELDS.iter().position(|k| *k == key);
-        serde::read_at(i.and_then(|i| self.0[i].clone()), key)
     }
 }
 

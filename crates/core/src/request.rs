@@ -136,42 +136,21 @@ pub enum KernelSpec {
 // (`{"named": ...}` / `{"source": ..., "name": ...}`) — not the
 // derive's tagged-variant form.
 impl Serialize for KernelSpec {
-    fn to_value(&self) -> Value {
-        serde::object_value(|pair| self.pairs(pair))
-    }
-
     fn write_json(&self, out: &mut String) {
-        serde::write_object(out, |pair| self.pairs(pair));
-    }
-}
-
-impl KernelSpec {
-    fn pairs(&self, pair: &mut serde::PairSink) {
-        match self {
+        serde::write_object(out, |pair| match self {
             KernelSpec::Source { source, name } => {
                 pair("source", source);
                 pair("name", name);
             }
             KernelSpec::Named(name) => pair("named", name),
-        }
+        });
     }
 }
 
 impl Deserialize for KernelSpec {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match (v.get("named"), v.get("source")) {
-            (Some(named), _) => serde::field(named, "named").map(KernelSpec::Named),
-            (None, Some(source)) => Ok(KernelSpec::Source {
-                source: serde::field(source, "source")?,
-                name: serde::get(v, "name")?,
-            }),
-            (None, None) => Err(DeError::new("kernel needs `named` or `source`")),
-        }
-    }
-
     // One pass reads the first of each key, keeping its type error for
-    // later; then the decisions above, in their order. The source is
-    // copied once, not into a tree and then out of it.
+    // later; then the decisions, in their order: `named` wins over
+    // `source`, and either is required. The source is copied once.
     fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
         let (mut named, mut source, mut name) = (None, None, None);
         r.read_pairs(|r, key| {
@@ -360,20 +339,12 @@ impl ExecMode {
 }
 
 impl Serialize for ExecMode {
-    fn to_value(&self) -> Value {
-        self.label().to_value()
-    }
-
     fn write_json(&self, out: &mut String) {
         self.label().write_json(out);
     }
 }
 
 impl Deserialize for ExecMode {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        serde::label(v, "mode", ExecMode::from_label)
-    }
-
     fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
         serde::read_label(r, "mode", ExecMode::from_label)
     }
@@ -546,20 +517,12 @@ impl CacheStatus {
 }
 
 impl Serialize for CacheStatus {
-    fn to_value(&self) -> Value {
-        self.label().to_value()
-    }
-
     fn write_json(&self, out: &mut String) {
         self.label().write_json(out);
     }
 }
 
 impl Deserialize for CacheStatus {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        serde::label(v, "cache status", CacheStatus::from_label)
-    }
-
     fn read_json(r: &mut Reader<'_>) -> Result<Self, DeError> {
         serde::read_label(r, "cache status", CacheStatus::from_label)
     }
