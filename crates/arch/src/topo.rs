@@ -72,12 +72,12 @@ impl BitSet {
 /// equal fingerprints have identical adjacency, distance, border, and
 /// capability tables — and, because the non-topological knobs
 /// (register file, context depth, latency model, memory banks) are
-/// included too, identical solver encodings. [`TopologyCache::fingerprint64`]
-/// is used as a cache key for derived solver state, so it must cover
-/// *everything* a mapper's encoding can depend on, not just what the
-/// hop tables depend on; omitting the latency model here once let two
-/// fabrics differing only in `mul` latency alias in the incremental
-/// solver pool.
+/// included too, identical solver encodings. A mapper handed a shared
+/// cache that [`TopologyCache::matches`] its fabric trusts it whole, so
+/// the fingerprint must cover *everything* a mapper's encoding can
+/// depend on, not just what the hop tables depend on; omitting the
+/// latency model here once let two fabrics differing only in `mul`
+/// latency share derived solver state.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Fingerprint {
     rows: u16,
@@ -302,17 +302,17 @@ impl TopologyCache {
 
     /// Does this cache describe `fabric`? Used by consumers handed a
     /// shared cache to decide between reuse and rebuild. Strict over
-    /// the full semantic fingerprint (not just the hop-table inputs):
-    /// a match also certifies that [`TopologyCache::fingerprint64`] is
-    /// a valid identity for `fabric`, which solver-state caches rely
-    /// on. The only ignored field is the display name.
+    /// the full semantic fingerprint (not just the hop-table inputs),
+    /// so a match also certifies that [`TopologyCache::fingerprint64`]
+    /// is a valid identity for `fabric`. The only ignored field is the
+    /// display name.
     pub fn matches(&self, fabric: &Fabric) -> bool {
         self.num_pes == fabric.num_pes() && self.fingerprint == Fingerprint::of(fabric)
     }
 
     /// A 64-bit digest of the full semantic fingerprint, for keying
-    /// caches of derived state (e.g. incremental solver contexts) by
-    /// fabric identity without holding the fabric itself. Covers every
+    /// caches of derived state by fabric identity without holding the
+    /// fabric itself. Covers every
     /// encoding-relevant field of the fabric (shape, topology, I/O
     /// policy, per-cell capabilities, register file, context depth,
     /// hardware loop, memory banks, latency model). Stable within a
@@ -416,9 +416,8 @@ mod tests {
         let mut hetero = f.clone();
         hetero.cells[3].mul = false;
         assert!(!cache.matches(&hetero));
-        // So do the non-topological solver-visible knobs: the
-        // fingerprint keys solver-state caches, and encodings depend
-        // on these even though the hop tables don't.
+        // So do the non-topological solver-visible knobs: encodings
+        // depend on these even though the hop tables don't.
         let mut rf = f.clone();
         rf.rf_size = 2;
         assert!(!cache.matches(&rf));

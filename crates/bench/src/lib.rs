@@ -14,9 +14,8 @@
 //! | `ablations`   | DESIGN.md §4 — router, II search, cooling, SAT encoding, predication, hw loops, banking |
 //!
 //! Wall-clock numbers are compared in one place, `benchmark/` (its own
-//! workspace). The two `bench_*` bins here cover what it does not —
-//! re-maps through a warm vs a cold solver-state pool, and the fleet
-//! scheduler — and both end in [`gate`].
+//! workspace). The `bench_fleet` bin here covers what it does not, the
+//! fleet scheduler, and ends in [`gate`].
 
 use serde::Serialize;
 use std::path::{Path, PathBuf};

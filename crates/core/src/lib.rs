@@ -37,7 +37,6 @@ pub mod ctrlflow;
 pub mod diagnosis;
 pub mod engine;
 pub mod fleet;
-pub mod incremental;
 pub mod ledger;
 pub mod mapper;
 pub mod mappers;
@@ -62,7 +61,6 @@ pub use fleet::{
     CoMapped, FleetError, FleetFabric, FleetFabricReport, FleetJobResult, FleetPlan, FleetReport,
     Partition, PlannedJob,
 };
-pub use incremental::{kernel_fingerprint, IncrKey, IncrementalCtx};
 pub use ledger::{EventKind, LedgerEvent};
 pub use mapper::{
     ConfigError, Family, Infeasibility, MapConfig, MapConfigBuilder, MapError, Mapper,
@@ -91,7 +89,6 @@ pub mod prelude {
         co_map, partition_fabric, CoMapReport, FleetError, FleetFabric, FleetPlan, FleetReport,
         Partition,
     };
-    pub use crate::incremental::{kernel_fingerprint, IncrKey, IncrementalCtx};
     pub use crate::ledger::{EventKind, LedgerEvent};
     pub use crate::mapper::{
         ConfigError, Family, Infeasibility, MapConfig, MapConfigBuilder, MapError, Mapper,

@@ -43,7 +43,9 @@ impl Family {
     }
 }
 
-/// Mapper configuration and budgets.
+/// Mapper configuration and budgets. It carries no solver state: what
+/// an exact mapper builds (SAT's chunk solver, ILP's per-II model)
+/// lives inside one [`Mapper::map`] call and is dropped when it ends.
 #[derive(Debug, Clone)]
 pub struct MapConfig {
     /// Search IIs from `max(MII, min_ii)` up to this bound (inclusive).
@@ -71,11 +73,6 @@ pub struct MapConfig {
     /// one otherwise. The racing and parallel-II engines pre-seed it so
     /// every concurrent attempt shares a single table.
     pub topo: Option<Arc<TopologyCache>>,
-    /// Pool of reusable solver states, keyed by mapper × fabric ×
-    /// kernel fingerprints (see [`crate::incremental`]). Shared across
-    /// the per-II jobs of one sweep and, in a mapping-as-a-service
-    /// setting, across repeated `map()` calls with the same config.
-    pub incr: crate::incremental::IncrementalCtx,
     /// Failure forensics: when on, infeasible outcomes carry a
     /// structured [`Diagnosis`] (unsat-core probes in the exact
     /// mappers, the analytic MII decomposition everywhere). Off by
@@ -94,7 +91,6 @@ impl Default for MapConfig {
             telemetry: Telemetry::off(),
             budget: Budget::unlimited(),
             topo: None,
-            incr: crate::incremental::IncrementalCtx::new(),
             explain: false,
         }
     }
@@ -201,8 +197,8 @@ impl MapConfigBuilder {
     /// Seed a builder from a request's canonical config — the bridge
     /// between the serializable [`MapRequest`](crate::request::MapRequest)
     /// API and the in-process config. Callers chain the non-canonical
-    /// process-local fields (telemetry, budget, topo, incr)
-    /// before `build()`.
+    /// process-local fields (telemetry, budget, topo) before
+    /// `build()`.
     pub fn from_request(req: &crate::request::MapRequest) -> MapConfigBuilder {
         MapConfig::builder()
             .max_ii(req.config.max_ii)
@@ -245,13 +241,6 @@ impl MapConfigBuilder {
     /// Pre-seed the shared topology cache (see [`MapConfig::topo`]).
     pub fn topo(mut self, topo: Arc<TopologyCache>) -> Self {
         self.cfg.topo = Some(topo);
-        self
-    }
-
-    /// Attach an existing incremental-state pool (see
-    /// [`MapConfig::incr`]).
-    pub fn incr(mut self, incr: crate::incremental::IncrementalCtx) -> Self {
-        self.cfg.incr = incr;
         self
     }
 

@@ -8,7 +8,7 @@
 //!   space, which SAT lowers to clauses and ILP to rows (CP states them
 //!   as tables over the same space and [`edge_compatible`]);
 //! * [`cegar`] — the one solve → route → block loop all three run;
-//! * [`SweepSpace`], [`pool_key`] and the diagnoses the probes share.
+//! * [`SweepSpace`] and the diagnoses the probes share.
 //!
 //! Exactness is *relative to the candidate space*: positions are
 //! restricted to a scheduling window derived from ASAP levels (and
@@ -21,7 +21,6 @@
 
 use super::sweep::SweepCtx;
 use crate::diagnosis::{op_name, Diagnosis, ResourceClass};
-use crate::incremental::{kernel_fingerprint, IncrKey};
 use crate::mapper::MapError;
 use crate::mapping::Mapping;
 use crate::telemetry::{Counter, Telemetry};
@@ -29,7 +28,6 @@ use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::{graph, Dfg, NodeId, OpKind};
 use cgra_solver::SolverStats;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 
 /// A candidate `(pe, time)` pair.
 pub(crate) type Pos = (PeId, u32);
@@ -277,31 +275,6 @@ pub(crate) fn cegar(
     }
     ctx.tele().bump(Counter::CegarGaveUp);
     Ok(Cegar::GaveUp)
-}
-
-/// The key `mapper`'s pooled solver state is parked under
-/// ([`crate::IncrementalCtx`]): fabric, kernel, and a digest of all
-/// that shapes the search — the mapper's `encoding` knobs, the II range
-/// the state covers, and the [`crate::MapConfig`] knobs that matter
-/// (seed, explain). When serving, the pool outlives a request, and
-/// state warmed under one config must never be replayed under a config
-/// that could search differently.
-pub(crate) fn pool_key(
-    ctx: &SweepCtx<'_>,
-    mapper: &'static str,
-    encoding: impl Hash,
-    (lo, hi): (u32, u32),
-) -> IncrKey {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    encoding.hash(&mut h);
-    (lo, hi).hash(&mut h);
-    (ctx.cfg.seed, ctx.cfg.explain).hash(&mut h);
-    IncrKey {
-        mapper,
-        fabric_fp: ctx.topo.fingerprint64(),
-        kernel_fp: kernel_fingerprint(ctx.dfg),
-        knobs: h.finish(),
-    }
 }
 
 /// The diagnosis of an op that has no candidate position at `ii`, if
@@ -689,11 +662,11 @@ pub(crate) mod tests {
         assert_eq!(b.solves, 0);
     }
 
-    /// The reference a pooled sweep is held to, with no second encoder:
-    /// its II must equal the smallest `k` a *pinned* run (`min_ii ==
-    /// max_ii == k`, on a pool of its own — one II, no carried clauses,
-    /// no cached refutation) maps at, and every pinned `k` below must
-    /// fail. A sweep that replays stale state breaks one of the two.
+    /// The reference a sweep is held to, with no second encoder: its II
+    /// must equal the smallest `k` a *pinned* run (`min_ii == max_ii ==
+    /// k` — one II, no carried clauses) maps at, and every pinned `k`
+    /// below must fail. A sweep whose carried state changes an answer
+    /// breaks one of the two.
     pub(crate) fn sweep_ii_is_the_smallest_pinned_ii(mapper: &dyn Mapper, dfg: &Dfg, f: &Fabric) {
         let swept = (mapper.map(dfg, f, &MapConfig::fast()))
             .unwrap_or_else(|e| panic!("{}: {e}", dfg.name))

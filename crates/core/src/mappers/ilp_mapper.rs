@@ -14,29 +14,21 @@
 //! ## What persists
 //!
 //! The CEGAR loop keeps one model per II: each round appends a blocking
-//! row and re-solves. Between `map()` calls the mapper parks its state
-//! in [`MapConfig::incr`](crate::MapConfig::incr) ([`pool_key`]):
-//! completed per-II infeasibility proofs (re-answered without a solve)
-//! and the achieved II's model with its accepted assignment. A re-map
-//! of the same kernel on the same fabric re-enters the solver with the
-//! old optimum as a validated warm incumbent, turning the solve into a
-//! bound-pruned optimality proof over a subset of the first solve's
-//! tree.
+//! row and re-solves. The model is dropped when the probe ends; the
+//! sweep probes each II once, so nothing else would ever read it.
 
 use super::exact_common::{
     add_solver_stats, cegar, diagnose_empty_space, diagnose_interrupted, diagnose_unroutable,
-    placement_model, pool_key, Cand, Cegar, CegarBackend, Constraint, Pos, PositionSpace,
+    placement_model, Cand, Cegar, CegarBackend, Constraint, Pos, PositionSpace,
 };
 use super::sweep::{SweepCtx, TemporalSearch};
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
-use crate::incremental::IncrKey;
 use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
 use cgra_arch::PeId;
 use cgra_ir::NodeId;
 use cgra_solver::ilp::IlpConfig;
-use cgra_solver::{Cmp, IlpModel, IlpResult, IlpVar, IlpWarmStart, IncumbentHook};
-use std::collections::HashSet;
+use cgra_solver::{Cmp, IlpModel, IlpResult, IlpVar, IncumbentHook};
 use std::time::Duration;
 
 /// The ILP mapper.
@@ -58,28 +50,6 @@ impl Default for IlpMapper {
     }
 }
 
-/// Solver state pooled across `map()` calls (see
-/// [`crate::IncrementalCtx`]).
-#[derive(Default)]
-pub(crate) struct IlpPool {
-    /// IIs with a *completed* infeasibility proof — an empty candidate
-    /// space or an exhausted branch-and-bound refutation. Budget stops
-    /// and CEGAR round caps are never cached.
-    infeasible: HashSet<u32>,
-    /// The achieved II's solver state, re-entered warm on a re-map.
-    solved: Option<Box<IlpSolved>>,
-}
-
-/// One II's solver state: the model with every CEGAR blocking row so
-/// far and, once solved, the accepted assignment as the next solve's
-/// warm incumbent.
-struct IlpSolved {
-    ii: u32,
-    model: IlpModel,
-    vars: Vec<Vec<IlpVar>>,
-    warm: IlpWarmStart,
-}
-
 /// Every constraint row is stamped with the resource class it encodes,
 /// so the drop-group probe ([`IlpModel::probe_without`]) can attribute
 /// an infeasible model to the class whose removal restores
@@ -92,19 +62,14 @@ fn tag(class: ResourceClass) -> u32 {
 /// blocking row, which is tagged as register pressure.
 struct Rounds<'a> {
     ctx: &'a SweepCtx<'a>,
-    st: Box<IlpSolved>,
-    /// The assignment behind the choice `solve` returned last.
-    values: Vec<bool>,
+    /// The model with every CEGAR blocking row so far.
+    model: IlpModel,
+    vars: Vec<Vec<IlpVar>>,
 }
 
 impl CegarBackend for Rounds<'_> {
     fn solve(&mut self, _round: u32) -> Result<Option<Vec<usize>>, MapError> {
-        let st = &mut self.st;
-        let result = (st.model).solve_warm(IlpMapper::limits(self.ctx), Some(&st.warm));
-        // A warm incumbent is only valid for the solve it was recorded
-        // against; the next blocking row cuts it off.
-        st.warm.incumbent = None;
-        self.values = match result {
+        let values = match self.model.solve_with(IlpMapper::limits(self.ctx)) {
             IlpResult::Optimal { values, .. } => values,
             IlpResult::Infeasible => return Ok(None),
             // Out of nodes with an incumbent in hand: route that.
@@ -114,29 +79,22 @@ impl CegarBackend for Rounds<'_> {
             IlpResult::Budget { values: None, .. } => return Err(self.ctx.budget.error()),
         };
         let chosen = |vars: &Vec<IlpVar>| {
-            (vars.iter().position(|v| self.values[v.0]))
-                .expect("the assignment row guarantees a choice")
+            (vars.iter().position(|v| values[v.0])).expect("the assignment row guarantees a choice")
         };
-        Ok(Some(st.vars.iter().map(chosen).collect()))
+        Ok(Some(self.vars.iter().map(chosen).collect()))
     }
 
     /// Sum of the placement's choices ≤ n − 1.
     fn block(&mut self, choice: &[usize]) {
-        let row: Vec<(IlpVar, f64)> = (self.st.vars.iter().zip(choice))
+        let row: Vec<(IlpVar, f64)> = (self.vars.iter().zip(choice))
             .map(|(vars, &k)| (vars[k], 1.0))
             .collect();
         let most = row.len() as f64 - 1.0;
-        self.st.model.add_constraint(&row, Cmp::Le, most);
+        self.model.add_constraint(&row, Cmp::Le, most);
     }
 }
 
 impl IlpMapper {
-    /// The pool key of a sweep over `lo..=hi`.
-    fn key(&self, ctx: &SweepCtx<'_>, lo: u32, hi: u32) -> IncrKey {
-        let encoding = (self.position_cap, self.cegar_rounds, self.window_iis);
-        pool_key(ctx, Self::NAME, encoding, (lo, hi))
-    }
-
     /// The branch-and-bound budget of one solve.
     fn limits(ctx: &SweepCtx<'_>) -> IlpConfig {
         IlpConfig {
@@ -187,84 +145,37 @@ impl TemporalSearch for IlpMapper {
     const NAME: &'static str = "ilp";
     const FAMILY: Family = Family::ExactIlp;
     const EXHAUSTED: &'static str = "ILP infeasible for every II in {range} (candidate window)";
-    /// The pooled proofs and solved model, with their pool key.
-    type State = (IncrKey, Box<IlpPool>);
+    type State = ();
 
-    fn prepare(&self, ctx: &SweepCtx<'_>) -> Self::State {
-        let key = self.key(ctx, ctx.lo, ctx.hi);
-        let pool = ctx.cfg.incr.take_as::<IlpPool>(&key).unwrap_or_default();
-        (key, pool)
-    }
+    fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(
-        &self,
-        ctx: &SweepCtx<'_>,
-        (_, pool): &mut Self::State,
-        ii: u32,
-    ) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
         let (dfg, fabric) = (ctx.dfg, ctx.fabric);
-        if pool.infeasible.contains(&ii) {
-            return Ok(None); // answered from the pooled proof
-        }
-        let pooled = pool.solved.take_if(|s| s.ii == ii);
         let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, Some(self.position_cap));
         if space.positions.iter().any(|ps| ps.is_empty()) {
-            pool.infeasible.insert(ii);
             return Ok(None);
         }
-        // A pooled model from a previous map() call re-enters with the
-        // old optimum as a validated warm incumbent.
-        let mut st = pooled.unwrap_or_else(|| {
-            // Objective: early issue + central placement.
-            let (model, vars) = self.encode(ctx, &space, ii, |(pe, t)| {
-                let (r, c) = fabric.coords(pe);
-                let centre = (r as i32 - fabric.rows as i32 / 2).abs()
-                    + (c as i32 - fabric.cols as i32 / 2).abs();
-                t as f64 + centre as f64 * 0.1
-            });
-            let warm = IlpWarmStart::default();
-            Box::new(IlpSolved {
-                ii,
-                model,
-                vars,
-                warm,
-            })
+        // Objective: early issue + central placement.
+        let (mut model, vars) = self.encode(ctx, &space, ii, |(pe, t)| {
+            let (r, c) = fabric.coords(pe);
+            let centre = (r as i32 - fabric.rows as i32 / 2).abs()
+                + (c as i32 - fabric.cols as i32 / 2).abs();
+            t as f64 + centre as f64 * 0.1
         });
-        st.model.set_interrupt(ctx.budget.interrupt());
+        model.set_interrupt(ctx.budget.interrupt());
         let tel = ctx.tele().clone();
         // Surface the solver's anytime incumbents (improving integral
         // solutions) straight into the run's journal.
-        st.model.set_on_incumbent(IncumbentHook::new(move |obj| {
+        model.set_on_incumbent(IncumbentHook::new(move |obj| {
             tel.incumbent(Self::NAME, ii, obj);
         }));
-        let mut rounds = Rounds {
-            ctx,
-            st,
-            values: Vec::new(),
-        };
+        let mut rounds = Rounds { ctx, model, vars };
         let out = cegar(ctx, &space, ii, self.cegar_rounds, &mut rounds);
-        add_solver_stats(ctx.tele(), rounds.st.model.stats());
-        match out? {
-            Cegar::Mapped(m) => {
-                // Seeded with this optimum, a re-map prunes by bound from
-                // its first node and walks a subset of this solve's tree.
-                rounds.st.warm.incumbent = Some(rounds.values);
-                pool.solved = Some(rounds.st);
-                Ok(Some(m))
-            }
-            // Only a completed refutation is cached; a CEGAR round cap
-            // is not a proof.
-            Cegar::Refuted => {
-                pool.infeasible.insert(ii);
-                Ok(None)
-            }
-            Cegar::GaveUp => Ok(None),
-        }
-    }
-
-    /// Completed proofs stay valid whatever ended the sweep.
-    fn park(&self, ctx: &SweepCtx<'_>, (key, pool): Self::State) {
-        ctx.cfg.incr.put(key, pool);
+        add_solver_stats(ctx.tele(), rounds.model.stats());
+        Ok(match out? {
+            Cegar::Mapped(m) => Some(m),
+            Cegar::Refuted | Cegar::GaveUp => None,
+        })
     }
 
     fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
@@ -428,9 +339,7 @@ mod tests {
 
     #[test]
     fn warm_and_cold_ilp_mapper_agree_on_ii() {
-        // A sweep, and a re-map through the pool it warmed (cached
-        // refutations, warm incumbent), must both land where cold
-        // single-II solves do.
+        // A sweep must land where cold single-II solves do.
         let f = Fabric::homogeneous(3, 3, Topology::Mesh);
         let kernels = [
             kernels::dot_product(),
@@ -439,30 +348,8 @@ mod tests {
             kernels::sad(),
         ];
         for dfg in kernels {
-            let mapper = IlpMapper::default();
-            sweep_ii_is_the_smallest_pinned_ii(&mapper, &dfg, &f);
-            let cfg = MapConfig::fast();
-            let first = mapper.map(&dfg, &f, &cfg).unwrap();
-            let warm = mapper.map(&dfg, &f, &cfg).unwrap();
-            assert_eq!(warm.ii, first.ii, "{} re-map diverged", dfg.name);
+            sweep_ii_is_the_smallest_pinned_ii(&IlpMapper::default(), &dfg, &f);
         }
-    }
-
-    #[test]
-    fn remap_reuses_pooled_state_and_agrees_on_ii() {
-        // A second map() with the same config must answer from the
-        // pooled model (warm incumbent + cached proofs) and land on the
-        // same II as the first.
-        let f = Fabric::homogeneous(3, 3, Topology::Mesh);
-        let cfg = MapConfig::fast();
-        let dfg = kernels::dot_product();
-        let mapper = IlpMapper::default();
-        let first = mapper.map(&dfg, &f, &cfg).unwrap();
-        assert!(!cfg.incr.is_empty(), "success must park pooled state");
-        let second = mapper.map(&dfg, &f, &cfg).unwrap();
-        assert_eq!(first.ii, second.ii);
-        validate(&second, &dfg, &f).unwrap();
-        assert!(!cfg.incr.is_empty(), "remap must re-park pooled state");
     }
 
     #[test]
@@ -474,26 +361,5 @@ mod tests {
             .unwrap();
         // Minimising Σt keeps the 3-op chain tight.
         assert!(m.schedule_len(&dfg, &f) <= 6);
-    }
-    #[test]
-    fn knobs_cover_every_config_knob() {
-        // The IncrKey digest must separate configs that can search
-        // differently — otherwise pooled solver state warmed under one
-        // config is replayed under another (a serve-cache alias bug).
-        let f = Fabric::homogeneous(3, 3, Topology::Mesh);
-        let dfg = kernels::dot_product();
-        let m = IlpMapper::default();
-        let knobs =
-            |cfg: &MapConfig, hi: u32| m.key(&SweepCtx::open(&dfg, &f, cfg).unwrap(), 1, hi).knobs;
-        let base = MapConfig::default();
-        let base_knobs = knobs(&base, 4);
-        let mut v = MapConfig::default();
-        v.seed += 1;
-        assert_ne!(knobs(&v, 4), base_knobs, "seed");
-        let mut v = MapConfig::default();
-        v.explain = !v.explain;
-        assert_ne!(knobs(&v, 4), base_knobs, "explain");
-        assert_ne!(knobs(&base, 5), base_knobs, "ii range");
-        assert_eq!(knobs(&MapConfig::default(), 4), base_knobs, "deterministic");
     }
 }

@@ -22,28 +22,24 @@
 //! [`SatSolver::solve_with_assumptions`]. A refuted II retires its
 //! selector permanently, CEGAR no-goods accumulate under the selector
 //! of the II they belong to, and variable activities and saved phases
-//! carry from the II=k refutation into the II=k+1 search. The solver is
-//! parked in [`MapConfig::incr`](crate::MapConfig::incr) between calls
-//! ([`pool_key`]), so re-mapping the same kernel resumes with every
-//! layer already encoded, every learnt clause intact, and refuted IIs
-//! answered without a solve. Under its selector each II sees exactly
-//! its own [`PositionSpace`](super::exact_common::PositionSpace), so
-//! the feasible set per II does not depend on what else the chunk
-//! holds.
+//! carry from the II=k refutation into the II=k+1 search. A sweep
+//! leaving a chunk drops its solver; nothing outlives the `map()` call.
+//! Under its selector each II sees exactly its own
+//! [`PositionSpace`](super::exact_common::PositionSpace), so the
+//! feasible set per II does not depend on what else the chunk holds.
 
 use super::exact_common::{
     add_solver_stats, cegar, diagnose_empty_space, diagnose_interrupted, diagnose_unroutable,
-    placement_model, pool_key, Cand, Cegar, CegarBackend, Constraint, PositionSpace, SweepSpace,
+    placement_model, Cand, Cegar, CegarBackend, Constraint, PositionSpace, SweepSpace,
 };
 use super::sweep::{SweepCtx, TemporalSearch};
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
-use crate::incremental::IncrKey;
 use crate::mapper::{Family, MapError};
 use crate::mapping::Mapping;
 use cgra_arch::Fabric;
 use cgra_ir::{Dfg, NodeId};
 use cgra_solver::cnf::{at_most_one, AmoEncoding};
-use cgra_solver::{Interrupt, Lit, SatResult, SatSolver};
+use cgra_solver::{Lit, SatResult, SatSolver};
 use std::collections::HashSet;
 
 /// The SAT mapper.
@@ -75,7 +71,7 @@ impl Default for SatMapper {
 /// roll into the next one cold.
 const SWEEP_CHUNK: usize = 4;
 
-/// Reusable cross-II solver state: one CDCL instance holding the
+/// One chunk's cross-II solver state: one CDCL instance holding the
 /// per-II selector-guarded layers encoded so far and every learnt
 /// clause.
 pub(crate) struct SweepState {
@@ -132,17 +128,6 @@ impl CegarBackend for Layer<'_> {
 }
 
 impl SatMapper {
-    /// The pool key of the chunk covering `lo..=hi`.
-    fn key(&self, ctx: &SweepCtx<'_>, lo: u32, hi: u32) -> IncrKey {
-        let encoding = (
-            self.amo as u8,
-            self.cegar_rounds,
-            self.position_cap,
-            self.window_iis,
-        );
-        pool_key(ctx, Self::NAME, encoding, (lo, hi))
-    }
-
     /// Cold-start a sweep state: variables over the union of the
     /// chunk's candidate spaces, one selector per II. All constraints —
     /// including each II's exactly-one — live in the guarded per-II
@@ -224,27 +209,24 @@ impl SatMapper {
         });
     }
 
-    /// Make the chunk holding `ii` the live one: park the previous
-    /// chunk's solver, then take this chunk's from the pool or build it
-    /// cold. Chunks are [`SWEEP_CHUNK`]-sized runs counted from `ctx.lo`.
+    /// Make the chunk holding `ii` the live one, replacing (and so
+    /// dropping) the previous chunk's solver. Chunks are
+    /// [`SWEEP_CHUNK`]-sized runs counted from `ctx.lo`.
     fn enter_chunk<'s>(
         &self,
         ctx: &SweepCtx<'_>,
-        live: &'s mut Option<(IncrKey, Box<SweepState>)>,
+        live: &'s mut Option<SweepState>,
         ii: u32,
     ) -> &'s mut SweepState {
         let chunk = SWEEP_CHUNK as u32;
         let first = ii - (ii - ctx.lo) % chunk;
-        if live.as_ref().is_none_or(|(_, st)| st.space.iis[0] != first) {
-            self.park(ctx, live.take());
+        if live.as_ref().is_none_or(|st| st.space.iis[0] != first) {
             let iis: Vec<u32> = (first..=ctx.hi.min(first + chunk - 1)).collect();
-            let key = self.key(ctx, first, first + iis.len() as u32 - 1);
-            let mut st = (ctx.cfg.incr.take_as::<SweepState>(&key))
-                .unwrap_or_else(|| Box::new(self.build_state(ctx.dfg, ctx.fabric, &iis)));
+            let mut st = self.build_state(ctx.dfg, ctx.fabric, &iis);
             st.solver.interrupt = ctx.budget.interrupt();
-            *live = Some((key, st));
+            *live = Some(st);
         }
-        &mut live.as_mut().expect("a chunk was just made live").1
+        live.as_mut().expect("a chunk was just made live")
     }
 
     /// Failure forensics at a single II: a re-encoding on a solver of
@@ -375,8 +357,8 @@ impl TemporalSearch for SatMapper {
     const NAME: &'static str = "sat";
     const FAMILY: Family = Family::ExactCsp;
     const EXHAUSTED: &'static str = "UNSAT for every II in {range} (within the candidate window)";
-    /// The live chunk of the sweep and its pool key.
-    type State = Option<(IncrKey, Box<SweepState>)>;
+    /// The live chunk of the sweep.
+    type State = Option<SweepState>;
 
     fn prepare(&self, _: &SweepCtx<'_>) -> Self::State {
         None
@@ -425,15 +407,6 @@ impl TemporalSearch for SatMapper {
         })
     }
 
-    fn park(&self, ctx: &SweepCtx<'_>, live: Self::State) {
-        if let Some((key, mut st)) = live {
-            // Detach the per-run stop signal before pooling: the budget
-            // dies with this call, the solver state does not.
-            st.solver.interrupt = Interrupt::none();
-            ctx.cfg.incr.put(key, st);
-        }
-    }
-
     fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
         Some(self.diagnose_ii(ctx, ii))
     }
@@ -471,22 +444,11 @@ mod tests {
     }
 
     #[test]
-    fn pooled_state_is_reused_across_calls() {
-        let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let dfg = kernels::dot_product();
-        let cfg = MapConfig::fast();
-        let a = SatMapper::default().map(&dfg, &f, &cfg).unwrap();
-        assert_eq!(cfg.incr.len(), 1, "sweep state must be parked");
-        let b = SatMapper::default().map(&dfg, &f, &cfg).unwrap();
-        assert_eq!(a.ii, b.ii, "resumed state must reproduce the II");
-        assert_eq!(cfg.incr.len(), 1, "state must be parked again");
-    }
-
-    #[test]
     fn both_amo_encodings_agree_on_feasibility() {
         let f = Fabric::homogeneous(3, 3, Topology::Mesh);
         let dfg = kernels::dot_product();
-        // Map, then count the variables of the solver the sweep parked.
+        // Map, then count the variables of the sweep's first layer as
+        // the sweep encodes it.
         let run = |amo| {
             let (mapper, cfg) = (
                 SatMapper {
@@ -497,14 +459,9 @@ mod tests {
             );
             let ii = mapper.map(&dfg, &f, &cfg).map(|m| m.ii);
             let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
-            let hi = ctx.hi.min(ctx.lo + SWEEP_CHUNK as u32 - 1);
-            let parked = cfg
-                .incr
-                .take_as::<SweepState>(&mapper.key(&ctx, ctx.lo, hi));
-            (
-                ii,
-                parked.expect("the first chunk is parked").solver.num_vars(),
-            )
+            let mut st = mapper.build_state(&dfg, &f, &[ctx.lo]);
+            mapper.encode_layer(&ctx, &mut st, 0);
+            (ii, st.solver.num_vars())
         };
         let (pairwise, pairwise_vars) = run(AmoEncoding::Pairwise);
         let (sequential, sequential_vars) = run(AmoEncoding::Sequential);
@@ -598,37 +555,6 @@ mod tests {
             m.ii <= 2,
             "II {} too large for the dot product on 4x4",
             m.ii
-        );
-    }
-    #[test]
-    fn knobs_cover_every_config_knob() {
-        // The IncrKey digest must separate configs that can search
-        // differently — otherwise pooled solver state warmed under one
-        // config is replayed under another (a serve-cache alias bug).
-        let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let dfg = kernels::dot_product();
-        let m = SatMapper::default();
-        let knobs = |m: &SatMapper, cfg: &MapConfig, hi: u32| {
-            m.key(&SweepCtx::open(&dfg, &f, cfg).unwrap(), 1, hi).knobs
-        };
-        let base = MapConfig::default();
-        let base_knobs = knobs(&m, &base, 4);
-        let mut v = MapConfig::default();
-        v.seed += 1;
-        assert_ne!(knobs(&m, &v, 4), base_knobs, "seed");
-        let mut v = MapConfig::default();
-        v.explain = !v.explain;
-        assert_ne!(knobs(&m, &v, 4), base_knobs, "explain");
-        assert_ne!(knobs(&m, &base, 5), base_knobs, "ii range");
-        let sequential = SatMapper {
-            amo: AmoEncoding::Sequential,
-            ..Default::default()
-        };
-        assert_ne!(knobs(&sequential, &base, 4), base_knobs, "amo encoding");
-        assert_eq!(
-            knobs(&m, &MapConfig::default(), 4),
-            base_knobs,
-            "deterministic"
         );
     }
 }

@@ -23,8 +23,8 @@ use cgra_arch::{Fabric, TopologyCache};
 use cgra_ir::Dfg;
 use std::sync::Arc;
 
-/// Everything one sweep's probes share. Telemetry, seed, the
-/// solver-state pool and `explain` are read through `cfg`.
+/// Everything one sweep's probes share. Telemetry, seed and `explain`
+/// are read through `cfg`.
 pub(crate) struct SweepCtx<'a> {
     pub dfg: &'a Dfg,
     pub fabric: &'a Fabric,
@@ -100,7 +100,7 @@ pub(crate) trait TemporalSearch: Send + Sync {
     const EXHAUSTED: &'static str = "no II in {range} admits a schedule";
 
     /// Per-run state: built once by [`prepare`](Self::prepare), passed
-    /// to every probe, handed to [`park`](Self::park) on every exit.
+    /// to every probe, dropped when the sweep ends.
     type State;
 
     fn prepare(&self, ctx: &SweepCtx<'_>) -> Self::State;
@@ -118,9 +118,6 @@ pub(crate) trait TemporalSearch: Send + Sync {
         st: &mut Self::State,
         ii: u32,
     ) -> Result<Option<Mapping>, MapError>;
-
-    /// Return pooled state to `ctx.cfg.incr`.
-    fn park(&self, _ctx: &SweepCtx<'_>, _st: Self::State) {}
 
     /// Failure forensics at `ii`, run under `explain` once the range
     /// is exhausted.
@@ -160,9 +157,7 @@ pub(crate) fn sweep<S: TemporalSearch>(
     cfg: &MapConfig,
 ) -> Result<Mapping, MapError> {
     let mut ctx = SweepCtx::open(dfg, fabric, cfg)?;
-    let mut st = s.prepare(&ctx);
-    let out = search(s, &ctx, &mut st);
-    s.park(&ctx, st);
+    let out = search(s, &ctx, &mut s.prepare(&ctx));
     match out {
         Err(MapError::Infeasible(mut inf)) if cfg.explain && inf.diagnosis.is_none() => {
             // The probe re-solves, so it gets a run budget of its own.
@@ -201,8 +196,7 @@ mod tests {
 
     /// What the scripted probe does on its next call.
     enum Step {
-        /// `Ok(None)` at once — also how ILP answers an II whose
-        /// refutation is pooled.
+        /// `Ok(None)` at once.
         Fail,
         Map,
         CancelThenFail,
@@ -213,7 +207,6 @@ mod tests {
     struct Fake {
         script: Mutex<VecDeque<Step>>,
         probed: Mutex<Vec<u32>>,
-        parked: Mutex<u32>,
     }
 
     impl Fake {
@@ -221,7 +214,6 @@ mod tests {
             Fake {
                 script: Mutex::new(script.into_iter().collect()),
                 probed: Mutex::default(),
-                parked: Mutex::default(),
             }
         }
 
@@ -259,10 +251,6 @@ mod tests {
                 }
                 Some(Step::Abort(e)) => Err(e),
             }
-        }
-
-        fn park(&self, _: &SweepCtx<'_>, _: ()) {
-            *self.parked.lock().unwrap() += 1;
         }
 
         fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
@@ -310,7 +298,6 @@ mod tests {
         assert_eq!(fake.probed(), [2, 3, 4]);
         assert_eq!(attempts(&cfg), [2, 3, 4]);
         assert_eq!(bumps(&cfg), 3);
-        assert_eq!(*fake.parked.lock().unwrap(), 1, "park on success");
     }
 
     #[test]
@@ -327,7 +314,6 @@ mod tests {
         assert_eq!(fake.probed(), [3]);
         assert_eq!(attempts(&cfg), [3]);
         assert_eq!(bumps(&cfg), 1);
-        assert_eq!(*fake.parked.lock().unwrap(), 1, "park on exhaustion");
     }
 
     #[test]
@@ -348,18 +334,16 @@ mod tests {
         assert_eq!(fake.probed(), [1, 1]);
         assert_eq!(attempts(&cancelled), [1]);
         assert_eq!(attempts(&timed_out), [1]);
-        assert_eq!(*fake.parked.lock().unwrap(), 2);
     }
 
     #[test]
-    fn probe_error_aborts_the_sweep_and_still_parks() {
+    fn probe_error_aborts_the_sweep() {
         let boom = MapError::Unsupported("scripted".into());
         let fake = Fake::new([Step::Fail, Step::Abort(boom.clone())]);
         let cfg = cfg(1, 6);
         let err = fake.map(&kernels::dot_product(), &mesh(), &cfg);
         assert_eq!(err.unwrap_err(), boom);
         assert_eq!(attempts(&cfg), [1, 2]);
-        assert_eq!(*fake.parked.lock().unwrap(), 1, "park on error");
     }
 
     #[test]

@@ -31,9 +31,7 @@
 //!
 //! The digests are FNV-1a with fixed per-field tags, so keys are
 //! stable across processes and platforms — a spilled cache written by
-//! one server generation is readable by the next. (The in-process
-//! [`IncrKey`](crate::incremental::IncrKey) pool deliberately keeps
-//! the faster `DefaultHasher`; it never leaves the process.)
+//! one server generation is readable by the next.
 //!
 //! ## Wire format
 //!
@@ -490,8 +488,9 @@ pub enum CacheStatus {
     Hit,
     /// Solved cold and admitted into the cache.
     Miss,
-    /// Solved, but warm-started from a cached incumbent (adjacent II
-    /// or sub-fabric) and/or pooled solver state.
+    /// The solve timed out, and the service answered with an earlier
+    /// incumbent of the same kernel (same fabric or an embeddable
+    /// smaller one) lifted onto the request's fabric and re-validated.
     Warm,
 }
 

@@ -201,7 +201,7 @@ pub fn render_prometheus(stats: &ServiceStats, metrics: &ServiceMetrics) -> Stri
     counter(
         &mut out,
         "cgra_serve_warm_starts_total",
-        "Misses solved with warm-start context available.",
+        "Timed-out misses answered by the incumbent fallback.",
         stats.warm,
     );
     counter(
@@ -245,12 +245,6 @@ pub fn render_prometheus(stats: &ServiceStats, metrics: &ServiceMetrics) -> Stri
         "cgra_serve_cache_entries",
         "Resident in-memory result-cache entries.",
         stats.cache_entries,
-    );
-    gauge(
-        &mut out,
-        "cgra_serve_pooled_states",
-        "Pooled incremental solver states.",
-        stats.pooled_states,
     );
     gauge(
         &mut out,
@@ -391,7 +385,6 @@ mod tests {
             cancellations: 1,
             rejections: 5,
             cache_entries: 3,
-            pooled_states: 2,
             running: 1,
             in_flight: 2,
             queue_depth: 1,

@@ -14,34 +14,29 @@
 //! * [`MapService`] — the serving facade: cache lookup, single-flight
 //!   deduplication of identical concurrent misses, admission control
 //!   of solves against a core budget, per-request cancellation, and
-//!   warm-start of misses from prior work on the same kernel.
+//!   a fallback to prior work on the same kernel when a solve times
+//!   out.
 //!
-//! ## Warm-start lookup order
+//! ## Warm start: the incumbent fallback
 //!
-//! A miss consults, in order (first applicable wins; statuses
-//! [`CacheStatus::Warm`] vs [`CacheStatus::Miss`] record which):
-//!
-//! 1. **Pooled solver state** — the service threads one shared
-//!    [`IncrementalCtx`] through every solve, so an exact mapper
-//!    revisiting a (kernel, fabric) pair at an adjacent II reuses
-//!    persistent solver internals (learnt clauses, warm LP bases) from
-//!    the earlier request instead of re-encoding cold.
-//! 2. **Incumbent fallback** — every successful solve records its
-//!    mapping in a per-kernel incumbent index, which keeps the
-//!    `cache_cap` most recently used kernels. When a later solve of
-//!    the same kernel *times out*, the best incumbent on the same (or
-//!    an embeddable smaller) fabric is translated, re-validated
-//!    against the request's fabric, and returned in place of the
-//!    timeout if it fits the request's II bounds. The solver's own
-//!    answer always takes precedence — fallback never changes a
-//!    successful result, so cached bytes stay deterministic.
+//! Every solve starts cold: no solver state outlives one `map()` call.
+//! What a miss can reuse is an earlier *answer*. Every successful solve
+//! records its mapping in a per-kernel incumbent index, which keeps the
+//! `cache_cap` most recently used kernels. When a later solve of the
+//! same kernel *times out*, the best incumbent on the same (or an
+//! embeddable smaller) fabric is translated, re-validated against the
+//! request's fabric, and returned in place of the timeout if it fits
+//! the request's II bounds. Such a reply is [`CacheStatus::Warm`], and
+//! only such a reply; every other solved request is
+//! [`CacheStatus::Miss`]. The solver's own answer always takes
+//! precedence — fallback never changes a successful result, so cached
+//! bytes stay deterministic.
 //!
 //! Cancelled outcomes are never cached: a client abandoning a request
 //! must not poison the key for the next client.
 
 use crate::engine::Budget;
 use crate::fleet::Partition;
-use crate::incremental::IncrementalCtx;
 use crate::mapper::{MapConfigBuilder, MapError};
 use crate::mapping::Mapping;
 use crate::registry::MapperRegistry;
@@ -65,8 +60,6 @@ pub struct ExecEnv {
     /// Pre-built topology cache for the request's fabric, if the
     /// caller has one (the service keeps a per-fabric-spec pool).
     pub topo: Option<Arc<TopologyCache>>,
-    /// Shared incremental-solver pool (warm-start leg 1).
-    pub incr: IncrementalCtx,
     /// The run's telemetry sink. When set, [`execute`] records counters,
     /// spans and events into it and carries their payloads on the
     /// outcome (what `table1`/`cgra-map` want), and the caller keeps the
@@ -123,7 +116,6 @@ pub fn execute(req: &MapRequest, env: &ExecEnv) -> MapOutcome {
 
     let mut builder = MapConfigBuilder::from_request(req)
         .budget(env.budget.clone())
-        .incr(env.incr.clone())
         .telemetry(tele.clone());
     if let Some(t) = &env.topo {
         if t.matches(&fabric) {
@@ -396,9 +388,9 @@ impl ResultCache {
     }
 }
 
-/// Best known mapping of one kernel on one fabric spec (warm-start
-/// leg 2). Only the fields needed to re-offer it later: the mapping
-/// itself plus the geometry it was solved on.
+/// Best known mapping of one kernel on one fabric spec, which the
+/// timeout fallback re-offers. Only the fields needed to re-offer it
+/// later: the mapping itself plus the geometry it was solved on.
 #[derive(Clone)]
 struct Incumbent {
     fabric: FabricSpec,
@@ -441,15 +433,6 @@ impl WarmIndex {
             }
             None => list.push(incumbent()),
         }
-    }
-
-    /// Has this kernel been solved before (on any fabric/config)?
-    fn knows(&self, kernel_fp: u64) -> bool {
-        self.by_kernel
-            .lock()
-            .unwrap()
-            .get(&kernel_fp)
-            .is_some_and(|l| !l.is_empty())
     }
 
     /// Candidate incumbents for a request: same fabric first, then
@@ -601,7 +584,7 @@ impl InFlight {
 /// its cache probe resolves: hit, coalesced onto an in-flight solve —
 /// also a hit, plus `coalesced` — or miss.)
 ///
-/// On the wire the original seven counters are required; the fields
+/// On the wire the original six counters are required; the fields
 /// added with the telemetry layer default to 0, so a new client still
 /// reads an old server's snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -609,7 +592,8 @@ pub struct ServiceStats {
     pub requests: u64,
     pub hits: u64,
     pub misses: u64,
-    /// Misses that ran with warm-start context available.
+    /// Timed-out misses answered by the incumbent fallback (replied
+    /// [`CacheStatus::Warm`]); a subset of `misses`.
     pub warm: u64,
     /// Hits answered by joining an identical in-flight solve
     /// (single-flight dedup); a subset of `hits`.
@@ -632,7 +616,6 @@ pub struct ServiceStats {
     #[serde(default)]
     pub rejections: u64,
     pub cache_entries: u64,
-    pub pooled_states: u64,
     /// Solves holding an admission permit right now (gauge).
     pub running: u64,
     /// Requests anywhere inside `handle` right now (gauge).
@@ -700,7 +683,6 @@ pub struct MapService {
     warm: WarmIndex,
     gate: AdmissionGate,
     inflight: InFlight,
-    incr: IncrementalCtx,
     /// At most [`TOPO_POOL_CAP`] fabrics' topologies.
     topos: Mutex<Lru<FabricSpec, Arc<TopologyCache>>>,
     jobs: Mutex<HashMap<u64, Budget>>,
@@ -744,7 +726,6 @@ impl MapService {
             warm: WarmIndex::new(opts.cache_cap),
             gate: AdmissionGate::new(opts.cores),
             inflight: InFlight::default(),
-            incr: IncrementalCtx::new(),
             topos: Mutex::new(Lru::new(TOPO_POOL_CAP)),
             jobs: Mutex::new(HashMap::new()),
             counts: Mutex::new(Counts::default()),
@@ -836,9 +817,9 @@ impl MapService {
     }
 
     /// The miss path: admission-gated (possibly load-shed),
-    /// cancellable, warm-started. The bool says whether the outcome
-    /// may be cached (rejected and cancelled outcomes must not be —
-    /// neither reflects the key's true answer).
+    /// cancellable, with the incumbent fallback on a timeout. The bool
+    /// says whether the outcome may be cached (rejected and cancelled
+    /// outcomes must not be — neither reflects the key's true answer).
     fn solve(&self, req: &MapRequest, trace: &str) -> (MapOutcome, bool) {
         let queued = Instant::now();
         let Some(_permit) = self.gate.acquire(self.max_queue) else {
@@ -861,18 +842,12 @@ impl MapService {
         self.metrics.observe_queue_wait(queue_us);
         self.running.fetch_add(1, Ordering::Relaxed);
         let kernel_fp = req.kernel.fingerprint();
-        let warm = self.warm.knows(kernel_fp) || !self.incr.is_empty();
-        if warm {
-            self.warm_count.fetch_add(1, Ordering::Relaxed);
-        }
-
         let budget =
             Budget::unlimited().fork(Duration::from_millis(req.config.time_limit_ms.max(1)));
         self.jobs.lock().unwrap().insert(req.id, budget.clone());
         let env = ExecEnv {
             budget,
             topo: self.topo_for(&req.fabric),
-            incr: self.incr.clone(),
             trace: trace.to_string(),
             ..ExecEnv::default()
         };
@@ -884,11 +859,7 @@ impl MapService {
         self.running.fetch_sub(1, Ordering::Relaxed);
 
         out.queue_us = queue_us;
-        out.cache = if warm {
-            CacheStatus::Warm
-        } else {
-            CacheStatus::Miss
-        };
+        out.cache = CacheStatus::Miss;
         match &out.mapping {
             Some(m) => self.warm.record(kernel_fp, req.fabric, m),
             None => {
@@ -923,7 +894,7 @@ impl MapService {
         out.succeeded()
     }
 
-    /// Warm-start leg 2: replace a timeout with an incumbent lifted
+    /// The warm start: replace a timeout with an incumbent lifted
     /// onto the request's fabric (row-major from the origin; wrap-around
     /// routes or heterogeneous capability layouts make the lift invalid,
     /// which the exit gate catches) when one fits the request's II bounds.
@@ -952,6 +923,7 @@ impl MapService {
             out.settle(Ok(lifted), &dfg, &fabric, &topo);
             if out.succeeded() {
                 out.cache = CacheStatus::Warm;
+                self.warm_count.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         }
@@ -1008,7 +980,6 @@ impl MapService {
             cancellations: self.cancellations.load(Ordering::Relaxed),
             rejections: self.rejections.load(Ordering::Relaxed),
             cache_entries: self.cache.len() as u64,
-            pooled_states: self.incr.len() as u64,
             running: self.running.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             queue_depth: self.gate.waiting(),
@@ -1373,7 +1344,8 @@ mod tests {
         let svc = MapService::new(2, 64, None);
         let a = named(1, "dot_product", "modulo-list");
         assert_eq!(svc.handle(&a).cache, CacheStatus::Miss);
-        // Same kernel, different config → a miss, but warm-started.
+        // Same kernel, different config: solved from scratch, so a
+        // plain miss. Knowing the kernel is not a warm start.
         let b = MapRequest {
             config: RequestConfig {
                 max_ii: 6,
@@ -1381,7 +1353,41 @@ mod tests {
             },
             ..a
         };
-        assert_eq!(svc.handle(&b).cache, CacheStatus::Warm);
+        assert_eq!(svc.handle(&b).cache, CacheStatus::Miss);
+        assert_eq!(svc.stats().warm, 0);
+    }
+
+    #[test]
+    fn an_exact_miss_does_not_make_later_misses_warm() {
+        let svc = MapService::new(2, 64, None);
+        let sat = svc.handle(&named(1, "dot_product", "sat"));
+        assert!(sat.succeeded(), "error: {:?}", sat.error);
+        assert_eq!(sat.cache, CacheStatus::Miss);
+        let other = svc.handle(&named(2, "fir4", "modulo-list"));
+        assert!(other.succeeded(), "error: {:?}", other.error);
+        assert_eq!(other.cache, CacheStatus::Miss);
+        assert_eq!(svc.stats().warm, 0);
+    }
+
+    #[test]
+    fn a_timeout_with_a_recorded_incumbent_is_answered_warm() {
+        let svc = MapService::new(2, 64, None);
+        let recorded = svc.handle(&named(1, "sobel", "modulo-list"));
+        let incumbent = recorded.mapping.expect("modulo-list maps sobel on 4x4");
+        assert_eq!(recorded.cache, CacheStatus::Miss);
+        // The same kernel through an exact mapper with 1 ms to spend
+        // times out, and the fallback serves the recorded incumbent.
+        let mut req = named(2, "sobel", "sat");
+        req.config.time_limit_ms = 1;
+        let out = svc.handle(&req);
+        assert_eq!(out.error, None, "the fallback answered");
+        assert_eq!(out.cache, CacheStatus::Warm);
+        let m = out.mapping.expect("the lifted incumbent");
+        assert_eq!(m, incumbent, "same fabric: the incumbent as recorded");
+        let fabric = req.fabric.build().unwrap();
+        validate(&m, &req.kernel.compile().unwrap(), &fabric).unwrap();
+        let s = svc.stats();
+        assert_eq!((s.misses, s.warm), (2, 1));
     }
 
     #[test]
@@ -1392,17 +1398,16 @@ mod tests {
         let cap = 8;
         let index = WarmIndex::new(cap);
         let spec = FabricSpec::default();
+        let known = |fp: u64| index.candidates(fp, &spec).len() == 1;
         index.record(0, spec, &m);
         for fp in 1..(cap as u64 + 5) {
             // Consulting kernel 0 keeps it the most recently used.
-            assert!(index.knows(0));
+            assert!(known(0));
             index.record(fp, spec, &m);
             assert!(index.by_kernel.lock().unwrap().len() <= cap);
         }
-        let newest = cap as u64 + 4;
-        assert!(index.knows(newest) && index.knows(0));
-        assert!(!index.knows(1), "the least recently used kernel is gone");
-        assert_eq!(index.candidates(newest, &spec).len(), 1);
+        assert!(known(cap as u64 + 4) && known(0));
+        assert!(!known(1), "the least recently used kernel is gone");
     }
 
     #[test]

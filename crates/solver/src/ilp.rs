@@ -117,20 +117,6 @@ impl Default for IlpConfig {
 
 const INT_EPS: f64 = 1e-6;
 
-/// Reusable starting state for a re-solve of the same (or a row-
-/// extended) model — the "incremental exact solving" handoff between
-/// related ILP queries.
-#[derive(Debug, Clone, Default)]
-pub struct IlpWarmStart {
-    /// A known-feasible 0/1 assignment to open the search with. It is
-    /// re-checked against the *current* rows and its objective is
-    /// recomputed before use, so an incumbent invalidated by a new
-    /// blocking row is discarded, never trusted. A valid incumbent
-    /// turns the re-solve into a pure optimality proof: every node
-    /// whose relaxation bound cannot beat it is pruned immediately.
-    pub incumbent: Option<Vec<bool>>,
-}
-
 impl IlpModel {
     pub fn new(maximize: bool) -> Self {
         IlpModel {
@@ -247,7 +233,7 @@ impl IlpModel {
     /// the binding reason — the ILP counterpart of a SAT unsat core
     /// over selector groups. The probe solves a relaxation, so it only
     /// ever *adds* feasibility; it shares the parent's interrupt but
-    /// not its warm state or stats.
+    /// not its stats.
     pub fn probe_without(&self, drop_tag: u32, cfg: IlpConfig) -> IlpResult {
         let mut probe = IlpModel::new(self.maximize);
         probe.num_vars = self.num_vars;
@@ -264,50 +250,14 @@ impl IlpModel {
 
     /// Solve with an explicit budget.
     pub fn solve_with(&self, cfg: IlpConfig) -> IlpResult {
-        self.solve_warm(cfg, None)
+        self.branch_and_bound(cfg, Lp::solve)
     }
 
-    /// `true` when `values` satisfies every row of the model.
-    fn satisfies(&self, values: &[bool]) -> bool {
-        values.len() == self.num_vars
-            && self.constraints.iter().all(|(coeffs, cmp, rhs)| {
-                let lhs: f64 = coeffs
-                    .iter()
-                    .map(|&(v, c)| if values[v] { c } else { 0.0 })
-                    .sum();
-                match cmp {
-                    Cmp::Le => lhs <= rhs + INT_EPS,
-                    Cmp::Ge => lhs >= rhs - INT_EPS,
-                    Cmp::Eq => (lhs - rhs).abs() <= INT_EPS,
-                }
-            })
-    }
-
-    fn objective_of(&self, values: &[bool]) -> f64 {
-        self.objective
-            .iter()
-            .zip(values)
-            .map(|(c, &b)| if b { *c } else { 0.0 })
-            .sum()
-    }
-
-    /// Solve with an explicit budget, seeded from `warm` (typically the
-    /// optimum of a previous solve of this model, at most a few appended
-    /// rows ago — the re-map pattern). A warm incumbent (validated, see
-    /// [`IlpWarmStart`]) starts bound pruning at the previous optimum;
-    /// the relaxations themselves are untouched, so the search visits a
-    /// subset of the nodes the unseeded one would. Stale warm state
-    /// costs a validity check, never correctness.
-    pub fn solve_warm(&self, cfg: IlpConfig, warm: Option<&IlpWarmStart>) -> IlpResult {
-        self.branch_and_bound(cfg, warm, Lp::solve)
-    }
-
-    /// [`IlpModel::solve_warm`] with `solve_lp` answering every node's
+    /// [`IlpModel::solve_with`] with `solve_lp` answering every node's
     /// relaxation; the LP tests substitute their reference simplex.
     pub(crate) fn branch_and_bound(
         &self,
         cfg: IlpConfig,
-        warm: Option<&IlpWarmStart>,
         solve_lp: impl Fn(&Lp) -> LpResult,
     ) -> IlpResult {
         let start = Instant::now();
@@ -319,13 +269,7 @@ impl IlpModel {
                 a < b - INT_EPS
             }
         };
-        // A handed-in feasible assignment opens the search as the
-        // incumbent (objective recomputed, rows re-checked), so bound
-        // pruning bites from the first node.
-        let mut incumbent: Option<(Vec<bool>, f64)> = warm
-            .and_then(|w| w.incumbent.as_deref())
-            .filter(|v| self.satisfies(v))
-            .map(|v| (v.to_vec(), self.objective_of(v)));
+        let mut incumbent: Option<(Vec<bool>, f64)> = None;
 
         // DFS stack of partial fixings.
         let mut stack: Vec<Vec<Option<bool>>> = vec![vec![None; self.num_vars]];
@@ -539,112 +483,6 @@ mod tests {
             node_limit: 0,
         });
         assert!(matches!(r, IlpResult::Budget { .. }));
-    }
-
-    #[test]
-    fn warm_and_cold_branch_and_bound_agree() {
-        // Seeded with its own optimum as a warm incumbent, the search
-        // must reach the same optimum as the cold one on a model that
-        // actually branches, and expand no more nodes doing it.
-        let build = || {
-            let mut m = IlpModel::new(true);
-            let vars: Vec<IlpVar> = (0..8).map(|i| m.add_var(1.0 + (i as f64) * 0.3)).collect();
-            for w in vars.windows(2) {
-                m.at_most_one(w);
-            }
-            let coeffs: Vec<(IlpVar, f64)> = vars
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 1.0 + (i % 3) as f64))
-                .collect();
-            m.add_constraint(&coeffs, Cmp::Le, 6.5);
-            m
-        };
-        let warm = build();
-        let cold = build();
-        let IlpResult::Optimal { values, objective } = cold.solve() else {
-            panic!("cold solve must be optimal");
-        };
-        assert!(cold.stats().decisions > 1, "the model must branch");
-        let ws = IlpWarmStart {
-            incumbent: Some(values),
-        };
-        match warm.solve_warm(IlpConfig::default(), Some(&ws)) {
-            IlpResult::Optimal { objective: w, .. } => {
-                assert!((w - objective).abs() < 1e-6, "{w} != {objective}")
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(warm.stats().decisions <= cold.stats().decisions);
-    }
-
-    #[test]
-    fn solve_warm_chain_matches_cold_after_added_row() {
-        // Solve, append a blocking row (the CEGAR pattern), re-solve
-        // seeded with the optimum that row just cut off: same optimum
-        // as a cold solve.
-        let mut m = IlpModel::new(true);
-        let a = m.add_var(10.0);
-        let b = m.add_var(6.0);
-        let c = m.add_var(4.0);
-        m.add_constraint(&[(a, 5.0), (b, 4.0), (c, 3.0)], Cmp::Le, 10.0);
-        let first = match m.solve() {
-            IlpResult::Optimal { values, objective } => {
-                assert_eq!(objective, 16.0);
-                values
-            }
-            other => panic!("{other:?}"),
-        };
-        m.add_constraint(&[(a, 1.0), (b, 1.0)], Cmp::Le, 1.0); // block {a, b}
-        let ws = IlpWarmStart {
-            incumbent: Some(first),
-        };
-        let warm = m.solve_warm(IlpConfig::default(), Some(&ws));
-        let cold = m.solve();
-        match (warm, cold) {
-            (IlpResult::Optimal { objective: w, .. }, IlpResult::Optimal { objective: c2, .. }) => {
-                assert_eq!(w, c2);
-                assert_eq!(w, 14.0); // a + c
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn warm_incumbent_is_validated_and_pruned_against() {
-        // Re-solving with the previous optimum as a warm incumbent must
-        // reproduce it; once a blocking row cuts that incumbent off, it
-        // must be discarded and the next optimum found from scratch.
-        let mut m = IlpModel::new(true);
-        let a = m.add_var(10.0);
-        let b = m.add_var(6.0);
-        let c = m.add_var(4.0);
-        m.add_constraint(&[(a, 5.0), (b, 4.0), (c, 3.0)], Cmp::Le, 10.0);
-        let first = match m.solve() {
-            IlpResult::Optimal { values, objective } => {
-                assert_eq!(objective, 16.0);
-                values
-            }
-            other => panic!("{other:?}"),
-        };
-        // Same model, warm incumbent: still 16, values unchanged.
-        let ws = IlpWarmStart {
-            incumbent: Some(first.clone()),
-        };
-        match m.solve_warm(IlpConfig::default(), Some(&ws)) {
-            IlpResult::Optimal { values, objective } => {
-                assert_eq!(objective, 16.0);
-                assert_eq!(values, first);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Block {a, b}: the warm incumbent now violates a row and must
-        // not leak through as the answer.
-        m.add_constraint(&[(a, 1.0), (b, 1.0)], Cmp::Le, 1.0);
-        match m.solve_warm(IlpConfig::default(), Some(&ws)) {
-            IlpResult::Optimal { objective, .. } => assert_eq!(objective, 14.0), // a + c
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

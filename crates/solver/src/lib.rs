@@ -35,7 +35,7 @@ pub mod smt;
 pub mod stats;
 
 pub use cp::{CpModel, CpSolution, CpVar};
-pub use ilp::{IlpConfig, IlpModel, IlpResult, IlpVar, IlpWarmStart, IncumbentHook};
+pub use ilp::{IlpConfig, IlpModel, IlpResult, IlpVar, IncumbentHook};
 pub use interrupt::Interrupt;
 pub use lp::{Cmp, Lp, LpResult};
 pub use sat::{Lit, SatResult, SatSolver, SatVar};

@@ -680,8 +680,8 @@ mod tests {
             let sparse = random_ilp(seed);
             let dense = sparse.clone();
             let cfg = IlpConfig::default();
-            let a = sparse.branch_and_bound(cfg, None, Lp::solve);
-            let b = dense.branch_and_bound(cfg, None, |lp| lp.solve_by(&mut dense_pivot));
+            let a = sparse.branch_and_bound(cfg, Lp::solve);
+            let b = dense.branch_and_bound(cfg, |lp| lp.solve_by(&mut dense_pivot));
             prop_assert_eq!(a, b, "seed {}", seed);
             prop_assert_eq!(sparse.stats(), dense.stats(), "seed {}", seed);
         }
