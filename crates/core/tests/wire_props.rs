@@ -347,7 +347,6 @@ fn service_stats(g: &mut Gen) -> ServiceStats {
         cancellations: g.u64(),
         rejections: g.u64(),
         cache_entries: g.u64(),
-        pooled_states: g.u64(),
         running: g.u64(),
         in_flight: g.u64(),
         queue_depth: g.u64(),
