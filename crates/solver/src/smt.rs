@@ -10,6 +10,8 @@
 //! Negated atoms are interpreted over integers:
 //! `¬(x − y ≤ c)  ⇔  y − x ≤ −c − 1`.
 
+use std::collections::BTreeMap;
+
 use crate::sat::{Lit, SatResult, SatSolver, SatVar};
 
 /// A difference-logic atom `x − y ≤ c`, tied to a SAT variable.
@@ -37,7 +39,11 @@ pub enum SmtResult {
 pub struct SmtSolver {
     pub sat: SatSolver,
     num_int_vars: usize,
+    /// Every atom, in creation order: the theory check's edge list.
     atoms: Vec<DiffAtom>,
+    /// The atom table: an atom's normal form `(x, y, c)` with `x ≤ y`
+    /// → the literal asserting it.
+    table: BTreeMap<(usize, usize, i64), Lit>,
     /// Budget on theory-refinement rounds.
     pub max_rounds: usize,
     /// Statistics: negative cycles found (theory conflicts).
@@ -50,6 +56,7 @@ impl SmtSolver {
             sat: SatSolver::new(),
             num_int_vars,
             atoms: Vec::new(),
+            table: BTreeMap::new(),
             max_rounds: 10_000,
             theory_conflicts: 0,
         }
@@ -63,12 +70,33 @@ impl SmtSolver {
         s
     }
 
-    /// Create the atom `x − y ≤ c` and return the literal asserting it.
+    /// The literal asserting `x − y ≤ c`. One literal stands for each
+    /// constraint: asking again for `(x, y, c)` returns the same
+    /// literal, and asking for its integer complement `(y, x, −c − 1)`
+    /// returns that literal's negation.
     pub fn diff_le(&mut self, x: usize, y: usize, c: i64) -> Lit {
         assert!(x < self.num_int_vars && y < self.num_int_vars);
-        let v = self.sat.new_var();
-        self.atoms.push(DiffAtom { x, y, c, lit: v });
-        Lit::pos(v)
+        // Normal form x ≤ y: y − x ≤ c  ⇔  ¬(x − y ≤ −c − 1).
+        let (key, flip) = if x <= y {
+            ((x, y, c), false)
+        } else {
+            ((y, x, -c - 1), true)
+        };
+        let lit = match self.table.get(&key) {
+            Some(&lit) => lit,
+            None => {
+                let v = self.sat.new_var();
+                let (x, y, c) = key;
+                self.atoms.push(DiffAtom { x, y, c, lit: v });
+                self.table.insert(key, Lit::pos(v));
+                Lit::pos(v)
+            }
+        };
+        if flip {
+            lit.negate()
+        } else {
+            lit
+        }
     }
 
     /// Add a propositional clause over atom literals (and any extra SAT
@@ -274,6 +302,28 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn a_duplicate_atom_is_the_same_literal() {
+        let mut s = SmtSolver::new(3);
+        let a = s.diff_le(0, 2, 3);
+        let b = s.diff_le(2, 1, -2);
+        assert_eq!(s.diff_le(0, 2, 3), a);
+        assert_eq!(s.diff_le(2, 1, -2), b);
+        assert_ne!(s.diff_le(0, 2, 2), a, "another bound is another atom");
+        assert_eq!(s.sat.num_vars(), 3);
+    }
+
+    #[test]
+    fn a_complementary_atom_is_the_negation() {
+        // ¬(x0 − x1 ≤ 2)  ⇔  x1 − x0 ≤ −3 over the integers.
+        let mut s = SmtSolver::new(2);
+        let a = s.diff_le(0, 1, 2);
+        assert_eq!(s.diff_le(1, 0, -3), a.negate());
+        let b = s.diff_le(1, 0, 4);
+        assert_eq!(s.diff_le(0, 1, -5), b.negate());
+        assert_eq!(s.sat.num_vars(), 2);
     }
 
     #[test]
