@@ -11,6 +11,7 @@
 //! `¬(x − y ≤ c)  ⇔  y − x ≤ −c − 1`.
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included};
 
 use crate::sat::{Lit, SatResult, SatSolver, SatVar};
 
@@ -88,8 +89,24 @@ impl SmtSolver {
                 let v = self.sat.new_var();
                 let (x, y, c) = key;
                 self.atoms.push(DiffAtom { x, y, c, lit: v });
-                self.table.insert(key, Lit::pos(v));
-                Lit::pos(v)
+                let lit = Lit::pos(v);
+                // Bound axioms, stated before any search: in normal form
+                // every atom on a pair reads x − y ≤ c, so the next
+                // tighter bound implies this one and this one the next
+                // looser. Read back through the complement, the same
+                // chain says two opposite bounds summing below zero
+                // exclude each other, and two summing to −1 or more
+                // cannot both fail.
+                let tighter = self.table.range((x, y, i64::MIN)..key).next_back();
+                if let Some((_, &t)) = tighter {
+                    self.sat.add_clause(&[t.negate(), lit]);
+                }
+                let above = (Excluded(key), Included((x, y, i64::MAX)));
+                if let Some((_, &l)) = self.table.range(above).next() {
+                    self.sat.add_clause(&[lit.negate(), l]);
+                }
+                self.table.insert(key, lit);
+                lit
             }
         };
         if flip {
@@ -324,6 +341,34 @@ mod tests {
         let b = s.diff_le(1, 0, 4);
         assert_eq!(s.diff_le(0, 1, -5), b.negate());
         assert_eq!(s.sat.num_vars(), 2);
+    }
+
+    #[test]
+    fn bound_axioms_refute_without_a_theory_round() {
+        // x0 − x1 ≤ 1 but not x0 − x1 ≤ 3: the chain refutes it.
+        let mut s = SmtSolver::new(2);
+        let tight = s.diff_le(0, 1, 1);
+        let loose = s.diff_le(0, 1, 3);
+        s.add_clause(&[tight]);
+        s.add_clause(&[loose.negate()]);
+        assert_eq!(s.solve(), SmtResult::Unsat);
+        assert_eq!(s.theory_conflicts, 0);
+        // x0 < x1 and x1 < x0: opposite bounds summing below zero.
+        let mut s = SmtSolver::new(2);
+        let lt = s.diff_le(0, 1, -1);
+        let gt = s.diff_le(1, 0, -1);
+        s.add_clause(&[lt]);
+        s.add_clause(&[gt]);
+        assert_eq!(s.solve(), SmtResult::Unsat);
+        assert_eq!(s.theory_conflicts, 0);
+        // Neither x0 − x1 ≤ 0 nor x1 − x0 ≤ 0 holds: their sum is 0 ≥ −1.
+        let mut s = SmtSolver::new(2);
+        let le = s.diff_le(0, 1, 0);
+        let ge = s.diff_le(1, 0, 0);
+        s.add_clause(&[le.negate()]);
+        s.add_clause(&[ge.negate()]);
+        assert_eq!(s.solve(), SmtResult::Unsat);
+        assert_eq!(s.theory_conflicts, 0);
     }
 
     #[test]
