@@ -306,12 +306,12 @@ fn exact_mappings_match_the_golden_digests() {
     // The same pin for the exact families, on the fabrics `map_exact`
     // uses: an encoding or CEGAR change that claims to be
     // result-identical must leave tests/golden/exact_mapping_digests.txt
-    // alone (same CGRA_BLESS recipe). `smt` is left out because its
-    // digest would pin the clock, not the search: threshold/4x4 and
-    // horner4/4x4 run into the 15 s limit and horner4/3x3 fails after
-    // 9-10 s, so what it returns depends on how fast the box is.
+    // alone (same CGRA_BLESS recipe). Every row is decided well inside
+    // the 15 s limit, `smt`'s slowest (proving horner4 infeasible on
+    // 4x4) in a fraction of a second, so the digests pin the search and
+    // not the clock.
     let registry = cgra::mapper::MapperRegistry::standard();
-    let mappers: Vec<_> = ["sat", "cp", "ilp", "bnb"]
+    let mappers: Vec<_> = ["sat", "cp", "ilp", "bnb", "smt"]
         .into_iter()
         .map(|name| (name, registry.build(name).expect("registry mapper")))
         .collect();
