@@ -78,7 +78,7 @@ impl BitSet {
 /// depend on, not just what the hop tables depend on; omitting the
 /// latency model here once let two fabrics differing only in `mul`
 /// latency share derived solver state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Fingerprint {
     rows: u16,
     cols: u16,
@@ -302,26 +302,11 @@ impl TopologyCache {
 
     /// Does this cache describe `fabric`? Used by consumers handed a
     /// shared cache to decide between reuse and rebuild. Strict over
-    /// the full semantic fingerprint (not just the hop-table inputs),
-    /// so a match also certifies that [`TopologyCache::fingerprint64`]
-    /// is a valid identity for `fabric`. The only ignored field is the
-    /// display name.
+    /// the full semantic fingerprint (not just the hop-table inputs):
+    /// every field a mapper's encoding can depend on counts. The only
+    /// ignored field is the display name.
     pub fn matches(&self, fabric: &Fabric) -> bool {
         self.num_pes == fabric.num_pes() && self.fingerprint == Fingerprint::of(fabric)
-    }
-
-    /// A 64-bit digest of the full semantic fingerprint, for keying
-    /// caches of derived state by fabric identity without holding the
-    /// fabric itself. Covers every
-    /// encoding-relevant field of the fabric (shape, topology, I/O
-    /// policy, per-cell capabilities, register file, context depth,
-    /// hardware loop, memory banks, latency model). Stable within a
-    /// process; not a cross-process format.
-    pub fn fingerprint64(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.fingerprint.hash(&mut h);
-        h.finish()
     }
 }
 
@@ -418,44 +403,19 @@ mod tests {
         assert!(!cache.matches(&hetero));
         // So do the non-topological solver-visible knobs: encodings
         // depend on these even though the hop tables don't.
-        let mut rf = f.clone();
-        rf.rf_size = 2;
-        assert!(!cache.matches(&rf));
-    }
-
-    #[test]
-    fn fingerprint64_separates_solver_visible_knobs() {
-        let base = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let fp = |f: &Fabric| TopologyCache::build(f).fingerprint64();
-        let base_fp = fp(&base);
-        assert_eq!(fp(&base.clone()), base_fp, "must be deterministic");
-
-        let mut latency = base.clone();
-        latency.latency.mul = 2;
-        assert_ne!(fp(&latency), base_fp, "latency model must be covered");
-
-        let mut rf = base.clone();
-        rf.rf_size += 1;
-        assert_ne!(fp(&rf), base_fp, "rf_size must be covered");
-
-        let mut rot = base.clone();
-        rot.rf_rotating = !rot.rf_rotating;
-        assert_ne!(fp(&rot), base_fp, "rf_rotating must be covered");
-
-        let mut depth = base.clone();
-        depth.context_depth += 1;
-        assert_ne!(fp(&depth), base_fp, "context_depth must be covered");
-
-        let mut hwl = base.clone();
-        hwl.hw_loop = !hwl.hw_loop;
-        assert_ne!(fp(&hwl), base_fp, "hw_loop must be covered");
-
-        let mut banks = base.clone();
-        banks.mem_banks += 1;
-        assert_ne!(fp(&banks), base_fp, "mem_banks must be covered");
-
-        let mut named = base.clone();
-        named.name = "renamed".into();
-        assert_eq!(fp(&named), base_fp, "name must not be covered");
+        let knobs: [fn(&mut Fabric); 7] = [
+            |f| f.rf_size = 2,
+            |f| f.rf_rotating = !f.rf_rotating,
+            |f| f.context_depth += 1,
+            |f| f.hw_loop = !f.hw_loop,
+            |f| f.mem_banks += 1,
+            |f| f.latency.mul = 2,
+            |f| f.latency.mem += 1,
+        ];
+        for (i, knob) in knobs.iter().enumerate() {
+            let mut other = f.clone();
+            knob(&mut other);
+            assert!(!cache.matches(&other), "knob {i} must be covered");
+        }
     }
 }
