@@ -2,13 +2,27 @@
 //!
 //! Atoms are difference constraints `x_i − x_j ≤ c` over integer
 //! variables. The propositional skeleton is solved by the CDCL
-//! [`SatSolver`]; each full model is checked by a Bellman-Ford negative
-//! cycle detector over the asserted constraints; theory conflicts are
-//! returned to the SAT solver as blocking clauses (the classic lazy
-//! "offline" SMT loop of early CGRA SMT mappers à la Donovick et al.).
+//! [`SatSolver`]; each full model is checked by a fresh Bellman-Ford
+//! run over every atom in its assigned polarity; a negative cycle is
+//! returned to the SAT solver as one blocking clause and the SAT solve
+//! is repeated (the classic lazy "offline" SMT loop of early CGRA SMT
+//! mappers à la Donovick et al.).
 //!
 //! Negated atoms are interpreted over integers:
 //! `¬(x − y ≤ c)  ⇔  y − x ≤ −c − 1`.
+//!
+//! So that the loop does not relearn arithmetic one round at a time,
+//! the facts it would learn cheaply are stated up front:
+//!
+//! * **One literal per constraint.** An atom table keyed by the normal
+//!   form (`x ≤ y`) returns the same literal for a repeated `(x, y, c)`
+//!   and the negation for its complement `(y, x, −c − 1)`.
+//! * **Bound axioms.** On one variable pair every atom reads
+//!   `x − y ≤ c` in normal form; as each atom is made it gets the binary
+//!   clauses tying it to the next tighter and the next looser bound, so
+//!   unit propagation knows that a tighter bound implies a looser one,
+//!   that two opposite bounds summing below zero exclude each other, and
+//!   that two summing to −1 or more cannot both fail.
 
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included};
@@ -90,13 +104,8 @@ impl SmtSolver {
                 let (x, y, c) = key;
                 self.atoms.push(DiffAtom { x, y, c, lit: v });
                 let lit = Lit::pos(v);
-                // Bound axioms, stated before any search: in normal form
-                // every atom on a pair reads x − y ≤ c, so the next
-                // tighter bound implies this one and this one the next
-                // looser. Read back through the complement, the same
-                // chain says two opposite bounds summing below zero
-                // exclude each other, and two summing to −1 or more
-                // cannot both fail.
+                // Bound axioms: the next tighter bound on this pair
+                // implies this one, and this one the next looser.
                 let tighter = self.table.range((x, y, i64::MIN)..key).next_back();
                 if let Some((_, &t)) = tighter {
                     self.sat.add_clause(&[t.negate(), lit]);
