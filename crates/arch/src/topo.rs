@@ -403,14 +403,13 @@ mod tests {
         assert!(!cache.matches(&hetero));
         // So do the non-topological solver-visible knobs: encodings
         // depend on these even though the hop tables don't.
-        let knobs: [fn(&mut Fabric); 7] = [
+        let knobs: [fn(&mut Fabric); 6] = [
             |f| f.rf_size = 2,
             |f| f.rf_rotating = !f.rf_rotating,
             |f| f.context_depth += 1,
             |f| f.hw_loop = !f.hw_loop,
             |f| f.mem_banks += 1,
             |f| f.latency.mul = 2,
-            |f| f.latency.mem += 1,
         ];
         for (i, knob) in knobs.iter().enumerate() {
             let mut other = f.clone();

@@ -106,8 +106,8 @@ impl SmtSolver {
                 let lit = Lit::pos(v);
                 // Bound axioms: the next tighter bound on this pair
                 // implies this one, and this one the next looser.
-                let tighter = self.table.range((x, y, i64::MIN)..key).next_back();
-                if let Some((_, &t)) = tighter {
+                let below = (x, y, i64::MIN)..key;
+                if let Some((_, &t)) = self.table.range(below).next_back() {
                     self.sat.add_clause(&[t.negate(), lit]);
                 }
                 let above = (Excluded(key), Included((x, y, i64::MAX)));
