@@ -47,7 +47,7 @@ fn bench_modulo_list_budget_overhead(c: &mut Criterion) {
             ..MapConfig::fast()
         };
         group.bench_function(label, |b| {
-            b.iter(|| criterion::black_box(ModuloList::default().map(&dfg, &fabric, &cfg)))
+            b.iter(|| criterion::black_box(ModuloList.map(&dfg, &fabric, &cfg)))
         });
     }
     group.finish();

@@ -81,7 +81,7 @@ fn main() {
     // 2. II search order: the sweep every temporal mapper runs, against
     //    a bisection of the same range.
     println!("\n== ablation 2: II search order ==");
-    let mapper = ModuloList::default();
+    let mapper = ModuloList;
     for (label, bisect) in [("bottom-up", false), ("binary", true)] {
         let search = |k: &Dfg| {
             if bisect {
@@ -118,10 +118,7 @@ fn main() {
         ("geometric", cgra::mapper::mappers::Cooling::Geometric),
         ("linear", cgra::mapper::mappers::Cooling::Linear),
     ] {
-        let mapper = SimulatedAnnealing {
-            cooling,
-            ..Default::default()
-        };
+        let mapper = SimulatedAnnealing { cooling };
         let ok = kernels::small_suite()
             .iter()
             .filter(|k| mapper.map(k, &fabric, &cfg).is_ok())
@@ -144,10 +141,7 @@ fn main() {
         ("pairwise", AmoEncoding::Pairwise),
         ("sequential", AmoEncoding::Sequential),
     ] {
-        let mapper = SatMapper {
-            amo,
-            ..Default::default()
-        };
+        let mapper = SatMapper { amo };
         let start = Instant::now();
         let ok = kernels::small_suite()
             .iter()
@@ -176,7 +170,7 @@ fn main() {
     .expect("compiles");
     for scheme in [IteScheme::FullPredication, IteScheme::PartialPredication] {
         let k = predicate_diamond(&ite, scheme).expect("diamond");
-        let m = ModuloList::default().map(&k.dfg, &fabric, &cfg);
+        let m = ModuloList.map(&k.dfg, &fabric, &cfg);
         let ii = m.map(|m| m.ii).unwrap_or(0);
         println!(
             "  {:<28} {} ops, II {}",
@@ -196,10 +190,7 @@ fn main() {
     // a tight window forbids the "inserted route node" slack.
     println!("\n== ablation 5b: EPIMap routing slack (graph-transform stand-in) ==");
     for (label, window) in [("tight (w=1)", 1u32), ("transformed (w=3)", 3)] {
-        let mapper = EpiMap {
-            window_iis: window,
-            ..Default::default()
-        };
+        let mapper = EpiMap { window_iis: window };
         let ok = suite
             .iter()
             .filter(|k| mapper.map(k, &fabric, &cfg).is_ok())
@@ -217,8 +208,8 @@ fn main() {
     println!("\n== ablation 6: hardware loop unit ==");
     let dot = kernels::dot_product();
     let sw = with_loop_control(&dot, 256);
-    let m_hw = ModuloList::default().map(&dot, &fabric, &cfg).unwrap();
-    let m_sw = ModuloList::default().map(&sw, &fabric, &cfg).unwrap();
+    let m_hw = ModuloList.map(&dot, &fabric, &cfg).unwrap();
+    let m_sw = ModuloList.map(&sw, &fabric, &cfg).unwrap();
     println!(
         "  hw-loop: {} ops II {} | sw-loop: {} ops II {}",
         dot.node_count(),
@@ -242,7 +233,7 @@ fn main() {
     // 7. Memory banking on the matmul body.
     println!("\n== ablation 7: memory banking policy ==");
     let mat = kernels::matmul_body();
-    let m = ModuloList::default().map(&mat, &fabric, &cfg).unwrap();
+    let m = ModuloList.map(&mat, &fabric, &cfg).unwrap();
     let tape = Tape::default().with_memory(vec![1; 256]);
     let trace = memory_trace(&mat, 64, &tape).expect("trace");
     for (label, policy) in [

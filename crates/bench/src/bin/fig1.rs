@@ -15,7 +15,7 @@ use cgra_bench::save_json;
 
 fn main() {
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-    let mapper = ModuloList::default();
+    let mapper = ModuloList;
     let mapped: Vec<(Dfg, Mapping)> = kernels::suite()
         .into_iter()
         .filter_map(|dfg| {

@@ -21,7 +21,7 @@ fn main() {
     // (c): the configuration register — map the paper's dot product and
     // dump the per-context configuration.
     let dfg = kernels::dot_product();
-    let mapping = ModuloList::default()
+    let mapping = ModuloList
         .map(&dfg, &fabric, &MapConfig::default())
         .expect("dot product maps on the Fig. 2 fabric");
     let cs = ConfigStream::generate(&mapping, &dfg, &fabric);

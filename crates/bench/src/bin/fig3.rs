@@ -39,8 +39,8 @@ fn main() {
 
     let styles: Vec<(&'static str, Box<dyn Mapper>)> = vec![
         ("spatial mapping", Box::new(SpatialGreedy::default())),
-        ("temporal mapping", Box::new(SmtMapper::default())),
-        ("modulo scheduling", Box::new(ModuloList::default())),
+        ("temporal mapping", Box::new(SmtMapper)),
+        ("modulo scheduling", Box::new(ModuloList)),
     ];
     for (style, mapper) in styles {
         let m = mapper

@@ -51,8 +51,8 @@ fn main() {
         let fabric = Fabric::homogeneous(side, side, Topology::Mesh);
         let kernel = kernels::unrolled_mac(lanes);
         let mappers: Vec<(&'static str, Box<dyn Mapper>)> = vec![
-            ("modulo-list", Box::new(ModuloList::default())),
-            ("himap", Box::new(HiMap::default())),
+            ("modulo-list", Box::new(ModuloList)),
+            ("himap", Box::new(HiMap)),
             ("sa", Box::new(SimulatedAnnealing::default())),
             ("sat", Box::new(SatMapper::default())),
         ];

@@ -26,7 +26,7 @@
 //! let kernel = frontend::compile_kernel(
 //!     "kernel dot(in a, in b, inout acc) { acc += a * b; }").unwrap();
 //! let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-//! let mapping = ModuloList::default()
+//! let mapping = ModuloList
 //!     .map(&kernel.dfg, &fabric, &MapConfig::fast()).unwrap();
 //! let tape = Tape::generate(2, 8, |_, i| i as i64 + 1);
 //! let stats = cgra::sim::simulate_verified(&mapping, &kernel.dfg, &fabric, 8, &tape).unwrap();

@@ -33,6 +33,7 @@ use cgra_mapper_core::fleet::{self, FleetFabric};
 use cgra_mapper_core::request::{FabricSpec, MapOutcome, MapRequest, RequestError};
 use cgra_mapper_core::servemetrics::{AccessLog, AccessRecord, ServiceMetrics};
 use cgra_mapper_core::service::{MapService, ServiceOptions, ServiceStats};
+use cgra_mapper_core::unpoison;
 use serde::{DeError, Deserialize, Reader, Serialize, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -219,7 +220,7 @@ impl Server {
             let stop = Arc::clone(&stop);
             let access = access.clone();
             workers.push(thread::spawn(move || loop {
-                let stream = { rx.lock().unwrap().recv() };
+                let stream = { unpoison(rx.lock()).recv() };
                 match stream {
                     Ok(s) => serve_connection(s, &service, &stop, access.as_ref()),
                     Err(_) => break,

@@ -550,7 +550,7 @@ mod tests {
         use crate::mappers::ModuloList;
         let c = diamond();
         let f = cgra_arch::Fabric::homogeneous(4, 4, cgra_arch::Topology::Mesh);
-        let d = map_direct(&c, &ModuloList::default(), &f, &MapConfig::fast()).unwrap();
+        let d = map_direct(&c, &ModuloList, &f, &MapConfig::fast()).unwrap();
         assert!(
             d.total_contexts >= 2,
             "several blocks must consume contexts"
@@ -620,9 +620,7 @@ mod tests {
         entry.insert("s".to_string(), 0i64);
         let lk = super::extract_loop_kernel(&c, &loops[0], &entry).unwrap();
         let f = cgra_arch::Fabric::homogeneous(4, 4, cgra_arch::Topology::Mesh);
-        let m = ModuloList::default()
-            .map(&lk.dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&lk.dfg, &f, &MapConfig::fast()).unwrap();
         crate::validate::validate(&m, &lk.dfg, &f).unwrap();
     }
 

@@ -24,6 +24,7 @@ use crate::mapper::{MapConfig, MapError, Mapper};
 use crate::mapping::Mapping;
 use crate::request::MapOutcome;
 use crate::telemetry::Counter;
+use crate::unpoison;
 use crate::validate::validate_with;
 use cgra_arch::Fabric;
 use cgra_ir::Dfg;
@@ -285,7 +286,7 @@ pub fn race(
             let mut won = false;
             if let (Some(m), Some(ii)) = (row.mapping.take(), row.ii()) {
                 if target_ii.is_none_or(|t| ii <= t) {
-                    let mut w = winner.lock().unwrap();
+                    let mut w = unpoison(winner.lock());
                     if w.is_none() {
                         *w = Some((row.mapper.clone(), m));
                         shared.cancel();
@@ -314,7 +315,7 @@ pub fn race(
         })
         .collect();
 
-    let (winner, mapping) = match winner.into_inner().unwrap() {
+    let (winner, mapping) = match unpoison(winner.into_inner()) {
         Some((name, m)) => (Some(name), Some(m)),
         None => (None, None),
     };
@@ -382,7 +383,7 @@ pub fn parallel_ii(
                     if validate_with(&m, dfg, fabric, &topo).is_err() {
                         return Some(MapError::infeasible(format!("INVALID OUTPUT at II {ii}")));
                     }
-                    let mut b = best.lock().unwrap();
+                    let mut b = unpoison(best.lock());
                     if b.as_ref().is_none_or(|(bi, _)| ii < *bi) {
                         *b = Some((ii, m));
                         best_ii.fetch_min(ii, Ordering::AcqRel);
@@ -409,7 +410,7 @@ pub fn parallel_ii(
         })
         .collect();
 
-    if let Some((_, m)) = best.into_inner().unwrap() {
+    if let Some((_, m)) = unpoison(best.into_inner()) {
         return Ok(m);
     }
     // No II succeeded: report a timeout/cancellation if any job hit
@@ -486,10 +487,8 @@ mod tests {
 
     #[test]
     fn race_produces_validated_winner() {
-        let mappers: Vec<Box<dyn Mapper>> = vec![
-            Box::new(SpatialGreedy::default()),
-            Box::new(ModuloList::default()),
-        ];
+        let mappers: Vec<Box<dyn Mapper>> =
+            vec![Box::new(SpatialGreedy::default()), Box::new(ModuloList)];
         let dfg = kernels::dot_product();
         let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
         let out = race(&mappers, &dfg, &fabric, &MapConfig::fast(), None);
@@ -511,7 +510,7 @@ mod tests {
     fn parallel_ii_journals_attempts_like_the_sequential_sweep() {
         use crate::ledger::EventKind;
         use crate::telemetry::Telemetry;
-        let mapper = ModuloList::default();
+        let mapper = ModuloList;
         let dfg = kernels::fir(4);
         let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
         let attempts = |l: &Telemetry| -> Vec<(String, u32)> {

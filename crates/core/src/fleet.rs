@@ -35,6 +35,7 @@ use crate::mapping::Mapping;
 use crate::request::{CacheStatus, FabricSpec, MapOutcome, MapRequest};
 use crate::service::{execute, ExecEnv, MapService};
 use crate::telemetry::Telemetry;
+use crate::unpoison;
 use cgra_arch::{PeId, Topology, TopologyCache};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -341,11 +342,11 @@ pub fn co_map(reqs: &[MapRequest], fabric: &FabricSpec) -> Result<CoMapReport, F
                     let mut req = reqs[*i].clone();
                     req.fabric = part.spec;
                     let out = run_one(&req, None);
-                    results_mx.lock().unwrap().push((*i, *part, out));
+                    unpoison(results_mx.lock()).push((*i, *part, out));
                 });
             }
         });
-        let mut results: Vec<(usize, Partition, MapOutcome)> = results_mx.into_inner().unwrap();
+        let mut results: Vec<(usize, Partition, MapOutcome)> = unpoison(results_mx.into_inner());
         results.sort_by_key(|(i, _, _)| *i);
 
         let mut failed = Vec::new();
@@ -694,7 +695,7 @@ pub fn run(
                     let jt = Instant::now();
                     let out = service.handle(&req);
                     let wall_ms = jt.elapsed().as_secs_f64() * 1e3;
-                    results.lock().unwrap().push(FleetJobResult {
+                    unpoison(results.lock()).push(FleetJobResult {
                         queue_index: pj.queue_index,
                         kernel: out.kernel.clone(),
                         mapper: out.mapper.clone(),
@@ -720,7 +721,7 @@ pub fn run(
     });
     let makespan_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let mut jobs = results.into_inner().unwrap();
+    let mut jobs = unpoison(results.into_inner());
     jobs.sort_by_key(|j| j.queue_index);
     let sum_ms: f64 = jobs.iter().map(|j| j.wall_ms).sum();
     let failed = jobs.iter().filter(|j| j.error.is_some()).count();

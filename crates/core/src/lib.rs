@@ -27,7 +27,7 @@
 //!
 //! let dfg = kernels::dot_product();
 //! let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-//! let mapper = ModuloList::default();
+//! let mapper = ModuloList;
 //! let mapping = mapper.map(&dfg, &fabric, &MapConfig::default()).unwrap();
 //! validate(&mapping, &dfg, &fabric).unwrap();
 //! assert!(mapping.ii >= 1);
@@ -80,6 +80,21 @@ pub use telemetry::{
     HISTOGRAM_BUCKETS,
 };
 pub use validate::{validate, validate_with, ValidationError};
+
+use std::sync::{LockResult, PoisonError};
+
+/// The value of a `std::sync` lock result, poisoned or not: pass it a
+/// `Mutex::lock`, `Mutex::into_inner` or `Condvar::wait` result.
+///
+/// A thread that panics while holding a mutex poisons it, and every
+/// later `unwrap` of that lock panics in turn, so one failed request
+/// would take every worker of `cgra-serve` down after it. Poison says
+/// only that some holder panicked. The locks here guard caches,
+/// counters, result lists and logs, where an update cut short costs at
+/// most that one entry, so the data is used as it is.
+pub fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Everything a mapper user needs.
 pub mod prelude {

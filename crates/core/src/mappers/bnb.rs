@@ -19,32 +19,19 @@ use crate::telemetry::Counter;
 use cgra_ir::NodeId;
 
 /// The branch-and-bound mapper.
-#[derive(Debug, Clone)]
-pub struct BranchAndBound {
-    /// Candidate (pe, t) pairs explored per operation per node.
-    pub beam: usize,
-    /// Search-node budget per II.
-    pub node_budget: u64,
-    pub window_iis: u32,
-}
+#[derive(Debug, Clone, Default)]
+pub struct BranchAndBound;
 
-impl Default for BranchAndBound {
-    fn default() -> Self {
-        BranchAndBound {
-            beam: 5,
-            node_budget: 6_000,
-            window_iis: 2,
-        }
-    }
-}
+/// Candidate (pe, t) pairs explored per operation per node.
+const BEAM: usize = 5;
+/// Search-node budget per II.
+const NODE_BUDGET: u64 = 6_000;
+const WINDOW_IIS: u32 = 2;
 
 struct Bb<'a> {
     order: Vec<NodeId>,
     nodes: u64,
-    node_budget: u64,
     wall: &'a Budget,
-    beam: usize,
-    window_iis: u32,
     state: SchedState<'a>,
 }
 
@@ -55,19 +42,19 @@ impl<'a> Bb<'a> {
         }
         self.nodes += 1;
         self.state.tele.bump(Counter::NodesExpanded);
-        if self.nodes > self.node_budget || self.wall.expired() {
+        if self.nodes > NODE_BUDGET || self.wall.expired() {
             self.state.tele.bump(Counter::NodesPruned);
             return false;
         }
         let n = self.order[depth];
-        let Some((est, window_end)) = self.state.window(n, self.window_iis) else {
+        let Some((est, window_end)) = self.state.window(n, WINDOW_IIS) else {
             return false;
         };
         // Gather candidates (earliest-and-nearest first), beam-capped.
         let mut tried = 0usize;
         for t in est..=window_end {
-            for pe in self.state.candidate_pes(n, self.beam) {
-                if tried >= self.beam * 3 {
+            for pe in self.state.candidate_pes(n, BEAM) {
+                if tried >= BEAM * 3 {
                     self.state.tele.bump(Counter::NodesPruned);
                     return false;
                 }
@@ -96,10 +83,7 @@ impl TemporalSearch for BranchAndBound {
         let mut bb = Bb {
             order: priority_order(ctx.dfg, ctx.fabric).0,
             nodes: 0,
-            node_budget: self.node_budget,
             wall: &ctx.budget,
-            beam: self.beam,
-            window_iis: self.window_iis,
             state: SchedState::new(ctx, ii),
         };
         if !bb.dfs(0) {
@@ -129,7 +113,7 @@ mod tests {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         let mut successes = 0;
         for dfg in kernels::suite() {
-            match BranchAndBound::default().map(&dfg, &f, &MapConfig::fast()) {
+            match BranchAndBound.map(&dfg, &f, &MapConfig::fast()) {
                 Ok(m) => {
                     validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
                     successes += 1;
@@ -149,23 +133,16 @@ mod tests {
             f.cells[pe].mul = false;
         }
         let dfg = kernels::dot_product();
-        let m = BranchAndBound::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = BranchAndBound.map(&dfg, &f, &MapConfig::fast()).unwrap();
         validate(&m, &dfg, &f).unwrap();
     }
 
     #[test]
-    fn narrow_beam_may_fail_but_never_invalid() {
+    fn cramped_fabric_may_fail_but_never_invalid() {
         let f = Fabric::homogeneous(2, 2, Topology::Mesh);
-        let bb = BranchAndBound {
-            beam: 1,
-            node_budget: 50,
-            ..Default::default()
-        };
         for dfg in kernels::small_suite() {
-            if let Ok(m) = bb.map(&dfg, &f, &MapConfig::fast()) {
-                validate(&m, &dfg, &f).unwrap();
+            if let Ok(m) = BranchAndBound.map(&dfg, &f, &MapConfig::fast()) {
+                validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             }
         }
     }

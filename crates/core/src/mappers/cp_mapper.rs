@@ -22,22 +22,12 @@ use cgra_solver::{CpModel, CpSolution, CpVar};
 use std::sync::Arc;
 
 /// The CP mapper.
-#[derive(Debug, Clone)]
-pub struct CpMapper {
-    pub position_cap: Option<usize>,
-    pub cegar_rounds: u32,
-    pub window_iis: u32,
-}
+#[derive(Debug, Clone, Default)]
+pub struct CpMapper;
 
-impl Default for CpMapper {
-    fn default() -> Self {
-        CpMapper {
-            position_cap: Some(40),
-            cegar_rounds: 12,
-            window_iis: 2,
-        }
-    }
-}
+const POSITION_CAP: usize = 40;
+const CEGAR_ROUNDS: u32 = 12;
+const WINDOW_IIS: u32 = 2;
 
 /// One II's CP model as the CEGAR loop sees it. The engine keeps no
 /// state between solves, so every round rebuilds the model over
@@ -147,8 +137,7 @@ impl TemporalSearch for CpMapper {
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
     fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
-        let space =
-            PositionSpace::build(ctx.dfg, ctx.fabric, ii, self.window_iis, self.position_cap);
+        let space = PositionSpace::build(ctx.dfg, ctx.fabric, ii, WINDOW_IIS, Some(POSITION_CAP));
         if space.positions.iter().any(|ps| ps.is_empty()) {
             return Ok(None);
         }
@@ -158,12 +147,10 @@ impl TemporalSearch for CpMapper {
             ii,
             blocked: Vec::new(),
         };
-        Ok(
-            match cegar(ctx, &space, ii, self.cegar_rounds, &mut rounds)? {
-                Cegar::Mapped(m) => Some(m),
-                Cegar::Refuted | Cegar::GaveUp => None,
-            },
-        )
+        Ok(match cegar(ctx, &space, ii, CEGAR_ROUNDS, &mut rounds)? {
+            Cegar::Mapped(m) => Some(m),
+            Cegar::Refuted | Cegar::GaveUp => None,
+        })
     }
 }
 
@@ -179,7 +166,7 @@ mod tests {
     fn cp_maps_small_suite() {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         for dfg in kernels::small_suite() {
-            let m = CpMapper::default()
+            let m = CpMapper
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
@@ -190,9 +177,7 @@ mod tests {
     fn cp_handles_heterogeneous_fabric() {
         let f = Fabric::adres_like(4, 4);
         let dfg = kernels::dot_product();
-        let m = CpMapper::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = CpMapper.map(&dfg, &f, &MapConfig::fast()).unwrap();
         validate(&m, &dfg, &f).unwrap();
     }
 }

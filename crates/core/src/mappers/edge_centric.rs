@@ -17,17 +17,11 @@ use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
 use cgra_ir::NodeId;
 
 /// The edge-centric mapper.
-#[derive(Debug, Clone)]
-pub struct EdgeCentric {
-    /// Time window (in IIs) scanned per operation.
-    pub window_iis: u32,
-}
+#[derive(Debug, Clone, Default)]
+pub struct EdgeCentric;
 
-impl Default for EdgeCentric {
-    fn default() -> Self {
-        EdgeCentric { window_iis: 3 }
-    }
-}
+/// Time window (in IIs) scanned per operation.
+const WINDOW_IIS: u32 = 3;
 
 /// Cost of the cheapest route from `(from, tr)` to every `(pe, t)` in
 /// `tr..=t_max`, as a dense grid (`u64::MAX` = unreachable). This is
@@ -79,7 +73,7 @@ impl EdgeCentric {
             if ctx.budget.expired() {
                 return None;
             }
-            let (est, window_end) = state.window(n, self.window_iis)?;
+            let (est, window_end) = state.window(n, WINDOW_IIS)?;
 
             // Build route-cost fields from every placed dist-0 producer.
             let producers: Vec<(NodeId, PeId, u32)> = dfg
@@ -265,7 +259,7 @@ mod tests {
     fn maps_suite_on_4x4() {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         for dfg in kernels::suite() {
-            let m = EdgeCentric::default()
+            let m = EdgeCentric
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
@@ -278,9 +272,7 @@ mod tests {
         // line; EMS must still find them.
         let f = Fabric::homogeneous(1, 4, Topology::Mesh);
         let dfg = kernels::accumulate();
-        let m = EdgeCentric::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = EdgeCentric.map(&dfg, &f, &MapConfig::fast()).unwrap();
         validate(&m, &dfg, &f).unwrap();
     }
 
@@ -288,9 +280,7 @@ mod tests {
     fn respects_io_policy() {
         let f = Fabric::adres_like(4, 4);
         let dfg = kernels::dot_product();
-        let m = EdgeCentric::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = EdgeCentric.map(&dfg, &f, &MapConfig::fast()).unwrap();
         validate(&m, &dfg, &f).unwrap();
         for (id, node) in dfg.nodes() {
             if matches!(

@@ -30,19 +30,19 @@ use cgra_ir::{Dfg, NodeId};
 /// The MCS-based mapper.
 #[derive(Debug, Clone)]
 pub struct EpiMap {
-    /// Backtracking budget per II (assignment attempts).
-    pub max_attempts: u64,
+    /// Time window (in IIs) scanned per operation: the routing slack
+    /// that stands in for EPIMap's graph transform (ablation 5b sets 1).
     pub window_iis: u32,
 }
 
 impl Default for EpiMap {
     fn default() -> Self {
-        EpiMap {
-            max_attempts: 60_000,
-            window_iis: 3,
-        }
+        EpiMap { window_iis: 3 }
     }
 }
+
+/// Backtracking budget per II (assignment attempts).
+const MAX_ATTEMPTS: u64 = 60_000;
 
 struct Search<'a> {
     dfg: &'a Dfg,
@@ -54,7 +54,6 @@ struct Search<'a> {
     /// FU occupancy as (pe, slot) -> node.
     fu: std::collections::HashMap<(PeId, u32), NodeId>,
     attempts: u64,
-    max_attempts: u64,
     window_iis: u32,
     budget: &'a Budget,
     tele: Telemetry,
@@ -99,7 +98,7 @@ impl<'a> Search<'a> {
             return true;
         }
         self.tele.bump(Counter::NodesExpanded);
-        if self.attempts >= self.max_attempts || self.budget.expired() {
+        if self.attempts >= MAX_ATTEMPTS || self.budget.expired() {
             self.tele.bump(Counter::NodesPruned);
             return false;
         }
@@ -177,7 +176,6 @@ impl TemporalSearch for EpiMap {
             assign: vec![None; ctx.dfg.node_count()],
             fu: std::collections::HashMap::new(),
             attempts: 0,
-            max_attempts: self.max_attempts,
             window_iis: self.window_iis,
             budget: &ctx.budget,
             tele: ctx.tele().clone(),

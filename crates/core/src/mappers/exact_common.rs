@@ -588,9 +588,7 @@ pub(crate) mod tests {
             ..MapConfig::fast()
         };
         let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
-        let mapped = CpMapper::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let mapped = CpMapper.map(&dfg, &f, &MapConfig::fast()).unwrap();
         // Rounds and gave-up probes counted so far.
         let counted = || {
             let s = cfg.telemetry.snapshot().unwrap();

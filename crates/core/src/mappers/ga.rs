@@ -19,27 +19,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The GA mapper.
-#[derive(Debug, Clone)]
-pub struct Genetic {
-    pub population: usize,
-    pub generations: u32,
-    pub tournament: usize,
-    /// Per-gene mutation probability (per mille).
-    pub mutation_pm: u32,
-    pub elitism: usize,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Genetic;
 
-impl Default for Genetic {
-    fn default() -> Self {
-        Genetic {
-            population: 36,
-            generations: 48,
-            tournament: 3,
-            mutation_pm: 60,
-            elitism: 2,
-        }
-    }
-}
+const POPULATION: usize = 36;
+const GENERATIONS: u32 = 48;
+const TOURNAMENT: usize = 3;
+/// Per-gene mutation probability (per mille).
+const MUTATION_PM: u32 = 60;
+const ELITISM: usize = 2;
 
 impl Genetic {
     /// Run the generations at `ii`; the final population, best first.
@@ -53,9 +41,8 @@ impl Genetic {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = ctx.dfg.node_count();
         let feasible = capable_pes(ctx.dfg, ctx.fabric);
-        let size = self.population.max(4);
 
-        let mut pop: Vec<Vec<PeId>> = (0..size)
+        let mut pop: Vec<Vec<PeId>> = (0..POPULATION)
             .map(|_| random_binding(&feasible, &mut rng))
             .collect();
         let mut scored: Vec<(u64, Vec<PeId>)> = Vec::new();
@@ -66,7 +53,7 @@ impl Genetic {
             scored
         };
 
-        for _gen in 0..self.generations {
+        for _gen in 0..GENERATIONS {
             if ctx.budget.expired_now() {
                 break;
             }
@@ -83,14 +70,14 @@ impl Genetic {
 
             let mut next: Vec<Vec<PeId>> = scored
                 .iter()
-                .take(self.elitism)
+                .take(ELITISM)
                 .map(|(_, b)| b.clone())
                 .collect();
-            while next.len() < size {
+            while next.len() < POPULATION {
                 // Tournament selection of two parents.
                 let pick = |rng: &mut StdRng| -> &Vec<PeId> {
                     let mut best: Option<&(u64, Vec<PeId>)> = None;
-                    for _ in 0..self.tournament.max(1) {
+                    for _ in 0..TOURNAMENT {
                         let c = &scored[rng.random_range(0..scored.len())];
                         if best.map(|b| c.0 < b.0).unwrap_or(true) {
                             best = Some(c);
@@ -104,8 +91,7 @@ impl Genetic {
                 let mut child = Vec::with_capacity(n);
                 for i in 0..n {
                     let gene = if rng.random::<bool>() { pa[i] } else { pb[i] };
-                    let gene = if rng.random_range(0..1000) < self.mutation_pm
-                        && !feasible[i].is_empty()
+                    let gene = if rng.random_range(0..1000) < MUTATION_PM && !feasible[i].is_empty()
                     {
                         feasible[i][rng.random_range(0..feasible[i].len())]
                     } else {
@@ -156,7 +142,7 @@ mod tests {
     fn evolves_small_kernels() {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         for dfg in kernels::small_suite() {
-            let m = Genetic::default()
+            let m = Genetic
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
@@ -169,9 +155,7 @@ mod tests {
         // routes on a kernel with an obvious linear layout.
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         let dfg = kernels::accumulate();
-        let m = Genetic::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = Genetic.map(&dfg, &f, &MapConfig::fast()).unwrap();
         let met = Metrics::of(&m, &dfg, &f);
         assert!(met.route_hops <= 8, "hops {}", met.route_hops);
     }

@@ -18,19 +18,11 @@ use cgra_arch::PeId;
 use cgra_ir::{graph, NodeId, OpKind};
 
 /// The level-matching minor-embedding mapper.
-#[derive(Debug, Clone)]
-pub struct GraphMinor {
-    /// Matching permutations tried per level before backtracking.
-    pub retries_per_level: usize,
-}
+#[derive(Debug, Clone, Default)]
+pub struct GraphMinor;
 
-impl Default for GraphMinor {
-    fn default() -> Self {
-        GraphMinor {
-            retries_per_level: 6,
-        }
-    }
-}
+/// Matching permutations tried per level before backtracking.
+const RETRIES_PER_LEVEL: usize = 6;
 
 impl GraphMinor {
     /// Match every level at `spacing` cycles per level, then route.
@@ -53,7 +45,7 @@ impl GraphMinor {
             let slot = t % ii;
             let mut matched = false;
             // Try a few greedy matchings with rotated op order.
-            for rot in 0..self.retries_per_level.max(1) {
+            for rot in 0..RETRIES_PER_LEVEL {
                 let mut trial_fu = fu.clone();
                 let mut trial_place = place.clone();
                 let mut ok = true;
@@ -166,7 +158,7 @@ mod tests {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         let mut successes = 0;
         for dfg in kernels::suite() {
-            if let Ok(m) = GraphMinor::default().map(&dfg, &f, &MapConfig::fast()) {
+            if let Ok(m) = GraphMinor.map(&dfg, &f, &MapConfig::fast()) {
                 validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
                 successes += 1;
             }
@@ -178,9 +170,7 @@ mod tests {
     fn level_structure_respected() {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         let dfg = kernels::horner4();
-        let m = GraphMinor::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = GraphMinor.map(&dfg, &f, &MapConfig::fast()).unwrap();
         validate(&m, &dfg, &f).unwrap();
     }
 }

@@ -18,24 +18,14 @@ use cgra_arch::{Fabric, PeId};
 use cgra_ir::Dfg;
 
 /// The hierarchical mapper.
-#[derive(Debug, Clone)]
-pub struct HiMap {
-    /// Target operations per cluster.
-    pub cluster_size: usize,
-    /// Candidate PEs considered inside a region.
-    pub region_candidates: usize,
-    pub window_iis: u32,
-}
+#[derive(Debug, Clone, Default)]
+pub struct HiMap;
 
-impl Default for HiMap {
-    fn default() -> Self {
-        HiMap {
-            cluster_size: 6,
-            region_candidates: 12,
-            window_iis: 3,
-        }
-    }
-}
+/// Target operations per cluster.
+const CLUSTER_SIZE: usize = 6;
+/// Candidate PEs considered inside a region.
+const REGION_CANDIDATES: usize = 12;
+const WINDOW_IIS: u32 = 3;
 
 /// Greedy affinity clustering: repeatedly merge the pair of clusters
 /// with the most connecting edges, subject to the size bound.
@@ -134,7 +124,7 @@ impl HiMap {
             if ctx.budget.expired() {
                 return None;
             }
-            let (est, window_end) = state.window(n, self.window_iis)?;
+            let (est, window_end) = state.window(n, WINDOW_IIS)?;
             // Candidate PEs: within the cluster's region first.
             let (cx, cy) = regions.centres[regions.clusters[n.index()]];
             let op = dfg.op(n);
@@ -152,7 +142,7 @@ impl HiMap {
                 })
                 .collect();
             cands.sort();
-            let nearest = cands.iter().take(self.region_candidates);
+            let nearest = cands.iter().take(REGION_CANDIDATES);
             if !(est..=window_end)
                 .any(|t| nearest.clone().any(|&(_, pe)| state.try_place(n, pe, t)))
             {
@@ -177,7 +167,7 @@ impl TemporalSearch for HiMap {
     type State = Regions;
 
     fn prepare(&self, ctx: &SweepCtx<'_>) -> Regions {
-        let clusters = cluster_dfg(ctx.dfg, self.cluster_size);
+        let clusters = cluster_dfg(ctx.dfg, CLUSTER_SIZE);
         let centres = self.region_centres(ctx.dfg, &clusters, ctx.fabric);
         Regions { clusters, centres }
     }
@@ -231,7 +221,7 @@ mod tests {
     fn maps_suite_on_4x4() {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         for dfg in kernels::suite() {
-            let m = HiMap::default()
+            let m = HiMap
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
@@ -243,7 +233,7 @@ mod tests {
         // The scalability scenario: a 64-lane MAC tree on a 16x16 array.
         let f = Fabric::homogeneous(16, 16, Topology::Mesh);
         let dfg = kernels::unrolled_mac(24);
-        let m = HiMap::default()
+        let m = HiMap
             .map(&dfg, &f, &MapConfig::default())
             .expect("hierarchical mapping should handle the large fabric");
         validate(&m, &dfg, &f).unwrap();

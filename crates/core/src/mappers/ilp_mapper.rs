@@ -32,23 +32,13 @@ use cgra_solver::{Cmp, IlpModel, IlpResult, IlpVar, IncumbentHook};
 use std::time::Duration;
 
 /// The ILP mapper.
-#[derive(Debug, Clone)]
-pub struct IlpMapper {
-    /// Candidate positions per op (keeps the dense simplex tractable).
-    pub position_cap: usize,
-    pub cegar_rounds: u32,
-    pub window_iis: u32,
-}
+#[derive(Debug, Clone, Default)]
+pub struct IlpMapper;
 
-impl Default for IlpMapper {
-    fn default() -> Self {
-        IlpMapper {
-            position_cap: 12,
-            cegar_rounds: 8,
-            window_iis: 1,
-        }
-    }
-}
+/// Candidate positions per op (keeps the dense simplex tractable).
+const POSITION_CAP: usize = 12;
+const CEGAR_ROUNDS: u32 = 8;
+const WINDOW_IIS: u32 = 1;
 
 /// Every constraint row is stamped with the resource class it encodes,
 /// so the drop-group probe ([`IlpModel::probe_without`]) can attribute
@@ -151,7 +141,7 @@ impl TemporalSearch for IlpMapper {
 
     fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
         let (dfg, fabric) = (ctx.dfg, ctx.fabric);
-        let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, Some(self.position_cap));
+        let space = PositionSpace::build(dfg, fabric, ii, WINDOW_IIS, Some(POSITION_CAP));
         if space.positions.iter().any(|ps| ps.is_empty()) {
             return Ok(None);
         }
@@ -170,7 +160,7 @@ impl TemporalSearch for IlpMapper {
             tel.incumbent(Self::NAME, ii, obj);
         }));
         let mut rounds = Rounds { ctx, model, vars };
-        let out = cegar(ctx, &space, ii, self.cegar_rounds, &mut rounds);
+        let out = cegar(ctx, &space, ii, CEGAR_ROUNDS, &mut rounds);
         add_solver_stats(ctx.tele(), rounds.model.stats());
         Ok(match out? {
             Cegar::Mapped(m) => Some(m),
@@ -189,7 +179,7 @@ impl IlpMapper {
     /// removed, restore feasibility is the binding one.
     fn diagnose_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Diagnosis {
         let (dfg, fabric) = (ctx.dfg, ctx.fabric);
-        let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, Some(self.position_cap));
+        let space = PositionSpace::build(dfg, fabric, ii, WINDOW_IIS, Some(POSITION_CAP));
         if let Some(d) = diagnose_empty_space(ctx, &space, ii) {
             return d;
         }
@@ -200,7 +190,7 @@ impl IlpMapper {
             IlpResult::Optimal { .. } => diagnose_unroutable(
                 ctx,
                 ii,
-                self.cegar_rounds,
+                CEGAR_ROUNDS,
                 [
                     "the ILP relaxation is feasible",
                     "assignment",
@@ -312,13 +302,13 @@ mod tests {
             explain: true,
             ..MapConfig::fast()
         };
-        let err = IlpMapper::default().map(&dfg, &f, &cfg).unwrap_err();
+        let err = IlpMapper.map(&dfg, &f, &cfg).unwrap_err();
         let d = err.diagnosis().expect("explain must attach a diagnosis");
         assert_eq!(d.class, ResourceClass::Capability);
         // The tagged-model probe itself, at a feasible-range II.
         let base = MapConfig::fast();
         let ctx = SweepCtx::open(&dfg, &f, &base).unwrap();
-        let m = IlpMapper::default();
+        let m = IlpMapper;
         let p1 = m.diagnose_ii(&ctx, 1);
         let p2 = m.diagnose_ii(&ctx, 1);
         assert_eq!(p1, p2, "probe must be deterministic");
@@ -330,7 +320,7 @@ mod tests {
     fn ilp_maps_tiny_kernels() {
         let f = Fabric::homogeneous(3, 3, Topology::Mesh);
         for dfg in [kernels::dot_product(), kernels::accumulate()] {
-            let m = IlpMapper::default()
+            let m = IlpMapper
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
@@ -348,7 +338,7 @@ mod tests {
             kernels::sad(),
         ];
         for dfg in kernels {
-            sweep_ii_is_the_smallest_pinned_ii(&IlpMapper::default(), &dfg, &f);
+            sweep_ii_is_the_smallest_pinned_ii(&IlpMapper, &dfg, &f);
         }
     }
 
@@ -356,9 +346,7 @@ mod tests {
     fn ilp_objective_prefers_early_schedules() {
         let f = Fabric::homogeneous(3, 3, Topology::Mesh);
         let dfg = kernels::accumulate();
-        let m = IlpMapper::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = IlpMapper.map(&dfg, &f, &MapConfig::fast()).unwrap();
         // Minimising Σt keeps the 3-op chain tight.
         assert!(m.schedule_len(&dfg, &f) <= 6);
     }

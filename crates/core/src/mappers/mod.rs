@@ -3,7 +3,7 @@
 //! Every mapper implements [`crate::Mapper`] and returns mappings that
 //! pass [`crate::validate::validate`]. See the crate docs for the
 //! family ↔ mapper table. The 14 temporal techniques share one II
-//! sweep (`sweep.rs`): each file holds its knobs and its per-II probe.
+//! sweep (`sweep.rs`): each file holds its constants and its per-II probe.
 
 mod bnb;
 mod cp_mapper;
@@ -42,18 +42,3 @@ pub use sa::{Cooling, SimulatedAnnealing};
 pub use sat_mapper::SatMapper;
 pub use smt_mapper::SmtMapper;
 pub use spatial_greedy::SpatialGreedy;
-
-use crate::mapper::Mapper;
-use crate::registry::MapperRegistry;
-
-/// Every mapper at default settings — the Table I experiment
-/// portfolio. Built from [`MapperRegistry::standard`].
-pub fn all_mappers() -> Vec<Box<dyn Mapper>> {
-    MapperRegistry::standard().build_all()
-}
-
-/// The fast heuristic subset (used where exact mappers would blow the
-/// budget). Built from [`MapperRegistry::standard`].
-pub fn heuristic_mappers() -> Vec<Box<dyn Mapper>> {
-    MapperRegistry::standard().build_heuristics()
-}

@@ -19,22 +19,13 @@ use cgra_ir::graph;
 use cgra_ir::{Dfg, OpKind};
 
 /// The modulo list scheduler.
-#[derive(Debug, Clone)]
-pub struct ModuloList {
-    /// Cap on candidate PEs per (op, cycle) probe.
-    pub pe_candidates: usize,
-    /// Time window length in IIs.
-    pub window_iis: u32,
-}
+#[derive(Debug, Clone, Default)]
+pub struct ModuloList;
 
-impl Default for ModuloList {
-    fn default() -> Self {
-        ModuloList {
-            pe_candidates: 24,
-            window_iis: 3,
-        }
-    }
-}
+/// Cap on candidate PEs per (op, cycle) probe.
+const PE_CANDIDATES: usize = 24;
+/// Time window length in IIs.
+const WINDOW_IIS: u32 = 3;
 
 impl ModuloList {
     /// Compute the MII for `dfg` on `fabric`.
@@ -61,8 +52,8 @@ impl ModuloList {
             if ctx.budget.expired() {
                 return None;
             }
-            let window = state.window(n, self.window_iis)?;
-            if !state.place_in_window(n, window, self.pe_candidates) {
+            let window = state.window(n, WINDOW_IIS)?;
+            if !state.place_in_window(n, window, PE_CANDIDATES) {
                 return None;
             }
         }
@@ -99,9 +90,7 @@ mod tests {
     fn maps_dot_product_at_low_ii() {
         let dfg = kernels::dot_product();
         let f = mesh();
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         validate(&m, &dfg, &f).unwrap();
         assert!(m.ii <= 2, "II {} too large for a 5-op kernel", m.ii);
     }
@@ -110,7 +99,7 @@ mod tests {
     fn maps_entire_suite_on_4x4() {
         let f = mesh();
         for dfg in kernels::suite() {
-            let m = ModuloList::default()
+            let m = ModuloList
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
@@ -121,9 +110,7 @@ mod tests {
     fn respects_recurrence_mii() {
         let dfg = kernels::iir1();
         let f = mesh();
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         // RecMII of iir1 under unit latency is 3.
         assert!(m.ii >= 3);
     }
@@ -132,9 +119,7 @@ mod tests {
     fn heterogeneous_fabric_constrains_muls() {
         let dfg = kernels::fft_butterfly();
         let f = Fabric::adres_like(4, 4);
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         validate(&m, &dfg, &f).unwrap();
         // Every multiplier op must sit on an even column.
         for (id, node) in dfg.nodes() {
@@ -150,9 +135,7 @@ mod tests {
         let dfg = kernels::unrolled_mac(40); // 160+ ops on 4 PEs
         let mut f = Fabric::homogeneous(2, 2, Topology::Mesh);
         f.context_depth = 4; // max II 4: ResMII is far larger
-        let err = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap_err();
+        let err = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap_err();
         assert!(matches!(err, MapError::Infeasible(_)));
     }
 
@@ -161,9 +144,7 @@ mod tests {
         let dfg = kernels::iir1();
         let mut f = mesh();
         f.latency = cgra_arch::LatencyModel::multi_cycle();
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         validate(&m, &dfg, &f).unwrap();
         // Recurrence mul(2) + shr(1) + add(1) = 4.
         assert!(m.ii >= 4);

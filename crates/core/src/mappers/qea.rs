@@ -19,24 +19,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The QEA mapper.
-#[derive(Debug, Clone)]
-pub struct Qea {
-    /// Observations sampled per generation.
-    pub samples: usize,
-    pub generations: u32,
-    /// Rotation step towards the best binding (per mille of mass).
-    pub rotation_pm: u32,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Qea;
 
-impl Default for Qea {
-    fn default() -> Self {
-        Qea {
-            samples: 24,
-            generations: 80,
-            rotation_pm: 120,
-        }
-    }
-}
+/// Observations sampled per generation.
+const SAMPLES: usize = 24;
+const GENERATIONS: u32 = 80;
+/// Rotation step towards the best binding (per mille of mass).
+const ROTATION_PM: u32 = 120;
 
 impl TemporalSearch for Qea {
     const NAME: &'static str = "qea";
@@ -61,12 +51,12 @@ impl TemporalSearch for Qea {
             .collect();
         let mut best: Option<(u64, Vec<PeId>)> = None;
 
-        for _gen in 0..self.generations {
+        for _gen in 0..GENERATIONS {
             if ctx.budget.expired_now() {
                 break;
             }
             // Observe.
-            let mut observations: Vec<(u64, Vec<PeId>)> = (0..self.samples.max(2))
+            let mut observations: Vec<(u64, Vec<PeId>)> = (0..SAMPLES)
                 .map(|_| {
                     let binding: Vec<PeId> = (0..n)
                         .map(|i| {
@@ -96,7 +86,7 @@ impl TemporalSearch for Qea {
             }
             // Rotate distributions towards the all-time best.
             let target = &best.as_ref().unwrap().1;
-            let step = self.rotation_pm as f64 / 1000.0;
+            let step = ROTATION_PM as f64 / 1000.0;
             for i in 0..n {
                 let chosen = feasible[i]
                     .iter()
@@ -143,7 +133,7 @@ mod tests {
             kernels::accumulate(),
             kernels::sad(),
         ] {
-            let m = Qea::default()
+            let m = Qea
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
@@ -154,7 +144,7 @@ mod tests {
     fn qea_respects_heterogeneity() {
         let f = Fabric::adres_like(4, 4);
         let dfg = kernels::dot_product();
-        let m = Qea::default().map(&dfg, &f, &MapConfig::fast()).unwrap();
+        let m = Qea.map(&dfg, &f, &MapConfig::fast()).unwrap();
         validate(&m, &dfg, &f).unwrap();
     }
 }

@@ -14,22 +14,13 @@ use cgra_ir::NodeId;
 use std::collections::VecDeque;
 
 /// The failure-driven remapping mapper.
-#[derive(Debug, Clone)]
-pub struct Ramp {
-    /// Rip-up/remap rounds per II before escalating.
-    pub max_ripups: u32,
-    /// Time window (in IIs) scanned per placement attempt.
-    pub window_iis: u32,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Ramp;
 
-impl Default for Ramp {
-    fn default() -> Self {
-        Ramp {
-            max_ripups: 40,
-            window_iis: 3,
-        }
-    }
-}
+/// Rip-up/remap rounds per II before escalating.
+const MAX_RIPUPS: u32 = 40;
+/// Time window (in IIs) scanned per placement attempt.
+const WINDOW_IIS: u32 = 3;
 
 impl Ramp {
     fn schedule(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Mapping> {
@@ -46,7 +37,7 @@ impl Ramp {
                 continue;
             }
             let placed = state
-                .window(n, self.window_iis)
+                .window(n, WINDOW_IIS)
                 .is_some_and(|w| state.place_in_window(n, w, 24));
             if placed {
                 continue;
@@ -54,7 +45,7 @@ impl Ramp {
             // Failure: rip up the most attractive neighbourhood and
             // retry with this op first.
             ripups += 1;
-            if ripups > self.max_ripups {
+            if ripups > MAX_RIPUPS {
                 return None;
             }
             let victims = self.pick_victims(&state, n, state.est(n));
@@ -80,7 +71,7 @@ impl Ramp {
     fn pick_victims(&self, state: &SchedState<'_>, n: NodeId, est: u32) -> Vec<NodeId> {
         let prefs = state.candidate_pes(n, 6);
         let band_lo = est;
-        let band_hi = est + state.ii * self.window_iis;
+        let band_hi = est + state.ii * WINDOW_IIS;
         let mut victims = Vec::new();
         for (i, p) in state.place.iter().enumerate() {
             if let Some(p) = p {
@@ -121,7 +112,7 @@ mod tests {
     fn maps_suite_on_4x4() {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         for dfg in kernels::suite() {
-            let m = Ramp::default()
+            let m = Ramp
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
@@ -135,7 +126,7 @@ mod tests {
         let mut f = Fabric::homogeneous(2, 2, Topology::Mesh);
         f.rf_size = 2;
         let dfg = kernels::sad();
-        let m = Ramp::default().map(&dfg, &f, &MapConfig::fast());
+        let m = Ramp.map(&dfg, &f, &MapConfig::fast());
         if let Ok(m) = m {
             validate(&m, &dfg, &f).unwrap();
         }
@@ -147,7 +138,7 @@ mod tests {
     fn ramp_ii_not_worse_than_much_larger() {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         let dfg = kernels::fir(4);
-        let m = Ramp::default().map(&dfg, &f, &MapConfig::fast()).unwrap();
+        let m = Ramp.map(&dfg, &f, &MapConfig::fast()).unwrap();
         let met = Metrics::of(&m, &dfg, &f);
         assert!(met.ii <= 4, "II {} unexpectedly large", met.ii);
     }

@@ -29,24 +29,15 @@ pub enum Cooling {
 }
 
 /// The annealing mapper.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimulatedAnnealing {
     pub cooling: Cooling,
-    /// Independent restart chains (run in parallel).
-    pub chains: usize,
-    /// Temperature steps per chain (at least 4), each of `3·|V|` moves.
-    pub sweeps: u32,
 }
 
-impl Default for SimulatedAnnealing {
-    fn default() -> Self {
-        SimulatedAnnealing {
-            cooling: Cooling::Geometric,
-            chains: 4,
-            sweeps: 40,
-        }
-    }
-}
+/// Independent restart chains (run in parallel).
+const CHAINS: usize = 4;
+/// Temperature steps per chain, each of `3·|V|` moves.
+const SWEEPS: u32 = 40;
 
 impl SimulatedAnnealing {
     fn anneal_chain(&self, ctx: &SweepCtx<'_>, ii: u32, seed: u64) -> (u64, Vec<PeId>) {
@@ -60,8 +51,7 @@ impl SimulatedAnnealing {
         let n = dfg.node_count();
 
         let mut temp = 1000.0f64;
-        let sweeps = self.sweeps.max(4);
-        for sweep in 0..sweeps {
+        for sweep in 0..SWEEPS {
             if budget.expired_now() {
                 break;
             }
@@ -100,7 +90,7 @@ impl SimulatedAnnealing {
             }
             temp = match self.cooling {
                 Cooling::Geometric => temp * 0.85,
-                Cooling::Linear => 1000.0 * (1.0 - (sweep as f64 + 1.0) / sweeps as f64),
+                Cooling::Linear => 1000.0 * (1.0 - (sweep as f64 + 1.0) / SWEEPS as f64),
             };
         }
         best
@@ -117,7 +107,7 @@ impl TemporalSearch for SimulatedAnnealing {
 
     fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
         // Parallel chains; pick the champion.
-        let mut champs: Vec<(u64, Vec<PeId>)> = (0..self.chains.max(1))
+        let mut champs: Vec<(u64, Vec<PeId>)> = (0..CHAINS)
             .into_par_iter()
             .map(|c| {
                 let salt = (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -160,13 +150,12 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
+        // The chains run in parallel; the champion picked after the
+        // collect must not depend on which chain finished first.
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         let dfg = kernels::dot_product();
         let cfg = MapConfig::fast();
-        let sa = SimulatedAnnealing {
-            chains: 1,
-            ..Default::default()
-        };
+        let sa = SimulatedAnnealing::default();
         let m1 = sa.map(&dfg, &f, &cfg).unwrap();
         let m2 = sa.map(&dfg, &f, &cfg).unwrap();
         assert_eq!(m1.place, m2.place);
@@ -178,7 +167,6 @@ mod tests {
         let dfg = kernels::accumulate();
         let m = SimulatedAnnealing {
             cooling: Cooling::Linear,
-            ..Default::default()
         }
         .map(&dfg, &f, &MapConfig::fast())
         .unwrap();

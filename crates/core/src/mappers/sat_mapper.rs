@@ -47,23 +47,21 @@ use std::collections::HashSet;
 pub struct SatMapper {
     /// At-most-one encoding (ablation: pairwise vs sequential).
     pub amo: AmoEncoding,
-    /// CEGAR rounds (placements tried per II).
-    pub cegar_rounds: u32,
-    /// Candidate positions per op (None = full window).
-    pub position_cap: Option<usize>,
-    pub window_iis: u32,
 }
 
 impl Default for SatMapper {
     fn default() -> Self {
         SatMapper {
             amo: AmoEncoding::Pairwise,
-            cegar_rounds: 40,
-            position_cap: Some(48),
-            window_iis: 2,
         }
     }
 }
+
+/// CEGAR rounds (placements tried per II).
+const CEGAR_ROUNDS: u32 = 40;
+/// Candidate positions per op.
+const POSITION_CAP: usize = 48;
+const WINDOW_IIS: u32 = 2;
 
 /// Adjacent IIs share one persistent solver in runs of this size. The
 /// chunk bounds the union encoding while still letting learnt clauses
@@ -134,7 +132,7 @@ impl SatMapper {
     /// layers ([`Self::encode_layer`]), so an II the sweep never reaches
     /// costs nothing beyond its share of (unconstrained) variables.
     fn build_state(&self, dfg: &Dfg, fabric: &Fabric, iis: &[u32]) -> SweepState {
-        let space = SweepSpace::build(dfg, fabric, iis, self.window_iis, self.position_cap);
+        let space = SweepSpace::build(dfg, fabric, iis, WINDOW_IIS, Some(POSITION_CAP));
         let mut solver = SatSolver::new();
         let vars: Vec<Vec<Lit>> = space
             .union
@@ -240,7 +238,7 @@ impl SatMapper {
     /// that participated in the refutation.
     fn diagnose_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Diagnosis {
         let (dfg, fabric) = (ctx.dfg, ctx.fabric);
-        let space = PositionSpace::build(dfg, fabric, ii, self.window_iis, self.position_cap);
+        let space = PositionSpace::build(dfg, fabric, ii, WINDOW_IIS, Some(POSITION_CAP));
         if let Some(d) = diagnose_empty_space(ctx, &space, ii) {
             return d;
         }
@@ -276,7 +274,7 @@ impl SatMapper {
             SatResult::Sat(_) => diagnose_unroutable(
                 ctx,
                 ii,
-                self.cegar_rounds,
+                CEGAR_ROUNDS,
                 ["the placement CNF is satisfiable", "model", "encoding"],
             ),
             SatResult::Unknown => {
@@ -395,7 +393,7 @@ impl TemporalSearch for SatMapper {
             sel,
             ii,
         };
-        let out = cegar(ctx, &st.space.spaces[k], ii, self.cegar_rounds, &mut layer);
+        let out = cegar(ctx, &st.space.spaces[k], ii, CEGAR_ROUNDS, &mut layer);
         if matches!(out, Ok(Cegar::Refuted)) {
             st.solver.retire_selector(sel);
             st.infeasible[k] = true;
@@ -450,13 +448,7 @@ mod tests {
         // Map, then count the variables of the sweep's first layer as
         // the sweep encodes it.
         let run = |amo| {
-            let (mapper, cfg) = (
-                SatMapper {
-                    amo,
-                    ..Default::default()
-                },
-                MapConfig::fast(),
-            );
+            let (mapper, cfg) = (SatMapper { amo }, MapConfig::fast());
             let ii = mapper.map(&dfg, &f, &cfg).map(|m| m.ii);
             let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
             let mut st = mapper.build_state(&dfg, &f, &[ctx.lo]);

@@ -23,18 +23,12 @@ use cgra_ir::{graph, OpKind};
 use cgra_solver::{Lit, SmtResult, SmtSolver};
 
 /// The SMT mapper.
-#[derive(Debug, Clone)]
-pub struct SmtMapper {
-    /// Horizon probes: start at the critical path, multiply by 2 up to
-    /// the fabric context depth; those outside the II range are skipped.
-    pub max_probes: u32,
-}
+#[derive(Debug, Clone, Default)]
+pub struct SmtMapper;
 
-impl Default for SmtMapper {
-    fn default() -> Self {
-        SmtMapper { max_probes: 4 }
-    }
-}
+/// Horizon probes: start at the critical path, multiply by 2 up to
+/// the fabric context depth; those outside the II range are skipped.
+const MAX_PROBES: usize = 4;
 
 impl TemporalSearch for SmtMapper {
     const NAME: &'static str = "smt";
@@ -53,7 +47,7 @@ impl TemporalSearch for SmtMapper {
         let depth = ctx.fabric.context_depth;
         let doubling = |h: &u32| (*h < depth).then(|| h.saturating_mul(2));
         std::iter::successors(Some(cp.max(ctx.cfg.min_ii)), doubling)
-            .take(self.max_probes.max(1) as usize)
+            .take(MAX_PROBES)
             .map(|h| h.min(depth))
             .filter(|h| (ctx.lo..=ctx.hi).contains(h))
             .collect()
@@ -198,7 +192,7 @@ mod tests {
             kernels::accumulate(),
             kernels::threshold(),
         ] {
-            let m = SmtMapper::default()
+            let m = SmtMapper
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
@@ -209,9 +203,7 @@ mod tests {
     fn smt_mapping_is_non_modulo() {
         let f = Fabric::homogeneous(3, 3, Topology::Mesh);
         let dfg = kernels::dot_product();
-        let m = SmtMapper::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = SmtMapper.map(&dfg, &f, &MapConfig::fast()).unwrap();
         // The II equals the probed horizon: each op's slot is unique.
         let mut slots = std::collections::HashSet::new();
         for p in &m.place {

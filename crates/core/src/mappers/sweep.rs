@@ -188,6 +188,7 @@ mod tests {
     use super::*;
     use crate::diagnosis::{diagnose_mii_bound, ResourceClass};
     use crate::ledger::EventKind;
+    use crate::unpoison;
     use cgra_arch::Topology;
     use cgra_ir::kernels;
     use std::collections::VecDeque;
@@ -218,7 +219,7 @@ mod tests {
         }
 
         fn probed(&self) -> Vec<u32> {
-            self.probed.lock().unwrap().clone()
+            unpoison(self.probed.lock()).clone()
         }
     }
 
@@ -235,9 +236,9 @@ mod tests {
             _: &mut (),
             ii: u32,
         ) -> Result<Option<Mapping>, MapError> {
-            self.probed.lock().unwrap().push(ii);
+            unpoison(self.probed.lock()).push(ii);
             // An exhausted script keeps failing.
-            match self.script.lock().unwrap().pop_front() {
+            match unpoison(self.script.lock()).pop_front() {
                 None | Some(Step::Fail) => Ok(None),
                 // The driver hands the probe's mapping through untouched.
                 Some(Step::Map) => Ok(Some(Mapping {

@@ -309,9 +309,7 @@ mod tests {
     fn mapped_matmul() -> (Dfg, Fabric, Mapping, HashMap<NodeId, Vec<Value>>) {
         let dfg = kernels::matmul_body();
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         let tape = Tape::default().with_memory(vec![1; 256]);
         let trace = memory_trace(&dfg, 16, &tape).unwrap();
         (dfg, f, m, trace)
@@ -349,9 +347,7 @@ mod tests {
     fn no_memory_ops_no_stalls() {
         let dfg = kernels::dot_product();
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         let report = bank_conflicts(&dfg, &m, &HashMap::new(), 4, BankPolicy::Interleaved);
         assert_eq!(report.stalls, 0);
     }

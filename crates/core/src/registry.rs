@@ -1,12 +1,12 @@
 //! The mapper registry: every technique registered once, by name.
 //!
-//! Before this module the mapper zoo lived in three hand-maintained
-//! lists (the CLI's lookup, the bench drivers' portfolio, and
-//! `mappers::all_mappers`). The registry is the single source of
-//! truth: one [`MapperSpec`] per technique — name, Table I family,
-//! spatial flag, constructor — and every consumer builds its zoo from
-//! [`MapperRegistry::standard`]. Unknown-name errors carry the full
-//! list of valid names so `--mapper` typos are self-explanatory.
+//! The registry is the single source of truth for the mapper zoo: one
+//! [`MapperSpec`] per technique — name, Table I family, spatial flag,
+//! constructor — and every consumer (the CLI's lookup, the bench
+//! drivers' portfolio, the service, the tests) builds its zoo from
+//! [`MapperRegistry::standard`], all of it or filtered by
+//! [`MapperSpec::family`]. Unknown-name errors carry the full list of
+//! valid names so `--mapper` typos are self-explanatory.
 
 use crate::mapper::{Family, Mapper};
 use crate::mappers::*;
@@ -135,15 +135,6 @@ impl MapperRegistry {
     pub fn build_all(&self) -> Vec<Box<dyn Mapper>> {
         self.specs.iter().map(MapperSpec::build).collect()
     }
-
-    /// Construct the fast constructive-heuristic subset.
-    pub fn build_heuristics(&self) -> Vec<Box<dyn Mapper>> {
-        self.specs
-            .iter()
-            .filter(|s| s.family == Family::Heuristic)
-            .map(MapperSpec::build)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -180,6 +171,33 @@ mod tests {
         assert!(err.valid.contains(&"modulo-list"));
         let msg = err.to_string();
         assert!(msg.contains("no-such") && msg.contains("sat"));
+    }
+
+    /// Table I compares each technique at the one configuration it
+    /// ships with, so a setting with one value in use is a constant in
+    /// its mapper's file, not a field. These twelve have none; a field
+    /// coming back must take its mapper off this list and say which
+    /// caller sets it.
+    #[test]
+    fn knob_free_mappers_are_zero_sized() {
+        use std::mem::size_of;
+        let sizes = [
+            ("graph-drawing", size_of::<GraphDrawing>()),
+            ("modulo-list", size_of::<ModuloList>()),
+            ("edge-centric", size_of::<EdgeCentric>()),
+            ("ramp", size_of::<Ramp>()),
+            ("himap", size_of::<HiMap>()),
+            ("graph-minor", size_of::<GraphMinor>()),
+            ("ga", size_of::<Genetic>()),
+            ("qea", size_of::<Qea>()),
+            ("ilp", size_of::<IlpMapper>()),
+            ("bnb", size_of::<BranchAndBound>()),
+            ("cp", size_of::<CpMapper>()),
+            ("smt", size_of::<SmtMapper>()),
+        ];
+        for (name, size) in sizes {
+            assert_eq!(size, 0, "{name} carries a field again");
+        }
     }
 
     #[test]

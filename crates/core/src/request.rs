@@ -658,7 +658,7 @@ mod tests {
         let dfg = kernels::dot_product();
         let fabric = FabricSpec::default().build().unwrap();
         let topo = TopologyCache::build(&fabric);
-        let good = crate::mappers::ModuloList::default()
+        let good = crate::mappers::ModuloList
             .map(&dfg, &fabric, &MapConfig::fast())
             .unwrap();
         let mut out = MapOutcome::default();

@@ -31,6 +31,7 @@
 use crate::request::CacheStatus;
 use crate::service::ServiceStats;
 use crate::telemetry::{AtomicHistogram, Histogram, HISTOGRAM_BUCKETS};
+use crate::unpoison;
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
@@ -358,7 +359,7 @@ impl AccessLog {
     /// swallowed: the log must never fail a request.
     pub fn append(&self, rec: &mut AccessRecord) {
         rec.t_us = self.epoch.elapsed().as_micros() as u64;
-        let mut out = self.out.lock().unwrap();
+        let mut out = unpoison(self.out.lock());
         rec.seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let mut line = String::new();
         rec.write_json(&mut line);

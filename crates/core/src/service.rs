@@ -43,6 +43,7 @@ use crate::registry::MapperRegistry;
 use crate::request::{CacheKey, CacheStatus, ExecMode, FabricSpec, MapOutcome, MapRequest};
 use crate::servemetrics::{render_prometheus, ServiceMetrics};
 use crate::telemetry::Telemetry;
+use crate::unpoison;
 use cgra_arch::TopologyCache;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -282,7 +283,7 @@ impl ResultCache {
         key: &CacheKey,
         admit: impl FnOnce(&mut MapOutcome) -> bool,
     ) -> Option<Arc<MapOutcome>> {
-        if let Some(out) = self.inner.lock().unwrap().get(key) {
+        if let Some(out) = unpoison(self.inner.lock()).get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(Arc::clone(out));
         }
@@ -317,7 +318,7 @@ impl ResultCache {
     }
 
     fn admit(&self, key: CacheKey, outcome: Arc<MapOutcome>) {
-        let evicted = self.inner.lock().unwrap().insert(key, outcome);
+        let evicted = unpoison(self.inner.lock()).insert(key, outcome);
         // Serialize outside the lock.
         if let Some((k, out)) = evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -344,7 +345,7 @@ impl ResultCache {
     /// it exists for planners that only want to *predict* warmth (see
     /// [`crate::fleet::plan`]).
     pub fn peek(&self, key: &CacheKey) -> bool {
-        if self.inner.lock().unwrap().contains(key) {
+        if unpoison(self.inner.lock()).contains(key) {
             return true;
         }
         self.spill_path(key).is_some_and(|p| p.exists())
@@ -380,7 +381,7 @@ impl ResultCache {
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        unpoison(self.inner.lock()).len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -420,7 +421,7 @@ impl WarmIndex {
             ii: mapping.ii,
             mapping: mapping.clone(),
         };
-        let mut map = self.by_kernel.lock().unwrap();
+        let mut map = unpoison(self.by_kernel.lock());
         let Some(list) = map.get(&kernel_fp) else {
             map.insert(kernel_fp, vec![incumbent()]);
             return;
@@ -440,7 +441,7 @@ impl WarmIndex {
     /// request's grid by row-major re-indexing; sorted by II so the
     /// best bound is tried first.
     fn candidates(&self, kernel_fp: u64, target: &FabricSpec) -> Vec<Incumbent> {
-        let mut map = self.by_kernel.lock().unwrap();
+        let mut map = unpoison(self.by_kernel.lock());
         let Some(list) = map.get(&kernel_fp) else {
             return Vec::new();
         };
@@ -491,7 +492,7 @@ impl AdmissionGate {
     /// `None` (admission rejection) instead of becoming the
     /// `max_queue + 1`-th waiter.
     fn acquire(&self, max_queue: Option<usize>) -> Option<Permit<'_>> {
-        let mut p = self.permits.lock().unwrap();
+        let mut p = unpoison(self.permits.lock());
         if *p == 0 {
             if let Some(max) = max_queue {
                 if self.waiting.load(Ordering::Relaxed) >= max as u64 {
@@ -500,7 +501,7 @@ impl AdmissionGate {
             }
             self.waiting.fetch_add(1, Ordering::Relaxed);
             while *p == 0 {
-                p = self.cv.wait(p).unwrap();
+                p = unpoison(self.cv.wait(p));
             }
             self.waiting.fetch_sub(1, Ordering::Relaxed);
         }
@@ -515,7 +516,7 @@ impl AdmissionGate {
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        *self.gate.permits.lock().unwrap() += 1;
+        *unpoison(self.gate.permits.lock()) += 1;
         self.gate.cv.notify_one();
     }
 }
@@ -539,7 +540,7 @@ enum Ticket {
 
 impl InFlight {
     fn begin(&self, key: CacheKey) -> Ticket {
-        let mut flights = self.flights.lock().unwrap();
+        let mut flights = unpoison(self.flights.lock());
         match flights.get(&key) {
             Some(f) => Ticket::Follower(Arc::clone(f)),
             None => {
@@ -558,17 +559,17 @@ impl InFlight {
     /// Leader publishes its outcome and retires the flight. Always
     /// called (even for failed solves), so followers cannot hang.
     fn finish(&self, key: &CacheKey, outcome: Arc<MapOutcome>) {
-        let flight = self.flights.lock().unwrap().remove(key);
+        let flight = unpoison(self.flights.lock()).remove(key);
         if let Some(f) = flight {
-            *f.done.lock().unwrap() = Some(outcome);
+            *unpoison(f.done.lock()) = Some(outcome);
             f.cv.notify_all();
         }
     }
 
     fn wait(flight: &Flight) -> Arc<MapOutcome> {
-        let mut done = flight.done.lock().unwrap();
+        let mut done = unpoison(flight.done.lock());
         while done.is_none() {
-            done = flight.cv.wait(done).unwrap();
+            done = unpoison(flight.cv.wait(done));
         }
         Arc::clone(done.as_ref().expect("published"))
     }
@@ -813,7 +814,8 @@ impl MapService {
     }
 
     fn count(&self, f: impl FnOnce(&mut Counts)) {
-        f(&mut self.counts.lock().unwrap());
+        let mut counts = unpoison(self.counts.lock());
+        f(&mut counts);
     }
 
     /// The miss path: admission-gated (possibly load-shed),
@@ -844,7 +846,7 @@ impl MapService {
         let kernel_fp = req.kernel.fingerprint();
         let budget =
             Budget::unlimited().fork(Duration::from_millis(req.config.time_limit_ms.max(1)));
-        self.jobs.lock().unwrap().insert(req.id, budget.clone());
+        unpoison(self.jobs.lock()).insert(req.id, budget.clone());
         let env = ExecEnv {
             budget,
             topo: self.topo_for(&req.fabric),
@@ -855,7 +857,7 @@ impl MapService {
         let mut out = execute(req, &env);
         self.metrics
             .observe_solve(solve_t.elapsed().as_micros() as u64);
-        self.jobs.lock().unwrap().remove(&req.id);
+        unpoison(self.jobs.lock()).remove(&req.id);
         self.running.fetch_sub(1, Ordering::Relaxed);
 
         out.queue_us = queue_us;
@@ -936,12 +938,11 @@ impl MapService {
     /// wait behind it; if two threads race on a new spec, the first
     /// insert wins and both use it.
     fn topo_for(&self, spec: &FabricSpec) -> Option<Arc<TopologyCache>> {
-        const POISONED: &str = "a thread panicked holding the topology pool";
-        if let Some(t) = self.topos.lock().expect(POISONED).get(spec) {
+        if let Some(t) = unpoison(self.topos.lock()).get(spec) {
             return Some(Arc::clone(t));
         }
         let built = Arc::new(TopologyCache::build(&spec.build().ok()?));
-        let mut topos = self.topos.lock().expect(POISONED);
+        let mut topos = unpoison(self.topos.lock());
         if let Some(t) = topos.get(spec) {
             return Some(Arc::clone(t));
         }
@@ -953,7 +954,7 @@ impl MapService {
     /// running job was found; its solve returns the typed
     /// [`MapError::Cancelled`] within the engine's latency bound.
     pub fn cancel(&self, id: u64) -> bool {
-        match self.jobs.lock().unwrap().get(&id) {
+        match unpoison(self.jobs.lock()).get(&id) {
             Some(b) => {
                 b.cancel();
                 true
@@ -967,7 +968,7 @@ impl MapService {
     /// in every snapshot; the remaining fields are independently
     /// monotone counters or instantaneous gauges.
     pub fn stats(&self) -> ServiceStats {
-        let c = self.counts.lock().unwrap();
+        let c = unpoison(self.counts.lock());
         ServiceStats {
             requests: c.requests,
             hits: c.hits,
@@ -1234,6 +1235,39 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_under_a_lock_leaves_the_service_answering() {
+        let svc = MapService::new(2, 64, None);
+        let req = named(1, "dot_product", "modulo-list");
+        let cold = svc.handle(&req);
+        assert!(cold.succeeded());
+        // A worker dies holding the counters, then the cache: both
+        // mutexes are poisoned.
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _counts = svc.counts.lock();
+                let _cache = svc.cache.inner.lock();
+                panic!("worker panics under both locks");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        assert!(svc.counts.is_poisoned() && svc.cache.inner.is_poisoned());
+        // Later requests, hit and miss alike, are still answered.
+        let hit = svc.handle(&MapRequest {
+            id: 2,
+            ..req.clone()
+        });
+        assert_eq!(hit.cache, CacheStatus::Hit);
+        assert_eq!(hit.mapping, cold.mapping);
+        let miss = svc.handle(&named(3, "fir4", "modulo-list"));
+        assert_eq!(miss.cache, CacheStatus::Miss);
+        assert!(miss.succeeded(), "error: {:?}", miss.error);
+        let s = svc.stats();
+        assert_eq!(s.requests, 3);
+        assert_eq!(s.hits + s.misses, s.requests);
+    }
+
+    #[test]
     fn client_supplied_traces_are_echoed_verbatim() {
         let svc = MapService::new(2, 64, None);
         let req = MapRequest {
@@ -1404,7 +1438,7 @@ mod tests {
             // Consulting kernel 0 keeps it the most recently used.
             assert!(known(0));
             index.record(fp, spec, &m);
-            assert!(index.by_kernel.lock().unwrap().len() <= cap);
+            assert!(unpoison(index.by_kernel.lock()).len() <= cap);
         }
         assert!(known(cap as u64 + 4) && known(0));
         assert!(!known(1), "the least recently used kernel is gone");
@@ -1427,9 +1461,9 @@ mod tests {
                 "a resident spec is not rebuilt"
             );
             svc.topo_for(&spec(cols)).expect("builds");
-            assert!(svc.topos.lock().unwrap().len() <= TOPO_POOL_CAP);
+            assert!(unpoison(svc.topos.lock()).len() <= TOPO_POOL_CAP);
         }
-        assert_eq!(svc.topos.lock().unwrap().len(), TOPO_POOL_CAP);
+        assert_eq!(unpoison(svc.topos.lock()).len(), TOPO_POOL_CAP);
     }
 
     #[test]

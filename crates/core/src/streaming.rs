@@ -312,7 +312,7 @@ mod tests {
         sdf.connect((1, 0), (0, 0));
         assert!(sdf.topo_actors().is_none());
         let f = Fabric::homogeneous(4, 8, Topology::Mesh);
-        let err = map_streaming(&sdf, &f, &ModuloList::default(), &MapConfig::fast());
+        let err = map_streaming(&sdf, &f, &ModuloList, &MapConfig::fast());
         assert!(matches!(err, Err(MapError::Unsupported(_))));
     }
 
@@ -336,8 +336,7 @@ mod tests {
     fn maps_two_stage_pipeline() {
         let sdf = pipeline();
         let f = Fabric::homogeneous(4, 8, Topology::Mesh);
-        let sm = map_streaming(&sdf, &f, &ModuloList::default(), &MapConfig::fast())
-            .expect("pipeline maps");
+        let sm = map_streaming(&sdf, &f, &ModuloList, &MapConfig::fast()).expect("pipeline maps");
         assert_eq!(sm.mappings.len(), 2);
         assert!(sm.pipeline_ii >= 1);
         assert!(sm.throughput() <= 1.0);
@@ -375,7 +374,7 @@ mod tests {
             sdf.add_actor(kernels::accumulate());
         }
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let err = map_streaming(&sdf, &f, &ModuloList::default(), &MapConfig::fast());
+        let err = map_streaming(&sdf, &f, &ModuloList, &MapConfig::fast());
         assert!(matches!(err, Err(MapError::Infeasible(_))));
     }
 }

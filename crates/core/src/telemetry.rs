@@ -35,9 +35,10 @@
 //!    events on its parent's journal.
 
 use crate::ledger::{EventKind, LedgerEvent, MAX_EVENTS};
+use crate::unpoison;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Search-effort counters, one per Table I search behaviour.
@@ -372,7 +373,7 @@ impl<T: Clone> BoundedLog<T> {
     fn lock(&self) -> MutexGuard<'_, Vec<T>> {
         // Every update is one push, so a log poisoned by a panicking
         // recorder is still whole.
-        self.items.lock().unwrap_or_else(PoisonError::into_inner)
+        unpoison(self.items.lock())
     }
 
     /// Append the entry `make` builds. It runs under the lock, so a

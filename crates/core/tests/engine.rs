@@ -8,9 +8,9 @@
 use cgra_arch::{Fabric, Topology};
 use cgra_ir::kernels;
 use cgra_mapper_core::engine::{race, Budget};
-use cgra_mapper_core::registry::MapperRegistry;
+use cgra_mapper_core::registry::{MapperRegistry, MapperSpec};
 use cgra_mapper_core::validate::validate;
-use cgra_mapper_core::{MapConfig, MapError, Metrics};
+use cgra_mapper_core::{Family, MapConfig, MapError, Metrics};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -82,7 +82,12 @@ fn every_mapper_stops_promptly_on_cancel() {
 /// guarantee; the winning mapper's identity is not pinned).
 #[test]
 fn same_seed_races_agree_on_the_winning_ii() {
-    let zoo = MapperRegistry::standard().build_heuristics();
+    let zoo: Vec<_> = MapperRegistry::standard()
+        .specs()
+        .iter()
+        .filter(|s| s.family == Family::Heuristic)
+        .map(MapperSpec::build)
+        .collect();
     let dfg = kernels::dot_product();
     let fabric = mesh();
     let cfg = MapConfig::fast();

@@ -36,7 +36,7 @@ fn same_seed_sa_runs_have_identical_counters() {
 
 #[test]
 fn same_seed_ga_runs_have_identical_counters() {
-    let ga = Genetic::default();
+    let ga = Genetic;
     let a = run_with_stats(&ga, 1337);
     let b = run_with_stats(&ga, 1337);
     assert_eq!(a, b);
@@ -51,7 +51,7 @@ fn disabled_sink_records_no_events() {
     let dfg = kernels::dot_product();
     let cfg = MapConfig::fast();
     assert!(!cfg.telemetry.is_enabled());
-    ModuloList::default().map(&dfg, &fabric, &cfg).unwrap();
+    ModuloList.map(&dfg, &fabric, &cfg).unwrap();
     assert!(cfg.telemetry.snapshot().is_none());
     assert!(cfg.telemetry.spans().is_empty());
     assert!(cfg.telemetry.sink().is_none());

@@ -199,7 +199,7 @@ mod tests {
 
     fn mapped_suite() -> (Fabric, Vec<(Dfg, Mapping)>) {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let mapper = ModuloList::default();
+        let mapper = ModuloList;
         let mapped: Vec<(Dfg, Mapping)> = kernels::suite()
             .into_iter()
             .filter_map(|dfg| {

@@ -175,9 +175,7 @@ mod tests {
     fn mapped() -> (Dfg, Fabric, Mapping) {
         let dfg = kernels::dot_product();
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         (dfg, f, m)
     }
 

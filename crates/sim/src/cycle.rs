@@ -197,9 +197,7 @@ mod tests {
     fn simulated_dot_product_matches_interpreter() {
         let dfg = kernels::dot_product();
         let f = mesh();
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         let tape = Tape::generate(2, 8, |s, i| (s as i64 + 1) * (i as i64 + 1));
         let stats = simulate_verified(&m, &dfg, &f, 8, &tape).unwrap();
         assert_eq!(stats.iterations, 8);
@@ -211,7 +209,7 @@ mod tests {
     fn whole_suite_simulates_correctly_under_modulo_list() {
         let f = mesh();
         for dfg in kernels::suite() {
-            let m = ModuloList::default()
+            let m = ModuloList
                 .map(&dfg, &f, &MapConfig::fast())
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             let streams = dfg
@@ -234,9 +232,7 @@ mod tests {
         // At II=1, N iterations take ~N + depth cycles, far below N x len.
         let dfg = kernels::accumulate();
         let f = mesh();
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         let iters = 64;
         let tape = Tape::generate(1, iters, |_, i| i as i64);
         let stats = simulate(&m, &dfg, &f, iters, &tape).unwrap();
@@ -253,9 +249,7 @@ mod tests {
     fn dry_input_reported() {
         let dfg = kernels::dot_product();
         let f = mesh();
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         let tape = Tape::generate(2, 3, |_, _| 1);
         let err = simulate(&m, &dfg, &f, 5, &tape).unwrap_err();
         assert!(matches!(err, SimError::MissingInput { .. }));

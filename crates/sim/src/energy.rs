@@ -84,9 +84,7 @@ mod tests {
     fn energy_scales_with_iterations() {
         let dfg = kernels::dot_product();
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let m = ModuloList::default()
-            .map(&dfg, &f, &MapConfig::fast())
-            .unwrap();
+        let m = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap();
         let em = EnergyModel::default();
         let e1 = em.run_energy(&m, &dfg, &f, 100);
         let e2 = em.run_energy(&m, &dfg, &f, 200);
@@ -97,11 +95,7 @@ mod tests {
     fn memory_kernels_cost_more_per_op() {
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         let em = EnergyModel::default();
-        let map = |dfg: &cgra_ir::Dfg| {
-            ModuloList::default()
-                .map(dfg, &f, &MapConfig::fast())
-                .unwrap()
-        };
+        let map = |dfg: &cgra_ir::Dfg| ModuloList.map(dfg, &f, &MapConfig::fast()).unwrap();
         let dot = kernels::dot_product();
         let mat = kernels::matmul_body();
         let e_dot = em.energy_per_op(&map(&dot), &dot, &f, 64);

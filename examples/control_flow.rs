@@ -37,7 +37,7 @@ fn main() {
     );
 
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-    let mapper = ModuloList::default();
+    let mapper = ModuloList;
     let cfg = MapConfig::default();
 
     println!("\n{:<32} {:>8} {:>6}", "scheme", "ops", "II");

@@ -13,7 +13,7 @@ use cgra::mapper::ctrlflow::with_loop_control;
 use cgra::prelude::*;
 
 fn main() {
-    let mapper = ModuloList::default();
+    let mapper = ModuloList;
     let cfg = MapConfig::default();
 
     // --- II vs fabric size -------------------------------------------

@@ -42,14 +42,14 @@ fn main() {
 
     // 2. Temporal mapping: operations share PEs over time (here via
     //    the SMT mapper, which produces a non-pipelined schedule).
-    let temporal = SmtMapper::default()
+    let temporal = SmtMapper
         .map(&dfg, &fabric, &MapConfig::default())
         .expect("temporal mapping");
     report("temporal mapping", &temporal, &dfg, &fabric, &tape);
 
     // 3. Modulo scheduling: overlapped iterations, the II as short as
     //    dependences and resources allow.
-    let modulo = ModuloList::default()
+    let modulo = ModuloList
         .map(&dfg, &fabric, &MapConfig::default())
         .expect("modulo scheduling");
     report("modulo scheduling", &modulo, &dfg, &fabric, &tape);

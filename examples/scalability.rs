@@ -47,8 +47,8 @@ fn main() {
             }
         };
 
-        let flat = ModuloList::default();
-        let himap = HiMap::default();
+        let flat = ModuloList;
+        let himap = HiMap;
         let (flat_ii, flat_ms) = run(&flat);
         let (hi_ii, hi_ms) = run(&himap);
         println!(

@@ -33,7 +33,7 @@ fn main() {
 
     // Map onto a 4x12 fabric: each actor gets a column strip.
     let fabric = Fabric::homogeneous(4, 12, Topology::Mesh);
-    let mapper = ModuloList::default();
+    let mapper = ModuloList;
     let sm = map_streaming(&sdf, &fabric, &mapper, &MapConfig::default()).expect("pipeline maps");
 
     println!("\npartitions and per-actor results:");

@@ -17,7 +17,7 @@ fn exact_ii_never_worse_than_heuristic_on_shared_successes() {
     // modulo-list heuristic succeed, the exact II must be ≤ the
     // heuristic's: the exact method proves optimality per II probe.
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-    let heuristic = ModuloList::default();
+    let heuristic = ModuloList;
     let exact = SatMapper::default();
     let mut compared = 0;
     for dfg in kernels::small_suite() {
@@ -44,7 +44,7 @@ fn all_successful_mappers_agree_on_functional_semantics() {
     let tape = Tape::generate(2, 6, |s, i| ((s + 1) * (i + 1)) as i64 % 17);
     let golden = Interpreter::run(&dfg, 6, &tape).unwrap();
     let mut succeeded = 0;
-    for mapper in all_mappers() {
+    for mapper in MapperRegistry::standard().build_all() {
         if let Ok(m) = mapper.map(&dfg, &fabric, &cfg()) {
             let stats = simulate(&m, &dfg, &fabric, 6, &tape)
                 .unwrap_or_else(|e| panic!("{}: {e}", mapper.name()));
@@ -60,7 +60,7 @@ fn spatial_mappers_produce_ii_one_and_temporal_mappers_respect_mii() {
     let fabric = Fabric::homogeneous(6, 6, Topology::Mesh);
     let dfg = kernels::fir(3);
     let mii = ModuloList::mii(&dfg, &fabric);
-    for mapper in all_mappers() {
+    for mapper in MapperRegistry::standard().build_all() {
         if let Ok(m) = mapper.map(&dfg, &fabric, &cfg()) {
             if mapper.is_spatial() {
                 assert_eq!(m.ii, 1, "{}", mapper.name());
@@ -87,7 +87,11 @@ fn temporal_mappers_answer_inside_the_requested_ii_range() {
         let cfg = MapConfig { max_ii, ..cfg() };
         for dfg in kernels::small_suite() {
             let lo = cfg.min_ii.max(ModuloList::mii(&dfg, &fabric));
-            for mapper in all_mappers().iter().filter(|m| !m.is_spatial()) {
+            for mapper in MapperRegistry::standard()
+                .build_all()
+                .iter()
+                .filter(|m| !m.is_spatial())
+            {
                 if let Ok(m) = mapper.map(&dfg, &fabric, &cfg) {
                     assert!(
                         (lo..=max_ii).contains(&m.ii),
@@ -108,7 +112,7 @@ fn sat_and_cp_agree_on_ii() {
     // mappers that agrees today: same candidate windows (`window_iis`
     // 2), same placement model, so the same II — which the other exact
     // mappers are to be held to once their disagreements are closed.
-    let (sat, cp) = (SatMapper::default(), CpMapper::default());
+    let (sat, cp) = (SatMapper::default(), CpMapper);
     let mut iis = Vec::new();
     for dfg in kernels::small_suite() {
         for side in [3, 4] {
@@ -149,7 +153,7 @@ fn failure_modes_are_reported_not_panicked() {
     // must yield Err from every mapper, never a panic or an invalid map.
     let fabric = Fabric::homogeneous(2, 2, Topology::Mesh);
     let dfg = kernels::unrolled_mac(30);
-    for mapper in all_mappers() {
+    for mapper in MapperRegistry::standard().build_all() {
         if let Ok(m) = mapper.map(&dfg, &fabric, &MapConfig::fast()) {
             validate(&m, &dfg, &fabric)
                 .unwrap_or_else(|e| panic!("{}: invalid: {e}", mapper.name()))
@@ -160,7 +164,7 @@ fn failure_modes_are_reported_not_panicked() {
 #[test]
 fn survey_families_all_represented() {
     use cgra::mapper::Family;
-    let mappers = all_mappers();
+    let mappers = MapperRegistry::standard().build_all();
     for family in [
         Family::Heuristic,
         Family::MetaPopulation,

@@ -81,7 +81,7 @@ fn minic_to_silicon_for_every_mapper_on_dot() {
     let (dfg, streams) = compile("dot");
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
     let mut failures = Vec::new();
-    for mapper in all_mappers() {
+    for mapper in MapperRegistry::standard().build_all() {
         if !check_mapper(mapper.as_ref(), &dfg, streams, &fabric) {
             failures.push(mapper.name());
         }
@@ -97,7 +97,11 @@ fn heuristics_handle_all_minic_kernels() {
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
     for name in ["dot", "saxpy", "clip", "ema", "energy"] {
         let (dfg, streams) = compile(name);
-        for mapper in heuristic_mappers() {
+        let heuristics = MapperRegistry::standard()
+            .specs()
+            .iter()
+            .filter(|s| s.family == Family::Heuristic);
+        for mapper in heuristics.map(MapperSpec::build) {
             // graph-minor may legitimately fail; everything else must map.
             let ok = check_mapper(mapper.as_ref(), &dfg, streams, &fabric);
             if mapper.name() != "graph-minor" && !mapper.is_spatial() {
@@ -111,7 +115,7 @@ fn heuristics_handle_all_minic_kernels() {
 fn heterogeneous_fabric_end_to_end() {
     let fabric = Fabric::adres_like(4, 4);
     let (dfg, streams) = compile("energy");
-    let mapper = ModuloList::default();
+    let mapper = ModuloList;
     assert!(check_mapper(&mapper, &dfg, streams, &fabric));
 }
 
@@ -125,7 +129,7 @@ fn optimiser_keeps_semantics_through_mapping() {
     passes::optimize(&mut opt);
     assert!(opt.node_count() <= raw.node_count());
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-    let mapper = ModuloList::default();
+    let mapper = ModuloList;
     let tape = Tape::generate(2, 5, |s, i| (s as i64 + 1) * (i as i64 + 1));
     let m_raw = mapper.map(&raw, &fabric, &fast_cfg()).unwrap();
     let m_opt = mapper.map(&opt, &fabric, &fast_cfg()).unwrap();
@@ -139,9 +143,7 @@ fn unrolled_kernel_maps_and_matches() {
     let (dfg, streams) = compile("dot");
     let unrolled = passes::unroll(&dfg, 2);
     let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
-    let m = ModuloList::default()
-        .map(&unrolled, &fabric, &fast_cfg())
-        .unwrap();
+    let m = ModuloList.map(&unrolled, &fabric, &fast_cfg()).unwrap();
     validate(&m, &unrolled, &fabric).unwrap();
     let tape = Tape::generate(streams, 8, |s, i| ((s + 1) * (i + 1)) as i64 % 13);
     let reshaped = passes::reshape_tape(&tape, 2);

@@ -74,7 +74,7 @@ proptest! {
     fn modulo_list_output_always_validates(dfg in arb_dfg()) {
         let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
         let cfg = MapConfig { time_limit: Duration::from_secs(5), ..MapConfig::fast() };
-        if let Ok(m) = ModuloList::default().map(&dfg, &fabric, &cfg) {
+        if let Ok(m) = ModuloList.map(&dfg, &fabric, &cfg) {
             prop_assert!(validate(&m, &dfg, &fabric).is_ok());
         }
     }
@@ -87,7 +87,7 @@ proptest! {
             OpKind::Input(s) => Some(s as usize + 1),
             _ => None,
         }).max().unwrap_or(0);
-        if let Ok(m) = ModuloList::default().map(&dfg, &fabric, &cfg) {
+        if let Ok(m) = ModuloList.map(&dfg, &fabric, &cfg) {
             let tape = Tape::generate(streams, 4, |s, i| ((s + 2) * (i + 1)) as i64 % 23);
             let golden = Interpreter::run(&dfg, 4, &tape).unwrap();
             let stats = simulate(&m, &dfg, &fabric, 4, &tape).unwrap();
