@@ -36,6 +36,6 @@ pub mod spacetime;
 pub mod topo;
 
 pub use fabric::{CellCaps, Fabric, IoPolicy, LatencyModel, PeId, Topology};
-pub use render::{render_fabric, render_heatmap, render_heatmap_grid};
+pub use render::{render_fabric, render_heatmap_grid};
 pub use spacetime::{ResourceKey, SpaceTime};
-pub use topo::{HopMatrix, TopologyCache};
+pub use topo::TopologyCache;

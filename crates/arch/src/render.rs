@@ -69,21 +69,15 @@ pub fn render_fabric(f: &Fabric) -> String {
     s
 }
 
-/// Shade ramp for [`render_heatmap`], idle → saturated.
+/// Shade ramp for [`render_heatmap_grid`], idle → saturated.
 const SHADES: [char; 5] = ['.', '-', '+', '#', '@'];
 
 /// Render a per-cell integer field (issue-slot occupancy, register
-/// pressure) as an ASCII heatmap over the fabric grid, in the style of
-/// [`render_fabric`]. `values` is indexed by PE id; `max` is the
-/// full-scale value (e.g. the II for issue slots). Pure formatting —
-/// deterministic for a given input.
-pub fn render_heatmap(f: &Fabric, values: &[u32], max: u32, title: &str) -> String {
-    render_heatmap_grid(&f.name, f.rows, f.cols, values, max, title)
-}
-
-/// [`render_heatmap`] without a [`Fabric`]: render from bare grid
-/// dimensions (PE ids row-major). This is what report viewers use when
-/// only the serialized heatmap data survives, not the fabric object.
+/// pressure) as an ASCII heatmap over a `rows` x `cols` grid (PE ids
+/// row-major), in the style of [`render_fabric`]. `values` is indexed
+/// by PE id; `max` is the full-scale value (e.g. the II for issue
+/// slots). Pure formatting — deterministic for a given input. Report
+/// viewers call it on serialized heatmap data, without the fabric.
 pub fn render_heatmap_grid(
     name: &str,
     rows: u16,
@@ -125,15 +119,15 @@ mod tests {
 
     #[test]
     fn heatmap_shades_scale_with_value() {
-        let f = Fabric::homogeneous(2, 2, crate::fabric::Topology::Mesh);
-        let r = render_heatmap(&f, &[0, 1, 2, 4], 4, "fu occupancy");
+        let render = || render_heatmap_grid("mesh", 2, 2, &[0, 1, 2, 4], 4, "fu occupancy");
+        let r = render();
         assert!(r.contains("fu occupancy"));
         assert!(r.contains("[  0.]"), "{r}");
         assert!(r.contains("[  1-]"), "{r}");
         assert!(r.contains("[  2+]"), "{r}");
         assert!(r.contains("[  4@]"), "{r}");
         // Deterministic.
-        assert_eq!(r, render_heatmap(&f, &[0, 1, 2, 4], 4, "fu occupancy"));
+        assert_eq!(r, render());
     }
 
     #[test]

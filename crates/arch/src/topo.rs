@@ -11,8 +11,7 @@
 //!
 //! * **CSR adjacency** — `neighbors(pe)` returns a borrowed slice into
 //!   one flat array (no allocation, cache-friendly iteration),
-//! * **flat hop matrix** — `hops(a, b)` is one indexed load; a
-//!   [`HopMatrix`] view keeps existing `hop[a][b]` call sites working,
+//! * **flat hop matrix** — `hops(a, b)` is one indexed load,
 //! * **adjacency bitset** — `adjacent(a, b)` is O(1), replacing the
 //!   linear `neighbors(a).contains(&b)` scans,
 //! * **border / capability bitsets** — `is_border` and `supports`
@@ -37,7 +36,6 @@
 use crate::fabric::{CellCaps, Fabric, IoPolicy, LatencyModel, PeId, Topology};
 use cgra_ir::OpKind;
 use std::collections::VecDeque;
-use std::ops::Index;
 
 /// Distance value for unreachable PE pairs (mirrors
 /// `Fabric::hop_distance`).
@@ -108,24 +106,6 @@ impl Fingerprint {
             mem_banks: fabric.mem_banks,
             latency: fabric.latency,
         }
-    }
-}
-
-/// Borrowed row-major view of the flat hop matrix. Implements
-/// `Index<usize>` returning a row slice so legacy `hop[a][b]` indexing
-/// keeps compiling against the cache.
-#[derive(Debug, Clone, Copy)]
-pub struct HopMatrix<'a> {
-    n: usize,
-    data: &'a [u32],
-}
-
-impl Index<usize> for HopMatrix<'_> {
-    type Output = [u32];
-
-    #[inline]
-    fn index(&self, row: usize) -> &[u32] {
-        &self.data[row * self.n..(row + 1) * self.n]
     }
 }
 
@@ -264,22 +244,6 @@ impl TopologyCache {
         self.hops[a.index() * self.num_pes + b.index()]
     }
 
-    /// Distances from `a` to every PE (one matrix row).
-    #[inline]
-    pub fn hop_row(&self, a: PeId) -> &[u32] {
-        &self.hops[a.index() * self.num_pes..(a.index() + 1) * self.num_pes]
-    }
-
-    /// Row-indexable view of the whole matrix for `hop[a][b]`-style
-    /// call sites.
-    #[inline]
-    pub fn hop_matrix(&self) -> HopMatrix<'_> {
-        HopMatrix {
-            n: self.num_pes,
-            data: &self.hops,
-        }
-    }
-
     /// Is `pe` on the array border?
     #[inline]
     pub fn is_border(&self, pe: PeId) -> bool {
@@ -342,11 +306,9 @@ mod tests {
             let f = Fabric::homogeneous(5, 4, topo);
             let cache = TopologyCache::build(&f);
             let naive = f.hop_distance();
-            let hop = cache.hop_matrix();
             for a in f.pe_ids() {
                 for b in f.pe_ids() {
                     assert_eq!(cache.hops(a, b), naive[a.index()][b.index()]);
-                    assert_eq!(hop[a.index()][b.index()], naive[a.index()][b.index()]);
                 }
             }
         }

@@ -1,5 +1,4 @@
-//! Shared helpers for the experiment drivers (`src/bin/*`) and the
-//! Criterion benches (`benches/*`).
+//! Shared helpers for the experiment drivers (`src/bin/*`).
 //!
 //! Each driver regenerates one artifact of the survey:
 //!
@@ -151,35 +150,6 @@ pub fn quick() -> bool {
     std::env::var("CGRA_QUICK")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// The deliberately mediocre placement of the telemetry router bench:
-/// PEs strided across the fabric, ASAP times stretched just far enough
-/// that every intra-iteration edge has as many cycles as hops — the
-/// router settles anything less from the hop table, without routing —
-/// so negotiation has real work.
-pub fn strided_placement(
-    dfg: &cgra_ir::Dfg,
-    fabric: &cgra_arch::Fabric,
-) -> Vec<cgra::mapper::mapping::Placement> {
-    let topo = cgra_arch::TopologyCache::build(fabric);
-    let times = cgra_ir::graph::asap(dfg, &cgra_ir::graph::unit_latency);
-    let pe = |n: cgra_ir::NodeId| cgra_arch::PeId((n.0 * 5 % fabric.num_pes() as u32) as u16);
-    let stretch = dfg
-        .edges()
-        .filter(|(_, e)| e.dist == 0)
-        .map(|(_, e)| {
-            let cycles_needed = topo.hops(pe(e.src), pe(e.dst)) + fabric.latency_of(dfg.op(e.src));
-            cycles_needed.div_ceil(times[e.dst.index()] - times[e.src.index()])
-        })
-        .max()
-        .unwrap_or(1);
-    dfg.node_ids()
-        .map(|n| cgra::mapper::mapping::Placement {
-            pe: pe(n),
-            time: times[n.index()] * stretch,
-        })
-        .collect()
 }
 
 #[cfg(test)]

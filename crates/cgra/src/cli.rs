@@ -53,18 +53,6 @@ pub fn failure_message(err: &MapError) -> String {
     msg
 }
 
-/// The machine-readable error shape shared by `--json` outputs and
-/// the serve protocol: stable `kind` discriminant for dispatch, prose
-/// `message`, and the full typed `detail` for consumers that want the
-/// diagnosis payload.
-pub fn error_json(err: &MapError) -> serde_json::Value {
-    serde_json::json!({
-        "kind": err.kind(),
-        "message": err.to_string(),
-        "detail": err,
-    })
-}
-
 /// A CLI failure: message plus process exit code.
 pub struct CliError {
     pub msg: String,
@@ -130,14 +118,5 @@ mod tests {
             assert_eq!(c.code, exit_code(e));
             assert!(c.msg.contains("mapping failed"));
         }
-    }
-
-    #[test]
-    fn error_json_carries_kind_and_detail() {
-        let v = error_json(&MapError::Timeout);
-        assert_eq!(v.get("kind").and_then(|k| k.as_str()), Some("timeout"));
-        assert!(v.get("detail").is_some());
-        let round: MapError = serde::Deserialize::from_value(&v["detail"]).unwrap();
-        assert_eq!(round, MapError::Timeout);
     }
 }

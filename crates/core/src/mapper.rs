@@ -341,14 +341,6 @@ impl MapError {
         })
     }
 
-    /// An [`MapError::Infeasible`] carrying failure forensics.
-    pub fn infeasible_with(why: impl Into<String>, diagnosis: Diagnosis) -> Self {
-        MapError::Infeasible(Infeasibility {
-            why: why.into(),
-            diagnosis: Some(Box::new(diagnosis)),
-        })
-    }
-
     /// The diagnosis, if this is an explained infeasibility.
     pub fn diagnosis(&self) -> Option<&Diagnosis> {
         match self {

@@ -69,11 +69,6 @@ impl Route {
     pub fn hops(&self) -> usize {
         self.steps.windows(2).filter(|w| w[0] != w[1]).count()
     }
-
-    /// Last covered absolute cycle.
-    pub fn end_time(&self) -> u32 {
-        self.start_time + self.steps.len().saturating_sub(1) as u32
-    }
 }
 
 /// A complete mapping of one DFG onto one fabric.
@@ -242,7 +237,6 @@ mod tests {
         assert_eq!(r.at(2), None);
         assert_eq!(r.at(7), None);
         assert_eq!(r.hops(), 2);
-        assert_eq!(r.end_time(), 6);
     }
 
     #[test]

@@ -92,22 +92,6 @@ impl UtilizationMap {
         }
     }
 
-    /// ASCII heatmap of issue-slot occupancy (full scale = II).
-    pub fn render_fu(&self, fabric: &Fabric) -> String {
-        cgra_arch::render_heatmap(fabric, &self.fu_used, self.ii, "fu occupancy / II window")
-    }
-
-    /// ASCII heatmap of register pressure (full scale = RF capacity
-    /// over one II window).
-    pub fn render_reg(&self, fabric: &Fabric) -> String {
-        cgra_arch::render_heatmap(
-            fabric,
-            &self.reg_used,
-            fabric.rf_size * self.ii,
-            "register pressure / II window",
-        )
-    }
-
     /// Both heatmaps rendered from the serialized data alone — what
     /// report viewers use when only the JSON artifact survives, not
     /// the fabric object. Register pressure is scaled to its observed
@@ -196,10 +180,13 @@ mod tests {
         // Routes pass through pe0/pe1; total register-cycles must match
         // the scalar metric.
         assert_eq!(u.reg_used.iter().sum::<u32>() as usize, met.register_cycles);
-        let fu_map = u.render_fu(&f);
-        let reg_map = u.render_reg(&f);
-        assert!(fu_map.contains("fu occupancy"));
-        assert!(reg_map.contains("register pressure"));
-        assert_eq!(fu_map, u.render_fu(&f), "render must be deterministic");
+        let maps = u.render_standalone(&f.name);
+        assert!(maps.contains("fu occupancy"));
+        assert!(maps.contains("register pressure"));
+        assert_eq!(
+            maps,
+            u.render_standalone(&f.name),
+            "render must be deterministic"
+        );
     }
 }

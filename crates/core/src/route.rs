@@ -22,7 +22,7 @@ use crate::telemetry::{Counter, Phase, Telemetry};
 use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
 use cgra_ir::Dfg;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Scaled-integer router costs (1 step = `STEP_COST`). Public because it
 /// defines route cost: a reference router must charge the same.
@@ -200,42 +200,13 @@ pub(crate) fn hop_feasible(topo: &TopologyCache, from: PeId, tr: u32, to: PeId, 
 }
 
 /// Find a cheapest route from `(from, tr)` to `(to, tc)` over the
-/// current occupancy.
+/// current occupancy. Returns `None` when no route exists under the
+/// options.
 ///
 /// `shared` lists `(pe, t)` positions already occupied by the *same
 /// value* (fan-out reuse): entering them is free and never counts as
-/// congestion. Returns `None` when no route exists under the options.
+/// congestion.
 ///
-/// Convenience wrapper over [`find_route_with`] for one-off searches;
-/// hot paths thread a [`TopologyCache`] and a [`RouterScratch`] instead.
-#[allow(clippy::too_many_arguments)]
-pub fn find_route(
-    fabric: &Fabric,
-    st: &SpaceTime,
-    from: PeId,
-    tr: u32,
-    to: PeId,
-    tc: u32,
-    shared: &HashSet<(PeId, u32)>,
-    hist: Option<&History>,
-    opts: RouteOpts,
-) -> Option<Route> {
-    let topo = TopologyCache::build(fabric);
-    find_route_with(
-        fabric,
-        &topo,
-        st,
-        from,
-        tr,
-        to,
-        tc,
-        shared.iter().copied(),
-        hist,
-        opts,
-        &mut RouterScratch::new(),
-    )
-}
-
 /// Cache-backed, goal-directed, allocation-free (in steady state)
 /// route search. Neighbour expansion walks `topo`'s CSR slices, the
 /// Dijkstra buffers are reused from `scratch`, and `topo`'s hop table
@@ -405,33 +376,8 @@ fn shared_positions<'a>(
 ///
 /// `rounds` bounds the rip-up/re-route iterations; `negotiated = false`
 /// degrades to a single feasible-only pass (the ablation baseline).
-///
-/// Builds a fresh [`TopologyCache`] per call; callers in a loop should
-/// build the cache once and use [`route_all_with`].
-pub fn route_all(
-    fabric: &Fabric,
-    dfg: &Dfg,
-    place: &[Placement],
-    ii: u32,
-    rounds: u32,
-    negotiated: bool,
-) -> Option<Vec<Route>> {
-    let topo = TopologyCache::build(fabric);
-    route_all_with(
-        fabric,
-        &topo,
-        dfg,
-        place,
-        ii,
-        rounds,
-        negotiated,
-        &Telemetry::off(),
-    )
-}
-
-/// [`route_all`] against a prebuilt [`TopologyCache`] and with a
-/// telemetry sink: the whole negotiation is timed as a [`Phase::Route`]
-/// span and every single-edge search is counted.
+/// The whole negotiation is timed as a [`Phase::Route`] span on `tele`
+/// and every single-edge search is counted.
 ///
 /// One `SpaceTime`, one `RouterScratch`, and one `History` are reused
 /// across all edges and negotiation rounds — after the first round the
@@ -550,6 +496,47 @@ mod tests {
     use super::*;
     use cgra_arch::Topology;
     use cgra_ir::OpKind;
+    use std::collections::HashSet;
+
+    /// One search on a fresh cache and scratch.
+    fn search(
+        f: &Fabric,
+        st: &SpaceTime,
+        from: PeId,
+        tr: u32,
+        to: PeId,
+        tc: u32,
+        shared: &HashSet<(PeId, u32)>,
+    ) -> Option<Route> {
+        let topo = TopologyCache::build(f);
+        let mut scratch = RouterScratch::new();
+        let shared = shared.iter().copied();
+        find_route_with(
+            f,
+            &topo,
+            st,
+            from,
+            tr,
+            to,
+            tc,
+            shared,
+            None,
+            RouteOpts::default(),
+            &mut scratch,
+        )
+    }
+
+    /// Negotiated routing of every edge, telemetry off.
+    fn route_every(
+        f: &Fabric,
+        dfg: &Dfg,
+        place: &[Placement],
+        ii: u32,
+        rounds: u32,
+    ) -> Option<Vec<Route>> {
+        let topo = TopologyCache::build(f);
+        route_all_with(f, &topo, dfg, place, ii, rounds, true, &Telemetry::off())
+    }
 
     fn mesh() -> Fabric {
         Fabric::homogeneous(4, 4, Topology::Mesh)
@@ -583,18 +570,7 @@ mod tests {
     fn direct_route_same_pe() {
         let f = mesh();
         let st = SpaceTime::new(&f, 4);
-        let r = find_route(
-            &f,
-            &st,
-            PeId(5),
-            3,
-            PeId(5),
-            3,
-            &HashSet::new(),
-            None,
-            RouteOpts::default(),
-        )
-        .unwrap();
+        let r = search(&f, &st, PeId(5), 3, PeId(5), 3, &HashSet::new()).unwrap();
         assert_eq!(r.steps, vec![PeId(5)]);
         assert_eq!(r.start_time, 3);
     }
@@ -604,30 +580,8 @@ mod tests {
         let f = mesh();
         let st = SpaceTime::new(&f, 8);
         // pe0 -> pe15 needs 6 hops; 5 cycles of slack is not enough.
-        assert!(find_route(
-            &f,
-            &st,
-            PeId(0),
-            0,
-            PeId(15),
-            5,
-            &HashSet::new(),
-            None,
-            RouteOpts::default()
-        )
-        .is_none());
-        let r = find_route(
-            &f,
-            &st,
-            PeId(0),
-            0,
-            PeId(15),
-            6,
-            &HashSet::new(),
-            None,
-            RouteOpts::default(),
-        )
-        .unwrap();
+        assert!(search(&f, &st, PeId(0), 0, PeId(15), 5, &HashSet::new(),).is_none());
+        let r = search(&f, &st, PeId(0), 0, PeId(15), 6, &HashSet::new()).unwrap();
         assert_eq!(r.hops(), 6);
         assert_eq!(r.steps.len(), 7);
         // Consecutive steps are adjacent or equal.
@@ -648,31 +602,10 @@ mod tests {
         // pe0 -> pe2 in 2 cycles must pass through pe1 (row 0) or detour
         // via pe4/pe5/pe6 which takes 4 hops; 2 cycles forbid the detour,
         // so routing must fail in feasible-only mode.
-        let r = find_route(
-            &f,
-            &st,
-            PeId(0),
-            0,
-            PeId(2),
-            2,
-            &HashSet::new(),
-            None,
-            RouteOpts::default(),
-        );
+        let r = search(&f, &st, PeId(0), 0, PeId(2), 2, &HashSet::new());
         assert!(r.is_none());
         // With 4 cycles of slack the detour through row 1 works.
-        let r = find_route(
-            &f,
-            &st,
-            PeId(0),
-            0,
-            PeId(2),
-            4,
-            &HashSet::new(),
-            None,
-            RouteOpts::default(),
-        )
-        .unwrap();
+        let r = search(&f, &st, PeId(0), 0, PeId(2), 4, &HashSet::new()).unwrap();
         assert!(r.steps.iter().all(|&pe| pe != PeId(1)));
     }
 
@@ -689,17 +622,7 @@ mod tests {
             shared.insert((PeId(1), t));
         }
         shared.insert((PeId(0), 0));
-        let r = find_route(
-            &f,
-            &st,
-            PeId(0),
-            0,
-            PeId(2),
-            2,
-            &shared,
-            None,
-            RouteOpts::default(),
-        );
+        let r = search(&f, &st, PeId(0), 0, PeId(2), 2, &shared);
         assert!(r.is_some());
     }
 
@@ -727,7 +650,7 @@ mod tests {
                 time: 4,
             },
         ];
-        let routes = route_all(&f, &dfg, &place, 8, 8, true).unwrap();
+        let routes = route_every(&f, &dfg, &place, 8, 8).unwrap();
         assert_eq!(routes.len(), 2);
         assert_eq!(routes[0].start_time, 1);
         assert_eq!(*routes[0].steps.last().unwrap(), PeId(1));
@@ -752,7 +675,7 @@ mod tests {
                 time: 0,
             },
         ];
-        assert!(route_all(&f, &dfg, &place, 8, 4, true).is_none());
+        assert!(route_every(&f, &dfg, &place, 8, 4).is_none());
     }
 
     #[test]
@@ -778,7 +701,7 @@ mod tests {
                 time: 3,
             });
         }
-        let routes = route_all(&f, &dfg, &place, 6, 10, true);
+        let routes = route_every(&f, &dfg, &place, 6, 10);
         assert!(routes.is_some());
     }
 }

@@ -15,8 +15,8 @@
 //! * [`ServiceMetrics`] follows the [`Telemetry`](crate::Telemetry)
 //!   handle idiom — a cheap clonable `Option<Arc<_>>` whose disabled
 //!   form makes every record call a no-op, so embedding [`MapService`]
-//!   without a scrape endpoint costs nothing (pinned by the
-//!   `service_metrics` criterion bench).
+//!   without a scrape endpoint costs nothing (`tests/disabled_sinks.rs`
+//!   asserts that the off handle's `observe_*` calls allocate nothing).
 //!
 //! The exposition format is the Prometheus text format (version
 //! 0.0.4): `# HELP`/`# TYPE` headers, `_total`-suffixed counters,

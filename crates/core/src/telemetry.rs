@@ -643,11 +643,6 @@ impl Telemetry {
         Telemetry(Some(Arc::new(SearchStats::new())))
     }
 
-    /// Attach to an existing sink.
-    pub fn with_sink(sink: Arc<SearchStats>) -> Self {
-        Telemetry(Some(sink))
-    }
-
     /// A fresh enabled sink for one race row: counters, spans and
     /// histograms of its own, on this handle's clock, with every event
     /// journalled on this handle (dropped when it is off).

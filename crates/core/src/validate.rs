@@ -460,7 +460,10 @@ mod tests {
             })
             .collect();
         let ii = 8;
-        let routes = crate::route::route_all(&f, &dfg, &place, ii, 8, true).expect("routable");
+        let topo = TopologyCache::build(&f);
+        let off = crate::telemetry::Telemetry::off();
+        let routes = crate::route::route_all_with(&f, &topo, &dfg, &place, ii, 8, true, &off)
+            .expect("routable");
         let m = Mapping { ii, place, routes };
         validate(&m, &dfg, &f).unwrap();
     }

@@ -130,20 +130,9 @@ impl Cdfg {
         }
     }
 
-    pub fn add_block(&mut self, block: BasicBlock) -> BlockId {
-        let id = BlockId(self.blocks.len() as u32);
-        self.blocks.push(block);
-        id
-    }
-
     #[inline]
     pub fn block(&self, id: BlockId) -> &BasicBlock {
         &self.blocks[id.index()]
-    }
-
-    #[inline]
-    pub fn block_mut(&mut self, id: BlockId) -> &mut BasicBlock {
-        &mut self.blocks[id.index()]
     }
 
     pub fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
@@ -530,10 +519,10 @@ mod tests {
             dfg: Dfg::new("bb3"),
             terminator: ControlKind::Return,
         };
-        c.add_block(b0);
-        c.add_block(b1);
-        c.add_block(b2);
-        c.add_block(b3);
+        c.blocks.push(b0);
+        c.blocks.push(b1);
+        c.blocks.push(b2);
+        c.blocks.push(b3);
         c
     }
 
@@ -590,7 +579,7 @@ mod tests {
     #[test]
     fn bad_terminator_target_detected() {
         let mut c = counting_loop();
-        c.block_mut(BlockId(0)).terminator = ControlKind::Jump(BlockId(99));
+        c.blocks[0].terminator = ControlKind::Jump(BlockId(99));
         assert!(matches!(c.validate(), Err(CdfgError::UnknownBlock(_))));
     }
 
@@ -600,7 +589,7 @@ mod tests {
         let mut c = Cdfg::new("ite");
         let mut d0 = Dfg::new("b");
         let x = d0.add_node(OpKind::Input(0));
-        c.add_block(BasicBlock {
+        c.blocks.push(BasicBlock {
             label: "b".into(),
             params: vec!["x".into()],
             defs: vec![],
@@ -612,7 +601,7 @@ mod tests {
             },
         });
         for l in ["t", "e"] {
-            c.add_block(BasicBlock {
+            c.blocks.push(BasicBlock {
                 label: l.into(),
                 params: vec![],
                 defs: vec![],
@@ -620,7 +609,7 @@ mod tests {
                 terminator: ControlKind::Jump(BlockId(3)),
             });
         }
-        c.add_block(BasicBlock {
+        c.blocks.push(BasicBlock {
             label: "j".into(),
             params: vec![],
             defs: vec![],

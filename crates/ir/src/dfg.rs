@@ -272,15 +272,6 @@ impl Dfg {
         self.in_edges(n).find(|(_, e)| e.port == port)
     }
 
-    /// Node ids of all operands of `n`, ordered by port. Panics if the
-    /// DFG is not validated (missing operands).
-    pub fn operand_nodes(&self, n: NodeId) -> Vec<NodeId> {
-        let arity = self.op(n).ports().count();
-        (0..arity as u8)
-            .map(|p| self.operand(n, p).expect("validated DFG").1.src)
-            .collect()
-    }
-
     /// Count of nodes whose op needs a multiplier cell.
     pub fn multiplier_ops(&self) -> usize {
         self.nodes

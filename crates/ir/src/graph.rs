@@ -1,6 +1,6 @@
-//! Graph analyses over DFGs: strongly connected components, ASAP/ALAP
-//! scheduling bounds, critical path, height/mobility priorities, and the
-//! recurrence-constrained minimum initiation interval (RecMII).
+//! Graph analyses over DFGs: ASAP/ALAP scheduling bounds, critical
+//! path, height/mobility priorities, and the recurrence-constrained
+//! minimum initiation interval (RecMII).
 //!
 //! These are the analyses every modulo scheduler in the surveyed
 //! literature starts from (Rau's iterative modulo scheduling, DRESC,
@@ -18,83 +18,6 @@ pub type LatencyFn<'a> = &'a dyn Fn(OpKind) -> u32;
 /// (one context per cycle, registered PE outputs).
 pub fn unit_latency(_: OpKind) -> u32 {
     1
-}
-
-/// Strongly connected components of the full graph (all edges, any
-/// distance), via iterative Tarjan. Components are returned in reverse
-/// topological order; singleton components without a self-edge are
-/// trivial.
-pub fn sccs(dfg: &Dfg) -> Vec<Vec<NodeId>> {
-    let n = dfg.node_count();
-    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (_, e) in dfg.edges() {
-        succ[e.src.index()].push(e.dst.index());
-    }
-
-    // Iterative Tarjan to survive deep graphs.
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut comps: Vec<Vec<NodeId>> = Vec::new();
-
-    // Explicit DFS state machine: (node, next-successor position).
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if index[start] != usize::MAX {
-            continue;
-        }
-        call.push((start, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start] = true;
-
-        while !call.is_empty() {
-            let (v, i) = {
-                let frame = call.last_mut().unwrap();
-                let (v, i) = *frame;
-                if i < succ[v].len() {
-                    frame.1 += 1;
-                }
-                (v, i)
-            };
-            if i < succ[v].len() {
-                let w = succ[v][i];
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(p, _)) = call.last() {
-                    low[p] = low[p].min(low[v]);
-                }
-                // Root of an SCC: pop the component off the node stack.
-                if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().unwrap();
-                        on_stack[w] = false;
-                        comp.push(NodeId(w as u32));
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comps.push(comp);
-                }
-            }
-        }
-    }
-    comps
 }
 
 /// ASAP start times over the distance-0 DAG: earliest cycle each op can
@@ -343,28 +266,5 @@ mod tests {
         assert_eq!(critical_path(&g, &unit_latency), 6);
         let h = height(&g, &unit_latency);
         assert_eq!(h[0], 5); // input is 5 hops above the sink
-    }
-
-    #[test]
-    fn sccs_find_recurrence() {
-        let g = kernels::dot_product();
-        let comps = sccs(&g);
-        // The accumulator self-loop is a non-trivial SCC of size 1 with a
-        // self-edge; everything else is trivial.
-        assert_eq!(comps.iter().filter(|c| c.len() > 1).count(), 0);
-        let total: usize = comps.iter().map(|c| c.len()).sum();
-        assert_eq!(total, g.node_count());
-    }
-
-    #[test]
-    fn sccs_multi_node_cycle() {
-        use crate::op::OpKind;
-        let mut g = Dfg::new("cyc");
-        let a = g.add_node(OpKind::Not);
-        let b = g.add_node(OpKind::Not);
-        g.connect(a, b, 0);
-        g.connect_carried(b, a, 0, 1, vec![0]);
-        let comps = sccs(&g);
-        assert!(comps.iter().any(|c| c.len() == 2));
     }
 }

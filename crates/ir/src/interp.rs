@@ -4,7 +4,7 @@
 //! producing golden outputs against which the cycle-accurate CGRA
 //! simulator (and therefore every mapper) is verified.
 
-use crate::dfg::{Dfg, NodeId};
+use crate::dfg::Dfg;
 use crate::op::{OpKind, Value};
 
 /// External state of a kernel run: per-stream inputs and a data memory.
@@ -151,30 +151,6 @@ impl Interpreter {
         }
         Ok(RunResult { outputs, memory })
     }
-
-    /// Final value of a specific node after `iters` iterations
-    /// (convenience for tests).
-    pub fn final_value(
-        dfg: &Dfg,
-        node: NodeId,
-        iters: usize,
-        tape: &Tape,
-    ) -> Result<Value, InterpError> {
-        // Re-run, tracking just the requested node's last value.
-        let mut probe = dfg.clone();
-        let stream = probe
-            .node_ids()
-            .filter_map(|id| match probe.op(id) {
-                OpKind::Output(s) => Some(s + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let out = probe.add_node(OpKind::Output(stream));
-        probe.connect(node, out, 0);
-        let r = Self::run(&probe, iters, tape)?;
-        Ok(*r.outputs[stream as usize].last().expect("iters >= 1"))
-    }
 }
 
 #[cfg(test)]
@@ -258,15 +234,6 @@ mod tests {
             err,
             InterpError::MissingInput { iteration: 2, .. }
         ));
-    }
-
-    #[test]
-    fn final_value_probe() {
-        let g = kernels::dot_product();
-        let tape = Tape::generate(2, 3, |_, _| 1);
-        // Node 3 is the accumulator adder in the kernel builder.
-        let acc = crate::dfg::NodeId(3);
-        assert_eq!(Interpreter::final_value(&g, acc, 3, &tape).unwrap(), 3);
     }
 
     #[test]

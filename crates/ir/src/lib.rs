@@ -34,7 +34,6 @@
 
 pub mod cdfg;
 pub mod dfg;
-pub mod dot;
 pub mod frontend;
 pub mod graph;
 pub mod interp;

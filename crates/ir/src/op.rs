@@ -137,12 +137,6 @@ impl OpKind {
         matches!(self, OpKind::Phi)
     }
 
-    /// True if the node is a routing copy.
-    #[inline]
-    pub fn is_route(self) -> bool {
-        matches!(self, OpKind::Route)
-    }
-
     /// Evaluate the operation on its operand values.
     ///
     /// `Load`/`Store`/`Input`/`Output` require external state and are
@@ -234,15 +228,6 @@ impl OpKind {
             Route => "rt",
         }
     }
-
-    /// All evaluable binary ALU kinds (used by property tests and random
-    /// DFG generators).
-    pub fn binary_alu_kinds() -> &'static [OpKind] {
-        use OpKind::*;
-        &[
-            Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max, Eq, Ne, Lt, Le, Gt, Ge,
-        ]
-    }
 }
 
 impl fmt::Display for OpKind {
@@ -262,7 +247,11 @@ mod tests {
 
     #[test]
     fn port_counts_match_eval_arity() {
-        for &k in OpKind::binary_alu_kinds() {
+        use OpKind::*;
+        let binary_alu = [
+            Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max, Eq, Ne, Lt, Le, Gt, Ge,
+        ];
+        for k in binary_alu {
             assert_eq!(k.ports().count(), 2, "{k}");
             // Must not panic with two operands.
             let _ = k.eval(&[7, 3]);

@@ -315,139 +315,6 @@ pub fn algebraic(dfg: &mut Dfg) -> usize {
     }
 }
 
-/// Rebalance chains of a single associative, commutative operation
-/// (`Add`, `Mul`, `And`, `Or`, `Xor`, `Min`, `Max`) into balanced
-/// trees, reducing critical-path length — the classic *tree height
-/// reduction*. Only rewrites intra-iteration, single-use chains.
-/// Returns the number of chains rebalanced.
-pub fn tree_height_reduction(dfg: &mut Dfg) -> usize {
-    let assoc = |op: OpKind| {
-        matches!(
-            op,
-            OpKind::Add
-                | OpKind::Mul
-                | OpKind::And
-                | OpKind::Or
-                | OpKind::Xor
-                | OpKind::Min
-                | OpKind::Max
-        )
-    };
-    let mut uses = vec![0usize; dfg.node_count()];
-    for (_, e) in dfg.edges() {
-        uses[e.src.index()] += 1;
-    }
-    // For one root, collect the maximal same-op, single-use, dist-0
-    // chain. Returns (members, leaves) or None if the chain is too
-    // short or crosses a carried edge.
-    fn collect_chain(
-        dfg: &Dfg,
-        root: NodeId,
-        op: OpKind,
-        uses: &[usize],
-    ) -> Option<(Vec<NodeId>, Vec<NodeId>)> {
-        let mut leaves = Vec::new();
-        let mut members = Vec::new();
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            members.push(n);
-            for p in 0..2u8 {
-                let (_, e) = dfg.operand(n, p)?;
-                if e.dist > 0 {
-                    return None; // carried operand: keep intact
-                }
-                if dfg.op(e.src) == op && uses[e.src.index()] == 1 {
-                    stack.push(e.src);
-                } else {
-                    leaves.push(e.src);
-                }
-            }
-        }
-        if members.len() < 3 {
-            None
-        } else {
-            Some((members, leaves))
-        }
-    }
-
-    let mut rebalanced = 0;
-    let roots: Vec<NodeId> = dfg
-        .node_ids()
-        .filter(|&id| {
-            let op = dfg.op(id);
-            if !assoc(op) {
-                return false;
-            }
-            // A chain root is not itself consumed once by the same op.
-            !dfg.out_edges(id)
-                .next()
-                .map(|(_, e)| dfg.op(e.dst) == op && uses[id.index()] == 1 && e.dist == 0)
-                .unwrap_or(false)
-        })
-        .collect();
-    for root in roots {
-        // Node ids are stable across this pass (we only rewrite edges
-        // and drop orphans afterwards), but `uses` may change; recompute.
-        let mut uses = vec![0usize; dfg.node_count()];
-        for (_, e) in dfg.edges() {
-            uses[e.src.index()] += 1;
-        }
-        if root.index() >= dfg.node_count() || !assoc(dfg.op(root)) {
-            continue;
-        }
-        let op = dfg.op(root);
-        let Some((members, leaves)) = collect_chain(dfg, root, op, &uses) else {
-            continue;
-        };
-        // Disconnect all edges into chain members, then rebuild a
-        // balanced tree over the leaves with fresh internal nodes and
-        // the original root as the final combine (so consumers keep
-        // their edges).
-        let mut member_set = vec![false; dfg.node_count()];
-        for &m in &members {
-            member_set[m.index()] = true;
-        }
-        let kept: Vec<Edge> = dfg
-            .edges()
-            .filter(|(_, e)| !member_set[e.dst.index()])
-            .map(|(_, e)| e.clone())
-            .collect();
-        let mut rebuilt = Dfg::new(dfg.name.clone());
-        for (_, n) in dfg.nodes() {
-            let nid = rebuilt.add_node(n.op);
-            rebuilt.node_mut(nid).name = n.name.clone();
-        }
-        for e in kept {
-            rebuilt.add_edge(e);
-        }
-        let mut level = leaves;
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                if pair.len() == 2 {
-                    let parent = if level.len() == 2 {
-                        root
-                    } else {
-                        rebuilt.add_node(op)
-                    };
-                    rebuilt.connect(pair[0], parent, 0);
-                    rebuilt.connect(pair[1], parent, 1);
-                    next.push(parent);
-                } else {
-                    next.push(pair[0]);
-                }
-            }
-            level = next;
-        }
-        *dfg = rebuilt;
-        rebalanced += 1;
-    }
-    if rebalanced > 0 {
-        dce(dfg); // drop orphaned ex-members
-    }
-    rebalanced
-}
-
 /// Run `const_fold`, `algebraic`, `cse`, and `dce` to a fixpoint.
 /// Returns total rewrites.
 pub fn optimize(dfg: &mut Dfg) -> usize {
@@ -696,31 +563,6 @@ mod tests {
                 k.name
             );
         }
-    }
-
-    #[test]
-    fn tree_height_reduces_critical_path() {
-        use crate::graph::{critical_path, unit_latency};
-        // A left-leaning chain of 8 adds over 9 inputs.
-        let mut g = Dfg::new("chain");
-        let mut acc = g.add_node(OpKind::Input(0));
-        for s in 1..9u32 {
-            let x = g.add_node(OpKind::Input(s));
-            let a = g.add_node(OpKind::Add);
-            g.connect(acc, a, 0);
-            g.connect(x, a, 1);
-            acc = a;
-        }
-        let o = g.add_node(OpKind::Output(0));
-        g.connect(acc, o, 0);
-        let before_cp = critical_path(&g, &unit_latency);
-        let before = behaviour(&g, 9, 3);
-        let n = tree_height_reduction(&mut g);
-        assert!(n >= 1);
-        g.validate().unwrap();
-        let after_cp = critical_path(&g, &unit_latency);
-        assert!(after_cp < before_cp, "{after_cp} !< {before_cp}");
-        assert_eq!(behaviour(&g, 9, 3), before);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! compiler must produce exactly the bits the fabric decodes.
 
 use bytes::{BufMut, BytesMut};
-use cgra_arch::{Fabric, PeId};
-use cgra_ir::{Dfg, NodeId, OpKind};
+use cgra_arch::Fabric;
+use cgra_ir::{Dfg, OpKind};
 use cgra_mapper_core::Mapping;
 use serde::Serialize;
 
@@ -151,24 +151,10 @@ impl ConfigStream {
     }
 }
 
-/// Convenience: the configuration of one PE across slots.
-pub fn pe_schedule(stream: &ConfigStream, pe: PeId) -> Vec<Option<u32>> {
-    stream
-        .contexts
-        .iter()
-        .map(|slot| slot[pe.index()].node)
-        .collect()
-}
-
-/// Which node issues at `(pe, slot)`, if any.
-pub fn node_at(stream: &ConfigStream, pe: PeId, slot: u32) -> Option<NodeId> {
-    stream.contexts[slot as usize][pe.index()].node.map(NodeId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cgra_arch::{Topology, TopologyCache};
+    use cgra_arch::{PeId, Topology, TopologyCache};
     use cgra_ir::kernels;
     use cgra_mapper_core::prelude::*;
 

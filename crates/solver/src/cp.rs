@@ -1,6 +1,5 @@
 //! Finite-domain constraint programming: AC-3 propagation over binary
-//! constraints, all-different, MRV + max-degree branching, and an
-//! optional branch-and-bound optimisation mode.
+//! constraints, all-different, and MRV + max-degree branching.
 //!
 //! This is the oracle behind CP-formulated mappers (Raffin et al.,
 //! DASIP 2010, built on JaCoP). Domains are small non-negative integer
@@ -37,30 +36,6 @@ impl Domain {
             count: capacity,
             capacity,
         }
-    }
-
-    fn from_values(capacity: u32, values: &[u32]) -> Self {
-        let mut d = Domain {
-            words: vec![0; (capacity as usize).div_ceil(64)],
-            count: 0,
-            capacity,
-        };
-        for &v in values {
-            assert!(v < capacity);
-            if !d.contains(v) {
-                d.words[v as usize / 64] |= 1 << (v % 64);
-                d.count += 1;
-            }
-        }
-        d
-    }
-
-    #[inline]
-    fn contains(&self, v: u32) -> bool {
-        self.words
-            .get(v as usize / 64)
-            .map(|w| w >> (v % 64) & 1 == 1)
-            .unwrap_or(false)
     }
 
     #[inline]
@@ -213,13 +188,6 @@ impl CpModel {
     /// Variable with domain `0..capacity`.
     pub fn add_var(&mut self, capacity: u32) -> CpVar {
         self.domains.push(Domain::full(capacity));
-        self.touching.push(Vec::new());
-        CpVar(self.domains.len() - 1)
-    }
-
-    /// Variable with an explicit value set (values < capacity).
-    pub fn add_var_with(&mut self, capacity: u32, values: &[u32]) -> CpVar {
-        self.domains.push(Domain::from_values(capacity, values));
         self.touching.push(Vec::new());
         CpVar(self.domains.len() - 1)
     }
@@ -487,87 +455,6 @@ impl CpModel {
             }
         })
     }
-
-    /// Branch-and-bound minimisation of `sum cost(var, value)`.
-    ///
-    /// Depth-first search with propagation; a subtree is pruned when
-    /// the admissible lower bound (sum over every variable of the
-    /// minimum cost in its remaining domain) cannot beat the incumbent.
-    /// Returns the best solution found and whether optimality was
-    /// proven (budget not exhausted).
-    pub fn minimize(
-        &mut self,
-        cost: impl Fn(usize, u32) -> i64,
-        cfg: CpConfig,
-    ) -> (Option<(Vec<u32>, i64)>, bool) {
-        self.nodes = 0;
-        let mut domains = self.domains.clone();
-        if !self.propagate(&mut domains) {
-            return (None, true);
-        }
-        let start = Instant::now();
-        let mut best: Option<(Vec<u32>, i64)> = None;
-        let complete = self.bb_search(&mut domains, &cost, &mut best, &cfg, &start);
-        (best, complete)
-    }
-
-    /// Returns true if the subtree was fully explored within budget.
-    fn bb_search(
-        &mut self,
-        domains: &mut [Domain],
-        cost: &impl Fn(usize, u32) -> i64,
-        best: &mut Option<(Vec<u32>, i64)>,
-        cfg: &CpConfig,
-        start: &Instant,
-    ) -> bool {
-        self.nodes += 1;
-        self.total_nodes += 1;
-        if self.nodes > cfg.node_limit
-            || start.elapsed() > cfg.time_limit
-            || self.interrupt.should_stop()
-        {
-            return false;
-        }
-        // Admissible lower bound on the total cost in this subtree.
-        let lb: i64 = domains
-            .iter()
-            .enumerate()
-            .map(|(v, d)| d.iter().map(|val| cost(v, val)).min().unwrap_or(0))
-            .sum();
-        if let Some((_, inc)) = best {
-            if lb >= *inc {
-                return true; // pruned, but fully accounted for
-            }
-        }
-        let pick = (0..domains.len())
-            .filter(|&v| domains[v].count > 1)
-            .min_by_key(|&v| (domains[v].count, usize::MAX - self.touching[v].len()));
-        let Some(var) = pick else {
-            let sol: Vec<u32> = domains.iter().map(|d| d.single().unwrap()).collect();
-            if self.check(&sol) {
-                let c: i64 = sol.iter().enumerate().map(|(v, &val)| cost(v, val)).sum();
-                if best.as_ref().map(|(_, b)| c < *b).unwrap_or(true) {
-                    *best = Some((sol, c));
-                }
-            }
-            return true;
-        };
-        // Cheapest value first.
-        let mut values: Vec<u32> = domains[var].iter().collect();
-        values.sort_by_key(|&val| cost(var, val));
-        let mut complete = true;
-        for val in values {
-            let mut child = domains.to_vec();
-            child[var].assign(val);
-            if self.propagate(&mut child) {
-                complete &= self.bb_search(&mut child, cost, best, cfg, start);
-                if !complete {
-                    break;
-                }
-            }
-        }
-        complete
-    }
 }
 
 enum SearchOutcome {
@@ -579,6 +466,15 @@ enum SearchOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A variable whose domain is `values` (each below `capacity`).
+    fn var_in(m: &mut CpModel, capacity: u32, values: &[u32]) -> CpVar {
+        let v = m.add_var(capacity);
+        for x in (0..capacity).filter(|x| !values.contains(x)) {
+            m.forbid(v, x);
+        }
+        v
+    }
 
     #[test]
     fn simple_binary_constraint() {
@@ -653,8 +549,8 @@ mod tests {
     #[test]
     fn restricted_domains() {
         let mut m = CpModel::new();
-        let x = m.add_var_with(10, &[2, 4, 6]);
-        let y = m.add_var_with(10, &[1, 2, 3]);
+        let x = var_in(&mut m, 10, &[2, 4, 6]);
+        let y = var_in(&mut m, 10, &[1, 2, 3]);
         m.binary(x, y, |a, b| a == 2 * b);
         match m.solve() {
             CpSolution::Sat(s) => {
@@ -697,19 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn minimize_finds_a_good_solution() {
-        let mut m = CpModel::new();
-        let x = m.add_var(4);
-        let y = m.add_var(4);
-        m.binary(x, y, |a, b| a != b);
-        let (best, proven) = m.minimize(|_, val| val as i64, CpConfig::default());
-        let (sol, cost) = best.expect("feasible");
-        assert!(m.check(&sol));
-        assert_eq!(cost, 1); // optimum is {0,1} in some order
-        assert!(proven);
-    }
-
-    #[test]
     fn binary_table_matches_closure_semantics() {
         // Same model expressed both ways must agree.
         let build = |table: bool| {
@@ -744,7 +627,7 @@ mod tests {
         // propagation should solve without search beyond MRV picks.
         let mut m = CpModel::new();
         let vars: Vec<CpVar> = (0..5).map(|_| m.add_var(10)).collect();
-        let first = m.add_var_with(10, &[3]);
+        let first = var_in(&mut m, 10, &[3]);
         m.binary(first, vars[0], |a, b| b == a + 1);
         for w in vars.windows(2) {
             let (a, b) = (w[0], w[1]);

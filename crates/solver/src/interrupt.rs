@@ -70,11 +70,6 @@ impl Interrupt {
         }
     }
 
-    /// True if this interrupt can ever fire.
-    pub fn is_active(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
-
     /// Amortised stop check for hot search loops: cancel flag every
     /// call, clock only every [`Self::STRIDE`]-th call.
     #[inline]
@@ -119,7 +114,6 @@ mod tests {
     #[test]
     fn inert_by_default() {
         let i = Interrupt::none();
-        assert!(!i.is_active());
         for _ in 0..1000 {
             assert!(!i.should_stop());
         }

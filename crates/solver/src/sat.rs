@@ -590,13 +590,6 @@ impl SatSolver {
         1u64 << seq
     }
 
-    /// Override the learnt-clause budget that triggers database
-    /// reduction (default: `max(2000, originals / 2)`, sized on the
-    /// first solve and grown ×4/3 per reduction).
-    pub fn set_learnt_budget(&mut self, n: usize) {
-        self.max_learnts = n.max(16);
-    }
-
     /// Evict the coldest half of the long learnt clauses and simplify
     /// the database against the (permanent) level-0 assignment.
     ///
@@ -1081,7 +1074,8 @@ mod tests {
         let mut s = SatSolver::new();
         let sel = s.new_selector();
         add_php(&mut s, 7, 6, Some(sel));
-        s.set_learnt_budget(24);
+        // A budget far under the default `max(2000, originals / 2)`.
+        s.max_learnts = 24;
         assert_eq!(s.solve_with_assumptions(&[sel]), SatResult::Unsat);
         let st = s.stats();
         assert!(st.learnt_gcd > 0, "tiny budget must trigger GC");

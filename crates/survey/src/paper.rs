@@ -78,11 +78,6 @@ impl Technique {
                 | Technique::Smt
         )
     }
-
-    /// Meta-heuristics (the paper's dedicated sub-category).
-    pub fn is_meta(self) -> bool {
-        matches!(self, Technique::Ga | Technique::Qea | Technique::Sa)
-    }
 }
 
 /// Technique eras annotated on the Figure 4 timeline.
@@ -162,10 +157,7 @@ mod tests {
         }
         for t in [Ilp, BranchAndBound, Cp, Sat, Smt] {
             assert!(t.is_exact());
-            assert!(!t.is_meta());
         }
-        assert!(Ga.is_meta() && Qea.is_meta() && Sa.is_meta());
-        assert!(!Heuristic.is_meta());
     }
 
     #[test]

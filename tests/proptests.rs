@@ -139,16 +139,16 @@ proptest! {
     fn router_never_produces_invalid_routes(
         src in 0u16..16, dst in 0u16..16, slack in 0u32..10
     ) {
-        use cgra::mapper::route::{find_route, RouteOpts};
-        use std::collections::HashSet;
+        use cgra::mapper::route::{find_route_with, RouteOpts, RouterScratch};
         let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
+        let topo = cgra::arch::TopologyCache::build(&fabric);
         let st = cgra::arch::SpaceTime::new(&fabric, 4);
         let hop = fabric.hop_distance();
         let (a, b) = (PeId(src), PeId(dst));
         let tr = 3u32;
         let tc = tr + slack;
-        let route = find_route(&fabric, &st, a, tr, b, tc,
-                               &HashSet::new(), None, RouteOpts::default());
+        let route = find_route_with(&fabric, &topo, &st, a, tr, b, tc, [], None,
+                                    RouteOpts::default(), &mut RouterScratch::new());
         match route {
             Some(r) => {
                 prop_assert_eq!(r.steps[0], a);
