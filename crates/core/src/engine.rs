@@ -21,6 +21,7 @@
 //!   *k* cancels every job pinned to an II above *k*.
 
 use crate::mapper::{MapConfig, MapError, Mapper};
+use crate::mappers::sweep::exhausted;
 use crate::mapping::Mapping;
 use crate::request::MapOutcome;
 use crate::telemetry::Counter;
@@ -414,7 +415,8 @@ pub fn parallel_ii(
         return Ok(m);
     }
     // No II succeeded: report a timeout/cancellation if any job hit
-    // one, otherwise infeasibility over the whole range.
+    // one, otherwise infeasibility over the whole range, proven only
+    // if every job's was.
     if parent.is_cancelled() {
         return Err(MapError::Cancelled);
     }
@@ -422,9 +424,8 @@ pub fn parallel_ii(
         cfg.telemetry.budget_exhausted(mapper.name());
         return Err(MapError::Timeout);
     }
-    Err(MapError::infeasible(format!(
-        "no II in {lo}..={hi} admits a schedule"
-    )))
+    let proven = |e: &Option<MapError>| matches!(e, Some(MapError::Infeasible(i)) if i.proven);
+    Err(exhausted(lo, hi, errors.iter().all(proven)))
 }
 
 #[cfg(test)]

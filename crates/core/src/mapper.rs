@@ -135,19 +135,18 @@ impl MapConfig {
     /// lacks a required resource class (`mii == u32::MAX`) or the range
     /// is empty under `max_ii`/`context_depth`/`min_ii`.
     pub fn ii_range(&self, mii: u32, fabric: &Fabric) -> Result<(u32, u32), MapError> {
-        if mii == u32::MAX {
-            return Err(MapError::infeasible(
-                "fabric lacks a required resource class",
-            ));
-        }
         let hi = self.max_ii.min(fabric.context_depth);
         let lo = mii.max(self.min_ii);
-        if lo > hi {
-            return Err(MapError::infeasible(format!(
-                "MII {lo} exceeds the II bound {hi}"
-            )));
-        }
-        Ok((lo, hi))
+        let why = match mii {
+            u32::MAX => "fabric lacks a required resource class".to_string(),
+            _ if lo > hi => format!("MII {lo} exceeds the II bound {hi}"),
+            _ => return Ok((lo, hi)),
+        };
+        // Only the MII proves anything, not a min_ii set above the bound.
+        Err(MapError::Infeasible(Infeasibility {
+            proven: mii > hi,
+            ..why.into()
+        }))
     }
 
     /// [`MapConfig::ii_range`] plus failure forensics: when the range
@@ -295,6 +294,10 @@ pub struct Infeasibility {
     /// on and a diagnosis could be extracted. Boxed so the common
     /// no-diagnosis error stays small on the `Result` hot paths.
     pub diagnosis: Option<Box<Diagnosis>>,
+    /// No mapping exists in the range: every II was refuted, or the MII
+    /// rules the range out. False when the search merely found nothing.
+    #[serde(default)]
+    pub proven: bool,
 }
 
 impl fmt::Display for Infeasibility {
@@ -312,6 +315,7 @@ impl<S: Into<String>> From<S> for Infeasibility {
         Infeasibility {
             why: why.into(),
             diagnosis: None,
+            proven: false,
         }
     }
 }
@@ -320,7 +324,8 @@ impl<S: Into<String>> From<S> for Infeasibility {
 /// consumers can dispatch on the variant instead of parsing prose.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MapError {
-    /// Proven or suspected infeasible within the II/horizon bounds.
+    /// No mapping within the II/horizon bounds, proven or merely not
+    /// found: [`Infeasibility::proven`] says which.
     Infeasible(Infeasibility),
     /// Budget exhausted before a valid mapping was found.
     Timeout,
@@ -332,13 +337,10 @@ pub enum MapError {
 }
 
 impl MapError {
-    /// An [`MapError::Infeasible`] with no diagnosis attached — the
-    /// construction every mapper uses on its plain failure paths.
+    /// An unproven [`MapError::Infeasible`] with no diagnosis attached
+    /// — the construction every mapper uses on its plain failure paths.
     pub fn infeasible(why: impl Into<String>) -> Self {
-        MapError::Infeasible(Infeasibility {
-            why: why.into(),
-            diagnosis: None,
-        })
+        MapError::Infeasible(why.into().into())
     }
 
     /// The diagnosis, if this is an explained infeasibility.

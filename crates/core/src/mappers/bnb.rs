@@ -11,10 +11,9 @@
 //! approach scale).
 
 use super::state::{priority_order, SchedState};
-use super::sweep::{SweepCtx, TemporalSearch};
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
 use crate::engine::Budget;
-use crate::mapper::{Family, MapError};
-use crate::mapping::Mapping;
+use crate::mapper::Family;
 use crate::telemetry::Counter;
 use cgra_ir::NodeId;
 
@@ -74,12 +73,11 @@ impl<'a> Bb<'a> {
 impl TemporalSearch for BranchAndBound {
     const NAME: &'static str = "bnb";
     const FAMILY: Family = Family::ExactIlp;
-    const EXHAUSTED: &'static str = "search exhausted for II {range}";
     type State = ();
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         let mut bb = Bb {
             order: priority_order(ctx.dfg, ctx.fabric).0,
             nodes: 0,
@@ -87,13 +85,14 @@ impl TemporalSearch for BranchAndBound {
             state: SchedState::new(ctx, ii),
         };
         if !bb.dfs(0) {
-            return Ok(None);
+            return Verdict::Unproven;
         }
         // B&B's first full schedule at this II is its (only)
         // incumbent; the cost is the node count spent reaching it.
         let nodes = bb.nodes;
         let m = bb.state.into_mapping();
-        Ok(m.inspect(|_| ctx.incumbent(Self::NAME, ii, nodes as f64)))
+        m.inspect(|_| ctx.incumbent(Self::NAME, ii, nodes as f64))
+            .into()
     }
 }
 

@@ -12,11 +12,10 @@
 //! router cannot realise.
 
 use super::exact_common::{
-    add_solver_stats, cegar, edge_compatible, Cegar, CegarBackend, Pos, PositionSpace,
+    add_solver_stats, cegar, edge_compatible, CegarBackend, Pos, PositionSpace,
 };
-use super::sweep::{SweepCtx, TemporalSearch};
-use crate::mapper::{Family, MapError};
-use crate::mapping::Mapping;
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::mapper::Family;
 use cgra_solver::cp::CpConfig;
 use cgra_solver::{CpModel, CpSolution, CpVar};
 use std::sync::Arc;
@@ -40,7 +39,7 @@ struct Rounds<'a> {
 }
 
 impl CegarBackend for Rounds<'_> {
-    fn solve(&mut self, round: u32) -> Result<Option<Vec<usize>>, MapError> {
+    fn solve(&mut self, round: u32) -> Verdict<Vec<usize>> {
         let (ctx, space, ii) = (self.ctx, self.space, self.ii);
         let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &ctx.topo, &ctx.budget);
         let mut model = CpModel::new();
@@ -99,7 +98,7 @@ impl CegarBackend for Rounds<'_> {
         // solutions differing only elsewhere are lost — trading
         // completeness for progress; the ILP/SAT mappers keep exact
         // tuple blocking. An UNSAT after the first round is therefore
-        // no refutation of the II, and nothing here remembers one.
+        // no refutation of the II, and `cegar` counts none.
         for (round, bl) in self.blocked.iter().enumerate() {
             let pivot = round % vars.len();
             model.forbid(vars[pivot], bl[pivot] as u32);
@@ -112,13 +111,13 @@ impl CegarBackend for Rounds<'_> {
         });
         add_solver_stats(ctx.tele(), model.stats());
         match sol {
-            CpSolution::Unsat => Ok(None),
-            CpSolution::Unknown => Err(budget.error()),
+            CpSolution::Unsat => Verdict::Refuted,
+            CpSolution::Unknown => Verdict::Unproven,
             CpSolution::Sat(values) => {
                 // Each model is an anytime incumbent placement;
                 // cost = CEGAR rounds spent reaching it.
                 ctx.incumbent(CpMapper::NAME, ii, round as f64);
-                Ok(Some(values.iter().map(|&k| k as usize).collect()))
+                Verdict::Mapped(values.iter().map(|&k| k as usize).collect())
             }
         }
     }
@@ -131,15 +130,14 @@ impl CegarBackend for Rounds<'_> {
 impl TemporalSearch for CpMapper {
     const NAME: &'static str = "cp";
     const FAMILY: Family = Family::ExactCsp;
-    const EXHAUSTED: &'static str = "CP infeasible for every II in {range} (candidate window)";
     type State = ();
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         let space = PositionSpace::build(ctx.dfg, ctx.fabric, ii, WINDOW_IIS, Some(POSITION_CAP));
         if space.positions.iter().any(|ps| ps.is_empty()) {
-            return Ok(None);
+            return Verdict::Unproven;
         }
         let mut rounds = Rounds {
             ctx,
@@ -147,10 +145,7 @@ impl TemporalSearch for CpMapper {
             ii,
             blocked: Vec::new(),
         };
-        Ok(match cegar(ctx, &space, ii, CEGAR_ROUNDS, &mut rounds)? {
-            Cegar::Mapped(m) => Some(m),
-            Cegar::Refuted | Cegar::GaveUp => None,
-        })
+        cegar(ctx, &space, ii, CEGAR_ROUNDS, &mut rounds)
     }
 }
 

@@ -9,8 +9,8 @@
 //! routing.
 
 use super::state::{priority_order, SchedState};
-use super::sweep::{SweepCtx, TemporalSearch};
-use crate::mapper::{Family, MapError};
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::mapper::Family;
 use crate::mapping::Mapping;
 use crate::route::STEP_COST;
 use cgra_arch::{Fabric, PeId, SpaceTime, TopologyCache};
@@ -145,9 +145,10 @@ impl TemporalSearch for EdgeCentric {
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         let m = self.schedule(ctx, ii);
-        Ok(m.inspect(|_| ctx.incumbent(Self::NAME, ii, ii as f64)))
+        m.inspect(|_| ctx.incumbent(Self::NAME, ii, ii as f64))
+            .into()
     }
 }
 

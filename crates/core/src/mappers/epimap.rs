@@ -19,10 +19,10 @@
 //! routing failure backtracks into the search.
 
 use super::state::priority_order;
-use super::sweep::{SweepCtx, TemporalSearch};
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
 use crate::engine::Budget;
-use crate::mapper::{Family, MapError};
-use crate::mapping::{Mapping, Placement};
+use crate::mapper::Family;
+use crate::mapping::Placement;
 use crate::telemetry::{Counter, Telemetry};
 use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::{Dfg, NodeId};
@@ -161,12 +161,11 @@ impl<'a> Search<'a> {
 impl TemporalSearch for EpiMap {
     const NAME: &'static str = "epimap";
     const FAMILY: Family = Family::Heuristic;
-    const EXHAUSTED: &'static str = "no II in {range} admits an embedding";
     type State = ();
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         let mut search = Search {
             dfg: ctx.dfg,
             fabric: ctx.fabric,
@@ -181,10 +180,11 @@ impl TemporalSearch for EpiMap {
             tele: ctx.tele().clone(),
         };
         if !search.dfs(0) {
-            return Ok(None);
+            return Verdict::Unproven;
         }
         let m = ctx.route(ii, search.assign.into_iter().flatten());
-        Ok(m.inspect(|_| ctx.incumbent(Self::NAME, ii, ii as f64)))
+        m.inspect(|_| ctx.incumbent(Self::NAME, ii, ii as f64))
+            .into()
     }
 }
 

@@ -11,18 +11,21 @@
 //! * [`SweepSpace`] and the diagnoses the probes share.
 //!
 //! Exactness is *relative to the candidate space*: positions are
-//! restricted to a scheduling window derived from ASAP levels (and
-//! optionally the K nearest PEs), which is the standard
-//! region-pruning of published ILP/SAT mapping formulations. The
-//! compatibility predicate (`slack ≥ hop distance`) is necessary but
-//! not sufficient for routability; register congestion is handled by
-//! the CEGAR loop (route, and on failure block the exact placement and
-//! re-solve).
+//! restricted to a scheduling window derived from ASAP levels, which
+//! is the standard region-pruning of published ILP/SAT mapping
+//! formulations. The compatibility predicate (`slack ≥ hop distance`)
+//! is necessary but not sufficient for routability; register
+//! congestion is handled by the CEGAR loop (route, and on failure
+//! block the exact placement and re-solve).
+//!
+//! A probe is *refuted* only when the model had no solution on its
+//! first solve, before any placement was blocked, over a space from
+//! which the per-op cap dropped nothing ([`PositionSpace::cut`]). A
+//! model exhausted after a block, a capped space, a give-up and a
+//! solver that stopped at its own limit all prove nothing.
 
-use super::sweep::SweepCtx;
+use super::sweep::{SweepCtx, Verdict};
 use crate::diagnosis::{op_name, Diagnosis, ResourceClass};
-use crate::mapper::MapError;
-use crate::mapping::Mapping;
 use crate::telemetry::{Counter, Telemetry};
 use cgra_arch::{Fabric, PeId, TopologyCache};
 use cgra_ir::{graph, Dfg, NodeId, OpKind};
@@ -35,6 +38,9 @@ pub(crate) type Pos = (PeId, u32);
 /// Candidate positions per operation at a fixed II.
 pub(crate) struct PositionSpace {
     pub positions: Vec<Vec<Pos>>,
+    /// Whether the cap dropped any position: if so, a model with no
+    /// solution over `positions` proves nothing about the II.
+    pub cut: bool,
 }
 
 impl PositionSpace {
@@ -54,6 +60,7 @@ impl PositionSpace {
         let asap = graph::asap(dfg, &lat);
         let lat_hop = |op: OpKind| fabric.latency_of(op) + 1;
         let asap_routed = graph::asap(dfg, &lat_hop);
+        let mut cut = false;
         let positions = dfg
             .node_ids()
             .map(|n| {
@@ -75,6 +82,7 @@ impl PositionSpace {
                     });
                     layers.push(layer);
                 }
+                cut |= cap.is_some_and(|cap| layers.iter().map(Vec::len).sum::<usize>() > cap);
                 match cap {
                     None => layers.into_iter().flatten().collect(),
                     Some(cap) => {
@@ -102,7 +110,7 @@ impl PositionSpace {
                 }
             })
             .collect();
-        PositionSpace { positions }
+        PositionSpace { positions, cut }
     }
 }
 
@@ -228,28 +236,19 @@ pub(crate) fn placement_model(
 /// A solution is one candidate index per op (`k` of `positions[op][k]`).
 pub(crate) trait CegarBackend {
     /// Solve with every choice blocked so far, in CEGAR round `round`:
-    /// a solution, `None` when none is left, `Err` when the budget
-    /// stopped the solve.
-    fn solve(&mut self, round: u32) -> Result<Option<Vec<usize>>, MapError>;
+    /// a solution, `Refuted` when none is left, `Unproven` when the
+    /// solver stopped first (its own limit or the budget).
+    fn solve(&mut self, round: u32) -> Verdict<Vec<usize>>;
 
     /// Exclude `choice`, the last solution, which did not route.
     fn block(&mut self, choice: &[usize]);
 }
 
-/// How a CEGAR loop ended when the budget did not end it.
-pub(crate) enum Cegar {
-    Mapped(Mapping),
-    /// The backend ran out of solutions: nothing in the candidate space
-    /// routes at this II. Safe to remember.
-    Refuted,
-    /// `rounds` solutions failed to route; more may exist.
-    GaveUp,
-}
-
 /// The CEGAR loop of one II probe over `space`, at most `rounds` times:
 /// poll the budget, solve, route the solution's positions, and on a
 /// routing failure (the congestion no placement model sees) hand the
-/// solution back to be blocked. Counts each solve in
+/// solution back to be blocked. `Refuted` only when the first solve
+/// finds nothing in an uncut space. Counts each solve in
 /// [`Counter::CegarRounds`] and a probe that gives up in
 /// [`Counter::CegarGaveUp`].
 pub(crate) fn cegar(
@@ -258,23 +257,25 @@ pub(crate) fn cegar(
     ii: u32,
     rounds: u32,
     backend: &mut impl CegarBackend,
-) -> Result<Cegar, MapError> {
+) -> Verdict {
     for round in 0..rounds.max(1) {
         if ctx.budget.expired_now() {
-            return Err(ctx.budget.error());
+            return Verdict::Unproven;
         }
         ctx.tele().bump(Counter::CegarRounds);
-        let Some(choice) = backend.solve(round)? else {
-            return Ok(Cegar::Refuted);
+        let choice = match backend.solve(round) {
+            Verdict::Mapped(choice) => choice,
+            Verdict::Refuted if round == 0 && !space.cut => return Verdict::Refuted,
+            Verdict::Refuted | Verdict::Unproven => return Verdict::Unproven,
         };
         let place = space.positions.iter().zip(&choice).map(|(ps, &k)| ps[k]);
         if let Some(m) = ctx.route(ii, place) {
-            return Ok(Cegar::Mapped(m));
+            return Verdict::Mapped(m);
         }
         backend.block(&choice);
     }
     ctx.tele().bump(Counter::CegarGaveUp);
-    Ok(Cegar::GaveUp)
+    Verdict::Unproven
 }
 
 /// The diagnosis of an op that has no candidate position at `ii`, if
@@ -440,8 +441,12 @@ pub(crate) mod tests {
             let times: Vec<u32> = positions.iter().map(|&(_, t)| t).collect();
             assert!(times.iter().max() > times.iter().min() || dfg.node_count() == 1);
         }
+        assert!(!ps.cut);
         let capped = PositionSpace::build(&dfg, &f, 2, 1, Some(10));
         assert!(capped.positions.iter().all(|p| p.len() == 10));
+        assert!(capped.cut);
+        let roomy = ps.positions.iter().map(Vec::len).max();
+        assert!(!PositionSpace::build(&dfg, &f, 2, 1, roomy).cut);
         let size = |s: &PositionSpace| s.positions.iter().map(Vec::len).sum::<usize>();
         assert!(size(&capped) <= size(&ps));
         // The cap must keep a spread of time layers, not just the
@@ -550,7 +555,7 @@ pub(crate) mod tests {
     }
 
     /// A backend that replays a script (no solver) and records what the
-    /// loop did with it.
+    /// loop did with it. `None` in the script is "no solution left".
     struct Scripted {
         script: VecDeque<Option<Vec<usize>>>,
         solves: u32,
@@ -568,10 +573,13 @@ pub(crate) mod tests {
     }
 
     impl CegarBackend for Scripted {
-        fn solve(&mut self, round: u32) -> Result<Option<Vec<usize>>, MapError> {
+        fn solve(&mut self, round: u32) -> Verdict<Vec<usize>> {
             assert_eq!(round, self.solves, "rounds count from zero");
             self.solves += 1;
-            Ok(self.script.pop_front().expect("stepped past the script"))
+            match self.script.pop_front().expect("stepped past the script") {
+                Some(choice) => Verdict::Mapped(choice),
+                None => Verdict::Refuted,
+            }
         }
 
         fn block(&mut self, choice: &[usize]) {
@@ -598,49 +606,65 @@ pub(crate) mod tests {
         // Three candidates per op. 0 and 1 put every op in one cell in
         // one cycle, so no edge has time to run; 2 is a placement known
         // to route.
-        let space = PositionSpace {
+        let mut space = PositionSpace {
             positions: (mapped.place.iter())
                 .map(|p| vec![(PeId(0), 0), (PeId(0), 1), (p.pe, p.time)])
                 .collect(),
+            cut: false,
         };
         let all = |k: usize| Some(vec![k; dfg.node_count()]);
 
         // Out of solutions on round 1: refuted, nothing blocked.
         let mut b = Scripted::new([None]);
         let out = cegar(&ctx, &space, ii, 5, &mut b);
-        assert!(matches!(out, Ok(Cegar::Refuted)));
+        assert!(matches!(out, Verdict::Refuted));
         assert_eq!((b.solves, b.blocked.len()), (1, 0));
         assert_eq!(counted(), (1, 0));
+        // Out of solutions only after a block: nothing proven.
+        let mut b = Scripted::new([all(0), None]);
+        let out = cegar(&ctx, &space, ii, 5, &mut b);
+        assert!(matches!(out, Verdict::Unproven));
+        assert_eq!((b.solves, b.blocked.len()), (2, 1));
+        assert_eq!(counted(), (3, 0));
 
         // Never routable: exactly `rounds` solves, every one handed
         // back, and no claim that the II is refuted.
         let mut b = Scripted::new([all(0), all(1), all(0)]);
         let out = cegar(&ctx, &space, ii, 3, &mut b);
-        assert!(matches!(out, Ok(Cegar::GaveUp)));
+        assert!(matches!(out, Verdict::Unproven));
         assert_eq!((b.solves, b.blocked.len()), (3, 3));
-        assert_eq!(counted(), (4, 1));
+        assert_eq!(counted(), (6, 1));
         // Zero rounds still means one.
         let mut b = Scripted::new([all(0)]);
         let out = cegar(&ctx, &space, ii, 0, &mut b);
-        assert!(matches!(out, Ok(Cegar::GaveUp)));
+        assert!(matches!(out, Verdict::Unproven));
         assert_eq!(b.solves, 1);
-        assert_eq!(counted(), (5, 2));
+        assert_eq!(counted(), (7, 2));
 
         // Routable on round 3: the mapping, and the two choices blocked
         // are the two the backend returned.
         let mut b = Scripted::new([all(0), all(1), all(2)]);
         match cegar(&ctx, &space, ii, 5, &mut b) {
-            Ok(Cegar::Mapped(m)) => assert_eq!(m, mapped),
+            Verdict::Mapped(m) => assert_eq!(m, mapped),
             _ => panic!("round 3 must map"),
         }
         assert_eq!(b.solves, 3);
         assert_eq!(b.blocked, [all(0).unwrap(), all(1).unwrap()]);
         // A probe that maps is no give-up; every solve is a round.
-        assert_eq!(counted(), (8, 2));
+        assert_eq!(counted(), (10, 2));
+
+        // A space the cap cut refutes nothing, even on round 1.
+        space.cut = true;
+        let mut b = Scripted::new([None]);
+        let out = cegar(&ctx, &space, ii, 5, &mut b);
+        assert!(matches!(out, Verdict::Unproven));
+        assert_eq!(counted(), (11, 2));
     }
 
     #[test]
     fn cegar_loop_polls_the_budget_before_the_backend() {
+        // A stopped budget ends the probe unproven before any solve;
+        // the sweep's poll, not the probe, names the stop.
         let dfg = kernels::dot_product();
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         let space = PositionSpace::build(&dfg, &f, 1, 1, None);
@@ -651,12 +675,12 @@ pub(crate) mod tests {
         let ctx = SweepCtx::open(&dfg, &f, &timed_out).unwrap();
         let mut b = Scripted::new([]);
         let out = cegar(&ctx, &space, 1, 5, &mut b);
-        assert_eq!(out.err(), Some(MapError::Timeout));
+        assert!(matches!(out, Verdict::Unproven));
         let cfg = MapConfig::fast();
         let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
         ctx.budget.cancel();
         let out = cegar(&ctx, &space, 1, 5, &mut b);
-        assert_eq!(out.err(), Some(MapError::Cancelled));
+        assert!(matches!(out, Verdict::Unproven));
         assert_eq!(b.solves, 0);
     }
 

@@ -10,9 +10,8 @@
 //! of µs of work, less than starting threads for it would cost.
 
 use super::meta_common::{capable_pes, finish_binding, random_binding, Scorer};
-use super::sweep::{SweepCtx, TemporalSearch};
-use crate::mapper::{Family, MapError};
-use crate::mapping::Mapping;
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::mapper::Family;
 use crate::telemetry::Counter;
 use cgra_arch::PeId;
 use rand::rngs::StdRng;
@@ -114,18 +113,16 @@ impl Genetic {
 impl TemporalSearch for Genetic {
     const NAME: &'static str = "ga";
     const FAMILY: Family = Family::MetaPopulation;
-    const EXHAUSTED: &'static str = "no routable individual in II {range}";
     type State = ();
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         let mut scorer = Scorer::new(ctx.dfg, ctx.fabric, &ctx.topo, ii);
         let scored = self.evolve(ctx, &mut scorer, ctx.cfg.seed ^ ii as u64);
-        Ok(scored
-            .iter()
-            .take(3)
-            .find_map(|(_, binding)| finish_binding(ctx, &mut scorer, binding)))
+        (scored.iter().take(3))
+            .find_map(|(_, binding)| finish_binding(ctx, &mut scorer, binding))
+            .into()
     }
 }
 

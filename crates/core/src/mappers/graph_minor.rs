@@ -10,8 +10,8 @@
 //! different permutation when the downstream embedding fails, and the
 //! branch sets are materialised by the router at the end.
 
-use super::sweep::{SweepCtx, TemporalSearch};
-use crate::mapper::{Family, MapError};
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::mapper::Family;
 use crate::mapping::{Mapping, Placement};
 use crate::telemetry::Counter;
 use cgra_arch::PeId;
@@ -114,12 +114,11 @@ impl GraphMinor {
 impl TemporalSearch for GraphMinor {
     const NAME: &'static str = "graph-minor";
     const FAMILY: Family = Family::Heuristic;
-    const EXHAUSTED: &'static str = "no II in {range} admits a minor embedding";
     type State = ();
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         let lat = |op: OpKind| ctx.fabric.latency_of(op);
         let levels = graph::asap(ctx.dfg, &lat);
         let max_level = levels.iter().copied().max().unwrap_or(0);
@@ -132,14 +131,14 @@ impl TemporalSearch for GraphMinor {
         // have slack; spacing grows on retry.
         for spacing in 1..=3u32 {
             if ctx.budget.expired_now() {
-                return Ok(None);
+                break;
             }
             if let Some(m) = self.embed(ctx, ii, &by_level, spacing) {
                 ctx.incumbent(Self::NAME, ii, ii as f64);
-                return Ok(Some(m));
+                return Verdict::Mapped(m);
             }
         }
-        Ok(None)
+        Verdict::Unproven
     }
 }
 

@@ -11,8 +11,8 @@
 //! is found (HiMap "terminates when a valid mapping is found").
 
 use super::state::{priority_order, SchedState};
-use super::sweep::{SweepCtx, TemporalSearch};
-use crate::mapper::{Family, MapError};
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::mapper::Family;
 use crate::mapping::Mapping;
 use cgra_arch::{Fabric, PeId};
 use cgra_ir::Dfg;
@@ -163,7 +163,6 @@ pub(crate) struct Regions {
 impl TemporalSearch for HiMap {
     const NAME: &'static str = "himap";
     const FAMILY: Family = Family::Heuristic;
-    const EXHAUSTED: &'static str = "no II in {range} admits a hierarchical mapping";
     type State = Regions;
 
     fn prepare(&self, ctx: &SweepCtx<'_>) -> Regions {
@@ -174,25 +173,20 @@ impl TemporalSearch for HiMap {
 
     /// Grow the region radius at this II until a valid mapping is
     /// found; the sweep then grows the II.
-    fn try_ii(
-        &self,
-        ctx: &SweepCtx<'_>,
-        regions: &mut Regions,
-        ii: u32,
-    ) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, regions: &mut Regions, ii: u32) -> Verdict {
         let max_radius = (ctx.fabric.rows.max(ctx.fabric.cols)) as u32 + 1;
         let mut radius = 2;
         while radius <= max_radius {
             if let Some(m) = self.place_within(ctx, regions, ii, radius) {
                 ctx.incumbent(Self::NAME, ii, radius as f64);
-                return Ok(Some(m));
+                return Verdict::Mapped(m);
             }
             if ctx.budget.expired_now() {
-                return Err(ctx.budget.error());
+                break;
             }
             radius *= 2;
         }
-        Ok(None)
+        Verdict::Unproven
     }
 }
 

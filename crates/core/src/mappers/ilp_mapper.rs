@@ -19,12 +19,11 @@
 
 use super::exact_common::{
     add_solver_stats, cegar, diagnose_empty_space, diagnose_interrupted, diagnose_unroutable,
-    placement_model, Cand, Cegar, CegarBackend, Constraint, Pos, PositionSpace,
+    placement_model, Cand, CegarBackend, Constraint, Pos, PositionSpace,
 };
-use super::sweep::{SweepCtx, TemporalSearch};
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
-use crate::mapper::{Family, MapError};
-use crate::mapping::Mapping;
+use crate::mapper::Family;
 use cgra_arch::PeId;
 use cgra_ir::NodeId;
 use cgra_solver::ilp::IlpConfig;
@@ -58,20 +57,20 @@ struct Rounds<'a> {
 }
 
 impl CegarBackend for Rounds<'_> {
-    fn solve(&mut self, _round: u32) -> Result<Option<Vec<usize>>, MapError> {
+    fn solve(&mut self, _round: u32) -> Verdict<Vec<usize>> {
         let values = match self.model.solve_with(IlpMapper::limits(self.ctx)) {
             IlpResult::Optimal { values, .. } => values,
-            IlpResult::Infeasible => return Ok(None),
+            IlpResult::Infeasible => return Verdict::Refuted,
             // Out of nodes with an incumbent in hand: route that.
             IlpResult::Budget {
                 values: Some(v), ..
             } => v,
-            IlpResult::Budget { values: None, .. } => return Err(self.ctx.budget.error()),
+            IlpResult::Budget { values: None, .. } => return Verdict::Unproven,
         };
         let chosen = |vars: &Vec<IlpVar>| {
             (vars.iter().position(|v| values[v.0])).expect("the assignment row guarantees a choice")
         };
-        Ok(Some(self.vars.iter().map(chosen).collect()))
+        Verdict::Mapped(self.vars.iter().map(chosen).collect())
     }
 
     /// Sum of the placement's choices ≤ n − 1.
@@ -134,16 +133,15 @@ impl IlpMapper {
 impl TemporalSearch for IlpMapper {
     const NAME: &'static str = "ilp";
     const FAMILY: Family = Family::ExactIlp;
-    const EXHAUSTED: &'static str = "ILP infeasible for every II in {range} (candidate window)";
     type State = ();
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         let (dfg, fabric) = (ctx.dfg, ctx.fabric);
         let space = PositionSpace::build(dfg, fabric, ii, WINDOW_IIS, Some(POSITION_CAP));
         if space.positions.iter().any(|ps| ps.is_empty()) {
-            return Ok(None);
+            return Verdict::Unproven;
         }
         // Objective: early issue + central placement.
         let (mut model, vars) = self.encode(ctx, &space, ii, |(pe, t)| {
@@ -162,10 +160,7 @@ impl TemporalSearch for IlpMapper {
         let mut rounds = Rounds { ctx, model, vars };
         let out = cegar(ctx, &space, ii, CEGAR_ROUNDS, &mut rounds);
         add_solver_stats(ctx.tele(), rounds.model.stats());
-        Ok(match out? {
-            Cegar::Mapped(m) => Some(m),
-            Cegar::Refuted | Cegar::GaveUp => None,
-        })
+        out
     }
 
     fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {

@@ -24,7 +24,7 @@ mod sat_mapper;
 mod smt_mapper;
 mod spatial_greedy;
 pub(crate) mod state;
-mod sweep;
+pub(crate) mod sweep;
 
 pub use bnb::BranchAndBound;
 pub use cp_mapper::CpMapper;

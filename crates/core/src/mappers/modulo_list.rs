@@ -11,8 +11,8 @@
 //! until it fits" loop of the survey's modulo-scheduling section.
 
 use super::state::{priority_order, SchedState};
-use super::sweep::{SweepCtx, TemporalSearch};
-use crate::mapper::{Family, MapError};
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::mapper::Family;
 use crate::mapping::Mapping;
 use cgra_arch::Fabric;
 use cgra_ir::graph;
@@ -68,9 +68,10 @@ impl TemporalSearch for ModuloList {
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         let m = self.schedule(ctx, ii);
-        Ok(m.inspect(|_| ctx.incumbent(Self::NAME, ii, ii as f64)))
+        m.inspect(|_| ctx.incumbent(Self::NAME, ii, ii as f64))
+            .into()
     }
 }
 
@@ -136,7 +137,8 @@ mod tests {
         let mut f = Fabric::homogeneous(2, 2, Topology::Mesh);
         f.context_depth = 4; // max II 4: ResMII is far larger
         let err = ModuloList.map(&dfg, &f, &MapConfig::fast()).unwrap_err();
-        assert!(matches!(err, MapError::Infeasible(_)));
+        // The MII alone rules the range out: a proof.
+        assert!(matches!(err, crate::MapError::Infeasible(i) if i.proven));
     }
 
     #[test]

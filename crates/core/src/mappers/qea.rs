@@ -10,9 +10,8 @@
 //! is materialised from the best observation.
 
 use super::meta_common::{capable_pes, finish_binding, Scorer};
-use super::sweep::{SweepCtx, TemporalSearch};
-use crate::mapper::{Family, MapError};
-use crate::mapping::Mapping;
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::mapper::Family;
 use crate::telemetry::Counter;
 use cgra_arch::PeId;
 use rand::rngs::StdRng;
@@ -31,18 +30,17 @@ const ROTATION_PM: u32 = 120;
 impl TemporalSearch for Qea {
     const NAME: &'static str = "qea";
     const FAMILY: Family = Family::MetaPopulation;
-    const EXHAUSTED: &'static str = "no routable observation in II {range}";
     type State = ();
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         let n = ctx.dfg.node_count();
         let mut rng = StdRng::seed_from_u64(ctx.cfg.seed ^ (ii as u64) << 7);
         // Feasible PE sets and uniform initial distributions.
         let feasible = capable_pes(ctx.dfg, ctx.fabric);
         if feasible.iter().any(|f| f.is_empty()) {
-            return Err(MapError::infeasible("an op has no capable PE"));
+            return Verdict::Unproven;
         }
         let mut scorer = Scorer::new(ctx.dfg, ctx.fabric, &ctx.topo, ii);
         let mut prob: Vec<Vec<f64>> = feasible
@@ -113,7 +111,8 @@ impl TemporalSearch for Qea {
             }
         }
 
-        Ok(best.and_then(|(_, binding)| finish_binding(ctx, &mut scorer, &binding)))
+        best.and_then(|(_, binding)| finish_binding(ctx, &mut scorer, &binding))
+            .into()
     }
 }
 

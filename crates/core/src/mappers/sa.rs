@@ -9,9 +9,8 @@
 //! own [`Scorer`], and the best champion is routed.
 
 use super::meta_common::{capable_pes, finish_binding, random_binding, Scorer};
-use super::sweep::{SweepCtx, TemporalSearch};
-use crate::mapper::{Family, MapError};
-use crate::mapping::Mapping;
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::mapper::Family;
 use crate::telemetry::Counter;
 use cgra_arch::PeId;
 use rand::rngs::StdRng;
@@ -100,12 +99,11 @@ impl SimulatedAnnealing {
 impl TemporalSearch for SimulatedAnnealing {
     const NAME: &'static str = "sa";
     const FAMILY: Family = Family::MetaLocalSearch;
-    const EXHAUSTED: &'static str = "annealing found no routable binding in II {range}";
     type State = ();
 
     fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
         // Parallel chains; pick the champion.
         let mut champs: Vec<(u64, Vec<PeId>)> = (0..CHAINS)
             .into_par_iter()
@@ -122,10 +120,9 @@ impl TemporalSearch for SimulatedAnnealing {
             ctx.incumbent(Self::NAME, ii, *c as f64);
         }
         let mut scorer = Scorer::new(ctx.dfg, ctx.fabric, &ctx.topo, ii);
-        Ok(champs
-            .iter()
-            .take(2)
-            .find_map(|(_, binding)| finish_binding(ctx, &mut scorer, binding)))
+        (champs.iter().take(2))
+            .find_map(|(_, binding)| finish_binding(ctx, &mut scorer, binding))
+            .into()
     }
 }
 

@@ -19,10 +19,10 @@
 //! Within a chunk, variables range over the union of its IIs' candidate
 //! spaces ([`SweepSpace`]), built once per chunk; each II's constraints
 //! are encoded lazily under a per-II selector literal and activated by
-//! [`SatSolver::solve_with_assumptions`]. A refuted II retires its
-//! selector permanently, CEGAR no-goods accumulate under the selector
-//! of the II they belong to, and variable activities and saved phases
-//! carry from the II=k refutation into the II=k+1 search. A sweep
+//! [`SatSolver::solve_with_assumptions`]. An II whose layer runs out of
+//! models retires its selector permanently, CEGAR no-goods accumulate
+//! under the selector of the II they belong to, and activities and
+//! saved phases carry from the II=k search into the II=k+1 search. A sweep
 //! leaving a chunk drops its solver; nothing outlives the `map()` call.
 //! Under its selector each II sees exactly its own
 //! [`PositionSpace`](super::exact_common::PositionSpace), so the
@@ -30,12 +30,11 @@
 
 use super::exact_common::{
     add_solver_stats, cegar, diagnose_empty_space, diagnose_interrupted, diagnose_unroutable,
-    placement_model, Cand, Cegar, CegarBackend, Constraint, PositionSpace, SweepSpace,
+    placement_model, Cand, CegarBackend, Constraint, PositionSpace, SweepSpace,
 };
-use super::sweep::{SweepCtx, TemporalSearch};
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
-use crate::mapper::{Family, MapError};
-use crate::mapping::Mapping;
+use crate::mapper::Family;
 use cgra_arch::Fabric;
 use cgra_ir::{Dfg, NodeId};
 use cgra_solver::cnf::{at_most_one, AmoEncoding};
@@ -82,10 +81,6 @@ pub(crate) struct SweepState {
     lits: Vec<Vec<Vec<Lit>>>,
     /// One selector literal per candidate II, assumption-activated.
     sels: Vec<Lit>,
-    /// Which II layers have been encoded into the solver.
-    encoded: Vec<bool>,
-    /// IIs proven UNSAT (their selector has been retired).
-    infeasible: Vec<bool>,
 }
 
 /// One II layer of the persistent solver as the CEGAR loop sees it:
@@ -100,10 +95,14 @@ struct Layer<'a> {
 }
 
 impl CegarBackend for Layer<'_> {
-    fn solve(&mut self, round: u32) -> Result<Option<Vec<usize>>, MapError> {
+    fn solve(&mut self, round: u32) -> Verdict<Vec<usize>> {
         match self.solver.solve_with_assumptions(&[self.sel]) {
-            SatResult::Unsat => Ok(None),
-            SatResult::Unknown => Err(self.ctx.budget.error()),
+            SatResult::Unsat => {
+                // Nothing left under the selector: the layer is done.
+                self.solver.retire_selector(self.sel);
+                Verdict::Refuted
+            }
+            SatResult::Unknown => Verdict::Unproven,
             SatResult::Sat(model) => {
                 // Each model is an anytime incumbent placement; cost =
                 // CEGAR rounds spent reaching it.
@@ -112,7 +111,7 @@ impl CegarBackend for Layer<'_> {
                     (lits.iter().position(|l| model[l.var().0 as usize]))
                         .expect("exactly-one guarantees a choice")
                 };
-                Ok(Some(self.lits.iter().map(chosen).collect()))
+                Verdict::Mapped(self.lits.iter().map(chosen).collect())
             }
         }
     }
@@ -148,8 +147,6 @@ impl SatMapper {
             space,
             vars,
             sels,
-            encoded: vec![false; iis.len()],
-            infeasible: vec![false; iis.len()],
         }
     }
 
@@ -354,7 +351,6 @@ impl SatMapper {
 impl TemporalSearch for SatMapper {
     const NAME: &'static str = "sat";
     const FAMILY: Family = Family::ExactCsp;
-    const EXHAUSTED: &'static str = "UNSAT for every II in {range} (within the candidate window)";
     /// The live chunk of the sweep.
     type State = Option<SweepState>;
 
@@ -362,47 +358,27 @@ impl TemporalSearch for SatMapper {
         None
     }
 
-    /// One II attempt on the persistent solver: encode the II's layer
-    /// if this is its first visit, then run the CEGAR loop under its
-    /// selector.
-    fn try_ii(
-        &self,
-        ctx: &SweepCtx<'_>,
-        live: &mut Self::State,
-        ii: u32,
-    ) -> Result<Option<Mapping>, MapError> {
+    /// One II attempt on the persistent solver: encode the II's layer,
+    /// then run the CEGAR loop under its selector. The sweep probes
+    /// each II once.
+    fn try_ii(&self, ctx: &SweepCtx<'_>, live: &mut Self::State, ii: u32) -> Verdict {
         let st = self.enter_chunk(ctx, live, ii);
         let k = (ii - st.space.iis[0]) as usize;
-        if st.infeasible[k] {
-            return Ok(None);
-        }
         if st.space.spaces[k].positions.iter().any(|ps| ps.is_empty()) {
-            st.infeasible[k] = true;
-            return Ok(None);
+            return Verdict::Unproven;
         }
         let before = st.solver.stats();
-        if !st.encoded[k] {
-            self.encode_layer(ctx, st, k);
-            st.encoded[k] = true;
-        }
-        let sel = st.sels[k];
+        self.encode_layer(ctx, st, k);
         let mut layer = Layer {
             ctx,
             lits: &st.lits[k],
             solver: &mut st.solver,
-            sel,
+            sel: st.sels[k],
             ii,
         };
         let out = cegar(ctx, &st.space.spaces[k], ii, CEGAR_ROUNDS, &mut layer);
-        if matches!(out, Ok(Cegar::Refuted)) {
-            st.solver.retire_selector(sel);
-            st.infeasible[k] = true;
-        }
         add_solver_stats(ctx.tele(), st.solver.stats().since(&before));
-        Ok(match out? {
-            Cegar::Mapped(m) => Some(m),
-            Cegar::Refuted | Cegar::GaveUp => None,
-        })
+        out
     }
 
     fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {

@@ -11,13 +11,20 @@
 //! interplay; the schedule horizon is fixed per probe, and the
 //! resulting mapping is a (non-modulo) spatio-temporal one: II equals
 //! the horizon, matching the restricted-routing setting of the lineage
-//! paper. The probed horizons are the doubling sequence from the
-//! critical path, restricted to the II range under search.
+//! paper. It answers Fig. 3's *non-pipelined* temporal-mapping question
+//! rather than modulo scheduling's, so its minimal horizon need not
+//! equal a modulo mapper's II.
+//!
+//! The sweep probes every horizon in the II range, smallest first. The
+//! model ranges over every capable PE and every cycle of the horizon,
+//! nothing cut, so an UNSAT answer refutes the horizon, and a horizon
+//! shorter than the critical path is refuted without a solve; a model
+//! the router cannot realise, or a solver stopped by its conflict
+//! limit, proves nothing.
 
 use super::exact_common::{add_solver_stats, capability_bitsets};
-use super::sweep::{SweepCtx, TemporalSearch};
-use crate::mapper::{Family, MapError};
-use crate::mapping::Mapping;
+use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::mapper::Family;
 use cgra_arch::PeId;
 use cgra_ir::{graph, OpKind};
 use cgra_solver::{Lit, SmtResult, SmtSolver};
@@ -26,14 +33,9 @@ use cgra_solver::{Lit, SmtResult, SmtSolver};
 #[derive(Debug, Clone, Default)]
 pub struct SmtMapper;
 
-/// Horizon probes: start at the critical path, multiply by 2 up to
-/// the fabric context depth; those outside the II range are skipped.
-const MAX_PROBES: usize = 4;
-
 impl TemporalSearch for SmtMapper {
     const NAME: &'static str = "smt";
     const FAMILY: Family = Family::ExactCsp;
-    const EXHAUSTED: &'static str = "no horizon in {range} admits an SMT model";
     /// `caps[op][pe]`: the horizon-independent capability bitsets.
     type State = Vec<Vec<bool>>;
 
@@ -41,25 +43,11 @@ impl TemporalSearch for SmtMapper {
         capability_bitsets(ctx.dfg, ctx.fabric)
     }
 
-    fn candidates(&self, ctx: &SweepCtx<'_>) -> Vec<u32> {
-        let lat = |op: OpKind| ctx.fabric.latency_of(op);
-        let cp = graph::critical_path(ctx.dfg, &lat).max(1);
-        let depth = ctx.fabric.context_depth;
-        let doubling = |h: &u32| (*h < depth).then(|| h.saturating_mul(2));
-        std::iter::successors(Some(cp.max(ctx.cfg.min_ii)), doubling)
-            .take(MAX_PROBES)
-            .map(|h| h.min(depth))
-            .filter(|h| (ctx.lo..=ctx.hi).contains(h))
-            .collect()
-    }
-
-    fn try_ii(
-        &self,
-        ctx: &SweepCtx<'_>,
-        caps: &mut Vec<Vec<bool>>,
-        horizon: u32,
-    ) -> Result<Option<Mapping>, MapError> {
+    fn try_ii(&self, ctx: &SweepCtx<'_>, caps: &mut Vec<Vec<bool>>, horizon: u32) -> Verdict {
         let (dfg, fabric, topo, budget) = (ctx.dfg, ctx.fabric, &*ctx.topo, &ctx.budget);
+        if horizon < graph::critical_path(dfg, &|op: OpKind| fabric.latency_of(op)) {
+            return Verdict::Refuted; // the horizon bounds alone are UNSAT
+        }
         let n = dfg.node_count();
         // Theory vars: one time per op, plus a zero reference.
         let mut smt = SmtSolver::new(n + 1);
@@ -145,32 +133,25 @@ impl TemporalSearch for SmtMapper {
             }
         }
 
-        if budget.expired_now() {
-            return Err(budget.error());
-        }
         smt.sat.conflict_budget = 2_000_000;
         smt.sat.interrupt = budget.interrupt();
         let outcome = smt.solve();
         add_solver_stats(ctx.tele(), smt.stats());
         match outcome {
-            SmtResult::Unsat => Ok(None),
-            SmtResult::Unknown => Err(budget.error()),
+            SmtResult::Unsat => Verdict::Refuted,
+            SmtResult::Unknown => Verdict::Unproven,
             SmtResult::Sat { model, values } => {
                 // The theory model is this horizon's incumbent
                 // schedule; cost = the horizon probed.
                 ctx.incumbent(Self::NAME, horizon, horizon as f64);
                 // Decode binding and times (normalise to t_zero).
                 let t0 = values[zero];
-                let mut chosen = Vec::with_capacity(n);
-                for (o, row) in sel.iter().enumerate() {
-                    let pe = row
-                        .iter()
-                        .position(|l| model[l.var().0 as usize])
-                        .map(|k| pes[k]);
-                    let Some(pe) = pe else { return Ok(None) };
-                    chosen.push((pe, (values[o] - t0).max(0) as u32));
-                }
-                Ok(ctx.route(horizon, chosen))
+                let chosen = sel.iter().enumerate().map(|(o, row)| {
+                    let k = (row.iter().position(|l| model[l.var().0 as usize]))
+                        .expect("the at-least-one clause guarantees a PE");
+                    (pes[k], (values[o] - t0).max(0) as u32)
+                });
+                ctx.route(horizon, chosen).into()
             }
         }
     }

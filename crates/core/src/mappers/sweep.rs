@@ -11,11 +11,15 @@
 //! optional probe diagnosis. A technique implements [`TemporalSearch`]
 //! — its name, its family and `try_ii` — and receives [`Mapper`] from
 //! the blanket impl below.
+//!
+//! A probe says what it proved at its II, as a [`Verdict`]; only the
+//! sweep decides. An exhausted range is a proven `Infeasible` only if
+//! every II in it was refuted.
 
 use super::ModuloList;
 use crate::diagnosis::Diagnosis;
 use crate::engine::Budget;
-use crate::mapper::{Family, MapConfig, MapError, Mapper};
+use crate::mapper::{Family, Infeasibility, MapConfig, MapError, Mapper};
 use crate::mapping::{Mapping, Placement};
 use crate::route::route_all_with;
 use crate::telemetry::{Phase, Telemetry};
@@ -91,13 +95,27 @@ impl<'a> SweepCtx<'a> {
     }
 }
 
+/// What a probe proved about its II (for `T` a CEGAR backend's choice,
+/// what one solve found).
+pub(crate) enum Verdict<T = Mapping> {
+    Mapped(T),
+    /// No mapping exists at this II (see DESIGN.md §2 for what counts).
+    Refuted,
+    /// Nothing found and nothing proven.
+    Unproven,
+}
+
+impl<T> From<Option<T>> for Verdict<T> {
+    fn from(found: Option<T>) -> Self {
+        found.map_or(Verdict::Unproven, Verdict::Mapped)
+    }
+}
+
 /// One temporal mapping technique, reduced to what is its own.
 pub(crate) trait TemporalSearch: Send + Sync {
     /// Registry name, as reported by [`Mapper::name`] and journalled.
     const NAME: &'static str;
     const FAMILY: Family;
-    /// The exhausted-range wording; `{range}` becomes `lo..=hi`.
-    const EXHAUSTED: &'static str = "no II in {range} admits a schedule";
 
     /// Per-run state: built once by [`prepare`](Self::prepare), passed
     /// to every probe, dropped when the sweep ends.
@@ -105,19 +123,10 @@ pub(crate) trait TemporalSearch: Send + Sync {
 
     fn prepare(&self, ctx: &SweepCtx<'_>) -> Self::State;
 
-    /// The IIs to probe, in order, all within `ctx.lo..=ctx.hi`.
-    fn candidates(&self, ctx: &SweepCtx<'_>) -> Vec<u32> {
-        (ctx.lo..=ctx.hi).collect()
-    }
-
-    /// Probe one II: `Ok(Some)` on a mapping, `Ok(None)` when this II
-    /// fails, `Err` to abort the sweep (budget, unsupported kernel).
-    fn try_ii(
-        &self,
-        ctx: &SweepCtx<'_>,
-        st: &mut Self::State,
-        ii: u32,
-    ) -> Result<Option<Mapping>, MapError>;
+    /// Probe one II and say what it proved. A probe never decides the
+    /// run: a budget stop is `Unproven`, and the sweep's poll after it
+    /// tells `Timeout` from `Cancelled`.
+    fn try_ii(&self, ctx: &SweepCtx<'_>, st: &mut Self::State, ii: u32) -> Verdict;
 
     /// Failure forensics at `ii`, run under `explain` once the range
     /// is exhausted.
@@ -126,26 +135,40 @@ pub(crate) trait TemporalSearch: Send + Sync {
     }
 }
 
-/// The II loop.
+/// The exhausted-range error over `lo..=hi`, one sentence per verdict;
+/// `parallel_ii` words its own the same way.
+pub(crate) fn exhausted(lo: u32, hi: u32, proven: bool) -> MapError {
+    let why = match proven {
+        true => format!("every II in {lo}..={hi} is refuted"),
+        false => format!("no mapping found for II {lo}..={hi} (not proven infeasible)"),
+    };
+    MapError::Infeasible(Infeasibility {
+        proven,
+        ..why.into()
+    })
+}
+
+/// The II loop, and the one reader of the probes' verdicts.
 fn search<S: TemporalSearch>(
     s: &S,
     ctx: &SweepCtx<'_>,
     st: &mut S::State,
 ) -> Result<Mapping, MapError> {
-    for ii in s.candidates(ctx) {
+    // Every II below `bound` is refuted.
+    let mut bound = ctx.lo;
+    for ii in ctx.lo..=ctx.hi {
         ctx.tele().ii_attempt(S::NAME, ii);
         let _span = ctx.tele().span_ii(Phase::Map, ii);
-        if let Some(m) = s.try_ii(ctx, st, ii)? {
-            return Ok(m);
+        match s.try_ii(ctx, st, ii) {
+            Verdict::Mapped(m) => return Ok(m),
+            Verdict::Refuted if bound == ii => bound += 1,
+            Verdict::Refuted | Verdict::Unproven => {}
         }
         if ctx.budget.expired_now() {
             return Err(ctx.budget.error());
         }
     }
-    let range = format!("{}..={}", ctx.lo, ctx.hi);
-    Err(MapError::infeasible(
-        S::EXHAUSTED.replace("{range}", &range),
-    ))
+    Err(exhausted(ctx.lo, ctx.hi, bound > ctx.hi))
 }
 
 /// Run `s` over its II candidates — the body of [`Mapper::map`] for
@@ -196,17 +219,20 @@ mod tests {
     use std::time::Duration;
 
     /// What the scripted probe does on its next call.
+    #[derive(Clone, Copy)]
     enum Step {
-        /// `Ok(None)` at once.
+        /// `Unproven` at once.
         Fail,
+        Refute,
         Map,
         CancelThenFail,
-        Abort(MapError),
     }
 
-    /// A probe that replays a script and records what the driver did.
+    /// A probe that replays a script (or, if `by_ii` is set, answers by
+    /// II, as racing jobs need) and records what the driver did.
     struct Fake {
         script: Mutex<VecDeque<Step>>,
+        by_ii: Option<fn(u32) -> Step>,
         probed: Mutex<Vec<u32>>,
     }
 
@@ -214,6 +240,7 @@ mod tests {
         fn new(script: impl IntoIterator<Item = Step>) -> Self {
             Fake {
                 script: Mutex::new(script.into_iter().collect()),
+                by_ii: None,
                 probed: Mutex::default(),
             }
         }
@@ -230,27 +257,28 @@ mod tests {
 
         fn prepare(&self, _: &SweepCtx<'_>) {}
 
-        fn try_ii(
-            &self,
-            ctx: &SweepCtx<'_>,
-            _: &mut (),
-            ii: u32,
-        ) -> Result<Option<Mapping>, MapError> {
+        fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
             unpoison(self.probed.lock()).push(ii);
             // An exhausted script keeps failing.
-            match unpoison(self.script.lock()).pop_front() {
-                None | Some(Step::Fail) => Ok(None),
+            let step = match self.by_ii {
+                Some(at) => at(ii),
+                None => unpoison(self.script.lock())
+                    .pop_front()
+                    .unwrap_or(Step::Fail),
+            };
+            match step {
+                Step::Fail => Verdict::Unproven,
+                Step::Refute => Verdict::Refuted,
                 // The driver hands the probe's mapping through untouched.
-                Some(Step::Map) => Ok(Some(Mapping {
+                Step::Map => Verdict::Mapped(Mapping {
                     ii,
                     place: Vec::new(),
                     routes: Vec::new(),
-                })),
-                Some(Step::CancelThenFail) => {
+                }),
+                Step::CancelThenFail => {
                     ctx.budget.cancel();
-                    Ok(None)
+                    Verdict::Unproven
                 }
-                Some(Step::Abort(e)) => Err(e),
             }
         }
 
@@ -308,9 +336,10 @@ mod tests {
         let err = fake
             .map(&kernels::dot_product(), &mesh(), &cfg)
             .unwrap_err();
+        assert_eq!(err, exhausted(3, 3, false));
         assert_eq!(
-            err,
-            MapError::infeasible("no II in 3..=3 admits a schedule")
+            err.to_string(),
+            "infeasible: no mapping found for II 3..=3 (not proven infeasible)"
         );
         assert_eq!(fake.probed(), [3]);
         assert_eq!(attempts(&cfg), [3]);
@@ -338,13 +367,43 @@ mod tests {
     }
 
     #[test]
-    fn probe_error_aborts_the_sweep() {
-        let boom = MapError::Unsupported("scripted".into());
-        let fake = Fake::new([Step::Fail, Step::Abort(boom.clone())]);
-        let cfg = cfg(1, 6);
-        let err = fake.map(&kernels::dot_product(), &mesh(), &cfg);
-        assert_eq!(err.unwrap_err(), boom);
-        assert_eq!(attempts(&cfg), [1, 2]);
+    fn only_an_unbroken_run_of_refutations_proves() {
+        use Step::{Fail, Map, Refute};
+        let dfg = kernels::dot_product();
+        let run = |script: Vec<Step>| Fake::new(script).map(&dfg, &mesh(), &cfg(2, 4));
+        assert_eq!(run(vec![Refute, Refute, Map]).unwrap().ii, 4);
+        let proven = run(vec![Refute; 3]).unwrap_err();
+        assert_eq!(proven, exhausted(2, 4, true));
+        assert_eq!(
+            proven.to_string(),
+            "infeasible: every II in 2..=4 is refuted"
+        );
+        // One unproven II anywhere, and a refuted II after it, prove
+        // nothing.
+        for gap in 0..3 {
+            let mut script = vec![Refute; 3];
+            script[gap] = Fail;
+            assert_eq!(
+                run(script).unwrap_err(),
+                exhausted(2, 4, false),
+                "gap {gap}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_ii_is_proven_only_when_every_job_is() {
+        let dfg = kernels::dot_product();
+        let run = |by_ii: fn(u32) -> Step| {
+            let fake = Fake {
+                by_ii: Some(by_ii),
+                ..Fake::new([])
+            };
+            crate::engine::parallel_ii(&fake, &dfg, &mesh(), &cfg(2, 4)).unwrap_err()
+        };
+        assert_eq!(run(|_| Step::Refute), exhausted(2, 4, true));
+        let one_open = |ii| if ii == 3 { Step::Fail } else { Step::Refute };
+        assert_eq!(run(one_open), exhausted(2, 4, false));
     }
 
     #[test]

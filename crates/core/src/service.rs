@@ -47,6 +47,7 @@ use crate::unpoison;
 use cgra_arch::TopologyCache;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -533,13 +534,36 @@ struct Flight {
     cv: Condvar,
 }
 
-enum Ticket {
-    Leader,
+enum Ticket<'a> {
+    Leader(Lead<'a>),
     Follower(Arc<Flight>),
 }
 
+/// A leader's flight. Dropping it publishes `out` and retires the
+/// flight, so followers wake even if the leader unwinds.
+struct Lead<'a> {
+    inflight: &'a InFlight,
+    key: CacheKey,
+    out: Option<Arc<MapOutcome>>,
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        let Some(flight) = unpoison(self.inflight.flights.lock()).remove(&self.key) else {
+            return;
+        };
+        let unwound = || MapOutcome {
+            error: Some(MapError::infeasible("PANIC: the leading request unwound")),
+            ..MapOutcome::default()
+        };
+        *unpoison(flight.done.lock()) =
+            Some(self.out.take().unwrap_or_else(|| Arc::new(unwound())));
+        flight.cv.notify_all();
+    }
+}
+
 impl InFlight {
-    fn begin(&self, key: CacheKey) -> Ticket {
+    fn begin(&self, key: CacheKey) -> Ticket<'_> {
         let mut flights = unpoison(self.flights.lock());
         match flights.get(&key) {
             Some(f) => Ticket::Follower(Arc::clone(f)),
@@ -551,18 +575,12 @@ impl InFlight {
                         cv: Condvar::new(),
                     }),
                 );
-                Ticket::Leader
+                Ticket::Leader(Lead {
+                    inflight: self,
+                    key,
+                    out: None,
+                })
             }
-        }
-    }
-
-    /// Leader publishes its outcome and retires the flight. Always
-    /// called (even for failed solves), so followers cannot hang.
-    fn finish(&self, key: &CacheKey, outcome: Arc<MapOutcome>) {
-        let flight = unpoison(self.flights.lock()).remove(key);
-        if let Some(f) = flight {
-            *unpoison(f.done.lock()) = Some(outcome);
-            f.cv.notify_all();
         }
     }
 
@@ -672,6 +690,9 @@ struct Counts {
     coalesced: u64,
 }
 
+/// The leader's solve: [`execute`], or a test's stand-in.
+type Exec<'a> = &'a dyn Fn(&MapRequest, &ExecEnv) -> MapOutcome;
+
 /// How many fabrics' topologies a [`MapService`] keeps built. A 32×32
 /// fabric's hop table alone is 4 MB, and a client can name about a
 /// thousand distinct fabrics within `MAX_FABRIC_PES`.
@@ -759,16 +780,21 @@ impl MapService {
     /// Every path stamps the outcome with a trace id (the request's
     /// own, or a freshly minted one) and records end-to-end latency.
     pub fn handle(&self, req: &MapRequest) -> MapOutcome {
+        self.handle_with(req, &execute)
+    }
+
+    /// [`MapService::handle`] with `exec` as the leader's solve.
+    fn handle_with(&self, req: &MapRequest, exec: Exec) -> MapOutcome {
         let t0 = Instant::now();
         self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let out = self.classify_and_serve(req);
+        let out = self.classify_and_serve(req, exec);
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
         self.metrics
             .observe_request(t0.elapsed().as_micros() as u64);
         out
     }
 
-    fn classify_and_serve(&self, req: &MapRequest) -> MapOutcome {
+    fn classify_and_serve(&self, req: &MapRequest, exec: Exec) -> MapOutcome {
         let trace = if req.trace.is_empty() {
             self.mint_trace()
         } else {
@@ -796,15 +822,16 @@ impl MapService {
                 });
                 personalize(&out, req.id, &trace, CacheStatus::Hit, lookup)
             }
-            Ticket::Leader => {
+            Ticket::Leader(mut lead) => {
                 self.count(|c| {
                     c.requests += 1;
                     c.misses += 1;
                 });
-                let (out, cacheable) = self.solve(req, &trace);
+                let (out, cacheable) = self.solve(req, &trace, exec);
                 let out = Arc::new(out);
                 // Publish before caching so followers wake first.
-                self.inflight.finish(&key, Arc::clone(&out));
+                lead.out = Some(Arc::clone(&out));
+                drop(lead);
                 if cacheable {
                     self.cache.insert(key, Arc::clone(&out));
                 }
@@ -820,25 +847,25 @@ impl MapService {
 
     /// The miss path: admission-gated (possibly load-shed),
     /// cancellable, with the incumbent fallback on a timeout. The bool
-    /// says whether the outcome may be cached (rejected and cancelled
-    /// outcomes must not be — neither reflects the key's true answer).
-    fn solve(&self, req: &MapRequest, trace: &str) -> (MapOutcome, bool) {
+    /// says whether the outcome may be cached (rejected, panicked and
+    /// cancelled outcomes must not be — none reflects the key's true
+    /// answer).
+    fn solve(&self, req: &MapRequest, trace: &str, exec: Exec) -> (MapOutcome, bool) {
+        let unsolved = |error| MapOutcome {
+            id: req.id,
+            trace: trace.to_string(),
+            kernel: req.kernel.label().to_string(),
+            mapper: req.mapper.clone(),
+            cache: CacheStatus::Miss,
+            error: Some(error),
+            ..MapOutcome::default()
+        };
         let queued = Instant::now();
         let Some(_permit) = self.gate.acquire(self.max_queue) else {
             self.rejections.fetch_add(1, Ordering::Relaxed);
-            let out = MapOutcome {
-                id: req.id,
-                trace: trace.to_string(),
-                kernel: req.kernel.label().to_string(),
-                mapper: req.mapper.clone(),
-                cache: CacheStatus::Miss,
-                // Load shedding surfaces as the retryable Timeout —
-                // the request spent its patience in the queue, not in
-                // a solver.
-                error: Some(MapError::Timeout),
-                ..MapOutcome::default()
-            };
-            return (out, false);
+            // Load shedding surfaces as the retryable Timeout — the
+            // request spent its patience in the queue, not in a solver.
+            return (unsolved(MapError::Timeout), false);
         };
         let queue_us = queued.elapsed().as_micros() as u64;
         self.metrics.observe_queue_wait(queue_us);
@@ -854,11 +881,22 @@ impl MapService {
             ..ExecEnv::default()
         };
         let solve_t = Instant::now();
-        let mut out = execute(req, &env);
+        let solved = panic::catch_unwind(AssertUnwindSafe(|| exec(req, &env)));
         self.metrics
             .observe_solve(solve_t.elapsed().as_micros() as u64);
         unpoison(self.jobs.lock()).remove(&req.id);
         self.running.fetch_sub(1, Ordering::Relaxed);
+        let mut out = match solved {
+            Ok(out) => out,
+            // Like `settle`'s INVALID OUTPUT: this answer is about the
+            // solve, not the key, so the next request solves again.
+            Err(p) => {
+                let said = (p.downcast_ref::<&str>().copied())
+                    .or_else(|| p.downcast_ref::<String>().map(String::as_str));
+                let why = format!("PANIC: {}", said.unwrap_or("the solve panicked"));
+                return (unsolved(MapError::infeasible(why)), false);
+            }
+        };
 
         out.queue_us = queue_us;
         out.cache = CacheStatus::Miss;
@@ -1265,6 +1303,71 @@ mod tests {
         let s = svc.stats();
         assert_eq!(s.requests, 3);
         assert_eq!(s.hits + s.misses, s.requests);
+    }
+
+    #[test]
+    fn a_panicking_solve_answers_its_flight_and_is_not_cached() {
+        let svc = MapService::new(2, 64, None);
+        let req = named(1, "dot_product", "modulo-list");
+        let key = req.cache_key();
+        let flight = || {
+            unpoison(svc.inflight.flights.lock())
+                .get(&key)
+                .map(Arc::strong_count)
+        };
+        let (leader, follower) = std::thread::scope(|s| {
+            let leader = s.spawn(|| {
+                // Die once a follower has joined this flight.
+                let die = |_: &MapRequest, _: &ExecEnv| -> MapOutcome {
+                    while flight() != Some(2) {
+                        std::thread::yield_now();
+                    }
+                    panic!("scripted solver panic")
+                };
+                svc.handle_with(&req, &die)
+            });
+            while flight().is_none() {
+                std::thread::yield_now();
+            }
+            let never = |_: &MapRequest, _: &ExecEnv| -> MapOutcome { unreachable!() };
+            let follower = svc.handle_with(
+                &MapRequest {
+                    id: 2,
+                    ..req.clone()
+                },
+                &never,
+            );
+            (leader.join().unwrap(), follower)
+        });
+        for out in [&leader, &follower] {
+            match &out.error {
+                Some(MapError::Infeasible(inf)) => {
+                    assert_eq!(inf.why, "PANIC: scripted solver panic");
+                    assert!(!inf.proven);
+                }
+                other => panic!("request {}: {other:?}", out.id),
+            }
+        }
+        assert_eq!(
+            (leader.cache, follower.cache),
+            (CacheStatus::Miss, CacheStatus::Hit)
+        );
+        let s = svc.stats();
+        assert_eq!((s.running, s.in_flight, s.cache_entries), (0, 0, 0));
+        assert!(unpoison(svc.jobs.lock()).is_empty());
+        assert!(flight().is_none(), "the flight is retired");
+        // The service still answers, and the key solves afresh.
+        let again = svc.handle(&MapRequest {
+            id: 3,
+            ..req.clone()
+        });
+        assert_eq!(again.cache, CacheStatus::Miss);
+        assert!(again.succeeded(), "error: {:?}", again.error);
+        assert!(svc.handle(&named(4, "fir4", "modulo-list")).succeeded());
+        let s = svc.stats();
+        assert_eq!((s.requests, s.misses, s.coalesced), (4, 3, 1));
+        assert_eq!(s.hits + s.misses, s.requests);
+        assert_eq!((s.running, s.in_flight), (0, 0));
     }
 
     #[test]

@@ -104,6 +104,12 @@ impl Gen {
         TEXTS[self.below(6) as usize].to_string()
     }
 
+    /// A flag from a copy of the stream, leaving `self` where it was, so
+    /// a field added late to one type does not move every later value.
+    fn side_flag(&self) -> bool {
+        Gen(self.0 ^ 0x5bd1_e995).flag()
+    }
+
     fn opt<T>(&mut self, make: impl FnOnce(&mut Gen) -> T) -> Option<T> {
         self.flag().then(|| make(self))
     }
@@ -219,6 +225,7 @@ fn map_error(g: &mut Gen) -> MapError {
         _ => MapError::Infeasible(Infeasibility {
             why: g.text(),
             diagnosis: g.opt(diagnosis).map(Box::new),
+            proven: g.side_flag(),
         }),
     }
 }
@@ -454,6 +461,7 @@ fn cases(g: &mut Gen) -> Vec<Case> {
     let infeasible = Infeasibility {
         why: g.text(),
         diagnosis: g.opt(diagnosis).map(Box::new),
+        proven: g.side_flag(),
     };
     vec![
         case("KernelSpec", &kernel(g)),
@@ -474,7 +482,8 @@ fn cases(g: &mut Gen) -> Vec<Case> {
         case("Mapping", &mapping(g)),
         case("Metrics", &metrics(g)),
         case("MapError", &map_error(g)),
-        case("Infeasibility", &infeasible).defaults(&[("diagnosis", Value::Null)]),
+        case("Infeasibility", &infeasible)
+            .defaults(&[("diagnosis", Value::Null), ("proven", false.to_value())]),
         case("Diagnosis", &diagnosis(g)),
         case("UtilizationMap", &utilization(g)),
         case("LatencySummary", &latency(g)),

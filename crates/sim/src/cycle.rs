@@ -245,6 +245,57 @@ mod tests {
         );
     }
 
+    /// `x` stored to cell 0 and `late`, a memory op on cell 0 whose
+    /// address is a chain of adds that makes it issue last, with no edge
+    /// between the two, so the interpreter's topological order and the
+    /// mapping's schedule run them in different orders. The mapping is
+    /// valid; only the comparison with the interpreter catches it.
+    fn unordered(late: OpKind) -> (Dfg, Mapping) {
+        let mut dfg = Dfg::new("unordered");
+        let x = dfg.add_node(OpKind::Input(0));
+        let zero = dfg.add_node(OpKind::Const(0));
+        let mut addr = zero;
+        for _ in 0..4 {
+            let next = dfg.add_node(OpKind::Add);
+            dfg.connect(addr, next, 0);
+            dfg.connect(zero, next, 1);
+            addr = next;
+        }
+        let op = dfg.add_node(late);
+        dfg.connect(addr, op, 0);
+        if late == OpKind::Load {
+            let out = dfg.add_node(OpKind::Output(0));
+            dfg.connect(op, out, 0);
+        } else {
+            let y = dfg.add_node(OpKind::Input(1));
+            dfg.connect(y, op, 1);
+        }
+        let st = dfg.add_node(OpKind::Store);
+        dfg.connect(zero, st, 0);
+        dfg.connect(x, st, 1);
+        let m = ModuloList.map(&dfg, &mesh(), &MapConfig::fast()).unwrap();
+        (dfg, m)
+    }
+
+    #[test]
+    fn verification_fails_on_outputs_the_interpreter_disagrees_with() {
+        let (dfg, m) = unordered(OpKind::Load);
+        let tape = Tape::generate(1, 6, |_, i| i as i64 + 1).with_memory(vec![9]);
+        let err = simulate_verified(&m, &dfg, &mesh(), 6, &tape).unwrap_err();
+        assert!(err.starts_with("output mismatch"), "{err}");
+    }
+
+    #[test]
+    fn verification_fails_on_a_memory_image_the_interpreter_disagrees_with() {
+        let (dfg, m) = unordered(OpKind::Store);
+        let tape = Tape::generate(2, 6, |s, i| (s * 100 + i) as i64).with_memory(vec![9]);
+        let sim = simulate(&m, &dfg, &mesh(), 6, &tape).unwrap();
+        let golden = cgra_ir::Interpreter::run(&dfg, 6, &tape).unwrap();
+        assert_eq!(sim.outputs, golden.outputs);
+        let err = simulate_verified(&m, &dfg, &mesh(), 6, &tape).unwrap_err();
+        assert_eq!(err, "memory image mismatch");
+    }
+
     #[test]
     fn dry_input_reported() {
         let dfg = kernels::dot_product();

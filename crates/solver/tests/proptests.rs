@@ -216,4 +216,45 @@ proptest! {
             other => prop_assert!(false, "{other:?}"),
         }
     }
+
+    /// The minimisation twin: the cheapest cover, at costs in quarters
+    /// (the mapper minimises a fractional objective, issue time plus
+    /// 0.1 per hop from the centre).
+    #[test]
+    fn ilp_cover_matches_brute_force_when_minimising(
+        quarters in prop::collection::vec(1i64..40, 6),
+        weights in prop::collection::vec(1i64..10, 6),
+        demand in 5i64..40
+    ) {
+        let mut m = IlpModel::new(false);
+        let vars: Vec<_> = quarters.iter().map(|&q| m.add_var(q as f64 / 4.0)).collect();
+        let row: Vec<_> = vars
+            .iter()
+            .zip(&weights)
+            .map(|(&v, &w)| (v, w as f64))
+            .collect();
+        m.add_constraint(&row, Cmp::Ge, demand as f64);
+        let sum = |of: &[i64], bits: u32| -> i64 {
+            (0..6).filter(|&i| bits >> i & 1 == 1).map(|i| of[i]).sum()
+        };
+        let best = (0..(1u32 << 6))
+            .filter(|&bits| sum(&weights, bits) >= demand)
+            .map(|bits| sum(&quarters, bits))
+            .min();
+        match (m.solve(), best) {
+            (IlpResult::Optimal { objective, values }, Some(best)) => {
+                prop_assert!((objective - best as f64 / 4.0).abs() < 1e-6,
+                             "ILP {objective} vs brute {}", best as f64 / 4.0);
+                let w: i64 = values
+                    .iter()
+                    .zip(&weights)
+                    .filter(|(&b, _)| b)
+                    .map(|(_, &w)| w)
+                    .sum();
+                prop_assert!(w >= demand);
+            }
+            (IlpResult::Infeasible, None) => {}
+            (other, best) => prop_assert!(false, "{other:?} vs brute {best:?}"),
+        }
+    }
 }

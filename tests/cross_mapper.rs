@@ -126,6 +126,109 @@ fn sat_and_cp_agree_on_ii() {
     assert_eq!(iis, [1, 1, 1, 1, 3, 3, 1, 1, 1, 1, 2, 2]);
 }
 
+/// A proven `Infeasible`: no mapping exists in the range searched.
+fn proven(r: &Result<Mapping, MapError>) -> bool {
+    matches!(r, Err(MapError::Infeasible(inf)) if inf.proven)
+}
+
+#[test]
+fn no_exact_mapper_proves_a_mappable_kernel_infeasible() {
+    // sat maps the MiniC FFT butterfly on a 4x4 mesh (II 2), so a proof
+    // that nothing maps is wrong, whatever else the others answer (a
+    // timeout or an unproven Infeasible is an honest answer).
+    let mut dfg = frontend::compile_kernel(include_str!("../examples/kernels/fft.mc"))
+        .unwrap()
+        .dfg;
+    passes::optimize(&mut dfg);
+    let fabric = Fabric::homogeneous(4, 4, Topology::Mesh);
+    let quick = MapConfig {
+        time_limit: Duration::from_secs(2),
+        ..MapConfig::default()
+    };
+    let registry = MapperRegistry::standard();
+    let m = SatMapper::default()
+        .map(&dfg, &fabric, &quick)
+        .expect("sat maps");
+    validate(&m, &dfg, &fabric).unwrap();
+    std::thread::scope(|s| {
+        for name in ["cp", "ilp", "bnb", "smt"] {
+            let (mapper, dfg, fabric, quick) =
+                (registry.build(name).unwrap(), &dfg, &fabric, &quick);
+            s.spawn(move || {
+                let r = mapper.map(dfg, fabric, quick);
+                assert!(!proven(&r), "{name} proves fft unmappable: {r:?}");
+            });
+        }
+    });
+}
+
+#[test]
+fn a_proven_ii_floor_binds_every_modulo_mapper() {
+    // When sat, cp or ilp maps at II k and a re-run capped at k - 1 is
+    // a proven Infeasible, k is optimal: no modulo mapper maps below
+    // it, and every mapper that proves its k proves the same one. (smt
+    // answers the non-pipelined question and is not held to it.)
+    let fabric = Fabric::homogeneous(3, 3, Topology::Mesh);
+    let registry = MapperRegistry::standard();
+    let modulo: Vec<_> = (registry.specs().iter())
+        .filter(|s| !s.spatial && s.name != "smt")
+        .map(|s| (s.name, s.build()))
+        .collect();
+    let mut proofs = 0;
+    for dfg in kernels::small_suite() {
+        let mut optimal: Vec<(&str, u32)> = Vec::new();
+        for name in ["sat", "cp", "ilp"] {
+            let mapper = registry.build(name).unwrap();
+            let Ok(m) = mapper.map(&dfg, &fabric, &cfg()) else {
+                continue;
+            };
+            let below = MapConfig {
+                max_ii: m.ii - 1,
+                ..cfg()
+            };
+            let r = mapper.map(&dfg, &fabric, &below);
+            assert!(r.is_err(), "{name} on {}: maps below its own II", dfg.name);
+            if proven(&r) {
+                optimal.push((name, m.ii));
+            }
+        }
+        let Some(&(_, k)) = optimal.first() else {
+            continue;
+        };
+        assert!(
+            optimal.iter().all(|&(_, ii)| ii == k),
+            "{}: proven optima disagree: {optimal:?}",
+            dfg.name
+        );
+        proofs += optimal.len();
+        for (name, mapper) in &modulo {
+            if let Ok(m) = mapper.map(&dfg, &fabric, &cfg()) {
+                assert!(
+                    m.ii >= k,
+                    "{name} maps {} at II {} below proven {k}",
+                    dfg.name,
+                    m.ii
+                );
+            }
+        }
+    }
+    assert!(proofs >= 6, "only {proofs} proven optima");
+}
+
+#[test]
+fn smt_maps_horner4_on_a_4x4_mesh() {
+    // Probing every horizon, not a doubling sequence, finds the one
+    // that admits horner4.
+    let (dfg, fabric) = (
+        kernels::horner4(),
+        Fabric::homogeneous(4, 4, Topology::Mesh),
+    );
+    let m = SmtMapper
+        .map(&dfg, &fabric, &cfg())
+        .expect("smt maps horner4");
+    validate(&m, &dfg, &fabric).unwrap();
+}
+
 #[test]
 fn tighter_fabric_cannot_improve_best_ii() {
     // Monotonicity: the best II on a 2x2 can never beat the best II on
