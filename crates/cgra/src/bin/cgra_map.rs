@@ -267,6 +267,15 @@ fn run() -> Result<(), CliError> {
     };
 
     if let Some(err) = &outcome.error {
+        // A failed map is the run a trace has to explain, so it gets
+        // one too; a trace that cannot be written does not hide why
+        // the map failed.
+        if let Err(e) = write_traces(&opts, &tele) {
+            eprintln!("{}", e.msg);
+        }
+        if opts.profile {
+            eprint!("{}", render_profile(&tele));
+        }
         if req.mode == ExecMode::Race && !outcome.race.is_empty() {
             let mut cli: CliError = err.into();
             cli.msg = format!("{}\n{}", race_failure_report(&outcome), cli.msg);
@@ -312,14 +321,7 @@ fn run() -> Result<(), CliError> {
     let energy = EnergyModel::default();
     let run_energy = energy.run_energy(&mapping, &dfg, &fabric, opts.iters as u64);
 
-    if let Some(path) = &opts.trace {
-        write_trace(path, &tele)?;
-    }
-    if let Some(path) = &opts.chrome_trace {
-        let trace = report::chrome_trace(&tele);
-        std::fs::write(path, serde_json::to_string_pretty(&trace).unwrap())
-            .map_err(|e| format!("{path}: {e}"))?;
-    }
+    write_traces(&opts, &tele)?;
 
     if opts.json {
         let config_json = serde_json::json!({
@@ -462,6 +464,19 @@ fn race_failure_report(outcome: &MapOutcome) -> String {
         })
         .collect();
     format!("race failed: no mapper won\n  {}", detail.join("\n  "))
+}
+
+/// Write the `--trace` and `--chrome-trace` files that were asked for.
+fn write_traces(opts: &Options, tele: &Telemetry) -> Result<(), CliError> {
+    if let Some(path) = &opts.trace {
+        write_trace(path, tele)?;
+    }
+    if let Some(path) = &opts.chrome_trace {
+        let trace = report::chrome_trace(tele);
+        std::fs::write(path, serde_json::to_string_pretty(&trace).unwrap())
+            .map_err(|e| format!("{path}: {e}"))?;
+    }
+    Ok(())
 }
 
 /// Emit the trace as JSON Lines: one `span` event per recorded phase

@@ -4,16 +4,18 @@
 //!
 //! A streaming application is a synchronous-dataflow (SDF) graph whose
 //! actors are loop kernels and whose channels carry one token per
-//! iteration. Mapping partitions the fabric into disjoint regions, maps
-//! every actor into its region (with any [`Mapper`]), and the pipeline
+//! iteration. Mapping carves the fabric into one rectangle per actor, maps
+//! every actor onto its rectangle (with any [`Mapper`]), and the pipeline
 //! throughput is set by the slowest actor:
 //! `1 / max_k II_k` iterations per cycle, all actors running
 //! concurrently on their partitions.
 
+use crate::fleet::{self, Partition};
 use crate::mapper::{MapConfig, MapError, Mapper};
 use crate::mapping::Mapping;
 use crate::metrics::Metrics;
-use cgra_arch::{Fabric, PeId};
+use crate::request::FabricSpec;
+use cgra_arch::TopologyCache;
 use cgra_ir::interp::{Interpreter, Tape};
 use cgra_ir::{Dfg, OpKind, Value};
 use std::collections::HashMap;
@@ -98,28 +100,13 @@ impl SdfGraph {
     }
 }
 
-/// One actor's share of the fabric: a contiguous column strip.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Region {
-    pub col_lo: u16,
-    pub col_hi: u16,
-}
-
-impl Region {
-    pub fn pes(&self, fabric: &Fabric) -> Vec<PeId> {
-        (0..fabric.rows)
-            .flat_map(|r| (self.col_lo..=self.col_hi).map(move |c| (r, c)))
-            .map(|(r, c)| fabric.pe_at(r, c))
-            .collect()
-    }
-}
-
 /// A mapped streaming application.
 #[derive(Debug, Clone)]
 pub struct StreamMapping {
-    /// Per-actor region (disjoint column strips).
-    pub regions: Vec<Region>,
-    /// Per-actor mapping *within its region's sub-fabric coordinates*.
+    /// Per-actor partition of the fabric (disjoint rectangles).
+    pub regions: Vec<Partition>,
+    /// Per-actor mapping *in its partition's sub-fabric coordinates*;
+    /// [`Partition::translate_up`] places it on the full fabric.
     pub mappings: Vec<Mapping>,
     /// Pipeline initiation interval: `max_k II_k`.
     pub pipeline_ii: u32,
@@ -132,57 +119,14 @@ impl StreamMapping {
     }
 }
 
-/// Cut the fabric's columns into strips proportional to actor sizes.
-fn partition(fabric: &Fabric, sizes: &[usize]) -> Option<Vec<Region>> {
-    let actors = sizes.len() as u16;
-    if actors == 0 || actors > fabric.cols {
-        return None;
-    }
-    let total: usize = sizes.iter().sum::<usize>().max(1);
-    let mut regions = Vec::with_capacity(sizes.len());
-    let mut col = 0u16;
-    for (i, &s) in sizes.iter().enumerate() {
-        let remaining_actors = (sizes.len() - i) as u16;
-        let remaining_cols = fabric.cols - col;
-        if remaining_cols < remaining_actors {
-            return None;
-        }
-        let ideal = ((s as f64 / total as f64) * fabric.cols as f64).round() as u16;
-        let width = ideal.max(1).min(remaining_cols - (remaining_actors - 1));
-        regions.push(Region {
-            col_lo: col,
-            col_hi: col + width - 1,
-        });
-        col += width;
-    }
-    // Give leftover columns to the last region.
-    if col < fabric.cols {
-        regions.last_mut().unwrap().col_hi = fabric.cols - 1;
-    }
-    Some(regions)
-}
-
-/// Build the sub-fabric of a column strip (capabilities sliced from the
-/// parent; stream I/O allowed anywhere inside the strip since channels
-/// are wired at region borders).
-fn sub_fabric(fabric: &Fabric, region: &Region) -> Fabric {
-    let cols = region.col_hi - region.col_lo + 1;
-    let mut f = fabric.clone();
-    f.name = format!("{}_cols{}to{}", fabric.name, region.col_lo, region.col_hi);
-    f.cols = cols;
-    f.cells = (0..fabric.rows)
-        .flat_map(|r| (region.col_lo..=region.col_hi).map(move |c| (r, c)))
-        .map(|(r, c)| fabric.cells[fabric.pe_at(r, c).index()])
-        .collect();
-    f.io_policy = cgra_arch::IoPolicy::Anywhere;
-    f
-}
-
-/// Map a streaming application: partition, then map every actor inside
-/// its strip with `mapper`.
+/// Map a streaming application: carve the fabric into one partition
+/// per actor with [`fleet::partition_fabric`], map every actor on its
+/// partition with `mapper`, and check each mapping, translated up, on
+/// the full fabric. Torus and ADRES fabrics cannot be carved
+/// faithfully and are `Unsupported`.
 pub fn map_streaming(
     sdf: &SdfGraph,
-    fabric: &Fabric,
+    fabric: &FabricSpec,
     mapper: &dyn Mapper,
     cfg: &MapConfig,
 ) -> Result<StreamMapping, MapError> {
@@ -194,26 +138,31 @@ pub fn map_streaming(
             "cyclic SDF graphs need explicit channel delays".into(),
         ));
     }
-    let sizes: Vec<usize> = sdf.actors.iter().map(|a| a.node_count()).collect();
-    let regions = partition(fabric, &sizes).ok_or_else(|| {
-        MapError::infeasible(format!(
-            "{} actors need at least as many columns; fabric has {}",
+    let max = fleet::max_partitions(fabric);
+    if sdf.actors.len() > max {
+        return Err(MapError::infeasible(format!(
+            "{} actors need as many partitions; a {}x{} fabric holds {max}",
             sdf.actors.len(),
+            fabric.rows,
             fabric.cols
-        ))
-    })?;
+        )));
+    }
+    let full = fabric.build().map_err(|e| MapError::Unsupported(e.0))?;
+    let topo = TopologyCache::build(&full);
+    let regions = fleet::partition_fabric(fabric, sdf.actors.len(), &topo)
+        .map_err(|e| MapError::Unsupported(e.0))?;
     let mut mappings = Vec::with_capacity(sdf.actors.len());
     let mut pipeline_ii = 1;
-    for (actor, region) in sdf.actors.iter().zip(&regions) {
-        let sub = sub_fabric(fabric, region);
+    for (actor, part) in sdf.actors.iter().zip(&regions) {
+        let sub = part.spec.build().map_err(|e| MapError::Unsupported(e.0))?;
         let m = mapper.map(actor, &sub, cfg).map_err(|e| {
             MapError::infeasible(format!(
-                "actor `{}` failed in its {}-column region: {e}",
-                actor.name, sub.cols
+                "actor `{}` failed in its {}x{} partition: {e}",
+                actor.name, part.spec.rows, part.spec.cols
             ))
         })?;
-        crate::validate::validate(&m, actor, &sub)
-            .map_err(|e| MapError::infeasible(format!("invalid sub-mapping: {e}")))?;
+        crate::validate::validate(&part.translate_up(&m, fabric), actor, &full)
+            .map_err(|e| MapError::infeasible(format!("invalid actor mapping: {e}")))?;
         pipeline_ii = pipeline_ii.max(m.ii);
         mappings.push(m);
     }
@@ -265,18 +214,17 @@ pub fn run_streaming(
 }
 
 /// Per-actor metrics of a stream mapping (II, utilisation of its
-/// strip).
-pub fn stream_metrics(
-    sdf: &SdfGraph,
-    fabric: &Fabric,
-    sm: &StreamMapping,
-) -> Vec<(String, Metrics)> {
+/// partition).
+pub fn stream_metrics(sdf: &SdfGraph, sm: &StreamMapping) -> Vec<(String, Metrics)> {
     sdf.actors
         .iter()
         .zip(&sm.regions)
         .zip(&sm.mappings)
-        .map(|((actor, region), mapping)| {
-            let sub = sub_fabric(fabric, region);
+        .map(|((actor, part), mapping)| {
+            let sub = part
+                .spec
+                .build()
+                .expect("the partition mapped, so it builds");
             (actor.name.clone(), Metrics::of(mapping, actor, &sub))
         })
         .collect()
@@ -306,42 +254,61 @@ mod tests {
         assert!(sdf.external_inputs(1).is_empty());
     }
 
+    fn mesh(rows: u16, cols: u16) -> FabricSpec {
+        FabricSpec {
+            rows,
+            cols,
+            topology: Topology::Mesh,
+            adres: false,
+        }
+    }
+
     #[test]
     fn cyclic_graph_rejected() {
         let mut sdf = pipeline();
         sdf.connect((1, 0), (0, 0));
         assert!(sdf.topo_actors().is_none());
-        let f = Fabric::homogeneous(4, 8, Topology::Mesh);
-        let err = map_streaming(&sdf, &f, &ModuloList, &MapConfig::fast());
+        let err = map_streaming(&sdf, &mesh(4, 8), &ModuloList, &MapConfig::fast());
         assert!(matches!(err, Err(MapError::Unsupported(_))));
-    }
-
-    #[test]
-    fn partitions_are_disjoint_and_cover() {
-        let f = Fabric::homogeneous(4, 8, Topology::Mesh);
-        let regions = partition(&f, &[10, 5, 5]).unwrap();
-        assert_eq!(regions.len(), 3);
-        assert_eq!(regions[0].col_lo, 0);
-        assert_eq!(regions.last().unwrap().col_hi, 7);
-        for w in regions.windows(2) {
-            assert_eq!(w[0].col_hi + 1, w[1].col_lo);
-        }
-        // Bigger actor gets at least as many columns.
-        let w0 = regions[0].col_hi - regions[0].col_lo;
-        let w1 = regions[1].col_hi - regions[1].col_lo;
-        assert!(w0 >= w1);
     }
 
     #[test]
     fn maps_two_stage_pipeline() {
         let sdf = pipeline();
-        let f = Fabric::homogeneous(4, 8, Topology::Mesh);
+        let f = mesh(4, 8);
         let sm = map_streaming(&sdf, &f, &ModuloList, &MapConfig::fast()).expect("pipeline maps");
         assert_eq!(sm.mappings.len(), 2);
         assert!(sm.pipeline_ii >= 1);
         assert!(sm.throughput() <= 1.0);
-        let metrics = stream_metrics(&sdf, &f, &sm);
+        let full = f.build().unwrap();
+        for ((actor, part), m) in sdf.actors.iter().zip(&sm.regions).zip(&sm.mappings) {
+            crate::validate::validate(&part.translate_up(m, &f), actor, &full)
+                .expect("a translated actor mapping validates on the full fabric");
+        }
+        let metrics = stream_metrics(&sdf, &sm);
         assert_eq!(metrics.len(), 2);
+    }
+
+    /// A strip of a torus would wrap at its own width: links the full
+    /// fabric does not have.
+    #[test]
+    fn torus_and_adres_fabrics_are_refused() {
+        let sdf = pipeline();
+        let torus = FabricSpec {
+            topology: Topology::Torus,
+            ..mesh(4, 8)
+        };
+        let adres = FabricSpec {
+            adres: true,
+            ..mesh(4, 8)
+        };
+        for f in [torus, adres] {
+            let err = map_streaming(&sdf, &f, &ModuloList, &MapConfig::fast());
+            assert!(
+                matches!(err, Err(MapError::Unsupported(_))),
+                "{f:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -373,8 +340,7 @@ mod tests {
         for _ in 0..5 {
             sdf.add_actor(kernels::accumulate());
         }
-        let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let err = map_streaming(&sdf, &f, &ModuloList, &MapConfig::fast());
+        let err = map_streaming(&sdf, &mesh(4, 4), &ModuloList, &MapConfig::fast());
         assert!(matches!(err, Err(MapError::Infeasible(_))));
     }
 }

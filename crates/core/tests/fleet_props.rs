@@ -10,12 +10,12 @@
 //! translation bug would ship mappings that route through links the
 //! real fabric does not have.
 //!
-//! **Scheduler determinism**: `plan` is the CI makespan gate's
-//! foundation, so the same queue over the same farm must produce the
-//! identical plan on every run and every hash seed, cover every queue
-//! index exactly once, and hand each fabric a contiguous slot
-//! sequence. The unit tests in `fleet.rs` pin one instance of each;
-//! these properties sweep the space.
+//! **Scheduler determinism**: the same queue over the same farm must
+//! produce the identical plan on every run and every hash seed, cover
+//! every queue index exactly once, and hand each fabric a contiguous
+//! slot sequence. The unit tests in `fleet.rs` pin one instance of
+//! each; these properties sweep the space, and one reference queue's
+//! cold plan is pinned by equality.
 
 use cgra_arch::{Topology, TopologyCache};
 use cgra_mapper_core::fleet::{self, FleetFabric, MIN_SIDE};
@@ -192,4 +192,47 @@ proptest! {
             prop_assert_eq!(slots, want, "slots on fabric {} not contiguous", f);
         }
     }
+}
+
+/// The cold plan of a fixed 20-job queue — ten suite kernels × seeds
+/// 1–2 over an 8×8 mesh + 6×6 mesh-plus farm — pinned by equality.
+/// The plan is a pure function of the queue, so its balance is a
+/// fact about the planner, not about how many cores a run got; a
+/// change to the cost model or the LPT order moves these numbers.
+#[test]
+fn cold_plan_of_the_reference_queue_is_pinned() {
+    const KERNELS: [&str; 10] = [
+        "dot_product",
+        "accumulate",
+        "fir4",
+        "iir1",
+        "conv3",
+        "sad",
+        "horner4",
+        "threshold",
+        "fft_butterfly",
+        "laplacian",
+    ];
+    let reqs: Vec<MapRequest> = (1..=2u64)
+        .flat_map(|seed| KERNELS.iter().map(move |k| (seed, k)))
+        .zip(1u64..)
+        .map(|((seed, k), id)| {
+            let mut req = MapRequest::new(KernelSpec::Named(k.to_string()), "modulo-list");
+            req.config.seed = seed;
+            req.id = id;
+            req
+        })
+        .collect();
+    assert_eq!(reqs.len(), 20);
+    let farm = [
+        FleetFabric::new("8x8 mesh", spec(8, 8, Topology::Mesh)),
+        FleetFabric::new("6x6 mesh+", spec(6, 6, Topology::MeshPlus)),
+    ];
+    let plan = fleet::plan(&reqs, &farm, None).unwrap();
+    for (f, fabric) in farm.iter().enumerate() {
+        let jobs = plan.jobs.iter().filter(|j| j.fabric_index == f).count();
+        assert_eq!(jobs, 10, "jobs on {}", fabric.name);
+    }
+    assert_eq!(plan.loads, vec![115.0, 115.0]);
+    assert_eq!(plan.makespan, 115.0);
 }

@@ -31,28 +31,27 @@ fn main() {
         sdf.topo_actors().unwrap()
     );
 
-    // Map onto a 4x12 fabric: each actor gets a column strip.
-    let fabric = Fabric::homogeneous(4, 12, Topology::Mesh);
+    // Map onto a 4x12 mesh: each actor gets its own partition.
+    let fabric = FabricSpec {
+        rows: 4,
+        cols: 12,
+        topology: Topology::Mesh,
+        adres: false,
+    };
     let mapper = ModuloList;
     let sm = map_streaming(&sdf, &fabric, &mapper, &MapConfig::default()).expect("pipeline maps");
 
     println!("\npartitions and per-actor results:");
-    for ((actor, region), (name, metrics)) in sdf
-        .actors
-        .iter()
-        .zip(&sm.regions)
-        .zip(stream_metrics(&sdf, &fabric, &sm))
-    {
+    for (part, (name, metrics)) in sm.regions.iter().zip(stream_metrics(&sdf, &sm)) {
         println!(
             "  {:<12} cols {:>2}..{:<2} ({} PEs)  II={}  util={:.0}%",
             name,
-            region.col_lo,
-            region.col_hi,
-            region.pes(&fabric).len(),
+            part.col0,
+            part.col0 + part.spec.cols - 1,
+            part.cells().len(),
             metrics.ii,
             metrics.fu_utilisation * 100.0
         );
-        let _ = actor;
     }
     println!(
         "\npipeline II = {} -> throughput {:.2} tokens/cycle with all stages concurrent",

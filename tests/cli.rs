@@ -229,3 +229,34 @@ fn json_with_profile_includes_search_stats() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("search profile:"), "{stderr}");
 }
+
+/// A map that fails still writes its trace: the failed run is the one
+/// someone needs to explain.
+#[test]
+fn a_failed_map_still_writes_its_trace() {
+    let kernel = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/kernels/polyval.mc"
+    );
+    let trace = std::env::temp_dir().join("cgra-cli-tests/failed-trace.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let out = bin()
+        .arg(kernel)
+        .args(["--fabric", "2x2", "--adres", "--max-ii", "1"])
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let body = std::fs::read_to_string(&trace).expect("trace written on failure");
+    assert!(
+        body.lines()
+            .filter_map(|l| serde_json::from_str(l).ok())
+            .any(|v| v["event"].as_str() == Some("span") && v["phase"].as_str() == Some("parse")),
+        "parse span missing:\n{body}"
+    );
+}
