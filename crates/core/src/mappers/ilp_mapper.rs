@@ -34,7 +34,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, Default)]
 pub struct IlpMapper;
 
-/// Candidate positions per op (keeps the dense simplex tractable).
+/// Candidate positions per op. A count cap, not a declared bound: it
+/// sizes the branch-and-bound model, and a probe over a cut list is
+/// reported unproven, never refuted.
 const POSITION_CAP: usize = 12;
 const CEGAR_ROUNDS: u32 = 8;
 const WINDOW_IIS: u32 = 1;

@@ -60,16 +60,8 @@ impl Domain {
     }
 
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            let mut out = Vec::new();
-            while w != 0 {
-                let b = w.trailing_zeros();
-                out.push(wi as u32 * 64 + b);
-                w &= w - 1;
-            }
-            out
-        })
+        (self.words.iter().enumerate())
+            .flat_map(|(wi, &w)| bits(w).map(move |b| wi as u32 * 64 + b))
     }
 
     fn single(&self) -> Option<u32> {
@@ -79,6 +71,15 @@ impl Domain {
             None
         }
     }
+}
+
+/// The set bits of `w`, lowest first.
+fn bits(mut w: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let b = w.trailing_zeros();
+        w &= w.wrapping_sub(1);
+        (b < 64).then_some(b)
+    })
 }
 
 type BinPred = Rc<dyn Fn(u32, u32) -> bool>;
@@ -271,10 +272,18 @@ impl CpModel {
     fn propagate_inner(&mut self, domains: &mut [Domain]) -> bool {
         let mut queue: Vec<usize> = (0..self.constraints.len()).collect();
         let mut queued = vec![true; self.constraints.len()];
+        // The variables one revision narrowed, each once, in the order
+        // they were first narrowed.
+        let mut touched: Vec<usize> = Vec::new();
+        let touch = |touched: &mut Vec<usize>, v: usize| {
+            if !touched.contains(&v) {
+                touched.push(v);
+            }
+        };
         while let Some(ci) = queue.pop() {
             queued[ci] = false;
             self.revisions += 1;
-            let mut touched_vars: Vec<usize> = Vec::new();
+            touched.clear();
             match &self.constraints[ci] {
                 Constraint::Binary { x, y, pred } => {
                     // Revise x against y and y against x.
@@ -294,7 +303,7 @@ impl CpModel {
                                 );
                             if !supported {
                                 domains[a].remove(av);
-                                touched_vars.push(a);
+                                touch(&mut touched, a);
                             }
                         }
                         if domains[a].count == 0 {
@@ -303,17 +312,19 @@ impl CpModel {
                     }
                 }
                 Constraint::Table { x, y, fwd, rev } => {
-                    // Revise both directions on bitset intersections.
+                    // Revise both directions on bitset intersections,
+                    // walking each word's values in place.
                     for (a_var, b_var, table) in [(*x, *y, fwd), (*y, *x, rev)] {
-                        let a_vals: Vec<u32> = domains[a_var].iter().collect();
-                        for av in a_vals {
-                            let supported = table[av as usize]
-                                .iter()
-                                .zip(&domains[b_var].words)
-                                .any(|(&t, &d)| t & d != 0);
-                            if !supported {
-                                domains[a_var].remove(av);
-                                touched_vars.push(a_var);
+                        for wi in 0..domains[a_var].words.len() {
+                            for av in bits(domains[a_var].words[wi]).map(|b| wi as u32 * 64 + b) {
+                                let supported = table[av as usize]
+                                    .iter()
+                                    .zip(&domains[b_var].words)
+                                    .any(|(&t, &d)| t & d != 0);
+                                if !supported {
+                                    domains[a_var].remove(av);
+                                    touch(&mut touched, a_var);
+                                }
                             }
                         }
                         if domains[a_var].count == 0 {
@@ -331,7 +342,7 @@ impl CpModel {
                             if let Some(val) = domains[v].single() {
                                 for &u in vars {
                                     if u != v && domains[u].remove(val) {
-                                        touched_vars.push(u);
+                                        touch(&mut touched, u);
                                         changed = true;
                                         if domains[u].count == 0 {
                                             return false;
@@ -362,7 +373,7 @@ impl CpModel {
                     }
                 }
             }
-            for v in touched_vars {
+            for &v in &touched {
                 for &c2 in &self.touching[v] {
                     if !queued[c2] {
                         queued[c2] = true;

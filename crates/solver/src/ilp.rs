@@ -3,13 +3,19 @@
 //! Anderson's architecture-agnostic formulation, Guo et al.'s
 //! synchronizer ILP, …).
 //!
-//! Depth-first branch-and-bound: each node solves the [`Lp`] relaxation
-//! with branching decisions added as equality fixings; nodes are pruned
-//! when the relaxation is infeasible or its bound cannot beat the
-//! incumbent. Branching picks the most fractional variable and explores
-//! the rounded value first.
+//! Depth-first branch-and-bound over one dual simplex tableau
+//! ([`crate::lp`]): a variable is a column bounded to `[0, 1]`, and a
+//! branch fixes one by setting both bounds. The child explored next
+//! re-solves from its parent's optimal tableau, where dual simplex
+//! repairs the one infeasible row in a few pivots; a node popped later
+//! re-solves from the root's optimal tableau with its path of fixings.
+//! Nodes are pruned when the relaxation is infeasible or its bound
+//! cannot beat the incumbent; the dual objective only rises, so a
+//! relaxation stops pivoting once it reaches the incumbent's. Branching
+//! picks the most fractional variable and explores the rounded value
+//! first.
 
-use crate::lp::{Cmp, Lp, LpResult};
+use crate::lp::{dot, Cmp, Row, Simplex, Status};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
@@ -32,15 +38,12 @@ struct IlpStats {
     lp_pivots: Cell<u64>,
 }
 
-/// One linear constraint: sparse `(var, coeff)` terms, comparator, rhs.
-type Constraint = (Vec<(usize, f64)>, Cmp, f64);
-
 /// A 0/1 ILP.
 #[derive(Debug, Clone)]
 pub struct IlpModel {
     num_vars: usize,
     objective: Vec<f64>,
-    constraints: Vec<Constraint>,
+    constraints: Vec<Row>,
     /// Diagnostic group tag per row, parallel to `constraints`. Rows
     /// inherit the tag current at [`IlpModel::add_constraint`] time
     /// (see [`IlpModel::set_row_tag`]); tag 0 is "untagged".
@@ -203,25 +206,6 @@ impl IlpModel {
         self.add_constraint(&[(a, 1.0), (b, -1.0)], Cmp::Le, 0.0);
     }
 
-    fn relaxation(&self, fixed: &[Option<bool>]) -> Lp {
-        let mut lp = Lp::new(self.num_vars, self.maximize);
-        lp.set_interrupt(self.interrupt.clone());
-        for (v, &c) in self.objective.iter().enumerate() {
-            lp.set_objective(v, c);
-        }
-        for (coeffs, cmp, rhs) in &self.constraints {
-            lp.add_constraint(coeffs, *cmp, *rhs);
-        }
-        for (v, fix) in fixed.iter().enumerate().take(self.num_vars) {
-            match fix {
-                Some(true) => lp.add_constraint(&[(v, 1.0)], Cmp::Eq, 1.0),
-                Some(false) => lp.add_constraint(&[(v, 1.0)], Cmp::Eq, 0.0),
-                None => lp.add_constraint(&[(v, 1.0)], Cmp::Le, 1.0),
-            }
-        }
-        lp
-    }
-
     /// Solve with the default budget.
     pub fn solve(&self) -> IlpResult {
         self.solve_with(IlpConfig::default())
@@ -250,16 +234,6 @@ impl IlpModel {
 
     /// Solve with an explicit budget.
     pub fn solve_with(&self, cfg: IlpConfig) -> IlpResult {
-        self.branch_and_bound(cfg, Lp::solve)
-    }
-
-    /// [`IlpModel::solve_with`] with `solve_lp` answering every node's
-    /// relaxation; the LP tests substitute their reference simplex.
-    pub(crate) fn branch_and_bound(
-        &self,
-        cfg: IlpConfig,
-        solve_lp: impl Fn(&Lp) -> LpResult,
-    ) -> IlpResult {
         let start = Instant::now();
         let mut nodes: u64 = 0;
         let better = |a: f64, b: f64| {
@@ -271,8 +245,15 @@ impl IlpModel {
         };
         let mut incumbent: Option<(Vec<bool>, f64)> = None;
 
-        // DFS stack of partial fixings.
+        let sign = if self.maximize { -1.0 } else { 1.0 };
+        let cost = self.objective.iter().map(|&c| sign * c).collect();
+        let mut work = Simplex::new(self.num_vars, &self.constraints, cost, 1.0);
+        // The root's optimal tableau, once solved.
+        let mut root: Option<Simplex> = None;
+        // DFS stack of partial fixings; `warm` while its top is a child
+        // of the node whose optimal tableau `work` holds.
         let mut stack: Vec<Vec<Option<bool>>> = vec![vec![None; self.num_vars]];
+        let mut warm = false;
         let mut exhausted = true;
 
         while let Some(fixed) = stack.pop() {
@@ -285,28 +266,38 @@ impl IlpModel {
             }
             nodes += 1;
             self.stats.nodes.set(self.stats.nodes.get() + 1);
-            let lp = self.relaxation(&fixed);
+            if let (false, Some(root)) = (warm, &root) {
+                work.clone_from(root);
+            }
+            warm = false;
+            for (v, fix) in fixed.iter().enumerate() {
+                let (lo, hi) = fix.map_or((0.0, 1.0), |b| (f64::from(b), f64::from(b)));
+                work.set_bounds(v, lo, hi);
+            }
             self.stats.lp_solves.set(self.stats.lp_solves.get() + 1);
-            let solved = solve_lp(&lp);
-            (self.stats.lp_pivots).set(self.stats.lp_pivots.get() + lp.pivots());
-            let (x, bound) = match solved {
-                LpResult::Optimal { x, objective } => (x, objective),
-                LpResult::Infeasible => {
+            // A relaxation whose bound reaches the incumbent's is cut as
+            // soon as its rising dual objective shows it.
+            let cutoff = incumbent
+                .as_ref()
+                .map_or(f64::INFINITY, |(_, inc)| sign * inc - INT_EPS);
+            match work.solve(&self.interrupt, &self.stats.lp_pivots, cutoff) {
+                Status::Optimal => {}
+                Status::Infeasible | Status::Cutoff => {
                     self.stats.cuts.set(self.stats.cuts.get() + 1);
                     continue;
                 }
-                LpResult::Unbounded => {
-                    // Binary variables are bounded; an unbounded
-                    // relaxation means a modelling bug.
-                    panic!("0/1 ILP relaxation cannot be unbounded");
-                }
-                LpResult::Interrupted => {
-                    // The stop signal landed mid-pivot; the node is
-                    // unexplored, so the search is not exhausted.
+                // Interrupted mid-pivot or out of pivots: the node is
+                // unexplored, so the search is not exhausted.
+                Status::Stopped => {
                     exhausted = false;
                     break;
                 }
-            };
+            }
+            if root.is_none() {
+                root = Some(work.clone());
+            }
+            let x = work.x();
+            let bound = dot(&self.objective, &x);
             if let Some((_, inc)) = &incumbent {
                 if !better(bound, *inc) {
                     self.stats.cuts.set(self.stats.cuts.get() + 1);
@@ -348,6 +339,7 @@ impl IlpModel {
                     let mut near = fixed;
                     near[v] = Some(round_first);
                     stack.push(near);
+                    warm = true;
                 }
             }
         }

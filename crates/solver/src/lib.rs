@@ -6,9 +6,9 @@
 //! Rust EDA ecosystem has no canonical equivalents, so this crate
 //! implements each oracle directly:
 //!
-//! * [`lp`] — dense two-phase primal simplex for linear programs,
+//! * [`lp`] — bounded-variable dual simplex for linear programs,
 //! * [`ilp`] — 0/1 integer linear programming by branch-and-bound over
-//!   LP relaxations,
+//!   warm-started LP relaxations,
 //! * [`sat`] — a CDCL SAT solver (two-watched literals, VSIDS, 1-UIP
 //!   learning, Luby restarts),
 //! * [`cnf`] — CNF construction helpers (at-most-one / exactly-one

@@ -1,25 +1,34 @@
-//! Two-phase primal simplex on a dense tableau.
+//! Bounded-variable dual simplex on a dense tableau.
 //!
-//! Solves `max/min c·x  s.t.  A x {≤,=,≥} b,  x ≥ 0` for the LP
-//! relaxations of the CGRA-mapping ILP encodings (a few hundred
-//! variables); no scaling heuristics, no bound handling beyond rows.
-//! Pricing is Dantzig's (most negative reduced cost), switching to
-//! Bland's rule after `STALL_LIMIT` (24) degenerate pivots in a row
-//! until a nondegenerate pivot; ratio-test ties go to the smallest basic
-//! column.
+//! Solves `max/min c·x  s.t.  A x {≤,=,≥} b,  l ≤ x ≤ u` for the LP
+//! relaxations of the CGRA-mapping ILP encodings (a few hundred 0/1
+//! columns). Row `i` gets one logical column `s_i`, `a_i·x + s_i = b_i`,
+//! bounded by the row's sense (`≤`: `s_i ≥ 0`, `≥`: `s_i ≤ 0`, `=`:
+//! `s_i = 0`); a column's bounds are bounds, not rows. When every
+//! column is boxed, the all-logical basis with each column at the bound
+//! its cost prefers is dual feasible, so there are no artificials and
+//! no phase 1: dual simplex pivots primal infeasible rows out until
+//! none is left. A bound change leaves the reduced costs, and so dual
+//! feasibility, as they were, which is what lets branch-and-bound
+//! ([`crate::ilp`]) re-solve a child from its parent's optimal tableau
+//! in a few pivots.
 //!
-//! The tableau is stored dense, but elimination is sparse in the pivot
-//! row: a pivot updates each touched row, and the objective row, over
-//! the pivot row's nonzero columns only (13–18 % of them on the mappers'
-//! relaxations). A skipped column would have received `x − f·0`, which
-//! is `x` up to the sign of a zero, and no comparison here can see that
-//! sign. So, provided every coefficient and right-hand side handed in
-//! is either zero or at least `DROP_TOL` (1e-11) in magnitude (the
-//! ILP's rows are small integers), every pivot, and every number a
-//! solve returns up to the sign of a zero, is what full dense
-//! elimination produces; the tests hold the kernel to the dense one on
-//! random LPs and ILPs.
+//! The leaving row is the infeasible one whose basic column has the
+//! smallest index: a branched column first, then rows in the order they
+//! were added. The entering column has the smallest ratio
+//! `|d_j / α_rj|`, ties to the larger `|α_rj|`. Ties in cost make most
+//! of the mappers' dual pivots degenerate, in runs of up to ~150; full
+//! dual Bland (ties to the smallest index too) ran them into cycles, so
+//! `MAX_PIVOTS` is what ends a solve that does not finish. Elimination
+//! is sparse in the pivot row, and magnitudes under `DROP_TOL` snap to 0.
+//!
+//! An [`Lp`]'s columns are `x ≥ 0` without an upper bound. A solve
+//! boxes them at `BOX`, then asks a second boxed LP over the recession
+//! directions (`A r {≤,=,≥} 0`, `0 ≤ r ≤ 1`) whether the LP is
+//! unbounded: a feasible LP is unbounded iff such a direction improves
+//! the objective.
 
+use crate::interrupt::Interrupt;
 use std::cell::Cell;
 
 /// Constraint comparison.
@@ -30,15 +39,17 @@ pub enum Cmp {
     Ge,
 }
 
-/// A linear program.
+/// One constraint row: sparse `(column, coefficient)` terms,
+/// comparator, right-hand side.
+pub(crate) type Row = (Vec<(usize, f64)>, Cmp, f64);
+
+/// A linear program over non-negative variables.
 #[derive(Debug, Clone)]
 pub struct Lp {
     num_vars: usize,
-    /// (coefficients over `0..num_vars`, cmp, rhs)
-    constraints: Vec<(Vec<f64>, Cmp, f64)>,
+    constraints: Vec<Row>,
     objective: Vec<f64>,
     maximize: bool,
-    interrupt: crate::interrupt::Interrupt,
     /// Pivots performed by every solve so far (see [`Lp::pivots`]).
     pivots: Cell<u64>,
 }
@@ -52,55 +63,24 @@ pub enum LpResult {
     },
     Infeasible,
     Unbounded,
-    /// The attached [`Interrupt`](crate::interrupt::Interrupt) fired
-    /// mid-pivot; the tableau was abandoned, no result is available.
+    /// A solve reached `MAX_PIVOTS`; no result is available.
     Interrupted,
-}
-
-/// Why [`Lp::iterate`] stopped before reaching optimality.
-enum IterStop {
-    Unbounded,
-    Interrupted,
-}
-
-/// Working tableau: columns `[orig 0..n | slack/surplus | artificial]`
-/// plus the rhs, and which column is basic in each row.
-struct Tableau {
-    t: Vec<Vec<f64>>,
-    basis: Vec<usize>,
-    total: usize,
-    n: usize,
-    num_slack: usize,
-    /// Per row: its artificial column, if any.
-    art_col: Vec<Option<usize>>,
-    /// The last pivot row's nonzeros as `(column, value)`, reused
-    /// across pivots.
-    nz: Vec<(usize, f64)>,
-}
-
-/// A pivot kernel: pivot the tableau on `(row, col)`, carrying the
-/// objective row along.
-type Kernel<'a> = &'a mut dyn FnMut(&mut Tableau, &mut [f64], usize, usize);
-
-impl Tableau {
-    #[inline]
-    fn is_artificial(&self, col: usize) -> bool {
-        col >= self.n + self.num_slack
-    }
 }
 
 const EPS: f64 = 1e-9;
 
-/// Degenerate pivots in a row after which pricing switches from
-/// Dantzig's rule to Bland's. Bland alone is safe but crawls on the
-/// heavily degenerate assignment-shaped LPs the mappers produce.
-const STALL_LIMIT: u32 = 24;
-
 /// Magnitudes below this are snapped to an exact `0.0` during pivots,
-/// keeping the tableau sparse (and denormal-free) so the per-pivot
+/// keeping the tableau sparse (and denormal-free) so the pivot's
 /// row-skip guard keeps paying off. Kept well under [`EPS`] so nothing
 /// a feasibility or optimality test could see is ever altered.
 const DROP_TOL: f64 = 1e-11;
+
+/// Pivots after which a solve gives up.
+const MAX_PIVOTS: u32 = 100_000;
+
+/// The upper bound an [`Lp`] solve gives its columns. An LP whose
+/// every optimum leaves this box is answered from inside it.
+const BOX: f64 = 1e6;
 
 impl Lp {
     /// An LP over `num_vars` non-negative variables.
@@ -110,32 +90,15 @@ impl Lp {
             constraints: Vec::new(),
             objective: vec![0.0; num_vars],
             maximize,
-            interrupt: crate::interrupt::Interrupt::none(),
             pivots: Cell::new(0),
         }
     }
 
-    /// Attach a stop signal polled once per pivot — one simplex solve
-    /// on a few hundred columns can take long enough that a caller's
-    /// cancellation must be able to land mid-solve, not just between
-    /// solves.
-    pub fn set_interrupt(&mut self, interrupt: crate::interrupt::Interrupt) {
-        self.interrupt = interrupt;
-    }
-
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
     /// Simplex pivots performed by every [`Lp::solve`] of this LP so
-    /// far, phase 1's drive-out of degenerate artificials included — the
-    /// LP's unit of work, independent of what a pivot costs.
+    /// far, the unboundedness check's included — the LP's unit of work,
+    /// independent of what a pivot costs.
     pub fn pivots(&self) -> u64 {
         self.pivots.get()
-    }
-
-    fn count_pivot(&self) {
-        self.pivots.set(self.pivots.get() + 1);
     }
 
     /// Set the objective coefficient of variable `v`.
@@ -146,265 +109,286 @@ impl Lp {
     /// Add `sum coeffs[i]·x_i  cmp  rhs`. `coeffs` is a sparse list of
     /// `(var, coeff)` pairs.
     pub fn add_constraint(&mut self, coeffs: &[(usize, f64)], cmp: Cmp, rhs: f64) {
-        let mut row = vec![0.0; self.num_vars];
-        for &(v, c) in coeffs {
-            assert!(v < self.num_vars, "variable out of range");
-            row[v] += c;
-        }
-        self.constraints.push((row, cmp, rhs));
+        assert!(
+            coeffs.iter().all(|&(v, _)| v < self.num_vars),
+            "variable out of range"
+        );
+        self.constraints.push((coeffs.to_vec(), cmp, rhs));
     }
 
-    /// Build the initial tableau: normalise to `b ≥ 0`, lay columns out
-    /// as `[orig 0..n | slack/surplus | artificial] + rhs`, and seat the
-    /// canonical starting basis (slack for `≤`, artificial for `≥`/`=`).
-    fn build_tableau(&self) -> Tableau {
-        let m = self.constraints.len();
-        let n = self.num_vars;
-
-        let mut rows: Vec<(Vec<f64>, Cmp, f64)> = self.constraints.clone();
-        for (row, cmp, rhs) in &mut rows {
-            if *rhs < 0.0 {
-                for c in row.iter_mut() {
-                    *c = -*c;
-                }
-                *rhs = -*rhs;
-                *cmp = match *cmp {
-                    Cmp::Le => Cmp::Ge,
-                    Cmp::Ge => Cmp::Le,
-                    Cmp::Eq => Cmp::Eq,
-                };
-            }
+    /// Solve: the boxed LP first, then its recession directions.
+    pub fn solve(&self) -> LpResult {
+        let sign = if self.maximize { -1.0 } else { 1.0 };
+        let cost: Vec<f64> = self.objective.iter().map(|&c| sign * c).collect();
+        let mut boxed = Simplex::new(self.num_vars, &self.constraints, cost.clone(), BOX);
+        let none = Interrupt::none();
+        match boxed.solve(&none, &self.pivots, f64::INFINITY) {
+            Status::Optimal => {}
+            Status::Infeasible => return LpResult::Infeasible,
+            _ => return LpResult::Interrupted,
         }
+        let rays: Vec<Row> = (self.constraints.iter())
+            .map(|(row, cmp, _)| (row.clone(), *cmp, 0.0))
+            .collect();
+        let mut ray = Simplex::new(self.num_vars, &rays, cost.clone(), 1.0);
+        match ray.solve(&none, &self.pivots, f64::INFINITY) {
+            Status::Stopped => return LpResult::Interrupted,
+            // `r = 0` is feasible, so the answer is optimal; a ray that
+            // improves at all improves by far more than round-off.
+            _ if ray.z < -1e-6 => return LpResult::Unbounded,
+            _ => {}
+        }
+        let x = boxed.x();
+        let objective = dot(&self.objective, &x);
+        LpResult::Optimal { x, objective }
+    }
+}
 
-        let num_slack = rows
-            .iter()
-            .filter(|(_, c, _)| matches!(c, Cmp::Le | Cmp::Ge))
-            .count();
-        let num_art = rows
-            .iter()
-            .filter(|(_, c, _)| matches!(c, Cmp::Eq | Cmp::Ge))
-            .count();
-        let total = n + num_slack + num_art;
-        let mut t = vec![vec![0.0; total + 1]; m];
-        let mut basis = vec![0usize; m];
-        let mut s_off = n;
-        let mut a_off = n + num_slack;
-        let mut art_col = vec![None; m];
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| a * b).sum()
+}
 
+/// Where a [`Simplex::solve`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Status {
+    Optimal,
+    Infeasible,
+    /// The objective reached the cutoff.
+    Cutoff,
+    /// Interrupted, or out of pivots.
+    Stopped,
+}
+
+/// No row: the column is nonbasic.
+const NONBASIC: usize = usize::MAX;
+
+/// A bounded-variable dual simplex over `n` structural columns and one
+/// logical per row: the tableau `B⁻¹[A | I | b]` with the reduced
+/// costs (minimisation form), bounds and basis that go with it.
+#[derive(Debug, Clone)]
+pub(crate) struct Simplex {
+    n: usize,
+    /// Row stride: `n` structurals, one logical per row, then `B⁻¹b`.
+    w: usize,
+    t: Vec<f64>,
+    d: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// A nonbasic column's side: at `hi` if set, at `lo` if not.
+    at_hi: Vec<bool>,
+    basis: Vec<usize>,
+    /// Each column's row if basic, else [`NONBASIC`].
+    row_of: Vec<usize>,
+    /// The basic columns' values, row by row.
+    beta: Vec<f64>,
+    /// The structural columns' costs, and the objective at `beta`.
+    cost: Vec<f64>,
+    z: f64,
+    /// Scratch: the pivot row's nonzeros, or the nonzero nonbasic
+    /// values, as `(column, value)`.
+    nz: Vec<(usize, f64)>,
+}
+
+impl Simplex {
+    /// `rows` over structurals in `[0, hi]` priced by `cost`, in the
+    /// all-logical basis.
+    pub(crate) fn new(n: usize, rows: &[Row], cost: Vec<f64>, hi: f64) -> Self {
+        let (m, w) = (rows.len(), n + rows.len() + 1);
+        let mut t = vec![0.0; m * w];
+        let (mut lo, mut up) = (vec![0.0; n + m], vec![hi; n + m]);
         for (i, (row, cmp, rhs)) in rows.iter().enumerate() {
-            t[i][..n].copy_from_slice(row);
-            t[i][total] = *rhs;
-            match cmp {
-                Cmp::Le => {
-                    t[i][s_off] = 1.0;
-                    basis[i] = s_off;
-                    s_off += 1;
-                }
-                Cmp::Ge => {
-                    t[i][s_off] = -1.0;
-                    s_off += 1;
-                    t[i][a_off] = 1.0;
-                    basis[i] = a_off;
-                    art_col[i] = Some(a_off);
-                    a_off += 1;
-                }
-                Cmp::Eq => {
-                    t[i][a_off] = 1.0;
-                    basis[i] = a_off;
-                    art_col[i] = Some(a_off);
-                    a_off += 1;
-                }
+            let r = &mut t[i * w..(i + 1) * w];
+            for &(v, c) in row {
+                r[v] += c;
             }
+            r[n + i] = 1.0;
+            r[w - 1] = *rhs;
+            (lo[n + i], up[n + i]) = match cmp {
+                Cmp::Le => (0.0, f64::INFINITY),
+                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+                Cmp::Eq => (0.0, 0.0),
+            };
         }
-
-        Tableau {
-            t,
-            basis,
-            total,
+        let mut d = cost.clone();
+        d.resize(n + m, 0.0);
+        let row_of = (0..n + m)
+            .map(|j| j.checked_sub(n).unwrap_or(NONBASIC))
+            .collect();
+        Simplex {
             n,
-            num_slack,
-            art_col,
+            w,
+            t,
+            d,
+            lo,
+            hi: up,
+            at_hi: vec![false; n + m],
+            basis: (n..n + m).collect(),
+            row_of,
+            beta: vec![0.0; m],
+            cost,
+            z: 0.0,
             nz: Vec::new(),
         }
     }
 
-    /// Solve with two-phase primal simplex.
-    pub fn solve(&self) -> LpResult {
-        self.solve_by(&mut Tableau::pivot)
+    /// Bound structural column `j` to `[lo, hi]` from the next solve on.
+    pub(crate) fn set_bounds(&mut self, j: usize, lo: f64, hi: f64) {
+        (self.lo[j], self.hi[j]) = (lo, hi);
     }
 
-    /// [`Lp::solve`] with `pivot` as the elimination kernel; the tests
-    /// run the dense reference kernel through the same phases.
-    fn solve_by(&self, pivot: Kernel<'_>) -> LpResult {
-        let mut tab = self.build_tableau();
-        match self.phase1(&mut tab, pivot) {
-            Ok(()) => self.phase2(&mut tab, pivot),
-            Err(r) => r,
+    /// The structural columns' values.
+    pub(crate) fn x(&self) -> Vec<f64> {
+        (0..self.n)
+            .map(|j| match self.row_of[j] {
+                NONBASIC => self.value(j),
+                r => self.beta[r],
+            })
+            .collect()
+    }
+
+    /// Column `j`'s upper bound if `hi`, its lower if not.
+    fn bound(&self, j: usize, hi: bool) -> f64 {
+        if hi {
+            self.hi[j]
+        } else {
+            self.lo[j]
         }
     }
 
-    /// Phase 1: minimise the sum of artificials from the tableau's
-    /// current basis; errors are terminal solve outcomes.
-    fn phase1(&self, tab: &mut Tableau, pivot: Kernel<'_>) -> Result<(), LpResult> {
-        let m = tab.t.len();
-        let total = tab.total;
-        let has_art = tab.art_col.iter().any(|c| c.is_some());
-        if !has_art {
-            return Ok(());
-        }
-        // Cost +1 per artificial, priced out over rows whose basic
-        // variable is an artificial (those are exactly the rows where
-        // the phase-1 objective is nonzero on the basis).
-        let mut z = vec![0.0; total + 1];
-        for c in tab.art_col.iter().flatten() {
-            z[*c] = 1.0;
-        }
-        for i in 0..m {
-            if tab.is_artificial(tab.basis[i]) {
-                for (zj, tij) in z.iter_mut().zip(&tab.t[i]).take(total + 1) {
-                    *zj -= tij;
-                }
-            }
-        }
-        match self.iterate(tab, &mut z, pivot) {
-            Ok(()) => {}
-            // Unbounded phase 1 cannot happen with bounded objective.
-            Err(IterStop::Unbounded) => return Err(LpResult::Infeasible),
-            Err(IterStop::Interrupted) => return Err(LpResult::Interrupted),
-        }
-        if z[total] < -EPS {
-            return Err(LpResult::Infeasible);
-        }
-        // Drive any artificial still in the basis out (degenerate).
-        for i in 0..m {
-            if tab.is_artificial(tab.basis[i]) {
-                // Find a non-artificial column with nonzero pivot.
-                if let Some(j) = (0..tab.n + tab.num_slack).find(|&j| tab.t[i][j].abs() > EPS) {
-                    self.count_pivot();
-                    pivot(tab, &mut z, i, j);
-                }
-                // Otherwise the row is redundant (all zero): leave it.
-            }
-        }
-        Ok(())
+    /// A nonbasic column's value.
+    fn value(&self, j: usize) -> f64 {
+        self.bound(j, self.at_hi[j])
     }
 
-    /// Phase 2: optimise the original objective from a primal-feasible
-    /// basis, then extract the solution.
-    fn phase2(&self, tab: &mut Tableau, pivot: Kernel<'_>) -> LpResult {
-        let m = tab.t.len();
-        let total = tab.total;
-        let n = tab.n;
-        let sign = if self.maximize { 1.0 } else { -1.0 };
-        let mut z = vec![0.0; total + 1];
-        for (j, &c) in self.objective.iter().enumerate() {
-            z[j] = -sign * c;
-        }
-        // Forbid artificials from re-entering by pricing them +inf-ish:
-        // simply zero their columns out of consideration by setting a
-        // large positive reduced cost.
-        for c in tab.art_col.iter().flatten() {
-            z[*c] = 1e18;
-        }
-        // Price out the current basis.
-        for i in 0..m {
-            let b = tab.basis[i];
-            if z[b].abs() > EPS && z[b] < 1e17 {
-                let factor = z[b];
-                for (zj, tij) in z.iter_mut().zip(&tab.t[i]).take(total + 1) {
-                    *zj -= factor * tij;
-                }
+    /// Dual simplex from the current basis, polling `interrupt` once a
+    /// pivot and counting pivots into `pivots`. The objective only rises
+    /// as it goes, so once it reaches `cutoff` the solve stops there.
+    pub(crate) fn solve(
+        &mut self,
+        interrupt: &Interrupt,
+        pivots: &Cell<u64>,
+        cutoff: f64,
+    ) -> Status {
+        // Each nonbasic column to the bound its reduced cost prefers, or
+        // to its finite one.
+        for j in 0..self.d.len() {
+            if self.row_of[j] == NONBASIC {
+                let up = self.d[j] < -EPS || (self.d[j] <= EPS && self.at_hi[j]);
+                self.at_hi[j] = if up {
+                    self.hi[j] < f64::INFINITY
+                } else {
+                    self.lo[j].is_infinite()
+                };
             }
         }
-        match self.iterate(tab, &mut z, pivot) {
-            Ok(()) => {}
-            Err(IterStop::Unbounded) => return LpResult::Unbounded,
-            Err(IterStop::Interrupted) => return LpResult::Interrupted,
-        }
-
-        let mut x = vec![0.0; n];
-        for i in 0..m {
-            if tab.basis[i] < n {
-                x[tab.basis[i]] = tab.t[i][total];
+        self.refresh();
+        let mut fresh = true;
+        for _ in 0..MAX_PIVOTS {
+            if interrupt.should_stop() {
+                return Status::Stopped;
             }
-        }
-        let objective: f64 = self.objective.iter().zip(&x).map(|(c, xv)| c * xv).sum();
-        LpResult::Optimal { x, objective }
-    }
-
-    /// Run simplex iterations until optimal (`Ok`), unbounded, or the
-    /// attached interrupt fires (`Err`).
-    fn iterate(&self, tab: &mut Tableau, z: &mut [f64], pivot: Kernel<'_>) -> Result<(), IterStop> {
-        let m = tab.t.len();
-        let total = tab.total;
-        // Dantzig pricing (most negative reduced cost) until a run of
-        // STALL_LIMIT degenerate pivots suggests cycling; then Bland's
-        // rule until a nondegenerate pivot breaks the stall.
-        let mut stalled = 0u32;
-        // Generous iteration cap; the stall switch to Bland's rule
-        // makes unbounded cycling practically impossible.
-        for _ in 0..100_000 {
-            if self.interrupt.should_stop() {
-                return Err(IterStop::Interrupted);
-            }
-            let enter = if stalled < STALL_LIMIT {
-                let mut best_j = None;
-                let mut best_v = -EPS;
-                for (j, &zj) in z.iter().enumerate().take(total) {
-                    if zj < best_v {
-                        best_v = zj;
-                        best_j = Some(j);
-                    }
-                }
-                best_j
+            let step = if self.z >= cutoff {
+                Err(Status::Cutoff)
+            } else if let Some((r, to_hi)) = self.leaving() {
+                (self.entering(r, to_hi))
+                    .map(|q| (r, q, to_hi))
+                    .ok_or(Status::Infeasible)
             } else {
-                (0..total).find(|&j| z[j] < -EPS)
+                Err(Status::Optimal)
             };
-            let Some(enter) = enter else {
-                return Ok(());
-            };
-            // Leaving row: min ratio, ties by smallest basis index.
-            let (t, basis) = (&tab.t, &tab.basis);
-            let mut leave: Option<usize> = None;
-            let mut best = f64::INFINITY;
-            for i in 0..m {
-                if t[i][enter] > EPS {
-                    let ratio = t[i][total] / t[i][enter];
-                    if ratio < best - EPS
-                        || (ratio < best + EPS
-                            && leave.map(|l| basis[i] < basis[l]).unwrap_or(false))
-                    {
-                        best = ratio;
-                        leave = Some(i);
-                    }
+            match step {
+                Ok((r, q, to_hi)) => {
+                    pivots.set(pivots.get() + 1);
+                    self.pivot(r, q, to_hi);
+                    fresh = false;
+                }
+                Err(verdict) if fresh => return verdict,
+                // The values are updated pivot by pivot; a verdict is
+                // only given on values recomputed from `B⁻¹b`.
+                Err(_) => {
+                    self.refresh();
+                    fresh = true;
                 }
             }
-            let Some(leave) = leave else {
-                return Err(IterStop::Unbounded);
-            };
-            if best <= EPS {
-                stalled += 1;
-            } else {
-                stalled = 0;
-            }
-            self.count_pivot();
-            pivot(tab, z, leave, enter);
         }
-        // Numerical trouble: treat as optimal-at-current-point.
-        Ok(())
+        Status::Stopped
     }
-}
 
-impl Tableau {
-    /// Pivot on `(row, col)`: divide the pivot row by its pivot, then
-    /// eliminate `col` from every other row and from the objective row
-    /// `z` over the pivot row's nonzero columns only, which computes
-    /// what dense elimination computes (module doc).
-    fn pivot(&mut self, z: &mut [f64], row: usize, col: usize) {
-        let p = self.t[row][col];
-        debug_assert!(p.abs() > EPS);
+    /// The basic values from `B⁻¹b` and the nonbasic columns' values,
+    /// and the objective from those.
+    fn refresh(&mut self) {
         self.nz.clear();
-        for (j, v) in self.t[row].iter_mut().enumerate() {
+        for j in 0..self.d.len() {
+            if self.row_of[j] == NONBASIC && self.value(j) != 0.0 {
+                self.nz.push((j, self.value(j)));
+            }
+        }
+        for (b, row) in self.beta.iter_mut().zip(self.t.chunks(self.w)) {
+            *b = row[self.w - 1] - self.nz.iter().map(|&(j, v)| row[j] * v).sum::<f64>();
+        }
+        self.z = dot(&self.cost, &self.x());
+    }
+
+    /// The row to pivot out and whether its basic column leaves to its
+    /// upper bound: of the infeasible rows, the one whose basic column
+    /// has the smallest index. `None` when all are feasible.
+    fn leaving(&self) -> Option<(usize, bool)> {
+        let mut best: Option<(usize, usize, bool)> = None;
+        for (i, (&b, &k)) in self.beta.iter().zip(&self.basis).enumerate() {
+            let (below, above) = (self.lo[k] - b, b - self.hi[k]);
+            if below.max(above) > EPS && best.is_none_or(|(_, j, _)| k < j) {
+                best = Some((i, k, above > below));
+            }
+        }
+        best.map(|(r, _, to_hi)| (r, to_hi))
+    }
+
+    /// The column to pivot in on row `r`: among nonbasic, unfixed
+    /// columns whose move off their bound pushes row `r`'s basic column
+    /// toward the bound it leaves to, the smallest `|d_j / α_rj|`.
+    /// `None` proves the LP infeasible.
+    fn entering(&self, r: usize, to_hi: bool) -> Option<usize> {
+        let row = &self.t[r * self.w..r * self.w + self.d.len()];
+        let mut best: Option<(usize, f64, f64)> = None;
+        for (j, &a) in row.iter().enumerate() {
+            // Rising from `lo` lowers the basic column when `a > 0`,
+            // falling from `hi` raises it.
+            if a.abs() <= EPS
+                || self.row_of[j] != NONBASIC
+                || self.lo[j] == self.hi[j]
+                || (a > 0.0) != (self.at_hi[j] != to_hi)
+            {
+                continue;
+            }
+            let ratio = self.d[j].abs() / a.abs();
+            let take =
+                best.is_none_or(|(_, r, p)| ratio < r - EPS || (ratio <= r + EPS && a.abs() > p));
+            if take {
+                best = Some((j, ratio, a.abs()));
+            }
+        }
+        best.map(|(j, ..)| j)
+    }
+
+    /// Pivot column `q` into row `r`, whose basic column leaves to its
+    /// upper bound if `to_hi`, its lower if not. Elimination is sparse
+    /// in the pivot row.
+    fn pivot(&mut self, r: usize, q: usize, to_hi: bool) {
+        let (w, cols) = (self.w, self.d.len());
+        let leave = self.basis[r];
+        let p = self.t[r * w + q];
+        // `q` moves until the leaving column reaches its bound.
+        let step = (self.beta[r] - self.bound(leave, to_hi)) / p;
+        self.z += self.d[q] * step;
+        for (b, row) in self.beta.iter_mut().zip(self.t.chunks(w)) {
+            *b -= row[q] * step;
+        }
+        self.beta[r] = self.value(q) + step;
+        self.at_hi[leave] = to_hi;
+        (self.row_of[leave], self.row_of[q], self.basis[r]) = (NONBASIC, r, q);
+
+        self.nz.clear();
+        for (j, v) in self.t[r * w..(r + 1) * w].iter_mut().enumerate() {
             *v /= p;
             if v.abs() < DROP_TOL {
                 *v = 0.0;
@@ -412,94 +396,245 @@ impl Tableau {
                 self.nz.push((j, *v));
             }
         }
-        for (i, ti) in self.t.iter_mut().enumerate() {
-            let f = ti[col];
-            if i != row && f.abs() > EPS {
-                for &(j, r) in &self.nz {
-                    // Snap round-off back to an exact zero: the
-                    // `t[i][col] > EPS` guard above short-circuits whole
-                    // rows only while the tableau stays genuinely
-                    // sparse; round-off would otherwise fill it with
-                    // near-zero junk whose updates — many on denormals
-                    // — dominate the solve.
-                    let v = ti[j] - f * r;
-                    ti[j] = if v.abs() < DROP_TOL { 0.0 } else { v };
+        for (i, ti) in self.t.chunks_mut(w).enumerate() {
+            let f = ti[q];
+            if i != r && f != 0.0 {
+                for &(j, v) in &self.nz {
+                    // Snap round-off back to an exact zero, so rows and
+                    // columns stay genuinely sparse.
+                    let x = ti[j] - f * v;
+                    ti[j] = if x.abs() < DROP_TOL { 0.0 } else { x };
                 }
             }
         }
-        if z[col].abs() > EPS {
-            let f = z[col];
-            for &(j, r) in &self.nz {
-                z[j] -= f * r;
-            }
+        let f = self.d[q];
+        for &(j, v) in self.nz.iter().filter(|&&(j, _)| j < cols) {
+            self.d[j] -= f * v;
         }
-        self.basis[row] = col;
+        self.d[q] = 0.0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ilp::{IlpConfig, IlpModel, IlpResult, IlpVar};
+    use crate::ilp::{IlpModel, IlpResult, IlpVar};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The dense elimination [`Tableau::pivot`] replaced, verbatim but
-    /// for reading the tableau's fields: every column of every touched
-    /// row. The reference the sparse kernel must reproduce bit for bit.
-    #[allow(clippy::needless_range_loop)] // indexes two tableau rows at once
-    fn dense_pivot(tab: &mut Tableau, z: &mut [f64], row: usize, col: usize) {
-        let (t, total) = (&mut tab.t, tab.total);
-        let p = t[row][col];
-        debug_assert!(p.abs() > EPS);
-        for j in 0..=total {
-            t[row][j] /= p;
-            if t[row][j].abs() < DROP_TOL {
-                t[row][j] = 0.0;
+    /// The two-phase primal simplex [`Simplex`] replaced, kept as the
+    /// reference it must agree with on status and objective: a cold
+    /// dense tableau per solve, `b ≥ 0` by negating rows, one artificial
+    /// per `≥`/`=` row, phase 1 minimising their sum, Dantzig pricing
+    /// with the Bland fallback, ratio-test ties to the smallest basic
+    /// column.
+    mod two_phase {
+        use super::super::{Cmp, Lp, LpResult, DROP_TOL, EPS};
+
+        /// Columns `[orig 0..n | slack/surplus | artificial]` plus the
+        /// rhs, and which column is basic in each row.
+        struct Tableau {
+            t: Vec<Vec<f64>>,
+            basis: Vec<usize>,
+            total: usize,
+            n: usize,
+            num_slack: usize,
+            art_col: Vec<Option<usize>>,
+        }
+
+        /// Degenerate pivots in a row after which pricing switches from
+        /// Dantzig's rule to Bland's.
+        const STALL_LIMIT: u32 = 24;
+
+        pub(crate) fn solve(lp: &Lp) -> LpResult {
+            let mut tab = build(lp);
+            match phase1(&mut tab) {
+                Ok(()) => phase2(lp, &mut tab),
+                Err(r) => r,
             }
         }
-        for i in 0..t.len() {
-            if i != row && t[i][col].abs() > EPS {
-                let f = t[i][col];
-                for j in 0..=total {
-                    t[i][j] -= f * t[row][j];
-                    if t[i][j].abs() < DROP_TOL {
-                        t[i][j] = 0.0;
+
+        fn build(lp: &Lp) -> Tableau {
+            let n = lp.num_vars;
+            let mut rows: Vec<(Vec<f64>, Cmp, f64)> = Vec::new();
+            for (coeffs, cmp, rhs) in &lp.constraints {
+                let mut row = vec![0.0; n];
+                for &(v, c) in coeffs {
+                    row[v] += c;
+                }
+                let (sign, cmp) = match (*rhs < 0.0, *cmp) {
+                    (false, cmp) => (1.0, cmp),
+                    (true, Cmp::Le) => (-1.0, Cmp::Ge),
+                    (true, Cmp::Ge) => (-1.0, Cmp::Le),
+                    (true, Cmp::Eq) => (-1.0, Cmp::Eq),
+                };
+                rows.push((row.iter().map(|c| sign * c).collect(), cmp, sign * rhs));
+            }
+            let num_slack = rows.iter().filter(|r| r.1 != Cmp::Eq).count();
+            let num_art = rows.iter().filter(|r| r.1 != Cmp::Le).count();
+            let total = n + num_slack + num_art;
+            let mut t = vec![vec![0.0; total + 1]; rows.len()];
+            let mut basis = vec![0; rows.len()];
+            let mut art_col = vec![None; rows.len()];
+            let (mut s_off, mut a_off) = (n, n + num_slack);
+            for (i, (row, cmp, rhs)) in rows.iter().enumerate() {
+                t[i][..n].copy_from_slice(row);
+                t[i][total] = *rhs;
+                if *cmp != Cmp::Eq {
+                    t[i][s_off] = if *cmp == Cmp::Le { 1.0 } else { -1.0 };
+                    basis[i] = s_off;
+                    s_off += 1;
+                }
+                if *cmp != Cmp::Le {
+                    t[i][a_off] = 1.0;
+                    basis[i] = a_off;
+                    art_col[i] = Some(a_off);
+                    a_off += 1;
+                }
+            }
+            Tableau {
+                t,
+                basis,
+                total,
+                n,
+                num_slack,
+                art_col,
+            }
+        }
+
+        /// Minimise the sum of artificials; errors are terminal.
+        fn phase1(tab: &mut Tableau) -> Result<(), LpResult> {
+            let (m, total) = (tab.t.len(), tab.total);
+            if tab.art_col.iter().all(Option::is_none) {
+                return Ok(());
+            }
+            let mut z = vec![0.0; total + 1];
+            for c in tab.art_col.iter().flatten() {
+                z[*c] = 1.0;
+            }
+            for i in 0..m {
+                if tab.basis[i] >= tab.n + tab.num_slack {
+                    for (zj, tij) in z.iter_mut().zip(&tab.t[i]) {
+                        *zj -= tij;
                     }
                 }
             }
+            if !iterate(tab, &mut z) || z[total] < -EPS {
+                return Err(LpResult::Infeasible);
+            }
+            // Drive degenerate artificials out of the basis.
+            for i in 0..m {
+                if tab.basis[i] >= tab.n + tab.num_slack {
+                    if let Some(j) = (0..tab.n + tab.num_slack).find(|&j| tab.t[i][j].abs() > EPS) {
+                        pivot(tab, &mut z, i, j);
+                    }
+                }
+            }
+            Ok(())
         }
-        if z[col].abs() > EPS {
+
+        /// Optimise the objective from a feasible basis.
+        fn phase2(lp: &Lp, tab: &mut Tableau) -> LpResult {
+            let (m, total, n) = (tab.t.len(), tab.total, tab.n);
+            let sign = if lp.maximize { 1.0 } else { -1.0 };
+            let mut z = vec![0.0; total + 1];
+            for (j, &c) in lp.objective.iter().enumerate() {
+                z[j] = -sign * c;
+            }
+            for c in tab.art_col.iter().flatten() {
+                z[*c] = 1e18;
+            }
+            for i in 0..m {
+                let factor = z[tab.basis[i]];
+                if factor.abs() > EPS && factor < 1e17 {
+                    for (zj, tij) in z.iter_mut().zip(&tab.t[i]) {
+                        *zj -= factor * tij;
+                    }
+                }
+            }
+            if !iterate(tab, &mut z) {
+                return LpResult::Unbounded;
+            }
+            let mut x = vec![0.0; n];
+            for i in 0..m {
+                if tab.basis[i] < n {
+                    x[tab.basis[i]] = tab.t[i][total];
+                }
+            }
+            let objective = lp.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
+            LpResult::Optimal { x, objective }
+        }
+
+        /// Primal simplex to optimality (`true`) or unboundedness.
+        fn iterate(tab: &mut Tableau, z: &mut [f64]) -> bool {
+            let (m, total) = (tab.t.len(), tab.total);
+            let mut stalled = 0u32;
+            for _ in 0..100_000 {
+                let enter = if stalled < STALL_LIMIT {
+                    let mut best = (None, -EPS);
+                    for (j, &zj) in z.iter().enumerate().take(total) {
+                        if zj < best.1 {
+                            best = (Some(j), zj);
+                        }
+                    }
+                    best.0
+                } else {
+                    (0..total).find(|&j| z[j] < -EPS)
+                };
+                let Some(enter) = enter else {
+                    return true;
+                };
+                let (t, basis) = (&tab.t, &tab.basis);
+                let (mut leave, mut best): (Option<usize>, f64) = (None, f64::INFINITY);
+                for i in 0..m {
+                    if t[i][enter] > EPS {
+                        let ratio = t[i][total] / t[i][enter];
+                        if ratio < best - EPS
+                            || (ratio < best + EPS && leave.is_some_and(|l| basis[i] < basis[l]))
+                        {
+                            (best, leave) = (ratio, Some(i));
+                        }
+                    }
+                }
+                let Some(leave) = leave else {
+                    return false;
+                };
+                stalled = if best <= EPS { stalled + 1 } else { 0 };
+                pivot(tab, z, leave, enter);
+            }
+            true
+        }
+
+        /// Dense elimination on `(row, col)`, objective row included.
+        #[allow(clippy::needless_range_loop)] // indexes two tableau rows at once
+        fn pivot(tab: &mut Tableau, z: &mut [f64], row: usize, col: usize) {
+            let t = &mut tab.t;
+            let p = t[row][col];
+            for v in t[row].iter_mut() {
+                *v /= p;
+                if v.abs() < DROP_TOL {
+                    *v = 0.0;
+                }
+            }
+            for i in 0..t.len() {
+                let f = t[i][col];
+                if i != row && f.abs() > EPS {
+                    for j in 0..=tab.total {
+                        t[i][j] -= f * t[row][j];
+                        if t[i][j].abs() < DROP_TOL {
+                            t[i][j] = 0.0;
+                        }
+                    }
+                }
+            }
             let f = z[col];
-            for j in 0..=total {
-                z[j] -= f * t[row][j];
+            if f.abs() > EPS {
+                for (zj, r) in z.iter_mut().zip(&t[row]) {
+                    *zj -= f * r;
+                }
             }
-        }
-        tab.basis[row] = col;
-    }
-
-    type KernelFn = fn(&mut Tableau, &mut [f64], usize, usize);
-
-    /// `lp` solved through `kernel`, with its `(leave, enter)` pivots in
-    /// order.
-    fn traced(lp: &Lp, kernel: KernelFn) -> (LpResult, Vec<(usize, usize)>) {
-        let mut pivots = Vec::new();
-        let result = lp.solve_by(&mut |tab: &mut Tableau, z: &mut [f64], row, col| {
-            pivots.push((row, col));
-            kernel(tab, z, row, col)
-        });
-        (result, pivots)
-    }
-
-    /// The bits of an optimum's `x` and objective, `-0.0` read as `0.0`.
-    fn bits(r: &LpResult) -> Option<(Vec<u64>, u64)> {
-        let canon = |v: f64| (v + 0.0).to_bits();
-        match r {
-            LpResult::Optimal { x, objective } => {
-                Some((x.iter().map(|&v| canon(v)).collect(), canon(*objective)))
-            }
-            _ => None,
+            tab.basis[row] = col;
         }
     }
 
@@ -516,9 +651,9 @@ mod tests {
     /// A random LP: `≤`/`≥`/`=` rows of small integer coefficients,
     /// most of them zero, with right-hand sides of either sign, many
     /// rows tight at a random integer point (degenerate vertices), some
-    /// repeated or negated (redundant rows, artificials left basic after
-    /// phase 1), and upper bounds on some variables. One in four is
-    /// assignment-shaped like the mappers' relaxations instead.
+    /// repeated or negated (redundant rows), and upper bounds on some
+    /// variables. One in four is assignment-shaped like the mappers'
+    /// relaxations instead.
     fn random_lp(seed: u64) -> Lp {
         let mut rng = StdRng::seed_from_u64(seed);
         if rng.random_bool(0.25) {
@@ -612,63 +747,148 @@ mod tests {
         lp
     }
 
-    /// A random 0/1 ILP built from the mappers' row shapes: exactly-one
-    /// and at-most-one groups, implications `a ≤ Σ b`, and knapsack rows.
-    fn random_ilp(seed: u64) -> IlpModel {
+    /// A random 0/1 ILP built from the mappers' row shapes, as
+    /// `(maximise, objective, rows)`: exactly-one and at-most-one
+    /// groups, implications `a ≤ Σ b`, and knapsack rows. Costs are in
+    /// quarters, as the mapper's are fractional, so an optimum can beat
+    /// an incumbent by less than 1.
+    fn random_ilp_rows(seed: u64) -> (bool, Vec<f64>, Vec<Row>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut m = IlpModel::new(rng.random_bool(0.5));
+        let maximize = rng.random_bool(0.5);
         let n = rng.random_range(2..=16usize);
-        let vars: Vec<IlpVar> = (0..n)
-            .map(|_| m.add_var(rng.random_range(-3..=6i32) as f64))
+        let objective: Vec<f64> = (0..n)
+            .map(|_| rng.random_range(-12..=24i32) as f64 / 4.0)
             .collect();
-        let pick = |rng: &mut StdRng| -> Vec<IlpVar> {
+        let mut rows = Vec::new();
+        for _ in 0..rng.random_range(1..=12usize) {
             let k = rng.random_range(2..=n.min(4));
-            let mut group: Vec<IlpVar> = Vec::new();
+            let mut group: Vec<usize> = Vec::new();
             while group.len() < k {
-                let v = vars[rng.random_range(0..n)];
+                let v = rng.random_range(0..n);
                 if !group.contains(&v) {
                     group.push(v);
                 }
             }
-            group
-        };
-        for _ in 0..rng.random_range(1..=12usize) {
-            let group = pick(&mut rng);
-            match rng.random_range(0..4u32) {
-                0 => m.exactly_one(&group),
-                1 => m.at_most_one(&group),
+            let ones = group.iter().map(|&v| (v, 1.0)).collect();
+            rows.push(match rng.random_range(0..4u32) {
+                0 => (ones, Cmp::Eq, 1.0),
+                1 => (ones, Cmp::Le, 1.0),
                 2 => {
-                    let mut row = vec![(group[0], 1.0)];
-                    row.extend(group[1..].iter().map(|&v| (v, -1.0)));
-                    m.add_constraint(&row, Cmp::Le, 0.0);
+                    let rest = group[1..].iter().map(|&v| (v, -1.0));
+                    (
+                        [(group[0], 1.0)].into_iter().chain(rest).collect(),
+                        Cmp::Le,
+                        0.0,
+                    )
                 }
                 _ => {
-                    let row: Vec<(IlpVar, f64)> = group
-                        .iter()
+                    let row = (group.iter())
                         .map(|&v| (v, rng.random_range(1..=5i32) as f64))
                         .collect();
-                    m.add_constraint(&row, Cmp::Le, rng.random_range(2..=8i32) as f64);
+                    (row, Cmp::Le, rng.random_range(2..=8i32) as f64)
+                }
+            });
+        }
+        (maximize, objective, rows)
+    }
+
+    fn random_ilp(seed: u64) -> IlpModel {
+        let (maximize, objective, rows) = random_ilp_rows(seed);
+        let mut m = IlpModel::new(maximize);
+        let vars: Vec<IlpVar> = objective.iter().map(|&c| m.add_var(c)).collect();
+        for (row, cmp, rhs) in &rows {
+            let row: Vec<(IlpVar, f64)> = row.iter().map(|&(v, c)| (vars[v], c)).collect();
+            m.add_constraint(&row, *cmp, *rhs);
+        }
+        m
+    }
+
+    /// Branch-and-bound as it was: depth-first, each node a cold
+    /// two-phase solve of the relaxation with one `x ≤ 1` row per free
+    /// variable and one equality row per fixing. The optimum, or `None`
+    /// if the ILP is infeasible.
+    fn two_phase_branch_and_bound(maximize: bool, objective: &[f64], rows: &[Row]) -> Option<f64> {
+        let n = objective.len();
+        let better = |a: f64, b: f64| if maximize { a > b + 1e-6 } else { a < b - 1e-6 };
+        let mut best: Option<f64> = None;
+        let mut stack = vec![vec![None; n]];
+        while let Some(fixed) = stack.pop() {
+            let mut lp = Lp::new(n, maximize);
+            for (v, &c) in objective.iter().enumerate() {
+                lp.set_objective(v, c);
+            }
+            for (row, cmp, rhs) in rows {
+                lp.add_constraint(row, *cmp, *rhs);
+            }
+            for (v, fix) in fixed.iter().enumerate() {
+                match fix {
+                    Some(b) => lp.add_constraint(&[(v, 1.0)], Cmp::Eq, f64::from(*b)),
+                    None => lp.add_constraint(&[(v, 1.0)], Cmp::Le, 1.0),
+                }
+            }
+            let LpResult::Optimal {
+                x,
+                objective: bound,
+            } = two_phase::solve(&lp)
+            else {
+                continue;
+            };
+            if best.is_some_and(|b| !better(bound, b)) {
+                continue;
+            }
+            let frac = (0..n)
+                .filter(|&v| fixed[v].is_none())
+                .map(|v| (v, (x[v] - x[v].round()).abs()))
+                .filter(|&(_, f)| f > 1e-6)
+                .max_by(|a, b| a.1.total_cmp(&b.1));
+            match frac {
+                None => {
+                    let obj = dot(objective, &x.iter().map(|v| v.round()).collect::<Vec<_>>());
+                    if best.is_none_or(|b| better(obj, b)) {
+                        best = Some(obj);
+                    }
+                }
+                Some((v, _)) => {
+                    for value in [x[v] <= 0.5, x[v] > 0.5] {
+                        let mut child = fixed.clone();
+                        child[v] = Some(value);
+                        stack.push(child);
+                    }
                 }
             }
         }
-        m
+        best
+    }
+
+    /// Same status, and for optima the same objective (1e-6) and an `x`
+    /// that keeps every row of `lp`.
+    fn agree(lp: &Lp, got: &LpResult, want: &LpResult) -> bool {
+        match (got, want) {
+            (LpResult::Optimal { x, objective: a }, LpResult::Optimal { objective: b, .. }) => {
+                let keeps = |(row, cmp, rhs): &Row| {
+                    let lhs: f64 = row.iter().map(|&(v, c)| c * x[v]).sum();
+                    match cmp {
+                        Cmp::Le => lhs <= rhs + 1e-6,
+                        Cmp::Ge => lhs >= rhs - 1e-6,
+                        Cmp::Eq => (lhs - rhs).abs() <= 1e-6,
+                    }
+                };
+                (a - b).abs() < 1e-6
+                    && x.iter().all(|&v| v >= -1e-6)
+                    && lp.constraints.iter().all(keeps)
+            }
+            _ => std::mem::discriminant(got) == std::mem::discriminant(want),
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512 })]
 
         #[test]
-        fn sparse_pivots_replay_the_dense_reference(seed in any::<u64>()) {
+        fn dual_simplex_matches_the_two_phase_reference(seed in any::<u64>()) {
             let lp = random_lp(seed);
-            let (sparse, sparse_seq) = traced(&lp, Tableau::pivot);
-            let (dense, dense_seq) = traced(&lp, dense_pivot);
-            prop_assert_eq!(sparse_seq, dense_seq, "pivot sequence, seed {}", seed);
-            prop_assert_eq!(
-                std::mem::discriminant(&sparse),
-                std::mem::discriminant(&dense),
-                "{:?} vs {:?}, seed {}", sparse, dense, seed
-            );
-            prop_assert_eq!(bits(&sparse), bits(&dense), "seed {}", seed);
+            let (got, want) = (lp.solve(), two_phase::solve(&lp));
+            prop_assert!(agree(&lp, &got, &want), "{:?} vs {:?}, seed {}", got, want, seed);
         }
     }
 
@@ -676,51 +896,86 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 128 })]
 
         #[test]
-        fn branch_and_bound_is_the_same_with_the_dense_reference(seed in any::<u64>()) {
-            let sparse = random_ilp(seed);
-            let dense = sparse.clone();
-            let cfg = IlpConfig::default();
-            let a = sparse.branch_and_bound(cfg, Lp::solve);
-            let b = dense.branch_and_bound(cfg, |lp| lp.solve_by(&mut dense_pivot));
-            prop_assert_eq!(a, b, "seed {}", seed);
-            prop_assert_eq!(sparse.stats(), dense.stats(), "seed {}", seed);
+        fn branch_and_bound_matches_the_two_phase_reference(seed in any::<u64>()) {
+            let (maximize, objective, rows) = random_ilp_rows(seed);
+            let want = two_phase_branch_and_bound(maximize, &objective, &rows);
+            match (random_ilp(seed).solve(), want) {
+                (IlpResult::Optimal { objective, .. }, Some(best)) => {
+                    prop_assert!((objective - best).abs() < 1e-6, "{} vs {}, seed {}", objective, best, seed)
+                }
+                (IlpResult::Infeasible, None) => {}
+                (got, want) => prop_assert!(false, "{:?} vs {:?}, seed {}", got, want, seed),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256 })]
+
+        /// Rounds of bound changes (fix to 0, fix to 1, free again),
+        /// each re-solved from the previous round's tableau, whatever
+        /// that round ended in.
+        #[test]
+        fn a_warm_resolve_after_bound_changes_matches_a_cold_solve(seed in any::<u64>()) {
+            let (maximize, objective, rows) = random_ilp_rows(seed);
+            let n = objective.len();
+            let sign = if maximize { -1.0 } else { 1.0 };
+            let cost: Vec<f64> = objective.iter().map(|&c| sign * c).collect();
+            let (none, pivots) = (Interrupt::none(), Cell::new(0));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut bounds = vec![(0.0, 1.0); n];
+            let mut warm = Simplex::new(n, &rows, cost.clone(), 1.0);
+            for round in 0..6 {
+                let mut cold = Simplex::new(n, &rows, cost.clone(), 1.0);
+                for (v, &(lo, hi)) in bounds.iter().enumerate() {
+                    cold.set_bounds(v, lo, hi);
+                }
+                let inf = f64::INFINITY;
+                let (got, want) = (warm.solve(&none, &pivots, inf), cold.solve(&none, &pivots, inf));
+                prop_assert_eq!(got, want, "round {}, seed {}", round, seed);
+                if got == Status::Optimal {
+                    let (a, b) = (dot(&cost, &warm.x()), dot(&cost, &cold.x()));
+                    prop_assert!((a - b).abs() < 1e-6, "{} vs {}, round {}, seed {}", a, b, round, seed);
+                }
+                for _ in 0..rng.random_range(1..=3) {
+                    let v = rng.random_range(0..n);
+                    bounds[v] = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0)][rng.random_range(0..3)];
+                    warm.set_bounds(v, bounds[v].0, bounds[v].1);
+                }
+            }
         }
     }
 
     #[test]
-    fn the_random_lps_reach_every_outcome_through_degenerate_pivots() {
-        // The equivalence above means little unless its inputs pivot,
-        // degenerately too (long enough runs for the Bland fallback),
-        // and end every way a solve can end.
-        let (mut optimal, mut infeasible, mut unbounded) = (0, 0, 0);
-        let (mut degenerate, mut bland) = (0, 0);
+    fn the_random_lps_reach_every_outcome_at_degenerate_vertices() {
+        // The equivalence above means little unless its inputs end every
+        // way a solve can end, and many optima sit at degenerate
+        // vertices (a basic column at a bound), where the ratio test
+        // meets ties.
+        let (mut optimal, mut infeasible, mut unbounded, mut degenerate) = (0, 0, 0, 0);
         for seed in 0..512 {
             let lp = random_lp(seed);
-            let (mut run, mut longest) = (0u32, 0);
-            let result = lp.solve_by(&mut |tab: &mut Tableau, z: &mut [f64], row, col| {
-                run = if tab.t[row][tab.total] <= EPS {
-                    run + 1
-                } else {
-                    0
-                };
-                longest = longest.max(run);
-                tab.pivot(z, row, col)
-            });
-            match result {
+            match lp.solve() {
                 LpResult::Optimal { .. } => optimal += 1,
                 LpResult::Infeasible => infeasible += 1,
                 LpResult::Unbounded => unbounded += 1,
                 LpResult::Interrupted => unreachable!(),
             }
-            degenerate += usize::from(longest > 0);
-            bland += usize::from(longest > STALL_LIMIT);
+            let sign = if lp.maximize { -1.0 } else { 1.0 };
+            let cost = lp.objective.iter().map(|&c| sign * c).collect();
+            let mut s = Simplex::new(lp.num_vars, &lp.constraints, cost, BOX);
+            if s.solve(&Interrupt::none(), &Cell::new(0), f64::INFINITY) == Status::Optimal {
+                let at_bound = |(&b, &k): (&f64, &usize)| {
+                    (b - s.lo[k]).abs() <= EPS || (b - s.hi[k]).abs() <= EPS
+                };
+                degenerate += usize::from(s.beta.iter().zip(&s.basis).any(at_bound));
+            }
         }
         for (what, count, least) in [
             ("optimal", optimal, 64),
             ("infeasible", infeasible, 64),
             ("unbounded", unbounded, 64),
-            ("degenerate", degenerate, 256),
-            ("Bland", bland, 4),
+            ("degenerate", degenerate, 128),
         ] {
             assert!(count >= least, "{what}: {count} of 512");
         }
