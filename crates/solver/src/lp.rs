@@ -69,6 +69,12 @@ pub enum LpResult {
 
 const EPS: f64 = 1e-9;
 
+/// Primal feasibility tolerance, and the smallest entry a pivot may use.
+/// A long chain of warm re-solves leaves round-off near 1e-9 in the
+/// tableau; a basic value that far outside its bound, or a pivot on an
+/// entry that small, is noise, not a verdict.
+const TOL: f64 = 1e-7;
+
 /// Magnitudes below this are snapped to an exact `0.0` during pivots,
 /// keeping the tableau sparse (and denormal-free) so the pivot's
 /// row-skip guard keeps paying off. Kept well under [`EPS`] so nothing
@@ -336,7 +342,7 @@ impl Simplex {
         let mut best: Option<(usize, usize, bool)> = None;
         for (i, (&b, &k)) in self.beta.iter().zip(&self.basis).enumerate() {
             let (below, above) = (self.lo[k] - b, b - self.hi[k]);
-            if below.max(above) > EPS && best.is_none_or(|(_, j, _)| k < j) {
+            if below.max(above) > TOL && best.is_none_or(|(_, j, _)| k < j) {
                 best = Some((i, k, above > below));
             }
         }
@@ -353,7 +359,7 @@ impl Simplex {
         for (j, &a) in row.iter().enumerate() {
             // Rising from `lo` lowers the basic column when `a > 0`,
             // falling from `hi` raises it.
-            if a.abs() <= EPS
+            if a.abs() <= TOL
                 || self.row_of[j] != NONBASIC
                 || self.lo[j] == self.hi[j]
                 || (a > 0.0) != (self.at_hi[j] != to_hi)
@@ -943,6 +949,82 @@ mod tests {
                     warm.set_bounds(v, bounds[v].0, bounds[v].1);
                 }
             }
+        }
+    }
+
+    /// `examples/kernels/fir4.mc`'s ILP at II 6 on a 3×3 mesh, as the
+    /// mapper lowers it: 132 columns, 178 rows. Its fractional bases
+    /// leave round-off near 1e-9 in a warm tableau within a few dives.
+    fn fir4_ii6() -> (Vec<f64>, Vec<Row>) {
+        let text = include_str!("../tests/data/fir4_ii6_ilp.txt");
+        let mut lines = text.lines().skip(1);
+        let num = |s: &str| s.parse::<f64>().unwrap();
+        let cost = lines.next().unwrap().split(' ').map(num).collect();
+        let rows = lines
+            .map(|line| {
+                let mut words = line.split(' ');
+                let cmp = match words.next().unwrap() {
+                    "<=" => Cmp::Le,
+                    ">=" => Cmp::Ge,
+                    _ => Cmp::Eq,
+                };
+                let rhs = num(words.next().unwrap());
+                let terms = words.map(|w| {
+                    let (v, c) = w.split_once(':').unwrap();
+                    (v.parse().unwrap(), num(c))
+                });
+                (terms.collect(), cmp, rhs)
+            })
+            .collect();
+        (cost, rows)
+    }
+
+    #[test]
+    fn warm_dives_on_a_mapper_model_match_cold_solves() {
+        // A search's dives: fix the most fractional column to its
+        // rounded value; once a dive ends, free the deepest fixing and
+        // fix its column the other way. Every warm verdict and optimum
+        // must be a cold solve's. A feasibility tolerance of 1e-9 here
+        // called feasible relaxations infeasible on round-off.
+        let (cost, rows) = fir4_ii6();
+        let n = cost.len();
+        let (none, pivots, inf) = (Interrupt::none(), Cell::new(0), f64::INFINITY);
+        let mut warm = Simplex::new(n, &rows, cost.clone(), 1.0);
+        let mut path: Vec<(usize, f64)> = Vec::new();
+        for round in 0..150 {
+            let mut cold = Simplex::new(n, &rows, cost.clone(), 1.0);
+            for &(v, b) in &path {
+                cold.set_bounds(v, b, b);
+            }
+            let (got, want) = (
+                warm.solve(&none, &pivots, inf),
+                cold.solve(&none, &pivots, inf),
+            );
+            assert_eq!(got, want, "round {round}");
+            let x = warm.x();
+            if got == Status::Optimal {
+                let (a, b) = (dot(&cost, &x), dot(&cost, &cold.x()));
+                assert!((a - b).abs() < 1e-6, "{a} vs {b}, round {round}");
+            }
+            let free = |v: &usize| path.iter().all(|&(u, _)| u != *v);
+            let frac = (0..n)
+                .filter(|v| got == Status::Optimal && free(v))
+                .map(|v| (v, (x[v] - x[v].round()).abs()))
+                .filter(|&(_, f)| f > 1e-6)
+                .max_by(|a, b| a.1.total_cmp(&b.1));
+            match (frac, path.pop()) {
+                (Some((v, _)), last) => {
+                    path.extend(last);
+                    path.push((v, x[v].round()));
+                }
+                (None, Some((v, b))) => {
+                    warm.set_bounds(v, 0.0, 1.0);
+                    path.push((v, 1.0 - b));
+                }
+                (None, None) => break,
+            }
+            let &(v, b) = path.last().unwrap();
+            warm.set_bounds(v, b, b);
         }
     }
 
