@@ -44,7 +44,7 @@ impl Family {
 }
 
 /// Mapper configuration and budgets. It carries no solver state: what
-/// an exact mapper builds (SAT's chunk solver, ILP's per-II model)
+/// an exact mapper builds (SAT's solver, ILP's model, one per II probe)
 /// lives inside one [`Mapper::map`] call and is dropped when it ends.
 #[derive(Debug, Clone)]
 pub struct MapConfig {

@@ -1,14 +1,17 @@
-//! Branch-and-bound mapping with optional stochastic pruning (Das,
-//! Peyret, Martin, Coussy et al. lineage — ISVLSI 2016 / ASAP 2014:
-//! simultaneous scheduling and binding with pruned partial solutions).
+//! Branch-and-bound-style mapping after Das, Peyret, Martin, Coussy
+//! et al. (ISVLSI 2016 / ASAP 2014: simultaneous scheduling and binding
+//! over partial solutions).
 //!
-//! Depth-first search over operations in priority order; each node of
-//! the search tree extends the partial mapping by one placed-and-routed
-//! operation (real routing, not a relaxation — so any leaf is valid by
-//! construction). Subtrees are pruned by an admissible bound on total
-//! route cost; a beam width caps the per-depth branching (the
-//! "stochastic pruning of partial solutions" knob that makes the
-//! approach scale).
+//! A depth-first backtracking search over operations in priority order;
+//! each node of the search tree extends the partial mapping by one
+//! placed-and-routed operation (real routing, not a relaxation — so any
+//! leaf is valid by construction), and the first complete mapping is
+//! returned. There is no cost bound: per op, times run through the
+//! placement window and PEs through the [`BEAM`] cheapest by hop
+//! distance to placed neighbours, a node gives up after `BEAM × 3`
+//! placements that fit, and the search stops after [`NODE_BUDGET`]
+//! nodes per II. Both caps cut the space, so a failed II proves
+//! nothing: the search is not complete.
 
 use super::state::{priority_order, SchedState};
 use super::sweep::{SweepCtx, TemporalSearch, Verdict};
@@ -21,7 +24,7 @@ use cgra_ir::NodeId;
 #[derive(Debug, Clone, Default)]
 pub struct BranchAndBound;
 
-/// Candidate (pe, t) pairs explored per operation per node.
+/// Candidate PEs per cycle; a node tries at most 3 × this many placements.
 const BEAM: usize = 5;
 /// Search-node budget per II.
 const NODE_BUDGET: u64 = 6_000;

@@ -8,7 +8,7 @@
 //!   space, which SAT lowers to clauses and ILP to rows (CP states them
 //!   as tables over the same space and [`edge_compatible`]);
 //! * [`cegar`] — the one solve → route → block loop all three run;
-//! * [`SweepSpace`] and the diagnoses the probes share.
+//! * the diagnoses the probes share.
 //!
 //! Exactness is *relative to the candidate space*: positions are
 //! restricted to a scheduling window derived from ASAP levels, which
@@ -345,67 +345,6 @@ pub(crate) fn add_solver_stats(tele: &Telemetry, s: SolverStats) {
     tele.add(Counter::SolverLpPivots, s.lp_pivots);
 }
 
-/// The union position space of a run of adjacent IIs: each II's own
-/// [`PositionSpace`], merged into one deduplicated list per op with
-/// membership indices back into the union. The SAT sweep has one
-/// variable per union position and encodes each II over its members.
-pub(crate) struct SweepSpace {
-    /// Candidate IIs covered, ascending.
-    pub iis: Vec<u32>,
-    /// `spaces[k]` = `PositionSpace::build` for II `iis[k]`.
-    pub spaces: Vec<PositionSpace>,
-    /// `union[op]` = deduplicated candidates across every covered II.
-    pub union: Vec<Vec<Pos>>,
-    /// `member[k][op][i]` = index into `union[op]` of
-    /// `spaces[k].positions[op][i]`.
-    pub member: Vec<Vec<Vec<usize>>>,
-}
-
-impl SweepSpace {
-    pub fn build(
-        dfg: &Dfg,
-        fabric: &Fabric,
-        iis: &[u32],
-        window_iis: u32,
-        cap: Option<usize>,
-    ) -> Self {
-        use std::collections::HashMap;
-        let spaces: Vec<PositionSpace> = iis
-            .iter()
-            .map(|&ii| PositionSpace::build(dfg, fabric, ii, window_iis, cap))
-            .collect();
-        let nops = dfg.node_count();
-        let mut union: Vec<Vec<Pos>> = vec![Vec::new(); nops];
-        let mut index: Vec<HashMap<Pos, usize>> = vec![HashMap::new(); nops];
-        for sp in &spaces {
-            for (op, list) in sp.positions.iter().enumerate() {
-                for &p in list {
-                    index[op].entry(p).or_insert_with(|| {
-                        union[op].push(p);
-                        union[op].len() - 1
-                    });
-                }
-            }
-        }
-        let member = spaces
-            .iter()
-            .map(|sp| {
-                sp.positions
-                    .iter()
-                    .enumerate()
-                    .map(|(op, list)| list.iter().map(|p| index[op][p]).collect())
-                    .collect()
-            })
-            .collect();
-        SweepSpace {
-            iis: iis.to_vec(),
-            spaces,
-            union,
-            member,
-        }
-    }
-}
-
 /// Per-op supported-PE bitsets (`caps[op][pe]`): the II- and
 /// horizon-independent capability layer shared by every exact encoding,
 /// computed once per `map()` call instead of once per probe.
@@ -467,25 +406,6 @@ pub(crate) mod tests {
         for &(pe, _) in &ps.positions[2] {
             let (_, c) = f.coords(pe);
             assert_eq!(c % 2, 0);
-        }
-    }
-
-    #[test]
-    fn sweep_space_per_ii_matches_from_scratch() {
-        // The lemma the SAT sweep's per-II feasible set rests on: each
-        // II's member list, viewed through the union, *is* the space
-        // `PositionSpace::build` gives that II on its own.
-        let dfg = kernels::fir(4);
-        let f = Fabric::homogeneous(4, 4, Topology::Mesh);
-        let iis = [2u32, 3, 4];
-        let sweep = SweepSpace::build(&dfg, &f, &iis, 2, Some(16));
-        for (k, &ii) in iis.iter().enumerate() {
-            let view: Vec<Vec<Pos>> = (sweep.member[k].iter().zip(&sweep.union))
-                .map(|(ms, union)| ms.iter().map(|&u| union[u]).collect())
-                .collect();
-            let fresh = PositionSpace::build(&dfg, &f, ii, 2, Some(16));
-            assert_eq!(view, fresh.positions, "II {ii}");
-            assert_eq!(sweep.spaces[k].positions, fresh.positions, "II {ii}");
         }
     }
 

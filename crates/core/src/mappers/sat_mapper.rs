@@ -10,33 +10,20 @@
 //! the encoding cannot see) blocks that exact placement with a no-good
 //! clause and re-solves.
 //!
-//! ## Persistent II sweep
-//!
-//! The bottom-up sweep uses *one* persistent solver per
-//! [`SWEEP_CHUNK`]-sized run of adjacent candidate IIs (chunking keeps
-//! the union encoding proportional to the IIs actually visited — a
-//! kernel feasible at `min_ii` never pays for the tail of the sweep).
-//! Within a chunk, variables range over the union of its IIs' candidate
-//! spaces ([`SweepSpace`]), built once per chunk; each II's constraints
-//! are encoded lazily under a per-II selector literal and activated by
-//! [`SatSolver::solve_with_assumptions`]. An II whose layer runs out of
-//! models retires its selector permanently, CEGAR no-goods accumulate
-//! under the selector of the II they belong to, and activities and
-//! saved phases carry from the II=k search into the II=k+1 search. A sweep
-//! leaving a chunk drops its solver; nothing outlives the `map()` call.
-//! Under its selector each II sees exactly its own
-//! [`PositionSpace`](super::exact_common::PositionSpace), so the
-//! feasible set per II does not depend on what else the chunk holds.
+//! As in Miyasaka et al. and SAT-MapIt, each II gets a formula of its
+//! own: a probe encodes its II's [`PositionSpace`] on a fresh solver,
+//! adds its no-goods as plain clauses, and drops the solver when it
+//! ends. Nothing carries from one II to the next, so a sweep and a
+//! pinned single-II run solve the same formula.
 
 use super::exact_common::{
     add_solver_stats, cegar, diagnose_empty_space, diagnose_interrupted, diagnose_unroutable,
-    placement_model, Cand, CegarBackend, Constraint, PositionSpace, SweepSpace,
+    placement_model, Cand, CegarBackend, Constraint, PositionSpace,
 };
 use super::sweep::{SweepCtx, TemporalSearch, Verdict};
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
 use crate::mapper::Family;
-use cgra_arch::Fabric;
-use cgra_ir::{Dfg, NodeId};
+use cgra_ir::NodeId;
 use cgra_solver::cnf::{at_most_one, AmoEncoding};
 use cgra_solver::{Lit, SatResult, SatSolver};
 use std::collections::HashSet;
@@ -62,46 +49,20 @@ const CEGAR_ROUNDS: u32 = 40;
 const POSITION_CAP: usize = 48;
 const WINDOW_IIS: u32 = 2;
 
-/// Adjacent IIs share one persistent solver in runs of this size. The
-/// chunk bounds the union encoding while still letting learnt clauses
-/// from the II=k refutation prune II=k+1; sweeps that exhaust a chunk
-/// roll into the next one cold.
-const SWEEP_CHUNK: usize = 4;
-
-/// One chunk's cross-II solver state: one CDCL instance holding the
-/// per-II selector-guarded layers encoded so far and every learnt
-/// clause.
-pub(crate) struct SweepState {
-    solver: SatSolver,
-    space: SweepSpace,
-    /// `vars[op][u]` ⇔ "op sits at union position `u`".
-    vars: Vec<Vec<Lit>>,
-    /// `lits[k][op][i]`: the variable of II layer `k`'s candidate
-    /// `space.spaces[k].positions[op][i]`.
-    lits: Vec<Vec<Vec<Lit>>>,
-    /// One selector literal per candidate II, assumption-activated.
-    sels: Vec<Lit>,
-}
-
-/// One II layer of the persistent solver as the CEGAR loop sees it:
-/// solved under the layer's selector, and blocked under it too (a
-/// no-good at II=k says nothing about II=k+1).
-struct Layer<'a> {
+/// One II's formula as the CEGAR loop sees it: a solver of its own,
+/// blocked by plain no-good clauses.
+struct Probe<'a> {
     ctx: &'a SweepCtx<'a>,
-    solver: &'a mut SatSolver,
-    lits: &'a [Vec<Lit>],
-    sel: Lit,
+    solver: SatSolver,
+    /// `lits[op][k]` ⇔ "op sits at `space.positions[op][k]`".
+    lits: Vec<Vec<Lit>>,
     ii: u32,
 }
 
-impl CegarBackend for Layer<'_> {
+impl CegarBackend for Probe<'_> {
     fn solve(&mut self, round: u32) -> Verdict<Vec<usize>> {
-        match self.solver.solve_with_assumptions(&[self.sel]) {
-            SatResult::Unsat => {
-                // Nothing left under the selector: the layer is done.
-                self.solver.retire_selector(self.sel);
-                Verdict::Refuted
-            }
+        match self.solver.solve() {
+            SatResult::Unsat => Verdict::Refuted,
             SatResult::Unknown => Verdict::Unproven,
             SatResult::Sat(model) => {
                 // Each model is an anytime incumbent placement; cost =
@@ -120,108 +81,70 @@ impl CegarBackend for Layer<'_> {
         let blocking: Vec<Lit> = (self.lits.iter().zip(choice))
             .map(|(lits, &k)| lits[k].negate())
             .collect();
-        self.solver.add_clause_under(self.sel, &blocking);
+        self.solver.add_clause(&blocking);
     }
 }
 
+/// A solver with one variable per candidate of `space`, and the
+/// variables as `lits[op][k]`.
+fn solver_over(ctx: &SweepCtx<'_>, space: &PositionSpace) -> (SatSolver, Vec<Vec<Lit>>) {
+    let mut solver = SatSolver::new();
+    solver.interrupt = ctx.budget.interrupt();
+    let lits = (space.positions.iter())
+        .map(|ps| ps.iter().map(|_| Lit::pos(solver.new_var())).collect())
+        .collect();
+    (solver, lits)
+}
+
 impl SatMapper {
-    /// Cold-start a sweep state: variables over the union of the
-    /// chunk's candidate spaces, one selector per II. All constraints —
-    /// including each II's exactly-one — live in the guarded per-II
-    /// layers ([`Self::encode_layer`]), so an II the sweep never reaches
-    /// costs nothing beyond its share of (unconstrained) variables.
-    fn build_state(&self, dfg: &Dfg, fabric: &Fabric, iis: &[u32]) -> SweepState {
-        let space = SweepSpace::build(dfg, fabric, iis, WINDOW_IIS, Some(POSITION_CAP));
-        let mut solver = SatSolver::new();
-        let vars: Vec<Vec<Lit>> = space
-            .union
-            .iter()
-            .map(|ps| ps.iter().map(|_| Lit::pos(solver.new_var())).collect())
-            .collect();
-        let sels: Vec<Lit> = iis.iter().map(|_| solver.new_selector()).collect();
-        let of_op = |(ms, vars): (&Vec<usize>, &Vec<Lit>)| ms.iter().map(|&u| vars[u]).collect();
-        let of_layer = |layer: &Vec<Vec<usize>>| layer.iter().zip(&vars).map(of_op).collect();
-        SweepState {
-            lits: space.member.iter().map(of_layer).collect(),
+    /// The probe of `ii` over `space`: the placement model lowered,
+    /// unguarded, onto a fresh solver.
+    fn probe<'a>(&self, ctx: &'a SweepCtx<'a>, space: &PositionSpace, ii: u32) -> Probe<'a> {
+        let (mut solver, lits) = solver_over(ctx, space);
+        placement_model(ctx, space, ii, false, |c| {
+            self.lower(&mut solver, &lits, &c, None)
+        });
+        Probe {
+            ctx,
             solver,
-            space,
-            vars,
-            sels,
+            lits,
+            ii,
         }
     }
 
     /// The CNF lowering of one constraint of the placement model:
-    /// `lits[op][k]` stands for candidate `(op, k)`, every clause goes
-    /// under `guard`. The at-most-one half of an `ExactlyOne` is
-    /// structural — dropping a position never causes UNSAT — and goes
-    /// under `structural` instead, so a diagnosis can keep it out of its
+    /// `lits[op][k]` stands for candidate `(op, k)`, and every clause
+    /// goes under `guard` when there is one. The at-most-one half of an
+    /// `ExactlyOne` is structural — dropping a position never causes
+    /// UNSAT — and stays unguarded, so a diagnosis keeps it out of its
     /// cores.
     fn lower(
         &self,
         solver: &mut SatSolver,
         lits: &[Vec<Lit>],
         c: &Constraint<'_>,
-        guard: Lit,
-        structural: Option<Lit>,
+        guard: Option<Lit>,
     ) {
+        let add = |solver: &mut SatSolver, clause: &[Lit]| match guard {
+            Some(sel) => solver.add_clause_under(sel, clause),
+            None => solver.add_clause(clause),
+        };
         let lit = |&(op, k): &Cand| lits[op][k];
         match c {
             Constraint::ExactlyOne(op) => {
-                solver.add_clause_under(guard, &lits[*op]);
-                at_most_one(solver, &lits[*op], self.amo, structural);
+                add(solver, &lits[*op]);
+                at_most_one(solver, &lits[*op], self.amo, None);
             }
             Constraint::AtMostOne(_, cands) => {
                 let group: Vec<Lit> = cands.iter().map(lit).collect();
-                at_most_one(solver, &group, self.amo, Some(guard));
+                at_most_one(solver, &group, self.amo, guard);
             }
             Constraint::Implies { src, dsts, .. } => {
                 let mut clause = vec![lit(src).negate()];
                 clause.extend(dsts.iter().map(lit));
-                solver.add_clause_under(guard, &clause);
+                add(solver, &clause);
             }
         }
-    }
-
-    /// Encode II layer `k` under its selector: union positions outside
-    /// this II's window are forbidden, so the variable space collapses
-    /// to exactly this II's own candidate lists, over which the
-    /// placement model is lowered.
-    fn encode_layer(&self, ctx: &SweepCtx<'_>, st: &mut SweepState, k: usize) {
-        let sel = st.sels[k];
-        placement_model(ctx, &st.space.spaces[k], st.space.iis[k], false, |c| {
-            if let Constraint::ExactlyOne(op) = c {
-                let mut keep = vec![false; st.vars[op].len()];
-                for &u in &st.space.member[k][op] {
-                    keep[u] = true;
-                }
-                for (u, keep) in keep.iter().enumerate() {
-                    if !keep {
-                        st.solver.add_clause_under(sel, &[st.vars[op][u].negate()]);
-                    }
-                }
-            }
-            self.lower(&mut st.solver, &st.lits[k], &c, sel, Some(sel));
-        });
-    }
-
-    /// Make the chunk holding `ii` the live one, replacing (and so
-    /// dropping) the previous chunk's solver. Chunks are
-    /// [`SWEEP_CHUNK`]-sized runs counted from `ctx.lo`.
-    fn enter_chunk<'s>(
-        &self,
-        ctx: &SweepCtx<'_>,
-        live: &'s mut Option<SweepState>,
-        ii: u32,
-    ) -> &'s mut SweepState {
-        let chunk = SWEEP_CHUNK as u32;
-        let first = ii - (ii - ctx.lo) % chunk;
-        if live.as_ref().is_none_or(|st| st.space.iis[0] != first) {
-            let iis: Vec<u32> = (first..=ctx.hi.min(first + chunk - 1)).collect();
-            let mut st = self.build_state(ctx.dfg, ctx.fabric, &iis);
-            st.solver.interrupt = ctx.budget.interrupt();
-            *live = Some(st);
-        }
-        live.as_mut().expect("a chunk was just made live")
     }
 
     /// Failure forensics at a single II: a re-encoding on a solver of
@@ -239,13 +162,7 @@ impl SatMapper {
         if let Some(d) = diagnose_empty_space(ctx, &space, ii) {
             return d;
         }
-        let mut solver = SatSolver::new();
-        solver.interrupt = ctx.budget.interrupt();
-        let vars: Vec<Vec<Lit>> = space
-            .positions
-            .iter()
-            .map(|ps| ps.iter().map(|_| Lit::pos(solver.new_var())).collect())
-            .collect();
+        let (mut solver, vars) = solver_over(ctx, &space);
         let op_sels: Vec<Lit> = (0..vars.len()).map(|_| solver.new_selector()).collect();
         let pe_sels: Vec<Lit> = fabric.pe_ids().map(|_| solver.new_selector()).collect();
         let s_lat = solver.new_selector();
@@ -260,7 +177,7 @@ impl SatMapper {
                 } => s_route,
                 Constraint::Implies { .. } => s_lat,
             };
-            self.lower(&mut solver, &vars, &c, guard, None);
+            self.lower(&mut solver, &vars, &c, Some(guard));
         });
         let mut assumptions: Vec<Lit> = Vec::new();
         assumptions.extend(&op_sels);
@@ -351,33 +268,20 @@ impl SatMapper {
 impl TemporalSearch for SatMapper {
     const NAME: &'static str = "sat";
     const FAMILY: Family = Family::ExactCsp;
-    /// The live chunk of the sweep.
-    type State = Option<SweepState>;
+    type State = ();
 
-    fn prepare(&self, _: &SweepCtx<'_>) -> Self::State {
-        None
-    }
+    fn prepare(&self, _: &SweepCtx<'_>) {}
 
-    /// One II attempt on the persistent solver: encode the II's layer,
-    /// then run the CEGAR loop under its selector. The sweep probes
-    /// each II once.
-    fn try_ii(&self, ctx: &SweepCtx<'_>, live: &mut Self::State, ii: u32) -> Verdict {
-        let st = self.enter_chunk(ctx, live, ii);
-        let k = (ii - st.space.iis[0]) as usize;
-        if st.space.spaces[k].positions.iter().any(|ps| ps.is_empty()) {
+    /// One II attempt: encode the II on a fresh solver, then run the
+    /// CEGAR loop on it.
+    fn try_ii(&self, ctx: &SweepCtx<'_>, _: &mut (), ii: u32) -> Verdict {
+        let space = PositionSpace::build(ctx.dfg, ctx.fabric, ii, WINDOW_IIS, Some(POSITION_CAP));
+        if space.positions.iter().any(|ps| ps.is_empty()) {
             return Verdict::Unproven;
         }
-        let before = st.solver.stats();
-        self.encode_layer(ctx, st, k);
-        let mut layer = Layer {
-            ctx,
-            lits: &st.lits[k],
-            solver: &mut st.solver,
-            sel: st.sels[k],
-            ii,
-        };
-        let out = cegar(ctx, &st.space.spaces[k], ii, CEGAR_ROUNDS, &mut layer);
-        add_solver_stats(ctx.tele(), st.solver.stats().since(&before));
+        let mut probe = self.probe(ctx, &space, ii);
+        let out = cegar(ctx, &space, ii, CEGAR_ROUNDS, &mut probe);
+        add_solver_stats(ctx.tele(), probe.solver.stats());
         out
     }
 
@@ -392,7 +296,7 @@ mod tests {
     use crate::mapper::{MapConfig, Mapper};
     use crate::mappers::exact_common::tests::sweep_ii_is_the_smallest_pinned_ii;
     use crate::validate::validate;
-    use cgra_arch::Topology;
+    use cgra_arch::{Fabric, Topology};
     use cgra_ir::kernels;
 
     #[test]
@@ -408,9 +312,8 @@ mod tests {
 
     #[test]
     fn incremental_and_from_scratch_achieve_identical_ii() {
-        // The persistent sweep (a chunk of IIs on one solver, learnt
-        // clauses carried from each refutation into the next II) must
-        // land where one-II-at-a-time solves on solvers of their own do.
+        // A sweep probes its IIs in turn, each on a solver of its own;
+        // it must land where one-II pinned runs do.
         let f = Fabric::homogeneous(4, 4, Topology::Mesh);
         for dfg in kernels::small_suite() {
             sweep_ii_is_the_smallest_pinned_ii(&SatMapper::default(), &dfg, &f);
@@ -421,15 +324,14 @@ mod tests {
     fn both_amo_encodings_agree_on_feasibility() {
         let f = Fabric::homogeneous(3, 3, Topology::Mesh);
         let dfg = kernels::dot_product();
-        // Map, then count the variables of the sweep's first layer as
-        // the sweep encodes it.
+        // Map, then count the variables of the first II's probe as the
+        // sweep encodes it.
         let run = |amo| {
             let (mapper, cfg) = (SatMapper { amo }, MapConfig::fast());
             let ii = mapper.map(&dfg, &f, &cfg).map(|m| m.ii);
             let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
-            let mut st = mapper.build_state(&dfg, &f, &[ctx.lo]);
-            mapper.encode_layer(&ctx, &mut st, 0);
-            (ii, st.solver.num_vars())
+            let space = PositionSpace::build(&dfg, &f, ctx.lo, WINDOW_IIS, Some(POSITION_CAP));
+            (ii, mapper.probe(&ctx, &space, ctx.lo).solver.num_vars())
         };
         let (pairwise, pairwise_vars) = run(AmoEncoding::Pairwise);
         let (sequential, sequential_vars) = run(AmoEncoding::Sequential);

@@ -23,10 +23,12 @@
 //! is sparse in the pivot row, and magnitudes under `DROP_TOL` snap to 0.
 //!
 //! An [`Lp`]'s columns are `x ≥ 0` without an upper bound. A solve
-//! boxes them at `BOX`, then asks a second boxed LP over the recession
-//! directions (`A r {≤,=,≥} 0`, `0 ≤ r ≤ 1`) whether the LP is
-//! unbounded: a feasible LP is unbounded iff such a direction improves
-//! the objective.
+//! boxes them at `BOX`. A boxed optimum with every column under
+//! `BOX / 2` is strictly inside the box, so it is optimal without the
+//! box too. Otherwise a second boxed LP over the recession directions
+//! (`A r {≤,=,≥} 0`, `0 ≤ r ≤ 1`) decides whether the LP is unbounded:
+//! a feasible LP is unbounded iff such a direction improves the
+//! objective, and then its boxed optimum always has a column at `BOX`.
 
 use crate::interrupt::Interrupt;
 use std::cell::Cell;
@@ -122,7 +124,8 @@ impl Lp {
         self.constraints.push((coeffs.to_vec(), cmp, rhs));
     }
 
-    /// Solve: the boxed LP first, then its recession directions.
+    /// Solve: the boxed LP first, then, when its optimum reaches past
+    /// half the box, its recession directions.
     pub fn solve(&self) -> LpResult {
         let sign = if self.maximize { -1.0 } else { 1.0 };
         let cost: Vec<f64> = self.objective.iter().map(|&c| sign * c).collect();
@@ -133,18 +136,22 @@ impl Lp {
             Status::Infeasible => return LpResult::Infeasible,
             _ => return LpResult::Interrupted,
         }
-        let rays: Vec<Row> = (self.constraints.iter())
-            .map(|(row, cmp, _)| (row.clone(), *cmp, 0.0))
-            .collect();
-        let mut ray = Simplex::new(self.num_vars, &rays, cost.clone(), 1.0);
-        match ray.solve(&none, &self.pivots, f64::INFINITY) {
-            Status::Stopped => return LpResult::Interrupted,
-            // `r = 0` is feasible, so the answer is optimal; a ray that
-            // improves at all improves by far more than round-off.
-            _ if ray.z < -1e-6 => return LpResult::Unbounded,
-            _ => {}
-        }
         let x = boxed.x();
+        // An optimum strictly inside the box is optimal without it.
+        if x.iter().any(|&v| v > BOX / 2.0) {
+            let rays: Vec<Row> = (self.constraints.iter())
+                .map(|(row, cmp, _)| (row.clone(), *cmp, 0.0))
+                .collect();
+            let mut ray = Simplex::new(self.num_vars, &rays, cost, 1.0);
+            match ray.solve(&none, &self.pivots, f64::INFINITY) {
+                Status::Stopped => return LpResult::Interrupted,
+                // `r = 0` is feasible, so the answer is optimal; a ray
+                // that improves at all improves by far more than
+                // round-off.
+                _ if ray.z < -1e-6 => return LpResult::Unbounded,
+                _ => {}
+            }
+        }
         let objective = dot(&self.objective, &x);
         LpResult::Optimal { x, objective }
     }
@@ -1103,8 +1110,10 @@ mod tests {
 
     #[test]
     fn pivots_count_every_solve_and_the_artificial_drive_out() {
-        // Phase 1 starts optimal with `-y = 0`'s artificial basic at
-        // zero: one pivot drives it out, one more in phase 2 raises x.
+        // `-y = 0` holds with y at its lower bound and no artificial;
+        // `x ≤ 3` starts infeasible with x at the box, and one dual
+        // pivot brings x to 3. That optimum is well inside the box, so
+        // no direction LP runs.
         let mut lp = Lp::new(2, true);
         lp.set_objective(0, 1.0);
         lp.add_constraint(&[(1, -1.0)], Cmp::Eq, 0.0);
@@ -1114,9 +1123,24 @@ mod tests {
             LpResult::Optimal { objective, .. } => assert_near(objective, 3.0),
             other => panic!("{other:?}"),
         }
-        assert_eq!(lp.pivots(), 2);
+        assert_eq!(lp.pivots(), 1);
         lp.solve();
-        assert_eq!(lp.pivots(), 4, "pivots accumulate across solves");
+        assert_eq!(lp.pivots(), 2, "pivots accumulate across solves");
+    }
+
+    #[test]
+    fn an_optimum_past_half_the_box_is_checked_by_the_direction_lp() {
+        // max x s.t. x ≤ 0.75·BOX: bounded, but its optimum is past
+        // BOX / 2, so the direction LP runs (one pivot each) and finds
+        // no improving ray.
+        let mut lp = Lp::new(1, true);
+        lp.set_objective(0, 1.0);
+        lp.add_constraint(&[(0, 1.0)], Cmp::Le, 0.75 * BOX);
+        match lp.solve() {
+            LpResult::Optimal { objective, .. } => assert_near(objective, 0.75 * BOX),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(lp.pivots(), 2);
     }
 
     #[test]

@@ -8,23 +8,20 @@
 //!
 //! ## Incremental solving
 //!
-//! The solver is *incremental* in the MiniSat sense, which is how the
-//! SAT-MapIt lineage amortises an II sweep into one solver instance:
+//! The solver is *incremental* in the MiniSat sense:
 //!
 //! * [`SatSolver::solve_with_assumptions`] solves under a set of
 //!   literals that hold for this call only; clauses (including every
-//!   learnt clause) persist across calls, so conflicts discovered at
-//!   II=k prune the search at II=k+1;
+//!   learnt clause) persist across calls;
 //! * learnt clauses carry activities and are garbage-collected by
 //!   [`reduce_db`](SatSolver) once the database outgrows its budget,
 //!   keeping long-lived incremental solvers bounded;
-//! * a push/pop-style removable layer: guard a clause group with a
-//!   selector from [`SatSolver::new_selector`] via
-//!   [`SatSolver::add_clause_under`], activate it by assuming the
-//!   selector, and permanently drop it with
-//!   [`SatSolver::retire_selector`]. Selectors only ever appear
-//!   negatively in guarded clauses, so an unassumed group never
-//!   constrains the search.
+//! * a guarded clause group: guard it with a selector from
+//!   [`SatSolver::new_selector`] via [`SatSolver::add_clause_under`]
+//!   and activate it by assuming the selector. Selectors only ever
+//!   appear negatively in guarded clauses, so an unassumed group never
+//!   constrains the search, and an unsat solve names the groups of its
+//!   final conflict ([`SatSolver::failed_assumptions`]).
 
 /// A propositional variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -292,14 +289,6 @@ impl SatSolver {
         guarded.push(sel.negate());
         guarded.extend_from_slice(lits);
         self.add_clause(&guarded);
-    }
-
-    /// Permanently deactivate a selector's clause group (MiniSat-style
-    /// "pop"): asserting `¬sel` at the top level satisfies every clause
-    /// added under it, and level-0 simplification in `reduce_db` will
-    /// physically drop them on the next pass.
-    pub fn retire_selector(&mut self, sel: Lit) {
-        self.add_clause(&[sel.negate()]);
     }
 
     fn enqueue(&mut self, l: Lit, reason: Option<u32>) {
@@ -669,7 +658,8 @@ impl SatSolver {
 
     /// Solve under `assumptions`: literals that hold for this call
     /// only. All clauses — learnt ones included — persist for the next
-    /// call, which is what makes adjacent-II solves cheap.
+    /// call, so a CEGAR re-solve after a no-good starts from what the
+    /// last solve learnt.
     ///
     /// `Unsat` under a non-empty assumption set means the formula has
     /// no model extending the assumptions; the solver itself stays
@@ -1026,7 +1016,7 @@ mod tests {
     }
 
     #[test]
-    fn selector_groups_gate_and_retire() {
+    fn selector_groups_gate() {
         let mut s = SatSolver::new();
         let x = s.new_var();
         let a = s.new_selector();
@@ -1042,9 +1032,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(s.solve_with_assumptions(&[a, b]), SatResult::Unsat);
-        s.retire_selector(b);
-        assert!(matches!(s.solve_with_assumptions(&[a]), SatResult::Sat(_)));
-        assert_eq!(s.solve_with_assumptions(&[b]), SatResult::Unsat);
         // The solver itself stays satisfiable.
         assert!(matches!(s.solve(), SatResult::Sat(_)));
     }
