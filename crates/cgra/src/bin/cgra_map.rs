@@ -35,6 +35,25 @@ use serde::Serialize as _;
 use std::io::Write;
 use std::process::ExitCode;
 
+/// Write to stdout. A reader that closes the pipe early (`cgra-map … |
+/// head -1`) ends the output quietly: the exit code stays the map
+/// verdict's.
+fn out(text: std::fmt::Arguments) -> Result<(), CliError> {
+    match std::io::stdout().write_fmt(text) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::from(format!("stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `println!` through [`out`], returning its error from the caller.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 struct Options {
     file: Option<String>,
     kernel: Option<String>,
@@ -212,9 +231,9 @@ fn build_request(opts: &Options) -> Result<MapRequest, CliError> {
 fn run() -> Result<(), CliError> {
     let opts = parse_args().map_err(CliError::usage)?;
     if opts.list_mappers {
-        println!("available mappers:");
+        outln!("available mappers:");
         for spec in MapperRegistry::standard().specs() {
-            println!("  {:<16} {}", spec.name, spec.family.label());
+            outln!("  {:<16} {}", spec.name, spec.family.label());
         }
         return Ok(());
     }
@@ -360,14 +379,14 @@ fn run() -> Result<(), CliError> {
             "utilization": outcome.utilization,
             "race": race_json,
         });
-        println!("{}", serde_json::to_string_pretty(&report).unwrap());
+        outln!("{}", serde_json::to_string_pretty(&report).unwrap());
     } else {
         let via = match (&opts.connect, outcome.cache) {
             (Some(addr), CacheStatus::Hit) => format!(" [cache hit via {addr}]"),
             (Some(addr), status) => format!(" [{} via {addr}]", status.label()),
             (None, _) => String::new(),
         };
-        println!(
+        outln!(
             "mapped `{}` ({} ops) onto {} with `{}` in {:.1} ms{via}",
             outcome.kernel,
             dfg.node_count(),
@@ -376,7 +395,7 @@ fn run() -> Result<(), CliError> {
             outcome.compile_ms,
         );
         if let Some(wall) = client_ms {
-            println!(
+            outln!(
                 "  server: cache={} queue={:.1} ms solve={:.1} ms trace={} (client wall {:.1} ms)",
                 outcome.cache.label(),
                 outcome.queue_us as f64 / 1e3,
@@ -390,9 +409,9 @@ fn run() -> Result<(), CliError> {
             );
         }
         if req.mode == ExecMode::Race {
-            println!("{}", render_race(&outcome));
+            outln!("{}", render_race(&outcome));
         }
-        println!(
+        outln!(
             "  II={} schedule={} utilisation={:.1}% hops={} peak-regs={}",
             metrics.ii,
             metrics.schedule_len,
@@ -400,14 +419,17 @@ fn run() -> Result<(), CliError> {
             metrics.route_hops,
             metrics.peak_registers
         );
-        println!(
+        outln!(
             "  simulated {} iterations in {} cycles ({:.3} iters/cycle), energy {:.1} units",
-            stats.iterations, stats.cycles, stats.throughput, run_energy
+            stats.iterations,
+            stats.cycles,
+            stats.throughput,
+            run_energy
         );
-        println!("  functional check vs reference interpreter: OK");
+        outln!("  functional check vs reference interpreter: OK");
         if opts.show_config {
             let cs = ConfigStream::generate(&mapping, &dfg, &fabric);
-            println!("\n{}", cs.render(&fabric));
+            outln!("\n{}", cs.render(&fabric));
         }
     }
     if opts.profile {
@@ -416,7 +438,7 @@ fn run() -> Result<(), CliError> {
             // Keep stdout valid JSON.
             eprint!("{profile}");
         } else {
-            print!("{profile}");
+            out(format_args!("{profile}"))?;
         }
     }
     Ok(())

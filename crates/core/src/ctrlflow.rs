@@ -301,147 +301,6 @@ pub fn map_direct(
     })
 }
 
-/// Errors specific to loop extraction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LoopExtractError {
-    /// The loop has more than one body block (multi-block bodies need
-    /// predication first).
-    MultiBlockBody,
-    /// The header defines variables (only the exit test may live there).
-    HeaderDefines(String),
-    /// A loop-invariant variable has no value in the provided
-    /// environment.
-    UnknownInvariant(String),
-}
-
-impl std::fmt::Display for LoopExtractError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LoopExtractError::MultiBlockBody => {
-                write!(f, "loop body spans multiple blocks; predicate it first")
-            }
-            LoopExtractError::HeaderDefines(v) => {
-                write!(
-                    f,
-                    "loop header defines `{v}`; only the exit test may live there"
-                )
-            }
-            LoopExtractError::UnknownInvariant(v) => {
-                write!(
-                    f,
-                    "loop-invariant `{v}` has no value in the entry environment"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for LoopExtractError {}
-
-/// A loop body extracted from a CDFG as a mappable kernel.
-#[derive(Debug, Clone)]
-pub struct LoopKernel {
-    pub dfg: Dfg,
-    /// Loop-carried variables in output-stream order (each is also an
-    /// `Output` so the evolution is observable).
-    pub carried: Vec<String>,
-}
-
-/// Extract a natural loop's body as a loop-body DFG (the survey's
-/// Fig. 3: the innermost loop's basic block is what gets mapped).
-///
-/// Supported shape: a header block holding only the exit test, and a
-/// single body block (the latch). Variables the body redefines become
-/// loop-carried edges initialised from `entry_env`; variables it only
-/// reads become constants from `entry_env` (loop invariants). The loop
-/// control itself is assumed to run on a hardware loop unit or the
-/// host (§III-B2); wrap with [`with_loop_control`] to model software
-/// loop control.
-pub fn extract_loop_kernel(
-    cdfg: &Cdfg,
-    lp: &cgra_ir::cdfg::LoopInfo,
-    entry_env: &HashMap<String, i64>,
-) -> Result<LoopKernel, LoopExtractError> {
-    // Identify the single body block.
-    let body_blocks: Vec<BlockId> = lp
-        .blocks
-        .iter()
-        .copied()
-        .filter(|&b| b != lp.header)
-        .collect();
-    let &[body_id] = body_blocks.as_slice() else {
-        return Err(LoopExtractError::MultiBlockBody);
-    };
-    let header = cdfg.block(lp.header);
-    if let Some((v, _)) = header.defs.first() {
-        return Err(LoopExtractError::HeaderDefines(v.clone()));
-    }
-    let body = cdfg.block(body_id);
-
-    let mut out = Dfg::new(format!("{}_loop", cdfg.name));
-    let defined: Vec<&String> = body.defs.iter().map(|(v, _)| v).collect();
-
-    // Bind body params: carried placeholder for redefined vars,
-    // constant for invariants.
-    let mut env: HashMap<String, NodeId> = HashMap::new();
-    let mut placeholders: Vec<(String, NodeId, i64)> = Vec::new();
-    for var in &body.params {
-        if defined.contains(&var) {
-            let init = *entry_env
-                .get(var)
-                .ok_or_else(|| LoopExtractError::UnknownInvariant(var.clone()))?;
-            let ph = out.add_named(OpKind::Route, format!("{var}@prev"));
-            placeholders.push((var.clone(), ph, init));
-            env.insert(var.clone(), ph);
-        } else {
-            let init = *entry_env
-                .get(var)
-                .ok_or_else(|| LoopExtractError::UnknownInvariant(var.clone()))?;
-            let c = out.add_named(OpKind::Const(init), var.clone());
-            env.insert(var.clone(), c);
-        }
-    }
-
-    // Splice the body DFG.
-    let mut inputs = Vec::new();
-    let map = splice_block(&mut out, cdfg, body_id, &mut env, &mut inputs);
-    let _ = map;
-
-    // Outputs: every defined variable, in def order.
-    let mut carried = Vec::new();
-    for (stream, (var, _)) in body.defs.iter().enumerate() {
-        let o = out.add_named(OpKind::Output(stream as u32), var.clone());
-        out.connect(env[var], o, 0);
-        carried.push(var.clone());
-    }
-
-    // Resolve carried placeholders → dist-1 edges from the iteration's
-    // final producer.
-    let dead: Vec<NodeId> = placeholders
-        .iter()
-        .filter_map(|(var, ph, init)| {
-            let producer = env[var];
-            if producer == *ph {
-                return None; // never reassigned: keep as is
-            }
-            for eid in out.edge_ids().collect::<Vec<_>>() {
-                let e = out.edge(eid);
-                if e.src == *ph {
-                    let em = out.edge_mut(eid);
-                    em.src = producer;
-                    em.dist += 1;
-                    em.init = vec![*init; em.dist as usize];
-                }
-            }
-            Some(*ph)
-        })
-        .collect();
-    if !dead.is_empty() {
-        out.retain_nodes(|id| !dead.contains(&id));
-    }
-    Ok(LoopKernel { dfg: out, carried })
-}
-
 /// §III-B2 hardware loops: wrap a kernel with explicit software loop
 /// control (induction increment + bound compare + predicate output) —
 /// what a CGRA *without* a hardware loop unit must execute. Comparing
@@ -476,7 +335,6 @@ mod tests {
     use super::*;
     use cgra_ir::frontend;
     use cgra_ir::interp::{Interpreter, Tape};
-    use std::collections::HashMap;
 
     const ITE_SRC: &str = "
         func th(x) {
@@ -566,73 +424,6 @@ mod tests {
             predicate_diamond(&c, IteScheme::PartialPredication).unwrap_err(),
             CtrlFlowError::NoDiamond
         );
-    }
-
-    #[test]
-    fn extract_loop_kernel_matches_cdfg_execution() {
-        // triangle sum: the loop body `sum += i; i += 1` becomes a
-        // kernel with two carried variables; iterating it must evolve
-        // exactly like executing the CDFG.
-        let c = frontend::compile_func(
-            "func tri(n) {
-                var i = 0;
-                var sum = 0;
-                while (i < n) { sum += i; i += 1; }
-                return;
-            }",
-        )
-        .unwrap();
-        let loops = c.loops();
-        assert_eq!(loops.len(), 1);
-        let mut entry = HashMap::new();
-        entry.insert("i".to_string(), 0i64);
-        entry.insert("sum".to_string(), 0i64);
-        entry.insert("n".to_string(), 7i64);
-        let lk = super::extract_loop_kernel(&c, &loops[0], &entry).unwrap();
-        lk.dfg.validate().unwrap();
-        // Run 7 iterations of the extracted kernel.
-        let r = Interpreter::run(&lk.dfg, 7, &Tape::default()).unwrap();
-        // Reference: execute the CDFG.
-        let mut env = HashMap::new();
-        env.insert("n".to_string(), 7i64);
-        let (env, _, _) = c.execute(env, vec![], 10_000).unwrap();
-        let sum_stream = lk.carried.iter().position(|v| v == "sum").unwrap();
-        let i_stream = lk.carried.iter().position(|v| v == "i").unwrap();
-        assert_eq!(*r.outputs[sum_stream].last().unwrap(), env["sum"]);
-        assert_eq!(*r.outputs[i_stream].last().unwrap(), env["i"]);
-    }
-
-    #[test]
-    fn extracted_loop_maps_and_simulates() {
-        use crate::mappers::ModuloList;
-        let c = frontend::compile_func(
-            "func acc(n) {
-                var i = 0;
-                var s = 0;
-                while (i < n) { s += i * i; i += 1; }
-                return;
-            }",
-        )
-        .unwrap();
-        let loops = c.loops();
-        let mut entry = HashMap::new();
-        entry.insert("i".to_string(), 0i64);
-        entry.insert("s".to_string(), 0i64);
-        let lk = super::extract_loop_kernel(&c, &loops[0], &entry).unwrap();
-        let f = cgra_arch::Fabric::homogeneous(4, 4, cgra_arch::Topology::Mesh);
-        let m = ModuloList.map(&lk.dfg, &f, &MapConfig::fast()).unwrap();
-        crate::validate::validate(&m, &lk.dfg, &f).unwrap();
-    }
-
-    #[test]
-    fn loop_extraction_rejects_unknown_invariants() {
-        let c =
-            frontend::compile_func("func f(n, k) { var i = 0; while (i < n) { i += k; } return; }")
-                .unwrap();
-        let loops = c.loops();
-        let entry = HashMap::new(); // nothing bound
-        let err = super::extract_loop_kernel(&c, &loops[0], &entry).unwrap_err();
-        assert!(matches!(err, super::LoopExtractError::UnknownInvariant(_)));
     }
 
     #[test]

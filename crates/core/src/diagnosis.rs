@@ -21,9 +21,9 @@ use cgra_ir::{graph, Dfg, NodeId, OpKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The resource classes an infeasibility can be attributed to — one
-/// tag per constraint group in the SAT/ILP encodings, plus the two
-/// analytic MII components.
+/// The resource classes an infeasibility can be attributed to — one per
+/// constraint class of the exact mappers' placement model, plus
+/// register pressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ResourceClass {
     /// An op class outnumbers the cells able to execute it (or no cell

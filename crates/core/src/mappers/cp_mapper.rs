@@ -9,12 +9,15 @@
 //! [`PositionSpace`], stated as tables rather than lowered from the
 //! shared emitter, because the engine takes binary relations, not
 //! clauses. The shared CEGAR loop ([`cegar`]) blocks placements the
-//! router cannot realise.
+//! router cannot realise, and the shared SAT core ([`diagnose`])
+//! explains a range it exhausts.
 
 use super::exact_common::{
     add_solver_stats, cegar, edge_compatible, CegarBackend, Pos, PositionSpace,
 };
+use super::sat_mapper::diagnose;
 use super::sweep::{SweepCtx, TemporalSearch, Verdict};
+use crate::diagnosis::Diagnosis;
 use crate::mapper::Family;
 use cgra_solver::cp::CpConfig;
 use cgra_solver::{CpModel, CpSolution, CpVar};
@@ -147,11 +150,16 @@ impl TemporalSearch for CpMapper {
         };
         cegar(ctx, &space, ii, CEGAR_ROUNDS, &mut rounds)
     }
+
+    fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
+        Some(diagnose(ctx, ii, WINDOW_IIS, POSITION_CAP, CEGAR_ROUNDS))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnosis::ResourceClass;
     use crate::mapper::{MapConfig, Mapper};
     use crate::validate::validate;
     use cgra_arch::{Fabric, Topology};
@@ -166,6 +174,37 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
             validate(&m, &dfg, &f).unwrap_or_else(|e| panic!("{}: {e}", dfg.name));
         }
+    }
+
+    #[test]
+    fn explain_diagnoses_an_exhausted_range() {
+        // A 1×12 line with stream I/O only at its west end and the one
+        // multiplier at its east end: the dot product's operands cannot
+        // travel 11 hops inside the placement window at its MII of 3.
+        let mut f = Fabric::homogeneous(1, 12, Topology::Mesh);
+        for (pe, cell) in f.cells.iter_mut().enumerate() {
+            cell.io = pe == 0;
+            cell.mul = pe == 11;
+        }
+        let dfg = kernels::dot_product();
+        let cfg = MapConfig {
+            max_ii: 3,
+            explain: true,
+            ..MapConfig::fast()
+        };
+        let err = CpMapper.map(&dfg, &f, &cfg).unwrap_err();
+        let d = err.diagnosis().expect("explain must attach a diagnosis");
+        assert_eq!((d.ii, d.mii), (3, 3));
+        assert_eq!(d.class, ResourceClass::Routing, "{}", d.render());
+        let plain = MapConfig {
+            explain: false,
+            ..cfg
+        };
+        assert!(CpMapper
+            .map(&dfg, &f, &plain)
+            .unwrap_err()
+            .diagnosis()
+            .is_none());
     }
 
     #[test]

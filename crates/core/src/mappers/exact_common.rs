@@ -7,8 +7,10 @@
 //! * [`placement_model`] — the one emitter of the constraints over a
 //!   space, which SAT lowers to clauses and ILP to rows (CP states them
 //!   as tables over the same space and [`edge_compatible`]);
-//! * [`cegar`] — the one solve → route → block loop all three run;
-//! * the diagnoses the probes share.
+//! * [`cegar`] — the one solve → route → block loop all three run.
+//!
+//! All three are diagnosed by one SAT final-conflict core over the
+//! placement model ([`super::sat_mapper::diagnose`]).
 //!
 //! Exactness is *relative to the candidate space*: positions are
 //! restricted to a scheduling window derived from ASAP levels, which
@@ -25,10 +27,10 @@
 //! solver that stopped at its own limit all prove nothing.
 
 use super::sweep::{SweepCtx, Verdict};
-use crate::diagnosis::{op_name, Diagnosis, ResourceClass};
+use crate::diagnosis::ResourceClass;
 use crate::telemetry::{Counter, Telemetry};
 use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::{graph, Dfg, NodeId, OpKind};
+use cgra_ir::{graph, Dfg, OpKind};
 use cgra_solver::SolverStats;
 use std::collections::BTreeMap;
 
@@ -154,17 +156,6 @@ pub(crate) enum Constraint<'a> {
     },
 }
 
-impl Constraint<'_> {
-    /// The resource class a diagnosis attributes the constraint to.
-    pub fn class(&self) -> ResourceClass {
-        match self {
-            Constraint::ExactlyOne(_) => ResourceClass::Capability,
-            Constraint::AtMostOne(..) => ResourceClass::SlotExclusive,
-            Constraint::Implies { class, .. } => *class,
-        }
-    }
-}
-
 /// Emit the placement model of `ctx`'s kernel over `space` at `ii`, in
 /// a fixed order (clause and row order steer the solvers, so it must
 /// not depend on the process hash seed): one `ExactlyOne` per op; one
@@ -278,61 +269,6 @@ pub(crate) fn cegar(
     Verdict::Unproven
 }
 
-/// The diagnosis of an op that has no candidate position at `ii`, if
-/// `space` holds one: nothing to solve, the window itself is starved.
-pub(crate) fn diagnose_empty_space(
-    ctx: &SweepCtx<'_>,
-    space: &PositionSpace,
-    ii: u32,
-) -> Option<Diagnosis> {
-    let o = space.positions.iter().position(|ps| ps.is_empty())?;
-    let op = op_name(ctx.dfg, NodeId(o as u32));
-    let mut d = Diagnosis::new(
-        ResourceClass::Capability,
-        ii,
-        ctx.mii,
-        format!(
-            "{op} has no candidate position at II {ii}: \
-             no capable cell inside the placement window"
-        ),
-    );
-    d.ops = vec![op];
-    Some(d)
-}
-
-/// The diagnosis of an II whose model has solutions, none of which
-/// routed in `rounds` CEGAR rounds, in the probe's own words: what it
-/// `found`, what `each` solution is, the model `blind` to registers.
-pub(crate) fn diagnose_unroutable(
-    ctx: &SweepCtx<'_>,
-    ii: u32,
-    rounds: u32,
-    [found, each, blind]: [&str; 3],
-) -> Diagnosis {
-    let mut d = Diagnosis::new(
-        ResourceClass::Register,
-        ii,
-        ctx.mii,
-        format!(
-            "{found} at II {ii}; every {each} failed route realisation within {} CEGAR \
-             rounds (register/congestion pressure the {blind} cannot see)",
-            rounds.max(1)
-        ),
-    );
-    d.core = vec!["register".into()];
-    d
-}
-
-/// The diagnosis of a probe the budget stopped; `how` ends the sentence.
-pub(crate) fn diagnose_interrupted(ctx: &SweepCtx<'_>, ii: u32, how: &str) -> Diagnosis {
-    Diagnosis::new(
-        ResourceClass::Routing,
-        ii,
-        ctx.mii,
-        format!("diagnostic probe at II {ii} {how}"),
-    )
-}
-
 /// Fold a solver-engine stats snapshot into the telemetry counters.
 pub(crate) fn add_solver_stats(tele: &Telemetry, s: SolverStats) {
     tele.add(Counter::SolverDecisions, s.decisions);
@@ -422,9 +358,13 @@ pub(crate) mod tests {
             let mut out: Vec<(ResourceClass, usize, usize)> = Vec::new();
             placement_model(&ctx, &space, ii, with_latency, |c| {
                 out.push(match c {
-                    Constraint::ExactlyOne(op) => (c.class(), op, space.positions[op].len()),
-                    Constraint::AtMostOne(pe, cands) => (c.class(), pe.0 as usize, cands.len()),
-                    Constraint::Implies { src, dsts, .. } => (c.class(), src.0, dsts.len()),
+                    Constraint::ExactlyOne(op) => {
+                        (ResourceClass::Capability, op, space.positions[op].len())
+                    }
+                    Constraint::AtMostOne(pe, cands) => {
+                        (ResourceClass::SlotExclusive, pe.0 as usize, cands.len())
+                    }
+                    Constraint::Implies { class, src, dsts } => (class, src.0, dsts.len()),
                 })
             });
             out

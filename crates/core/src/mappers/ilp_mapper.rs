@@ -18,14 +18,12 @@
 //! sweep probes each II once, so nothing else would ever read it.
 
 use super::exact_common::{
-    add_solver_stats, cegar, diagnose_empty_space, diagnose_interrupted, diagnose_unroutable,
-    placement_model, Cand, CegarBackend, Constraint, Pos, PositionSpace,
+    add_solver_stats, cegar, placement_model, Cand, CegarBackend, Constraint, Pos, PositionSpace,
 };
+use super::sat_mapper::diagnose;
 use super::sweep::{SweepCtx, TemporalSearch, Verdict};
-use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
+use crate::diagnosis::Diagnosis;
 use crate::mapper::Family;
-use cgra_arch::PeId;
-use cgra_ir::NodeId;
 use cgra_solver::ilp::IlpConfig;
 use cgra_solver::{Cmp, IlpModel, IlpResult, IlpVar, IncumbentHook};
 use std::time::Duration;
@@ -41,16 +39,8 @@ const POSITION_CAP: usize = 12;
 const CEGAR_ROUNDS: u32 = 8;
 const WINDOW_IIS: u32 = 1;
 
-/// Every constraint row is stamped with the resource class it encodes,
-/// so the drop-group probe ([`IlpModel::probe_without`]) can attribute
-/// an infeasible model to the class whose removal restores
-/// feasibility. (Tag 0 is the solver's "untagged".)
-fn tag(class: ResourceClass) -> u32 {
-    class as u32 + 1
-}
-
 /// One II's model as the CEGAR loop sees it: re-solved after every
-/// blocking row, which is tagged as register pressure.
+/// blocking row.
 struct Rounds<'a> {
     ctx: &'a SweepCtx<'a>,
     /// The model with every CEGAR blocking row so far.
@@ -60,7 +50,11 @@ struct Rounds<'a> {
 
 impl CegarBackend for Rounds<'_> {
     fn solve(&mut self, _round: u32) -> Verdict<Vec<usize>> {
-        let values = match self.model.solve_with(IlpMapper::limits(self.ctx)) {
+        let limits = IlpConfig {
+            time_limit: self.ctx.budget.remaining().unwrap_or(Duration::MAX),
+            node_limit: 4_000,
+        };
+        let values = match self.model.solve_with(limits) {
             IlpResult::Optimal { values, .. } => values,
             IlpResult::Infeasible => return Verdict::Refuted,
             // Out of nodes with an incumbent in hand: route that.
@@ -85,53 +79,6 @@ impl CegarBackend for Rounds<'_> {
     }
 }
 
-impl IlpMapper {
-    /// The branch-and-bound budget of one solve.
-    fn limits(ctx: &SweepCtx<'_>) -> IlpConfig {
-        IlpConfig {
-            time_limit: ctx.budget.remaining().unwrap_or(Duration::MAX),
-            node_limit: 4_000,
-        }
-    }
-
-    /// The ILP lowering of the placement model at `ii`: one binary per
-    /// candidate position, priced by `objective`, and one tagged row
-    /// per constraint. Rows added afterwards (CEGAR blocking rows) are
-    /// tagged as register pressure.
-    fn encode(
-        &self,
-        ctx: &SweepCtx<'_>,
-        space: &PositionSpace,
-        ii: u32,
-        objective: impl Fn(Pos) -> f64,
-    ) -> (IlpModel, Vec<Vec<IlpVar>>) {
-        let mut model = IlpModel::new(false); // minimise
-        let vars: Vec<Vec<IlpVar>> = space
-            .positions
-            .iter()
-            .map(|ps| ps.iter().map(|&p| model.add_var(objective(p))).collect())
-            .collect();
-        let var = |&(op, k): &Cand| vars[op][k];
-        placement_model(ctx, space, ii, false, |c| {
-            model.set_row_tag(tag(c.class()));
-            match c {
-                Constraint::ExactlyOne(op) => model.exactly_one(&vars[op]),
-                Constraint::AtMostOne(_, cands) => {
-                    model.at_most_one(&cands.iter().map(var).collect::<Vec<_>>())
-                }
-                // x_src ≤ Σ compatible x_dst.
-                Constraint::Implies { src, dsts, .. } => {
-                    let mut row = vec![(var(&src), 1.0)];
-                    row.extend(dsts.iter().map(|d| (var(d), -1.0)));
-                    model.add_constraint(&row, Cmp::Le, 0.0);
-                }
-            }
-        });
-        model.set_row_tag(tag(ResourceClass::Register));
-        (model, vars)
-    }
-}
-
 impl TemporalSearch for IlpMapper {
     const NAME: &'static str = "ilp";
     const FAMILY: Family = Family::ExactIlp;
@@ -145,12 +92,30 @@ impl TemporalSearch for IlpMapper {
         if space.positions.iter().any(|ps| ps.is_empty()) {
             return Verdict::Unproven;
         }
-        // Objective: early issue + central placement.
-        let (mut model, vars) = self.encode(ctx, &space, ii, |(pe, t)| {
+        // The placement model lowered to rows over one binary per
+        // candidate position, priced for early issue + central placement.
+        let mut model = IlpModel::new(false); // minimise
+        let price = |(pe, t): Pos| {
             let (r, c) = fabric.coords(pe);
             let centre = (r as i32 - fabric.rows as i32 / 2).abs()
                 + (c as i32 - fabric.cols as i32 / 2).abs();
             t as f64 + centre as f64 * 0.1
+        };
+        let vars: Vec<Vec<IlpVar>> = (space.positions.iter())
+            .map(|ps| ps.iter().map(|&p| model.add_var(price(p))).collect())
+            .collect();
+        let var = |&(op, k): &Cand| vars[op][k];
+        placement_model(ctx, &space, ii, false, |c| match c {
+            Constraint::ExactlyOne(op) => model.exactly_one(&vars[op]),
+            Constraint::AtMostOne(_, cands) => {
+                model.at_most_one(&cands.iter().map(var).collect::<Vec<_>>())
+            }
+            // x_src ≤ Σ compatible x_dst.
+            Constraint::Implies { src, dsts, .. } => {
+                let mut row = vec![(var(&src), 1.0)];
+                row.extend(dsts.iter().map(|d| (var(d), -1.0)));
+                model.add_constraint(&row, Cmp::Le, 0.0);
+            }
         });
         model.set_interrupt(ctx.budget.interrupt());
         let tel = ctx.tele().clone();
@@ -166,120 +131,14 @@ impl TemporalSearch for IlpMapper {
     }
 
     fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
-        Some(self.diagnose_ii(ctx, ii))
-    }
-}
-
-impl IlpMapper {
-    /// Failure forensics at a single II: rebuild the tagged model and
-    /// run the drop-group probe — the resource class whose rows, when
-    /// removed, restore feasibility is the binding one.
-    fn diagnose_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Diagnosis {
-        let (dfg, fabric) = (ctx.dfg, ctx.fabric);
-        let space = PositionSpace::build(dfg, fabric, ii, WINDOW_IIS, Some(POSITION_CAP));
-        if let Some(d) = diagnose_empty_space(ctx, &space, ii) {
-            return d;
-        }
-        let (mut model, _) = self.encode(ctx, &space, ii, |(_, t)| t as f64);
-        model.set_interrupt(ctx.budget.interrupt());
-        let limits = Self::limits(ctx);
-        match model.solve_with(limits) {
-            IlpResult::Optimal { .. } => diagnose_unroutable(
-                ctx,
-                ii,
-                CEGAR_ROUNDS,
-                [
-                    "the ILP relaxation is feasible",
-                    "assignment",
-                    "linear model",
-                ],
-            ),
-            IlpResult::Budget { .. } => {
-                diagnose_interrupted(ctx, ii, "hit its budget before a verdict")
-            }
-            IlpResult::Infeasible => {
-                let groups = [
-                    ResourceClass::Capability,
-                    ResourceClass::SlotExclusive,
-                    ResourceClass::Routing,
-                ];
-                let binding: Vec<ResourceClass> = groups
-                    .into_iter()
-                    .filter(|&c| {
-                        matches!(
-                            model.probe_without(tag(c), limits),
-                            IlpResult::Optimal { .. }
-                        )
-                    })
-                    .collect();
-                let (class, detail) = match binding.first() {
-                    Some(&c) => (
-                        c,
-                        format!(
-                            "drop-group probe at II {ii}: removing the {c} rows \
-                             restores feasibility"
-                        ),
-                    ),
-                    None => (
-                        ResourceClass::Capability,
-                        format!(
-                            "no single constraint group is individually binding at \
-                             II {ii}; the conflict spans several resource classes"
-                        ),
-                    ),
-                };
-                let mut d = Diagnosis::new(class, ii, ctx.mii, detail);
-                let core = if binding.is_empty() {
-                    &groups[..]
-                } else {
-                    &binding
-                };
-                d.core = core.iter().map(|c| c.label().to_string()).collect();
-                match class {
-                    ResourceClass::Capability => {
-                        // Ops whose candidate sets are the most starved.
-                        let min = space.positions.iter().map(|ps| ps.len()).min().unwrap_or(0);
-                        d.ops = cap_list(
-                            space
-                                .positions
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, ps)| ps.len() == min)
-                                .map(|(o, _)| op_name(dfg, NodeId(o as u32)))
-                                .collect(),
-                        );
-                    }
-                    ResourceClass::SlotExclusive => {
-                        // Cells whose (pe, slot) groups are the most
-                        // oversubscribed, read off the model's own
-                        // exclusivity constraints.
-                        let mut groups: Vec<(PeId, usize)> = Vec::new();
-                        placement_model(ctx, &space, ii, false, |c| {
-                            if let Constraint::AtMostOne(pe, cands) = c {
-                                groups.push((pe, cands.len()));
-                            }
-                        });
-                        let peak = groups.iter().map(|g| g.1).max().unwrap_or(0);
-                        let mut cells: Vec<PeId> = (groups.iter())
-                            .filter(|g| g.1 == peak)
-                            .map(|g| g.0)
-                            .collect();
-                        cells.sort_by_key(|pe| pe.0);
-                        cells.dedup();
-                        d.cells =
-                            cap_list(cells.into_iter().map(|pe| cell_name(fabric, pe)).collect());
-                    }
-                    _ => {}
-                }
-                d
-            }
-        }
+        Some(diagnose(ctx, ii, WINDOW_IIS, POSITION_CAP, CEGAR_ROUNDS))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnosis::ResourceClass;
     use crate::mapper::{MapConfig, Mapper};
     use crate::mappers::exact_common::tests::sweep_ii_is_the_smallest_pinned_ii;
     use crate::validate::validate;
@@ -287,30 +146,42 @@ mod tests {
     use cgra_ir::kernels;
 
     #[test]
-    fn explain_attaches_diagnosis_and_drop_group_probe_is_deterministic() {
-        let mut f = Fabric::homogeneous(2, 2, Topology::Mesh);
+    fn explain_attaches_a_deterministic_final_conflict_core() {
+        let mut starved = Fabric::homogeneous(2, 2, Topology::Mesh);
         for pe in 1..4 {
-            f.cells[pe].mul = false;
+            starved.cells[pe].mul = false;
         }
         let dfg = kernels::fir(4);
         // II pinned below MII: analytic capability diagnosis.
-        let cfg = MapConfig {
+        let below = MapConfig {
             max_ii: 1,
             explain: true,
             ..MapConfig::fast()
         };
-        let err = IlpMapper.map(&dfg, &f, &cfg).unwrap_err();
+        let err = IlpMapper.map(&dfg, &starved, &below).unwrap_err();
         let d = err.diagnosis().expect("explain must attach a diagnosis");
         assert_eq!(d.class, ResourceClass::Capability);
-        // The tagged-model probe itself, at a feasible-range II.
-        let base = MapConfig::fast();
-        let ctx = SweepCtx::open(&dfg, &f, &base).unwrap();
-        let m = IlpMapper;
-        let p1 = m.diagnose_ii(&ctx, 1);
-        let p2 = m.diagnose_ii(&ctx, 1);
-        assert_eq!(p1, p2, "probe must be deterministic");
-        assert!(!p1.core.is_empty());
-        assert_ne!(p1.class, ResourceClass::Register);
+        // Pinned to its MII 4 on a plain 2×2 mesh, no placement is
+        // found, and the final-conflict core says why: the taps' values
+        // cannot reach each other through pe1–pe3 in time.
+        let f = Fabric::homogeneous(2, 2, Topology::Mesh);
+        let at_mii = MapConfig {
+            max_ii: 4,
+            explain: true,
+            ..MapConfig::fast()
+        };
+        let run = || IlpMapper.map(&dfg, &f, &at_mii).unwrap_err();
+        let (e1, e2) = (run(), run());
+        let d = e1.diagnosis().expect("explain must attach a diagnosis");
+        assert_eq!(Some(d), e2.diagnosis(), "diagnosis must be deterministic");
+        assert_eq!((d.class, d.ii, d.mii), (ResourceClass::Routing, 4, 4));
+        assert!(
+            d.detail.starts_with("final-conflict core at II 4"),
+            "{}",
+            d.render()
+        );
+        assert_eq!(d.cells, ["pe1@(0,1)", "pe2@(1,0)", "pe3@(1,1)"]);
+        assert!(d.core.contains(&"routing".to_string()), "{:?}", d.core);
     }
 
     #[test]

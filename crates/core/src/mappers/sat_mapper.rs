@@ -15,10 +15,14 @@
 //! adds its no-goods as plain clauses, and drops the solver when it
 //! ends. Nothing carries from one II to the next, so a sweep and a
 //! pinned single-II run solve the same formula.
+//!
+//! The same formula, with each constraint class behind a selector, is
+//! the failure diagnosis of all three exact mappers that lower the
+//! placement model ([`diagnose`]): its final-conflict core names the
+//! classes that refute an II.
 
 use super::exact_common::{
-    add_solver_stats, cegar, diagnose_empty_space, diagnose_interrupted, diagnose_unroutable,
-    placement_model, Cand, CegarBackend, Constraint, PositionSpace,
+    add_solver_stats, cegar, placement_model, Cand, CegarBackend, Constraint, PositionSpace,
 };
 use super::sweep::{SweepCtx, TemporalSearch, Verdict};
 use crate::diagnosis::{cap_list, cell_name, op_name, Diagnosis, ResourceClass};
@@ -102,7 +106,7 @@ impl SatMapper {
     fn probe<'a>(&self, ctx: &'a SweepCtx<'a>, space: &PositionSpace, ii: u32) -> Probe<'a> {
         let (mut solver, lits) = solver_over(ctx, space);
         placement_model(ctx, space, ii, false, |c| {
-            self.lower(&mut solver, &lits, &c, None)
+            lower(&mut solver, &lits, &c, self.amo, None)
         });
         Probe {
             ctx,
@@ -111,156 +115,187 @@ impl SatMapper {
             ii,
         }
     }
+}
 
-    /// The CNF lowering of one constraint of the placement model:
-    /// `lits[op][k]` stands for candidate `(op, k)`, and every clause
-    /// goes under `guard` when there is one. The at-most-one half of an
-    /// `ExactlyOne` is structural — dropping a position never causes
-    /// UNSAT — and stays unguarded, so a diagnosis keeps it out of its
-    /// cores.
-    fn lower(
-        &self,
-        solver: &mut SatSolver,
-        lits: &[Vec<Lit>],
-        c: &Constraint<'_>,
-        guard: Option<Lit>,
-    ) {
-        let add = |solver: &mut SatSolver, clause: &[Lit]| match guard {
-            Some(sel) => solver.add_clause_under(sel, clause),
-            None => solver.add_clause(clause),
-        };
-        let lit = |&(op, k): &Cand| lits[op][k];
-        match c {
-            Constraint::ExactlyOne(op) => {
-                add(solver, &lits[*op]);
-                at_most_one(solver, &lits[*op], self.amo, None);
-            }
-            Constraint::AtMostOne(_, cands) => {
-                let group: Vec<Lit> = cands.iter().map(lit).collect();
-                at_most_one(solver, &group, self.amo, guard);
-            }
-            Constraint::Implies { src, dsts, .. } => {
-                let mut clause = vec![lit(src).negate()];
-                clause.extend(dsts.iter().map(lit));
-                add(solver, &clause);
-            }
+/// The CNF lowering of one constraint of the placement model:
+/// `lits[op][k]` stands for candidate `(op, k)`, and every clause goes
+/// under `guard` when there is one. The at-most-one half of an
+/// `ExactlyOne` is structural — dropping a position never causes UNSAT
+/// — and stays unguarded, so a diagnosis keeps it out of its cores.
+fn lower(
+    solver: &mut SatSolver,
+    lits: &[Vec<Lit>],
+    c: &Constraint<'_>,
+    amo: AmoEncoding,
+    guard: Option<Lit>,
+) {
+    let add = |solver: &mut SatSolver, clause: &[Lit]| match guard {
+        Some(sel) => solver.add_clause_under(sel, clause),
+        None => solver.add_clause(clause),
+    };
+    let lit = |&(op, k): &Cand| lits[op][k];
+    match c {
+        Constraint::ExactlyOne(op) => {
+            add(solver, &lits[*op]);
+            at_most_one(solver, &lits[*op], amo, None);
+        }
+        Constraint::AtMostOne(_, cands) => {
+            let group: Vec<Lit> = cands.iter().map(lit).collect();
+            at_most_one(solver, &group, amo, guard);
+        }
+        Constraint::Implies { src, dsts, .. } => {
+            let mut clause = vec![lit(src).negate()];
+            clause.extend(dsts.iter().map(lit));
+            add(solver, &clause);
         }
     }
+}
 
-    /// Failure forensics at a single II: a re-encoding on a solver of
-    /// its own with every constraint class guarded by its own
-    /// assumption literal — one per op for the at-least-one layer, one
-    /// per PE for slot exclusivity, one each for the dependence-latency
-    /// and routing-reachability edge layers (so a core can tell "values
-    /// cannot wait long enough" apart from "values cannot travel far
-    /// enough"). The solver's final-conflict core
-    /// ([`SatSolver::failed_assumptions`]) then names exactly the groups
-    /// that participated in the refutation.
-    fn diagnose_ii(&self, ctx: &SweepCtx<'_>, ii: u32) -> Diagnosis {
-        let (dfg, fabric) = (ctx.dfg, ctx.fabric);
-        let space = PositionSpace::build(dfg, fabric, ii, WINDOW_IIS, Some(POSITION_CAP));
-        if let Some(d) = diagnose_empty_space(ctx, &space, ii) {
-            return d;
-        }
-        let (mut solver, vars) = solver_over(ctx, &space);
-        let op_sels: Vec<Lit> = (0..vars.len()).map(|_| solver.new_selector()).collect();
-        let pe_sels: Vec<Lit> = fabric.pe_ids().map(|_| solver.new_selector()).collect();
-        let s_lat = solver.new_selector();
-        let s_route = solver.new_selector();
-        placement_model(ctx, &space, ii, true, |c| {
-            let guard = match c {
-                Constraint::ExactlyOne(op) => op_sels[op],
-                Constraint::AtMostOne(pe, _) => pe_sels[pe.0 as usize],
-                Constraint::Implies {
-                    class: ResourceClass::Routing,
-                    ..
-                } => s_route,
-                Constraint::Implies { .. } => s_lat,
-            };
-            self.lower(&mut solver, &vars, &c, Some(guard));
-        });
-        let mut assumptions: Vec<Lit> = Vec::new();
-        assumptions.extend(&op_sels);
-        assumptions.extend(&pe_sels);
-        assumptions.push(s_lat);
-        assumptions.push(s_route);
-        match solver.solve_with_assumptions(&assumptions) {
-            SatResult::Sat(_) => diagnose_unroutable(
-                ctx,
-                ii,
-                CEGAR_ROUNDS,
-                ["the placement CNF is satisfiable", "model", "encoding"],
+/// Failure forensics at `ii` for whichever exact mapper (`sat`, `cp`,
+/// `ilp`) ran out of IIs: the placement model over that mapper's own
+/// [`PositionSpace`] (`window_iis`, `cap`), re-encoded on a solver of
+/// its own with every constraint class guarded by its own assumption
+/// literal — one per op for the at-least-one layer, one per PE for slot
+/// exclusivity, one each for the dependence-latency and
+/// routing-reachability edge layers (so a core can tell "values cannot
+/// wait long enough" apart from "values cannot travel far enough").
+/// The solver's final-conflict core ([`SatSolver::failed_assumptions`])
+/// then names exactly the groups that participated in the refutation;
+/// a satisfiable model is blamed on the registers the mapper's `rounds`
+/// CEGAR rounds could not route around.
+pub(super) fn diagnose(
+    ctx: &SweepCtx<'_>,
+    ii: u32,
+    window_iis: u32,
+    cap: usize,
+    rounds: u32,
+) -> Diagnosis {
+    let (dfg, fabric) = (ctx.dfg, ctx.fabric);
+    let space = PositionSpace::build(dfg, fabric, ii, window_iis, Some(cap));
+    if let Some(o) = space.positions.iter().position(|ps| ps.is_empty()) {
+        let op = op_name(dfg, NodeId(o as u32));
+        let mut d = Diagnosis::new(
+            ResourceClass::Capability,
+            ii,
+            ctx.mii,
+            format!(
+                "{op} has no candidate position at II {ii}: \
+                 no capable cell inside the placement window"
             ),
-            SatResult::Unknown => {
-                diagnose_interrupted(ctx, ii, "interrupted before a core was extracted")
+        );
+        d.ops = vec![op];
+        return d;
+    }
+    let (mut solver, vars) = solver_over(ctx, &space);
+    let op_sels: Vec<Lit> = (0..vars.len()).map(|_| solver.new_selector()).collect();
+    let pe_sels: Vec<Lit> = fabric.pe_ids().map(|_| solver.new_selector()).collect();
+    let s_lat = solver.new_selector();
+    let s_route = solver.new_selector();
+    placement_model(ctx, &space, ii, true, |c| {
+        let guard = match c {
+            Constraint::ExactlyOne(op) => op_sels[op],
+            Constraint::AtMostOne(pe, _) => pe_sels[pe.0 as usize],
+            Constraint::Implies {
+                class: ResourceClass::Routing,
+                ..
+            } => s_route,
+            Constraint::Implies { .. } => s_lat,
+        };
+        lower(&mut solver, &vars, &c, AmoEncoding::Pairwise, Some(guard));
+    });
+    let mut assumptions: Vec<Lit> = Vec::new();
+    assumptions.extend(&op_sels);
+    assumptions.extend(&pe_sels);
+    assumptions.push(s_lat);
+    assumptions.push(s_route);
+    match solver.solve_with_assumptions(&assumptions) {
+        SatResult::Sat(_) => {
+            let mut d = Diagnosis::new(
+                ResourceClass::Register,
+                ii,
+                ctx.mii,
+                format!(
+                    "the placement CNF is satisfiable at II {ii}; every model failed route \
+                     realisation within {} CEGAR rounds (register/congestion pressure the \
+                     encoding cannot see)",
+                    rounds.max(1)
+                ),
+            );
+            d.core = vec!["register".into()];
+            d
+        }
+        SatResult::Unknown => Diagnosis::new(
+            ResourceClass::Routing,
+            ii,
+            ctx.mii,
+            format!("diagnostic probe at II {ii} interrupted before a core was extracted"),
+        ),
+        SatResult::Unsat => {
+            let failed: HashSet<Lit> = solver.failed_assumptions().iter().copied().collect();
+            let ops: Vec<String> = op_sels
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| failed.contains(s))
+                .map(|(o, _)| op_name(dfg, NodeId(o as u32)))
+                .collect();
+            let cells: Vec<String> = fabric
+                .pe_ids()
+                .filter(|pe| failed.contains(&pe_sels[pe.0 as usize]))
+                .map(|pe| cell_name(fabric, pe))
+                .collect();
+            let lat = failed.contains(&s_lat);
+            let route = failed.contains(&s_route);
+            // The most specific layer in the conflict wins: edge layers
+            // only appear when they actually bind, cell exclusivity
+            // next, bare op constraints mean the candidate sets
+            // themselves are starved.
+            let class = if route {
+                ResourceClass::Routing
+            } else if lat {
+                ResourceClass::DependenceLatency
+            } else if !cells.is_empty() {
+                ResourceClass::SlotExclusive
+            } else {
+                ResourceClass::Capability
+            };
+            let mut core = Vec::new();
+            if !ops.is_empty() {
+                core.push(ResourceClass::Capability.label().to_string());
             }
-            SatResult::Unsat => {
-                let failed: HashSet<Lit> = solver.failed_assumptions().iter().copied().collect();
-                let ops: Vec<String> = op_sels
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| failed.contains(s))
-                    .map(|(o, _)| op_name(dfg, NodeId(o as u32)))
-                    .collect();
-                let cells: Vec<String> = fabric
-                    .pe_ids()
-                    .filter(|pe| failed.contains(&pe_sels[pe.0 as usize]))
-                    .map(|pe| cell_name(fabric, pe))
-                    .collect();
-                let lat = failed.contains(&s_lat);
-                let route = failed.contains(&s_route);
-                // The most specific layer in the conflict wins: edge
-                // layers only appear when they actually bind, cell
-                // exclusivity next, bare op constraints mean the
-                // candidate sets themselves are starved.
-                let class = if route {
-                    ResourceClass::Routing
-                } else if lat {
-                    ResourceClass::DependenceLatency
-                } else if !cells.is_empty() {
-                    ResourceClass::SlotExclusive
-                } else {
-                    ResourceClass::Capability
-                };
-                let mut core = Vec::new();
-                if !ops.is_empty() {
-                    core.push(ResourceClass::Capability.label().to_string());
-                }
-                if !cells.is_empty() {
-                    core.push(ResourceClass::SlotExclusive.label().to_string());
-                }
-                if lat {
-                    core.push(ResourceClass::DependenceLatency.label().to_string());
-                }
-                if route {
-                    core.push(ResourceClass::Routing.label().to_string());
-                }
-                let mut d = Diagnosis::new(
-                    class,
-                    ii,
-                    ctx.mii,
-                    format!(
-                        "final-conflict core at II {ii}: {} op placement constraint(s), \
-                         {} cell exclusivity group(s){}{}",
-                        ops.len(),
-                        cells.len(),
-                        if lat {
-                            ", the dependence-latency layer"
-                        } else {
-                            ""
-                        },
-                        if route {
-                            ", the routing-reachability layer"
-                        } else {
-                            ""
-                        }
-                    ),
-                );
-                d.ops = cap_list(ops);
-                d.cells = cap_list(cells);
-                d.core = core;
-                d
+            if !cells.is_empty() {
+                core.push(ResourceClass::SlotExclusive.label().to_string());
             }
+            if lat {
+                core.push(ResourceClass::DependenceLatency.label().to_string());
+            }
+            if route {
+                core.push(ResourceClass::Routing.label().to_string());
+            }
+            let mut d = Diagnosis::new(
+                class,
+                ii,
+                ctx.mii,
+                format!(
+                    "final-conflict core at II {ii}: {} op placement constraint(s), \
+                     {} cell exclusivity group(s){}{}",
+                    ops.len(),
+                    cells.len(),
+                    if lat {
+                        ", the dependence-latency layer"
+                    } else {
+                        ""
+                    },
+                    if route {
+                        ", the routing-reachability layer"
+                    } else {
+                        ""
+                    }
+                ),
+            );
+            d.ops = cap_list(ops);
+            d.cells = cap_list(cells);
+            d.core = core;
+            d
         }
     }
 }
@@ -286,7 +321,7 @@ impl TemporalSearch for SatMapper {
     }
 
     fn diagnose(&self, ctx: &SweepCtx<'_>, ii: u32) -> Option<Diagnosis> {
-        Some(self.diagnose_ii(ctx, ii))
+        Some(diagnose(ctx, ii, WINDOW_IIS, POSITION_CAP, CEGAR_ROUNDS))
     }
 }
 
@@ -394,9 +429,8 @@ mod tests {
         let dfg = kernels::fir(4);
         let cfg = MapConfig::fast();
         let ctx = SweepCtx::open(&dfg, &f, &cfg).unwrap();
-        let m = SatMapper::default();
-        let d = m.diagnose_ii(&ctx, 1);
-        let d2 = m.diagnose_ii(&ctx, 1);
+        let d = diagnose(&ctx, 1, WINDOW_IIS, POSITION_CAP, CEGAR_ROUNDS);
+        let d2 = diagnose(&ctx, 1, WINDOW_IIS, POSITION_CAP, CEGAR_ROUNDS);
         assert_eq!(d, d2, "probe must be deterministic");
         assert!(!d.core.is_empty());
         assert_eq!(d.ii, 1);

@@ -11,7 +11,7 @@ use crate::mapping::{Mapping, Placement};
 use crate::route::route_all_with;
 use crate::telemetry::Telemetry;
 use cgra_arch::{Fabric, PeId, TopologyCache};
-use cgra_ir::{Dfg, NodeId};
+use cgra_ir::Dfg;
 
 /// BFS placement: operations in topological order grab the nearest
 /// capability-feasible free PE to their predecessors.
@@ -152,12 +152,6 @@ impl Mapper for SpatialGreedy {
         cfg.telemetry.incumbent("spatial-greedy", m.ii, m.ii as f64);
         Ok(m)
     }
-}
-
-/// Expose a helper for tests and other mappers: all input nodes.
-#[allow(dead_code)]
-pub(crate) fn source_nodes(dfg: &Dfg) -> Vec<NodeId> {
-    dfg.node_ids().filter(|&n| dfg.op(n).is_source()).collect()
 }
 
 #[cfg(test)]

@@ -81,23 +81,6 @@ impl SdfGraph {
         }
         (order.len() == n).then_some(order)
     }
-
-    /// External input streams of an actor (not fed by any channel).
-    pub fn external_inputs(&self, actor: usize) -> Vec<u32> {
-        let fed: Vec<u32> = self
-            .channels
-            .iter()
-            .filter(|c| c.to_actor == actor)
-            .map(|c| c.to_stream)
-            .collect();
-        self.actors[actor]
-            .nodes()
-            .filter_map(|(_, n)| match n.op {
-                OpKind::Input(s) if !fed.contains(&s) => Some(s),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// A mapped streaming application.
@@ -250,8 +233,6 @@ mod tests {
     fn topo_and_external_inputs() {
         let sdf = pipeline();
         assert_eq!(sdf.topo_actors(), Some(vec![0, 1]));
-        assert_eq!(sdf.external_inputs(0), vec![0]);
-        assert!(sdf.external_inputs(1).is_empty());
     }
 
     fn mesh(rows: u16, cols: u16) -> FabricSpec {

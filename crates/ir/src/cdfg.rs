@@ -50,16 +50,6 @@ pub enum ControlKind {
     Return,
 }
 
-/// A directed control edge (derived from terminators; kept explicit for
-/// graph algorithms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct ControlEdge {
-    pub from: BlockId,
-    pub to: BlockId,
-    /// True if this is the taken (`then`) leg of a branch.
-    pub taken: bool,
-}
-
 /// A basic block: a DFG fragment plus its interface and terminator.
 #[derive(Debug, Clone, Serialize)]
 pub struct BasicBlock {
@@ -73,16 +63,6 @@ pub struct BasicBlock {
     /// [`Dfg::validate_with_phis`]).
     pub dfg: Dfg,
     pub terminator: ControlKind,
-}
-
-/// Natural-loop structure discovered by [`Cdfg::loops`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoopInfo {
-    pub header: BlockId,
-    /// The in-loop predecessor of the header.
-    pub latch: BlockId,
-    /// All blocks in the loop body (header included).
-    pub blocks: Vec<BlockId>,
 }
 
 /// What [`Cdfg::execute`] yields: the final variable environment, the
@@ -139,45 +119,6 @@ impl Cdfg {
         (0..self.blocks.len() as u32).map(BlockId)
     }
 
-    /// All control edges, derived from terminators.
-    pub fn control_edges(&self) -> Vec<ControlEdge> {
-        let mut edges = Vec::new();
-        for id in self.block_ids() {
-            match &self.block(id).terminator {
-                ControlKind::Jump(t) => edges.push(ControlEdge {
-                    from: id,
-                    to: *t,
-                    taken: true,
-                }),
-                ControlKind::Branch {
-                    then_to, else_to, ..
-                } => {
-                    edges.push(ControlEdge {
-                        from: id,
-                        to: *then_to,
-                        taken: true,
-                    });
-                    edges.push(ControlEdge {
-                        from: id,
-                        to: *else_to,
-                        taken: false,
-                    });
-                }
-                ControlKind::Return => {}
-            }
-        }
-        edges
-    }
-
-    /// Predecessor blocks of `b`.
-    pub fn predecessors(&self, b: BlockId) -> Vec<BlockId> {
-        self.control_edges()
-            .into_iter()
-            .filter(|e| e.to == b)
-            .map(|e| e.from)
-            .collect()
-    }
-
     /// Structural validation: targets exist, block DFGs are well formed,
     /// branch conditions are nodes of their own block.
     pub fn validate(&self) -> Result<(), CdfgError> {
@@ -218,129 +159,6 @@ impl Cdfg {
             }
         }
         Ok(())
-    }
-
-    /// Immediate dominators via the iterative Cooper-Harvey-Kennedy
-    /// algorithm. `idom[entry] == entry`; unreachable blocks map to
-    /// `None`.
-    pub fn dominators(&self) -> Vec<Option<BlockId>> {
-        let n = self.blocks.len();
-        // Reverse postorder.
-        let mut visited = vec![false; n];
-        let mut post = Vec::with_capacity(n);
-        let mut stack = vec![(self.entry, false)];
-        let succs: Vec<Vec<BlockId>> = self
-            .block_ids()
-            .map(|b| match self.block(b).terminator {
-                ControlKind::Jump(t) => vec![t],
-                ControlKind::Branch {
-                    then_to, else_to, ..
-                } => vec![then_to, else_to],
-                ControlKind::Return => vec![],
-            })
-            .collect();
-        while let Some((b, processed)) = stack.pop() {
-            if processed {
-                post.push(b);
-                continue;
-            }
-            if visited[b.index()] {
-                continue;
-            }
-            visited[b.index()] = true;
-            stack.push((b, true));
-            for &s in &succs[b.index()] {
-                if !visited[s.index()] {
-                    stack.push((s, false));
-                }
-            }
-        }
-        let rpo: Vec<BlockId> = post.iter().rev().copied().collect();
-        let mut rpo_num = vec![usize::MAX; n];
-        for (i, b) in rpo.iter().enumerate() {
-            rpo_num[b.index()] = i;
-        }
-
-        let preds: Vec<Vec<BlockId>> = self.block_ids().map(|b| self.predecessors(b)).collect();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[self.entry.index()] = Some(self.entry);
-        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
-            while a != b {
-                while rpo_num[a.index()] > rpo_num[b.index()] {
-                    a = idom[a.index()].unwrap();
-                }
-                while rpo_num[b.index()] > rpo_num[a.index()] {
-                    b = idom[b.index()].unwrap();
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &rpo {
-                if b == self.entry {
-                    continue;
-                }
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.index()] {
-                    if idom[p.index()].is_some() {
-                        new_idom = Some(match new_idom {
-                            None => p,
-                            Some(cur) => intersect(&idom, cur, p),
-                        });
-                    }
-                }
-                if new_idom.is_some() && idom[b.index()] != new_idom {
-                    idom[b.index()] = new_idom;
-                    changed = true;
-                }
-            }
-        }
-        idom
-    }
-
-    /// Natural loops: back edges `latch → header` where `header`
-    /// dominates `latch`, with the body collected by reverse reachability.
-    pub fn loops(&self) -> Vec<LoopInfo> {
-        let idom = self.dominators();
-        let dominates = |a: BlockId, mut b: BlockId| -> bool {
-            loop {
-                if a == b {
-                    return true;
-                }
-                match idom[b.index()] {
-                    Some(d) if d != b => b = d,
-                    _ => return false,
-                }
-            }
-        };
-        let mut loops = Vec::new();
-        for e in self.control_edges() {
-            if dominates(e.to, e.from) {
-                // Back edge e.from -> e.to.
-                let header = e.to;
-                let latch = e.from;
-                let mut body = vec![header];
-                let mut work = vec![latch];
-                while let Some(b) = work.pop() {
-                    if body.contains(&b) {
-                        continue;
-                    }
-                    body.push(b);
-                    for p in self.predecessors(b) {
-                        work.push(p);
-                    }
-                }
-                body.sort();
-                loops.push(LoopInfo {
-                    header,
-                    latch,
-                    blocks: body,
-                });
-            }
-        }
-        loops
     }
 
     /// Detect an if-then-else diamond: a branch block whose two
@@ -538,28 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn loop_discovered() {
-        let c = counting_loop();
-        let loops = c.loops();
-        assert_eq!(loops.len(), 1);
-        assert_eq!(loops[0].header, BlockId(1));
-        assert_eq!(loops[0].latch, BlockId(2));
-        assert!(loops[0].blocks.contains(&BlockId(1)));
-        assert!(loops[0].blocks.contains(&BlockId(2)));
-        assert!(!loops[0].blocks.contains(&BlockId(3)));
-    }
-
-    #[test]
-    fn dominators_of_loop() {
-        let c = counting_loop();
-        let idom = c.dominators();
-        assert_eq!(idom[0], Some(BlockId(0)));
-        assert_eq!(idom[1], Some(BlockId(0)));
-        assert_eq!(idom[2], Some(BlockId(1)));
-        assert_eq!(idom[3], Some(BlockId(1)));
-    }
-
-    #[test]
     fn unbound_variable_errors() {
         let c = counting_loop();
         // No `n` in the environment.
@@ -620,12 +416,5 @@ mod tests {
             c.find_diamond(),
             Some((BlockId(0), BlockId(1), BlockId(2), BlockId(3)))
         );
-    }
-
-    #[test]
-    fn control_edges_enumerated() {
-        let c = counting_loop();
-        let edges = c.control_edges();
-        assert_eq!(edges.len(), 4); // jump, 2 branch legs, body jump
     }
 }

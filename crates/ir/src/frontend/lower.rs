@@ -923,8 +923,21 @@ mod tests {
 
     #[test]
     fn func_loop_structure_discovered() {
+        use crate::cdfg::ControlKind;
         let c = compile_func("func f(n) { var i = 0; while (i < n) { i += 1; } return; }").unwrap();
-        assert_eq!(c.loops().len(), 1);
+        // Blocks are emitted in source order, so the `while` is the one
+        // terminator that targets its own block or an earlier one.
+        let back_edges = c
+            .block_ids()
+            .filter(|&b| match c.block(b).terminator {
+                ControlKind::Jump(t) => t <= b,
+                ControlKind::Branch {
+                    then_to, else_to, ..
+                } => then_to <= b || else_to <= b,
+                ControlKind::Return => false,
+            })
+            .count();
+        assert_eq!(back_edges, 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod kernels;
 pub mod op;
 pub mod passes;
 
-pub use cdfg::{BasicBlock, BlockId, Cdfg, ControlEdge, ControlKind, LoopInfo};
+pub use cdfg::{BasicBlock, BlockId, Cdfg, ControlKind};
 pub use dfg::{Dfg, DfgError, Edge, EdgeId, Node, NodeId};
 pub use interp::{InterpError, Interpreter, Tape};
 pub use op::{OpKind, PortCount, Value};

@@ -112,12 +112,6 @@ impl OpKind {
         matches!(self, OpKind::Const(_) | OpKind::Input(_))
     }
 
-    /// True for the output sink.
-    #[inline]
-    pub fn is_sink(self) -> bool {
-        matches!(self, OpKind::Output(_))
-    }
-
     /// True if the operation touches data memory.
     #[inline]
     pub fn is_memory(self) -> bool {

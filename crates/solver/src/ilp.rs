@@ -44,12 +44,6 @@ pub struct IlpModel {
     num_vars: usize,
     objective: Vec<f64>,
     constraints: Vec<Row>,
-    /// Diagnostic group tag per row, parallel to `constraints`. Rows
-    /// inherit the tag current at [`IlpModel::add_constraint`] time
-    /// (see [`IlpModel::set_row_tag`]); tag 0 is "untagged".
-    row_tags: Vec<u32>,
-    /// Tag stamped onto subsequently added rows.
-    cur_tag: u32,
     maximize: bool,
     stats: IlpStats,
     /// Cooperative stop signal, polled once per branch-and-bound node.
@@ -126,8 +120,6 @@ impl IlpModel {
             num_vars: 0,
             objective: Vec::new(),
             constraints: Vec::new(),
-            row_tags: Vec::new(),
-            cur_tag: 0,
             maximize,
             stats: IlpStats::default(),
             interrupt: crate::interrupt::Interrupt::none(),
@@ -172,21 +164,10 @@ impl IlpModel {
         self.num_vars
     }
 
-    /// Add `sum coeffs·x  cmp  rhs`. The row is stamped with the
-    /// current diagnostic tag (see [`IlpModel::set_row_tag`]).
+    /// Add `sum coeffs·x  cmp  rhs`.
     pub fn add_constraint(&mut self, coeffs: &[(IlpVar, f64)], cmp: Cmp, rhs: f64) {
         self.constraints
             .push((coeffs.iter().map(|&(v, c)| (v.0, c)).collect(), cmp, rhs));
-        self.row_tags.push(self.cur_tag);
-    }
-
-    /// Set the diagnostic group tag stamped onto every row added from
-    /// now on (including rows added through `exactly_one` /
-    /// `at_most_one` / `implies`). Tags partition the model into named
-    /// constraint classes so an infeasibility can be attributed by
-    /// [`IlpModel::probe_without`]; they never affect solving.
-    pub fn set_row_tag(&mut self, tag: u32) {
-        self.cur_tag = tag;
     }
 
     /// `sum vars == 1` (the ubiquitous assignment constraint).
@@ -201,35 +182,9 @@ impl IlpModel {
         self.add_constraint(&coeffs, Cmp::Le, 1.0);
     }
 
-    /// Implication `a -> b`, i.e. `a <= b`.
-    pub fn implies(&mut self, a: IlpVar, b: IlpVar) {
-        self.add_constraint(&[(a, 1.0), (b, -1.0)], Cmp::Le, 0.0);
-    }
-
     /// Solve with the default budget.
     pub fn solve(&self) -> IlpResult {
         self.solve_with(IlpConfig::default())
-    }
-
-    /// Infeasibility probe: re-solve the model with every row tagged
-    /// `drop_tag` removed. On an infeasible model, a probe that comes
-    /// back feasible names the dropped constraint class as (part of)
-    /// the binding reason — the ILP counterpart of a SAT unsat core
-    /// over selector groups. The probe solves a relaxation, so it only
-    /// ever *adds* feasibility; it shares the parent's interrupt but
-    /// not its stats.
-    pub fn probe_without(&self, drop_tag: u32, cfg: IlpConfig) -> IlpResult {
-        let mut probe = IlpModel::new(self.maximize);
-        probe.num_vars = self.num_vars;
-        probe.objective = self.objective.clone();
-        probe.interrupt = self.interrupt.clone();
-        for (row, &tag) in self.constraints.iter().zip(&self.row_tags) {
-            if tag != drop_tag {
-                probe.constraints.push(row.clone());
-                probe.row_tags.push(tag);
-            }
-        }
-        probe.solve_with(cfg)
     }
 
     /// Solve with an explicit budget.
@@ -427,41 +382,12 @@ mod tests {
         let mut m = IlpModel::new(true);
         let a = m.add_var(0.0);
         let b = m.add_var(1.0);
-        m.implies(b, a);
+        m.add_constraint(&[(b, 1.0), (a, -1.0)], Cmp::Le, 0.0);
         m.at_most_one(&[a, b]);
         match m.solve() {
             IlpResult::Optimal { objective, .. } => assert_eq!(objective, 0.0),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn probe_without_attributes_infeasibility_to_a_row_group() {
-        // exactly_one (tag 1) conflicts with a >=2 demand (tag 2);
-        // dropping either group restores feasibility, dropping an
-        // unused tag does not.
-        let mut m = IlpModel::new(true);
-        let a = m.add_var(1.0);
-        let b = m.add_var(1.0);
-        m.set_row_tag(1);
-        m.exactly_one(&[a, b]);
-        m.set_row_tag(2);
-        m.add_constraint(&[(a, 1.0), (b, 1.0)], Cmp::Ge, 2.0);
-        assert_eq!(m.solve(), IlpResult::Infeasible);
-        assert!(matches!(
-            m.probe_without(1, IlpConfig::default()),
-            IlpResult::Optimal { .. }
-        ));
-        assert!(matches!(
-            m.probe_without(2, IlpConfig::default()),
-            IlpResult::Optimal { .. }
-        ));
-        assert_eq!(
-            m.probe_without(7, IlpConfig::default()),
-            IlpResult::Infeasible
-        );
-        // The probe never mutates the parent model.
-        assert_eq!(m.solve(), IlpResult::Infeasible);
     }
 
     #[test]

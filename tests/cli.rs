@@ -260,3 +260,60 @@ fn a_failed_map_still_writes_its_trace() {
         "parse span missing:\n{body}"
     );
 }
+
+/// A reader that closes the pipe early (`cgra-map … | head -1`) ends
+/// the output quietly; the exit code stays the map verdict's.
+#[test]
+fn a_closed_stdout_ends_output_quietly() {
+    use std::process::Stdio;
+    let path = write_temp("dot-pipe.mc", DOT);
+    let mut child = bin()
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// `--explain` on an exact mapper that runs out of IIs prints the
+/// placement model's final-conflict core: fir4 at its MII 3 on a 2×2
+/// mesh cannot route its taps through pe1–pe3.
+#[test]
+fn ilp_explain_prints_the_final_conflict_core() {
+    let kernel = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/kernels/fir4.mc"
+    );
+    let out = bin()
+        .arg(kernel)
+        .args([
+            "--fabric",
+            "2x2",
+            "--mapper",
+            "ilp",
+            "--max-ii",
+            "3",
+            "--explain",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert!(
+        stderr.contains("binding resource class = routing"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("detail: final-conflict core at II 3"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("cells: pe1@(0,1), pe2@(1,0), pe3@(1,1)"),
+        "{stderr}"
+    );
+}
